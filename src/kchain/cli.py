@@ -70,22 +70,87 @@ def _emit_csv(header, rows, out=None):
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _apply_config_file(args, parser):
-    """Fill parser defaults from a JSON file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
+def _positive_int(text) -> int:
+    """argparse type for --threads (or KRAW_THREADS): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count (--threads or KRAW_THREADS) must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+# JSON value types a config file may give for each flag type
+_CONFIG_TYPES = {int: (int,), _positive_int: (int,), float: (int, float), str: (str,), None: (str,)}
+
+
+def _config_value(action, key, value):
+    """A config file value checked against its flag's type, nargs and choices."""
+    if action.nargs in ("+", "*"):
+        if not isinstance(value, list) or (action.nargs == "+" and not value):
+            raise SystemExit(f"config key {key!r} must be a non-empty list")
+        return [_config_value_one(action, key, v) for v in value]
+    return _config_value_one(action, key, value)
+
+
+def _config_value_one(action, key, value):
+    if action.nargs == 0:  # store_true
+        expected = (bool,)
+    else:
+        expected = _CONFIG_TYPES[action.type]
+        if value is None and action.default is None:
+            return None
+    # bool is a subclass of int: true/false must not pass as a number
+    if not isinstance(value, expected) or (isinstance(value, bool) and bool not in expected):
+        names = " or ".join(t.__name__ for t in expected)
+        raise SystemExit(f"config key {key!r} must be {names}, got {value!r}")
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except argparse.ArgumentTypeError as exc:
+            raise SystemExit(f"config key {key!r}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise SystemExit(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
+
+
+def _explicit_dests(argv) -> set:
+    """Destinations given on the command line.
+
+    Parses argv again with every default suppressed, so a flag counts as
+    explicit even when its value equals the default.
+    """
+    shadow = _build_parser()
+    parsers = [shadow, *shadow._command_parsers.values()]
+    for p in parsers:
+        p._defaults.clear()
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(shadow.parse_args(argv)))
+
+
+def _apply_config_file(args, parser, argv):
+    """Fill flags from a JSON file of defaults; explicit flags win."""
     with open(args.config) as fh:
         overrides = json.load(fh)
-    # flag defaults live on the per-command parser, not the top-level one
-    sub = getattr(parser, "_command_parsers", {}).get(getattr(args, "command", None))
+    if not isinstance(overrides, dict):
+        raise SystemExit("config file must hold a JSON object")
+    # the command's own flags, then the global ones
+    actions = {}
+    for p in (parser._command_parsers[args.command], parser):
+        for action in p._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                actions.setdefault(action.dest, action)
+    explicit = _explicit_dests(argv)
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions:
             raise SystemExit(f"unknown config key {key!r}")
-        default = sub.get_default(dest) if sub is not None else None
-        if default is None:
-            default = parser.get_default(dest)
-        if getattr(args, dest) == default:
+        value = _config_value(actions[dest], key, value)
+        if dest not in explicit:
             setattr(args, dest, value)
     return args
 
@@ -367,11 +432,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Krawtchouk chain simulator: spectra, eigengates, resonant "
         "multi-qubit swap protocol, and verification suites.",
     )
+    # a string default goes through the type check when parsing, so a bad
+    # KRAW_THREADS is a usage error, not a traceback
     parser.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("KRAW_THREADS", "1")),
-        help="worker threads for sweeps (default: KRAW_THREADS or 1)",
+        type=_positive_int,
+        default=os.environ.get("KRAW_THREADS", "1"),
+        help="worker threads for fig2 sweep samples (default: KRAW_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -444,7 +511,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        args = _apply_config_file(args, parser)
+        args = _apply_config_file(args, parser, argv)
     if args.command == "noise-sweep":
         if args.n is None:
             args.n = [4, 6] if args.figure == 2 else [2, 4, 8, 12]

@@ -490,7 +490,8 @@ def run_iswap_protocol(
         nsub *= 2
     else:
         raise RuntimeError(
-            f"protocol integrator did not converge below {tol:g}; last change {delta:.3e}"
+            f"protocol integrator did not converge below {tol:g} at N={N} M={M} "
+            f"eps={params.noise_eps} seed={params.seed}; last change {delta:.3e}"
         )
 
     u_k = build_eigengate(N, J, "three_step").unitary

@@ -8,6 +8,8 @@ from .hamiltonians import (
     ChainSpec,
     build_hk,
     build_hz,
+    coupling_noise,
+    hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
     single_particle_hopping,
@@ -27,6 +29,7 @@ __all__ = [
     "eigengate_single_particle",
     "free_fermion_trace_error",
     "noisy_eigengate_error",
+    "noisy_eigengate_errors",
 ]
 
 VARIANTS = ("three_step", "single_pulse")
@@ -155,16 +158,23 @@ def compare_forms(N: int, J: float = 1.0) -> dict:
 
 
 def eigengate_single_particle(
-    N: int, J: float, variant: str = "three_step", spec: ChainSpec | None = None
+    N: int,
+    J: float,
+    variant: str = "three_step",
+    spec: ChainSpec | None = None,
+    hop: np.ndarray | None = None,
 ) -> np.ndarray:
     """(N x N) single-particle matrix of the eigengate.
 
     The gate is a particle-number-conserving free-fermion unitary fixing the
-    vacuum with phase one, so this matrix determines it completely.
+    vacuum with phase one, so this matrix determines it completely.  hop, if
+    given, replaces the chain's hopping matrix; it may be a stack
+    (..., N, N), which gives the stack of gates.
     """
-    if spec is None:
-        spec = krawtchouk_chain(N, J)
-    hop = single_particle_hopping(spec)
+    if hop is None:
+        if spec is None:
+            spec = krawtchouk_chain(N, J)
+        hop = single_particle_hopping(spec)
     n = N - 1
     zdiag = J * (np.arange(N) - n / 2.0)
     quarter = np.pi / (2.0 * J)
@@ -174,23 +184,34 @@ def eigengate_single_particle(
     return expm_hermitian((hop + np.diag(zdiag)) / np.sqrt(2.0), 2.0 * quarter)
 
 
-def free_fermion_trace_error(u_exact: np.ndarray, u_actual: np.ndarray) -> float:
+def free_fermion_trace_error(u_exact: np.ndarray, u_actual: np.ndarray) -> float | np.ndarray:
     """Trace error between two vacuum-fixing free-fermion unitaries.
 
     The many-body trace of U_exact^dagger U_actual over the full 2^N space
     equals det(1 + w) with w the product of the single-particle matrices, by
     summing the exterior powers of w over all particle-number sectors.
+    Leading axes of u_actual are batch axes, giving one error per matrix.
     """
     N = u_exact.shape[0]
     w = u_exact.conj().T @ u_actual
-    return 1.0 - abs(np.linalg.det(np.eye(N) + w)) / 2**N
+    return 1.0 - np.abs(np.linalg.det(np.eye(N) + w)) / 2**N
+
+
+def noisy_eigengate_errors(N: int, J: float, eps: float, seeds) -> np.ndarray:
+    """Trace errors of noisy three-step gates against the clean one, per seed.
+
+    Each seed draws its couplings as apply_coupling_noise does.  The noisy
+    gates are built and scored as one stack against a clean gate computed
+    once; every element equals the error of its seed on its own.
+    """
+    spec = krawtchouk_chain(N, J, noise_eps=eps)
+    draws = np.array([coupling_noise(N, eps, seed) for seed in seeds])
+    hop = hopping_matrices(spec.couplings * (1.0 + draws))
+    u_exact = eigengate_single_particle(N, J, "three_step")
+    u_noisy = eigengate_single_particle(N, J, "three_step", hop=hop)
+    return free_fermion_trace_error(u_exact, u_noisy)
 
 
 def noisy_eigengate_error(N: int, J: float, eps: float, seed) -> float:
     """Trace error of a noisy three-step gate against the clean one."""
-    from .hamiltonians import apply_coupling_noise
-
-    noisy = apply_coupling_noise(krawtchouk_chain(N, J, noise_eps=eps, seed=seed))
-    u_exact = eigengate_single_particle(N, J, "three_step")
-    u_noisy = eigengate_single_particle(N, J, "three_step", spec=noisy)
-    return free_fermion_trace_error(u_exact, u_noisy)
+    return float(noisy_eigengate_errors(N, J, eps, [seed])[0])

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import __version__
 from .driving import ProtocolParams, run_iswap_protocol
-from .eigengate import noisy_eigengate_error
+from .eigengate import noisy_eigengate_errors
 from .hamiltonians import build_hk, krawtchouk_chain
-from .linalg import basis_index, basis_state, expm_hermitian
+from .linalg import basis_index, expm_hermitian
 
 __all__ = [
     "FIG2_EPS_GRID",
@@ -37,6 +37,9 @@ __all__ = [
 FIG2_EPS_GRID = (0.0, 1e-3, 3e-3, 1e-2)
 FIG3_EPS_GRID = tuple(float(e) for e in np.logspace(-3, -2, 9))
 DEFAULT_SAMPLES = 200
+# samples of one fig3 grid point scored per stacked call; bounds the memory
+# of large --samples runs
+FIG3_BATCH = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,6 +57,8 @@ class SweepConfig:
             raise ValueError("protocol must be 'fig2' or 'fig3'")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if not self.n_values or not self.eps_values:
             raise ValueError("parameter grid must be non-empty")
         if self.protocol == "fig2" and not self.m_values:
@@ -73,6 +78,13 @@ def point_seed(base_seed: int, N: int, M: int, eps_idx: int, sample_idx: int) ->
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(N, M, eps_idx, sample_idx))
     lo, hi = ss.generate_state(2)
     return (int(hi) << 32) | int(lo)
+
+
+def _mean_and_stderr(errors: np.ndarray) -> tuple:
+    """Sample mean and its standard error (0 for a single sample)."""
+    count = len(errors)
+    stderr = float(errors.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    return float(errors.mean()), stderr
 
 
 def _sample_errors(worker, count: int, threads: int) -> np.ndarray:
@@ -107,39 +119,34 @@ def sweep_fig2(config: SweepConfig) -> list:
                         ) from exc
 
                 errors = _sample_errors(worker, count, config.threads)
-                stderr = (
-                    float(errors.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-                )
-                rows.append((N, M, eps, float(errors.mean()), stderr, count))
+                rows.append((N, M, eps, *_mean_and_stderr(errors), count))
     return rows
 
 
 def sweep_fig3(config: SweepConfig) -> list:
     """Eigengate trace error vs coupling noise strength.
 
-    Returns rows (N, eps, mean_error, stderr, samples).  Uses the
-    free-fermion determinant evaluation, so N=12 costs microseconds per
-    sample.
+    Returns rows (N, eps, mean_error, stderr, samples); noiseless points
+    are deterministic and use a single sample.  The samples of a grid point
+    are scored in stacks of at most FIG3_BATCH by noisy_eigengate_errors,
+    which works on N x N single-particle matrices, never on 2^N unitaries.
+    config.threads is not used: the stacked evaluation runs in one thread.
     """
     rows = []
     for N in config.n_values:
         for eps_idx, eps in enumerate(config.eps_values):
             count = 1 if eps == 0.0 else config.samples
-
-            def worker(sample_idx, N=N, eps_idx=eps_idx, eps=eps):
-                seed = point_seed(config.base_seed, N, 0, eps_idx, sample_idx)
-                try:
-                    return noisy_eigengate_error(N, 1.0, eps, seed)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"sample failed at N={N} eps={eps} seed={seed}: {exc}"
-                    ) from exc
-
-            errors = _sample_errors(worker, count, config.threads)
-            stderr = (
-                float(errors.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-            )
-            rows.append((N, eps, float(errors.mean()), stderr, count))
+            seeds = [point_seed(config.base_seed, N, 0, eps_idx, i) for i in range(count)]
+            try:
+                errors = np.concatenate([
+                    noisy_eigengate_errors(N, 1.0, eps, seeds[lo:lo + FIG3_BATCH])
+                    for lo in range(0, count, FIG3_BATCH)
+                ])
+            except Exception as exc:
+                raise RuntimeError(
+                    f"samples failed at N={N} eps={eps} base_seed={config.base_seed}: {exc}"
+                ) from exc
+            rows.append((N, eps, *_mean_and_stderr(errors), count))
     return rows
 
 
@@ -197,19 +204,30 @@ def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
     return float(abs(np.vdot(ghz, psi)) ** 2)
 
 
+def _pst_propagator(N: int, J: float) -> np.ndarray:
+    """The chain's evolution over the transfer time pi/J."""
+    return expm_hermitian(build_hk(krawtchouk_chain(N, J)), math.pi / J)
+
+
+def _mirror_amplitude(u: np.ndarray, bits) -> complex:
+    """<mirror(bits)| u |bits>, read straight from the propagator."""
+    return complex(u[basis_index(list(reversed(bits))), basis_index(bits)])
+
+
 def pst_mirror_amplitude(N: int, bits: list, J: float = 1.0) -> complex:
     """Amplitude on the site-mirrored basis state after a pi/J evolution."""
-    hk = build_hk(krawtchouk_chain(N, J))
-    psi = expm_hermitian(hk, math.pi / J) @ basis_state(bits, N)
-    return complex(psi[basis_index(list(reversed(bits)))])
+    return _mirror_amplitude(_pst_propagator(N, J), bits)
 
 
 def pst_demo(N: int, J: float = 1.0) -> float:
-    """Worst-case transfer infidelity over all single-excitation states."""
+    """Worst-case transfer infidelity over all single-excitation states.
+
+    One propagator serves every state.
+    """
+    u = _pst_propagator(N, J)
     worst = 0.0
     for x in range(N):
         bits = [0] * N
         bits[x] = 1
-        amp = pst_mirror_amplitude(N, bits, J)
-        worst = max(worst, 1.0 - abs(amp))
+        worst = max(worst, 1.0 - abs(_mirror_amplitude(u, bits)))
     return worst

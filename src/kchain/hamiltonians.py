@@ -12,10 +12,12 @@ __all__ = [
     "DrivingSpec",
     "krawtchouk_couplings",
     "krawtchouk_chain",
+    "coupling_noise",
     "apply_coupling_noise",
     "build_hk",
     "build_hz",
     "hz_diagonal",
+    "hopping_matrices",
     "single_particle_hopping",
     "driving_operator",
     "build_driving",
@@ -136,16 +138,23 @@ def krawtchouk_chain(N: int, J: float, noise_eps: float = 0.0, seed=None) -> Cha
     )
 
 
+def coupling_noise(N: int, noise_eps: float, seed) -> np.ndarray:
+    """Relative coupling errors eps_x of the N-1 bonds for one seed.
+
+    eps_x is uniform on [-noise_eps, noise_eps], drawn from a generator
+    seeded by seed, so the draw is reproducible.
+    """
+    return np.random.default_rng(seed).uniform(-noise_eps, noise_eps, size=N - 1)
+
+
 def apply_coupling_noise(spec: ChainSpec) -> ChainSpec:
     """Draw quenched multiplicative noise: J_x -> (1 + eps_x) J_x.
 
-    eps_x is uniform on [-noise_eps, noise_eps], drawn once per call from a
-    generator seeded by spec.seed, so the result is reproducible.
+    eps_x comes from coupling_noise(spec.N, spec.noise_eps, spec.seed).
     """
     if spec.noise_eps == 0.0:
         return spec
-    rng = np.random.default_rng(spec.seed)
-    eps = rng.uniform(-spec.noise_eps, spec.noise_eps, size=spec.N - 1)
+    eps = coupling_noise(spec.N, spec.noise_eps, spec.seed)
     return dataclasses.replace(spec, couplings=spec.couplings * (1.0 + eps))
 
 
@@ -199,12 +208,23 @@ def build_hz(N: int, J: float) -> np.ndarray:
     return np.diag(hz_diagonal(N, J)).astype(complex)
 
 
+def hopping_matrices(couplings: np.ndarray) -> np.ndarray:
+    """Tridiagonal (N x N) matrices with off-diagonals couplings[..., x].
+
+    Leading axes of couplings are batch axes, one matrix per coupling row.
+    """
+    couplings = np.asarray(couplings, dtype=float)
+    n = couplings.shape[-1] + 1
+    mat = np.zeros(couplings.shape[:-1] + (n, n))
+    x = np.arange(n - 1)
+    mat[..., x, x + 1] = couplings
+    mat[..., x + 1, x] = couplings
+    return mat
+
+
 def single_particle_hopping(spec: ChainSpec) -> np.ndarray:
     """(N x N) one-excitation block: tridiagonal with off-diagonals J_x."""
-    mat = np.zeros((spec.N, spec.N))
-    for x in range(spec.N - 1):
-        mat[x, x + 1] = spec.couplings[x]
-        mat[x + 1, x] = spec.couplings[x]
+    mat = hopping_matrices(spec.couplings)
     if np.any(spec.zfields):
         # sum_y gamma_y Z_y on a one-excitation state: every site contributes
         # +gamma, the excited one flips to -gamma

@@ -105,12 +105,17 @@ def tensor_embed(op: np.ndarray, sites, nqubits: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(2**nqubits, 2**nqubits))
 
 
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes; leading axes are batch axes."""
+    return mat.conj().swapaxes(-1, -2)
+
+
 def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
+    return bool(np.max(np.abs(mat - _adjoint(mat))) <= tol)
 
 
 def assert_hermitian(mat: np.ndarray, tol: float = 1e-12) -> None:
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
+    dev = float(np.max(np.abs(mat - _adjoint(mat))))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
@@ -126,12 +131,14 @@ def expm_hermitian(ham: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(-i*ham*t) for Hermitian ham, via eigendecomposition.
 
     Exactly unitary up to roundoff for any step size, unlike truncated
-    series methods.
+    series methods.  Leading axes of ham are batch axes: a stack of
+    matrices gives the stack of their exponentials, each equal bit for bit
+    to its own 2-D call.  The Hermitian check covers the whole stack.
     """
     assert_hermitian(ham, tol=1e-10 * max(1.0, float(np.max(np.abs(ham)))))
     w, v = np.linalg.eigh(ham)
     phases = np.exp(-1.0j * w * t)
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ _adjoint(v)
 
 
 # ----------------------------------------------------------------- distances

@@ -159,3 +159,65 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,k,lambda")
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_is_a_usage_error(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "spectrum", "--n", "4"])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_bad_thread_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("KRAW_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--n", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "KRAW_THREADS" in err and "'abc'" in err
+    monkeypatch.setenv("KRAW_THREADS", "2")
+    rc, out = run_cli(capsys, "spectrum", "--n", "2")
+    assert rc == 0 and out.startswith("n,k,lambda")
+
+
+def test_explicit_flag_equal_to_default_beats_config(capsys, tmp_path):
+    cfg = tmp_path / "drive.json"
+    cfg.write_text(json.dumps({"m": 1, "out": "json"}))
+    # --m 4 is also the default value of --m
+    rc, out = run_cli(capsys, "drive", "--n", "4", "--m", "4", "--config", str(cfg))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["rows"][0]["M"] == 4
+    assert doc["mean_error"] == pytest.approx(4.1858853624399117e-05, rel=1e-6)
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    ({"n": "6"}, "'n' must be int"),
+    ({"eps": "0.01"}, "'eps' must be int or float"),
+    ({"m": True}, "'m' must be int"),
+    ({"no-inversion": 1}, "'no-inversion' must be bool"),
+    ({"out": "xml"}, "'out' must be one of"),
+    ({"threads": 0}, "positive integer"),
+    ({"bogus": 1}, "unknown config key 'bogus'"),
+])
+def test_config_values_of_wrong_type_are_rejected(tmp_path, doc, fragment):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["drive", "--config", str(cfg)])
+    assert fragment in str(exc.value.code)
+
+
+def test_noise_sweep_config_lists_are_checked(capsys, tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"n": [4, "6"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["noise-sweep", "--figure", "3", "--config", str(cfg)])
+    assert "'n' must be int" in str(exc.value.code)
+    out_path = tmp_path / "fig3.csv"
+    cfg.write_text(json.dumps({"n": [4], "eps": [1e-3, 0.01], "samples": 3, "out": str(out_path)}))
+    rc, out = run_cli(capsys, "noise-sweep", "--figure", "3", "--config", str(cfg))
+    assert rc == 0
+    lines = out_path.read_text().strip().split("\n")
+    assert len(lines) == 3 and lines[1].startswith("4,0.001,")

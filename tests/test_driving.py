@@ -284,3 +284,12 @@ def test_gate_time_accounting_frozen():
     # penalty scales the whole protocol by (N/2) J/Jmax
     raw, pen, _ = gate_time_accounting(8, 3, Jmax=2.0)
     assert pen == pytest.approx(raw * 4.0 / 2.0)
+
+
+def test_protocol_nonconvergence_names_its_coordinates():
+    params = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=7)
+    with pytest.raises(RuntimeError) as exc:
+        run_iswap_protocol(params, tol=0.0, max_refine=1)
+    message = str(exc.value)
+    for coordinate in ("N=4", "M=1", "eps=0.01", "seed=7"):
+        assert coordinate in message

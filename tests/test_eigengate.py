@@ -16,6 +16,7 @@ from kchain.eigengate import (
     free_fermion_trace_error,
     mapping_table,
     noisy_eigengate_error,
+    noisy_eigengate_errors,
     so3_checks,
 )
 from kchain.hamiltonians import build_hk, build_hz, krawtchouk_chain, single_particle_hopping
@@ -126,3 +127,12 @@ def test_noise_free_error_vanishes():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         build_eigengate(4, 1.0, "bogus")
+
+
+@pytest.mark.parametrize("N, eps", [(2, 1e-3), (4, 0.05), (8, 1e-2), (12, 3e-3)])
+def test_stacked_noisy_errors_equal_single_calls_exactly(N, eps):
+    seeds = [17 * k + N for k in range(24)]
+    stacked = noisy_eigengate_errors(N, 1.0, eps, seeds)
+    assert stacked.shape == (len(seeds),)
+    for seed, got in zip(seeds, stacked):
+        assert got == noisy_eigengate_error(N, 1.0, eps, seed)

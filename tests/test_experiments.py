@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kchain import experiments
 from kchain.experiments import (
     DEFAULT_SAMPLES,
     FIG2_EPS_GRID,
@@ -142,3 +143,47 @@ def test_state_transfer_is_perfect(N):
 def test_mirror_amplitude_of_domain_wall():
     amp = pst_mirror_amplitude(4, [1, 1, 0, 0])
     assert abs(amp - 1.0) < 1e-10
+
+
+def test_sweep_config_rejects_nonpositive_threads():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            SweepConfig(protocol="fig3", n_values=(4,), eps_values=(1e-3,), threads=threads)
+
+
+# sweep_fig3 rows frozen from the per-sample implementation this stacked
+# one replaced; the stacked route must reproduce them bit for bit
+FIG3_SMALL_FROZEN = [
+    (2, 0.001, 5.275817704236685e-08, 1.2944678152379576e-08, 16),
+    (2, 0.01, 5.787027326314975e-06, 1.3476971080286752e-06, 16),
+    (12, 0.001, 6.435815201877304e-06, 7.646052193981801e-07, 16),
+    (12, 0.01, 0.0006781098795590815, 5.802981748679482e-05, 16),
+]
+
+
+def test_fig3_rows_frozen_exactly():
+    cfg = SweepConfig(protocol="fig3", n_values=(2, 12), eps_values=(1e-3, 1e-2), samples=16)
+    assert sweep_fig3(cfg) == FIG3_SMALL_FROZEN
+
+
+def test_fig3_rows_do_not_depend_on_stack_size(monkeypatch):
+    monkeypatch.setattr(experiments, "FIG3_BATCH", 5)
+    cfg = SweepConfig(protocol="fig3", n_values=(2, 12), eps_values=(1e-3, 1e-2), samples=16)
+    assert sweep_fig3(cfg) == FIG3_SMALL_FROZEN
+
+
+def test_fig3_noiseless_point_is_single_exact_sample():
+    cfg = SweepConfig(protocol="fig3", n_values=(4,), eps_values=(0.0,), samples=30)
+    (row,) = sweep_fig3(cfg)
+    assert row[0:2] == (4, 0.0) and row[3:] == (0.0, 1)
+    assert row[2] < 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 6])
+def test_pst_demo_equals_worst_single_state_amplitude(N):
+    amps = []
+    for x in range(N):
+        bits = [0] * N
+        bits[x] = 1
+        amps.append(pst_mirror_amplitude(N, bits))
+    assert pst_demo(N) == max(0.0, *(1.0 - abs(a) for a in amps))

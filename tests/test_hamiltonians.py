@@ -12,7 +12,9 @@ from kchain.hamiltonians import (
     build_driving,
     build_hk,
     build_hz,
+    coupling_noise,
     driving_operator,
+    hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
     krawtchouk_couplings,
@@ -163,3 +165,18 @@ def test_zfields_enter_both_pictures():
     assert np.allclose(ham[np.ix_(idx, idx)], hop)
     vacuum = basis_index("0000")
     assert ham[vacuum, vacuum] == pytest.approx(fields.sum())
+
+
+def test_coupling_noise_is_the_draw_apply_coupling_noise_uses():
+    spec = krawtchouk_chain(7, 1.0, noise_eps=0.03, seed=11)
+    eps = coupling_noise(7, 0.03, 11)
+    assert eps.shape == (6,)
+    assert np.array_equal(apply_coupling_noise(spec).couplings, spec.couplings * (1.0 + eps))
+
+
+def test_hopping_matrices_stack_matches_single_particle_hopping():
+    specs = [apply_coupling_noise(krawtchouk_chain(5, 1.0, noise_eps=0.1, seed=s)) for s in range(3)]
+    stack = hopping_matrices(np.array([spec.couplings for spec in specs]))
+    assert stack.shape == (3, 5, 5)
+    for spec, hop in zip(specs, stack):
+        assert np.array_equal(hop, single_particle_hopping(spec))

@@ -146,3 +146,21 @@ def test_column_metrics(rng):
     b = a.copy()
     b[:, 2] += 1e-3
     assert abs(max_column_distance(a, b) - np.linalg.norm(b[:, 2] - a[:, 2])) < 1e-15
+
+
+def test_expm_hermitian_stack_matches_each_matrix_bitwise(rng):
+    stack = np.array([random_hermitian(rng, 5) for _ in range(7)])
+    batched = expm_hermitian(stack, 0.8)
+    assert batched.shape == stack.shape
+    for ham, u in zip(stack, batched):
+        assert np.array_equal(u, expm_hermitian(ham, 0.8))
+    real = stack.real + np.swapaxes(stack.real, -1, -2)
+    for ham, u in zip(real, expm_hermitian(real, 1.3)):
+        assert np.array_equal(u, expm_hermitian(ham, 1.3))
+
+
+def test_expm_hermitian_stack_rejects_any_non_hermitian_member(rng):
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    stack[2, 0, 1] += 0.5
+    with pytest.raises(ValueError):
+        expm_hermitian(stack)
