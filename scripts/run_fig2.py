@@ -10,20 +10,23 @@ import argparse
 import sys
 import time
 
+from kchain.cli import _even_chain_size, _noise_eps, _nonnegative_int, _positive_int
 from kchain.experiments import DEFAULT_SAMPLES, FIG2_EPS_GRID, SweepConfig, sweep_fig2, write_table
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, nargs="+", default=[4, 6])
-    ap.add_argument("--m-min", type=int, default=1)
-    ap.add_argument("--m-max", type=int, default=20)
-    ap.add_argument("--eps", type=float, nargs="+", default=list(FIG2_EPS_GRID))
-    ap.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    ap.add_argument("--seed", type=int, default=20260801)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--n", type=_even_chain_size, nargs="+", default=[4, 6])
+    ap.add_argument("--m-min", type=_positive_int, default=1)
+    ap.add_argument("--m-max", type=_positive_int, default=20)
+    ap.add_argument("--eps", type=_noise_eps, nargs="+", default=list(FIG2_EPS_GRID))
+    ap.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    ap.add_argument("--seed", type=_nonnegative_int, default=20260801)
+    ap.add_argument("--threads", type=_positive_int, default=1)
     ap.add_argument("--out", type=str, default="fig2.csv")
     args = ap.parse_args()
+    if args.m_max < args.m_min:
+        ap.error(f"argument --m-max: must be >= --m-min ({args.m_min}), got {args.m_max}")
 
     cfg = SweepConfig(
         protocol="fig2",

@@ -9,16 +9,16 @@ import argparse
 import sys
 import time
 
+from kchain.cli import _chain_size, _noise_eps, _nonnegative_int, _positive_int
 from kchain.experiments import DEFAULT_SAMPLES, FIG3_EPS_GRID, SweepConfig, sweep_fig3, write_table
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, nargs="+", default=[2, 4, 8, 12])
-    ap.add_argument("--eps", type=float, nargs="+", default=list(FIG3_EPS_GRID))
-    ap.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    ap.add_argument("--seed", type=int, default=20260801)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--n", type=_chain_size, nargs="+", default=[2, 4, 8, 12])
+    ap.add_argument("--eps", type=_noise_eps, nargs="+", default=list(FIG3_EPS_GRID))
+    ap.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    ap.add_argument("--seed", type=_nonnegative_int, default=20260801)
     ap.add_argument("--out", type=str, default="fig3.csv")
     args = ap.parse_args()
 
@@ -28,7 +28,6 @@ def main() -> int:
         eps_values=tuple(args.eps),
         samples=args.samples,
         base_seed=args.seed,
-        threads=args.threads,
     )
     t0 = time.time()
     rows = sweep_fig3(cfg)

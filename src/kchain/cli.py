@@ -24,12 +24,9 @@ from .circuits import (
 )
 from .driving import ProtocolParams, gate_time_accounting, run_iswap_protocol
 from .eigengate import (
-    VARIANTS,
-    bch_rotation_residual,
-    build_eigengate,
+    bch_rotation_residuals,
     check_intertwining,
-    expected_phase,
-    mapping_table,
+    compare_forms,
     so3_checks,
 )
 from .experiments import (
@@ -70,21 +67,58 @@ def _emit_csv(header, rows, out=None):
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _positive_int(text) -> int:
-    """argparse type for --threads (or KRAW_THREADS): an integer >= 1."""
+class _IntAtLeast:
+    """argparse type: an integer in minimum, minimum + step, minimum + 2 step, ..."""
+
+    def __init__(self, minimum: int, step: int = 1, what: str = ""):
+        self.minimum, self.step = minimum, step
+        if step == 2:
+            kind = f"an {'even' if minimum % 2 == 0 else 'odd'} integer >= {minimum}"
+        else:
+            kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        self.message = f"{what} must be {kind}".lstrip()
+
+    def __call__(self, text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < self.minimum or (value - self.minimum) % self.step:
+            raise argparse.ArgumentTypeError(f"{self.message}, got {text!r}")
+        return value
+
+
+_nonnegative_int = _IntAtLeast(0)
+_positive_int = _IntAtLeast(1)
+_thread_count = _IntAtLeast(1, what="thread count (--threads or KRAW_THREADS)")
+_chain_size = _IntAtLeast(2)
+_even_chain_size = _IntAtLeast(4, step=2)
+
+
+def _noise_eps(text) -> float:
+    """argparse type for a coupling-noise amplitude in [0, 1)."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count (--threads or KRAW_THREADS) must be a positive integer, got {text!r}"
-        )
+        value = math.nan
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"noise amplitude must lie in [0, 1), got {text!r}")
+    return value
+
+
+def _positive_float(text) -> float:
+    """argparse type for a coupling scale J > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
 
 
 # JSON value types a config file may give for each flag type
-_CONFIG_TYPES = {int: (int,), _positive_int: (int,), float: (int, float), str: (str,), None: (str,)}
+_CONFIG_TYPES = {int: (int,), float: (int, float), _noise_eps: (int, float), str: (str,), None: (str,)}
 
 
 def _config_value(action, key, value):
@@ -100,7 +134,7 @@ def _config_value_one(action, key, value):
     if action.nargs == 0:  # store_true
         expected = (bool,)
     else:
-        expected = _CONFIG_TYPES[action.type]
+        expected = (int,) if isinstance(action.type, _IntAtLeast) else _CONFIG_TYPES[action.type]
         if value is None and action.default is None:
             return None
     # bool is a subclass of int: true/false must not pass as a number
@@ -195,51 +229,36 @@ def _cmd_matrix_elements(args) -> int:
 
 
 def _eigengate_report(N: int, J: float) -> dict:
-    """Mapping quality, phase table deviation, and algebra residuals."""
-    from .krawtchouk import build_basis as _build_basis
+    """compare_forms' scores of both variants plus the intertwining residual."""
+    forms = compare_forms(N, J)
+    variants = {
+        variant: {key: form[key] for key in ("min_overlap", "max_phase_deviation")}
+        for variant, form in forms["variants"].items()
+    }
+    hk = build_hk(krawtchouk_chain(N, J))
+    return {
+        "N": N,
+        "variants": variants,
+        "min_overlap": min(v["min_overlap"] for v in variants.values()),
+        "max_phase_deviation": max(v["max_phase_deviation"] for v in variants.values()),
+        "entrywise_difference": forms["entrywise_difference"],
+        "intertwining_residual": check_intertwining(
+            forms["variants"]["three_step"]["gate"], hk, build_hz(N, J)
+        ),
+        "intertwining_allowance": 1e-9 * float(np.abs(hk).max()),
+    }
 
-    basis = _build_basis(N - 1, J)
-    spec = krawtchouk_chain(N, J)
-    hk, hz = build_hk(spec), build_hz(N, J)
-    n = N - 1
-    report = {"N": N, "variants": {}}
-    unitaries = {}
-    for variant in VARIANTS:
-        gate = build_eigengate(N, J, variant)
-        unitaries[variant] = gate.unitary
-        mags, phases = mapping_table(gate, basis)
-        dev = max(
-            abs(phases[s] - expected_phase(bin(s).count("1"), n))
-            for s in range(2**N)
-        )
-        report["variants"][variant] = {
-            "min_overlap": float(mags.min()),
-            "max_phase_deviation": float(dev),
-        }
-    report["min_overlap"] = min(
-        v["min_overlap"] for v in report["variants"].values()
-    )
-    report["max_phase_deviation"] = max(
-        v["max_phase_deviation"] for v in report["variants"].values()
-    )
-    report["entrywise_difference"] = float(
-        np.abs(unitaries["three_step"] - unitaries["single_pulse"]).max()
-    )
-    report["intertwining_residual"] = check_intertwining(
-        build_eigengate(N, J, "three_step"), hk, hz
-    )
-    report["intertwining_allowance"] = 1e-9 * float(np.abs(hk).max())
-    return report
+
+BCH_THETAS = (0.0, math.pi / 2.0, math.pi)
 
 
 def _cmd_eigengate_check(args) -> int:
     N, J = args.n, args.j
     report = _eigengate_report(N, J)
     report["so3_residuals"] = so3_checks(N, J)
-    report["bch_residuals"] = {
-        str(theta): bch_rotation_residual(N, J, theta)
-        for theta in (0.0, math.pi / 2.0, math.pi)
-    }
+    report["bch_residuals"] = dict(
+        zip(map(str, BCH_THETAS), bch_rotation_residuals(N, J, BCH_THETAS))
+    )
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = (
         report["min_overlap"] > 1.0 - 1e-9
@@ -383,11 +402,7 @@ def _cmd_verify_all(args) -> int:
         )
         residuals = so3_checks(N, 1.0)
         check(f"so(3) N={N}", max(residuals.values()), 1e-9)
-        check(
-            f"BCH N={N}",
-            max(bch_rotation_residual(N, 1.0, t) for t in (0.0, math.pi / 2, math.pi)),
-            1e-9,
-        )
+        check(f"BCH N={N}", max(bch_rotation_residuals(N, 1.0, BCH_THETAS)), 1e-9)
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)
     for n in range(3, min(n_max + 1, 8), 2):
@@ -436,15 +451,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # KRAW_THREADS is a usage error, not a traceback
     parser.add_argument(
         "--threads",
-        type=_positive_int,
+        type=_thread_count,
         default=os.environ.get("KRAW_THREADS", "1"),
         help="worker threads for fig2 sweep samples (default: KRAW_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="single-particle chain spectrum as CSV")
-    p.add_argument("--n", type=int, required=True, help="qubit count N")
-    p.add_argument("--j", type=float, default=1.0, help="coupling scale J")
+    p.add_argument("--n", type=_chain_size, required=True, help="qubit count N")
+    p.add_argument("--j", type=_positive_float, default=1.0, help="coupling scale J")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(
@@ -454,16 +469,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix_elements)
 
     p = sub.add_parser("eigengate-check", help="eigengate identity report as JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_chain_size, required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_eigengate_check)
 
     p = sub.add_parser("drive", help="run the resonant swap protocol")
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--m", type=int, default=4, help="drive length in 2pi/J units")
-    p.add_argument("--eps", type=float, default=0.0, help="coupling noise amplitude")
-    p.add_argument("--seed", type=int, default=20260801)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--n", type=_even_chain_size, default=6)
+    p.add_argument("--m", type=_positive_int, default=4, help="drive length in 2pi/J units")
+    p.add_argument("--eps", type=_noise_eps, default=0.0, help="coupling noise amplitude")
+    p.add_argument("--seed", type=_nonnegative_int, default=20260801)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--no-inversion", action="store_true")
     p.add_argument("--omega-override", type=float, default=None)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
@@ -472,31 +487,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-sweep", help="Monte Carlo sweep to a CSV file")
     p.add_argument("--figure", type=int, choices=(2, 3), required=True)
-    p.add_argument("--n", type=int, nargs="+", default=None)
-    p.add_argument("--m-min", type=int, default=1)
-    p.add_argument("--m-max", type=int, default=20)
-    p.add_argument("--eps", type=float, nargs="+", default=None)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=20260801)
+    p.add_argument("--n", type=_chain_size, nargs="+", default=None)
+    p.add_argument("--m-min", type=_positive_int, default=1)
+    p.add_argument("--m-max", type=_positive_int, default=20)
+    p.add_argument("--eps", type=_noise_eps, nargs="+", default=None)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_nonnegative_int, default=20260801)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None, help="JSON file of defaults")
     p.set_defaults(func=_cmd_noise_sweep)
 
     p = sub.add_parser("circuit-verify", help="gate construction checks as JSON")
     p.add_argument("--which", choices=("ctrl-x", "ctrl-iswap2"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_even_chain_size, required=True)
     p.add_argument("--use-simulated-drive", action="store_true")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_circuit_verify)
 
     p = sub.add_parser("ghz", help="one-pulse GHZ preparation fidelity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_IntAtLeast(3, step=2), required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_ghz)
 
     p = sub.add_parser("pst", help="perfect-state-transfer mirror check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--n", type=_chain_size, required=True)
+    p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_pst)
 
     p = sub.add_parser("verify-all", help="run the full identity suite")
@@ -512,6 +527,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         args = _apply_config_file(args, parser, argv)
+    command = parser._command_parsers[args.command]
     if args.command == "noise-sweep":
         if args.n is None:
             args.n = [4, 6] if args.figure == 2 else [2, 4, 8, 12]
@@ -519,6 +535,14 @@ def main(argv=None) -> int:
             args.eps = list(FIG2_EPS_GRID) if args.figure == 2 else list(FIG3_EPS_GRID)
         if args.out is None:
             args.out = f"fig{args.figure}.csv"
+        if args.figure == 2:
+            odd = [n for n in args.n if n < 4 or n % 2]
+            if odd:
+                command.error(f"argument --n: fig2 needs even N >= 4, got {odd}")
+            if args.m_max < args.m_min:
+                command.error(f"argument --m-max: must be >= --m-min ({args.m_min}), got {args.m_max}")
+    if args.command == "circuit-verify" and args.which == "ctrl-iswap2" and args.n not in (4, 6):
+        command.error(f"argument --n: ctrl-iswap2 is defined for N in {{4, 6}}, got {args.n}")
     return args.func(args)
 
 

@@ -15,7 +15,13 @@ from .hamiltonians import (
     single_particle_hopping,
 )
 from .krawtchouk import KrawtchoukBasis, build_basis, eigenstate_vector
-from .linalg import assert_unitary, expm_hermitian, occupied_sites, trace_error
+from .linalg import (
+    assert_unitary,
+    expm_hermitian,
+    expm_hermitian_times,
+    occupied_sites,
+    trace_error,
+)
 
 __all__ = [
     "EigengateForm",
@@ -25,6 +31,7 @@ __all__ = [
     "check_intertwining",
     "so3_checks",
     "bch_rotation_residual",
+    "bch_rotation_residuals",
     "compare_forms",
     "eigengate_single_particle",
     "free_fermion_trace_error",
@@ -73,25 +80,32 @@ def expected_phase(q: int, n: int) -> complex:
     return 1.0j ** (q * n)
 
 
+def _eigenstates(N: int, basis: KrawtchoukBasis) -> list:
+    """Chain eigenstate with the same occupied modes as s, for every label s."""
+    return [eigenstate_vector(basis, occupied_sites(s, N)) for s in range(2**N)]
+
+
+def _overlaps(unitary: np.ndarray, targets: list):
+    """(magnitudes, phases) of <target_s| U |s> for every label s."""
+    dim = len(targets)
+    mags = np.zeros(dim)
+    phases = np.zeros(dim, dtype=complex)
+    for s, target in enumerate(targets):
+        amp = complex(target.conj() @ unitary[:, s])
+        mags[s] = abs(amp)
+        phases[s] = amp / abs(amp) if abs(amp) > 0 else 0.0
+    return mags, phases
+
+
 def mapping_table(gate: EigengateForm, basis: KrawtchoukBasis | None = None):
     """Overlaps <s|_chain U |s> for every computational label s.
 
     Returns (magnitudes, phases) arrays indexed by basis index; a perfect
     eigengate has every magnitude 1.
     """
-    N = gate.N
     if basis is None:
-        basis = build_basis(N - 1, gate.J)
-    dim = 2**N
-    mags = np.zeros(dim)
-    phases = np.zeros(dim, dtype=complex)
-    for s in range(dim):
-        modes = occupied_sites(s, N)
-        target = eigenstate_vector(basis, modes)
-        amp = complex(target.conj() @ gate.unitary[:, s])
-        mags[s] = abs(amp)
-        phases[s] = amp / abs(amp) if abs(amp) > 0 else 0.0
-    return mags, phases
+        basis = build_basis(gate.N - 1, gate.J)
+    return _overlaps(gate.unitary, _eigenstates(gate.N, basis))
 
 
 def check_intertwining(gate: EigengateForm, hk: np.ndarray, hz: np.ndarray) -> float:
@@ -118,42 +132,59 @@ def so3_checks(N: int, J: float = 1.0) -> dict:
     }
 
 
-def bch_rotation_residual(N: int, J: float, theta: float) -> float:
-    """Residual of the rotation identity for conjugation by the combined pulse.
+def bch_rotation_residuals(N: int, J: float, thetas) -> list:
+    """Residuals of the rotation identity for conjugation by the combined pulse.
 
     exp(-i Lh theta) Lz exp(+i Lh theta) should equal
     sin^2(theta/2) Lx - (sin theta / sqrt 2) Ly + cos^2(theta/2) Lz,
-    with Lh = (Lx + Lz)/sqrt(2).
+    with Lh = (Lx + Lz)/sqrt(2).  One angular-momentum triple and one
+    diagonalization of Lh serve every theta.
     """
     lx, ly, lz = _angular_triple(N, J)
-    lh = (lx + lz) / np.sqrt(2.0)
-    u = expm_hermitian(lh, theta)
-    lhs = u @ lz @ u.conj().T
-    rhs = (
-        np.sin(theta / 2.0) ** 2 * lx
-        - (np.sin(theta) / np.sqrt(2.0)) * ly
-        + np.cos(theta / 2.0) ** 2 * lz
-    )
-    return float(np.max(np.abs(lhs - rhs)))
+    rotations = expm_hermitian_times((lx + lz) / np.sqrt(2.0), thetas)
+    return [_bch_residual(theta, u, lx, ly, lz) for theta, u in zip(thetas, rotations)]
+
+
+def _bch_residual(theta, u, lx, ly, lz) -> float:
+    # the in-place steps round exactly as lhs - (a lx - b ly + c lz) does
+    diff = u @ lz @ u.conj().T
+    rhs = np.sin(theta / 2.0) ** 2 * lx
+    rhs -= (np.sin(theta) / np.sqrt(2.0)) * ly
+    rhs += np.cos(theta / 2.0) ** 2 * lz
+    diff -= rhs
+    return float(np.max(np.abs(diff)))
+
+
+def bch_rotation_residual(N: int, J: float, theta: float) -> float:
+    """Residual of the rotation identity at one angle theta."""
+    return bch_rotation_residuals(N, J, [theta])[0]
 
 
 def compare_forms(N: int, J: float = 1.0) -> dict:
-    """Phase table for both gate variants plus their entrywise difference."""
-    basis = build_basis(N - 1, J)
+    """Mapping and phase tables for both gate variants, and their difference.
+
+    Both variants are scored against the chain eigenstates, built once.  Per
+    variant the report holds the gate, the smallest overlap |<s|_chain U |s>|,
+    the phase table and its largest deviation from i^(q n).
+    """
+    n = N - 1
+    targets = _eigenstates(N, build_basis(n, J))
     report = {"N": N, "variants": {}}
-    gates = {}
     for variant in VARIANTS:
         gate = build_eigengate(N, J, variant)
-        gates[variant] = gate
-        mags, phases = mapping_table(gate, basis)
+        mags, phases = _overlaps(gate.unitary, targets)
+        dev = max(
+            abs(phases[s] - expected_phase(bin(s).count("1"), n))
+            for s in range(2**N)
+        )
         report["variants"][variant] = {
+            "gate": gate,
             "min_overlap": float(mags.min()),
             "phases": phases,
+            "max_phase_deviation": float(dev),
         }
-    diff = float(
-        np.max(np.abs(gates["three_step"].unitary - gates["single_pulse"].unitary))
-    )
-    report["entrywise_difference"] = diff
+    three_step, single_pulse = (report["variants"][v]["gate"].unitary for v in VARIANTS)
+    report["entrywise_difference"] = float(np.max(np.abs(three_step - single_pulse)))
     return report
 
 

@@ -135,6 +135,9 @@ def eigenstate_vector(basis: KrawtchoukBasis, modes: Sequence[int]) -> np.ndarra
     det phi[modes, xs], both index sets ascending.  With this convention the
     fermionic string signs all come out +1, because each creation operator
     only crosses empty sites when the configuration is built left to right.
+
+    All C(N, q) minors are taken in one stacked det, which equals the det of
+    each minor on its own bit for bit.
     """
     modes = _check_modes(basis.n, modes)
     N = basis.n + 1
@@ -143,14 +146,10 @@ def eigenstate_vector(basis: KrawtchoukBasis, modes: Sequence[int]) -> np.ndarra
     if q == 0:
         vec[0] = 1.0
         return vec
-    rows = basis.phi[list(modes), :]
-    for xs in itertools.combinations(range(N), q):
-        block = rows[:, list(xs)]
-        amp = float(np.linalg.det(block))
-        index = 0
-        for x in xs:
-            index |= 1 << (N - 1 - x)
-        vec[index] = amp
+    sites = np.array(list(itertools.combinations(range(N), q)))
+    # blocks[c] = phi[modes, sites[c]]
+    blocks = basis.phi[np.array(modes)[None, :, None], sites[:, None, :]]
+    vec[np.sum(1 << (N - 1 - sites), axis=1)] = np.linalg.det(blocks)
     return vec
 
 

@@ -20,8 +20,8 @@ __all__ = [
     "assert_hermitian",
     "assert_unitary",
     "expm_hermitian",
+    "expm_hermitian_times",
     "trace_error",
-    "unitary_deviation",
     "max_column_distance",
 ]
 
@@ -135,10 +135,20 @@ def expm_hermitian(ham: np.ndarray, t: float = 1.0) -> np.ndarray:
     matrices gives the stack of their exponentials, each equal bit for bit
     to its own 2-D call.  The Hermitian check covers the whole stack.
     """
+    return next(expm_hermitian_times(ham, (t,)))
+
+
+def expm_hermitian_times(ham: np.ndarray, times):
+    """Generator of exp(-i*ham*t) for each t in times, from one eigendecomposition.
+
+    Each result equals expm_hermitian(ham, t) bit for bit.  They are made
+    one at a time, so only one is held unless the caller keeps them.
+    """
     assert_hermitian(ham, tol=1e-10 * max(1.0, float(np.max(np.abs(ham)))))
     w, v = np.linalg.eigh(ham)
-    phases = np.exp(-1.0j * w * t)
-    return (v * phases[..., None, :]) @ _adjoint(v)
+    for t in times:
+        phases = np.exp(-1.0j * w * t)
+        yield (v * phases[..., None, :]) @ _adjoint(v)
 
 
 # ----------------------------------------------------------------- distances
@@ -147,11 +157,6 @@ def trace_error(target: np.ndarray, actual: np.ndarray) -> float:
     """Global-phase-invariant gate error 1 - |Tr(target @ actual^dagger)| / dim."""
     dim = target.shape[0]
     return 1.0 - abs(np.trace(target @ actual.conj().T)) / dim
-
-
-def unitary_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Alias of :func:`trace_error`; used as the circuit-equivalence metric."""
-    return trace_error(a, b)
 
 
 def max_column_distance(a: np.ndarray, b: np.ndarray) -> float:

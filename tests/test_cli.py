@@ -221,3 +221,105 @@ def test_noise_sweep_config_lists_are_checked(capsys, tmp_path):
     assert rc == 0
     lines = out_path.read_text().strip().split("\n")
     assert len(lines) == 3 and lines[1].startswith("4,0.001,")
+
+
+VERIFY_ALL_N6_CHECKS = (
+    [f"spectrum N={N}" for N in range(2, 7)]
+    + [
+        f"{check} N={N}"
+        for N in (2, 4, 6)
+        for check in ("eigengate mapping", "eigengate phases", "intertwining", "so(3)", "BCH")
+    ]
+    + [f"Meixner n={n}" for n in range(2, 7)]
+    + ["matrix elements n=3", "matrix elements n=5"]
+    + [f"PST N={N}" for N in range(2, 7)]
+    + ["GHZ N=3", "GHZ N=5"]
+    + [f"{gate} circuit N={N}" for N in (4, 6) for gate in ("ctrl-X", "ctrl-iSWAP2")]
+    + ["gate time N=6 M=4", "gate time N=4 M=1"]
+)
+
+
+def test_verify_all_check_list_is_frozen(capsys):
+    rc, out = run_cli(capsys, "verify-all", "--n-max", "6")
+    assert rc == 0
+    lines = out.strip().split("\n")
+    assert lines[-1] == "all checks passed"
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    names = [line[len("PASS "):].split(":")[0] for line in lines[:-1]]
+    assert names == VERIFY_ALL_N6_CHECKS
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+def test_drive_zero_samples_is_a_usage_error(capsys):
+    code, err = usage_error(
+        capsys, "drive", "--n", "4", "--m", "1", "--eps", "0.01", "--samples", "0", "--out", "json"
+    )
+    assert code == 2
+    assert "argument --samples: must be a positive integer, got '0'" in err
+
+
+def test_noise_sweep_zero_samples_is_a_usage_error(capsys, tmp_path):
+    out = tmp_path / "fig3.csv"
+    code, err = usage_error(
+        capsys, "noise-sweep", "--figure", "3", "--n", "4", "--samples", "0", "--out", str(out)
+    )
+    assert code == 2
+    assert "argument --samples: must be a positive integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_spectrum_of_fewer_than_two_sites_is_a_usage_error(capsys, n):
+    code, err = usage_error(capsys, "spectrum", "--n", n)
+    assert code == 2
+    assert f"argument --n: must be an integer >= 2, got '{n}'" in err
+
+
+def test_drive_odd_chain_is_a_usage_error(capsys):
+    code, err = usage_error(capsys, "drive", "--n", "5")
+    assert code == 2
+    assert "argument --n: must be an even integer >= 4, got '5'" in err
+
+
+def test_drive_zero_length_is_a_usage_error(capsys):
+    code, err = usage_error(capsys, "drive", "--m", "0")
+    assert code == 2
+    assert "argument --m: must be a positive integer, got '0'" in err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["drive", "--eps", "1.5"], "argument --eps: noise amplitude must lie in [0, 1)"),
+    (["noise-sweep", "--figure", "3", "--eps", "-0.1"], "argument --eps: noise amplitude"),
+    (["noise-sweep", "--figure", "2", "--n", "5"], "argument --n: fig2 needs even N >= 4, got [5]"),
+    (["noise-sweep", "--figure", "2", "--m-min", "3", "--m-max", "2"], "argument --m-max: must be >= --m-min"),
+    (["noise-sweep", "--figure", "3", "--n", "4", "1"], "argument --n: must be an integer >= 2"),
+    (["eigengate-check", "--n", "1"], "argument --n: must be an integer >= 2"),
+    (["ghz", "--n", "4"], "argument --n: must be an odd integer >= 3, got '4'"),
+    (["pst", "--n", "1"], "argument --n: must be an integer >= 2"),
+    (["circuit-verify", "--which", "ctrl-x", "--n", "3"], "argument --n: must be an even integer >= 4"),
+    (["circuit-verify", "--which", "ctrl-iswap2", "--n", "8"], "ctrl-iswap2 is defined for N in {4, 6}"),
+    (["drive", "--eps", "0.01", "--seed", "-1"], "argument --seed: must be an integer >= 0, got '-1'"),
+    (["noise-sweep", "--figure", "3", "--seed", "-5"], "argument --seed: must be an integer >= 0"),
+    (["eigengate-check", "--n", "4", "--j", "0"], "argument --j: must be a positive number, got '0'"),
+    (["spectrum", "--n", "4", "--j", "-1"], "argument --j: must be a positive number"),
+    (["pst", "--n", "4", "--j", "nan"], "argument --j: must be a positive number"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
+    code, err = usage_error(capsys, *argv)
+    assert code == 2
+    assert fragment in err
+
+
+def test_config_values_get_the_flag_range_checks(tmp_path):
+    cfg = tmp_path / "drive.json"
+    cfg.write_text(json.dumps({"samples": 0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["drive", "--config", str(cfg)])
+    assert "config key 'samples': must be a positive integer, got 0" in str(exc.value.code)

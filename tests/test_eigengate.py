@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kchain.eigengate import (
     VARIANTS,
     bch_rotation_residual,
+    bch_rotation_residuals,
     build_eigengate,
     check_intertwining,
     compare_forms,
@@ -20,7 +21,7 @@ from kchain.eigengate import (
     so3_checks,
 )
 from kchain.hamiltonians import build_hk, build_hz, krawtchouk_chain, single_particle_hopping
-from kchain.linalg import assert_unitary, trace_error
+from kchain.linalg import assert_unitary, expm_hermitian, trace_error
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
@@ -136,3 +137,44 @@ def test_stacked_noisy_errors_equal_single_calls_exactly(N, eps):
     assert stacked.shape == (len(seeds),)
     for seed, got in zip(seeds, stacked):
         assert got == noisy_eigengate_error(N, 1.0, eps, seed)
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8])
+def test_compare_forms_scores_equal_mapping_table_per_gate(N):
+    report = compare_forms(N)
+    n = N - 1
+    for variant in VARIANTS:
+        form = report["variants"][variant]
+        gate = build_eigengate(N, 1.0, variant)
+        assert np.array_equal(form["gate"].unitary, gate.unitary)
+        mags, phases = mapping_table(gate)
+        assert form["min_overlap"] == float(mags.min())
+        assert np.array_equal(form["phases"], phases)
+        dev = max(abs(phases[s] - expected_phase(bin(s).count("1"), n)) for s in range(2**N))
+        assert form["max_phase_deviation"] == float(dev)
+    three, single = (report["variants"][v]["gate"].unitary for v in VARIANTS)
+    assert report["entrywise_difference"] == float(np.max(np.abs(three - single)))
+
+
+def _bch_residual_reference(N, theta):
+    """Per-angle route: a fresh angular-momentum triple and exponential."""
+    spec = krawtchouk_chain(N, 1.0)
+    lx, lz = build_hk(spec), build_hz(N, 1.0)
+    ly = -1.0j * (lz @ lx - lx @ lz)
+    u = expm_hermitian((lx + lz) / np.sqrt(2.0), theta)
+    rhs = (
+        np.sin(theta / 2.0) ** 2 * lx
+        - (np.sin(theta) / np.sqrt(2.0)) * ly
+        + np.cos(theta / 2.0) ** 2 * lz
+    )
+    return float(np.max(np.abs(u @ lz @ u.conj().T - rhs)))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
+def test_bch_residuals_equal_per_angle_calls_exactly(N):
+    thetas = [0.0, np.pi / 2, np.pi, 0.37, -2.1]
+    batch = bch_rotation_residuals(N, 1.0, thetas)
+    assert len(batch) == len(thetas)
+    for theta, got in zip(thetas, batch):
+        assert got == bch_rotation_residual(N, 1.0, theta)
+        assert got == _bch_residual_reference(N, theta)

@@ -224,3 +224,27 @@ def test_asymptotic_probe_frozen_rows():
 def test_asymptotic_probe_rejects_misaligned_n():
     with pytest.raises(ValueError):
         m2_asymptotic_probe([7])
+
+
+def _eigenstate_by_minor_loop(basis, modes):
+    """Reference route: one 2-D det per site subset."""
+    N = basis.n + 1
+    vec = np.zeros(2**N)
+    if not modes:
+        vec[0] = 1.0
+        return vec
+    rows = basis.phi[list(modes), :]
+    for xs in combinations(range(N), len(modes)):
+        index = sum(1 << (N - 1 - x) for x in xs)
+        vec[index] = float(np.linalg.det(rows[:, list(xs)]))
+    return vec
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_stacked_eigenstate_equals_minor_loop_exactly(N):
+    basis = build_basis(N - 1, 1.0)
+    for q in range(N + 1):
+        for modes in combinations(range(N), q):
+            got = eigenstate_vector(basis, modes)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, _eigenstate_by_minor_loop(basis, modes))

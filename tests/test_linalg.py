@@ -17,13 +17,13 @@ from kchain.linalg import (
     basis_state,
     bits_of_index,
     expm_hermitian,
+    expm_hermitian_times,
     is_hermitian,
     max_column_distance,
     occupied_sites,
     sector_indices,
     tensor_embed,
     trace_error,
-    unitary_deviation,
 )
 
 
@@ -141,7 +141,7 @@ def test_trace_error_global_phase_invariant(rng):
 
 def test_column_metrics(rng):
     a = expm_hermitian(random_hermitian(rng, 4))
-    assert abs(unitary_deviation(a, a)) < 1e-14
+    assert abs(trace_error(a, a)) < 1e-14
     assert max_column_distance(a, a) == 0.0
     b = a.copy()
     b[:, 2] += 1e-3
@@ -164,3 +164,18 @@ def test_expm_hermitian_stack_rejects_any_non_hermitian_member(rng):
     stack[2, 0, 1] += 0.5
     with pytest.raises(ValueError):
         expm_hermitian(stack)
+
+
+
+def test_expm_hermitian_times_match_scalar_calls_bitwise(rng):
+    times = [0.0, 0.8, -1.3, np.pi]
+    for dim in (3, 16, 64):
+        ham = random_hermitian(rng, dim)
+        got = list(expm_hermitian_times(ham, times))
+        assert len(got) == len(times)
+        for t, u in zip(times, got):
+            assert np.array_equal(u, expm_hermitian(ham, t))
+    stack = np.array([random_hermitian(rng, 5) for _ in range(3)])
+    for t, u in zip(times, expm_hermitian_times(stack, times)):
+        assert u.shape == stack.shape
+        assert np.array_equal(u, expm_hermitian(stack, t))
