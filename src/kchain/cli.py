@@ -16,19 +16,13 @@ import numpy as np
 
 from .circuits import (
     ctrl_iswap2_circuit,
-    ctrl_iswap2_target,
     ctrl_x_circuit,
     phase_gate,
     verify_ctrl_iswap2_circuit,
     verify_ctrl_x_circuit,
 )
 from .driving import ProtocolParams, gate_time_accounting, run_iswap_protocol
-from .eigengate import (
-    bch_rotation_residuals,
-    check_intertwining,
-    compare_forms,
-    so3_checks,
-)
+from .eigengate import check_intertwining, compare_forms, rotation_checks
 from .experiments import (
     DEFAULT_SAMPLES,
     FIG2_EPS_GRID,
@@ -228,8 +222,15 @@ def _cmd_matrix_elements(args) -> int:
     return 0
 
 
+BCH_THETAS = (0.0, math.pi / 2.0, math.pi)
+
+
 def _eigengate_report(N: int, J: float) -> dict:
-    """compare_forms' scores of both variants plus the intertwining residual."""
+    """compare_forms' scores of both variants, the intertwining residual and
+    the so(3) and BCH rotation checks."""
+    # the rotation checks run first, so their dense 2^N operators are freed
+    # before compare_forms builds its own
+    so3, bch = rotation_checks(N, J, BCH_THETAS)
     forms = compare_forms(N, J)
     variants = {
         variant: {key: form[key] for key in ("min_overlap", "max_phase_deviation")}
@@ -246,19 +247,13 @@ def _eigengate_report(N: int, J: float) -> dict:
             forms["variants"]["three_step"]["gate"], hk, build_hz(N, J)
         ),
         "intertwining_allowance": 1e-9 * float(np.abs(hk).max()),
+        "so3_residuals": so3,
+        "bch_residuals": dict(zip(map(str, BCH_THETAS), bch)),
     }
 
 
-BCH_THETAS = (0.0, math.pi / 2.0, math.pi)
-
-
 def _cmd_eigengate_check(args) -> int:
-    N, J = args.n, args.j
-    report = _eigengate_report(N, J)
-    report["so3_residuals"] = so3_checks(N, J)
-    report["bch_residuals"] = dict(
-        zip(map(str, BCH_THETAS), bch_rotation_residuals(N, J, BCH_THETAS))
-    )
+    report = _eigengate_report(args.n, args.j)
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = (
         report["min_overlap"] > 1.0 - 1e-9
@@ -344,7 +339,6 @@ def _cmd_circuit_verify(args) -> int:
         deviation = verify_ctrl_x_circuit(N, circuit)
     else:
         circuit = ctrl_iswap2_circuit(N, iswap_n=core)
-        target = ctrl_iswap2_target(N)
         deviation = verify_ctrl_iswap2_circuit(N, circuit)
     report = {
         "which": args.which,
@@ -400,9 +394,8 @@ def _cmd_verify_all(args) -> int:
             rep["intertwining_residual"],
             rep["intertwining_allowance"],
         )
-        residuals = so3_checks(N, 1.0)
-        check(f"so(3) N={N}", max(residuals.values()), 1e-9)
-        check(f"BCH N={N}", max(bch_rotation_residuals(N, 1.0, BCH_THETAS)), 1e-9)
+        check(f"so(3) N={N}", max(rep["so3_residuals"].values()), 1e-9)
+        check(f"BCH N={N}", max(rep["bch_residuals"].values()), 1e-9)
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)
     for n in range(3, min(n_max + 1, 8), 2):

@@ -32,6 +32,7 @@ __all__ = [
     "so3_checks",
     "bch_rotation_residual",
     "bch_rotation_residuals",
+    "rotation_checks",
     "compare_forms",
     "eigengate_single_particle",
     "free_fermion_trace_error",
@@ -123,7 +124,10 @@ def _angular_triple(N: int, J: float):
 
 def so3_checks(N: int, J: float = 1.0) -> dict:
     """Residuals of the angular-momentum commutators on the full 2^N space."""
-    lx, ly, lz = _angular_triple(N, J)
+    return _so3_residuals(*_angular_triple(N, J))
+
+
+def _so3_residuals(lx, ly, lz) -> dict:
     comm = lambda a, b: a @ b - b @ a
     return {
         "xy_z": float(np.max(np.abs(comm(lx, ly) - 1.0j * lz))),
@@ -140,7 +144,18 @@ def bch_rotation_residuals(N: int, J: float, thetas) -> list:
     with Lh = (Lx + Lz)/sqrt(2).  One angular-momentum triple and one
     diagonalization of Lh serve every theta.
     """
-    lx, ly, lz = _angular_triple(N, J)
+    return _bch_residuals(_angular_triple(N, J), thetas)
+
+
+def rotation_checks(N: int, J: float, thetas) -> tuple:
+    """(so3_checks(N, J), bch_rotation_residuals(N, J, thetas)) from one
+    angular-momentum triple."""
+    triple = _angular_triple(N, J)
+    return _so3_residuals(*triple), _bch_residuals(triple, thetas)
+
+
+def _bch_residuals(triple, thetas) -> list:
+    lx, ly, lz = triple
     rotations = expm_hermitian_times((lx + lz) / np.sqrt(2.0), thetas)
     return [_bch_residual(theta, u, lx, ly, lz) for theta, u in zip(thetas, rotations)]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kchain import driving
 from kchain.driving import (
     CallableSegment,
     DriveSegment,
@@ -23,7 +24,13 @@ from kchain.driving import (
 )
 from kchain.eigengate import build_eigengate
 from kchain.hamiltonians import build_hk, krawtchouk_chain
-from kchain.linalg import assert_unitary, basis_index, expm_hermitian, trace_error
+from kchain.linalg import (
+    assert_unitary,
+    basis_index,
+    expm_hermitian,
+    max_column_distance,
+    trace_error,
+)
 
 
 def sea_indices(N):
@@ -78,6 +85,59 @@ def test_integrator_reports_nonconvergence():
     wild = CallableSegment(lambda t: np.array([[0.0, np.cos(200.0 * t)], [np.cos(200.0 * t), 0.0]]), 10.0)
     with pytest.raises(RuntimeError):
         propagate_unitary(PulseSchedule((wild,)), 2, tol=1e-15, nsub0=2, max_refine=0)
+
+
+# --------------------------------------------------------- step exponentials
+
+
+@pytest.mark.parametrize("m, theta", driving._TAYLOR_DEGREES)
+def test_taylor_thresholds_meet_their_remainder_bound(m, theta):
+    assert driving._taylor_remainder_bound(theta, m) <= 2.0**-53
+    # and each is the largest such norm, not just a safe one
+    assert driving._taylor_remainder_bound(theta * (1.0 + 1e-9), m) > 2.0**-53
+
+
+def _hermitian_stack(rng, count, n, norm):
+    """Random Hermitian stack whose largest 1-norm is ``norm``."""
+    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    a = a + np.conj(np.swapaxes(a, -1, -2))
+    return a * (norm / np.abs(a).sum(axis=-2).max())
+
+
+@pytest.mark.parametrize("n", [1, 6, 20, 70])
+def test_expm_stack_matches_eigh_oracle(rng, n):
+    (_, theta6), (_, theta8), (_, theta12) = driving._TAYLOR_DEGREES
+    # every degree at and below its threshold, then one and many squarings
+    norms = (1e-4, theta6, 0.5 * (theta6 + theta8), theta8, theta12, 2.0 * theta12, 1.0, 50.0)
+    chunk = driving._EXPM_CHUNK
+    for count in (1, chunk - 5, chunk + 13, 2 * chunk + 1):
+        for norm in norms:
+            gs = _hermitian_stack(rng, count, n, norm)
+            u = driving._expm_stack(gs)
+            assert u.shape == gs.shape
+            assert np.max(np.abs(u - expm_hermitian(gs))) <= 1e-13
+            gram = u @ np.conj(np.swapaxes(u, -1, -2))
+            assert np.max(np.abs(gram - np.eye(n))) <= 1e-13
+
+
+def test_expm_stack_rejects_non_finite_generators():
+    gs = np.zeros((3, 2, 2), dtype=complex)
+    gs[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        driving._expm_stack(gs)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ProtocolParams(N=4, M=1), ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3)],
+)
+def test_taylor_steps_match_eigh_reference_route(monkeypatch, params):
+    fast = run_iswap_protocol(params)
+    # the eigendecomposition route the Taylor kernel replaced
+    monkeypatch.setattr(driving, "_expm_stack", expm_hermitian)
+    reference = run_iswap_protocol(params)
+    assert fast.substeps_per_period == reference.substeps_per_period
+    assert max_column_distance(fast.unitary, reference.unitary) < 1e-9
 
 
 # ---------------------------------------------------------- two-level checks

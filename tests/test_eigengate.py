@@ -18,6 +18,7 @@ from kchain.eigengate import (
     mapping_table,
     noisy_eigengate_error,
     noisy_eigengate_errors,
+    rotation_checks,
     so3_checks,
 )
 from kchain.hamiltonians import build_hk, build_hz, krawtchouk_chain, single_particle_hopping
@@ -178,3 +179,11 @@ def test_bch_residuals_equal_per_angle_calls_exactly(N):
     for theta, got in zip(thetas, batch):
         assert got == bch_rotation_residual(N, 1.0, theta)
         assert got == _bch_residual_reference(N, theta)
+
+
+@pytest.mark.parametrize("N", [2, 4, 6])
+def test_rotation_checks_equal_separate_calls_exactly(N):
+    thetas = [0.0, np.pi / 2, 0.37]
+    so3, bch = rotation_checks(N, 1.0, thetas)
+    assert so3 == so3_checks(N, 1.0)
+    assert bch == bch_rotation_residuals(N, 1.0, thetas)
