@@ -7,12 +7,12 @@ Thin wrapper over `kchain verify-all`; exits nonzero if anything fails.
 import argparse
 import sys
 
-from kchain.cli import main as cli_main
+from kchain.cli import _chain_size, main as cli_main
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-max", type=int, default=6, help="largest chain size to sweep")
+    ap.add_argument("--n-max", type=_chain_size, default=6, help="largest chain size to sweep")
     args = ap.parse_args()
     return cli_main(["verify-all", "--n-max", str(args.n_max)])
 

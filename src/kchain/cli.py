@@ -101,7 +101,7 @@ def _noise_eps(text) -> float:
 
 
 def _positive_float(text) -> float:
-    """argparse type for a coupling scale J > 0."""
+    """argparse type for a finite number > 0 (a coupling scale, a frequency)."""
     try:
         value = float(text)
     except ValueError:
@@ -112,7 +112,13 @@ def _positive_float(text) -> float:
 
 
 # JSON value types a config file may give for each flag type
-_CONFIG_TYPES = {int: (int,), float: (int, float), _noise_eps: (int, float), str: (str,), None: (str,)}
+_CONFIG_TYPES = {
+    int: (int,),
+    _noise_eps: (int, float),
+    _positive_float: (int, float),
+    str: (str,),
+    None: (str,),
+}
 
 
 def _config_value(action, key, value):
@@ -458,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "matrix-elements", help="closed-form vs brute-force drive matrix elements"
     )
-    p.add_argument("--n-max", type=int, default=7, help="largest odd n (default 7)")
+    p.add_argument("--n-max", type=_IntAtLeast(3), default=7, help="largest odd n (default 7)")
     p.set_defaults(func=_cmd_matrix_elements)
 
     p = sub.add_parser("eigengate-check", help="eigengate identity report as JSON")
@@ -473,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=20260801)
     p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--no-inversion", action="store_true")
-    p.add_argument("--omega-override", type=float, default=None)
+    p.add_argument("--omega-override", type=_positive_float, default=None)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.add_argument("--config", type=str, default=None, help="JSON file of defaults")
     p.set_defaults(func=_cmd_drive)
@@ -508,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pst)
 
     p = sub.add_parser("verify-all", help="run the full identity suite")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_chain_size, default=6)
     p.set_defaults(func=_cmd_verify_all)
 
     parser._command_parsers = dict(sub.choices)

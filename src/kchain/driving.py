@@ -330,6 +330,8 @@ class ProtocolParams:
             raise ValueError("N must be even and at least 4")
         if self.M < 1:
             raise ValueError("M must be a positive integer")
+        if not 0.0 < self.J < math.inf:
+            raise ValueError(f"J must be a finite number > 0, got {self.J!r}")
 
     @property
     def tau_d(self) -> float:
@@ -346,6 +348,9 @@ class ProtocolResult:
     drive_phase: float
     converged_delta: float
     substeps_per_period: int
+    # (substeps_per_period, delta) of every refinement level computed, the
+    # first level's delta being inf; the last entry is the final pair
+    refinement: tuple
 
 
 def default_drive_pairs(N: int) -> tuple:
@@ -439,14 +444,30 @@ def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> Pu
     )
 
 
-def _half_period_maps(h0, vop, omega, phase, nsub):
-    """Unitaries over the first and second half-period of the drive."""
+def _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b: bool = False):
+    """Unitaries over the first and second half-period of the drive.
+
+    With mirrored_b only the first is stepped and the second is read off it
+    in reverse basis order, which is exact on the half-filled sector of a
+    '-' paired drive (see run_iswap_protocol).
+    """
     period = 2.0 * math.pi / omega
-    seg_a = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=period / 2)
-    seg_b = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=period / 2)
-    ua = _ordered_product(_magnus_steps(seg_a, 0.0, nsub))
-    ub = _ordered_product(_magnus_steps(seg_b, period / 2, nsub))
-    return ua, ub
+    seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=period / 2)
+    ua = _ordered_product(_magnus_steps(seg, 0.0, nsub))
+    if mirrored_b:
+        return ua, ua[::-1, ::-1]
+    return ua, _ordered_product(_magnus_steps(seg, period / 2, nsub))
+
+
+def _partner_maps(ua, ub, sign: str):
+    """Half-period maps of sector N-q from those of sector q.
+
+    The spin flip reverses the sector's basis order; under a '-' pairing it
+    also negates the drive, i.e. shifts it by half a period, so the two
+    halves trade places.
+    """
+    ra, rb = ua[::-1, ::-1], ub[::-1, ::-1]
+    return (ra, rb) if sign == "+" else (rb, ra)
 
 
 def _compose_half_periods(ua, ub, count: int, start_second: bool):
@@ -461,20 +482,39 @@ def _compose_half_periods(ua, ub, count: int, start_second: bool):
     return u
 
 
-def _drive_window_sector(h0, vop, omega, phase, halves: int, invert, nsub):
-    """Drive-window propagator on one excitation sector.
+def _window_from_maps(ua, ub, halves: int, invert):
+    """Drive-window propagator of one sector from its half-period maps.
 
     halves is the number of drive half-periods per window; with the
     inversion on there are two windows with the diagonal pulse (invert) and
     its inverse wrapped around the second, and the second window resumes at
     the half-period parity where the first stopped.
     """
-    ua, ub = _half_period_maps(h0, vop, omega, phase, nsub)
     if invert is None:
         return _compose_half_periods(ua, ub, 2 * halves, False)
     first = _compose_half_periods(ua, ub, halves, False)
     second = _compose_half_periods(ua, ub, halves, bool(halves % 2))
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
+
+
+def _drive_window_sector(h0, vop, omega, phase, halves: int, inverts, nsub, sign: str):
+    """Drive-window propagators on a sector q <= N/2 and its partner N-q.
+
+    h0 and vop are sector q's blocks.  inverts holds the pulse phases (None
+    without the inversion) of each sector to return: q, then N-q unless
+    q = N/2.  Only sector q's half-period maps are stepped; the partner's
+    are read off them (_partner_maps), and on the half-filled sector of a
+    '-' pairing the second half-period is the first reversed.  Blocks that
+    are exactly zero (no or all sites excited) give identity maps unstepped.
+    Every sector composes its window from its own maps and phases.
+    """
+    if h0.any() or vop.any():
+        mirrored_b = len(inverts) == 1 and sign == "-"
+        ua, ub = _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b)
+    else:
+        ua = ub = np.eye(h0.shape[0], dtype=complex)
+    maps = ((ua, ub), _partner_maps(ua, ub, sign))
+    return [_window_from_maps(a, b, halves, inv) for (a, b), inv in zip(maps, inverts)]
 
 
 def _drive_window_sector_general(h0, vop, omega, phase, duration, invert, nsub):
@@ -495,6 +535,23 @@ def _drive_window_sector_general(h0, vop, omega, phase, duration, invert, nsub):
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
+def _check_particle_hole_pairing(h_blocks, v_blocks, sign: str) -> None:
+    """Raise unless each sector N-q's blocks are sector q's in reverse basis
+    order, the drive's negated under a '-' pairing (exact comparison)."""
+    N = len(h_blocks) - 1
+    flip = 1.0 if sign == "+" else -1.0
+    for q in range(N // 2 + 1):
+        h, v = h_blocks[q], v_blocks[q]
+        if not (
+            np.array_equal(h_blocks[N - q], h[::-1, ::-1])
+            and np.array_equal(v_blocks[N - q], flip * v[::-1, ::-1])
+        ):
+            raise ValueError(
+                f"sectors {q} and {N - q} are not particle-hole partners under "
+                f"the '{sign}' drive pairing"
+            )
+
+
 def run_iswap_protocol(
     params: ProtocolParams,
     tol: float = 1e-9,
@@ -509,9 +566,22 @@ def run_iswap_protocol(
     blocked by excitation number and the drive window is assembled from
     half-period maps (the schedule is an integer number of half-periods),
     so the cost is independent of M up to a logarithm.  An off-resonant
-    omega_override falls back to direct stepping of the whole window.
+    omega_override falls back to direct stepping of every sector's window.
+
+    The periodic route steps only the sectors q <= N/2.  The chain has zero
+    fields and the drive pairs sites (j, j+N/2) with one sign, so the global
+    spin flip, which maps sector q onto sector N-q in reverse basis order,
+    leaves the chain unchanged and the drive unchanged ('+') or negated
+    ('-').  The maps of sector N-q are then sector q's reversed, with the
+    two half-periods swapped under '-' (a negated drive is the drive half a
+    period later).  These preconditions are checked exactly on the sector
+    blocks of every run, and a ValueError is raised if they fail.
     """
     N, J, M = params.N, params.J, params.M
+    if nsub0 < 1:
+        raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
+    if omega_override is not None and not 0.0 < omega_override < math.inf:
+        raise ValueError(f"omega_override must be a finite number > 0, got {omega_override!r}")
     omega, op_unit, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         omega = float(omega_override)
@@ -519,6 +589,7 @@ def run_iswap_protocol(
     halves_exact = half_window / (math.pi / omega)
     periodic = abs(halves_exact - round(halves_exact)) < 1e-12
     halves = int(round(halves_exact))
+    sign = params.sign if params.sign is not None else driving_sign(N)
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
     h_chain = build_hk(apply_coupling_noise(spec))
@@ -526,35 +597,38 @@ def run_iswap_protocol(
     p_diag = np.exp(-1.0j * math.pi * hz_diagonal(N, J) / J)
 
     sectors = [sector_indices(N, q) for q in range(N + 1)]
-    blocks = [
-        (
-            np.ascontiguousarray(h_chain[np.ix_(ix, ix)]),
-            np.ascontiguousarray(vop[np.ix_(ix, ix)]),
-            p_diag[ix] if params.halfway_inversion else None,
-        )
-        for ix in sectors
-    ]
+    h_blocks = [np.ascontiguousarray(h_chain[np.ix_(ix, ix)]) for ix in sectors]
+    v_blocks = [np.ascontiguousarray(vop[np.ix_(ix, ix)]) for ix in sectors]
+    inverts = [p_diag[ix] if params.halfway_inversion else None for ix in sectors]
+    if periodic:
+        _check_particle_hole_pairing(h_blocks, v_blocks, sign)
 
     dim = 2**N
     prev = None
     nsub = nsub0
     delta = math.inf
+    refinement = []
     for _ in range(max_refine + 1):
         u_drive = np.zeros((dim, dim), dtype=complex)
-        for ix, (h0_b, v_b, inv_b) in zip(sectors, blocks):
-            if periodic:
-                blk = _drive_window_sector(
-                    h0_b, v_b, omega, phase, halves, inv_b, nsub
+        if periodic:
+            for q in range(N // 2 + 1):
+                partners = (q,) if 2 * q == N else (q, N - q)
+                windows = _drive_window_sector(
+                    h_blocks[q], v_blocks[q], omega, phase, halves,
+                    [inverts[p] for p in partners], nsub, sign,
                 )
-            else:
-                blk = _drive_window_sector_general(
+                for p, blk in zip(partners, windows):
+                    u_drive[np.ix_(sectors[p], sectors[p])] = blk
+        else:
+            for ix, h0_b, v_b, inv_b in zip(sectors, h_blocks, v_blocks, inverts):
+                u_drive[np.ix_(ix, ix)] = _drive_window_sector_general(
                     h0_b, v_b, omega, phase, half_window, inv_b, nsub
                 )
-            u_drive[np.ix_(ix, ix)] = blk
         if prev is not None:
             delta = max_column_distance(u_drive, prev)
-            if delta < tol:
-                break
+        refinement.append((2 * nsub, delta))
+        if delta < tol:
+            break
         prev = u_drive
         nsub *= 2
     else:
@@ -575,6 +649,7 @@ def run_iswap_protocol(
         drive_phase=phase,
         converged_delta=delta,
         substeps_per_period=2 * nsub,
+        refinement=tuple(refinement),
     )
 
 

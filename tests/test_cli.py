@@ -200,6 +200,8 @@ def test_explicit_flag_equal_to_default_beats_config(capsys, tmp_path):
     ({"out": "xml"}, "'out' must be one of"),
     ({"threads": 0}, "positive integer"),
     ({"bogus": 1}, "unknown config key 'bogus'"),
+    ({"omega-override": "3.7"}, "'omega-override' must be int or float"),
+    ({"omega-override": 0}, "config key 'omega-override': must be a positive number, got 0"),
 ])
 def test_config_values_of_wrong_type_are_rejected(tmp_path, doc, fragment):
     cfg = tmp_path / "bad.json"
@@ -310,6 +312,13 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["eigengate-check", "--n", "4", "--j", "0"], "argument --j: must be a positive number, got '0'"),
     (["spectrum", "--n", "4", "--j", "-1"], "argument --j: must be a positive number"),
     (["pst", "--n", "4", "--j", "nan"], "argument --j: must be a positive number"),
+    (["drive", "--omega-override", "0"], "argument --omega-override: must be a positive number, got '0'"),
+    (["drive", "--omega-override", "-4"], "argument --omega-override: must be a positive number"),
+    (["drive", "--omega-override", "nan"], "argument --omega-override: must be a positive number"),
+    (["drive", "--omega-override", "inf"], "argument --omega-override: must be a positive number"),
+    (["verify-all", "--n-max", "1"], "argument --n-max: must be an integer >= 2, got '1'"),
+    (["verify-all", "--n-max", "-3"], "argument --n-max: must be an integer >= 2"),
+    (["matrix-elements", "--n-max", "0"], "argument --n-max: must be an integer >= 3, got '0'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)
@@ -323,3 +332,14 @@ def test_config_values_get_the_flag_range_checks(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["drive", "--config", str(cfg)])
     assert "config key 'samples': must be a positive integer, got 0" in str(exc.value.code)
+
+
+def test_omega_override_in_config_runs_off_resonance(capsys, tmp_path):
+    cfg = tmp_path / "drive.json"
+    cfg.write_text(json.dumps({"omega_override": 3.7, "out": "json"}))
+    rc, out = run_cli(capsys, "drive", "--n", "4", "--m", "1", "--config", str(cfg))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["omega"] == 3.7
+    # 0.3 below the N=4 resonance at 4, the error is ~100x the resonant 6.7e-4
+    assert doc["mean_error"] > 0.05

@@ -1,5 +1,7 @@
 """Tests for pulse scheduling, the Magnus integrator, and the resonant swap protocol."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,12 +25,20 @@ from kchain.driving import (
     two_level_hamiltonian,
 )
 from kchain.eigengate import build_eigengate
-from kchain.hamiltonians import build_hk, krawtchouk_chain
+from kchain.hamiltonians import (
+    DrivingSpec,
+    apply_coupling_noise,
+    build_hk,
+    driving_operator,
+    hz_diagonal,
+    krawtchouk_chain,
+)
 from kchain.linalg import (
     assert_unitary,
     basis_index,
     expm_hermitian,
     max_column_distance,
+    sector_indices,
     trace_error,
 )
 
@@ -140,6 +150,139 @@ def test_taylor_steps_match_eigh_reference_route(monkeypatch, params):
     assert max_column_distance(fast.unitary, reference.unitary) < 1e-9
 
 
+# ------------------------------------------------------ particle-hole pairing
+
+
+def _sector_blocks(N, sign, pairs, eps, seed):
+    """Chain and drive blocks of every sector, built independently of
+    run_iswap_protocol, and the inversion phases."""
+    h = build_hk(apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=eps, seed=seed)))
+    v = sum(
+        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=0.3, omega=1.0), N)
+        for j in pairs
+    )
+    p = np.exp(-1.0j * np.pi * hz_diagonal(N, 1.0))
+    sectors = [sector_indices(N, q) for q in range(N + 1)]
+    return [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)], p[ix]) for ix in sectors]
+
+
+@pytest.mark.parametrize(
+    "N, sign, pairs, phase, eps, seed",
+    [
+        (4, "+", (0, 1), -np.pi, 0.05, 1),
+        (4, "-", (1,), 0.3, 0.01, 2),
+        (6, "-", (1,), -np.pi / 2, 0.01, 3),
+        (6, "+", (0, 2), 1.1, 0.05, 4),
+        (8, "+", (1,), -np.pi, 0.01, 5),
+        (8, "-", (0, 3), 2.0, 0.05, 6),
+    ],
+)
+def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed):
+    blocks = _sector_blocks(N, sign, pairs, eps, seed)
+    omega, nsub, halves = float(N * N) / 4.0, 16, 2 * N + 1
+    stepped = [driving._half_period_maps(h, v, omega, phase, nsub) for h, v, _ in blocks]
+    for q in range(N // 2 + 1):
+        h, v, _ = blocks[q]
+        mirrored_b = 2 * q == N and sign == "-"
+        ua, ub = driving._half_period_maps(h, v, omega, phase, nsub, mirrored_b)
+        derived = {q: (ua, ub), N - q: driving._partner_maps(ua, ub, sign)}
+        for p, maps in derived.items():
+            for got, want in zip(maps, stepped[p]):
+                assert np.max(np.abs(got - want)) <= 1e-13, (p, sign)
+        partners = (q,) if 2 * q == N else (q, N - q)
+        for inversion in (True, False):
+            inverts = [blocks[p][2] if inversion else None for p in partners]
+            windows = driving._drive_window_sector(h, v, omega, phase, halves, inverts, nsub, sign)
+            assert len(windows) == len(partners)
+            for p, inv, window in zip(partners, inverts, windows):
+                want = driving._window_from_maps(*stepped[p], halves, inv)
+                assert np.max(np.abs(window - want)) <= 1e-13, (p, sign, inversion)
+
+
+def _step_every_sector(params):
+    """Stand-in for _drive_window_sector that steps each returned sector
+    from its own blocks, the route the particle-hole pairing replaced."""
+    _, op_unit, j_d, _ = drive_calibration(params)
+    h = build_hk(apply_coupling_noise(
+        krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed)
+    ))
+    v = j_d * op_unit
+    sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
+    blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
+
+    def window(h0, vop, omega, phase, halves, inverts, nsub, sign):
+        q = next(
+            q for q, (hb, vb) in enumerate(blocks)
+            if np.array_equal(hb, h0) and np.array_equal(vb, vop)
+        )
+        partners = (q,) if 2 * q == params.N else (q, params.N - q)
+        return [
+            driving._window_from_maps(
+                *driving._half_period_maps(*blocks[p], omega, phase, nsub), halves, inv
+            )
+            for p, inv in zip(partners, inverts)
+        ]
+
+    return window
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProtocolParams(N=4, M=1),
+        ProtocolParams(N=4, M=2, pairs=(1,), drive_phase=0.4, halfway_inversion=False),
+        ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3),
+        ProtocolParams(N=6, M=20, noise_eps=0.01, seed=11),
+    ],
+)
+def test_paired_protocol_matches_every_sector_stepped(monkeypatch, params):
+    fast = run_iswap_protocol(params)
+    monkeypatch.setattr(driving, "_drive_window_sector", _step_every_sector(params))
+    reference = run_iswap_protocol(params)
+    assert [n for n, _ in fast.refinement] == [n for n, _ in reference.refinement]
+    assert max_column_distance(fast.unitary, reference.unitary) < 1e-10
+    assert abs(fast.error - reference.error) < 1e-12
+
+
+@pytest.mark.parametrize("N, per_level", [(4, 4), (6, 5), (8, 8)])
+def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_level):
+    # sectors 0 < q < N/2 step both half-periods, q = N/2 one under a '-'
+    # pairing (N = 6) and two under '+'; q = 0 and every q > N/2 step none
+    calls = []
+    kernel = driving._expm_stack
+
+    def counting_kernel(gs):
+        calls.append(gs.shape)
+        return kernel(gs)
+
+    monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
+    res = run_iswap_protocol(ProtocolParams(N=N, M=4), tol=np.inf, nsub0=4, max_refine=1)
+    assert len(res.refinement) == 2
+    assert len(calls) == 2 * per_level
+
+
+def test_unpaired_sectors_are_rejected(monkeypatch):
+    # a longitudinal field breaks the spin-flip symmetry: the run must stop,
+    # not silently pair sectors that are not partners
+    def chain_with_field(N, J, **kwargs):
+        spec = krawtchouk_chain(N, J, **kwargs)
+        return dataclasses.replace(spec, zfields=np.linspace(0.0, 0.1, N))
+
+    monkeypatch.setattr(driving, "krawtchouk_chain", chain_with_field)
+    with pytest.raises(ValueError, match="particle-hole partners"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1))
+
+
+def test_refinement_history_ends_at_the_reported_level():
+    res = run_iswap_protocol(ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3))
+    substeps = [n for n, _ in res.refinement]
+    deltas = [d for _, d in res.refinement]
+    assert substeps == [64 * 2**k for k in range(len(substeps))]
+    assert deltas[0] == np.inf and all(d >= 1e-9 for d in deltas[:-1])
+    assert res.refinement[-1] == (res.substeps_per_period, res.converged_delta)
+    assert res.converged_delta < 1e-9
+
+
 # ---------------------------------------------------------- two-level checks
 
 
@@ -181,6 +324,24 @@ def test_protocol_params_validation():
         ProtocolParams(N=2)
     with pytest.raises(ValueError):
         ProtocolParams(N=4, M=0)
+
+
+@pytest.mark.parametrize("J", [0.0, -1.0, np.nan, np.inf])
+def test_protocol_params_reject_bad_coupling_scale(J):
+    with pytest.raises(ValueError, match="J must be a finite number > 0"):
+        ProtocolParams(N=4, J=J)
+
+
+@pytest.mark.parametrize("nsub0", [0, -2])
+def test_protocol_rejects_nonpositive_initial_substeps(nsub0):
+    with pytest.raises(ValueError, match="nsub0 must be a positive integer"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), nsub0=nsub0)
+
+
+@pytest.mark.parametrize("omega", [0.0, -4.0, np.nan, np.inf])
+def test_protocol_rejects_bad_omega_override(omega):
+    with pytest.raises(ValueError, match="omega_override must be a finite number > 0"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), omega_override=omega)
 
 
 def test_drive_pair_defaults_and_resonance():

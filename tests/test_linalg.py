@@ -80,6 +80,15 @@ def test_sector_indices_partition_space():
     assert sorted(merged.tolist()) == list(range(32))
 
 
+@pytest.mark.parametrize("N", range(2, 13))
+def test_sector_complement_is_partner_sector_reversed(N):
+    # flipping every bit maps sector q onto sector N-q in reverse order,
+    # which the protocol's particle-hole pairing relies on
+    full = 2**N - 1
+    for q in range(N + 1):
+        assert np.array_equal(full ^ sector_indices(N, q), sector_indices(N, N - q)[::-1])
+
+
 def test_tensor_embed_single_site():
     ident = np.eye(2)
     assert np.allclose(tensor_embed(PAULI_X, (0,), 2), np.kron(PAULI_X, ident))

@@ -56,6 +56,7 @@ def test_run_fig3_has_no_threads_flag(monkeypatch, capsys):
     ("run_fig2", ["--n", "5"], "argument --n: must be an even integer >= 4"),
     ("run_fig2", ["--seed", "-1"], "argument --seed: must be an integer >= 0"),
     ("run_fig2", ["--m-min", "4", "--m-max", "3"], "argument --m-max: must be >= --m-min"),
+    ("verify_all", ["--n-max", "1"], "argument --n-max: must be an integer >= 2"),
 ])
 def test_script_flags_out_of_range_are_usage_errors(monkeypatch, capsys, name, argv, fragment):
     with pytest.raises(SystemExit) as exc:
