@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 
 from .driving import iswap_target
-from .linalg import PAULI_X, assert_unitary, basis_index, tensor_embed
+from .linalg import PAULI_X, assert_unitary, basis_index, tensor_embed, trace_error
 
 __all__ = [
     "HADAMARD",
@@ -232,6 +232,4 @@ def ctrl_iswap2_circuit(N: int, iswap_n: np.ndarray | None = None) -> np.ndarray
 def verify_ctrl_iswap2_circuit(N: int, circuit: np.ndarray | None = None) -> float:
     """Global-phase-invariant deviation from the controlled phased swap."""
     u = ctrl_iswap2_circuit(N) if circuit is None else circuit
-    target = ctrl_iswap2_target(N)
-    dim = u.shape[0]
-    return float(1.0 - abs(np.trace(target.conj().T @ u)) / dim)
+    return float(trace_error(ctrl_iswap2_target(N), u))

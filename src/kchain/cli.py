@@ -189,14 +189,41 @@ def _apply_config_file(args, parser, argv):
     return args
 
 
-def _cmd_spectrum(args) -> int:
-    N, J = args.n, args.j
+def _spectrum(N: int, J: float):
+    """Closed-form single-particle spectrum J(k - n/2), k = 0..N-1, and its
+    largest deviation from the diagonalized chain."""
     n = N - 1
     hop = single_particle_hopping(krawtchouk_chain(N, J))
-    solved = np.sort(np.linalg.eigvalsh(hop))
     exact = np.array([J * (k - n / 2.0) for k in range(N)])
-    worst = float(np.abs(solved - exact).max())
-    _emit_csv(("n", "k", "lambda"), [(n, k, exact[k]) for k in range(N)])
+    return exact, float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max())
+
+
+def _m2_elements(n: int, conjugate: bool):
+    """(j, d, closed form, brute force, deviation) of the drive term
+    sigma^-_j sigma^+_{j+d} (d = (n+1)/2) between the half-filled band
+    states, for every j at odd n.  With conjugate the deviation also covers
+    sigma^+_j sigma^-_{j+d}, whose element is conjugate_phase(N) times the
+    closed form."""
+    d = (n + 1) // 2
+    N = n + 1
+    basis = build_basis(n, 1.0)
+    lower = tuple(range(N // 2))
+    upper = tuple(range(N // 2, N))
+    for j in range(0, n - d + 1):
+        closed = m2_closed_form(n, j)
+        op = tensor_embed(SIGMA_MINUS, [j], N) @ tensor_embed(SIGMA_PLUS, [j + d], N)
+        brute = matrix_element_bruteforce(basis, lower, op, upper)
+        err = abs(complex(brute) - closed)
+        if conjugate:
+            conj_op = tensor_embed(SIGMA_PLUS, [j], N) @ tensor_embed(SIGMA_MINUS, [j + d], N)
+            conj = matrix_element_bruteforce(basis, lower, conj_op, upper)
+            err = max(err, abs(complex(conj) - conjugate_phase(N) * closed))
+        yield j, d, closed, brute, err
+
+
+def _cmd_spectrum(args) -> int:
+    exact, worst = _spectrum(args.n, args.j)
+    _emit_csv(("n", "k", "lambda"), [(args.n - 1, k, lam) for k, lam in enumerate(exact)])
     if worst > 1e-10:
         print(f"FAIL spectrum deviation {worst:.3e}", file=sys.stderr)
         return 1
@@ -204,24 +231,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_matrix_elements(args) -> int:
-    rows = []
-    worst = 0.0
-    for n in range(3, args.n_max + 1, 2):
-        d = (n + 1) // 2
-        N = n + 1
-        basis = build_basis(n, 1.0)
-        lower = tuple(range(N // 2))
-        upper = tuple(range(N // 2, N))
-        for j in range(0, n - d + 1):
-            closed = m2_closed_form(n, j)
-            op = tensor_embed(SIGMA_MINUS, [j], N) @ tensor_embed(
-                SIGMA_PLUS, [j + d], N
-            )
-            brute = matrix_element_bruteforce(basis, lower, op, upper)
-            err = abs(complex(brute) - closed)
-            worst = max(worst, err)
-            rows.append((n, j, d, closed, brute.real, err))
+    rows = [
+        (n, j, d, closed, brute.real, err)
+        for n in range(3, args.n_max + 1, 2)
+        for j, d, closed, brute, err in _m2_elements(n, conjugate=False)
+    ]
     _emit_csv(("n", "j", "d", "M2_closed", "M2_brute", "abs_err"), rows)
+    worst = max(row[-1] for row in rows)
     if worst > 1e-12:
         print(f"FAIL matrix elements deviate up to {worst:.3e}", file=sys.stderr)
         return 1
@@ -305,31 +321,21 @@ def _cmd_drive(args) -> int:
 
 
 def _cmd_noise_sweep(args) -> int:
-    threads = args.threads
     t0 = time.time()
-    if args.figure == 2:
-        config = SweepConfig(
-            protocol="fig2",
-            n_values=tuple(args.n),
-            m_values=tuple(range(args.m_min, args.m_max + 1)),
-            eps_values=tuple(args.eps),
-            samples=args.samples,
-            base_seed=args.seed,
-            threads=threads,
-        )
-        rows = sweep_fig2(config)
-        header = ("N", "M", "eps", "mean_error", "stderr", "samples")
+    fig2 = args.figure == 2
+    config = SweepConfig(
+        protocol=f"fig{args.figure}",
+        n_values=tuple(args.n),
+        m_values=tuple(range(args.m_min, args.m_max + 1)) if fig2 else (),
+        eps_values=tuple(args.eps),
+        samples=args.samples,
+        base_seed=args.seed,
+        threads=args.threads,
+    )
+    if fig2:
+        rows, header = sweep_fig2(config), ("N", "M", "eps", "mean_error", "stderr", "samples")
     else:
-        config = SweepConfig(
-            protocol="fig3",
-            n_values=tuple(args.n),
-            eps_values=tuple(args.eps),
-            samples=args.samples,
-            base_seed=args.seed,
-            threads=threads,
-        )
-        rows = sweep_fig3(config)
-        header = ("N", "eps", "mean_error", "stderr", "samples")
+        rows, header = sweep_fig3(config), ("N", "eps", "mean_error", "stderr", "samples")
     write_table(args.out, header, rows, config=config, wall_time=time.time() - t0)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -383,14 +389,7 @@ def _cmd_verify_all(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:g})")
 
     for N in range(2, n_max + 1):
-        hop = single_particle_hopping(krawtchouk_chain(N, 1.0))
-        n = N - 1
-        exact = np.array([(k - n / 2.0) for k in range(N)])
-        check(
-            f"spectrum N={N}",
-            float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max()),
-            1e-10,
-        )
+        check(f"spectrum N={N}", _spectrum(N, 1.0)[1], 1e-10)
     for N in range(2, n_max + 1, 2):
         rep = _eigengate_report(N, 1.0)
         check(f"eigengate mapping N={N}", 1.0 - rep["min_overlap"], 1e-9)
@@ -405,25 +404,7 @@ def _cmd_verify_all(args) -> int:
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)
     for n in range(3, min(n_max + 1, 8), 2):
-        d = (n + 1) // 2
-        N = n + 1
-        basis = build_basis(n, 1.0)
-        lower = tuple(range(N // 2))
-        upper = tuple(range(N // 2, N))
-        worst = 0.0
-        for j in range(0, n - d + 1):
-            op = tensor_embed(SIGMA_MINUS, [j], N) @ tensor_embed(
-                SIGMA_PLUS, [j + d], N
-            )
-            brute = matrix_element_bruteforce(basis, lower, op, upper)
-            worst = max(worst, abs(complex(brute) - m2_closed_form(n, j)))
-            conj_op = tensor_embed(SIGMA_PLUS, [j], N) @ tensor_embed(
-                SIGMA_MINUS, [j + d], N
-            )
-            conj = matrix_element_bruteforce(basis, lower, conj_op, upper)
-            worst = max(
-                worst, abs(complex(conj) - conjugate_phase(N) * m2_closed_form(n, j))
-            )
+        worst = max(err for *_, err in _m2_elements(n, conjugate=True))
         check(f"matrix elements n={n}", worst, 1e-12)
     for N in range(2, n_max + 1):
         check(f"PST N={N}", pst_demo(N), 1e-10)

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "DriveSegment",
     "CallableSegment",
     "PulseSchedule",
-    "propagate",
     "propagate_unitary",
     "two_level_hamiltonian",
     "two_level_error",
@@ -214,6 +214,21 @@ def _schedule_unitary(schedule: PulseSchedule, dim: int, nsub: int) -> np.ndarra
     return u
 
 
+def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
+    """compute(nsub) at nsub0, 2 nsub0, ... until two successive results
+    differ by less than tol (max column 2-norm).  Returns the last result
+    and the (nsub, delta) of every level, the first delta being inf."""
+    prev, nsub, history = None, nsub0, []
+    for _ in range(max_refine + 1):
+        cur = compute(nsub)
+        delta = math.inf if prev is None else max_column_distance(cur, prev)
+        history.append((nsub, delta))
+        if delta < tol:
+            return cur, history
+        prev, nsub = cur, 2 * nsub
+    raise RuntimeError(f"{where} did not converge below {tol:g}; last change {delta:.3e}")
+
+
 def propagate_unitary(
     schedule: PulseSchedule,
     dim: int,
@@ -227,55 +242,8 @@ def propagate_unitary(
         return np.eye(dim, dtype=complex)
     if all(isinstance(s, StaticSegment) for s in schedule.segments):
         return _schedule_unitary(schedule, dim, nsub0)
-    prev = _schedule_unitary(schedule, dim, nsub0)
-    nsub = nsub0
-    delta = math.inf
-    for _ in range(max_refine):
-        nsub *= 2
-        cur = _schedule_unitary(schedule, dim, nsub)
-        delta = max_column_distance(cur, prev)
-        if delta < tol:
-            return cur
-        prev = cur
-    raise RuntimeError(
-        f"integrator did not converge below {tol:g}; last change {delta:.3e}"
-    )
-
-
-def propagate(state: np.ndarray, schedule: PulseSchedule, tol: float = 1e-9, nsub0: int = 64, max_refine: int = 14) -> np.ndarray:
-    """Evolve a state through the schedule with the same adaptive contract."""
-    if not schedule.segments:
-        return state.copy()
-
-    def run(nsub):
-        from .linalg import expm_hermitian
-
-        psi = state.astype(complex)
-        t = schedule.t0
-        for seg in schedule.segments:
-            if isinstance(seg, StaticSegment):
-                psi = expm_hermitian(seg.ham, seg.duration) @ psi
-            else:
-                for u in _magnus_steps(seg, t, nsub):
-                    psi = u @ psi
-            t += seg.duration
-        return psi
-
-    if all(isinstance(s, StaticSegment) for s in schedule.segments):
-        return run(1)
-    prev = run(nsub0)
-    nsub = nsub0
-    delta = math.inf
-    for _ in range(max_refine):
-        nsub *= 2
-        cur = run(nsub)
-        delta = float(np.linalg.norm(cur - prev))
-        if delta < tol:
-            return cur
-        prev = cur
-    raise RuntimeError(
-        f"integrator did not converge below {tol:g}; last change {delta:.3e}"
-    )
+    compute = functools.partial(_schedule_unitary, schedule, dim)
+    return _refine(compute, tol, nsub0, max_refine, "integrator")[0]
 
 
 # ------------------------------------------------------------ two-level model
@@ -451,12 +419,8 @@ def _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b: bool = False):
     in reverse basis order, which is exact on the half-filled sector of a
     '-' paired drive (see run_iswap_protocol).
     """
-    period = 2.0 * math.pi / omega
-    seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=period / 2)
-    ua = _ordered_product(_magnus_steps(seg, 0.0, nsub))
-    if mirrored_b:
-        return ua, ua[::-1, ::-1]
-    return ua, _ordered_product(_magnus_steps(seg, period / 2, nsub))
+    ua = _cell_map(h0, vop, omega, phase, nsub, 0, 1)
+    return ua, ua[::-1, ::-1] if mirrored_b else _cell_map(h0, vop, omega, phase, nsub, 1, 2)
 
 
 def _partner_maps(ua, ub, sign: str):
@@ -482,57 +446,78 @@ def _compose_half_periods(ua, ub, count: int, start_second: bool):
     return u
 
 
-def _window_from_maps(ua, ub, halves: int, invert):
-    """Drive-window propagator of one sector from its half-period maps.
+def _snap(cells):
+    """A drive-clock position in half-period cells, put on the nearest cell
+    boundary (as an int) when it lies within 1e-12 cells of it."""
+    whole = round(cells)
+    return whole if abs(cells - whole) < 1e-12 else cells
 
-    halves is the number of drive half-periods per window; with the
-    inversion on there are two windows with the diagonal pulse (invert) and
-    its inverse wrapped around the second, and the second window resumes at
-    the half-period parity where the first stopped.
-    """
+
+def _cell_map(h0, vop, omega, phase, nsub, a, b):
+    """Unitary over [a, b] on the drive clock, in half-period cells, for a
+    stretch of at most one cell; stepped at nsub substeps per cell."""
+    cell = math.pi / omega
+    seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=(b - a) * cell)
+    return _ordered_product(_magnus_steps(seg, a * cell, max(1, math.ceil((b - a) * nsub))))
+
+
+def _interval_map(ua, ub, partial, s, e):
+    """Unitary over the drive-clock interval [s, e], in half-period cells:
+    the whole cells composed from the half-period maps by parity, and
+    partial(a, b) over a partial cell at either end."""
+    k0, k1 = math.ceil(s), math.floor(e)
+    if k0 > k1:
+        return partial(s, e)
+    u = _compose_half_periods(ua, ub, k1 - k0, bool(k0 % 2))
+    if s < k0:
+        u = u @ partial(s, k0)
+    if e > k1:
+        u = partial(k1, e) @ u
+    return u
+
+
+def _window_map(ua, ub, partial, halves, invert):
+    """Drive-window propagator of one sector over [0, 2 halves] cells, or,
+    with the inversion, over [0, halves] and [halves, 2 halves] with the
+    diagonal pulse (invert) and its inverse wrapped around the second."""
+    end = _snap(2 * halves)
     if invert is None:
-        return _compose_half_periods(ua, ub, 2 * halves, False)
-    first = _compose_half_periods(ua, ub, halves, False)
-    second = _compose_half_periods(ua, ub, halves, bool(halves % 2))
+        return _interval_map(ua, ub, partial, 0, end)
+    first = _interval_map(ua, ub, partial, 0, halves)
+    # an even whole number of cells: the second window has the first's cell
+    # count and start parity and no partial cells, so the same product
+    second = first if halves % 2 == 0 else _interval_map(ua, ub, partial, halves, end)
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
-def _drive_window_sector(h0, vop, omega, phase, halves: int, inverts, nsub, sign: str):
+def _drive_window_sector(h0, vop, omega, phase, length, inverts, nsub, sign: str):
     """Drive-window propagators on a sector q <= N/2 and its partner N-q.
 
-    h0 and vop are sector q's blocks.  inverts holds the pulse phases (None
-    without the inversion) of each sector to return: q, then N-q unless
-    q = N/2.  Only sector q's half-period maps are stepped; the partner's
-    are read off them (_partner_maps), and on the half-filled sector of a
-    '-' pairing the second half-period is the first reversed.  Blocks that
-    are exactly zero (no or all sites excited) give identity maps unstepped.
-    Every sector composes its window from its own maps and phases.
+    h0 and vop are sector q's blocks and length is each window's span on
+    the drive clock.  inverts holds the pulse phases (None without the
+    inversion) of each sector to return: q, then N-q unless q = N/2.
+    Whole half-period cells come from sector q's half-period maps, and the
+    partial cells at a window's ends are stepped; a resonant window has
+    none.  The partner's maps are q's in reverse basis order, half a
+    period later under a '-' pairing (_partner_maps), and on the
+    half-filled sector of a '-' pairing the second half-period is the
+    first reversed.  Blocks that are exactly zero (no or all sites
+    excited) give identity half-period maps unstepped.
     """
     if h0.any() or vop.any():
         mirrored_b = len(inverts) == 1 and sign == "-"
         ua, ub = _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b)
     else:
         ua = ub = np.eye(h0.shape[0], dtype=complex)
-    maps = ((ua, ub), _partner_maps(ua, ub, sign))
-    return [_window_from_maps(a, b, halves, inv) for (a, b), inv in zip(maps, inverts)]
+    partial = functools.cache(functools.partial(_cell_map, h0, vop, omega, phase, nsub))
+    shift = 0 if sign == "+" else 1
 
+    def partner_partial(a, b):
+        return partial(a + shift, b + shift)[::-1, ::-1]
 
-def _drive_window_sector_general(h0, vop, omega, phase, duration, invert, nsub):
-    """Same window without the periodicity shortcut (any drive frequency).
-
-    Steps both windows directly on the drive clock, so the cosine stays
-    continuous across the inversion regardless of commensurability.
-    """
-    period = 2.0 * math.pi / omega
-    if invert is None:
-        seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=2 * duration)
-        n = max(1, math.ceil(2 * duration / (period / (2 * nsub))))
-        return _ordered_product(_magnus_steps(seg, 0.0, n))
-    seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=duration)
-    n = max(1, math.ceil(duration / (period / (2 * nsub))))
-    first = _ordered_product(_magnus_steps(seg, 0.0, n))
-    second = _ordered_product(_magnus_steps(seg, duration, n))
-    return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
+    halves = _snap(length / (math.pi / omega))
+    maps = ((ua, ub, partial), (*_partner_maps(ua, ub, sign), partner_partial))
+    return [_window_map(a, b, p, halves, inv) for (a, b, p), inv in zip(maps, inverts)]
 
 
 def _check_particle_hole_pairing(h_blocks, v_blocks, sign: str) -> None:
@@ -563,19 +548,19 @@ def run_iswap_protocol(
 
     The drive evolves under the (possibly noisy) chain plus the oscillatory
     term; the eigengates and the inversion pulses are exact.  Evolution is
-    blocked by excitation number and the drive window is assembled from
-    half-period maps (the schedule is an integer number of half-periods),
-    so the cost is independent of M up to a logarithm.  An off-resonant
-    omega_override falls back to direct stepping of every sector's window.
+    blocked by excitation number, and each window is composed on the drive
+    clock from half-period maps, so on resonance (a whole number of
+    half-periods) the cost is independent of M up to a logarithm; an
+    off-resonant omega_override adds only the partial half-periods at the
+    windows' ends.
 
-    The periodic route steps only the sectors q <= N/2.  The chain has zero
-    fields and the drive pairs sites (j, j+N/2) with one sign, so the global
-    spin flip, which maps sector q onto sector N-q in reverse basis order,
+    Only the sectors q <= N/2 are stepped.  The chain has zero fields and
+    the drive pairs sites (j, j+N/2) with one sign, so the global spin
+    flip, which maps sector q onto sector N-q in reverse basis order,
     leaves the chain unchanged and the drive unchanged ('+') or negated
-    ('-').  The maps of sector N-q are then sector q's reversed, with the
-    two half-periods swapped under '-' (a negated drive is the drive half a
-    period later).  These preconditions are checked exactly on the sector
-    blocks of every run, and a ValueError is raised if they fail.
+    ('-', the drive half a period later).  These preconditions are checked
+    exactly on the sector blocks of every run, and a ValueError is raised
+    if they fail.
     """
     N, J, M = params.N, params.J, params.M
     if nsub0 < 1:
@@ -585,10 +570,6 @@ def run_iswap_protocol(
     omega, op_unit, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         omega = float(omega_override)
-    half_window = params.tau_d / 2.0
-    halves_exact = half_window / (math.pi / omega)
-    periodic = abs(halves_exact - round(halves_exact)) < 1e-12
-    halves = int(round(halves_exact))
     sign = params.sign if params.sign is not None else driving_sign(N)
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
@@ -600,42 +581,23 @@ def run_iswap_protocol(
     h_blocks = [np.ascontiguousarray(h_chain[np.ix_(ix, ix)]) for ix in sectors]
     v_blocks = [np.ascontiguousarray(vop[np.ix_(ix, ix)]) for ix in sectors]
     inverts = [p_diag[ix] if params.halfway_inversion else None for ix in sectors]
-    if periodic:
-        _check_particle_hole_pairing(h_blocks, v_blocks, sign)
+    _check_particle_hole_pairing(h_blocks, v_blocks, sign)
 
-    dim = 2**N
-    prev = None
-    nsub = nsub0
-    delta = math.inf
-    refinement = []
-    for _ in range(max_refine + 1):
-        u_drive = np.zeros((dim, dim), dtype=complex)
-        if periodic:
-            for q in range(N // 2 + 1):
-                partners = (q,) if 2 * q == N else (q, N - q)
-                windows = _drive_window_sector(
-                    h_blocks[q], v_blocks[q], omega, phase, halves,
-                    [inverts[p] for p in partners], nsub, sign,
-                )
-                for p, blk in zip(partners, windows):
-                    u_drive[np.ix_(sectors[p], sectors[p])] = blk
-        else:
-            for ix, h0_b, v_b, inv_b in zip(sectors, h_blocks, v_blocks, inverts):
-                u_drive[np.ix_(ix, ix)] = _drive_window_sector_general(
-                    h0_b, v_b, omega, phase, half_window, inv_b, nsub
-                )
-        if prev is not None:
-            delta = max_column_distance(u_drive, prev)
-        refinement.append((2 * nsub, delta))
-        if delta < tol:
-            break
-        prev = u_drive
-        nsub *= 2
-    else:
-        raise RuntimeError(
-            f"protocol integrator did not converge below {tol:g} at N={N} M={M} "
-            f"eps={params.noise_eps} seed={params.seed}; last change {delta:.3e}"
-        )
+    def drive_window(nsub):
+        u_drive = np.zeros((2**N, 2**N), dtype=complex)
+        for q in range(N // 2 + 1):
+            partners = (q,) if 2 * q == N else (q, N - q)
+            windows = _drive_window_sector(
+                h_blocks[q], v_blocks[q], omega, phase, params.tau_d / 2.0,
+                [inverts[p] for p in partners], nsub, sign,
+            )
+            for p, blk in zip(partners, windows):
+                u_drive[np.ix_(sectors[p], sectors[p])] = blk
+        return u_drive
+
+    where = f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed}"
+    u_drive, history = _refine(drive_window, tol, nsub0, max_refine, where)
+    refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
     u_k = build_eigengate(N, J, "three_step").unitary
     u_total = u_k.conj().T @ u_drive @ u_k
@@ -647,9 +609,9 @@ def run_iswap_protocol(
         J_D=j_d,
         amplitude=J / (4.0 * M),
         drive_phase=phase,
-        converged_delta=delta,
-        substeps_per_period=2 * nsub,
-        refinement=tuple(refinement),
+        converged_delta=refinement[-1][1],
+        substeps_per_period=refinement[-1][0],
+        refinement=refinement,
     )
 
 

@@ -101,6 +101,32 @@ def test_noise_sweep_writes_table_and_sidecar(capsys, tmp_path):
     assert meta["config"]["samples"] == 4
 
 
+def test_noise_sweep_fig2_records_its_thread_count(capsys, tmp_path):
+    out_path = tmp_path / "fig2.csv"
+    rc, _ = run_cli(
+        capsys, "--threads", "2", "noise-sweep", "--figure", "2", "--n", "4", "--m-max", "1",
+        "--eps", "0.01", "--samples", "2", "--out", str(out_path),
+    )
+    assert rc == 0
+    lines = out_path.read_text().strip().split("\n")
+    assert lines[0] == "N,M,eps,mean_error,stderr,samples"
+    assert len(lines) == 2 and lines[1].startswith("4,1,0.01,")
+    assert json.loads((tmp_path / "fig2.csv.meta.json").read_text())["config"]["threads"] == 2
+
+
+def test_noise_sweep_fig3_small_grid(capsys, tmp_path):
+    out_path = tmp_path / "fig3.csv"
+    rc, out = run_cli(
+        capsys, "noise-sweep", "--figure", "3", "--n", "4", "--eps", "0.01", "--samples", "3",
+        "--out", str(out_path),
+    )
+    assert rc == 0
+    assert f"wrote 1 rows to {out_path}" in out
+    lines = out_path.read_text().strip().split("\n")
+    assert lines[0] == "N,eps,mean_error,stderr,samples"
+    assert len(lines) == 2 and lines[1].startswith("4,0.01,")
+
+
 def test_noise_sweep_thread_count_does_not_change_bytes(capsys, tmp_path):
     blobs = []
     for threads in ("1", "3"):
@@ -319,6 +345,10 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["verify-all", "--n-max", "1"], "argument --n-max: must be an integer >= 2, got '1'"),
     (["verify-all", "--n-max", "-3"], "argument --n-max: must be an integer >= 2"),
     (["matrix-elements", "--n-max", "0"], "argument --n-max: must be an integer >= 3, got '0'"),
+    (["noise-sweep", "--figure", "3", "--eps", "1.0"], "argument --eps: noise amplitude must lie in [0, 1)"),
+    (["noise-sweep", "--figure", "2", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
+    (["--threads", "-1", "noise-sweep", "--figure", "2"], "argument --threads: thread count"),
+    (["--threads", "two", "noise-sweep", "--figure", "2"], "must be a positive integer, got 'two'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)

@@ -17,7 +17,6 @@ from kchain.driving import (
     gate_time_accounting,
     halfway_inversion_segments,
     iswap_target,
-    propagate,
     propagate_unitary,
     resonance_frequency,
     run_iswap_protocol,
@@ -74,11 +73,6 @@ def test_propagate_state_matches_unitary_column(rng):
     sched = PulseSchedule((DriveSegment(h0, 0.2 * v, 3.0, 0.1, 2.0),))
     u = propagate_unitary(sched, 4)
     assert_unitary(u)
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[2] = 1.0
-    psi = propagate(psi0, sched)
-    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
-    assert np.max(np.abs(psi - u[:, 2])) < 1e-9
 
 
 def test_drive_segment_agrees_with_callable_route():
@@ -166,6 +160,30 @@ def _sector_blocks(N, sign, pairs, eps, seed):
     return [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)], p[ix]) for ix in sectors]
 
 
+def _window_from_maps(ua, ub, halves, invert):
+    """Drive-window propagator of one sector from its half-period maps over
+    a whole number of half-periods per window: the composition the
+    resonant route used before windows were cut into drive-clock cells."""
+    if invert is None:
+        return driving._compose_half_periods(ua, ub, 2 * halves, False)
+    first = driving._compose_half_periods(ua, ub, halves, False)
+    second = driving._compose_half_periods(ua, ub, halves, bool(halves % 2))
+    return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
+
+
+def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
+    """Drive-window propagator stepped end to end on the drive clock, at
+    least nsub substeps per half-period, for any drive frequency."""
+    n = max(1, int(np.ceil(length * omega / np.pi * nsub)))
+    if invert is None:
+        seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=2 * length)
+        return driving._ordered_product(driving._magnus_steps(seg, 0.0, 2 * n))
+    seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=length)
+    first = driving._ordered_product(driving._magnus_steps(seg, 0.0, n))
+    second = driving._ordered_product(driving._magnus_steps(seg, length, n))
+    return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
+
+
 @pytest.mark.parametrize(
     "N, sign, pairs, phase, eps, seed",
     [
@@ -192,16 +210,20 @@ def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed
         partners = (q,) if 2 * q == N else (q, N - q)
         for inversion in (True, False):
             inverts = [blocks[p][2] if inversion else None for p in partners]
-            windows = driving._drive_window_sector(h, v, omega, phase, halves, inverts, nsub, sign)
+            windows = driving._drive_window_sector(
+                h, v, omega, phase, halves * np.pi / omega, inverts, nsub, sign
+            )
             assert len(windows) == len(partners)
             for p, inv, window in zip(partners, inverts, windows):
-                want = driving._window_from_maps(*stepped[p], halves, inv)
+                want = _window_from_maps(*stepped[p], halves, inv)
                 assert np.max(np.abs(window - want)) <= 1e-13, (p, sign, inversion)
 
 
 def _step_every_sector(params):
     """Stand-in for _drive_window_sector that steps each returned sector
-    from its own blocks, the route the particle-hole pairing replaced."""
+    from its own blocks, the route the particle-hole pairing replaced: a
+    resonant window composed from the sector's half-period maps, any other
+    window stepped end to end on the drive clock."""
     _, op_unit, j_d, _ = drive_calibration(params)
     h = build_hk(apply_coupling_noise(
         krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed)
@@ -210,20 +232,35 @@ def _step_every_sector(params):
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
-    def window(h0, vop, omega, phase, halves, inverts, nsub, sign):
+    def window(h0, vop, omega, phase, length, inverts, nsub, sign):
         q = next(
             q for q, (hb, vb) in enumerate(blocks)
             if np.array_equal(hb, h0) and np.array_equal(vb, vop)
         )
         partners = (q,) if 2 * q == params.N else (q, params.N - q)
+        halves = length / (np.pi / omega)
+        if abs(halves - round(halves)) < 1e-12:
+            return [
+                _window_from_maps(
+                    *driving._half_period_maps(*blocks[p], omega, phase, nsub), round(halves), inv
+                )
+                for p, inv in zip(partners, inverts)
+            ]
         return [
-            driving._window_from_maps(
-                *driving._half_period_maps(*blocks[p], omega, phase, nsub), halves, inv
-            )
+            _step_window_directly(*blocks[p], omega, phase, length, inv, nsub)
             for p, inv in zip(partners, inverts)
         ]
 
     return window
+
+
+def _assert_matches_every_sector_stepped(monkeypatch, params, omega=None):
+    fast = run_iswap_protocol(params, omega_override=omega)
+    monkeypatch.setattr(driving, "_drive_window_sector", _step_every_sector(params))
+    reference = run_iswap_protocol(params, omega_override=omega)
+    assert [n for n, _ in fast.refinement] == [n for n, _ in reference.refinement]
+    assert max_column_distance(fast.unitary, reference.unitary) < 1e-10
+    assert abs(fast.error - reference.error) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -236,12 +273,36 @@ def _step_every_sector(params):
     ],
 )
 def test_paired_protocol_matches_every_sector_stepped(monkeypatch, params):
-    fast = run_iswap_protocol(params)
-    monkeypatch.setattr(driving, "_drive_window_sector", _step_every_sector(params))
-    reference = run_iswap_protocol(params)
-    assert [n for n, _ in fast.refinement] == [n for n, _ in reference.refinement]
-    assert max_column_distance(fast.unitary, reference.unitary) < 1e-10
-    assert abs(fast.error - reference.error) < 1e-12
+    _assert_matches_every_sector_stepped(monkeypatch, params)
+
+
+@pytest.mark.parametrize(
+    "params, omega",
+    [
+        # '-' pairing (N = 6) with partial half-periods at every window end
+        (ProtocolParams(N=6, M=4), 8.9),
+        # '+' pairing
+        (ProtocolParams(N=4, M=1), 3.7),
+        (ProtocolParams(N=4, M=1, noise_eps=0.01, seed=2), 4.3),
+        # each window shorter than one half-period
+        (ProtocolParams(N=4, M=1), 0.5),
+        (ProtocolParams(N=4, M=2, halfway_inversion=False), 3.9),
+    ],
+)
+def test_off_resonant_paired_protocol_matches_every_sector_stepped(monkeypatch, params, omega):
+    _assert_matches_every_sector_stepped(monkeypatch, params, omega)
+
+
+# at 0.3 the second window, [0.3, 0.6] half-periods, lies inside one cell
+@pytest.mark.parametrize("omega", [3.7, 1.3, 0.5, 0.3])
+def test_off_resonant_protocol_matches_explicit_schedule(omega):
+    params = ProtocolParams(N=4, M=1)
+    _, op_unit, j_d, phase = drive_calibration(params)
+    sched = halfway_inversion_segments(params, drive_builder=(omega, op_unit, j_d, phase))
+    uk = build_eigengate(4, 1.0).unitary
+    reference = uk.conj().T @ propagate_unitary(sched, 16, tol=1e-11) @ uk
+    fast = run_iswap_protocol(params, omega_override=omega)
+    assert max_column_distance(fast.unitary, reference) < 1e-9
 
 
 @pytest.mark.parametrize("N, per_level", [(4, 4), (6, 5), (8, 8)])
@@ -258,6 +319,25 @@ def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_lev
     monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
     res = run_iswap_protocol(ProtocolParams(N=N, M=4), tol=np.inf, nsub0=4, max_refine=1)
     assert len(res.refinement) == 2
+    assert len(calls) == 2 * per_level
+
+
+@pytest.mark.parametrize("N, M, per_level", [(4, 11, 4), (6, 13, 5)])
+def test_window_within_roundoff_of_whole_cells_steps_no_partial_cell(monkeypatch, N, M, per_level):
+    # on resonance the window's cell count M omega / J misses its integer by
+    # roundoff here; it must still be composed from whole half-periods only
+    params = ProtocolParams(N=N, M=M)
+    cells = (params.tau_d / 2.0) / (np.pi / resonance_frequency(N))
+    assert cells != round(cells) and abs(cells - round(cells)) < 1e-12
+    calls = []
+    kernel = driving._expm_stack
+
+    def counting_kernel(gs):
+        calls.append(gs.shape)
+        return kernel(gs)
+
+    monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
+    run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
     assert len(calls) == 2 * per_level
 
 
