@@ -345,10 +345,6 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["verify-all", "--n-max", "1"], "argument --n-max: must be an integer >= 2, got '1'"),
     (["verify-all", "--n-max", "-3"], "argument --n-max: must be an integer >= 2"),
     (["matrix-elements", "--n-max", "0"], "argument --n-max: must be an integer >= 3, got '0'"),
-    (["noise-sweep", "--figure", "3", "--eps", "1.0"], "argument --eps: noise amplitude must lie in [0, 1)"),
-    (["noise-sweep", "--figure", "2", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
-    (["--threads", "-1", "noise-sweep", "--figure", "2"], "argument --threads: thread count"),
-    (["--threads", "two", "noise-sweep", "--figure", "2"], "must be a positive integer, got 'two'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)
