@@ -45,11 +45,11 @@ __all__ = [
     "gate_time_accounting",
 ]
 
-# Gauss-Legendre nodes on [0, 1] for the fourth-order commutator-corrected
-# (Magnus) stepper; two evaluations per step give global O(h^4) error while
-# every step stays unitary to roundoff (backward error <= 2^-53).
-_GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
-_GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
+# Gauss-Legendre nodes on [0, 1] of the sixth-order Magnus integrator
+# (Blanes, Casas and Ros, BIT 40 (2000) 434; Blanes, Casas, Oteo and Ros,
+# Phys. Rep. 470 (2009) 151): three evaluations per step give global O(h^6)
+# error while every step stays unitary to roundoff (backward error <= 2^-53).
+_GAUSS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,41 +175,101 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
     return us[0]
 
 
-def _magnus_steps(seg, t_start: float, nsteps: int) -> np.ndarray:
-    """Stack of per-step unitaries for one time-dependent segment."""
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
+def _magnus6_generator(h: float, h1, h2, h3) -> np.ndarray:
+    """Hermitian G such that exp(-iG) is the sixth-order Magnus step of
+    length h, from H at the three Gauss nodes.  In Blanes et al.'s notation,
+    with A_j = -i h H_j: a1 = A2, a2 = (sqrt 15/3)(A3 - A1),
+    a3 = (10/3)(A3 - 2 A2 + A1), C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 = -iG."""
+    a1 = -1.0j * h * h2
+    a2 = -1.0j * h * (math.sqrt(15.0) / 3.0) * (h3 - h1)
+    a3 = -1.0j * h * (10.0 / 3.0) * (h3 - 2.0 * h2 + h1)
+    c1 = _commutator(a1, a2)
+    c2 = -_commutator(a1, 2.0 * a3 + c1) / 60.0
+    return 1.0j * (a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+
+
+def _drive_basis(h0: np.ndarray, vop: np.ndarray) -> np.ndarray:
+    """The ten Hermitian matrices that every sixth-order Magnus generator of
+    H(t) = h0 + c(t) vop is a real combination of (_drive_generators).
+
+    With K = [h0, vop], the formula's nested commutators are all among K,
+    [h0, K], [vop, K], [h0, [h0, K]], [h0, [vop, K]], [vop, [vop, K]],
+    [K, [h0, K]] and [K, [vop, K]], in this order after h0 and vop; the
+    Jacobi identity gives [vop, [h0, K]] = [h0, [vop, K]].  The
+    anti-Hermitian ones (K and the triple commutators with h0 or vop
+    outermost) are stored times i.
+    """
+    n = h0.shape[-1]
+    basis = np.empty((10, n, n), dtype=complex)
+    basis[0], basis[1] = h0, vop
+    basis[2] = _commutator(h0, vop)
+    basis[3:5] = _commutator(basis[:2], basis[2])
+    basis[5:] = _commutator(basis[[0, 0, 1, 2, 2]], basis[[3, 4, 4, 3, 4]])
+    basis[[2, 5, 6, 7]] *= 1.0j
+    return basis
+
+
+def _drive_generators(basis: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus step generators of H(t) = h0 + c(t) vop, for steps
+    of length h whose drive values at the three Gauss nodes are the rows of
+    c: _magnus6_generator's formula expanded in _drive_basis(h0, vop), one
+    row of ten real coefficients per step times the basis."""
+    c1, c2, c3 = c.T
+    b = (math.sqrt(15.0) / 3.0) * (c3 - c1)
+    d = (10.0 / 3.0) * (c3 - 2.0 * c2 + c1)
+    e = 20.0 * c2 + d
+    bb = b * b
+    coeffs = np.empty((len(c), 10))
+    coeffs[:, 0] = h
+    coeffs[:, 1] = h * (c2 + d / 12.0)
+    coeffs[:, 2] = h**2 / 12.0 * b
+    coeffs[:, 3] = -(h**3) / 360.0 * d
+    coeffs[:, 4] = -(h**3) / 240.0 * (e * d / 30.0 - bb)
+    coeffs[:, 5] = h**4 / 720.0 * b
+    coeffs[:, 6] = h**4 / 14400.0 * b * (20.0 * c2 + e)
+    coeffs[:, 7] = h**4 / 14400.0 * b * e * c2
+    coeffs[:, 8] = -(h**5) / 14400.0 * bb
+    coeffs[:, 9] = -(h**5) / 14400.0 * bb * c2
+    # real coefficients times the basis's real and imaginary parts at once
+    n = basis.shape[-1]
+    flat = basis.reshape(len(basis), n * n).view(np.float64)
+    return (coeffs @ flat).view(complex).reshape(-1, n, n)
+
+
+def _magnus_steps(seg, t_start: float, nsteps: int, basis=None) -> np.ndarray:
+    """Stack of per-step unitaries for one time-dependent segment, by the
+    sixth-order Magnus integrator.  A DriveSegment's generators are formed
+    on its commutator basis (_drive_basis(seg.h0, seg.vop) unless given);
+    a CallableSegment's commutators are formed at each step."""
     h = seg.duration / nsteps
     t = t_start + h * np.arange(nsteps)
+    nodes = t[:, None] + h * np.array(_GAUSS_NODES)
     if isinstance(seg, DriveSegment):
-        ca = np.cos(seg.omega * (t + _GAUSS_LO * h) + seg.phase)
-        cb = np.cos(seg.omega * (t + _GAUSS_HI * h) + seg.phase)
-        comm = 1.0j * (seg.h0 @ seg.vop - seg.vop @ seg.h0)
-        gs = (
-            (h / 2.0) * (2.0 * seg.h0 + (ca + cb)[:, None, None] * seg.vop)
-            - (math.sqrt(3.0) * h * h / 12.0) * (ca - cb)[:, None, None] * comm
-        )
+        if basis is None:
+            basis = _drive_basis(seg.h0, seg.vop)
+        gs = _drive_generators(basis, h, np.cos(seg.omega * nodes + seg.phase))
     else:
-        gs = np.empty((nsteps,) + seg.func(t_start).shape, dtype=complex)
-        for i, ti in enumerate(t):
-            h1 = seg.func(ti + _GAUSS_LO * h)
-            h2 = seg.func(ti + _GAUSS_HI * h)
-            comm = h2 @ h1 - h1 @ h2
-            gs[i] = (h / 2.0) * (h1 + h2) - 1.0j * (
-                math.sqrt(3.0) * h * h / 12.0
-            ) * comm
+        gs = np.stack([_magnus6_generator(h, *map(seg.func, row)) for row in nodes])
     return _expm_stack(gs)
 
 
-def _schedule_unitary(schedule: PulseSchedule, dim: int, nsub: int) -> np.ndarray:
-    """Full propagator at a fixed substep count per time-dependent segment."""
+def _schedule_unitary(schedule: PulseSchedule, dim: int, bases, nsub: int) -> np.ndarray:
+    """Full propagator at a fixed substep count per time-dependent segment;
+    bases holds each DriveSegment's _drive_basis."""
     from .linalg import expm_hermitian
 
     u = np.eye(dim, dtype=complex)
     t = schedule.t0
-    for seg in schedule.segments:
+    for seg, basis in zip(schedule.segments, bases):
         if isinstance(seg, StaticSegment):
             u = expm_hermitian(seg.ham, seg.duration) @ u
         else:
-            u = _ordered_product(_magnus_steps(seg, t, nsub)) @ u
+            u = _ordered_product(_magnus_steps(seg, t, nsub, basis)) @ u
         t += seg.duration
     return u
 
@@ -240,9 +300,13 @@ def propagate_unitary(
     the result by less than tol (max column 2-norm)."""
     if not schedule.segments:
         return np.eye(dim, dtype=complex)
+    bases = [
+        _drive_basis(s.h0, s.vop) if isinstance(s, DriveSegment) else None
+        for s in schedule.segments
+    ]
     if all(isinstance(s, StaticSegment) for s in schedule.segments):
-        return _schedule_unitary(schedule, dim, nsub0)
-    compute = functools.partial(_schedule_unitary, schedule, dim)
+        return _schedule_unitary(schedule, dim, bases, nsub0)
+    compute = functools.partial(_schedule_unitary, schedule, dim, bases)
     return _refine(compute, tol, nsub0, max_refine, "integrator")[0]
 
 
@@ -412,15 +476,57 @@ def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> Pu
     )
 
 
-def _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b: bool = False):
+def _half_period_maps(
+    h0, vop, omega, phase, nsub, mirrored_b: bool = False, transposed_b: bool = False, basis=None
+):
     """Unitaries over the first and second half-period of the drive.
 
-    With mirrored_b only the first is stepped and the second is read off it
-    in reverse basis order, which is exact on the half-filled sector of a
-    '-' paired drive (see run_iswap_protocol).
+    Only the first is stepped when the second can be read off it: in
+    reverse basis order with mirrored_b, which is exact on the half-filled
+    sector of a '-' paired drive (see run_iswap_protocol), or as its
+    transpose with transposed_b, which is exact when the drive is time
+    symmetric about the half-period boundary (_transposes_halves).  basis
+    is _drive_basis(h0, vop), built here unless given.
     """
-    ua = _cell_map(h0, vop, omega, phase, nsub, 0, 1)
-    return ua, ua[::-1, ::-1] if mirrored_b else _cell_map(h0, vop, omega, phase, nsub, 1, 2)
+    if basis is None:
+        basis = _drive_basis(h0, vop)
+    ua = _cell_map(basis, omega, phase, nsub, 0, 1)
+    if mirrored_b:
+        return ua, ua[::-1, ::-1]
+    return ua, ua.T if transposed_b else _cell_map(basis, omega, phase, nsub, 1, 2)
+
+
+class _CalibratedPhase(float):
+    """A drive phase that drive_calibration chose, not the caller.
+
+    It is arg(V_ab) - pi, and V_ab is real when the drive operator is real
+    symmetric and imaginary when it is imaginary antisymmetric (the
+    eigenstates are real), so the phase is a multiple of pi or an odd
+    multiple of pi/2 and cos(omega t + phase) is even or odd, in turn,
+    about every half-period boundary.  run_iswap_protocol wraps the phase
+    in this type when params.drive_phase is None, and _transposes_halves
+    reads it.
+    """
+
+
+def _transposes_halves(h0, vop, phase, sign: str) -> bool:
+    """Whether the second half-period map is the transpose of the first.
+
+    It is when the phase is the calibrated one, h0 is real symmetric and
+    vop^T = s vop exactly, with s = +1 under a '+' pairing and -1 under
+    '-'.  Then vop is real or imaginary to match the phase's parity, the
+    drive satisfies H(pi/omega + u) = H(pi/omega - u)^T, and so
+    U(2 pi/omega, pi/omega) = U(pi/omega, 0)^T; the sixth-order Magnus step
+    is time symmetric, so the stepped maps keep this to roundoff.  A
+    caller-supplied phase is stepped on both halves.
+    """
+    s = 1.0 if sign == "+" else -1.0
+    return (
+        isinstance(phase, _CalibratedPhase)
+        and not np.imag(h0).any()
+        and np.array_equal(h0, h0.T)
+        and np.array_equal(vop.T, s * vop)
+    )
 
 
 def _partner_maps(ua, ub, sign: str):
@@ -446,19 +552,34 @@ def _compose_half_periods(ua, ub, count: int, start_second: bool):
     return u
 
 
+# A resonant window's cell count, (pi M / J) / (pi / omega) = M omega / J, is
+# formed with four roundings (2 pi M, / J, pi / omega and the quotient) of
+# relative size <= 2^-53 each, and omega, a difference of many-body
+# energies, carries a few more; for N <= 12, M <= 2000 and J in [0.1, 3.7]
+# the count lies within 4 units of roundoff of its integer.  Sixteen units,
+# relative to the count, leave a factor of four; an absolute tolerance is
+# outgrown by the count's roundoff at large M.
+_SNAP_RTOL = 16 * 2.0**-53
+
+
 def _snap(cells):
     """A drive-clock position in half-period cells, put on the nearest cell
-    boundary (as an int) when it lies within 1e-12 cells of it."""
+    boundary (as an int) when it lies within _SNAP_RTOL of it, relative to
+    the position."""
     whole = round(cells)
-    return whole if abs(cells - whole) < 1e-12 else cells
+    return whole if abs(cells - whole) <= _SNAP_RTOL * abs(cells) else cells
 
 
-def _cell_map(h0, vop, omega, phase, nsub, a, b):
+def _cell_map(basis, omega, phase, nsub, a, b):
     """Unitary over [a, b] on the drive clock, in half-period cells, for a
-    stretch of at most one cell; stepped at nsub substeps per cell."""
+    stretch of at most one cell; stepped at nsub substeps per cell on the
+    drive's commutator basis (_drive_basis)."""
     cell = math.pi / omega
-    seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=(b - a) * cell)
-    return _ordered_product(_magnus_steps(seg, a * cell, max(1, math.ceil((b - a) * nsub))))
+    seg = DriveSegment(
+        h0=basis[0], vop=basis[1], omega=omega, phase=phase, duration=(b - a) * cell
+    )
+    nsteps = max(1, math.ceil((b - a) * nsub))
+    return _ordered_product(_magnus_steps(seg, a * cell, nsteps, basis))
 
 
 def _interval_map(ua, ub, partial, s, e):
@@ -499,17 +620,21 @@ def _drive_window_sector(h0, vop, omega, phase, length, inverts, nsub, sign: str
     Whole half-period cells come from sector q's half-period maps, and the
     partial cells at a window's ends are stepped; a resonant window has
     none.  The partner's maps are q's in reverse basis order, half a
-    period later under a '-' pairing (_partner_maps), and on the
-    half-filled sector of a '-' pairing the second half-period is the
-    first reversed.  Blocks that are exactly zero (no or all sites
-    excited) give identity half-period maps unstepped.
+    period later under a '-' pairing (_partner_maps).  Only q's first
+    half-period is stepped when its second is the first reversed (the
+    half-filled sector of a '-' pairing) or transposed (the calibrated
+    phase, _transposes_halves).  Blocks that are exactly zero (no or all
+    sites excited) give identity half-period maps unstepped.  The
+    commutator basis is built once and serves every step.
     """
+    basis = _drive_basis(h0, vop)
     if h0.any() or vop.any():
         mirrored_b = len(inverts) == 1 and sign == "-"
-        ua, ub = _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b)
+        transposed_b = _transposes_halves(h0, vop, phase, sign)
+        ua, ub = _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b, transposed_b, basis)
     else:
         ua = ub = np.eye(h0.shape[0], dtype=complex)
-    partial = functools.cache(functools.partial(_cell_map, h0, vop, omega, phase, nsub))
+    partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
     shift = 0 if sign == "+" else 1
 
     def partner_partial(a, b):
@@ -570,6 +695,8 @@ def run_iswap_protocol(
     omega, op_unit, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         omega = float(omega_override)
+    if params.drive_phase is None:
+        phase = _CalibratedPhase(phase)
     sign = params.sign if params.sign is not None else driving_sign(N)
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
@@ -608,7 +735,7 @@ def run_iswap_protocol(
         omega=omega,
         J_D=j_d,
         amplitude=J / (4.0 * M),
-        drive_phase=phase,
+        drive_phase=float(phase),
         converged_delta=refinement[-1][1],
         substeps_per_period=refinement[-1][0],
         refinement=refinement,

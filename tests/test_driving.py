@@ -91,6 +91,67 @@ def test_integrator_reports_nonconvergence():
         propagate_unitary(PulseSchedule((wild,)), 2, tol=1e-15, nsub0=2, max_refine=0)
 
 
+_GAUSS4 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+
+
+def _magnus4_steps(seg, t_start, nsteps, basis=None):
+    """Step unitaries of a DriveSegment by the fourth-order two-node
+    Gauss-Legendre Magnus stepper that the sixth-order one replaced, kept
+    here as its reference (basis is ignored)."""
+    h = seg.duration / nsteps
+    t = t_start + h * np.arange(nsteps)
+    ca = np.cos(seg.omega * (t + _GAUSS4[0] * h) + seg.phase)
+    cb = np.cos(seg.omega * (t + _GAUSS4[1] * h) + seg.phase)
+    comm = 1.0j * (seg.h0 @ seg.vop - seg.vop @ seg.h0)
+    gs = (h / 2.0) * (2.0 * seg.h0 + (ca + cb)[:, None, None] * seg.vop) - (
+        np.sqrt(3.0) * h * h / 12.0
+    ) * (ca - cb)[:, None, None] * comm
+    return driving._expm_stack(gs)
+
+
+def _test_drive(rng):
+    h0 = np.diag([0.0, 1.0, 3.0, 6.0]) + 0.1 * np.ones((4, 4))
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return DriveSegment(h0, 0.5 * (v + v.conj().T), 3.0, 0.1, 2.0)
+
+
+def test_drive_steps_are_sixth_order(rng):
+    seg = _test_drive(rng)
+    us = [driving._ordered_product(driving._magnus_steps(seg, 0.0, n)) for n in (8, 16, 32, 64)]
+    deltas = [max_column_distance(fine, coarse) for coarse, fine in zip(us, us[1:])]
+    assert deltas[-1] > 1e-11
+    for coarse, fine in zip(deltas, deltas[1:]):
+        assert 40.0 < coarse / fine < 90.0
+
+
+def test_drive_basis_steps_match_the_generic_step(rng):
+    # the fixed commutator basis expands the same order-six formula that a
+    # CallableSegment evaluates with its commutators formed at each step
+    seg = _test_drive(rng)
+    func = CallableSegment(lambda t: seg.h0 + np.cos(seg.omega * t + seg.phase) * seg.vop, 2.0)
+    for t0, n in ((0.0, 8), (0.3, 5)):
+        fast = driving._magnus_steps(seg, t0, n)
+        generic = driving._magnus_steps(func, t0, n)
+        assert np.max(np.abs(fast - generic)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "params", [ProtocolParams(N=4, M=1), ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3)]
+)
+def test_sixth_order_protocol_matches_fourth_order_reference(monkeypatch, params):
+    fast = run_iswap_protocol(params)
+    monkeypatch.setattr(driving, "_magnus_steps", _magnus4_steps)
+    reference = run_iswap_protocol(params, tol=3e-11)
+    assert len(reference.refinement) > len(fast.refinement)
+    assert np.max(np.abs(fast.unitary - reference.unitary)) <= 1e-10
+
+
+@pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (8, 4)])
+def test_default_runs_converge_at_the_second_level(N, M):
+    res = run_iswap_protocol(ProtocolParams(N=N, M=M))
+    assert [n for n, _ in res.refinement] == [64, 128]
+
+
 # --------------------------------------------------------- step exponentials
 
 
@@ -305,10 +366,11 @@ def test_off_resonant_protocol_matches_explicit_schedule(omega):
     assert max_column_distance(fast.unitary, reference) < 1e-9
 
 
-@pytest.mark.parametrize("N, per_level", [(4, 4), (6, 5), (8, 8)])
+@pytest.mark.parametrize("N, per_level", [(4, 2), (6, 3), (8, 4)])
 def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_level):
-    # sectors 0 < q < N/2 step both half-periods, q = N/2 one under a '-'
-    # pairing (N = 6) and two under '+'; q = 0 and every q > N/2 step none
+    # with the calibrated phase each sector 0 < q <= N/2 steps its first
+    # half-period only, the second being its transpose (or, on q = N/2 of a
+    # '-' pairing, its reverse); q = 0 and every q > N/2 step none
     calls = []
     kernel = driving._expm_stack
 
@@ -322,7 +384,7 @@ def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_lev
     assert len(calls) == 2 * per_level
 
 
-@pytest.mark.parametrize("N, M, per_level", [(4, 11, 4), (6, 13, 5)])
+@pytest.mark.parametrize("N, M, per_level", [(4, 11, 2), (6, 13, 3)])
 def test_window_within_roundoff_of_whole_cells_steps_no_partial_cell(monkeypatch, N, M, per_level):
     # on resonance the window's cell count M omega / J misses its integer by
     # roundoff here; it must still be composed from whole half-periods only
@@ -339,6 +401,69 @@ def test_window_within_roundoff_of_whole_cells_steps_no_partial_cell(monkeypatch
     monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
     run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
     assert len(calls) == 2 * per_level
+
+
+def _count_expm_stacks(monkeypatch):
+    calls = []
+    kernel = driving._expm_stack
+
+    def counting_kernel(gs):
+        calls.append(gs.shape)
+        return kernel(gs)
+
+    monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "N, sign, pairs, seed",
+    [(4, "+", (0, 1), 1), (6, "-", (1,), 3), (6, "+", (0, 1), 4), (8, "+", (1,), 5), (8, "-", (0, 1), 6)],
+)
+def test_transposed_second_half_period_matches_stepped(N, sign, pairs, seed):
+    params = ProtocolParams(N=N, sign=sign, pairs=pairs, noise_eps=0.01, seed=seed)
+    omega, _, _, phase = drive_calibration(params)
+    calibrated = driving._CalibratedPhase(phase)
+    for q, (h, v, _) in enumerate(_sector_blocks(N, sign, pairs, 0.01, seed)[: N // 2 + 1]):
+        assert driving._transposes_halves(h, v, calibrated, sign)
+        # the same value supplied by a caller, and a phase that breaks the
+        # symmetry, are stepped on both halves
+        assert not driving._transposes_halves(h, v, phase, sign)
+        assert not driving._transposes_halves(h, v, 0.4, sign)
+        ua, ub = driving._half_period_maps(h, v, omega, phase, 32)
+        assert np.max(np.abs(ub - ua.T)) <= 1e-13, q
+
+
+@pytest.mark.parametrize("N, per_level", [(4, 4), (6, 5)])
+def test_caller_supplied_phase_steps_both_half_periods(monkeypatch, N, per_level):
+    # as without the transposition: sectors 0 < q < N/2 step both halves,
+    # q = N/2 one under a '-' pairing (N = 6) and two under '+'
+    calls = _count_expm_stacks(monkeypatch)
+    params = ProtocolParams(N=N, M=4, drive_phase=0.4)
+    run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
+    assert len(calls) == 2 * per_level
+
+
+@pytest.mark.parametrize("N", [8, 10, 12])
+def test_resonant_cell_counts_snap_to_whole_cells(N):
+    # the count's roundoff grows with M, past any fixed absolute tolerance
+    cell = np.pi / resonance_frequency(N)
+    misses = []
+    for M in range(1, 2001):
+        cells = (ProtocolParams(N=N, M=M).tau_d / 2.0) / cell
+        misses.append(abs(cells - round(cells)))
+        snapped = driving._snap(cells)
+        assert type(snapped) is int and snapped == M * N * N // 4, M
+        assert driving._snap(cells * (1.0 + 1e-13)) != snapped
+    assert max(misses) >= 1e-12
+
+
+def test_long_resonant_window_steps_no_partial_cell(monkeypatch):
+    params = ProtocolParams(N=8, M=700)
+    cells = (params.tau_d / 2.0) / (np.pi / resonance_frequency(8))
+    assert abs(cells - round(cells)) >= 1e-12
+    calls = _count_expm_stacks(monkeypatch)
+    run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
+    assert len(calls) == 2 * 4
 
 
 def test_unpaired_sectors_are_rejected(monkeypatch):
