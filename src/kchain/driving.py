@@ -4,11 +4,11 @@ import cmath
 import dataclasses
 import functools
 import math
+import numbers
 
 import numpy as np
 
 from .hamiltonians import (
-    ChainSpec,
     DrivingSpec,
     apply_coupling_noise,
     build_hk,
@@ -17,13 +17,8 @@ from .hamiltonians import (
     hz_diagonal,
     krawtchouk_chain,
 )
-from .krawtchouk import (
-    build_basis,
-    driving_sign,
-    manybody_energy,
-    matrix_element_bruteforce,
-)
-from .eigengate import build_eigengate
+from .krawtchouk import build_basis, driving_sign, eigenstate_vector, manybody_energy
+from .eigengate import eigengate_single_particle, free_fermion_block
 from .linalg import basis_index, max_column_distance, sector_indices, trace_error
 
 __all__ = [
@@ -275,13 +270,13 @@ def _schedule_unitary(schedule: PulseSchedule, dim: int, bases, nsub: int) -> np
 
 
 def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
-    """compute(nsub) at nsub0, 2 nsub0, ... until two successive results
-    differ by less than tol (max column 2-norm).  Returns the last result
-    and the (nsub, delta) of every level, the first delta being inf."""
+    """compute(nsub), a list of blocks, at nsub0, 2 nsub0, ... until two
+    results differ by less than tol (max column 2-norm over the blocks).
+    Returns the last and the (nsub, delta) of every level, the first inf."""
     prev, nsub, history = None, nsub0, []
     for _ in range(max_refine + 1):
         cur = compute(nsub)
-        delta = math.inf if prev is None else max_column_distance(cur, prev)
+        delta = math.inf if prev is None else max(map(max_column_distance, cur, prev))
         history.append((nsub, delta))
         if delta < tol:
             return cur, history
@@ -306,8 +301,8 @@ def propagate_unitary(
     ]
     if all(isinstance(s, StaticSegment) for s in schedule.segments):
         return _schedule_unitary(schedule, dim, bases, nsub0)
-    compute = functools.partial(_schedule_unitary, schedule, dim, bases)
-    return _refine(compute, tol, nsub0, max_refine, "integrator")[0]
+    compute = lambda nsub: [_schedule_unitary(schedule, dim, bases, nsub)]
+    return _refine(compute, tol, nsub0, max_refine, "integrator")[0][0]
 
 
 # ------------------------------------------------------------ two-level model
@@ -358,12 +353,23 @@ class ProtocolParams:
     drive_phase: float | None = None
 
     def __post_init__(self):
-        if self.N % 2 or self.N < 4:
-            raise ValueError("N must be even and at least 4")
+        if not isinstance(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
+            raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
         if self.M < 1:
             raise ValueError("M must be a positive integer")
         if not 0.0 < self.J < math.inf:
             raise ValueError(f"J must be a finite number > 0, got {self.J!r}")
+        if self.sign not in (None, "+", "-"):
+            raise ValueError(f"sign must be None, '+' or '-', got {self.sign!r}")
+        pairs = self.pairs
+        if pairs is not None and not (
+            isinstance(pairs, tuple)
+            and all(isinstance(j, numbers.Integral) and 0 <= j < self.N // 2 for j in pairs)
+            and 0 < len(set(pairs)) == len(pairs)
+        ):
+            raise ValueError(f"pairs must be a tuple of distinct ints in [0, N/2), got {pairs!r}")
+        if self.drive_phase is not None and not math.isfinite(self.drive_phase):
+            raise ValueError(f"drive_phase must be a finite number, got {self.drive_phase!r}")
 
     @property
     def tau_d(self) -> float:
@@ -392,12 +398,15 @@ def default_drive_pairs(N: int) -> tuple:
     return ((N - 2) // 4,)
 
 
+def _band_gap(basis) -> float:
+    """Energy difference between the two half-filled band states of basis."""
+    N = basis.n + 1
+    return manybody_energy(basis, range(N // 2, N)) - manybody_energy(basis, range(N // 2))
+
+
 def resonance_frequency(N: int, J: float = 1.0) -> float:
     """Energy difference between the two half-filled band states (= N^2 J/4)."""
-    basis = build_basis(N - 1, J)
-    lower = tuple(range(N // 2))
-    upper = tuple(range(N // 2, N))
-    return manybody_energy(basis, upper) - manybody_energy(basis, lower)
+    return _band_gap(build_basis(N - 1, J))
 
 
 def iswap_target(N: int) -> np.ndarray:
@@ -411,8 +420,19 @@ def iswap_target(N: int) -> np.ndarray:
     return target
 
 
+def _unit_drive(params: ProtocolParams, states=None) -> np.ndarray:
+    """The protocol's drive at J_D = 1 on the basis indices states (all if None)."""
+    N = params.N
+    sign = params.sign if params.sign is not None else driving_sign(N)
+    pairs = params.pairs if params.pairs is not None else default_drive_pairs(N)
+    return sum(
+        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=1.0, omega=0.0), N, states)
+        for j in pairs
+    )
+
+
 def drive_calibration(params: ProtocolParams) -> tuple:
-    """(omega, unit drive operator, J_D, phase) for the protocol.
+    """(omega, J_D, phase) for the protocol.
 
     The drive strength is set so the half Rabi coupling A equals J/(4M),
     making the drive window an exact pi-pulse.  The drive phase is chosen
@@ -420,17 +440,12 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     states acquire the phase +i; a caller-supplied phase overrides it.
     """
     N, J, M = params.N, params.J, params.M
-    omega = resonance_frequency(N, J)
-    sign = params.sign if params.sign is not None else driving_sign(N)
-    pairs = params.pairs if params.pairs is not None else default_drive_pairs(N)
-    op_unit = np.zeros((2**N, 2**N), dtype=complex)
-    for j in pairs:
-        spec = DrivingSpec(j=j, d=N // 2, sign=sign, J_D=1.0, omega=omega)
-        op_unit += driving_operator(spec, N)
     basis = build_basis(N - 1, J)
-    lower = tuple(range(N // 2))
-    upper = tuple(range(N // 2, N))
-    v_ab = matrix_element_bruteforce(basis, upper, op_unit, lower)
+    omega = _band_gap(basis)
+    half = sector_indices(N, N // 2)
+    bra = eigenstate_vector(basis, range(N // 2, N))[half]
+    ket = eigenstate_vector(basis, range(N // 2))[half]
+    v_ab = complex(bra.conj() @ (_unit_drive(params, half) @ ket))
     amp_per_jd = abs(v_ab) / 2.0
     if amp_per_jd == 0.0:
         raise ValueError("selected drive does not couple the target states")
@@ -438,7 +453,7 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     phase = params.drive_phase
     if phase is None:
         phase = cmath.phase(v_ab) - math.pi
-    return omega, op_unit, j_d, phase
+    return omega, j_d, phase
 
 
 def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> PulseSchedule:
@@ -449,26 +464,22 @@ def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> Pu
     k -> n-k); the closing pulse applies the inverse rotation so that every
     spectator phase cancels exactly for any tau_D.  The second drive window
     carries phase -omega*pi/J relative to the first: the drive's clock does
-    not advance while the chain coupling is switched off.
+    not advance while the chain coupling is switched off.  drive_builder
+    replaces drive_calibration's (omega, J_D, phase); operators are dense.
     """
     N, J = params.N, params.J
-    omega, op_unit, j_d, phase = (
-        drive_builder if drive_builder is not None else drive_calibration(params)
-    )
+    omega, j_d, phase = drive_builder if drive_builder is not None else drive_calibration(params)
     h0 = build_hk(krawtchouk_chain(N, J))
+    vop = j_d * _unit_drive(params)
     hz = build_hz(N, J)
     half = params.tau_d / 2.0
     pulse = math.pi / J
     return PulseSchedule(
         segments=(
-            DriveSegment(h0=h0, vop=j_d * op_unit, omega=omega, phase=phase, duration=half),
+            DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=half),
             StaticSegment(ham=hz, duration=pulse),
             DriveSegment(
-                h0=h0,
-                vop=j_d * op_unit,
-                omega=omega,
-                phase=phase - omega * pulse,
-                duration=half,
+                h0=h0, vop=vop, omega=omega, phase=phase - omega * pulse, duration=half
             ),
             StaticSegment(ham=-hz, duration=pulse),
         ),
@@ -476,54 +487,37 @@ def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> Pu
     )
 
 
-def _half_period_maps(
-    h0, vop, omega, phase, nsub, mirrored_b: bool = False, transposed_b: bool = False, basis=None
-):
-    """Unitaries over the first and second half-period of the drive.
+def _half_period_maps(basis, omega, phase, nsub, mirrored_b=False, transposed_b=False):
+    """Unitaries over the first and second half-period of the drive whose
+    commutator basis (_drive_basis) is basis.
 
     Only the first is stepped when the second can be read off it: in
     reverse basis order with mirrored_b, which is exact on the half-filled
     sector of a '-' paired drive (see run_iswap_protocol), or as its
     transpose with transposed_b, which is exact when the drive is time
-    symmetric about the half-period boundary (_transposes_halves).  basis
-    is _drive_basis(h0, vop), built here unless given.
+    symmetric about the half-period boundary (_transposes_halves).
     """
-    if basis is None:
-        basis = _drive_basis(h0, vop)
     ua = _cell_map(basis, omega, phase, nsub, 0, 1)
     if mirrored_b:
         return ua, ua[::-1, ::-1]
     return ua, ua.T if transposed_b else _cell_map(basis, omega, phase, nsub, 1, 2)
 
 
-class _CalibratedPhase(float):
-    """A drive phase that drive_calibration chose, not the caller.
+def _transposes_halves(h0, vop, sign: str) -> bool:
+    """Whether, with the calibrated phase, the second half-period map is
+    the transpose of the first: when h0 is real symmetric and vop^T = s vop
+    exactly, with s = +1 under a '+' pairing and -1 under '-'.
 
-    It is arg(V_ab) - pi, and V_ab is real when the drive operator is real
-    symmetric and imaginary when it is imaginary antisymmetric (the
-    eigenstates are real), so the phase is a multiple of pi or an odd
-    multiple of pi/2 and cos(omega t + phase) is even or odd, in turn,
-    about every half-period boundary.  run_iswap_protocol wraps the phase
-    in this type when params.drive_phase is None, and _transposes_halves
-    reads it.
-    """
-
-
-def _transposes_halves(h0, vop, phase, sign: str) -> bool:
-    """Whether the second half-period map is the transpose of the first.
-
-    It is when the phase is the calibrated one, h0 is real symmetric and
-    vop^T = s vop exactly, with s = +1 under a '+' pairing and -1 under
-    '-'.  Then vop is real or imaginary to match the phase's parity, the
-    drive satisfies H(pi/omega + u) = H(pi/omega - u)^T, and so
+    The calibrated phase arg(V_ab) - pi is then a multiple of pi (V real
+    symmetric) or an odd multiple of pi/2 (V imaginary antisymmetric; the
+    eigenstates are real), so H(pi/omega + u) = H(pi/omega - u)^T and
     U(2 pi/omega, pi/omega) = U(pi/omega, 0)^T; the sixth-order Magnus step
     is time symmetric, so the stepped maps keep this to roundoff.  A
     caller-supplied phase is stepped on both halves.
     """
     s = 1.0 if sign == "+" else -1.0
     return (
-        isinstance(phase, _CalibratedPhase)
-        and not np.imag(h0).any()
+        not np.imag(h0).any()
         and np.array_equal(h0, h0.T)
         and np.array_equal(vop.T, s * vop)
     )
@@ -611,29 +605,26 @@ def _window_map(ua, ub, partial, halves, invert):
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
-def _drive_window_sector(h0, vop, omega, phase, length, inverts, nsub, sign: str):
+def _drive_window_sector(basis, transposed_b, omega, phase, length, inverts, nsub, sign: str):
     """Drive-window propagators on a sector q <= N/2 and its partner N-q.
 
-    h0 and vop are sector q's blocks and length is each window's span on
-    the drive clock.  inverts holds the pulse phases (None without the
+    basis is _drive_basis of sector q's chain and drive blocks, and length
+    is each window's span on the drive clock.  inverts holds the pulse phases (None without the
     inversion) of each sector to return: q, then N-q unless q = N/2.
     Whole half-period cells come from sector q's half-period maps, and the
     partial cells at a window's ends are stepped; a resonant window has
     none.  The partner's maps are q's in reverse basis order, half a
     period later under a '-' pairing (_partner_maps).  Only q's first
     half-period is stepped when its second is the first reversed (the
-    half-filled sector of a '-' pairing) or transposed (the calibrated
-    phase, _transposes_halves).  Blocks that are exactly zero (no or all
-    sites excited) give identity half-period maps unstepped.  The
-    commutator basis is built once and serves every step.
+    half-filled sector of a '-' pairing) or, with transposed_b, transposed
+    (_transposes_halves).  Blocks that are exactly zero (no or all sites
+    excited) give identity half-period maps unstepped.
     """
-    basis = _drive_basis(h0, vop)
-    if h0.any() or vop.any():
+    if basis[:2].any():
         mirrored_b = len(inverts) == 1 and sign == "-"
-        transposed_b = _transposes_halves(h0, vop, phase, sign)
-        ua, ub = _half_period_maps(h0, vop, omega, phase, nsub, mirrored_b, transposed_b, basis)
+        ua, ub = _half_period_maps(basis, omega, phase, nsub, mirrored_b, transposed_b)
     else:
-        ua = ub = np.eye(h0.shape[0], dtype=complex)
+        ua = ub = np.eye(basis.shape[-1], dtype=complex)
     partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
     shift = 0 if sign == "+" else 1
 
@@ -672,10 +663,10 @@ def run_iswap_protocol(
     """Complete protocol: eigengate, resonant drive window, inverse eigengate.
 
     The drive evolves under the (possibly noisy) chain plus the oscillatory
-    term; the eigengates and the inversion pulses are exact.  Evolution is
-    blocked by excitation number, and each window is composed on the drive
-    clock from half-period maps, so on resonance (a whole number of
-    half-periods) the cost is independent of M up to a logarithm; an
+    term; the eigengates and the inversion pulses are exact.  Every piece
+    is built per excitation sector (the eigengate's blocks as minors), and
+    each window is composed on the drive clock from half-period maps, so on
+    resonance (a whole number of half-periods) the cost is independent of M up to a logarithm; an
     off-resonant omega_override adds only the partial half-periods at the
     windows' ends.
 
@@ -692,42 +683,45 @@ def run_iswap_protocol(
         raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
     if omega_override is not None and not 0.0 < omega_override < math.inf:
         raise ValueError(f"omega_override must be a finite number > 0, got {omega_override!r}")
-    omega, op_unit, j_d, phase = drive_calibration(params)
+    omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         omega = float(omega_override)
-    if params.drive_phase is None:
-        phase = _CalibratedPhase(phase)
     sign = params.sign if params.sign is not None else driving_sign(N)
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
-    h_chain = build_hk(apply_coupling_noise(spec))
-    vop = j_d * op_unit
-    p_diag = np.exp(-1.0j * math.pi * hz_diagonal(N, J) / J)
-
+    spec = apply_coupling_noise(spec)
     sectors = [sector_indices(N, q) for q in range(N + 1)]
-    h_blocks = [np.ascontiguousarray(h_chain[np.ix_(ix, ix)]) for ix in sectors]
-    v_blocks = [np.ascontiguousarray(vop[np.ix_(ix, ix)]) for ix in sectors]
-    inverts = [p_diag[ix] if params.halfway_inversion else None for ix in sectors]
+    h_blocks = [build_hk(spec, ix) for ix in sectors]
+    v_blocks = [j_d * _unit_drive(params, ix) for ix in sectors]
     _check_particle_hole_pairing(h_blocks, v_blocks, sign)
+    p_diag = np.exp(-1.0j * math.pi * hz_diagonal(N, J) / J)
+    inverts = [p_diag[ix] if params.halfway_inversion else None for ix in sectors]
+    stepped = [
+        (_drive_basis(h, v), params.drive_phase is None and _transposes_halves(h, v, sign))
+        for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])
+    ]
 
     def drive_window(nsub):
-        u_drive = np.zeros((2**N, 2**N), dtype=complex)
-        for q in range(N // 2 + 1):
+        windows = [None] * (N + 1)
+        for q, (basis, transposed_b) in enumerate(stepped):
             partners = (q,) if 2 * q == N else (q, N - q)
-            windows = _drive_window_sector(
-                h_blocks[q], v_blocks[q], omega, phase, params.tau_d / 2.0,
+            blocks = _drive_window_sector(
+                basis, transposed_b, omega, phase, params.tau_d / 2.0,
                 [inverts[p] for p in partners], nsub, sign,
             )
-            for p, blk in zip(partners, windows):
-                u_drive[np.ix_(sectors[p], sectors[p])] = blk
-        return u_drive
+            for p, blk in zip(partners, blocks):
+                windows[p] = blk
+        return windows
 
     where = f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed}"
-    u_drive, history = _refine(drive_window, tol, nsub0, max_refine, where)
+    windows, history = _refine(drive_window, tol, nsub0, max_refine, where)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
-    u_k = build_eigengate(N, J, "three_step").unitary
-    u_total = u_k.conj().T @ u_drive @ u_k
+    u_sp = eigengate_single_particle(N, J, "three_step")
+    u_total = np.zeros((2**N, 2**N), dtype=complex)
+    for ix, window in zip(sectors, windows):
+        u_k = free_fermion_block(u_sp, ix)
+        u_total[np.ix_(ix, ix)] = u_k.conj().T @ window @ u_k
     error = trace_error(iswap_target(N), u_total)
     return ProtocolResult(
         unitary=u_total,

@@ -19,6 +19,7 @@ from .linalg import (
     assert_unitary,
     expm_hermitian,
     expm_hermitian_times,
+    minors,
     occupied_sites,
     trace_error,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "rotation_checks",
     "compare_forms",
     "eigengate_single_particle",
+    "free_fermion_block",
     "free_fermion_trace_error",
     "noisy_eigengate_error",
     "noisy_eigengate_errors",
@@ -228,6 +230,15 @@ def eigengate_single_particle(
         ez = np.diag(np.exp(-1.0j * zdiag * quarter))
         return ez @ expm_hermitian(hop, quarter) @ ez
     return expm_hermitian((hop + np.diag(zdiag)) / np.sqrt(2.0), 2.0 * quarter)
+
+
+def free_fermion_block(u: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Block on one sector's ascending basis indices states of the
+    vacuum-fixing free-fermion unitary with single-particle matrix u: entry
+    (r, c) is the minor of u on the excited sites of states[r], states[c]."""
+    bits = (np.asarray(states)[:, None] >> np.arange(len(u) - 1, -1, -1)) & 1
+    sites = np.nonzero(bits)[1].reshape(len(states), -1)
+    return minors(u, sites, sites)
 
 
 def free_fermion_trace_error(u_exact: np.ndarray, u_actual: np.ndarray) -> float | np.ndarray:

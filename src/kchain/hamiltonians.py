@@ -158,33 +158,37 @@ def apply_coupling_noise(spec: ChainSpec) -> ChainSpec:
     return dataclasses.replace(spec, couplings=spec.couplings * (1.0 + eps))
 
 
-def _bit(index: int, x: int, N: int) -> int:
-    return (index >> (N - 1 - x)) & 1
+def _hopping_block(N: int, states, sites, amps) -> np.ndarray:
+    """sum_t amps[t] |..0_a..1_b..><..1_a..0_b..| + h.c. with (a, b) =
+    sites[t], on the ascending basis indices states (all 2^N if None): one
+    excitation sector's states give its block.  One pass writes every term."""
+    states = np.arange(2**N) if states is None else np.asarray(states)
+    ma, mb = 1 << (N - 1 - np.asarray(sites).T)
+    col, term = np.nonzero((states[:, None] & ma != 0) & (states[:, None] & mb == 0))
+    row = np.searchsorted(states, states[col] ^ (ma | mb)[term])
+    amps = np.asarray(amps)[term]
+    block = np.zeros((len(states), len(states)), dtype=complex)
+    block[row, col] = amps
+    block[col, row] = np.conj(amps)
+    return block
 
 
-def build_hk(spec: ChainSpec) -> np.ndarray:
-    """Full 2^N chain Hamiltonian sum_x (J_x/2)(XX+YY) + sum_x gamma_x Z_x.
+def build_hk(spec: ChainSpec, states=None) -> np.ndarray:
+    """Chain Hamiltonian sum_x (J_x/2)(XX+YY) + sum_x gamma_x Z_x on the
+    ascending basis indices states, or on all 2^N states if None.
 
     The hopping part has matrix element J_x between |..10..> and |..01..>
     on bond x, which fixes the single-particle normalization.
     """
     N = spec.N
-    dim = 2**N
-    ham = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    for x in range(N - 1):
-        hi = 1 << (N - 1 - x)
-        lo = 1 << (N - 2 - x)
-        src = idx[(idx & hi != 0) & (idx & lo == 0)]
-        dst = src ^ (hi | lo)
-        ham[dst, src] += spec.couplings[x]
-        ham[src, dst] += spec.couplings[x]
+    ham = _hopping_block(N, states, [(x, x + 1) for x in range(N - 1)], spec.couplings)
     if np.any(spec.zfields):
-        zdiag = np.zeros(dim)
+        idx = np.arange(2**N) if states is None else np.asarray(states)
+        zdiag = np.zeros(len(idx))
         for x in range(N):
             bit = (idx >> (N - 1 - x)) & 1
             zdiag += spec.zfields[x] * (1.0 - 2.0 * bit)
-        ham[idx, idx] += zdiag
+        ham[np.diag_indices(len(idx))] += zdiag
     assert_hermitian(ham)
     return ham
 
@@ -232,8 +236,9 @@ def single_particle_hopping(spec: ChainSpec) -> np.ndarray:
     return mat
 
 
-def driving_operator(spec: DrivingSpec, N: int) -> np.ndarray:
-    """Constant operator part of the drive (the cos factor stripped).
+def driving_operator(spec: DrivingSpec, N: int, states=None) -> np.ndarray:
+    """Constant operator part of the drive (the cos factor stripped), on the
+    ascending basis indices states, or on all 2^N states if None.
 
     sign '+': J_D [sp_j sm_{j+d} + sm_j sp_{j+d}]
     sign '-': i J_D [sp_j sm_{j+d} - sm_j sp_{j+d}]
@@ -242,20 +247,8 @@ def driving_operator(spec: DrivingSpec, N: int) -> np.ndarray:
     a, b = spec.j, spec.j + spec.d
     if b >= N:
         raise ValueError("site j+d out of range")
-    dim = 2**N
-    op = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    ma = 1 << (N - 1 - a)
-    mb = 1 << (N - 1 - b)
-    src = idx[(idx & ma != 0) & (idx & mb == 0)]  # excited at j, empty at j+d
-    dst = src ^ (ma | mb)
-    if spec.sign == "+":
-        op[dst, src] = spec.J_D
-        op[src, dst] = spec.J_D
-    else:
-        op[dst, src] = 1.0j * spec.J_D
-        op[src, dst] = -1.0j * spec.J_D
-    return op
+    amp = spec.J_D if spec.sign == "+" else 1.0j * spec.J_D
+    return _hopping_block(N, states, [(a, b)], [amp])
 
 
 def build_driving(spec: DrivingSpec, N: int, t: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import basis_index
+from .linalg import minors
 
 __all__ = [
     "krawtchouk_poly",
@@ -136,20 +136,14 @@ def eigenstate_vector(basis: KrawtchoukBasis, modes: Sequence[int]) -> np.ndarra
     fermionic string signs all come out +1, because each creation operator
     only crosses empty sites when the configuration is built left to right.
 
-    All C(N, q) minors are taken in one stacked det, which equals the det of
-    each minor on its own bit for bit.
+    All C(N, q) minors are taken in one stacked det (linalg.minors).
     """
     modes = _check_modes(basis.n, modes)
     N = basis.n + 1
-    q = len(modes)
+    sites = np.array(list(itertools.combinations(range(N), len(modes))), dtype=int)
+    rows = np.array([modes], dtype=int)
     vec = np.zeros(2**N)
-    if q == 0:
-        vec[0] = 1.0
-        return vec
-    sites = np.array(list(itertools.combinations(range(N), q)))
-    # blocks[c] = phi[modes, sites[c]]
-    blocks = basis.phi[np.array(modes)[None, :, None], sites[:, None, :]]
-    vec[np.sum(1 << (N - 1 - sites), axis=1)] = np.linalg.det(blocks)
+    vec[np.sum(1 << (N - 1 - sites), axis=1)] = minors(basis.phi, rows, sites)[0]
     return vec
 
 

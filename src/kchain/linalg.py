@@ -15,6 +15,7 @@ __all__ = [
     "basis_state",
     "occupied_sites",
     "sector_indices",
+    "minors",
     "tensor_embed",
     "is_hermitian",
     "assert_hermitian",
@@ -78,6 +79,12 @@ def sector_indices(nqubits: int, weight: int) -> np.ndarray:
         pop += v & 1
         v >>= 1
     return idx[pop == weight]
+
+
+def minors(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(R, C) array of det mat[rows[r]][:, cols[c]], from (R, q) and (C, q)
+    index arrays; one stacked det, equal to each minor's own det bit for bit."""
+    return np.linalg.det(mat[rows[:, None, :, None], cols[None, :, None, :]])
 
 
 # ------------------------------------------------------------ operator tools

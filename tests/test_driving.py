@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kchain import driving
+from kchain import driving, eigengate
 from kchain.driving import (
     CallableSegment,
     DriveSegment,
@@ -259,11 +259,11 @@ def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
 def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed):
     blocks = _sector_blocks(N, sign, pairs, eps, seed)
     omega, nsub, halves = float(N * N) / 4.0, 16, 2 * N + 1
-    stepped = [driving._half_period_maps(h, v, omega, phase, nsub) for h, v, _ in blocks]
+    bases = [driving._drive_basis(h, v) for h, v, _ in blocks]
+    stepped = [driving._half_period_maps(basis, omega, phase, nsub) for basis in bases]
     for q in range(N // 2 + 1):
-        h, v, _ = blocks[q]
         mirrored_b = 2 * q == N and sign == "-"
-        ua, ub = driving._half_period_maps(h, v, omega, phase, nsub, mirrored_b)
+        ua, ub = driving._half_period_maps(bases[q], omega, phase, nsub, mirrored_b)
         derived = {q: (ua, ub), N - q: driving._partner_maps(ua, ub, sign)}
         for p, maps in derived.items():
             for got, want in zip(maps, stepped[p]):
@@ -272,7 +272,7 @@ def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed
         for inversion in (True, False):
             inverts = [blocks[p][2] if inversion else None for p in partners]
             windows = driving._drive_window_sector(
-                h, v, omega, phase, halves * np.pi / omega, inverts, nsub, sign
+                bases[q], False, omega, phase, halves * np.pi / omega, inverts, nsub, sign
             )
             assert len(windows) == len(partners)
             for p, inv, window in zip(partners, inverts, windows):
@@ -285,28 +285,27 @@ def _step_every_sector(params):
     from its own blocks, the route the particle-hole pairing replaced: a
     resonant window composed from the sector's half-period maps, any other
     window stepped end to end on the drive clock."""
-    _, op_unit, j_d, _ = drive_calibration(params)
+    _, j_d, _ = drive_calibration(params)
     h = build_hk(apply_coupling_noise(
         krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed)
     ))
-    v = j_d * op_unit
+    v = j_d * driving._unit_drive(params)
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
-    def window(h0, vop, omega, phase, length, inverts, nsub, sign):
+    def window(basis, transposed_b, omega, phase, length, inverts, nsub, sign):
         q = next(
             q for q, (hb, vb) in enumerate(blocks)
-            if np.array_equal(hb, h0) and np.array_equal(vb, vop)
+            if np.array_equal(hb, basis[0]) and np.array_equal(vb, basis[1])
         )
         partners = (q,) if 2 * q == params.N else (q, params.N - q)
         halves = length / (np.pi / omega)
         if abs(halves - round(halves)) < 1e-12:
-            return [
-                _window_from_maps(
-                    *driving._half_period_maps(*blocks[p], omega, phase, nsub), round(halves), inv
-                )
-                for p, inv in zip(partners, inverts)
+            maps = [
+                driving._half_period_maps(driving._drive_basis(*blocks[p]), omega, phase, nsub)
+                for p in partners
             ]
+            return [_window_from_maps(*m, round(halves), inv) for m, inv in zip(maps, inverts)]
         return [
             _step_window_directly(*blocks[p], omega, phase, length, inv, nsub)
             for p, inv in zip(partners, inverts)
@@ -358,8 +357,8 @@ def test_off_resonant_paired_protocol_matches_every_sector_stepped(monkeypatch, 
 @pytest.mark.parametrize("omega", [3.7, 1.3, 0.5, 0.3])
 def test_off_resonant_protocol_matches_explicit_schedule(omega):
     params = ProtocolParams(N=4, M=1)
-    _, op_unit, j_d, phase = drive_calibration(params)
-    sched = halfway_inversion_segments(params, drive_builder=(omega, op_unit, j_d, phase))
+    _, j_d, phase = drive_calibration(params)
+    sched = halfway_inversion_segments(params, drive_builder=(omega, j_d, phase))
     uk = build_eigengate(4, 1.0).unitary
     reference = uk.conj().T @ propagate_unitary(sched, 16, tol=1e-11) @ uk
     fast = run_iswap_protocol(params, omega_override=omega)
@@ -421,15 +420,10 @@ def _count_expm_stacks(monkeypatch):
 )
 def test_transposed_second_half_period_matches_stepped(N, sign, pairs, seed):
     params = ProtocolParams(N=N, sign=sign, pairs=pairs, noise_eps=0.01, seed=seed)
-    omega, _, _, phase = drive_calibration(params)
-    calibrated = driving._CalibratedPhase(phase)
+    omega, _, phase = drive_calibration(params)
     for q, (h, v, _) in enumerate(_sector_blocks(N, sign, pairs, 0.01, seed)[: N // 2 + 1]):
-        assert driving._transposes_halves(h, v, calibrated, sign)
-        # the same value supplied by a caller, and a phase that breaks the
-        # symmetry, are stepped on both halves
-        assert not driving._transposes_halves(h, v, phase, sign)
-        assert not driving._transposes_halves(h, v, 0.4, sign)
-        ua, ub = driving._half_period_maps(h, v, omega, phase, 32)
+        assert driving._transposes_halves(h, v, sign)
+        ua, ub = driving._half_period_maps(driving._drive_basis(h, v), omega, phase, 32)
         assert np.max(np.abs(ub - ua.T)) <= 1e-13, q
 
 
@@ -537,6 +531,27 @@ def test_protocol_params_reject_bad_coupling_scale(J):
         ProtocolParams(N=4, J=J)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(N=4.0), "N"),
+        (dict(N=4, sign="x"), "sign"),
+        (dict(N=4, sign="\u2212"), "sign"),
+        (dict(N=6, pairs=(1.5,)), "pairs"),
+        (dict(N=6, pairs=(3,)), "pairs"),
+        (dict(N=6, pairs=(-1,)), "pairs"),
+        (dict(N=6, pairs=(1, 1)), "pairs"),
+        (dict(N=6, pairs=()), "pairs"),
+        (dict(N=6, pairs=1), "pairs"),
+        (dict(N=4, drive_phase=np.nan), "drive_phase"),
+        (dict(N=4, drive_phase=-np.inf), "drive_phase"),
+    ],
+)
+def test_protocol_params_reject_bad_fields(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ProtocolParams(**kwargs)
+
+
 @pytest.mark.parametrize("nsub0", [0, -2])
 def test_protocol_rejects_nonpositive_initial_substeps(nsub0):
     with pytest.raises(ValueError, match="nsub0 must be a positive integer"):
@@ -569,12 +584,13 @@ def test_iswap_target_structure():
 
 
 def test_calibration_exact_values():
-    omega, op_unit, j_d, phase = drive_calibration(ProtocolParams(N=4, M=1))
+    omega, j_d, phase = drive_calibration(ProtocolParams(N=4, M=1))
     assert omega == pytest.approx(4.0)
     assert j_d == pytest.approx(3.0**-0.5, rel=1e-12)
     assert phase == pytest.approx(-np.pi, abs=1e-12)
-    assert np.max(np.abs(op_unit - op_unit.conj().T)) < 1e-14
-    omega, _, j_d, phase = drive_calibration(ProtocolParams(N=6, M=4))
+    vop = halfway_inversion_segments(ProtocolParams(N=4, M=1)).segments[0].vop
+    assert np.max(np.abs(vop - vop.conj().T)) < 1e-14
+    omega, j_d, phase = drive_calibration(ProtocolParams(N=6, M=4))
     assert omega == pytest.approx(9.0)
     assert j_d == pytest.approx(0.8, rel=1e-12)
     assert phase == pytest.approx(-np.pi / 2.0, abs=1e-12)
@@ -627,7 +643,7 @@ def test_explicit_schedule_route_matches_fast_path():
     durations = [s.duration for s in sched.segments]
     assert durations == pytest.approx([tau_d / 2, np.pi, tau_d / 2, np.pi])
     # the second window resumes the drive clock where the first stopped
-    omega, _, _, chi = drive_calibration(params)
+    omega, _, chi = drive_calibration(params)
     assert sched.segments[2].phase == pytest.approx(chi - omega * np.pi, abs=1e-12)
 
     u_drive = propagate_unitary(sched, 16, tol=1e-10)
@@ -719,3 +735,30 @@ def test_protocol_nonconvergence_names_its_coordinates():
     message = str(exc.value)
     for coordinate in ("N=4", "M=1", "eps=0.01", "seed=7"):
         assert coordinate in message
+
+
+def test_protocol_builds_no_dense_operator(monkeypatch):
+    # every operator of a run is built per sector: a dense (2^N x 2^N)
+    # build, or the dense eigengate, fails the run
+    N = 6
+
+    def sector_only(build):
+        def checked(*args, **kwargs):
+            out = build(*args, **kwargs)
+            if out.shape == (2**N, 2**N):
+                raise AssertionError(f"dense {build.__name__} in the protocol route")
+            return out
+
+        return checked
+
+    def no_dense_eigengate(*args, **kwargs):
+        raise AssertionError("dense eigengate in the protocol route")
+
+    for name in ("build_hk", "driving_operator", "build_hz"):
+        monkeypatch.setattr(driving, name, sector_only(getattr(driving, name)))
+    monkeypatch.setattr(eigengate, "build_eigengate", no_dense_eigengate)
+    monkeypatch.setattr(driving, "build_eigengate", no_dense_eigengate, raising=False)
+    res = run_iswap_protocol(ProtocolParams(N=N, M=4, noise_eps=0.01, seed=3))
+    assert res.unitary.shape == (2**N, 2**N)
+    with pytest.raises(AssertionError, match="dense build_hk"):
+        halfway_inversion_segments(ProtocolParams(N=N, M=4))

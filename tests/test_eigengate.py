@@ -14,6 +14,7 @@ from kchain.eigengate import (
     compare_forms,
     eigengate_single_particle,
     expected_phase,
+    free_fermion_block,
     free_fermion_trace_error,
     mapping_table,
     noisy_eigengate_error,
@@ -22,7 +23,7 @@ from kchain.eigengate import (
     so3_checks,
 )
 from kchain.hamiltonians import build_hk, build_hz, krawtchouk_chain, single_particle_hopping
-from kchain.linalg import assert_unitary, expm_hermitian, trace_error
+from kchain.linalg import assert_unitary, expm_hermitian, sector_indices, trace_error
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
@@ -187,3 +188,15 @@ def test_rotation_checks_equal_separate_calls_exactly(N):
     so3, bch = rotation_checks(N, 1.0, thetas)
     assert so3 == so3_checks(N, 1.0)
     assert bch == bch_rotation_residuals(N, 1.0, thetas)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_free_fermion_blocks_match_dense_eigengate(N, variant):
+    # a free-fermion unitary's sector block is the matrix of minors of its
+    # single-particle matrix
+    dense = build_eigengate(N, 1.0, variant).unitary
+    u = eigengate_single_particle(N, 1.0, variant)
+    for q in range(N + 1):
+        ix = sector_indices(N, q)
+        assert np.max(np.abs(free_fermion_block(u, ix) - dense[np.ix_(ix, ix)])) <= 1e-13

@@ -180,3 +180,27 @@ def test_hopping_matrices_stack_matches_single_particle_hopping():
     assert stack.shape == (3, 5, 5)
     for spec, hop in zip(specs, stack):
         assert np.array_equal(hop, single_particle_hopping(spec))
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_sector_blocks_equal_dense_slices(N):
+    # the per-sector builders must give exactly the dense operator's blocks
+    noisy = apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N))
+    fielded = ChainSpec(N=N, J=1.0, couplings=noisy.couplings, zfields=np.linspace(0.3, -0.2, N))
+    drives = [
+        DrivingSpec(j=j, d=d, sign=sign, J_D=0.7, omega=1.0)
+        for sign in "+-"
+        for d in {1, N // 2, N - 1}
+        for j in {0, N - 1 - d}
+    ]
+    builders = [lambda states, s=s: build_hk(s, states) for s in (noisy, fielded)]
+    builders += [lambda states, s=s: driving_operator(s, N, states) for s in drives]
+    for sign in "+-":
+        # every (j, j + N/2) pair summed, as the protocol's drive
+        pairs = [DrivingSpec(j=j, d=N // 2, sign=sign, J_D=0.7, omega=1.0) for j in range(N // 2)]
+        builders.append(lambda states, p=pairs: sum(driving_operator(s, N, states) for s in p))
+    sectors = [sector_indices(N, q) for q in range(N + 1)]
+    for build in builders:
+        dense = build(None)
+        for ix in sectors:
+            assert np.array_equal(build(ix), dense[np.ix_(ix, ix)])
