@@ -27,7 +27,7 @@ from .driving import (
     resonance_frequency,
     run_iswap_protocol,
 )
-from .eigengate import build_eigengate, noisy_eigengate_error
+from .eigengate import build_eigengate, noisy_eigengate_errors
 from .experiments import SweepConfig, ghz_demo, pst_demo, sweep_fig2, sweep_fig3
 from .hamiltonians import ChainSpec, DrivingSpec, build_hk, build_hz, krawtchouk_chain
 from .krawtchouk import build_basis, m1_closed_form, m2_closed_form
@@ -48,7 +48,7 @@ __all__ = [
     "krawtchouk_chain",
     "m1_closed_form",
     "m2_closed_form",
-    "noisy_eigengate_error",
+    "noisy_eigengate_errors",
     "pst_demo",
     "resonance_frequency",
     "run_iswap_protocol",

@@ -1,24 +1,18 @@
-"""Gate constructions that use the N-qubit swap as a primitive.
+"""Gate constructions built around the N-qubit swap.
 
 Qubit 0 is the leftmost ket symbol everywhere; two-qubit gates act on
-adjacent sites.  All circuits are assembled as dense unitaries, small
-enough for direct verification against their target truth tables.
+adjacent sites.  Every circuit is a dense product of unitaries, small
+enough for direct verification against its target truth table.
 """
-
-import dataclasses
 
 import numpy as np
 
 from .driving import iswap_target
-from .linalg import PAULI_X, assert_unitary, basis_index, tensor_embed, trace_error
+from .linalg import PAULI_X, basis_index, tensor_embed, trace_error
 
 __all__ = [
     "HADAMARD",
     "S_GATE",
-    "GateOp",
-    "Circuit",
-    "primitive",
-    "compose",
     "iswap2",
     "cns_unitary",
     "cns_decomposition",
@@ -34,72 +28,6 @@ __all__ = [
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 S_GATE = np.array([[1.0, 0.0], [0.0, 1.0j]])
-
-
-@dataclasses.dataclass(frozen=True)
-class GateOp:
-    """One gate placement: a unitary block acting on the listed sites."""
-
-    name: str
-    sites: tuple
-    block: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(self.sites))
-        if len(set(self.sites)) != len(self.sites):
-            raise ValueError("gate sites must be distinct")
-        if self.block.shape != (2 ** len(self.sites),) * 2:
-            raise ValueError("block shape does not match site count")
-        assert_unitary(self.block, tol=1e-12)
-
-
-@dataclasses.dataclass(frozen=True)
-class Circuit:
-    """Ordered gate list on N qubits; ops[0] acts first."""
-
-    N: int
-    ops: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            if any(not 0 <= s < self.N for s in op.sites):
-                raise ValueError(f"gate {op.name} has sites outside [0, {self.N})")
-
-
-def primitive(name: str, sites, N: int | None = None) -> GateOp:
-    """Named gate placed on the given sites.
-
-    Single-qubit: X, H, Z^-1/2.  Two-qubit: iSWAP2, CNS, SCN.  N-qubit
-    (pass N): iSWAP_N, PHASE_N.
-    """
-    blocks = {
-        "X": PAULI_X.astype(complex),
-        "H": HADAMARD.astype(complex),
-        "Z^-1/2": S_GATE.conj().T,
-    }
-    if name in blocks:
-        return GateOp(name, tuple(sites), blocks[name])
-    if name == "iSWAP2":
-        return GateOp(name, tuple(sites), iswap2())
-    if name == "CNS":
-        return GateOp(name, tuple(sites), cns_unitary())
-    if name == "SCN":
-        return GateOp(name, tuple(sites), scn_unitary())
-    if name in ("iSWAP_N", "PHASE_N"):
-        if N is None:
-            raise ValueError(f"{name} needs the qubit count N")
-        block = iswap_target(N) if name == "iSWAP_N" else phase_gate(N)
-        return GateOp(name, tuple(sites), block)
-    raise ValueError(f"unknown primitive {name!r}")
-
-
-def compose(circuit: Circuit) -> np.ndarray:
-    """Unitary of the circuit: ops applied in list order."""
-    u = np.eye(2**circuit.N, dtype=complex)
-    for op in circuit.ops:
-        u = tensor_embed(op.block, list(op.sites), circuit.N) @ u
-    return u
 
 
 def iswap2() -> np.ndarray:

@@ -28,6 +28,7 @@ from .experiments import (
     FIG2_EPS_GRID,
     FIG3_EPS_GRID,
     SweepConfig,
+    format_table,
     ghz_demo,
     point_seed,
     pst_demo,
@@ -46,19 +47,6 @@ from .krawtchouk import (
 from .linalg import SIGMA_MINUS, SIGMA_PLUS, tensor_embed
 
 __all__ = ["main"]
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _emit_csv(header, rows, out=None):
-    out = out if out is not None else sys.stdout
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 class _IntAtLeast:
@@ -223,7 +211,8 @@ def _m2_elements(n: int, conjugate: bool):
 
 def _cmd_spectrum(args) -> int:
     exact, worst = _spectrum(args.n, args.j)
-    _emit_csv(("n", "k", "lambda"), [(args.n - 1, k, lam) for k, lam in enumerate(exact)])
+    rows = [(args.n - 1, k, lam) for k, lam in enumerate(exact)]
+    sys.stdout.write(format_table(("n", "k", "lambda"), rows))
     if worst > 1e-10:
         print(f"FAIL spectrum deviation {worst:.3e}", file=sys.stderr)
         return 1
@@ -236,7 +225,7 @@ def _cmd_matrix_elements(args) -> int:
         for n in range(3, args.n_max + 1, 2)
         for j, d, closed, brute, err in _m2_elements(n, conjugate=False)
     ]
-    _emit_csv(("n", "j", "d", "M2_closed", "M2_brute", "abs_err"), rows)
+    sys.stdout.write(format_table(("n", "j", "d", "M2_closed", "M2_brute", "abs_err"), rows))
     worst = max(row[-1] for row in rows)
     if worst > 1e-12:
         print(f"FAIL matrix elements deviate up to {worst:.3e}", file=sys.stderr)
@@ -274,14 +263,21 @@ def _eigengate_report(N: int, J: float) -> dict:
     }
 
 
+def _eigengate_checks(report: dict):
+    """(label, value, tol) of every check in one _eigengate_report; a check
+    passes when value < tol."""
+    N = report["N"]
+    yield f"eigengate mapping N={N}", 1.0 - report["min_overlap"], 1e-9
+    yield f"eigengate phases N={N}", report["max_phase_deviation"], 1e-9
+    yield f"intertwining N={N}", report["intertwining_residual"], report["intertwining_allowance"]
+    yield f"so(3) N={N}", max(report["so3_residuals"].values()), 1e-9
+    yield f"BCH N={N}", max(report["bch_residuals"].values()), 1e-9
+
+
 def _cmd_eigengate_check(args) -> int:
     report = _eigengate_report(args.n, args.j)
     print(json.dumps(report, indent=2, sort_keys=True))
-    ok = (
-        report["min_overlap"] > 1.0 - 1e-9
-        and report["max_phase_deviation"] < 1e-9
-        and report["intertwining_residual"] < report["intertwining_allowance"]
-    )
+    ok = all(value < tol for _, value, tol in _eigengate_checks(report))
     return 0 if ok else 1
 
 
@@ -316,7 +312,7 @@ def _cmd_drive(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        _emit_csv(("N", "M", "tauD_J", "eps", "seed", "error"), rows)
+        sys.stdout.write(format_table(("N", "M", "tauD_J", "eps", "seed", "error"), rows))
     return 0
 
 
@@ -347,7 +343,7 @@ def _cmd_circuit_verify(args) -> int:
     if args.use_simulated_drive:
         core = run_iswap_protocol(ProtocolParams(N=N, M=args.m)).unitary
     if args.which == "ctrl-x":
-        circuit = ctrl_x_circuit(N, phase_n=None if core is None else core @ core)
+        circuit = ctrl_x_circuit(N, phase_n=None if core is None else phase_gate(N, core))
         deviation = verify_ctrl_x_circuit(N, circuit)
     else:
         circuit = ctrl_iswap2_circuit(N, iswap_n=core)
@@ -391,16 +387,8 @@ def _cmd_verify_all(args) -> int:
     for N in range(2, n_max + 1):
         check(f"spectrum N={N}", _spectrum(N, 1.0)[1], 1e-10)
     for N in range(2, n_max + 1, 2):
-        rep = _eigengate_report(N, 1.0)
-        check(f"eigengate mapping N={N}", 1.0 - rep["min_overlap"], 1e-9)
-        check(f"eigengate phases N={N}", rep["max_phase_deviation"], 1e-9)
-        check(
-            f"intertwining N={N}",
-            rep["intertwining_residual"],
-            rep["intertwining_allowance"],
-        )
-        check(f"so(3) N={N}", max(rep["so3_residuals"].values()), 1e-9)
-        check(f"BCH N={N}", max(rep["bch_residuals"].values()), 1e-9)
+        for label, value, tol in _eigengate_checks(_eigengate_report(N, 1.0)):
+            check(label, value, tol)
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)
     for n in range(3, min(n_max + 1, 8), 2):

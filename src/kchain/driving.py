@@ -272,11 +272,17 @@ def _schedule_unitary(schedule: PulseSchedule, dim: int, bases, nsub: int) -> np
 def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
     """compute(nsub), a list of blocks, at nsub0, 2 nsub0, ... until two
     results differ by less than tol (max column 2-norm over the blocks).
-    Returns the last and the (nsub, delta) of every level, the first inf."""
+    Returns the last and the (nsub, delta) of every level, the first inf;
+    a non-finite change at a later level raises at once."""
     prev, nsub, history = None, nsub0, []
     for _ in range(max_refine + 1):
         cur = compute(nsub)
-        delta = math.inf if prev is None else max(map(max_column_distance, cur, prev))
+        delta = math.inf
+        if prev is not None:
+            # np.max, unlike max, keeps a NaN wherever it falls among the blocks
+            delta = float(np.max([max_column_distance(a, b) for a, b in zip(cur, prev)]))
+            if not math.isfinite(delta):
+                raise RuntimeError(f"{where} gave a non-finite change ({delta}) at nsub={nsub}")
         history.append((nsub, delta))
         if delta < tol:
             return cur, history
@@ -420,15 +426,28 @@ def iswap_target(N: int) -> np.ndarray:
     return target
 
 
+def _drive_layout(params: ProtocolParams) -> tuple:
+    """(sign, pairs) of the protocol's drive, defaults filled in."""
+    N = params.N
+    sign = params.sign if params.sign is not None else driving_sign(N)
+    return sign, params.pairs if params.pairs is not None else default_drive_pairs(N)
+
+
 def _unit_drive(params: ProtocolParams, states=None) -> np.ndarray:
     """The protocol's drive at J_D = 1 on the basis indices states (all if None)."""
     N = params.N
-    sign = params.sign if params.sign is not None else driving_sign(N)
-    pairs = params.pairs if params.pairs is not None else default_drive_pairs(N)
+    sign, pairs = _drive_layout(params)
     return sum(
-        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=1.0, omega=0.0), N, states)
+        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=1.0), N, states)
         for j in pairs
     )
+
+
+# Smallest |V_ab| / max|V| of a drive that couples the two target states.
+# For N <= 12, pair terms that cancel by symmetry leave at most 3.2e-17 of
+# roundoff, and calibrating on it would set J_D ~ 1e16 and overflow the step
+# exponentials; the weakest real coupling, pair 0 under '+' at N = 12, is 2.0e-8.
+_COUPLING_FLOOR = 1e-12
 
 
 def drive_calibration(params: ProtocolParams) -> tuple:
@@ -437,7 +456,8 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     The drive strength is set so the half Rabi coupling A equals J/(4M),
     making the drive window an exact pi-pulse.  The drive phase is chosen
     from the argument of the transition matrix element so that both special
-    states acquire the phase +i; a caller-supplied phase overrides it.
+    states acquire the phase +i; a caller-supplied phase overrides it.  A
+    drive whose element is within _COUPLING_FLOOR of zero raises ValueError.
     """
     N, J, M = params.N, params.J, params.M
     basis = build_basis(N - 1, J)
@@ -445,11 +465,15 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     half = sector_indices(N, N // 2)
     bra = eigenstate_vector(basis, range(N // 2, N))[half]
     ket = eigenstate_vector(basis, range(N // 2))[half]
-    v_ab = complex(bra.conj() @ (_unit_drive(params, half) @ ket))
-    amp_per_jd = abs(v_ab) / 2.0
-    if amp_per_jd == 0.0:
-        raise ValueError("selected drive does not couple the target states")
-    j_d = (J / (4.0 * M)) / amp_per_jd
+    v_half = _unit_drive(params, half)
+    v_ab = complex(bra.conj() @ (v_half @ ket))
+    if abs(v_ab) <= _COUPLING_FLOOR * np.abs(v_half).max():
+        sign, pairs = _drive_layout(params)
+        raise ValueError(
+            f"the drive on pairs {pairs} with sign '{sign}' does not couple the "
+            f"target states at N={N} (|V_ab| = {abs(v_ab):.1e})"
+        )
+    j_d = (J / (4.0 * M)) / (abs(v_ab) / 2.0)
     phase = params.drive_phase
     if phase is None:
         phase = cmath.phase(v_ab) - math.pi
@@ -487,19 +511,15 @@ def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> Pu
     )
 
 
-def _half_period_maps(basis, omega, phase, nsub, mirrored_b=False, transposed_b=False):
+def _half_period_maps(basis, omega, phase, nsub, transposed_b=False):
     """Unitaries over the first and second half-period of the drive whose
     commutator basis (_drive_basis) is basis.
 
-    Only the first is stepped when the second can be read off it: in
-    reverse basis order with mirrored_b, which is exact on the half-filled
-    sector of a '-' paired drive (see run_iswap_protocol), or as its
-    transpose with transposed_b, which is exact when the drive is time
-    symmetric about the half-period boundary (_transposes_halves).
+    With transposed_b only the first is stepped and the second is its
+    transpose, which is exact when the drive is time symmetric about the
+    half-period boundary (_transposes_halves).
     """
     ua = _cell_map(basis, omega, phase, nsub, 0, 1)
-    if mirrored_b:
-        return ua, ua[::-1, ::-1]
     return ua, ua.T if transposed_b else _cell_map(basis, omega, phase, nsub, 1, 2)
 
 
@@ -614,15 +634,13 @@ def _drive_window_sector(basis, transposed_b, omega, phase, length, inverts, nsu
     Whole half-period cells come from sector q's half-period maps, and the
     partial cells at a window's ends are stepped; a resonant window has
     none.  The partner's maps are q's in reverse basis order, half a
-    period later under a '-' pairing (_partner_maps).  Only q's first
-    half-period is stepped when its second is the first reversed (the
-    half-filled sector of a '-' pairing) or, with transposed_b, transposed
+    period later under a '-' pairing (_partner_maps).  With transposed_b
+    only q's first half-period is stepped, its second being the transpose
     (_transposes_halves).  Blocks that are exactly zero (no or all sites
     excited) give identity half-period maps unstepped.
     """
     if basis[:2].any():
-        mirrored_b = len(inverts) == 1 and sign == "-"
-        ua, ub = _half_period_maps(basis, omega, phase, nsub, mirrored_b, transposed_b)
+        ua, ub = _half_period_maps(basis, omega, phase, nsub, transposed_b)
     else:
         ua = ub = np.eye(basis.shape[-1], dtype=complex)
     partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
@@ -686,7 +704,7 @@ def run_iswap_protocol(
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         omega = float(omega_override)
-    sign = params.sign if params.sign is not None else driving_sign(N)
+    sign = _drive_layout(params)[0]
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
     spec = apply_coupling_noise(spec)

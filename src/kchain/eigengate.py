@@ -14,31 +14,25 @@ from .hamiltonians import (
     krawtchouk_chain,
     single_particle_hopping,
 )
-from .krawtchouk import KrawtchoukBasis, build_basis, eigenstate_vector
+from .krawtchouk import build_basis, eigenstate_vector
 from .linalg import (
     assert_unitary,
     expm_hermitian,
     expm_hermitian_times,
     minors,
     occupied_sites,
-    trace_error,
 )
 
 __all__ = [
     "EigengateForm",
     "build_eigengate",
     "expected_phase",
-    "mapping_table",
     "check_intertwining",
-    "so3_checks",
-    "bch_rotation_residual",
-    "bch_rotation_residuals",
     "rotation_checks",
     "compare_forms",
     "eigengate_single_particle",
     "free_fermion_block",
     "free_fermion_trace_error",
-    "noisy_eigengate_error",
     "noisy_eigengate_errors",
 ]
 
@@ -83,11 +77,6 @@ def expected_phase(q: int, n: int) -> complex:
     return 1.0j ** (q * n)
 
 
-def _eigenstates(N: int, basis: KrawtchoukBasis) -> list:
-    """Chain eigenstate with the same occupied modes as s, for every label s."""
-    return [eigenstate_vector(basis, occupied_sites(s, N)) for s in range(2**N)]
-
-
 def _overlaps(unitary: np.ndarray, targets: list):
     """(magnitudes, phases) of <target_s| U |s> for every label s."""
     dim = len(targets)
@@ -100,66 +89,34 @@ def _overlaps(unitary: np.ndarray, targets: list):
     return mags, phases
 
 
-def mapping_table(gate: EigengateForm, basis: KrawtchoukBasis | None = None):
-    """Overlaps <s|_chain U |s> for every computational label s.
-
-    Returns (magnitudes, phases) arrays indexed by basis index; a perfect
-    eigengate has every magnitude 1.
-    """
-    if basis is None:
-        basis = build_basis(gate.N - 1, gate.J)
-    return _overlaps(gate.unitary, _eigenstates(gate.N, basis))
-
-
 def check_intertwining(gate: EigengateForm, hk: np.ndarray, hz: np.ndarray) -> float:
     """Max entry of |Hk U - U Hz|."""
     return float(np.max(np.abs(hk @ gate.unitary - gate.unitary @ hz)))
 
 
-def _angular_triple(N: int, J: float):
-    spec = krawtchouk_chain(N, J)
-    lx = build_hk(spec) / J
+def rotation_checks(N: int, J: float, thetas) -> tuple:
+    """(so(3) residuals, BCH rotation residuals) of the angular-momentum
+    triple Lx = Hk/J, Lz = Hz/J, Ly = -i[Lz, Lx] on the full 2^N space.
+
+    The so(3) residuals, keyed xy_z, yz_x and zx_y, are the largest entries
+    of [Lx, Ly] - i Lz and its cyclic permutations.  The BCH residual at
+    each theta is that of the rotation identity for conjugation by the
+    combined pulse: exp(-i Lh theta) Lz exp(+i Lh theta) should equal
+    sin^2(theta/2) Lx - (sin theta / sqrt 2) Ly + cos^2(theta/2) Lz,
+    with Lh = (Lx + Lz)/sqrt(2).  One diagonalization of Lh serves every
+    theta.
+    """
+    lx = build_hk(krawtchouk_chain(N, J)) / J
     lz = build_hz(N, J) / J
     ly = -1.0j * (lz @ lx - lx @ lz)
-    return lx, ly, lz
-
-
-def so3_checks(N: int, J: float = 1.0) -> dict:
-    """Residuals of the angular-momentum commutators on the full 2^N space."""
-    return _so3_residuals(*_angular_triple(N, J))
-
-
-def _so3_residuals(lx, ly, lz) -> dict:
     comm = lambda a, b: a @ b - b @ a
-    return {
+    so3 = {
         "xy_z": float(np.max(np.abs(comm(lx, ly) - 1.0j * lz))),
         "yz_x": float(np.max(np.abs(comm(ly, lz) - 1.0j * lx))),
         "zx_y": float(np.max(np.abs(comm(lz, lx) - 1.0j * ly))),
     }
-
-
-def bch_rotation_residuals(N: int, J: float, thetas) -> list:
-    """Residuals of the rotation identity for conjugation by the combined pulse.
-
-    exp(-i Lh theta) Lz exp(+i Lh theta) should equal
-    sin^2(theta/2) Lx - (sin theta / sqrt 2) Ly + cos^2(theta/2) Lz,
-    with Lh = (Lx + Lz)/sqrt(2).  One angular-momentum triple and one
-    diagonalization of Lh serve every theta.
-    """
-    return _bch_residuals(_angular_triple(N, J), thetas)
-
-
-def rotation_checks(N: int, J: float, thetas) -> tuple:
-    """(so3_checks(N, J), bch_rotation_residuals(N, J, thetas)) from one
-    angular-momentum triple."""
-    triple = _angular_triple(N, J)
-    return _so3_residuals(*triple), _bch_residuals(triple, thetas)
-
-
-def _bch_residuals(triple, thetas) -> list:
-    lx, ly, lz = triple
     rotations = expm_hermitian_times((lx + lz) / np.sqrt(2.0), thetas)
-    return [_bch_residual(theta, u, lx, ly, lz) for theta, u in zip(thetas, rotations)]
+    return so3, [_bch_residual(theta, u, lx, ly, lz) for theta, u in zip(thetas, rotations)]
 
 
 def _bch_residual(theta, u, lx, ly, lz) -> float:
@@ -172,11 +129,6 @@ def _bch_residual(theta, u, lx, ly, lz) -> float:
     return float(np.max(np.abs(diff)))
 
 
-def bch_rotation_residual(N: int, J: float, theta: float) -> float:
-    """Residual of the rotation identity at one angle theta."""
-    return bch_rotation_residuals(N, J, [theta])[0]
-
-
 def compare_forms(N: int, J: float = 1.0) -> dict:
     """Mapping and phase tables for both gate variants, and their difference.
 
@@ -185,7 +137,9 @@ def compare_forms(N: int, J: float = 1.0) -> dict:
     the phase table and its largest deviation from i^(q n).
     """
     n = N - 1
-    targets = _eigenstates(N, build_basis(n, J))
+    basis = build_basis(n, J)
+    # the chain eigenstate with the same occupied modes as s, for every label s
+    targets = [eigenstate_vector(basis, occupied_sites(s, N)) for s in range(2**N)]
     report = {"N": N, "variants": {}}
     for variant in VARIANTS:
         gate = build_eigengate(N, J, variant)
@@ -268,7 +222,3 @@ def noisy_eigengate_errors(N: int, J: float, eps: float, seeds) -> np.ndarray:
     u_noisy = eigengate_single_particle(N, J, "three_step", hop=hop)
     return free_fermion_trace_error(u_exact, u_noisy)
 
-
-def noisy_eigengate_error(N: int, J: float, eps: float, seed) -> float:
-    """Trace error of a noisy three-step gate against the clean one."""
-    return float(noisy_eigengate_errors(N, J, eps, [seed])[0])

@@ -9,7 +9,6 @@ import dataclasses
 import datetime
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +27,7 @@ __all__ = [
     "point_seed",
     "sweep_fig2",
     "sweep_fig3",
+    "format_table",
     "write_table",
     "ghz_demo",
     "pst_demo",
@@ -150,17 +150,17 @@ def sweep_fig3(config: SweepConfig) -> list:
     return rows
 
 
-def write_table(path: str, header: tuple, rows: list, config=None, wall_time: float | None = None) -> None:
-    """CSV with %.17g floats plus a JSON sidecar for run metadata."""
+def format_table(header: tuple, rows: list) -> str:
+    """CSV text: the header, then one line per row with %.17g floats."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-            )
-        )
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_table(path: str, header: tuple, rows: list, config=None, wall_time: float | None = None) -> None:
+    """CSV (format_table) plus a JSON sidecar for run metadata."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_table(header, rows))
     meta = {
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),

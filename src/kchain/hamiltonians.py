@@ -1,7 +1,6 @@
 """Spin-chain Hamiltonians: XX+YY chains, their diagonal dual, and resonant drives."""
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "hopping_matrices",
     "single_particle_hopping",
     "driving_operator",
-    "build_driving",
 ]
 
 
@@ -52,27 +50,6 @@ class ChainSpec:
         if not 0.0 <= self.noise_eps < 1.0:
             raise ValueError("noise_eps must lie in [0, 1)")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "J": self.J,
-            "couplings": list(self.couplings),
-            "zfields": list(self.zfields),
-            "noise_eps": self.noise_eps,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ChainSpec":
-        return cls(
-            N=int(doc["N"]),
-            J=float(doc["J"]),
-            couplings=np.asarray(doc["couplings"], dtype=float),
-            zfields=np.asarray(doc["zfields"], dtype=float),
-            noise_eps=float(doc.get("noise_eps", 0.0)),
-            seed=doc.get("seed"),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class DrivingSpec:
@@ -80,42 +57,20 @@ class DrivingSpec:
 
     Site j carries the raising operator and site j+d the lowering one (and
     conjugates).  sign selects the real ('+') or imaginary ('-') pairing.
-    The full term is the constant operator times cos(omega*t + phase).
+    The spec fixes the constant operator (driving_operator); the drive's
+    frequency and phase belong to the protocol that modulates it.
     """
 
     j: int
     d: int
     sign: str
     J_D: float
-    omega: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
         if self.j < 0 or self.d < 1:
             raise ValueError("need j >= 0 and d >= 1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "d": self.d,
-            "sign": self.sign,
-            "J_D": self.J_D,
-            "omega": self.omega,
-            "phase": self.phase,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DrivingSpec":
-        return cls(
-            j=int(doc["j"]),
-            d=int(doc["d"]),
-            sign=str(doc["sign"]),
-            J_D=float(doc["J_D"]),
-            omega=float(doc["omega"]),
-            phase=float(doc.get("phase", 0.0)),
-        )
 
 
 def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
@@ -250,7 +205,3 @@ def driving_operator(spec: DrivingSpec, N: int, states=None) -> np.ndarray:
     amp = spec.J_D if spec.sign == "+" else 1.0j * spec.J_D
     return _hopping_block(N, states, [(a, b)], [amp])
 
-
-def build_driving(spec: DrivingSpec, N: int, t: float) -> np.ndarray:
-    """Drive Hamiltonian at absolute time t."""
-    return math.cos(spec.omega * t + spec.phase) * driving_operator(spec, N)

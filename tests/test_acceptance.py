@@ -19,7 +19,7 @@ from kchain.driving import (
     iswap_target,
     run_iswap_protocol,
 )
-from kchain.eigengate import VARIANTS, build_eigengate, check_intertwining, mapping_table, expected_phase, bch_rotation_residual, so3_checks
+from kchain.eigengate import build_eigengate, check_intertwining, compare_forms, rotation_checks
 from kchain.experiments import (
     FIG3_EPS_GRID,
     SweepConfig,
@@ -63,14 +63,9 @@ def test_criterion_01_single_particle_spectrum():
 def test_criterion_02_eigengate_mapping_and_phases():
     worst_overlap, worst_phase = 1.0, 0.0
     for N in (2, 4, 6, 8):
-        n = N - 1
-        for variant in VARIANTS:
-            gate = build_eigengate(N, 1.0, variant)
-            mags, phases = mapping_table(gate)
-            worst_overlap = min(worst_overlap, float(np.min(mags)))
-            for state in range(2**N):
-                q = bin(state).count("1")
-                worst_phase = max(worst_phase, abs(phases[state] - expected_phase(q, n)))
+        for form in compare_forms(N)["variants"].values():
+            worst_overlap = min(worst_overlap, form["min_overlap"])
+            worst_phase = max(worst_phase, form["max_phase_deviation"])
     assert worst_overlap > 1.0 - 1e-9, worst_overlap
     assert worst_phase < 1e-9, worst_phase
     report(2, "eigengate mapping, both forms", f"min overlap 1-{1-worst_overlap:.1e}, max phase dev {worst_phase:.1e}")
@@ -90,9 +85,8 @@ def test_criterion_03_intertwining():
 def test_criterion_04_rotation_algebra_and_meixner():
     worst = 0.0
     for N in (2, 4, 6):
-        worst = max(worst, max(so3_checks(N).values()))
-        for theta in (0.0, np.pi / 2.0, np.pi):
-            worst = max(worst, bch_rotation_residual(N, 1.0, theta))
+        so3, bch = rotation_checks(N, 1.0, (0.0, np.pi / 2.0, np.pi))
+        worst = max(worst, *so3.values(), *bch)
     assert worst < 1e-9, worst
     worst_meixner = max(meixner_identity_check(n) for n in range(2, 10))
     assert worst_meixner < 1e-9, worst_meixner

@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 
 from kchain.circuits import (
-    Circuit,
-    GateOp,
+    HADAMARD,
+    S_GATE,
     cns_decomposition,
     cns_unitary,
-    compose,
     ctrl_iswap2_circuit,
     ctrl_iswap2_target,
     ctrl_x_circuit,
     ctrl_x_target,
     iswap2,
     phase_gate,
-    primitive,
     scn_unitary,
     verify_ctrl_iswap2_circuit,
     verify_ctrl_x_circuit,
 )
 from kchain.driving import ProtocolParams, iswap_target, run_iswap_protocol
-from kchain.linalg import assert_unitary, basis_index, basis_state
+from kchain.linalg import PAULI_X, assert_unitary, basis_index, basis_state
 
 
 def test_iswap2_matrix():
@@ -62,40 +60,16 @@ def test_phase_gate_is_squared_swap():
         assert np.sum(diag) == 2**N - 4
 
 
-# ------------------------------------------------------------ circuit layer
+# ----------------------------------------------------------- gate matrices
 
 
 def test_primitive_blocks_are_unitary():
-    for name, sites in (("X", (0,)), ("H", (0,)), ("Z^-1/2", (1,)), ("iSWAP2", (0, 1)), ("CNS", (0, 1)), ("SCN", (1, 2))):
-        op = primitive(name, sites)
-        assert op.name == name
-        assert_unitary(op.block, tol=1e-12)
-    assert np.allclose(primitive("iSWAP_N", tuple(range(4)), N=4).block, iswap_target(4))
-    assert np.allclose(primitive("PHASE_N", tuple(range(4)), N=4).block, phase_gate(4))
-
-
-def test_primitive_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        primitive("TOFFOLI", (0, 1, 2))
-
-
-def test_gate_op_validation():
-    with pytest.raises(ValueError):
-        GateOp("x", (0, 0), np.eye(4))
-    with pytest.raises(ValueError):
-        GateOp("x", (0,), np.eye(4))  # block size must match site count
-    with pytest.raises(ValueError):
-        Circuit(2, (primitive("X", (5,)),))  # site out of range
-
-
-def test_compose_applies_ops_in_order():
-    assert np.allclose(compose(Circuit(2, ())), np.eye(4))
-    twice = Circuit(1, (primitive("X", (0,)), primitive("X", (0,))))
-    assert np.allclose(compose(twice), np.eye(2))
-    # H then X on one qubit: matrix product is X @ H
-    hx = Circuit(1, (primitive("H", (0,)), primitive("X", (0,))))
-    expected = primitive("X", (0,)).block @ primitive("H", (0,)).block
-    assert np.allclose(compose(hx), expected)
+    # every gate the constructions multiply together
+    for block in (PAULI_X, HADAMARD, S_GATE.conj().T, iswap2(), cns_unitary(), scn_unitary()):
+        assert_unitary(block, tol=1e-12)
+    for N in (4, 6):
+        assert_unitary(iswap_target(N), tol=1e-12)
+        assert_unitary(phase_gate(N), tol=1e-12)
 
 
 # ----------------------------------------------------- composite gate checks

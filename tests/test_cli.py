@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from kchain import cli
 from kchain.cli import main
 
 
@@ -50,6 +51,20 @@ def test_eigengate_check_json(capsys):
     assert doc["max_phase_deviation"] < 1e-9
     assert doc["intertwining_residual"] < doc["intertwining_allowance"]
     assert set(doc["variants"]) == {"three_step", "single_pulse"}
+
+
+@pytest.mark.parametrize("broken", ["so3", "bch"])
+def test_eigengate_check_fails_on_a_rotation_residual(capsys, monkeypatch, broken):
+    # the so(3) and BCH residuals it reports count toward its exit code,
+    # as they do in verify-all
+    def rotation_checks(N, J, thetas):
+        so3 = {"xy_z": 0.0, "yz_x": 0.0, "zx_y": 1.0 if broken == "so3" else 0.0}
+        return so3, [1.0 if broken == "bch" else 0.0 for _ in thetas]
+
+    monkeypatch.setattr(cli, "rotation_checks", rotation_checks)
+    rc, out = run_cli(capsys, "eigengate-check", "--n", "4")
+    assert rc == 1
+    assert json.loads(out)["N"] == 4
 
 
 def test_drive_json_report(capsys):

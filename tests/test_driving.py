@@ -1,6 +1,7 @@
 """Tests for pulse scheduling, the Magnus integrator, and the resonant swap protocol."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ def _sector_blocks(N, sign, pairs, eps, seed):
     run_iswap_protocol, and the inversion phases."""
     h = build_hk(apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=eps, seed=seed)))
     v = sum(
-        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=0.3, omega=1.0), N)
+        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=0.3), N)
         for j in pairs
     )
     p = np.exp(-1.0j * np.pi * hz_diagonal(N, 1.0))
@@ -262,12 +263,8 @@ def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed
     bases = [driving._drive_basis(h, v) for h, v, _ in blocks]
     stepped = [driving._half_period_maps(basis, omega, phase, nsub) for basis in bases]
     for q in range(N // 2 + 1):
-        mirrored_b = 2 * q == N and sign == "-"
-        ua, ub = driving._half_period_maps(bases[q], omega, phase, nsub, mirrored_b)
-        derived = {q: (ua, ub), N - q: driving._partner_maps(ua, ub, sign)}
-        for p, maps in derived.items():
-            for got, want in zip(maps, stepped[p]):
-                assert np.max(np.abs(got - want)) <= 1e-13, (p, sign)
+        for got, want in zip(driving._partner_maps(*stepped[q], sign), stepped[N - q]):
+            assert np.max(np.abs(got - want)) <= 1e-13, (N - q, sign)
         partners = (q,) if 2 * q == N else (q, N - q)
         for inversion in (True, False):
             inverts = [blocks[p][2] if inversion else None for p in partners]
@@ -368,8 +365,8 @@ def test_off_resonant_protocol_matches_explicit_schedule(omega):
 @pytest.mark.parametrize("N, per_level", [(4, 2), (6, 3), (8, 4)])
 def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_level):
     # with the calibrated phase each sector 0 < q <= N/2 steps its first
-    # half-period only, the second being its transpose (or, on q = N/2 of a
-    # '-' pairing, its reverse); q = 0 and every q > N/2 step none
+    # half-period only, the second being its transpose; q = 0 and every
+    # q > N/2 step none
     calls = []
     kernel = driving._expm_stack
 
@@ -420,17 +417,22 @@ def _count_expm_stacks(monkeypatch):
 )
 def test_transposed_second_half_period_matches_stepped(N, sign, pairs, seed):
     params = ProtocolParams(N=N, sign=sign, pairs=pairs, noise_eps=0.01, seed=seed)
-    omega, _, phase = drive_calibration(params)
+    if (N, sign, pairs) in {(6, "+", (0, 1)), (8, "-", (0, 1))}:
+        # these drives couple nothing, so there is no calibrated phase; take
+        # one the rule allows: a multiple of pi under '+', an odd multiple of
+        # pi/2 under '-'
+        omega, phase = resonance_frequency(N), -np.pi if sign == "+" else -np.pi / 2
+    else:
+        omega, _, phase = drive_calibration(params)
     for q, (h, v, _) in enumerate(_sector_blocks(N, sign, pairs, 0.01, seed)[: N // 2 + 1]):
         assert driving._transposes_halves(h, v, sign)
         ua, ub = driving._half_period_maps(driving._drive_basis(h, v), omega, phase, 32)
         assert np.max(np.abs(ub - ua.T)) <= 1e-13, q
 
 
-@pytest.mark.parametrize("N, per_level", [(4, 4), (6, 5)])
+@pytest.mark.parametrize("N, per_level", [(4, 4), (6, 6)])
 def test_caller_supplied_phase_steps_both_half_periods(monkeypatch, N, per_level):
-    # as without the transposition: sectors 0 < q < N/2 step both halves,
-    # q = N/2 one under a '-' pairing (N = 6) and two under '+'
+    # as without the transposition: every sector 0 < q <= N/2 steps both halves
     calls = _count_expm_stacks(monkeypatch)
     params = ProtocolParams(N=N, M=4, drive_phase=0.4)
     run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
@@ -470,6 +472,16 @@ def test_unpaired_sectors_are_rejected(monkeypatch):
     monkeypatch.setattr(driving, "krawtchouk_chain", chain_with_field)
     with pytest.raises(ValueError, match="particle-hole partners"):
         run_iswap_protocol(ProtocolParams(N=4, M=1))
+
+
+def test_refinement_stops_at_a_nan_block():
+    # a NaN anywhere among the blocks must stop the loop, also when a finite
+    # block comes first (a plain max over the distances would drop the NaN)
+    def compute(nsub):
+        return [np.eye(2), np.full((2, 2), np.nan)]
+
+    with pytest.raises(RuntimeError, match="non-finite change"):
+        driving._refine(compute, 1e-9, 4, 3, "test loop")
 
 
 def test_refinement_history_ends_at_the_reported_level():
@@ -596,6 +608,28 @@ def test_calibration_exact_values():
     assert phase == pytest.approx(-np.pi / 2.0, abs=1e-12)
     # drive amplitude J/(4M) equals 5/64 of the calibrated strength at N=6
     assert (1.0 / 16.0) / j_d == pytest.approx(5.0 / 64.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProtocolParams(N=4, M=1, sign="-"),
+        ProtocolParams(N=8, M=4, sign="-", pairs=(0, 3), noise_eps=0.05, seed=3),
+    ],
+)
+def test_drive_that_couples_nothing_is_rejected(params):
+    # the pair terms cancel in the target element up to roundoff
+    pairs = re.escape(str(params.pairs or default_drive_pairs(params.N)))
+    with pytest.raises(ValueError, match=f"pairs {pairs} with sign '-' .* at N={params.N} "):
+        drive_calibration(params)
+    with pytest.raises(ValueError, match="does not couple the target states"):
+        run_iswap_protocol(params)
+
+
+def test_weakest_real_coupling_is_calibrated():
+    # pair 0 under '+' at N = 12: |V_ab| = 2.0e-8, far above the floor
+    _, j_d, _ = drive_calibration(ProtocolParams(N=12, M=1, sign="+", pairs=(0,)))
+    assert 1e7 < j_d < 1e8
 
 
 def test_headline_gate_errors_frozen():

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from kchain.eigengate import (
     VARIANTS,
-    bch_rotation_residual,
-    bch_rotation_residuals,
     build_eigengate,
     check_intertwining,
     compare_forms,
@@ -16,23 +14,21 @@ from kchain.eigengate import (
     expected_phase,
     free_fermion_block,
     free_fermion_trace_error,
-    mapping_table,
-    noisy_eigengate_error,
     noisy_eigengate_errors,
     rotation_checks,
-    so3_checks,
 )
 from kchain.hamiltonians import build_hk, build_hz, krawtchouk_chain, single_particle_hopping
-from kchain.linalg import assert_unitary, expm_hermitian, sector_indices, trace_error
+from kchain.krawtchouk import build_basis, eigenstate_vector
+from kchain.linalg import assert_unitary, expm_hermitian, occupied_sites, sector_indices, trace_error
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_eigengate_maps_states_with_clean_phases(N, variant):
-    gate = build_eigengate(N, 1.0, variant)
-    assert_unitary(gate.unitary)
-    mags, phases = mapping_table(gate)
-    assert np.min(mags) > 1.0 - 1e-9
+    form = compare_forms(N)["variants"][variant]
+    assert_unitary(form["gate"].unitary)
+    phases = form["phases"]
+    assert form["min_overlap"] > 1.0 - 1e-9
     n = N - 1
     for state in range(2**N):
         q = bin(state).count("1")
@@ -68,7 +64,7 @@ def test_intertwining_swaps_hamiltonians(N):
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_so3_structure(N):
-    res = so3_checks(N)
+    res, _ = rotation_checks(N, 1.0, ())
     assert set(res) == {"xy_z", "yz_x", "zx_y"}
     assert max(res.values()) < 1e-9
 
@@ -76,13 +72,13 @@ def test_so3_structure(N):
 @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi])
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_bch_rotation_identity_grid(N, theta):
-    assert bch_rotation_residual(N, 1.0, theta) < 1e-9
+    assert rotation_checks(N, 1.0, [theta])[1][0] < 1e-9
 
 
 @given(st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False))
 @settings(max_examples=20, deadline=None)
 def test_bch_rotation_identity_any_angle(theta):
-    assert bch_rotation_residual(4, 1.0, theta) < 1e-9
+    assert rotation_checks(4, 1.0, [theta])[1][0] < 1e-9
 
 
 @pytest.mark.parametrize("N", [4, 6])
@@ -118,13 +114,13 @@ NOISY_FROZEN = {
 
 @pytest.mark.parametrize("N", sorted(NOISY_FROZEN))
 def test_noisy_error_frozen_values(N):
-    got = noisy_eigengate_error(N, 1.0, 0.05, 123)
+    got = noisy_eigengate_errors(N, 1.0, 0.05, [123])[0]
     assert got == pytest.approx(NOISY_FROZEN[N], rel=1e-9)
 
 
 def test_noise_free_error_vanishes():
     for N in (4, 6):
-        assert noisy_eigengate_error(N, 1.0, 0.0, 0) < 1e-12
+        assert noisy_eigengate_errors(N, 1.0, 0.0, [0])[0] < 1e-12
 
 
 def test_unknown_variant_rejected():
@@ -134,11 +130,24 @@ def test_unknown_variant_rejected():
 
 @pytest.mark.parametrize("N, eps", [(2, 1e-3), (4, 0.05), (8, 1e-2), (12, 3e-3)])
 def test_stacked_noisy_errors_equal_single_calls_exactly(N, eps):
+    # the fig3 sweep scores a grid point in stacks of FIG3_BATCH, so an error
+    # must not depend on the stack it was scored in
     seeds = [17 * k + N for k in range(24)]
     stacked = noisy_eigengate_errors(N, 1.0, eps, seeds)
     assert stacked.shape == (len(seeds),)
     for seed, got in zip(seeds, stacked):
-        assert got == noisy_eigengate_error(N, 1.0, eps, seed)
+        assert got == noisy_eigengate_errors(N, 1.0, eps, [seed])[0]
+
+
+def _mapping_table(gate):
+    """Per-gate route: overlaps <s|_chain U |s> of every label s against
+    eigenstates built afresh for this gate."""
+    basis = build_basis(gate.N - 1, gate.J)
+    mags, phases = np.zeros(2**gate.N), np.zeros(2**gate.N, dtype=complex)
+    for s in range(2**gate.N):
+        amp = complex(eigenstate_vector(basis, occupied_sites(s, gate.N)).conj() @ gate.unitary[:, s])
+        mags[s], phases[s] = abs(amp), amp / abs(amp)
+    return mags, phases
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
@@ -149,7 +158,7 @@ def test_compare_forms_scores_equal_mapping_table_per_gate(N):
         form = report["variants"][variant]
         gate = build_eigengate(N, 1.0, variant)
         assert np.array_equal(form["gate"].unitary, gate.unitary)
-        mags, phases = mapping_table(gate)
+        mags, phases = _mapping_table(gate)
         assert form["min_overlap"] == float(mags.min())
         assert np.array_equal(form["phases"], phases)
         dev = max(abs(phases[s] - expected_phase(bin(s).count("1"), n)) for s in range(2**N))
@@ -175,19 +184,26 @@ def _bch_residual_reference(N, theta):
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
 def test_bch_residuals_equal_per_angle_calls_exactly(N):
     thetas = [0.0, np.pi / 2, np.pi, 0.37, -2.1]
-    batch = bch_rotation_residuals(N, 1.0, thetas)
+    _, batch = rotation_checks(N, 1.0, thetas)
     assert len(batch) == len(thetas)
     for theta, got in zip(thetas, batch):
-        assert got == bch_rotation_residual(N, 1.0, theta)
         assert got == _bch_residual_reference(N, theta)
+
+
+def _so3_reference(N):
+    """Commutator residuals from a fresh angular-momentum triple."""
+    lx, lz = build_hk(krawtchouk_chain(N, 1.0)), build_hz(N, 1.0)
+    ly = -1.0j * (lz @ lx - lx @ lz)
+    residual = lambda a, b, c: float(np.max(np.abs(a @ b - b @ a - 1.0j * c)))
+    return {"xy_z": residual(lx, ly, lz), "yz_x": residual(ly, lz, lx), "zx_y": residual(lz, lx, ly)}
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_rotation_checks_equal_separate_calls_exactly(N):
     thetas = [0.0, np.pi / 2, 0.37]
     so3, bch = rotation_checks(N, 1.0, thetas)
-    assert so3 == so3_checks(N, 1.0)
-    assert bch == bch_rotation_residuals(N, 1.0, thetas)
+    assert so3 == _so3_reference(N)
+    assert bch == [rotation_checks(N, 1.0, [theta])[1][0] for theta in thetas]
 
 
 @pytest.mark.parametrize("N", range(2, 9))
