@@ -19,7 +19,7 @@ from .hamiltonians import (
 )
 from .krawtchouk import build_basis, driving_sign, eigenstate_vector, manybody_energy
 from .eigengate import eigengate_single_particle, free_fermion_block
-from .linalg import basis_index, max_column_distance, sector_indices, trace_error
+from .linalg import basis_index, max_column_distance, sector_indices
 
 __all__ = [
     "StaticSegment",
@@ -415,11 +415,15 @@ def resonance_frequency(N: int, J: float = 1.0) -> float:
     return _band_gap(build_basis(N - 1, J))
 
 
+def _target_states(N: int) -> tuple:
+    """Basis indices of |1..10..0> and |0..01..1>, the states the protocol swaps."""
+    half = N // 2
+    return basis_index([1] * half + [0] * half), basis_index([0] * half + [1] * half)
+
+
 def iswap_target(N: int) -> np.ndarray:
     """Swap of |1..10..0> and |0..01..1> with phase i, identity elsewhere."""
-    half = N // 2
-    a = basis_index([1] * half + [0] * half)
-    b = basis_index([0] * half + [1] * half)
+    a, b = _target_states(N)
     target = np.eye(2**N, dtype=complex)
     target[a, a] = target[b, b] = 0.0
     target[a, b] = target[b, a] = 1.0j
@@ -433,14 +437,87 @@ def _drive_layout(params: ProtocolParams) -> tuple:
     return sign, params.pairs if params.pairs is not None else default_drive_pairs(N)
 
 
-def _unit_drive(params: ProtocolParams, states=None) -> np.ndarray:
-    """The protocol's drive at J_D = 1 on the basis indices states (all if None)."""
-    N = params.N
-    sign, pairs = _drive_layout(params)
+def _unit_drive(N: int, sign: str, pairs: tuple, states=None) -> np.ndarray:
+    """The drive on pairs with sign at J_D = 1 on the basis indices states (all if None)."""
     return sum(
         driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=1.0), N, states)
         for j in pairs
     )
+
+
+def _read_only(arrays) -> tuple:
+    """The arrays as a tuple, each marked read only."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return tuple(arrays)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _DrivePlan:
+    """What every protocol run on the drive on pairs with sign on the chain
+    (N, J) shares, noise aside: a sweep redraws only the couplings, and M,
+    the drive phase and the inversion are applied per run.
+
+    Built with the plan: each excitation sector's basis indices, the drive
+    frequency, the two target states' positions in the half-filled sector,
+    and the unit drive's transition element V_ab between them and its
+    largest entry in that sector.
+    Built on first use, per sector q = 0..N: the drive at J_D = 1, the
+    inversion pulse's phases and the eigengate's block, so a calibration
+    alone builds no other sector's blocks.  Every array is read only.
+    """
+
+    N: int
+    J: float
+    sign: str
+    pairs: tuple
+    sectors: tuple
+    targets: tuple
+    omega: float
+    v_ab: complex
+    v_max: float
+
+    @functools.cached_property
+    def unit_blocks(self) -> tuple:
+        return _read_only([_unit_drive(self.N, self.sign, self.pairs, ix) for ix in self.sectors])
+
+    @functools.cached_property
+    def inverts(self) -> tuple:
+        p_diag = np.exp(-1.0j * math.pi * hz_diagonal(self.N, self.J) / self.J)
+        return _read_only([p_diag[ix] for ix in self.sectors])
+
+    @functools.cached_property
+    def eigengate_blocks(self) -> tuple:
+        u_sp = eigengate_single_particle(self.N, self.J, "three_step")
+        return _read_only([free_fermion_block(u_sp, ix) for ix in self.sectors])
+
+
+# typed: J = 1 and J = 1.0 get plans of their own, each built from the J
+# its runs were given
+@functools.lru_cache(maxsize=8, typed=True)
+def _layout_plan(N: int, J: float, sign: str, pairs: tuple) -> _DrivePlan:
+    """The _DrivePlan of one drive layout, built once per layout."""
+    basis = build_basis(N - 1, J)
+    sectors = _read_only([sector_indices(N, q) for q in range(N + 1)])
+    half = sectors[N // 2]
+    bra = eigenstate_vector(basis, range(N // 2, N))[half]
+    ket = eigenstate_vector(basis, range(N // 2))[half]
+    v_half = _unit_drive(N, sign, pairs, half)
+    return _DrivePlan(
+        N=N,
+        J=J,
+        sign=sign,
+        pairs=pairs,
+        sectors=sectors,
+        targets=tuple(int(np.searchsorted(half, t)) for t in _target_states(N)),
+        omega=_band_gap(basis),
+        v_ab=complex(bra.conj() @ (v_half @ ket)),
+        v_max=np.abs(v_half).max(),
+    )
+
+
+def _plan(params: ProtocolParams) -> _DrivePlan:
+    return _layout_plan(params.N, params.J, *_drive_layout(params))
 
 
 # Smallest |V_ab| / max|V| of a drive that couples the two target states.
@@ -458,26 +535,21 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     from the argument of the transition matrix element so that both special
     states acquire the phase +i; a caller-supplied phase overrides it.  A
     drive whose element is within _COUPLING_FLOOR of zero raises ValueError.
+    omega and the element come from the layout's cached _DrivePlan.
     """
-    N, J, M = params.N, params.J, params.M
-    basis = build_basis(N - 1, J)
-    omega = _band_gap(basis)
-    half = sector_indices(N, N // 2)
-    bra = eigenstate_vector(basis, range(N // 2, N))[half]
-    ket = eigenstate_vector(basis, range(N // 2))[half]
-    v_half = _unit_drive(params, half)
-    v_ab = complex(bra.conj() @ (v_half @ ket))
-    if abs(v_ab) <= _COUPLING_FLOOR * np.abs(v_half).max():
-        sign, pairs = _drive_layout(params)
+    J, M = params.J, params.M
+    plan = _plan(params)
+    v_ab = plan.v_ab
+    if abs(v_ab) <= _COUPLING_FLOOR * plan.v_max:
         raise ValueError(
-            f"the drive on pairs {pairs} with sign '{sign}' does not couple the "
-            f"target states at N={N} (|V_ab| = {abs(v_ab):.1e})"
+            f"the drive on pairs {plan.pairs} with sign '{plan.sign}' does not couple the "
+            f"target states at N={params.N} (|V_ab| = {abs(v_ab):.1e})"
         )
     j_d = (J / (4.0 * M)) / (abs(v_ab) / 2.0)
     phase = params.drive_phase
     if phase is None:
         phase = cmath.phase(v_ab) - math.pi
-    return omega, j_d, phase
+    return plan.omega, j_d, phase
 
 
 def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> PulseSchedule:
@@ -494,7 +566,7 @@ def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> Pu
     N, J = params.N, params.J
     omega, j_d, phase = drive_builder if drive_builder is not None else drive_calibration(params)
     h0 = build_hk(krawtchouk_chain(N, J))
-    vop = j_d * _unit_drive(params)
+    vop = j_d * _unit_drive(N, *_drive_layout(params))
     hz = build_hz(N, J)
     half = params.tau_d / 2.0
     pulse = math.pi / J
@@ -671,6 +743,23 @@ def _check_particle_hole_pairing(h_blocks, v_blocks, sign: str) -> None:
             )
 
 
+def _swap_trace_error(blocks, targets) -> float:
+    """trace_error(iswap_target(N), U) from U's sector blocks q = 0..N.
+
+    The target is the identity but on the two states at positions targets
+    of the half-filled sector, which it swaps with phase i.  So Tr(T U^dagger)
+    is the conjugate of the sum of the blocks' traces with, in that sector,
+    the targets' diagonal entries U_aa, U_bb replaced by -i U_ab, -i U_ba.
+    """
+    N = len(blocks) - 1
+    traces = [np.trace(blk) for blk in blocks]
+    half, (a, b) = blocks[N // 2], targets
+    diag = np.diagonal(half).copy()
+    diag[[a, b]] = -1.0j * half[[a, b], [b, a]]
+    traces[N // 2] = diag.sum()
+    return 1.0 - abs(sum(traces)) / 2**N
+
+
 def run_iswap_protocol(
     params: ProtocolParams,
     tol: float = 1e-9,
@@ -695,6 +784,10 @@ def run_iswap_protocol(
     ('-', the drive half a period later).  These preconditions are checked
     exactly on the sector blocks of every run, and a ValueError is raised
     if they fail.
+
+    What does not depend on the noise, M, the drive phase or the inversion
+    (the sector indices, the unit drive blocks, the inversion phases and
+    the eigengate's blocks) comes from the layout's cached _DrivePlan.
     """
     N, J, M = params.N, params.J, params.M
     if nsub0 < 1:
@@ -704,16 +797,15 @@ def run_iswap_protocol(
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         omega = float(omega_override)
-    sign = _drive_layout(params)[0]
+    plan = _plan(params)
+    sign = plan.sign
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
     spec = apply_coupling_noise(spec)
-    sectors = [sector_indices(N, q) for q in range(N + 1)]
-    h_blocks = [build_hk(spec, ix) for ix in sectors]
-    v_blocks = [j_d * _unit_drive(params, ix) for ix in sectors]
+    h_blocks = [build_hk(spec, ix) for ix in plan.sectors]
+    v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_particle_hole_pairing(h_blocks, v_blocks, sign)
-    p_diag = np.exp(-1.0j * math.pi * hz_diagonal(N, J) / J)
-    inverts = [p_diag[ix] if params.halfway_inversion else None for ix in sectors]
+    inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)
     stepped = [
         (_drive_basis(h, v), params.drive_phase is None and _transposes_halves(h, v, sign))
         for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])
@@ -735,12 +827,12 @@ def run_iswap_protocol(
     windows, history = _refine(drive_window, tol, nsub0, max_refine, where)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
-    u_sp = eigengate_single_particle(N, J, "three_step")
     u_total = np.zeros((2**N, 2**N), dtype=complex)
-    for ix, window in zip(sectors, windows):
-        u_k = free_fermion_block(u_sp, ix)
-        u_total[np.ix_(ix, ix)] = u_k.conj().T @ window @ u_k
-    error = trace_error(iswap_target(N), u_total)
+    blocks = []
+    for ix, window, u_k in zip(plan.sectors, windows, plan.eigengate_blocks):
+        blocks.append(u_k.conj().T @ window @ u_k)
+        u_total[np.ix_(ix, ix)] = blocks[-1]
+    error = _swap_trace_error(blocks, plan.targets)
     return ProtocolResult(
         unitary=u_total,
         error=error,

@@ -7,18 +7,12 @@ deliberate act, not a test edit in passing.
 """
 
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 from kchain.circuits import ctrl_iswap2_circuit, verify_ctrl_iswap2_circuit, verify_ctrl_x_circuit
-from kchain.driving import (
-    ProtocolParams,
-    gate_time_accounting,
-    iswap_target,
-    run_iswap_protocol,
-)
+from kchain.driving import ProtocolParams, gate_time_accounting, run_iswap_protocol
 from kchain.eigengate import build_eigengate, check_intertwining, compare_forms, rotation_checks
 from kchain.experiments import (
     FIG3_EPS_GRID,
@@ -38,7 +32,7 @@ from kchain.krawtchouk import (
     matrix_element_bruteforce,
     meixner_identity_check,
 )
-from kchain.linalg import SIGMA_MINUS, SIGMA_PLUS, basis_index, tensor_embed, trace_error
+from kchain.linalg import SIGMA_MINUS, SIGMA_PLUS, basis_index, tensor_embed
 
 
 def report(num, label, detail):

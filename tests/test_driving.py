@@ -286,7 +286,7 @@ def _step_every_sector(params):
     h = build_hk(apply_coupling_noise(
         krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed)
     ))
-    v = j_d * driving._unit_drive(params)
+    v = j_d * driving._unit_drive(params.N, *driving._drive_layout(params))
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
@@ -792,7 +792,131 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
         monkeypatch.setattr(driving, name, sector_only(getattr(driving, name)))
     monkeypatch.setattr(eigengate, "build_eigengate", no_dense_eigengate)
     monkeypatch.setattr(driving, "build_eigengate", no_dense_eigengate, raising=False)
+    # a cached drive plan would skip the guarded builders
+    driving._layout_plan.cache_clear()
     res = run_iswap_protocol(ProtocolParams(N=N, M=4, noise_eps=0.01, seed=3))
     assert res.unitary.shape == (2**N, 2**N)
     with pytest.raises(AssertionError, match="dense build_hk"):
         halfway_inversion_segments(ProtocolParams(N=N, M=4))
+
+
+# ---------------------------------------------------------------- drive plan
+
+
+def _outcome(params):
+    """Every output of a run as comparable values, or its ValueError's message."""
+    try:
+        res = run_iswap_protocol(params)
+    except ValueError as exc:
+        return str(exc)
+    return (
+        res.unitary.tobytes(), res.error, res.omega, res.J_D, res.drive_phase, res.refinement
+    )
+
+
+def test_warm_plan_run_equals_cold_run_byte_for_byte():
+    params = ProtocolParams(N=6, M=16, noise_eps=0.01, seed=5)
+    driving._layout_plan.cache_clear()
+    cold = _outcome(params)
+    warm = _outcome(params)
+    assert driving._layout_plan.cache_info().hits > 0
+    assert warm == cold
+
+
+def test_plan_arrays_are_read_only():
+    N = 6
+    plan = driving._plan(ProtocolParams(N=N))
+    fields = (plan.sectors, plan.unit_blocks, plan.inverts, plan.eigengate_blocks)
+    arrays = [arr for field in fields for arr in field]
+    assert len(arrays) == len(fields) * (N + 1)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+_CACHED_LAYOUT = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=2)
+
+
+@pytest.mark.parametrize(
+    "change, shares_plan",
+    [
+        ({"J": 1.5}, False),
+        ({"sign": "-"}, False),  # couples nothing at N=4: raises both ways
+        ({"pairs": (0,)}, False),
+        ({"M": 2}, True),
+        ({"drive_phase": 0.4}, True),
+        ({"halfway_inversion": False}, True),
+    ],
+)
+def test_run_off_a_cached_layout_equals_its_cold_run(change, shares_plan):
+    params = dataclasses.replace(_CACHED_LAYOUT, **change)
+    driving._layout_plan.cache_clear()
+    cold = _outcome(params)
+    driving._layout_plan.cache_clear()
+    run_iswap_protocol(_CACHED_LAYOUT)
+    assert _outcome(params) == cold
+    assert driving._layout_plan.cache_info().misses == (1 if shares_plan else 2)
+
+
+def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
+    N = 4
+    calls = {"eigengate_single_particle": 0, "_unit_drive": 0}
+
+    def counted(name):
+        build = getattr(driving, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(driving, name, counted(name))
+    driving._layout_plan.cache_clear()
+    for seed in range(10):
+        run_iswap_protocol(ProtocolParams(N=N, M=1, noise_eps=0.01, seed=seed))
+    # the unit drive once for the calibration, then once per sector
+    assert calls == {"eigengate_single_particle": 1, "_unit_drive": 1 + (N + 1)}
+
+
+def test_drive_that_couples_nothing_raises_on_every_run():
+    params = ProtocolParams(N=4, M=1, sign="-")
+    driving._layout_plan.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="does not couple the target states"):
+            run_iswap_protocol(params)
+    assert driving._layout_plan.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProtocolParams(N=4, M=1),
+        ProtocolParams(N=6, M=4),
+        ProtocolParams(N=8, M=4),
+        ProtocolParams(N=6, M=16, noise_eps=0.01, seed=1),
+        ProtocolParams(N=6, M=20, noise_eps=0.01, seed=4),
+        ProtocolParams(N=8, M=16, noise_eps=0.01, seed=1),
+    ],
+)
+def test_block_trace_error_matches_dense_target(params):
+    res = run_iswap_protocol(params)
+    assert abs(res.error - trace_error(iswap_target(params.N), res.unitary)) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_block_trace_error_on_random_sector_blocks(rng, N):
+    # any block-diagonal unitary, the target pair's entries included
+    blocks = []
+    for q in range(N + 1):
+        n = len(sector_indices(N, q))
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        blocks.append(np.linalg.qr(z)[0])
+    u = np.zeros((2**N, 2**N), dtype=complex)
+    for q, blk in enumerate(blocks):
+        ix = sector_indices(N, q)
+        u[np.ix_(ix, ix)] = blk
+    targets = driving._plan(ProtocolParams(N=N)).targets
+    want = trace_error(iswap_target(N), u)
+    assert abs(driving._swap_trace_error(blocks, targets) - want) <= 1e-15

@@ -1,11 +1,12 @@
 """Tests for Monte Carlo sweeps, seeding discipline, and the demo protocols."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from kchain import experiments
+from kchain import driving, experiments
 from kchain.experiments import (
     DEFAULT_SAMPLES,
     FIG2_EPS_GRID,
@@ -62,6 +63,18 @@ def test_fig2_point_frozen_and_thread_invariant():
     assert stderr == pytest.approx(0.00038966154549248486, rel=1e-12)
     threaded = SweepConfig(protocol="fig2", n_values=(6,), m_values=(4,), eps_values=(1e-2,), samples=12, threads=4)
     assert sweep_fig2(threaded) == rows
+
+
+def test_fig2_threads_building_one_plan_match_one_thread():
+    # the worker threads race to build the layout's drive plan, then share it
+    cfg = SweepConfig(
+        protocol="fig2", n_values=(6,), m_values=(16, 20), eps_values=(1e-2,), samples=8,
+        threads=4,
+    )
+    driving._layout_plan.cache_clear()
+    threaded = sweep_fig2(cfg)
+    driving._layout_plan.cache_clear()
+    assert sweep_fig2(dataclasses.replace(cfg, threads=1)) == threaded
 
 
 def test_fig2_noiseless_point_is_single_run():
