@@ -7,8 +7,8 @@ The package is organized bottom-up:
 - :mod:`kchain.krawtchouk` -- exact mode data: polynomials, minors,
   transition matrix elements, many-body energies.
 - :mod:`kchain.eigengate` -- the eigenbasis-mapping gate and its identities.
-- :mod:`kchain.driving` -- pulse schedules, the Magnus integrator, and the
-  resonant multi-qubit swap protocol.
+- :mod:`kchain.driving` -- the resonant multi-qubit swap protocol and its
+  sixth-order Magnus drive stepper.
 - :mod:`kchain.circuits` -- controlled gates assembled from the swap.
 - :mod:`kchain.experiments` -- seeded Monte Carlo sweeps and demos.
 - :mod:`kchain.cli` -- the ``kchain`` command line tool.

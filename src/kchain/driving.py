@@ -1,4 +1,4 @@
-"""Time-dependent propagation and the resonant multi-qubit swap protocol."""
+"""The resonant multi-qubit swap protocol and its sixth-order Magnus drive stepper."""
 
 import cmath
 import dataclasses
@@ -12,7 +12,6 @@ from .hamiltonians import (
     DrivingSpec,
     apply_coupling_noise,
     build_hk,
-    build_hz,
     driving_operator,
     hz_diagonal,
     krawtchouk_chain,
@@ -22,12 +21,6 @@ from .eigengate import eigengate_single_particle, free_fermion_block
 from .linalg import basis_index, max_column_distance, sector_indices
 
 __all__ = [
-    "StaticSegment",
-    "DriveSegment",
-    "CallableSegment",
-    "PulseSchedule",
-    "propagate_unitary",
-    "two_level_hamiltonian",
     "two_level_error",
     "ProtocolParams",
     "ProtocolResult",
@@ -35,7 +28,6 @@ __all__ = [
     "resonance_frequency",
     "drive_calibration",
     "iswap_target",
-    "halfway_inversion_segments",
     "run_iswap_protocol",
     "gate_time_accounting",
 ]
@@ -45,43 +37,6 @@ __all__ = [
 # Phys. Rep. 470 (2009) 151): three evaluations per step give global O(h^6)
 # error while every step stays unitary to roundoff (backward error <= 2^-53).
 _GAUSS_NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
-
-
-@dataclasses.dataclass(frozen=True)
-class StaticSegment:
-    ham: np.ndarray
-    duration: float
-
-
-@dataclasses.dataclass(frozen=True)
-class DriveSegment:
-    """H(t) = h0 + cos(omega t + phase) * vop, with t absolute protocol time."""
-
-    h0: np.ndarray
-    vop: np.ndarray
-    omega: float
-    phase: float
-    duration: float
-
-
-@dataclasses.dataclass(frozen=True)
-class CallableSegment:
-    """H(t) from an arbitrary callable of absolute time (must stay Hermitian)."""
-
-    func: object
-    duration: float
-
-
-@dataclasses.dataclass(frozen=True)
-class PulseSchedule:
-    segments: tuple
-    t0: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        for seg in self.segments:
-            if seg.duration <= 0:
-                raise ValueError("segment durations must be positive")
 
 
 def _taylor_remainder_bound(theta: float, m: int) -> float:
@@ -174,20 +129,6 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
-def _magnus6_generator(h: float, h1, h2, h3) -> np.ndarray:
-    """Hermitian G such that exp(-iG) is the sixth-order Magnus step of
-    length h, from H at the three Gauss nodes.  In Blanes et al.'s notation,
-    with A_j = -i h H_j: a1 = A2, a2 = (sqrt 15/3)(A3 - A1),
-    a3 = (10/3)(A3 - 2 A2 + A1), C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
-    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 = -iG."""
-    a1 = -1.0j * h * h2
-    a2 = -1.0j * h * (math.sqrt(15.0) / 3.0) * (h3 - h1)
-    a3 = -1.0j * h * (10.0 / 3.0) * (h3 - 2.0 * h2 + h1)
-    c1 = _commutator(a1, a2)
-    c2 = -_commutator(a1, 2.0 * a3 + c1) / 60.0
-    return 1.0j * (a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
-
-
 def _drive_basis(h0: np.ndarray, vop: np.ndarray) -> np.ndarray:
     """The ten Hermitian matrices that every sixth-order Magnus generator of
     H(t) = h0 + c(t) vop is a real combination of (_drive_generators).
@@ -210,10 +151,12 @@ def _drive_basis(h0: np.ndarray, vop: np.ndarray) -> np.ndarray:
 
 
 def _drive_generators(basis: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
-    """Sixth-order Magnus step generators of H(t) = h0 + c(t) vop, for steps
-    of length h whose drive values at the three Gauss nodes are the rows of
-    c: _magnus6_generator's formula expanded in _drive_basis(h0, vop), one
-    row of ten real coefficients per step times the basis."""
+    """Sixth-order Magnus step generators G of H(t) = h0 + c(t) vop, for
+    steps of length h whose drive values at the three Gauss nodes are the
+    rows of c: Blanes et al.'s -iG = a1 + a3/12 + [-20 a1 - a3 + C1, a2 +
+    C2]/240, where A_j = -i h H(node j), a1 = A2, a2 = (sqrt 15/3)(A3 - A1),
+    a3 = (10/3)(A3 - 2 A2 + A1), C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1]/60,
+    expanded in _drive_basis(h0, vop): ten real coefficients per step."""
     c1, c2, c3 = c.T
     b = (math.sqrt(15.0) / 3.0) * (c3 - c1)
     d = (10.0 / 3.0) * (c3 - 2.0 * c2 + c1)
@@ -236,37 +179,14 @@ def _drive_generators(basis: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
     return (coeffs @ flat).view(complex).reshape(-1, n, n)
 
 
-def _magnus_steps(seg, t_start: float, nsteps: int, basis=None) -> np.ndarray:
-    """Stack of per-step unitaries for one time-dependent segment, by the
-    sixth-order Magnus integrator.  A DriveSegment's generators are formed
-    on its commutator basis (_drive_basis(seg.h0, seg.vop) unless given);
-    a CallableSegment's commutators are formed at each step."""
-    h = seg.duration / nsteps
+def _magnus_steps(basis, omega, phase, t_start, duration, nsteps) -> np.ndarray:
+    """Stack of the nsteps per-step unitaries of H(t) = h0 + cos(omega t +
+    phase) vop over [t_start, t_start + duration], by the sixth-order Magnus
+    integrator on the drive's commutator basis (_drive_basis(h0, vop))."""
+    h = duration / nsteps
     t = t_start + h * np.arange(nsteps)
     nodes = t[:, None] + h * np.array(_GAUSS_NODES)
-    if isinstance(seg, DriveSegment):
-        if basis is None:
-            basis = _drive_basis(seg.h0, seg.vop)
-        gs = _drive_generators(basis, h, np.cos(seg.omega * nodes + seg.phase))
-    else:
-        gs = np.stack([_magnus6_generator(h, *map(seg.func, row)) for row in nodes])
-    return _expm_stack(gs)
-
-
-def _schedule_unitary(schedule: PulseSchedule, dim: int, bases, nsub: int) -> np.ndarray:
-    """Full propagator at a fixed substep count per time-dependent segment;
-    bases holds each DriveSegment's _drive_basis."""
-    from .linalg import expm_hermitian
-
-    u = np.eye(dim, dtype=complex)
-    t = schedule.t0
-    for seg, basis in zip(schedule.segments, bases):
-        if isinstance(seg, StaticSegment):
-            u = expm_hermitian(seg.ham, seg.duration) @ u
-        else:
-            u = _ordered_product(_magnus_steps(seg, t, nsub, basis)) @ u
-        t += seg.duration
-    return u
+    return _expm_stack(_drive_generators(basis, h, np.cos(omega * nodes + phase)))
 
 
 def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
@@ -288,39 +208,6 @@ def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
             return cur, history
         prev, nsub = cur, 2 * nsub
     raise RuntimeError(f"{where} did not converge below {tol:g}; last change {delta:.3e}")
-
-
-def propagate_unitary(
-    schedule: PulseSchedule,
-    dim: int,
-    tol: float = 1e-9,
-    nsub0: int = 64,
-    max_refine: int = 14,
-) -> np.ndarray:
-    """Propagator of the schedule, refined until halving the substep moves
-    the result by less than tol (max column 2-norm)."""
-    if not schedule.segments:
-        return np.eye(dim, dtype=complex)
-    bases = [
-        _drive_basis(s.h0, s.vop) if isinstance(s, DriveSegment) else None
-        for s in schedule.segments
-    ]
-    if all(isinstance(s, StaticSegment) for s in schedule.segments):
-        return _schedule_unitary(schedule, dim, bases, nsub0)
-    compute = lambda nsub: [_schedule_unitary(schedule, dim, bases, nsub)]
-    return _refine(compute, tol, nsub0, max_refine, "integrator")[0][0]
-
-
-# ------------------------------------------------------------ two-level model
-
-def two_level_hamiltonian(A: float, omega: float, e1: float, e2: float):
-    """Callable t -> 2x2 drive Hamiltonian [[e1, A e^{i w t}], [A e^{-i w t}, e2]]."""
-
-    def func(t):
-        off = A * cmath.exp(1.0j * omega * t)
-        return np.array([[e1, off], [np.conj(off), e2]], dtype=complex)
-
-    return func
 
 
 def two_level_error(A: float, delta: float, gap: float) -> tuple:
@@ -361,8 +248,8 @@ class ProtocolParams:
     def __post_init__(self):
         if not isinstance(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
             raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
-        if self.M < 1:
-            raise ValueError("M must be a positive integer")
+        if not isinstance(self.M, numbers.Integral) or self.M < 1:
+            raise ValueError(f"M must be a positive integer, got {self.M!r}")
         if not 0.0 < self.J < math.inf:
             raise ValueError(f"J must be a finite number > 0, got {self.J!r}")
         if self.sign not in (None, "+", "-"):
@@ -552,37 +439,6 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     return plan.omega, j_d, phase
 
 
-def halfway_inversion_segments(params: ProtocolParams, drive_builder=None) -> PulseSchedule:
-    """Drive window split by the spectrum inversion, as explicit segments.
-
-    Layout: drive(tau_D/2), +Hz pulse of length pi/J, drive(tau_D/2), -Hz
-    pulse of length pi/J.  The first pulse inverts the spectrum (index map
-    k -> n-k); the closing pulse applies the inverse rotation so that every
-    spectator phase cancels exactly for any tau_D.  The second drive window
-    carries phase -omega*pi/J relative to the first: the drive's clock does
-    not advance while the chain coupling is switched off.  drive_builder
-    replaces drive_calibration's (omega, J_D, phase); operators are dense.
-    """
-    N, J = params.N, params.J
-    omega, j_d, phase = drive_builder if drive_builder is not None else drive_calibration(params)
-    h0 = build_hk(krawtchouk_chain(N, J))
-    vop = j_d * _unit_drive(N, *_drive_layout(params))
-    hz = build_hz(N, J)
-    half = params.tau_d / 2.0
-    pulse = math.pi / J
-    return PulseSchedule(
-        segments=(
-            DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=half),
-            StaticSegment(ham=hz, duration=pulse),
-            DriveSegment(
-                h0=h0, vop=vop, omega=omega, phase=phase - omega * pulse, duration=half
-            ),
-            StaticSegment(ham=-hz, duration=pulse),
-        ),
-        t0=0.0,
-    )
-
-
 def _half_period_maps(basis, omega, phase, nsub, transposed_b=False):
     """Unitaries over the first and second half-period of the drive whose
     commutator basis (_drive_basis) is basis.
@@ -661,11 +517,8 @@ def _cell_map(basis, omega, phase, nsub, a, b):
     stretch of at most one cell; stepped at nsub substeps per cell on the
     drive's commutator basis (_drive_basis)."""
     cell = math.pi / omega
-    seg = DriveSegment(
-        h0=basis[0], vop=basis[1], omega=omega, phase=phase, duration=(b - a) * cell
-    )
     nsteps = max(1, math.ceil((b - a) * nsub))
-    return _ordered_product(_magnus_steps(seg, a * cell, nsteps, basis))
+    return _ordered_product(_magnus_steps(basis, omega, phase, a * cell, (b - a) * cell, nsteps))
 
 
 def _interval_map(ua, ub, partial, s, e):
@@ -686,7 +539,8 @@ def _interval_map(ua, ub, partial, s, e):
 def _window_map(ua, ub, partial, halves, invert):
     """Drive-window propagator of one sector over [0, 2 halves] cells, or,
     with the inversion, over [0, halves] and [halves, 2 halves] with the
-    diagonal pulse (invert) and its inverse wrapped around the second."""
+    diagonal pulse (invert; it reverses the chain's spectrum) and its
+    inverse wrapped around the second, so every spectator phase cancels."""
     end = _snap(2 * halves)
     if invert is None:
         return _interval_map(ua, ub, partial, 0, end)
@@ -792,6 +646,8 @@ def run_iswap_protocol(
     N, J, M = params.N, params.J, params.M
     if nsub0 < 1:
         raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
+    if not isinstance(max_refine, numbers.Integral) or max_refine < 0:
+        raise ValueError(f"max_refine must be an int >= 0, got {max_refine!r}")
     if omega_override is not None and not 0.0 < omega_override < math.inf:
         raise ValueError(f"omega_override must be a finite number > 0, got {omega_override!r}")
     omega, j_d, phase = drive_calibration(params)

@@ -28,8 +28,6 @@ __all__ = [
     "conjugate_phase",
     "driving_sign",
     "meixner_identity_check",
-    "C2_ASYMPTOTIC",
-    "m2_asymptotic_probe",
 ]
 
 
@@ -238,23 +236,3 @@ def meixner_identity_check(n: int) -> float:
     pref = 1.0j ** (xs[:, None] + xs[None, :] - n / 2.0)
     rhs = pref * 2.0 ** (n / 2.0) * kmat
     return float(np.max(np.abs(lhs - rhs)))
-
-
-C2_ASYMPTOTIC = 2.0**0.75 * 3.0 ** (-9.0 / 16.0)
-
-
-def m2_asymptotic_probe(n_list: Sequence[int]) -> list:
-    """Super-exponential decay table for the two-site element at j = (n-1)/4.
-
-    Each row is (n, M2, |M2| / c2^(n^2)) with c2 = 2^(3/4) 3^(-9/16); the
-    third column varying sub-exponentially in n is the decay signature.
-    Requires n = 1 mod 4 so that j = (n-1)/4 is an integer.
-    """
-    rows = []
-    for n in n_list:
-        if n % 4 != 1:
-            raise ValueError("need n = 1 mod 4 for the centered element")
-        j = (n - 1) // 4
-        m2 = m2_closed_form(n, j)
-        rows.append((n, m2, abs(m2) / C2_ASYMPTOTIC ** (n * n)))
-    return rows

@@ -1,4 +1,9 @@
-"""Tests for pulse scheduling, the Magnus integrator, and the resonant swap protocol."""
+"""Tests for the Magnus drive stepper and the resonant swap protocol.
+
+The generic sixth-order Magnus step, the dense halfway-inversion propagator
+and the two-level Hamiltonian below are the reference routes the protocol
+and its drive stepper are checked against; nothing in the library uses them.
+"""
 
 import dataclasses
 import re
@@ -8,27 +13,21 @@ import pytest
 
 from kchain import driving, eigengate
 from kchain.driving import (
-    CallableSegment,
-    DriveSegment,
     ProtocolParams,
-    PulseSchedule,
-    StaticSegment,
     default_drive_pairs,
     drive_calibration,
     gate_time_accounting,
-    halfway_inversion_segments,
     iswap_target,
-    propagate_unitary,
     resonance_frequency,
     run_iswap_protocol,
     two_level_error,
-    two_level_hamiltonian,
 )
 from kchain.eigengate import build_eigengate
 from kchain.hamiltonians import (
     DrivingSpec,
     apply_coupling_noise,
     build_hk,
+    build_hz,
     driving_operator,
     hz_diagonal,
     krawtchouk_chain,
@@ -49,76 +48,123 @@ def sea_indices(N):
     return a, b
 
 
-# ---------------------------------------------------------------- scheduling
+# --------------------------------------------------------- reference routes
 
 
-def test_schedule_rejects_nonpositive_durations():
-    with pytest.raises(ValueError):
-        PulseSchedule((StaticSegment(np.eye(2), 0.0),))
-    with pytest.raises(ValueError):
-        PulseSchedule((StaticSegment(np.eye(2), -1.0),))
+def _magnus6_generator(h, h1, h2, h3):
+    """Hermitian G such that exp(-iG) is the sixth-order Magnus step of
+    length h, from H at the three Gauss nodes, its commutators formed
+    directly.  In Blanes et al.'s notation, with A_j = -i h H_j: a1 = A2,
+    a2 = (sqrt 15/3)(A3 - A1), a3 = (10/3)(A3 - 2 A2 + A1), C1 = [a1, a2],
+    C2 = -[a1, 2 a3 + C1]/60 and
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240 = -iG."""
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    a1 = -1.0j * h * h2
+    a2 = -1.0j * h * (np.sqrt(15.0) / 3.0) * (h3 - h1)
+    a3 = -1.0j * h * (10.0 / 3.0) * (h3 - 2.0 * h2 + h1)
+    c1 = comm(a1, a2)
+    c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+    return 1.0j * (a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
 
 
-def test_static_segment_matches_exact_exponential(rng):
-    h = rng.normal(size=(4, 4))
-    h = h + h.T
-    sched = PulseSchedule((StaticSegment(h, 0.7),))
-    u = propagate_unitary(sched, 4)
-    assert np.max(np.abs(u - expm_hermitian(h, 0.7))) < 1e-12
+def _generic_steps(func, t_start, duration, nsteps):
+    """Step unitaries of H(t) = func(t), any Hermitian callable of absolute
+    time, by the generic sixth-order Magnus step."""
+    h = duration / nsteps
+    t = t_start + h * np.arange(nsteps)
+    nodes = t[:, None] + h * np.array(driving._GAUSS_NODES)
+    return driving._expm_stack(np.stack([_magnus6_generator(h, *map(func, row)) for row in nodes]))
 
 
-def test_propagate_state_matches_unitary_column(rng):
-    h0 = np.diag([0.0, 1.0, 3.0, 6.0])
-    v = rng.normal(size=(4, 4))
-    v = v + v.T
-    sched = PulseSchedule((DriveSegment(h0, 0.2 * v, 3.0, 0.1, 2.0),))
-    u = propagate_unitary(sched, 4)
-    assert_unitary(u)
+def _propagate_callable(func, duration, tol):
+    """Propagator of H(t) = func(t) over [0, duration], refined from 64
+    steps until halving the step moves it by less than tol."""
+    compute = lambda n: [driving._ordered_product(_generic_steps(func, 0.0, duration, n))]
+    return driving._refine(compute, tol, 64, 14, "generic reference")[0][0]
 
 
-def test_drive_segment_agrees_with_callable_route():
-    h0 = np.diag([0.0, 4.0])
-    v = np.array([[0.0, 0.3], [0.3, 0.0]])
-    fast = PulseSchedule((DriveSegment(h0, v, 4.0, 0.2, 5.0),))
-    slow = PulseSchedule((CallableSegment(lambda t: h0 + np.cos(4.0 * t + 0.2) * v, 5.0),))
-    uf = propagate_unitary(fast, 2, tol=1e-11)
-    us = propagate_unitary(slow, 2, tol=1e-11)
-    assert np.max(np.abs(uf - us)) < 1e-9
+def _two_level_hamiltonian(A, omega, e1, e2):
+    """Callable t -> 2x2 drive Hamiltonian [[e1, A e^{i w t}], [A e^{-i w t}, e2]]."""
+
+    def func(t):
+        off = A * np.exp(1.0j * omega * t)
+        return np.array([[e1, off], [np.conj(off), e2]], dtype=complex)
+
+    return func
+
+
+def _dense_inversion_reference(params, calibration, tol):
+    """Dense 2^N drive-window propagator with the halfway inversion: drive
+    for tau_D/2, exp(-i Hz pi/J), drive for tau_D/2 with its phase shifted
+    by -omega pi/J (the drive clock stops while the chain is off), then
+    exp(+i Hz pi/J); refined from 64 steps per drive stretch until halving
+    the step moves it by less than tol."""
+    N, J = params.N, params.J
+    omega, j_d, phase = calibration
+    vop = j_d * driving._unit_drive(N, *driving._drive_layout(params))
+    basis = driving._drive_basis(build_hk(krawtchouk_chain(N, J)), vop)
+    hz, half, pulse = build_hz(N, J), params.tau_d / 2.0, np.pi / J
+    invert, restore = expm_hermitian(hz, pulse), expm_hermitian(-hz, pulse)
+
+    def compute(nsub):
+        first = driving._magnus_steps(basis, omega, phase, 0.0, half, nsub)
+        second = driving._magnus_steps(basis, omega, phase - omega * pulse, half + pulse, half, nsub)
+        return [
+            restore @ driving._ordered_product(second) @ invert @ driving._ordered_product(first)
+        ]
+
+    return driving._refine(compute, tol, 64, 14, "dense reference")[0][0]
+
+
+# ----------------------------------------------------------- drive stepping
 
 
 def test_integrator_reports_nonconvergence():
-    wild = CallableSegment(lambda t: np.array([[0.0, np.cos(200.0 * t)], [np.cos(200.0 * t), 0.0]]), 10.0)
-    with pytest.raises(RuntimeError):
-        propagate_unitary(PulseSchedule((wild,)), 2, tol=1e-15, nsub0=2, max_refine=0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), max_refine=0)
 
 
 _GAUSS4 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
 
-def _magnus4_steps(seg, t_start, nsteps, basis=None):
-    """Step unitaries of a DriveSegment by the fourth-order two-node
-    Gauss-Legendre Magnus stepper that the sixth-order one replaced, kept
-    here as its reference (basis is ignored)."""
-    h = seg.duration / nsteps
+def _magnus4_steps(basis, omega, phase, t_start, duration, nsteps):
+    """Step unitaries of the drive on basis (only h0 = basis[0] and
+    vop = basis[1] are read) by the fourth-order two-node Gauss-Legendre
+    Magnus stepper that the sixth-order one replaced, kept here as its
+    reference."""
+    h0, vop = basis[0], basis[1]
+    h = duration / nsteps
     t = t_start + h * np.arange(nsteps)
-    ca = np.cos(seg.omega * (t + _GAUSS4[0] * h) + seg.phase)
-    cb = np.cos(seg.omega * (t + _GAUSS4[1] * h) + seg.phase)
-    comm = 1.0j * (seg.h0 @ seg.vop - seg.vop @ seg.h0)
-    gs = (h / 2.0) * (2.0 * seg.h0 + (ca + cb)[:, None, None] * seg.vop) - (
+    ca = np.cos(omega * (t + _GAUSS4[0] * h) + phase)
+    cb = np.cos(omega * (t + _GAUSS4[1] * h) + phase)
+    comm = 1.0j * (h0 @ vop - vop @ h0)
+    gs = (h / 2.0) * (2.0 * h0 + (ca + cb)[:, None, None] * vop) - (
         np.sqrt(3.0) * h * h / 12.0
     ) * (ca - cb)[:, None, None] * comm
     return driving._expm_stack(gs)
 
 
+# (omega, phase, duration) of the test drive
+_TEST_CLOCK = (3.0, 0.1, 2.0)
+
+
 def _test_drive(rng):
+    """(h0, vop) of a 4-level test drive."""
     h0 = np.diag([0.0, 1.0, 3.0, 6.0]) + 0.1 * np.ones((4, 4))
     v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return DriveSegment(h0, 0.5 * (v + v.conj().T), 3.0, 0.1, 2.0)
+    return h0, 0.5 * (v + v.conj().T)
 
 
 def test_drive_steps_are_sixth_order(rng):
-    seg = _test_drive(rng)
-    us = [driving._ordered_product(driving._magnus_steps(seg, 0.0, n)) for n in (8, 16, 32, 64)]
+    basis = driving._drive_basis(*_test_drive(rng))
+    omega, phase, duration = _TEST_CLOCK
+    us = [
+        driving._ordered_product(driving._magnus_steps(basis, omega, phase, 0.0, duration, n))
+        for n in (8, 16, 32, 64)
+    ]
     deltas = [max_column_distance(fine, coarse) for coarse, fine in zip(us, us[1:])]
     assert deltas[-1] > 1e-11
     for coarse, fine in zip(deltas, deltas[1:]):
@@ -126,13 +172,15 @@ def test_drive_steps_are_sixth_order(rng):
 
 
 def test_drive_basis_steps_match_the_generic_step(rng):
-    # the fixed commutator basis expands the same order-six formula that a
-    # CallableSegment evaluates with its commutators formed at each step
-    seg = _test_drive(rng)
-    func = CallableSegment(lambda t: seg.h0 + np.cos(seg.omega * t + seg.phase) * seg.vop, 2.0)
+    # the fixed commutator basis expands the same order-six formula that the
+    # generic step evaluates with its commutators formed at each step
+    h0, vop = _test_drive(rng)
+    basis = driving._drive_basis(h0, vop)
+    omega, phase, duration = _TEST_CLOCK
+    func = lambda t: h0 + np.cos(omega * t + phase) * vop
     for t0, n in ((0.0, 8), (0.3, 5)):
-        fast = driving._magnus_steps(seg, t0, n)
-        generic = driving._magnus_steps(func, t0, n)
+        fast = driving._magnus_steps(basis, omega, phase, t0, duration, n)
+        generic = _generic_steps(func, t0, duration, n)
         assert np.max(np.abs(fast - generic)) <= 1e-13
 
 
@@ -237,12 +285,13 @@ def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
     """Drive-window propagator stepped end to end on the drive clock, at
     least nsub substeps per half-period, for any drive frequency."""
     n = max(1, int(np.ceil(length * omega / np.pi * nsub)))
+    basis = driving._drive_basis(h0, vop)
     if invert is None:
-        seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=2 * length)
-        return driving._ordered_product(driving._magnus_steps(seg, 0.0, 2 * n))
-    seg = DriveSegment(h0=h0, vop=vop, omega=omega, phase=phase, duration=length)
-    first = driving._ordered_product(driving._magnus_steps(seg, 0.0, n))
-    second = driving._ordered_product(driving._magnus_steps(seg, length, n))
+        return driving._ordered_product(
+            driving._magnus_steps(basis, omega, phase, 0.0, 2 * length, 2 * n)
+        )
+    first = driving._ordered_product(driving._magnus_steps(basis, omega, phase, 0.0, length, n))
+    second = driving._ordered_product(driving._magnus_steps(basis, omega, phase, length, length, n))
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
@@ -355,9 +404,9 @@ def test_off_resonant_paired_protocol_matches_every_sector_stepped(monkeypatch, 
 def test_off_resonant_protocol_matches_explicit_schedule(omega):
     params = ProtocolParams(N=4, M=1)
     _, j_d, phase = drive_calibration(params)
-    sched = halfway_inversion_segments(params, drive_builder=(omega, j_d, phase))
+    window = _dense_inversion_reference(params, (omega, j_d, phase), tol=1e-11)
     uk = build_eigengate(4, 1.0).unitary
-    reference = uk.conj().T @ propagate_unitary(sched, 16, tol=1e-11) @ uk
+    reference = uk.conj().T @ window @ uk
     fast = run_iswap_protocol(params, omega_override=omega)
     assert max_column_distance(fast.unitary, reference) < 1e-9
 
@@ -501,13 +550,11 @@ def test_two_level_resonant_pulse_transfers_population():
     # rotating drive A e^{i w t} flips the qubit exactly at tau = pi/2A
     # when w matches the splitting; the reversed rotation sign does nothing
     gap, amp = 4.0, 0.02
-    co = two_level_hamiltonian(amp, gap, 0.0, gap)
-    sched = PulseSchedule((CallableSegment(co, np.pi / (2.0 * amp)),))
-    u = propagate_unitary(sched, 2, tol=1e-10)
+    co = _two_level_hamiltonian(amp, gap, 0.0, gap)
+    u = _propagate_callable(co, np.pi / (2.0 * amp), tol=1e-10)
     assert abs(u[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-8)
-    counter = two_level_hamiltonian(amp, -gap, 0.0, gap)
-    sched = PulseSchedule((CallableSegment(counter, np.pi / (2.0 * amp)),))
-    u = propagate_unitary(sched, 2, tol=1e-10)
+    counter = _two_level_hamiltonian(amp, -gap, 0.0, gap)
+    u = _propagate_callable(counter, np.pi / (2.0 * amp), tol=1e-10)
     assert abs(u[1, 0]) ** 2 < (amp / gap) ** 2
 
 
@@ -557,6 +604,9 @@ def test_protocol_params_reject_bad_coupling_scale(J):
         (dict(N=6, pairs=1), "pairs"),
         (dict(N=4, drive_phase=np.nan), "drive_phase"),
         (dict(N=4, drive_phase=-np.inf), "drive_phase"),
+        (dict(N=4, M=1.5), "M"),
+        (dict(N=4, M=np.inf), "M"),
+        (dict(N=4, M=np.nan), "M"),
     ],
 )
 def test_protocol_params_reject_bad_fields(kwargs, field):
@@ -564,10 +614,18 @@ def test_protocol_params_reject_bad_fields(kwargs, field):
         ProtocolParams(**kwargs)
 
 
-@pytest.mark.parametrize("nsub0", [0, -2])
-def test_protocol_rejects_nonpositive_initial_substeps(nsub0):
-    with pytest.raises(ValueError, match="nsub0 must be a positive integer"):
-        run_iswap_protocol(ProtocolParams(N=4, M=1), nsub0=nsub0)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        pytest.param({"nsub0": 0}, "nsub0 must be a positive integer", id="0"),
+        pytest.param({"nsub0": -2}, "nsub0 must be a positive integer", id="-2"),
+        pytest.param({"max_refine": -1}, "max_refine must be an int >= 0", id="max_refine=-1"),
+        pytest.param({"max_refine": 1.5}, "max_refine must be an int >= 0", id="max_refine=1.5"),
+    ],
+)
+def test_protocol_rejects_nonpositive_initial_substeps(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), **kwargs)
 
 
 @pytest.mark.parametrize("omega", [0.0, -4.0, np.nan, np.inf])
@@ -600,7 +658,7 @@ def test_calibration_exact_values():
     assert omega == pytest.approx(4.0)
     assert j_d == pytest.approx(3.0**-0.5, rel=1e-12)
     assert phase == pytest.approx(-np.pi, abs=1e-12)
-    vop = halfway_inversion_segments(ProtocolParams(N=4, M=1)).segments[0].vop
+    vop = driving._unit_drive(4, *driving._drive_layout(ProtocolParams(N=4, M=1)))
     assert np.max(np.abs(vop - vop.conj().T)) < 1e-14
     omega, j_d, phase = drive_calibration(ProtocolParams(N=6, M=4))
     assert omega == pytest.approx(9.0)
@@ -669,18 +727,7 @@ def test_swapped_pair_picks_up_i_phase():
 
 def test_explicit_schedule_route_matches_fast_path():
     params = ProtocolParams(N=4, M=1)
-    sched = halfway_inversion_segments(params)
-    assert len(sched.segments) == 4
-    kinds = [type(s).__name__ for s in sched.segments]
-    assert kinds == ["DriveSegment", "StaticSegment", "DriveSegment", "StaticSegment"]
-    tau_d = params.tau_d
-    durations = [s.duration for s in sched.segments]
-    assert durations == pytest.approx([tau_d / 2, np.pi, tau_d / 2, np.pi])
-    # the second window resumes the drive clock where the first stopped
-    omega, _, chi = drive_calibration(params)
-    assert sched.segments[2].phase == pytest.approx(chi - omega * np.pi, abs=1e-12)
-
-    u_drive = propagate_unitary(sched, 16, tol=1e-10)
+    u_drive = _dense_inversion_reference(params, drive_calibration(params), tol=1e-10)
     uk = build_eigengate(4, 1.0).unitary
     full = uk.conj().T @ u_drive @ uk
     fast = run_iswap_protocol(params).unitary
@@ -788,7 +835,7 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
     def no_dense_eigengate(*args, **kwargs):
         raise AssertionError("dense eigengate in the protocol route")
 
-    for name in ("build_hk", "driving_operator", "build_hz"):
+    for name in ("build_hk", "driving_operator"):
         monkeypatch.setattr(driving, name, sector_only(getattr(driving, name)))
     monkeypatch.setattr(eigengate, "build_eigengate", no_dense_eigengate)
     monkeypatch.setattr(driving, "build_eigengate", no_dense_eigengate, raising=False)
@@ -797,7 +844,7 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
     res = run_iswap_protocol(ProtocolParams(N=N, M=4, noise_eps=0.01, seed=3))
     assert res.unitary.shape == (2**N, 2**N)
     with pytest.raises(AssertionError, match="dense build_hk"):
-        halfway_inversion_segments(ProtocolParams(N=N, M=4))
+        driving.build_hk(krawtchouk_chain(N, 1.0))
 
 
 # ---------------------------------------------------------------- drive plan

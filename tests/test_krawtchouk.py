@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from kchain.hamiltonians import krawtchouk_chain
 from kchain.krawtchouk import (
-    C2_ASYMPTOTIC,
     build_basis,
     conjugate_phase,
     driving_sign,
@@ -20,7 +19,6 @@ from kchain.krawtchouk import (
     kminor_det,
     krawtchouk_poly,
     m1_closed_form,
-    m2_asymptotic_probe,
     m2_closed_form,
     manybody_energy,
     matrix_element_bruteforce,
@@ -208,6 +206,26 @@ def test_eigenstate_vectors_diagonalize_chain(N):
             assert np.linalg.norm(ham @ vec - energy * vec) < 1e-11
 
 
+# decay constant c2 = 2^(3/4) 3^(-9/16) of the centred two-site element
+C2_ASYMPTOTIC = 2.0**0.75 * 3.0 ** (-9.0 / 16.0)
+
+
+def m2_asymptotic_probe(n_list):
+    """Super-exponential decay table for the two-site element at j = (n-1)/4.
+
+    Each row is (n, M2, |M2| / c2^(n^2)); the third column varying
+    sub-exponentially in n is the decay signature.  Requires n = 1 mod 4 so
+    that j = (n-1)/4 is an integer.
+    """
+    rows = []
+    for n in n_list:
+        if n % 4 != 1:
+            raise ValueError("need n = 1 mod 4 for the centered element")
+        m2 = m2_closed_form(n, (n - 1) // 4)
+        rows.append((n, m2, abs(m2) / C2_ASYMPTOTIC ** (n * n)))
+    return rows
+
+
 def test_asymptotic_probe_frozen_rows():
     rows = m2_asymptotic_probe([5, 9, 13])
     assert [r[0] for r in rows] == [5, 9, 13]
@@ -218,7 +236,6 @@ def test_asymptotic_probe_frozen_rows():
     assert abs(rows[2][1]) < 1e-6
     for _, _, scaled in rows:
         assert 0.5 < scaled < 5.0
-    assert C2_ASYMPTOTIC == pytest.approx(2.0**0.75 * 3.0 ** (-9.0 / 16.0), abs=1e-15)
 
 
 def test_asymptotic_probe_rejects_misaligned_n():
