@@ -11,7 +11,8 @@ import numpy as np
 from .hamiltonians import (
     DrivingSpec,
     apply_coupling_noise,
-    build_hk,
+    chain_block,
+    chain_hops,
     driving_operator,
     hz_diagonal,
     krawtchouk_chain,
@@ -349,9 +350,11 @@ class _DrivePlan:
     frequency, the two target states' positions in the half-filled sector,
     and the unit drive's transition element V_ab between them and its
     largest entry in that sector.
-    Built on first use, per sector q = 0..N: the drive at J_D = 1, the
-    inversion pulse's phases and the eigengate's block, so a calibration
-    alone builds no other sector's blocks.  Every array is read only.
+    Built on first use, per sector q = 0..N: the chain's hop pattern
+    (chain_hops; a sample applies its couplings with chain_block), the
+    drive at J_D = 1, the inversion pulse's phases and the eigengate's
+    block, so a calibration alone builds no other sector's blocks.  Every
+    array is read only.
     """
 
     N: int
@@ -363,6 +366,10 @@ class _DrivePlan:
     omega: float
     v_ab: complex
     v_max: float
+
+    @functools.cached_property
+    def hops(self) -> tuple:
+        return tuple(chain_hops(self.N, ix) for ix in self.sectors)
 
     @functools.cached_property
     def unit_blocks(self) -> tuple:
@@ -439,15 +446,31 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     return plan.omega, j_d, phase
 
 
-def _half_period_maps(basis, omega, phase, nsub, transposed_b=False):
+def _half_period_maps(basis, omega, phase, nsub, transposed_b=False, folded=False):
     """Unitaries over the first and second half-period of the drive whose
     commutator basis (_drive_basis) is basis.
 
     With transposed_b only the first is stepped and the second is its
     transpose, which is exact when the drive is time symmetric about the
     half-period boundary (_transposes_halves).
+
+    folded (with transposed_b) steps only the first quarter period, X, in
+    ceil(nsub/2) steps, and takes the first half-period as R X^T R X, R the
+    reversal of the basis order.  This is exact when moreover R h0 R = h0
+    and R vop R = -vop: the half-filled sector under a '-' pairing, which
+    the spin flip maps onto itself (_check_particle_hole_pairing).  There
+    h0 is real symmetric and vop^T = -vop, so R H(t)^T R = H(t), and the
+    calibrated phase, an odd multiple of pi/2, makes the drive even about
+    the cell's midpoint pi/(2 omega); hence U(pi/omega, pi/(2 omega)) =
+    R X^T R.  The sixth-order Magnus step is time symmetric, so the folded
+    map equals the stepped one to roundoff; for even nsub the steps are
+    the unfolded map's.
     """
-    ua = _cell_map(basis, omega, phase, nsub, 0, 1)
+    if folded:
+        x = _cell_map(basis, omega, phase, nsub, 0, 0.5)
+        ua = x.T[::-1, ::-1] @ x
+    else:
+        ua = _cell_map(basis, omega, phase, nsub, 0, 1)
     return ua, ua.T if transposed_b else _cell_map(basis, omega, phase, nsub, 1, 2)
 
 
@@ -562,11 +585,15 @@ def _drive_window_sector(basis, transposed_b, omega, phase, length, inverts, nsu
     none.  The partner's maps are q's in reverse basis order, half a
     period later under a '-' pairing (_partner_maps).  With transposed_b
     only q's first half-period is stepped, its second being the transpose
-    (_transposes_halves).  Blocks that are exactly zero (no or all sites
-    excited) give identity half-period maps unstepped.
+    (_transposes_halves).  With transposed_b under a '-' pairing, the
+    self-paired sector q = N/2 (one entry in inverts) steps only its first
+    quarter period and folds it over the cell's midpoint (_half_period_maps,
+    folded).  Blocks that are exactly zero (no or all sites excited) give
+    identity half-period maps unstepped.
     """
     if basis[:2].any():
-        ua, ub = _half_period_maps(basis, omega, phase, nsub, transposed_b)
+        folded = transposed_b and sign == "-" and len(inverts) == 1
+        ua, ub = _half_period_maps(basis, omega, phase, nsub, transposed_b, folded)
     else:
         ua = ub = np.eye(basis.shape[-1], dtype=complex)
     partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
@@ -637,14 +664,27 @@ def run_iswap_protocol(
     leaves the chain unchanged and the drive unchanged ('+') or negated
     ('-', the drive half a period later).  These preconditions are checked
     exactly on the sector blocks of every run, and a ValueError is raised
-    if they fail.
+    if they fail.  With the calibrated phase, each stepped sector steps
+    only its first half-period, the second being its transpose
+    (_transposes_halves); under a '-' pairing the half-filled sector, its
+    own partner, steps only its first quarter period and folds it over the
+    cell's midpoint (_half_period_maps).  A caller-supplied phase steps
+    both half-periods of every stepped sector.
+
+    The drive is refined from nsub0 (an int >= 1) substeps per half-period,
+    doubling up to max_refine times, until the window blocks move by less
+    than tol (> 0; inf takes the first refined level).
 
     What does not depend on the noise, M, the drive phase or the inversion
-    (the sector indices, the unit drive blocks, the inversion phases and
-    the eigengate's blocks) comes from the layout's cached _DrivePlan.
+    (the sector indices, the chain's hop patterns, the unit drive blocks,
+    the inversion phases and the eigengate's blocks) comes from the
+    layout's cached _DrivePlan; a sample builds its chain blocks by
+    applying its couplings to the hop patterns.
     """
     N, J, M = params.N, params.J, params.M
-    if nsub0 < 1:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be a number > 0, got {tol!r}")
+    if not isinstance(nsub0, numbers.Integral) or nsub0 < 1:
         raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
     if not isinstance(max_refine, numbers.Integral) or max_refine < 0:
         raise ValueError(f"max_refine must be an int >= 0, got {max_refine!r}")
@@ -658,7 +698,7 @@ def run_iswap_protocol(
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
     spec = apply_coupling_noise(spec)
-    h_blocks = [build_hk(spec, ix) for ix in plan.sectors]
+    h_blocks = [chain_block(spec, hops) for hops in plan.hops]
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_particle_hole_pairing(h_blocks, v_blocks, sign)
     inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)

@@ -13,6 +13,8 @@ __all__ = [
     "krawtchouk_chain",
     "coupling_noise",
     "apply_coupling_noise",
+    "chain_hops",
+    "chain_block",
     "build_hk",
     "build_hz",
     "hz_diagonal",
@@ -113,19 +115,53 @@ def apply_coupling_noise(spec: ChainSpec) -> ChainSpec:
     return dataclasses.replace(spec, couplings=spec.couplings * (1.0 + eps))
 
 
-def _hopping_block(N: int, states, sites, amps) -> np.ndarray:
-    """sum_t amps[t] |..0_a..1_b..><..1_a..0_b..| + h.c. with (a, b) =
-    sites[t], on the ascending basis indices states (all 2^N if None): one
-    excitation sector's states give its block.  One pass writes every term."""
+def _hop_pattern(N: int, states, sites) -> tuple:
+    """(states, row, col, term) of the hops sum_t |..0_a..1_b..><..1_a..0_b..|
+    + h.c. with (a, b) = sites[t], on the ascending basis indices states
+    (all 2^N if None): hop term[k] takes state col[k] to state row[k].  It
+    depends on N, the states and the sites only, so blocks with other
+    amplitudes reuse it (_hopping_block).  row, col and term are read only."""
     states = np.arange(2**N) if states is None else np.asarray(states)
     ma, mb = 1 << (N - 1 - np.asarray(sites).T)
     col, term = np.nonzero((states[:, None] & ma != 0) & (states[:, None] & mb == 0))
     row = np.searchsorted(states, states[col] ^ (ma | mb)[term])
+    for arr in (row, col, term):
+        arr.flags.writeable = False
+    return states, row, col, term
+
+
+def _hopping_block(pattern, amps) -> np.ndarray:
+    """The block of the hops of pattern (_hop_pattern), hop t with amplitude
+    amps[t]: one pass writes every term."""
+    states, row, col, term = pattern
     amps = np.asarray(amps)[term]
     block = np.zeros((len(states), len(states)), dtype=complex)
     block[row, col] = amps
     block[col, row] = np.conj(amps)
     return block
+
+
+def chain_hops(N: int, states=None) -> tuple:
+    """Hop pattern of the chain's bonds (x, x+1) on the ascending basis
+    indices states, or on all 2^N states if None: what build_hk's block
+    on those states shares across couplings and fields (chain_block)."""
+    return _hop_pattern(N, states, [(x, x + 1) for x in range(N - 1)])
+
+
+def chain_block(spec: ChainSpec, hops) -> np.ndarray:
+    """build_hk(spec, states) from hops = chain_hops(spec.N, states): only
+    spec's couplings and fields are applied."""
+    states = hops[0]
+    ham = _hopping_block(hops, spec.couplings)
+    if np.any(spec.zfields):
+        N = spec.N
+        zdiag = np.zeros(len(states))
+        for x in range(N):
+            bit = (states >> (N - 1 - x)) & 1
+            zdiag += spec.zfields[x] * (1.0 - 2.0 * bit)
+        ham[np.diag_indices(len(states))] += zdiag
+    assert_hermitian(ham)
+    return ham
 
 
 def build_hk(spec: ChainSpec, states=None) -> np.ndarray:
@@ -135,17 +171,7 @@ def build_hk(spec: ChainSpec, states=None) -> np.ndarray:
     The hopping part has matrix element J_x between |..10..> and |..01..>
     on bond x, which fixes the single-particle normalization.
     """
-    N = spec.N
-    ham = _hopping_block(N, states, [(x, x + 1) for x in range(N - 1)], spec.couplings)
-    if np.any(spec.zfields):
-        idx = np.arange(2**N) if states is None else np.asarray(states)
-        zdiag = np.zeros(len(idx))
-        for x in range(N):
-            bit = (idx >> (N - 1 - x)) & 1
-            zdiag += spec.zfields[x] * (1.0 - 2.0 * bit)
-        ham[np.diag_indices(len(idx))] += zdiag
-    assert_hermitian(ham)
-    return ham
+    return chain_block(spec, chain_hops(spec.N, states))
 
 
 def hz_diagonal(N: int, J: float) -> np.ndarray:
@@ -203,5 +229,5 @@ def driving_operator(spec: DrivingSpec, N: int, states=None) -> np.ndarray:
     if b >= N:
         raise ValueError("site j+d out of range")
     amp = spec.J_D if spec.sign == "+" else 1.0j * spec.J_D
-    return _hopping_block(N, states, [(a, b)], [amp])
+    return _hopping_block(_hop_pattern(N, states, [(a, b)]), [amp])
 

@@ -22,12 +22,14 @@ from kchain.driving import (
     run_iswap_protocol,
     two_level_error,
 )
+from kchain.krawtchouk import driving_sign
 from kchain.eigengate import build_eigengate
 from kchain.hamiltonians import (
     DrivingSpec,
     apply_coupling_noise,
     build_hk,
     build_hz,
+    chain_hops,
     driving_operator,
     hz_diagonal,
     krawtchouk_chain,
@@ -411,22 +413,33 @@ def test_off_resonant_protocol_matches_explicit_schedule(omega):
     assert max_column_distance(fast.unitary, reference) < 1e-9
 
 
+def _stacks_per_level(N, nsubs, halves_of):
+    """Expected _expm_stack shapes of a run whose levels step nsubs substeps
+    per half-period: sectors 0 < q <= N/2 in order, halves_of(q, nsub)
+    giving the matrix count of each stack sector q steps."""
+    return [
+        (count, n, n)
+        for nsub in nsubs
+        for q in range(1, N // 2 + 1)
+        for n in [len(sector_indices(N, q))]
+        for count in halves_of(q, nsub)
+    ]
+
+
 @pytest.mark.parametrize("N, per_level", [(4, 2), (6, 3), (8, 4)])
 def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_level):
     # with the calibrated phase each sector 0 < q <= N/2 steps its first
-    # half-period only, the second being its transpose; q = 0 and every
-    # q > N/2 step none
-    calls = []
-    kernel = driving._expm_stack
-
-    def counting_kernel(gs):
-        calls.append(gs.shape)
-        return kernel(gs)
-
-    monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
+    # half-period only, the second being its transpose, and under the '-'
+    # pairing (N = 6) the half-filled sector steps its first quarter period
+    # only, folded over the cell's midpoint; q = 0 and every q > N/2 step none
+    calls = _count_expm_stacks(monkeypatch)
     res = run_iswap_protocol(ProtocolParams(N=N, M=4), tol=np.inf, nsub0=4, max_refine=1)
     assert len(res.refinement) == 2
     assert len(calls) == 2 * per_level
+    folds = driving_sign(N) == "-"
+    assert calls == _stacks_per_level(
+        N, (4, 8), lambda q, nsub: [nsub // 2 if folds and 2 * q == N else nsub]
+    )
 
 
 @pytest.mark.parametrize("N, M, per_level", [(4, 11, 2), (6, 13, 3)])
@@ -481,11 +494,67 @@ def test_transposed_second_half_period_matches_stepped(N, sign, pairs, seed):
 
 @pytest.mark.parametrize("N, per_level", [(4, 4), (6, 6)])
 def test_caller_supplied_phase_steps_both_half_periods(monkeypatch, N, per_level):
-    # as without the transposition: every sector 0 < q <= N/2 steps both halves
+    # as without the transposition or the fold: every sector 0 < q <= N/2
+    # steps both whole halves
     calls = _count_expm_stacks(monkeypatch)
     params = ProtocolParams(N=N, M=4, drive_phase=0.4)
     run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
     assert len(calls) == 2 * per_level
+    assert calls == _stacks_per_level(N, (4, 8), lambda q, nsub: [nsub, nsub])
+
+
+def _reversal_symmetry(h, v):
+    """Whether R h R = h and R v R = -v exactly, R the basis reversal."""
+    return np.array_equal(h[::-1, ::-1], h) and np.array_equal(v[::-1, ::-1], -v)
+
+
+@pytest.mark.parametrize(
+    "N, pairs, seed",
+    # the '-' layouts of test_transposed_second_half_period_matches_stepped,
+    # and N = 10's default
+    [(6, (1,), 3), (8, (0, 1), 6), (10, (2,), 7)],
+)
+def test_folded_half_period_matches_stepped(N, pairs, seed):
+    params = ProtocolParams(N=N, sign="-", pairs=pairs, noise_eps=0.01, seed=seed)
+    if pairs == (0, 1):
+        # couples nothing, so no calibrated phase: an odd multiple of pi/2
+        omega, phase = resonance_frequency(N), -np.pi / 2
+    else:
+        omega, _, phase = drive_calibration(params)
+    h, v, _ = _sector_blocks(N, "-", pairs, 0.01, seed)[N // 2]
+    assert driving._transposes_halves(h, v, "-") and _reversal_symmetry(h, v)
+    basis = driving._drive_basis(h, v)
+    for nsub in (8, 32):
+        stepped = driving._half_period_maps(basis, omega, phase, nsub, True)
+        folded = driving._half_period_maps(basis, omega, phase, nsub, True, True)
+        for got, want in zip(folded, stepped):
+            assert np.max(np.abs(got - want)) <= 1e-13, nsub
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProtocolParams(N=6, M=16, noise_eps=0.01, seed=3),
+        ProtocolParams(N=6, M=20, noise_eps=0.01, seed=11),
+        ProtocolParams(N=10, M=4),
+    ],
+)
+def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypatch, params):
+    fast = run_iswap_protocol(params)
+    folds, stepped = [], driving._half_period_maps
+
+    def unfolded(basis, omega, phase, nsub, transposed_b=False, folded=False):
+        # every first half-period stepped whole: the route the fold replaced
+        folds.append(folded)
+        return stepped(basis, omega, phase, nsub, transposed_b)
+
+    monkeypatch.setattr(driving, "_half_period_maps", unfolded)
+    reference = run_iswap_protocol(params)
+    # one folded sector per level
+    assert folds.count(True) == len(reference.refinement)
+    assert [n for n, _ in fast.refinement] == [n for n, _ in reference.refinement]
+    assert np.max(np.abs(fast.unitary - reference.unitary)) <= 1e-12
+    assert abs(fast.error - reference.error) <= 1e-13
 
 
 @pytest.mark.parametrize("N", [8, 10, 12])
@@ -619,6 +688,8 @@ def test_protocol_params_reject_bad_fields(kwargs, field):
     [
         pytest.param({"nsub0": 0}, "nsub0 must be a positive integer", id="0"),
         pytest.param({"nsub0": -2}, "nsub0 must be a positive integer", id="-2"),
+        pytest.param({"nsub0": 1.5}, "nsub0 must be a positive integer", id="1.5"),
+        pytest.param({"nsub0": np.nan}, "nsub0 must be a positive integer", id="nan"),
         pytest.param({"max_refine": -1}, "max_refine must be an int >= 0", id="max_refine=-1"),
         pytest.param({"max_refine": 1.5}, "max_refine must be an int >= 0", id="max_refine=1.5"),
     ],
@@ -626,6 +697,15 @@ def test_protocol_params_reject_bad_fields(kwargs, field):
 def test_protocol_rejects_nonpositive_initial_substeps(kwargs, message):
     with pytest.raises(ValueError, match=message):
         run_iswap_protocol(ProtocolParams(N=4, M=1), **kwargs)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, -np.inf])
+def test_protocol_rejects_bad_tolerance(monkeypatch, tol):
+    # rejected before any stepping, not after every refinement level
+    calls = _count_expm_stacks(monkeypatch)
+    with pytest.raises(ValueError, match="tol must be a number > 0"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), tol=tol)
+    assert calls == []
 
 
 @pytest.mark.parametrize("omega", [0.0, -4.0, np.nan, np.inf])
@@ -710,6 +790,17 @@ def test_protocol_output_is_unitary_and_sector_blocked():
     weights = np.array([bin(i).count("1") for i in range(16)])
     off_sector = weights[:, None] != weights[None, :]
     assert np.max(np.abs(res.unitary[off_sector])) < 1e-12
+
+
+@pytest.mark.parametrize("params", [ProtocolParams(N=4, M=1), ProtocolParams(N=6, M=4)])
+def test_default_runs_swap_the_target_states(params):
+    # the trace error's 2^N - 2 spectators outweigh the two targets, so a
+    # gate that leaves them in place can still score well on it: check the
+    # swap probability P_swap = |U_ab|^2 directly
+    res = run_iswap_protocol(params)
+    a, b = sea_indices(params.N)
+    assert abs(res.unitary[a, b]) ** 2 >= 0.99
+    assert abs(res.unitary[b, a]) ** 2 >= 0.99
 
 
 def test_swapped_pair_picks_up_i_phase():
@@ -812,7 +903,7 @@ def test_gate_time_accounting_frozen():
 def test_protocol_nonconvergence_names_its_coordinates():
     params = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=7)
     with pytest.raises(RuntimeError) as exc:
-        run_iswap_protocol(params, tol=0.0, max_refine=1)
+        run_iswap_protocol(params, tol=1e-300, max_refine=1)
     message = str(exc.value)
     for coordinate in ("N=4", "M=1", "eps=0.01", "seed=7"):
         assert coordinate in message
@@ -835,7 +926,7 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
     def no_dense_eigengate(*args, **kwargs):
         raise AssertionError("dense eigengate in the protocol route")
 
-    for name in ("build_hk", "driving_operator"):
+    for name in ("chain_block", "driving_operator"):
         monkeypatch.setattr(driving, name, sector_only(getattr(driving, name)))
     monkeypatch.setattr(eigengate, "build_eigengate", no_dense_eigengate)
     monkeypatch.setattr(driving, "build_eigengate", no_dense_eigengate, raising=False)
@@ -843,8 +934,8 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
     driving._layout_plan.cache_clear()
     res = run_iswap_protocol(ProtocolParams(N=N, M=4, noise_eps=0.01, seed=3))
     assert res.unitary.shape == (2**N, 2**N)
-    with pytest.raises(AssertionError, match="dense build_hk"):
-        driving.build_hk(krawtchouk_chain(N, 1.0))
+    with pytest.raises(AssertionError, match="dense chain_block"):
+        driving.chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
 
 
 # ---------------------------------------------------------------- drive plan
@@ -879,6 +970,10 @@ def test_plan_arrays_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
+    # (states, row, col, term) per sector; sectors 0 and N have no hops
+    hop_arrays = [arr for hops in plan.hops for arr in hops]
+    assert len(hop_arrays) == 4 * (N + 1)
+    assert not any(arr.flags.writeable for arr in hop_arrays)
 
 
 _CACHED_LAYOUT = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=2)
@@ -907,7 +1002,7 @@ def test_run_off_a_cached_layout_equals_its_cold_run(change, shares_plan):
 
 def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
     N = 4
-    calls = {"eigengate_single_particle": 0, "_unit_drive": 0}
+    calls = {"eigengate_single_particle": 0, "_unit_drive": 0, "chain_hops": 0}
 
     def counted(name):
         build = getattr(driving, name)
@@ -923,8 +1018,9 @@ def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
     driving._layout_plan.cache_clear()
     for seed in range(10):
         run_iswap_protocol(ProtocolParams(N=N, M=1, noise_eps=0.01, seed=seed))
-    # the unit drive once for the calibration, then once per sector
-    assert calls == {"eigengate_single_particle": 1, "_unit_drive": 1 + (N + 1)}
+    # the unit drive once for the calibration, then once per sector; the
+    # chain's hop pattern once per sector, its couplings applied per sample
+    assert calls == {"eigengate_single_particle": 1, "_unit_drive": 1 + (N + 1), "chain_hops": N + 1}
 
 
 def test_drive_that_couples_nothing_raises_on_every_run():

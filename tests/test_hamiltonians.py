@@ -11,6 +11,8 @@ from kchain.hamiltonians import (
     apply_coupling_noise,
     build_hk,
     build_hz,
+    chain_block,
+    chain_hops,
     coupling_noise,
     driving_operator,
     hopping_matrices,
@@ -185,3 +187,15 @@ def test_sector_blocks_equal_dense_slices(N):
         dense = build(None)
         for ix in sectors:
             assert np.array_equal(build(ix), dense[np.ix_(ix, ix)])
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_one_hop_pattern_serves_every_coupling_draw(N):
+    # a sector's pattern is built once; each draw applies only its couplings
+    # and fields, bitwise as build_hk builds the block from scratch
+    specs = [apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=s)) for s in range(4)]
+    specs.append(ChainSpec(N=N, J=1.0, couplings=specs[0].couplings, zfields=np.linspace(0.3, -0.2, N)))
+    for ix in [sector_indices(N, q) for q in range(N + 1)] + [None]:
+        hops = chain_hops(N, ix)
+        for spec in specs:
+            assert np.array_equal(chain_block(spec, hops), build_hk(spec, ix))
