@@ -61,58 +61,128 @@ def _taylor_threshold(m: int) -> float:
 
 
 # (degree m, threshold theta_m) of the step exponential's Taylor series, by
-# increasing degree: theta_6 ~ 0.0178, theta_8 ~ 0.0699, theta_12 ~ 0.335
-_TAYLOR_DEGREES = tuple((m, _taylor_threshold(m)) for m in (6, 8, 12))
-# matrices per chunk of _expm_stack's evaluation
-_EXPM_CHUNK = 32
+# increasing degree: theta_8 ~ 0.0699, theta_12 ~ 0.335
+_TAYLOR_DEGREES = tuple((m, _taylor_threshold(m)) for m in (8, 12))
+
+# Bytes of the complex step arrays one _cell_map holds at once, for
+# _CHUNK_ARRAYS stacks of one chunk's length (_chunk_length): six in its
+# scratch block (the generators and _expm_stack's five stacks) and at most
+# one in _ordered_product's temporaries.  One chunk's arrays thus stay in
+# cache, and no level allocates the pages of its whole step stack afresh.
+_STEP_BYTES = 1024 * 1024
+_CHUNK_ARRAYS = 7
 
 
-def _expm_stack(gs: np.ndarray) -> np.ndarray:
+def _t8_coefficients() -> tuple:
+    """(x1, ..., x7, y2) of Bader, Blanes and Casas (Mathematics 7 (2019)
+    1174): with A2 = A^2, A4 = A2 (x1 A + x2 A2) and A8 = (x3 A2 + A4)
+    (x4 I + x5 A + x6 A2 + x7 A4), I + A + y2 A2 + A8 is the degree-8
+    Taylor polynomial of exp(A), in three products."""
+    r, x3 = math.sqrt(177.0), 2.0 / 3.0
+    return (
+        x3 * (1.0 + r) / 88.0,
+        x3 * (1.0 + r) / 352.0,
+        x3,
+        (-271.0 + 29.0 * r) / (315.0 * x3),
+        11.0 * (-1.0 + r) / (1260.0 * x3),
+        11.0 * (-9.0 + r) / (5040.0 * x3),
+        (89.0 - r) / (5040.0 * x3**2),
+        (857.0 - 58.0 * r) / 630.0,
+    )
+
+
+_T8_COEFFS = _t8_coefficients()
+
+
+def _add_to_diagonal(stack: np.ndarray, value) -> None:
+    """stack += value I, for a C-contiguous stack of square matrices (on any
+    other layout the reshape would copy and the update would be lost)."""
+    n = stack.shape[-1]
+    stack.reshape(-1, n * n)[:, :: n + 1] += value
+
+
+def _taylor8(a, a2, b, c, d):
+    """exp(A) to degree 8 in three products (_T8_COEFFS), for the stack A in
+    a; a2, b, c and d are scratch stacks of its shape.  Returns d."""
+    x1, x2, x3, x4, x5, x6, x7, y2 = _T8_COEFFS
+    np.matmul(a, a, out=a2)
+    np.multiply(a, x1 / x2, out=b)
+    b += a2
+    b *= x2
+    np.matmul(a2, b, out=c)  # A4
+    np.multiply(a2, x3, out=b)
+    b += c
+    c *= x7
+    np.multiply(a, x5, out=d)
+    c += d
+    np.multiply(a2, x6, out=d)
+    c += d
+    _add_to_diagonal(c, x4)
+    np.matmul(b, c, out=d)  # A8
+    d += a
+    a2 *= y2
+    d += a2
+    _add_to_diagonal(d, 1.0)
+    return d
+
+
+def _taylor12(a, a2, a3, acc, spare):
+    """exp(A) to degree 12 by Paterson and Stockmeyer's scheme (1973) in
+    five products, for the stack A in a: I + B0 + Y(B1 + Y(B2 + Y B3))
+    with Y = A^3 and B_q = sum_{j=1..3} A^j / (3q + j)!; a2, a3, acc and
+    spare are scratch stacks of its shape.  Returns one of acc and spare."""
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a, out=a3)
+    acc.fill(0.0)
+    for q in (3, 2, 1, 0):
+        if q < 3:
+            np.matmul(a3, acc, out=spare)
+            acc, spare = spare, acc
+        for j, power in enumerate((a, a2, a3), start=1):
+            np.multiply(power, 1.0 / math.factorial(3 * q + j), out=spare)
+            acc += spare
+    _add_to_diagonal(acc, 1.0)
+    return acc
+
+
+def _expm_stack(gs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """exp(-i G) for a stack of Hermitian matrices, each unitary to roundoff
     (backward error <= 2^-53).
 
-    One truncated Taylor series serves the stack: its degree is the least
-    of _TAYLOR_DEGREES whose threshold covers the stack's largest 1-norm.
-    A larger norm is halved until it fits the top degree, and the result is
-    squared as many times (scaling and squaring, as in Al-Mohy and Higham,
-    SIAM J. Matrix Anal. Appl. 2009).  The polynomial is evaluated by
-    Paterson and Stockmeyer's scheme (1973), with 3, 4 and 5 products at
-    degree 6, 8 and 12, in chunks of _EXPM_CHUNK matrices written into one
-    output stack.
+    One truncated Taylor series serves the stack, chosen by its largest
+    1-norm theta for the fewest products: degree 8 in three products
+    (_taylor8) up to theta_8, and with one squaring up to 2 theta_8; above,
+    degree 12 in five (_taylor12), the norm halved until it fits theta_12
+    and the result squared as many times (scaling and squaring, as in
+    Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009).
+
+    Either kernel works in five stacks of the input's size and no
+    temporaries: the first five of work (a C-contiguous complex array of
+    shape (>= 5, >= len(stack), n, n)), the result then being a view of
+    it, or fresh arrays if work is None.
     """
     n = gs.shape[-1]
     flat = gs.reshape(-1, n, n)
     theta = float(np.abs(flat).sum(axis=-2).max(initial=0.0))
     if not math.isfinite(theta):
         raise ValueError("step generators must be finite")
-    squarings = 0
-    while theta > _TAYLOR_DEGREES[-1][1]:
-        theta /= 2.0
-        squarings += 1
-    m = next(m for m, bound in _TAYLOR_DEGREES if theta <= bound)
-    # p(G) = I + sum_q Y^q B_q with Y = G^w and B_q = sum_{j=1..w} c_{qw+j} G^j,
-    # where c_k = (-i/2^squarings)^k / k!; rows[q][j-1] holds c_{qw+j}
-    w = math.isqrt(m)
-    c = [(-1.0j / 2.0**squarings) ** k / math.factorial(k) for k in range(1, m + 1)]
-    rows = [c[q : q + w] for q in range(0, len(c), w)]
-    out = np.empty(flat.shape, dtype=complex)
-    for lo in range(0, flat.shape[0], _EXPM_CHUNK):
-        g = flat[lo : lo + _EXPM_CHUNK]
-        powers = np.empty((w,) + g.shape, dtype=complex)
-        powers[0] = g
-        for j in range(1, w):
-            np.matmul(powers[j - 1], g, out=powers[j])
-        # Horner in Y, top block first
-        acc = None
-        for row in reversed(rows):
-            acc = np.zeros(g.shape, dtype=complex) if acc is None else powers[-1] @ acc
-            for coef, power in zip(row, powers):
-                acc += coef * power
-        acc.reshape(len(g), n * n)[:, :: n + 1] += 1.0
-        for _ in range(squarings):
-            acc = acc @ acc
-        out[lo : lo + len(g)] = acc
-    return out.reshape(gs.shape)
+    (_, theta8), (_, theta12) = _TAYLOR_DEGREES
+    taylor, squarings = _taylor8, int(theta > theta8)
+    if theta > 2.0 * theta8:
+        taylor, squarings = _taylor12, 0
+        while theta > theta12:
+            theta /= 2.0
+            squarings += 1
+    if work is None:
+        work = np.empty((5,) + flat.shape, dtype=complex)
+    bufs = list(work[:5, : len(flat)])
+    np.multiply(flat, -1.0j / 2.0**squarings, out=bufs[0])
+    u = taylor(*bufs)
+    spare = bufs[0]
+    for _ in range(squarings):
+        np.matmul(u, u, out=spare)
+        u, spare = spare, u
+    return u.reshape(gs.shape)
 
 
 def _ordered_product(us: np.ndarray) -> np.ndarray:
@@ -132,7 +202,7 @@ def _commutator(a, b):
 
 def _drive_basis(h0: np.ndarray, vop: np.ndarray) -> np.ndarray:
     """The ten Hermitian matrices that every sixth-order Magnus generator of
-    H(t) = h0 + c(t) vop is a real combination of (_drive_generators).
+    H(t) = h0 + c(t) vop is a real combination of (_step_coefficients).
 
     With K = [h0, vop], the formula's nested commutators are all among K,
     [h0, K], [vop, K], [h0, [h0, K]], [h0, [vop, K]], [vop, [vop, K]],
@@ -151,19 +221,25 @@ def _drive_basis(h0: np.ndarray, vop: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _drive_generators(basis: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
-    """Sixth-order Magnus step generators G of H(t) = h0 + c(t) vop, for
-    steps of length h whose drive values at the three Gauss nodes are the
-    rows of c: Blanes et al.'s -iG = a1 + a3/12 + [-20 a1 - a3 + C1, a2 +
-    C2]/240, where A_j = -i h H(node j), a1 = A2, a2 = (sqrt 15/3)(A3 - A1),
-    a3 = (10/3)(A3 - 2 A2 + A1), C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1]/60,
-    expanded in _drive_basis(h0, vop): ten real coefficients per step."""
-    c1, c2, c3 = c.T
+def _step_coefficients(omega, phase, t_start, duration, nsteps) -> np.ndarray:
+    """The sixth-order Magnus generators of the nsteps steps of H(t) = h0 +
+    cos(omega t + phase) vop over [t_start, t_start + duration], as an
+    (nsteps, 10) array of real coefficients in _drive_basis(h0, vop).
+
+    With the drive's values c at a step's three Gauss nodes: Blanes et
+    al.'s -iG = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240, where A_j =
+    -i h H(node j), a1 = A2, a2 = (sqrt 15/3)(A3 - A1), a3 = (10/3)(A3 -
+    2 A2 + A1), C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1]/60, for steps of
+    length h."""
+    h = duration / nsteps
+    t = t_start + h * np.arange(nsteps)
+    nodes = t[:, None] + h * np.array(_GAUSS_NODES)
+    c1, c2, c3 = np.cos(omega * nodes + phase).T
     b = (math.sqrt(15.0) / 3.0) * (c3 - c1)
     d = (10.0 / 3.0) * (c3 - 2.0 * c2 + c1)
     e = 20.0 * c2 + d
     bb = b * b
-    coeffs = np.empty((len(c), 10))
+    coeffs = np.empty((nsteps, 10))
     coeffs[:, 0] = h
     coeffs[:, 1] = h * (c2 + d / 12.0)
     coeffs[:, 2] = h**2 / 12.0 * b
@@ -174,20 +250,18 @@ def _drive_generators(basis: np.ndarray, h: float, c: np.ndarray) -> np.ndarray:
     coeffs[:, 7] = h**4 / 14400.0 * b * e * c2
     coeffs[:, 8] = -(h**5) / 14400.0 * bb
     coeffs[:, 9] = -(h**5) / 14400.0 * bb * c2
-    # real coefficients times the basis's real and imaginary parts at once
+    return coeffs
+
+
+def _drive_generators(basis: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The step generators whose real coefficients in basis (_drive_basis)
+    are the rows of coeffs (_step_coefficients), written into out, a
+    C-contiguous complex stack of len(coeffs) matrices, and returned."""
     n = basis.shape[-1]
     flat = basis.reshape(len(basis), n * n).view(np.float64)
-    return (coeffs @ flat).view(complex).reshape(-1, n, n)
-
-
-def _magnus_steps(basis, omega, phase, t_start, duration, nsteps) -> np.ndarray:
-    """Stack of the nsteps per-step unitaries of H(t) = h0 + cos(omega t +
-    phase) vop over [t_start, t_start + duration], by the sixth-order Magnus
-    integrator on the drive's commutator basis (_drive_basis(h0, vop))."""
-    h = duration / nsteps
-    t = t_start + h * np.arange(nsteps)
-    nodes = t[:, None] + h * np.array(_GAUSS_NODES)
-    return _expm_stack(_drive_generators(basis, h, np.cos(omega * nodes + phase)))
+    # real coefficients times the basis's real and imaginary parts at once
+    np.matmul(coeffs, flat, out=out.reshape(len(coeffs), n * n).view(np.float64))
+    return out
 
 
 def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
@@ -251,7 +325,7 @@ class ProtocolParams:
             raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
         if not isinstance(self.M, numbers.Integral) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if not 0.0 < self.J < math.inf:
+        if not (isinstance(self.J, numbers.Real) and 0.0 < self.J < math.inf):
             raise ValueError(f"J must be a finite number > 0, got {self.J!r}")
         if self.sign not in (None, "+", "-"):
             raise ValueError(f"sign must be None, '+' or '-', got {self.sign!r}")
@@ -535,13 +609,44 @@ def _snap(cells):
     return whole if abs(cells - whole) <= _SNAP_RTOL * abs(cells) else cells
 
 
+def _chunk_length(n: int) -> int:
+    """Steps per chunk of an n x n sector: the largest power of two whose
+    _CHUNK_ARRAYS complex stacks fit _STEP_BYTES, and at least one."""
+    fit = _STEP_BYTES // (_CHUNK_ARRAYS * 16 * n * n)
+    return 1 << max(fit.bit_length() - 1, 0)
+
+
 def _cell_map(basis, omega, phase, nsub, a, b):
     """Unitary over [a, b] on the drive clock, in half-period cells, for a
     stretch of at most one cell; stepped at nsub substeps per cell on the
-    drive's commutator basis (_drive_basis)."""
+    drive's commutator basis (_drive_basis).
+
+    The steps' coefficients are formed once; the steps themselves are
+    exponentiated in chunks of _chunk_length(n), in one scratch block, and
+    each chunk's ordered product is multiplied into the running one from
+    the left.  So the matrices held at once fit _STEP_BYTES whatever the
+    step count, unless a single step's do not.
+    """
     cell = math.pi / omega
     nsteps = max(1, math.ceil((b - a) * nsub))
-    return _ordered_product(_magnus_steps(basis, omega, phase, a * cell, (b - a) * cell, nsteps))
+    coeffs = _step_coefficients(omega, phase, a * cell, (b - a) * cell, nsteps)
+    n = basis.shape[-1]
+    size = min(nsteps, _chunk_length(n))
+    # every cell asks for a block of the same size, _STEP_BYTES, so the
+    # allocator hands back the one it was given last; glibc, having unmapped
+    # the first, raises its mmap and trim thresholds past that size, and the
+    # block's pages stay mapped from cell to cell
+    shape = (_CHUNK_ARRAYS - 1, size, n, n)
+    count = math.prod(shape)
+    work = np.empty(max(count, _STEP_BYTES // 16), dtype=complex)[:count].reshape(shape)
+    u = None
+    for lo in range(0, nsteps, size):
+        chunk = coeffs[lo : lo + size]
+        gs = _drive_generators(basis, chunk, work[0, : len(chunk)])
+        step = _ordered_product(_expm_stack(gs, work[1:]))
+        # a one-step chunk's product is a view of the scratch block
+        u = step.copy() if u is None else step @ u
+    return u
 
 
 def _interval_map(ua, ub, partial, s, e):

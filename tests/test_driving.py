@@ -1,12 +1,15 @@
 """Tests for the Magnus drive stepper and the resonant swap protocol.
 
-The generic sixth-order Magnus step, the dense halfway-inversion propagator
-and the two-level Hamiltonian below are the reference routes the protocol
-and its drive stepper are checked against; nothing in the library uses them.
+The generic sixth-order Magnus step, the whole step stack exponentiated in
+one call, the dense halfway-inversion propagator and the two-level
+Hamiltonian below are the reference routes the protocol and its drive
+stepper are checked against; nothing in the library uses them.
 """
 
 import dataclasses
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +75,15 @@ def _magnus6_generator(h, h1, h2, h3):
     return 1.0j * (a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
 
 
+def _magnus_steps(basis, omega, phase, t_start, duration, nsteps):
+    """Whole stack of the nsteps step unitaries of the drive on basis
+    (_drive_basis) over [t_start, t_start + duration]: what the protocol's
+    _cell_map exponentiates and multiplies chunk by chunk."""
+    coeffs = driving._step_coefficients(omega, phase, t_start, duration, nsteps)
+    gs = np.empty((nsteps,) + basis.shape[1:], dtype=complex)
+    return driving._expm_stack(driving._drive_generators(basis, coeffs, gs))
+
+
 def _generic_steps(func, t_start, duration, nsteps):
     """Step unitaries of H(t) = func(t), any Hermitian callable of absolute
     time, by the generic sixth-order Magnus step."""
@@ -112,8 +124,8 @@ def _dense_inversion_reference(params, calibration, tol):
     invert, restore = expm_hermitian(hz, pulse), expm_hermitian(-hz, pulse)
 
     def compute(nsub):
-        first = driving._magnus_steps(basis, omega, phase, 0.0, half, nsub)
-        second = driving._magnus_steps(basis, omega, phase - omega * pulse, half + pulse, half, nsub)
+        first = _magnus_steps(basis, omega, phase, 0.0, half, nsub)
+        second = _magnus_steps(basis, omega, phase - omega * pulse, half + pulse, half, nsub)
         return [
             restore @ driving._ordered_product(second) @ invert @ driving._ordered_product(first)
         ]
@@ -132,21 +144,21 @@ def test_integrator_reports_nonconvergence():
 _GAUSS4 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 
 
-def _magnus4_steps(basis, omega, phase, t_start, duration, nsteps):
-    """Step unitaries of the drive on basis (only h0 = basis[0] and
-    vop = basis[1] are read) by the fourth-order two-node Gauss-Legendre
-    Magnus stepper that the sixth-order one replaced, kept here as its
-    reference."""
-    h0, vop = basis[0], basis[1]
+def _magnus4_coefficients(omega, phase, t_start, duration, nsteps):
+    """Coefficients in _drive_basis of the step generators of the fourth-
+    order two-node Gauss-Legendre Magnus stepper that the sixth-order one
+    replaced, kept here as its reference: G = h (h0 + (ca + cb)/2 vop) -
+    (sqrt 3 h^2/12)(ca - cb) i[h0, vop], with ca and cb the drive at the
+    two nodes; i[h0, vop] is the basis's third matrix."""
     h = duration / nsteps
     t = t_start + h * np.arange(nsteps)
     ca = np.cos(omega * (t + _GAUSS4[0] * h) + phase)
     cb = np.cos(omega * (t + _GAUSS4[1] * h) + phase)
-    comm = 1.0j * (h0 @ vop - vop @ h0)
-    gs = (h / 2.0) * (2.0 * h0 + (ca + cb)[:, None, None] * vop) - (
-        np.sqrt(3.0) * h * h / 12.0
-    ) * (ca - cb)[:, None, None] * comm
-    return driving._expm_stack(gs)
+    coeffs = np.zeros((nsteps, 10))
+    coeffs[:, 0] = h
+    coeffs[:, 1] = (h / 2.0) * (ca + cb)
+    coeffs[:, 2] = -(np.sqrt(3.0) * h * h / 12.0) * (ca - cb)
+    return coeffs
 
 
 # (omega, phase, duration) of the test drive
@@ -164,7 +176,7 @@ def test_drive_steps_are_sixth_order(rng):
     basis = driving._drive_basis(*_test_drive(rng))
     omega, phase, duration = _TEST_CLOCK
     us = [
-        driving._ordered_product(driving._magnus_steps(basis, omega, phase, 0.0, duration, n))
+        driving._ordered_product(_magnus_steps(basis, omega, phase, 0.0, duration, n))
         for n in (8, 16, 32, 64)
     ]
     deltas = [max_column_distance(fine, coarse) for coarse, fine in zip(us, us[1:])]
@@ -181,7 +193,7 @@ def test_drive_basis_steps_match_the_generic_step(rng):
     omega, phase, duration = _TEST_CLOCK
     func = lambda t: h0 + np.cos(omega * t + phase) * vop
     for t0, n in ((0.0, 8), (0.3, 5)):
-        fast = driving._magnus_steps(basis, omega, phase, t0, duration, n)
+        fast = _magnus_steps(basis, omega, phase, t0, duration, n)
         generic = _generic_steps(func, t0, duration, n)
         assert np.max(np.abs(fast - generic)) <= 1e-13
 
@@ -191,9 +203,13 @@ def test_drive_basis_steps_match_the_generic_step(rng):
 )
 def test_sixth_order_protocol_matches_fourth_order_reference(monkeypatch, params):
     fast = run_iswap_protocol(params)
-    monkeypatch.setattr(driving, "_magnus_steps", _magnus4_steps)
+    sixth = run_iswap_protocol(params, tol=3e-11)
+    monkeypatch.setattr(driving, "_step_coefficients", _magnus4_coefficients)
     reference = run_iswap_protocol(params, tol=3e-11)
     assert len(reference.refinement) > len(fast.refinement)
+    # the patch reached the run: at one tolerance the fourth-order steps
+    # need more levels than the sixth-order ones
+    assert len(reference.refinement) > len(sixth.refinement)
     assert np.max(np.abs(fast.unitary - reference.unitary)) <= 1e-10
 
 
@@ -220,20 +236,81 @@ def _hermitian_stack(rng, count, n, norm):
     return a * (norm / np.abs(a).sum(axis=-2).max())
 
 
+def test_taylor8_coefficients_give_the_degree_8_taylor_polynomial():
+    x1, x2, x3, x4, x5, x6, x7, y2 = driving._T8_COEFFS
+    poly = np.polynomial.Polynomial
+    a = poly([0.0, 1.0])
+    a2 = a * a
+    a4 = a2 * (x1 * a + x2 * a2)
+    t8 = 1.0 + a + y2 * a2 + (x3 * a2 + a4) * (x4 + x5 * a + x6 * a2 + x7 * a4)
+    assert t8.degree() == 8
+    for k, coef in enumerate(t8.coef):
+        assert abs(coef * math.factorial(k) - 1.0) <= 1e-15, k
+
+
 @pytest.mark.parametrize("n", [1, 6, 20, 70])
 def test_expm_stack_matches_eigh_oracle(rng, n):
-    (_, theta6), (_, theta8), (_, theta12) = driving._TAYLOR_DEGREES
-    # every degree at and below its threshold, then one and many squarings
-    norms = (1e-4, theta6, 0.5 * (theta6 + theta8), theta8, theta12, 2.0 * theta12, 1.0, 50.0)
-    chunk = driving._EXPM_CHUNK
-    for count in (1, chunk - 5, chunk + 13, 2 * chunk + 1):
+    (_, theta8), (_, theta12) = driving._TAYLOR_DEGREES
+    above = 1.0 + 1e-9
+    # degree 8 at and below its threshold, with one squaring just above it
+    # and up to twice it, degree 12 just above that, then one and many
+    # squarings of degree 12
+    norms = (1e-4, theta8, theta8 * above, 2.0 * theta8, 2.0 * theta8 * above,
+             theta12, 2.0 * theta12, 1.0, 50.0)
+    for count in (1, 27, 45):
         for norm in norms:
-            gs = _hermitian_stack(rng, count, n, norm)
-            u = driving._expm_stack(gs)
-            assert u.shape == gs.shape
-            assert np.max(np.abs(u - expm_hermitian(gs))) <= 1e-13
-            gram = u @ np.conj(np.swapaxes(u, -1, -2))
-            assert np.max(np.abs(gram - np.eye(n))) <= 1e-13
+            gs = np.ascontiguousarray(_hermitian_stack(rng, count, n, norm))
+            # the same values in a view that is not C-contiguous
+            strided = np.swapaxes(np.conj(gs), -1, -2)
+            assert np.array_equal(strided, gs)
+            assert n == 1 or not strided.flags.c_contiguous
+            want = expm_hermitian(gs)
+            for stack in (gs, strided):
+                u = driving._expm_stack(stack)
+                # and the same in scratch arrays, as the protocol steps
+                work = np.empty((5, count, n, n), dtype=complex)
+                assert np.array_equal(driving._expm_stack(stack, work), u)
+                assert u.shape == gs.shape
+                assert np.max(np.abs(u - want)) <= 1e-13, (count, norm)
+                gram = u @ np.conj(np.swapaxes(u, -1, -2))
+                assert np.max(np.abs(gram - np.eye(n))) <= 1e-13, (count, norm)
+
+
+def _random_drive_basis(rng, n):
+    """_drive_basis of a random n x n drive: h0 of 1-norm 5, vop of 1-norm 1."""
+    h0, vop = (_hermitian_stack(rng, 1, n, norm)[0] for norm in (5.0, 1.0))
+    return driving._drive_basis(h0, vop)
+
+
+@pytest.mark.parametrize("n", [6, 15, 20, 70])
+def test_chunked_cell_map_equals_the_whole_step_stack(rng, n):
+    basis = _random_drive_basis(rng, n)
+    omega, phase = 3.0, 0.4
+    chunk = driving._chunk_length(n)
+    for nsteps in sorted({1, chunk - 1, chunk, chunk + 1, 3 * chunk + 1} - {0}):
+        # [0.5, 1] of a cell at 2 nsteps substeps per cell: nsteps steps
+        got = driving._cell_map(basis, omega, phase, 2 * nsteps, 0.5, 1)
+        whole = _magnus_steps(basis, omega, phase, 0.5 * np.pi / omega, 0.5 * np.pi / omega, nsteps)
+        assert len(whole) == nsteps
+        assert np.max(np.abs(got - driving._ordered_product(whole))) <= 1e-13, nsteps
+
+
+@pytest.mark.parametrize("n", [20, 70])
+def test_cell_map_memory_does_not_grow_with_the_step_count(rng, n):
+    # a chunk holds at most 32 steps at these sizes, so from 32 substeps per
+    # cell on, only the chunk count grows with nsub
+    assert driving._chunk_length(n) <= 32
+    basis = _random_drive_basis(rng, n)
+
+    def peak(nsub):
+        tracemalloc.start()
+        try:
+            driving._cell_map(basis, 3.0, 0.4, nsub, 0, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(256) <= 1.5 * peak(32)
 
 
 def test_expm_stack_rejects_non_finite_generators():
@@ -249,8 +326,9 @@ def test_expm_stack_rejects_non_finite_generators():
 )
 def test_taylor_steps_match_eigh_reference_route(monkeypatch, params):
     fast = run_iswap_protocol(params)
-    # the eigendecomposition route the Taylor kernel replaced
-    monkeypatch.setattr(driving, "_expm_stack", expm_hermitian)
+    # the eigendecomposition route the Taylor kernel replaced (it needs no
+    # scratch arrays)
+    monkeypatch.setattr(driving, "_expm_stack", lambda gs, work=None: expm_hermitian(gs))
     reference = run_iswap_protocol(params)
     assert fast.substeps_per_period == reference.substeps_per_period
     assert max_column_distance(fast.unitary, reference.unitary) < 1e-9
@@ -290,10 +368,10 @@ def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
     basis = driving._drive_basis(h0, vop)
     if invert is None:
         return driving._ordered_product(
-            driving._magnus_steps(basis, omega, phase, 0.0, 2 * length, 2 * n)
+            _magnus_steps(basis, omega, phase, 0.0, 2 * length, 2 * n)
         )
-    first = driving._ordered_product(driving._magnus_steps(basis, omega, phase, 0.0, length, n))
-    second = driving._ordered_product(driving._magnus_steps(basis, omega, phase, length, length, n))
+    first = driving._ordered_product(_magnus_steps(basis, omega, phase, 0.0, length, n))
+    second = driving._ordered_product(_magnus_steps(basis, omega, phase, length, length, n))
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
@@ -414,16 +492,29 @@ def test_off_resonant_protocol_matches_explicit_schedule(omega):
 
 
 def _stacks_per_level(N, nsubs, halves_of):
-    """Expected _expm_stack shapes of a run whose levels step nsubs substeps
+    """Expected matrices stepped per sector per level ((count, n, n), as
+    _per_sector_level gives them) of a run whose levels step nsubs substeps
     per half-period: sectors 0 < q <= N/2 in order, halves_of(q, nsub)
-    giving the matrix count of each stack sector q steps."""
+    giving the matrix count of each stretch sector q steps."""
     return [
-        (count, n, n)
+        (sum(halves_of(q, nsub)), n, n)
         for nsub in nsubs
         for q in range(1, N // 2 + 1)
         for n in [len(sector_indices(N, q))]
-        for count in halves_of(q, nsub)
     ]
+
+
+def _per_sector_level(calls):
+    """The shapes of the _expm_stack calls of a run, (count, n, n), with the
+    counts of consecutive calls on one sector size summed: a cell is
+    stepped in chunks, one call each, and within a level the sectors
+    0 < q <= N/2 are stepped in order of increasing size."""
+    out = []
+    for count, n, _ in calls:
+        if out and out[-1][1] == n:
+            count += out.pop()[0]
+        out.append((count, n, n))
+    return out
 
 
 @pytest.mark.parametrize("N, per_level", [(4, 2), (6, 3), (8, 4)])
@@ -435,9 +526,10 @@ def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_lev
     calls = _count_expm_stacks(monkeypatch)
     res = run_iswap_protocol(ProtocolParams(N=N, M=4), tol=np.inf, nsub0=4, max_refine=1)
     assert len(res.refinement) == 2
-    assert len(calls) == 2 * per_level
+    stepped = _per_sector_level(calls)
+    assert len(stepped) == 2 * per_level
     folds = driving_sign(N) == "-"
-    assert calls == _stacks_per_level(
+    assert stepped == _stacks_per_level(
         N, (4, 8), lambda q, nsub: [nsub // 2 if folds and 2 * q == N else nsub]
     )
 
@@ -449,25 +541,23 @@ def test_window_within_roundoff_of_whole_cells_steps_no_partial_cell(monkeypatch
     params = ProtocolParams(N=N, M=M)
     cells = (params.tau_d / 2.0) / (np.pi / resonance_frequency(N))
     assert cells != round(cells) and abs(cells - round(cells)) < 1e-12
-    calls = []
-    kernel = driving._expm_stack
-
-    def counting_kernel(gs):
-        calls.append(gs.shape)
-        return kernel(gs)
-
-    monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
+    calls = _count_expm_stacks(monkeypatch)
     run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
-    assert len(calls) == 2 * per_level
+    stepped = _per_sector_level(calls)
+    assert len(stepped) == 2 * per_level
+    folds = driving_sign(N) == "-"
+    assert stepped == _stacks_per_level(
+        N, (4, 8), lambda q, nsub: [nsub // 2 if folds and 2 * q == N else nsub]
+    )
 
 
 def _count_expm_stacks(monkeypatch):
     calls = []
     kernel = driving._expm_stack
 
-    def counting_kernel(gs):
+    def counting_kernel(gs, *args):
         calls.append(gs.shape)
-        return kernel(gs)
+        return kernel(gs, *args)
 
     monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
     return calls
@@ -499,8 +589,11 @@ def test_caller_supplied_phase_steps_both_half_periods(monkeypatch, N, per_level
     calls = _count_expm_stacks(monkeypatch)
     params = ProtocolParams(N=N, M=4, drive_phase=0.4)
     run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
-    assert len(calls) == 2 * per_level
-    assert calls == _stacks_per_level(N, (4, 8), lambda q, nsub: [nsub, nsub])
+    # per_level half-periods a level, two a sector, which sum to one entry:
+    # two levels of per_level / 2 sectors
+    stepped = _per_sector_level(calls)
+    assert len(stepped) == 2 * (per_level // 2)
+    assert stepped == _stacks_per_level(N, (4, 8), lambda q, nsub: [nsub, nsub])
 
 
 def _reversal_symmetry(h, v):
@@ -577,7 +670,10 @@ def test_long_resonant_window_steps_no_partial_cell(monkeypatch):
     assert abs(cells - round(cells)) >= 1e-12
     calls = _count_expm_stacks(monkeypatch)
     run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
-    assert len(calls) == 2 * 4
+    # each sector 0 < q <= 4 steps its first half-period whole, nothing more
+    stepped = _per_sector_level(calls)
+    assert len(stepped) == 2 * 4
+    assert stepped == _stacks_per_level(8, (4, 8), lambda q, nsub: [nsub])
 
 
 def test_unpaired_sectors_are_rejected(monkeypatch):
@@ -676,6 +772,7 @@ def test_protocol_params_reject_bad_coupling_scale(J):
         (dict(N=4, M=1.5), "M"),
         (dict(N=4, M=np.inf), "M"),
         (dict(N=4, M=np.nan), "M"),
+        (dict(N=4, J="1"), "J"),
     ],
 )
 def test_protocol_params_reject_bad_fields(kwargs, field):

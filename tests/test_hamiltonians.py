@@ -50,6 +50,27 @@ def test_chain_spec_validation():
         ChainSpec(N=4, J=1.0, couplings=np.zeros(3), zfields=np.zeros(3))
 
 
+@pytest.mark.parametrize("field", ["couplings", "zfields"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chain_spec_rejects_non_finite_values(field, bad):
+    values = {"couplings": np.ones(3), "zfields": np.zeros(4)}
+    values[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ChainSpec(N=4, J=1.0, **values)
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_chain_blocks_are_exactly_hermitian(N):
+    # chain_block checks nothing: its blocks must be Hermitian bit for bit
+    noisy = apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N))
+    fielded = ChainSpec(N=N, J=1.0, couplings=noisy.couplings, zfields=np.linspace(0.3, -0.2, N))
+    for q in range(N + 1):
+        hops = chain_hops(N, sector_indices(N, q))
+        for spec in (noisy, fielded):
+            block = chain_block(spec, hops)
+            assert np.array_equal(block, block.conj().T), (N, q)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_hk_hermitian_and_u1_symmetric(N):
     ham = build_hk(krawtchouk_chain(N, 1.0))
