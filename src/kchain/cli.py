@@ -30,7 +30,7 @@ from .experiments import (
     SweepConfig,
     format_table,
     ghz_demo,
-    point_seed,
+    point_seeds,
     pst_demo,
     sweep_fig2,
     sweep_fig3,
@@ -284,8 +284,10 @@ def _cmd_eigengate_check(args) -> int:
 def _cmd_drive(args) -> int:
     rows = []
     count = 1 if args.eps == 0.0 else args.samples
-    for i in range(count):
-        seed = args.seed if count == 1 else point_seed(args.seed, args.n, args.m, 0, i)
+    seeds = [args.seed]
+    if count > 1:
+        seeds = point_seeds(args.seed, args.n, args.m, 0, range(count)).tolist()
+    for seed in seeds:
         res = run_iswap_protocol(
             ProtocolParams(
                 N=args.n,

@@ -221,10 +221,13 @@ def _drive_basis(h0: np.ndarray, vop: np.ndarray) -> np.ndarray:
     return basis
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def _step_coefficients(omega, phase, t_start, duration, nsteps) -> np.ndarray:
     """The sixth-order Magnus generators of the nsteps steps of H(t) = h0 +
-    cos(omega t + phase) vop over [t_start, t_start + duration], as an
-    (nsteps, 10) array of real coefficients in _drive_basis(h0, vop).
+    cos(omega t + phase) vop over [t_start, t_start + duration], as a
+    read-only (nsteps, 10) array of real coefficients in _drive_basis(h0,
+    vop).  They depend on the drive clock only, not on h0 and vop, so they
+    are cached: every noisy sample of a layout steps the same stretches.
 
     With the drive's values c at a step's three Gauss nodes: Blanes et
     al.'s -iG = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240, where A_j =
@@ -250,6 +253,7 @@ def _step_coefficients(omega, phase, t_start, duration, nsteps) -> np.ndarray:
     coeffs[:, 7] = h**4 / 14400.0 * b * e * c2
     coeffs[:, 8] = -(h**5) / 14400.0 * bb
     coeffs[:, 9] = -(h**5) / 14400.0 * bb * c2
+    coeffs.flags.writeable = False
     return coeffs
 
 
@@ -336,7 +340,15 @@ class ProtocolParams:
             and 0 < len(set(pairs)) == len(pairs)
         ):
             raise ValueError(f"pairs must be a tuple of distinct ints in [0, N/2), got {pairs!r}")
-        if self.drive_phase is not None and not math.isfinite(self.drive_phase):
+        if not isinstance(self.halfway_inversion, (bool, np.bool_)):
+            raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
+        if not (isinstance(self.noise_eps, numbers.Real) and 0.0 <= self.noise_eps < 1.0):
+            raise ValueError(f"noise_eps must be a number in [0, 1), got {self.noise_eps!r}")
+        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be None or an int >= 0, got {self.seed!r}")
+        if self.drive_phase is not None and not (
+            isinstance(self.drive_phase, numbers.Real) and math.isfinite(self.drive_phase)
+        ):
             raise ValueError(f"drive_phase must be a finite number, got {self.drive_phase!r}")
 
     @property

@@ -8,7 +8,7 @@ from .hamiltonians import (
     ChainSpec,
     build_hk,
     build_hz,
-    coupling_noise,
+    coupling_noises,
     hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
@@ -211,13 +211,13 @@ def free_fermion_trace_error(u_exact: np.ndarray, u_actual: np.ndarray) -> float
 def noisy_eigengate_errors(N: int, J: float, eps: float, seeds) -> np.ndarray:
     """Trace errors of noisy three-step gates against the clean one, per seed.
 
-    Each seed draws its couplings as apply_coupling_noise does.  The noisy
+    Each seed draws its couplings as apply_coupling_noise does, all seeds
+    in one stack (coupling_noises), so seeds are ints in [0, 2^64).  The noisy
     gates are built and scored as one stack against a clean gate computed
     once; every element equals the error of its seed on its own.
     """
     spec = krawtchouk_chain(N, J, noise_eps=eps)
-    draws = np.array([coupling_noise(N, eps, seed) for seed in seeds])
-    hop = hopping_matrices(spec.couplings * (1.0 + draws))
+    hop = hopping_matrices(spec.couplings * (1.0 + coupling_noises(N, eps, seeds)))
     u_exact = eigengate_single_particle(N, J, "three_step")
     u_noisy = eigengate_single_particle(N, J, "three_step", hop=hop)
     return free_fermion_trace_error(u_exact, u_noisy)

@@ -9,11 +9,14 @@ import dataclasses
 import datetime
 import json
 import math
+import numbers
+import platform
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
+from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
 from .driving import ProtocolParams, run_iswap_protocol
 from .eigengate import noisy_eigengate_errors
 from .hamiltonians import build_hk, krawtchouk_chain
@@ -25,6 +28,7 @@ __all__ = [
     "DEFAULT_SAMPLES",
     "SweepConfig",
     "point_seed",
+    "point_seeds",
     "sweep_fig2",
     "sweep_fig3",
     "format_table",
@@ -55,8 +59,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.protocol not in ("fig2", "fig3"):
             raise ValueError("protocol must be 'fig2' or 'fig3'")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not isinstance(self.samples, numbers.Integral) or self.samples < 1:
+            raise ValueError(f"samples must be an int >= 1, got {self.samples!r}")
+        if not isinstance(self.base_seed, numbers.Integral) or self.base_seed < 0:
+            raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if not self.n_values or not self.eps_values:
@@ -68,16 +74,31 @@ class SweepConfig:
         object.__setattr__(self, "m_values", tuple(self.m_values))
 
 
-def point_seed(base_seed: int, N: int, M: int, eps_idx: int, sample_idx: int) -> int:
-    """Stable 64-bit seed for one Monte Carlo sample.
+def point_seeds(base_seed: int, N: int, M: int, eps_idx: int, sample_indices) -> np.ndarray:
+    """Stable 64-bit seeds of the samples sample_indices of one grid point,
+    as a uint64 array.
 
-    Derived through SeedSequence spawn keys, so any two distinct grid
-    coordinates give statistically independent streams and the mapping
-    never changes across library versions or thread counts.
+    Element k is the seed that SeedSequence(entropy=base_seed,
+    spawn_key=(N, M, eps_idx, sample_indices[k])).generate_state(2) gives,
+    low word first, so any two distinct grid coordinates give statistically
+    independent streams and the mapping never changes across library
+    versions or thread counts.  Every entropy word but the sample index is
+    the grid point's, so those are mixed once and only the last word is
+    mixed per sample (_seeding).  base_seed, N, M and eps_idx are ints >= 0
+    and each sample index an int in [0, 2^32).
     """
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(N, M, eps_idx, sample_idx))
-    lo, hi = ss.generate_state(2)
-    return (int(hi) << 32) | int(lo)
+    for name, value in (("base_seed", base_seed), ("N", N), ("M", M), ("eps_idx", eps_idx)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    indices = uint_stack(sample_indices, 2**32, "sample index")
+    entropy = assembled_entropy(base_seed, (N, M, eps_idx, indices))
+    lo, hi = generate_state(mix_entropy(entropy), 2)
+    return hi << 32 | lo
+
+
+def point_seed(base_seed: int, N: int, M: int, eps_idx: int, sample_idx: int) -> int:
+    """Stable 64-bit seed of one Monte Carlo sample: point_seeds of one index."""
+    return int(point_seeds(base_seed, N, M, eps_idx, [sample_idx])[0])
 
 
 def _mean_and_stderr(errors: np.ndarray) -> tuple:
@@ -106,9 +127,10 @@ def sweep_fig2(config: SweepConfig) -> list:
         for M in config.m_values:
             for eps_idx, eps in enumerate(config.eps_values):
                 count = 1 if eps == 0.0 else config.samples
+                seeds = point_seeds(config.base_seed, N, M, eps_idx, np.arange(count)).tolist()
 
-                def worker(sample_idx, N=N, M=M, eps_idx=eps_idx, eps=eps):
-                    seed = point_seed(config.base_seed, N, M, eps_idx, sample_idx)
+                def worker(sample_idx, N=N, M=M, eps=eps, seeds=seeds):
+                    seed = seeds[sample_idx]
                     try:
                         return run_iswap_protocol(
                             ProtocolParams(N=N, M=M, noise_eps=eps, seed=seed)
@@ -136,7 +158,7 @@ def sweep_fig3(config: SweepConfig) -> list:
     for N in config.n_values:
         for eps_idx, eps in enumerate(config.eps_values):
             count = 1 if eps == 0.0 else config.samples
-            seeds = [point_seed(config.base_seed, N, 0, eps_idx, i) for i in range(count)]
+            seeds = point_seeds(config.base_seed, N, 0, eps_idx, np.arange(count))
             try:
                 errors = np.concatenate([
                     noisy_eigengate_errors(N, 1.0, eps, seeds[lo:lo + FIG3_BATCH])
@@ -164,6 +186,10 @@ def write_table(path: str, header: tuple, rows: list, config=None, wall_time: fl
     meta = {
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        # the sweeps' seeds and noise draws reproduce numpy's SeedSequence
+        # and PCG64 streams, so name the numpy whose streams these are
+        "numpy": np.__version__,
+        "python": platform.python_version(),
     }
     if config is not None:
         meta["config"] = dataclasses.asdict(config)

@@ -1,8 +1,12 @@
 """Spin-chain Hamiltonians: XX+YY chains, their diagonal dual, and resonant drives."""
 
 import dataclasses
+import math
+import numbers
 
 import numpy as np
+
+from ._seeding import uint_stack, uniform_stack
 
 __all__ = [
     "ChainSpec",
@@ -10,6 +14,7 @@ __all__ = [
     "krawtchouk_couplings",
     "krawtchouk_chain",
     "coupling_noise",
+    "coupling_noises",
     "apply_coupling_noise",
     "chain_hops",
     "chain_block",
@@ -103,6 +108,21 @@ def coupling_noise(N: int, noise_eps: float, seed) -> np.ndarray:
     seeded by seed, so the draw is reproducible.
     """
     return np.random.default_rng(seed).uniform(-noise_eps, noise_eps, size=N - 1)
+
+
+def coupling_noises(N: int, noise_eps: float, seeds) -> np.ndarray:
+    """coupling_noise for a stack of seeds, each an int in [0, 2^64): row k
+    is coupling_noise(N, noise_eps, seeds[k]) bit for bit.
+
+    The seeds' SeedSequence and PCG64 streams are computed as one stack
+    (_seeding), not one generator per seed.
+    """
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be an int >= 1, got {N!r}")
+    if not (isinstance(noise_eps, numbers.Real) and 0.0 <= noise_eps < math.inf):
+        raise ValueError(f"noise_eps must be a finite number >= 0, got {noise_eps!r}")
+    seeds = uint_stack(seeds, 2**64, "seed")
+    return uniform_stack(seeds, -float(noise_eps), float(noise_eps), N - 1)
 
 
 def apply_coupling_noise(spec: ChainSpec) -> ChainSpec:

@@ -1,13 +1,17 @@
 """Tests for the command line interface."""
 
+import hashlib
 import json
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kchain import cli
 from kchain.cli import main
+from kchain.experiments import point_seed
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +144,32 @@ def test_noise_sweep_fig3_small_grid(capsys, tmp_path):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "N,eps,mean_error,stderr,samples"
     assert len(lines) == 2 and lines[1].startswith("4,0.01,")
+
+
+# sha256 of the default-grid fig3 table (N 2, 4, 8, 12; the nine FIG3_EPS_GRID
+# amplitudes; 200 samples; base seed 20260801), frozen from the route that
+# seeded one numpy Generator per sample
+FIG3_DEFAULT_SHA256 = "3373407ff9b96952e8e741a505901ca12baa55bbca0a4e336a3ff8ce06e7db7f"
+
+
+def test_noise_sweep_fig3_default_table_is_frozen(capsys, tmp_path):
+    out_path = tmp_path / "fig3.csv"
+    rc, _ = run_cli(capsys, "noise-sweep", "--figure", "3", "--out", str(out_path))
+    assert rc == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == FIG3_DEFAULT_SHA256
+    meta = json.loads((tmp_path / "fig3.csv.meta.json").read_text())
+    # the draws reproduce numpy's streams, so the sidecar says which numpy
+    assert meta["numpy"] == np.__version__
+    assert meta["python"] == platform.python_version()
+
+
+def test_noisy_drive_rows_carry_the_point_seeds(capsys):
+    rc, out = run_cli(
+        capsys, "drive", "--n", "4", "--m", "1", "--eps", "0.01", "--samples", "3", "--out", "json"
+    )
+    assert rc == 0
+    seeds = [row["seed"] for row in json.loads(out)["rows"]]
+    assert seeds == [point_seed(20260801, 4, 1, 0, i) for i in range(3)]
 
 
 def test_noise_sweep_thread_count_does_not_change_bytes(capsys, tmp_path):

@@ -213,6 +213,22 @@ def test_sixth_order_protocol_matches_fourth_order_reference(monkeypatch, params
     assert np.max(np.abs(fast.unitary - reference.unitary)) <= 1e-10
 
 
+def test_step_coefficients_are_cached_read_only():
+    params = ProtocolParams(N=6, M=16, noise_eps=1e-2, seed=3)
+    driving._step_coefficients.cache_clear()
+    cold = run_iswap_protocol(params)
+    info = driving._step_coefficients.cache_info()
+    warm = run_iswap_protocol(dataclasses.replace(params, seed=11))
+    again = run_iswap_protocol(params)
+    # a second sample of the layout steps only stretches already formed
+    assert driving._step_coefficients.cache_info().misses == info.misses
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert warm.error != cold.error
+    assert again.unitary.tobytes() == cold.unitary.tobytes()
+    coeffs = driving._step_coefficients(3.0, 0.4, 0.0, 1.0, 8)
+    assert not coeffs.flags.writeable
+
+
 @pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (8, 4)])
 def test_default_runs_converge_at_the_second_level(N, M):
     res = run_iswap_protocol(ProtocolParams(N=N, M=M))
@@ -773,6 +789,15 @@ def test_protocol_params_reject_bad_coupling_scale(J):
         (dict(N=4, M=np.inf), "M"),
         (dict(N=4, M=np.nan), "M"),
         (dict(N=4, J="1"), "J"),
+        (dict(N=4, halfway_inversion="no"), "halfway_inversion"),
+        (dict(N=4, halfway_inversion=0), "halfway_inversion"),
+        (dict(N=4, noise_eps="0.1"), "noise_eps"),
+        (dict(N=4, noise_eps=2.0), "noise_eps"),
+        (dict(N=4, noise_eps=-1e-3), "noise_eps"),
+        (dict(N=4, noise_eps=np.nan), "noise_eps"),
+        (dict(N=4, drive_phase="0.4"), "drive_phase"),
+        (dict(N=4, seed=-1), "seed"),
+        (dict(N=4, seed=1.5), "seed"),
     ],
 )
 def test_protocol_params_reject_bad_fields(kwargs, field):

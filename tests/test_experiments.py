@@ -40,6 +40,15 @@ def test_sweep_config_validation():
         SweepConfig(protocol="fig2", n_values=(4,), eps_values=(0.0,), samples=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples", 1.5), ("samples", 0), ("base_seed", -1), ("base_seed", 2.5)],
+)
+def test_sweep_config_rejects_bad_sample_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int >= "):
+        SweepConfig(protocol="fig3", n_values=(4,), eps_values=(1e-3,), **{field: value})
+
+
 def test_point_seed_is_stable_and_collision_free():
     assert point_seed(1, 4, 1, 0, 0) == 4546508655602652790
     assert point_seed(20260801, 6, 4, 1, 0) == 3103412875494538241

@@ -1,0 +1,129 @@
+"""The stacked seeds and coupling draws against NumPy's SeedSequence and
+default_rng, their oracle: equal bit for bit, or this fails (say, if NumPy
+ever changes either stream)."""
+
+import numpy as np
+import pytest
+
+from kchain.experiments import SweepConfig, point_seed, point_seeds, sweep_fig3
+from kchain.hamiltonians import coupling_noise, coupling_noises
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def reference_point_seed(base_seed, N, M, eps_idx, sample_idx) -> int:
+    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(N, M, eps_idx, sample_idx))
+    lo, hi = ss.generate_state(2)
+    return (int(hi) << 32) | int(lo)
+
+
+@pytest.mark.parametrize(
+    "base_seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**70 + 3, 20260801]
+)
+def test_point_seeds_equal_seed_sequence(base_seed):
+    # (2, 2**33, 5): a spawn key of more than one word per entry
+    for N, M, eps_idx, count in ((6, 4, 1, 2048), (12, 0, 8, 256), (2, 2**33, 5, 256)):
+        got = point_seeds(base_seed, N, M, eps_idx, np.arange(count))
+        assert got.dtype == np.uint64
+        want = [reference_point_seed(base_seed, N, M, eps_idx, i) for i in range(count)]
+        assert got.tolist() == want, (N, M, eps_idx)
+
+
+def test_point_seeds_take_any_int_sequence_and_the_last_index():
+    want = [reference_point_seed(7, 4, 1, 0, i) for i in (5, 0, 2**32 - 1)]
+    for indices in ([5, 0, 2**32 - 1], (5, np.uint32(0), 2**32 - 1), np.array([5, 0, 2**32 - 1])):
+        assert point_seeds(7, 4, 1, 0, indices).tolist() == want
+    assert point_seed(7, 4, 1, 0, 2**32 - 1) == want[2]
+    assert point_seeds(7, 4, 1, 0, []).shape == (0,)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.0056, 0.5])
+def test_coupling_noises_equal_coupling_noise(eps):
+    seeds = list(EDGE_SEEDS) + point_seeds(20260801, 8, 0, 3, np.arange(4096)).tolist()
+    # a draw of N - 1 values is the first N - 1 of the longest one's stream
+    # (checked directly on the edge seeds below), so NumPy draws each seed once
+    longest = np.array([coupling_noise(13, eps, s) for s in seeds])
+    for N in range(2, 14):
+        got = coupling_noises(N, eps, seeds)
+        assert got.shape == (len(seeds), N - 1)
+        assert got.tobytes() == np.ascontiguousarray(longest[:, : N - 1]).tobytes(), N
+        direct = np.array([coupling_noise(N, eps, s) for s in EDGE_SEEDS])
+        assert got[: len(EDGE_SEEDS)].tobytes() == direct.tobytes(), N
+
+
+def test_coupling_noises_take_a_uint64_stack():
+    seeds = point_seeds(1, 4, 1, 0, np.arange(5))
+    want = np.array([coupling_noise(6, 0.03, int(s)) for s in seeds])
+    assert coupling_noises(6, 0.03, seeds).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seeds, shown",
+    [
+        ([3, -1], "-1"),
+        ([2**64], str(2**64)),
+        ([1.5], "1.5"),
+        (["3"], "'3'"),
+        ([True], "True"),
+        (np.array([-2, 4]), "-2"),
+        (np.array([0.5]), "0.5"),
+    ],
+)
+def test_coupling_noises_reject_bad_seeds(seeds, shown):
+    with pytest.raises(ValueError, match=rf"^seed must be an int in \[0, {2**64}\), got .*{shown}"):
+        coupling_noises(4, 0.01, seeds)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(N=0), "N must be an int >= 1, got 0"),
+        (dict(noise_eps=-0.1), "noise_eps must be a finite number >= 0, got -0.1"),
+        (dict(noise_eps=np.inf), "noise_eps must be a finite number >= 0, got inf"),
+        (dict(seeds=5), "seed must be a 1-D sequence of ints, got 5"),
+    ],
+)
+def test_coupling_noises_reject_bad_arguments(kwargs, message):
+    args = dict(N=4, noise_eps=0.01, seeds=[1]) | kwargs
+    with pytest.raises(ValueError, match=f"^{message}"):
+        coupling_noises(**args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1, 4, 1, 0, [0]), "base_seed must be an int >= 0, got -1"),
+        ((1.0, 4, 1, 0, [0]), "base_seed must be an int >= 0, got 1.0"),
+        ((1, -4, 1, 0, [0]), "N must be an int >= 0, got -4"),
+        ((1, 4, 1, "0", [0]), "eps_idx must be an int >= 0, got '0'"),
+        ((1, 4, 1, 0, [0, 2**32]), f"sample index must be an int in \\[0, {2**32}\\), got {2**32}"),
+        ((1, 4, 1, 0, np.array([3, -1])), f"sample index must be an int in \\[0, {2**32}\\), got -1"),
+    ],
+)
+def test_point_seeds_reject_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        point_seeds(*args)
+
+
+def test_fig3_sweep_builds_no_numpy_seeding_object(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        inner = getattr(np.random, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, wrapper)
+
+    for name in ("SeedSequence", "default_rng", "Generator", "PCG64"):
+        counted(name)
+    cfg = SweepConfig(protocol="fig3", n_values=(4, 8), eps_values=(1e-3, 1e-2), samples=40)
+    rows = sweep_fig3(cfg)
+    assert [row[4] for row in rows] == [40] * 4
+    assert counts == {}
+    # the counters see the per-run draw, which keeps NumPy's generator
+    coupling_noise(4, 0.01, 3)
+    assert counts == {"default_rng": 1}
+
