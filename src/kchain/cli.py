@@ -36,7 +36,7 @@ from .experiments import (
     sweep_fig3,
     write_table,
 )
-from .hamiltonians import build_hk, build_hz, krawtchouk_chain, single_particle_hopping
+from .hamiltonians import krawtchouk_chain, single_particle_hopping
 from .krawtchouk import (
     build_basis,
     conjugate_phase,
@@ -50,15 +50,17 @@ __all__ = ["main"]
 
 
 class _IntAtLeast:
-    """argparse type: an integer in minimum, minimum + step, minimum + 2 step, ..."""
+    """argparse type: an integer in minimum, minimum + step, minimum + 2 step,
+    ..., up to maximum if one is given."""
 
-    def __init__(self, minimum: int, step: int = 1, what: str = ""):
-        self.minimum, self.step = minimum, step
+    def __init__(self, minimum: int, step: int = 1, what: str = "", maximum: int | None = None):
+        self.minimum, self.step, self.maximum = minimum, step, maximum
         if step == 2:
             kind = f"an {'even' if minimum % 2 == 0 else 'odd'} integer >= {minimum}"
         else:
             kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
         self.message = f"{what} must be {kind}".lstrip()
+        self.too_large = f"{what} must be at most {maximum}".lstrip()
 
     def __call__(self, text) -> int:
         try:
@@ -67,6 +69,8 @@ class _IntAtLeast:
             value = None
         if value is None or value < self.minimum or (value - self.minimum) % self.step:
             raise argparse.ArgumentTypeError(f"{self.message}, got {text!r}")
+        if self.maximum is not None and value > self.maximum:
+            raise argparse.ArgumentTypeError(f"{self.too_large}, got {text!r}")
         return value
 
 
@@ -75,6 +79,16 @@ _positive_int = _IntAtLeast(1)
 _thread_count = _IntAtLeast(1, what="thread count (--threads or KRAW_THREADS)")
 _chain_size = _IntAtLeast(2)
 _even_chain_size = _IntAtLeast(4, step=2)
+# Upper bounds on the sizes of the verification commands.  The eigengate
+# checks hold two 2^N x 2^N gates and stacks of sector minors (about 50 MB
+# at N=10); the matrix elements embed dense 2^N x 2^N drive terms (16 MB
+# each at n=9); GHZ exponentiates every sector, up to C(N, (N-1)/2) wide
+# (462 at N=11); PST exponentiates the N-wide one-excitation sector but
+# scans all 2^N basis states for it.
+_MAX_EIGENGATE_N = 10
+_MAX_MATRIX_ELEMENTS_N = 9
+_MAX_GHZ_N = 11
+_MAX_PST_N = 20
 
 
 def _noise_eps(text) -> float:
@@ -199,11 +213,11 @@ def _m2_elements(n: int, conjugate: bool):
     upper = tuple(range(N // 2, N))
     for j in range(0, n - d + 1):
         closed = m2_closed_form(n, j)
-        op = tensor_embed(SIGMA_MINUS, [j], N) @ tensor_embed(SIGMA_PLUS, [j + d], N)
+        op = tensor_embed(np.kron(SIGMA_MINUS, SIGMA_PLUS), [j, j + d], N)
         brute = matrix_element_bruteforce(basis, lower, op, upper)
         err = abs(complex(brute) - closed)
         if conjugate:
-            conj_op = tensor_embed(SIGMA_PLUS, [j], N) @ tensor_embed(SIGMA_MINUS, [j + d], N)
+            conj_op = tensor_embed(np.kron(SIGMA_PLUS, SIGMA_MINUS), [j, j + d], N)
             conj = matrix_element_bruteforce(basis, lower, conj_op, upper)
             err = max(err, abs(complex(conj) - conjugate_phase(N) * closed))
         yield j, d, closed, brute, err
@@ -239,25 +253,21 @@ BCH_THETAS = (0.0, math.pi / 2.0, math.pi)
 def _eigengate_report(N: int, J: float) -> dict:
     """compare_forms' scores of both variants, the intertwining residual and
     the so(3) and BCH rotation checks."""
-    # the rotation checks run first, so their dense 2^N operators are freed
-    # before compare_forms builds its own
     so3, bch = rotation_checks(N, J, BCH_THETAS)
     forms = compare_forms(N, J)
     variants = {
         variant: {key: form[key] for key in ("min_overlap", "max_phase_deviation")}
         for variant, form in forms["variants"].items()
     }
-    hk = build_hk(krawtchouk_chain(N, J))
     return {
         "N": N,
         "variants": variants,
         "min_overlap": min(v["min_overlap"] for v in variants.values()),
         "max_phase_deviation": max(v["max_phase_deviation"] for v in variants.values()),
         "entrywise_difference": forms["entrywise_difference"],
-        "intertwining_residual": check_intertwining(
-            forms["variants"]["three_step"]["gate"], hk, build_hz(N, J)
-        ),
-        "intertwining_allowance": 1e-9 * float(np.abs(hk).max()),
+        "intertwining_residual": check_intertwining(forms["variants"]["three_step"]["gate"]),
+        # Hk's largest entry is its largest coupling
+        "intertwining_allowance": 1e-9 * float(np.abs(krawtchouk_chain(N, J).couplings).max()),
         "so3_residuals": so3,
         "bch_residuals": dict(zip(map(str, BCH_THETAS), bch)),
     }
@@ -435,11 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "matrix-elements", help="closed-form vs brute-force drive matrix elements"
     )
-    p.add_argument("--n-max", type=_IntAtLeast(3), default=7, help="largest odd n (default 7)")
+    p.add_argument(
+        "--n-max", type=_IntAtLeast(3, maximum=_MAX_MATRIX_ELEMENTS_N), default=7,
+        help=f"largest odd n, at most {_MAX_MATRIX_ELEMENTS_N} (default 7)",
+    )
     p.set_defaults(func=_cmd_matrix_elements)
 
     p = sub.add_parser("eigengate-check", help="eigengate identity report as JSON")
-    p.add_argument("--n", type=_chain_size, required=True)
+    p.add_argument("--n", type=_IntAtLeast(2, maximum=_MAX_EIGENGATE_N), required=True)
     p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_eigengate_check)
 
@@ -475,17 +488,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_circuit_verify)
 
     p = sub.add_parser("ghz", help="one-pulse GHZ preparation fidelity")
-    p.add_argument("--n", type=_IntAtLeast(3, step=2), required=True)
+    p.add_argument("--n", type=_IntAtLeast(3, step=2, maximum=_MAX_GHZ_N), required=True)
     p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_ghz)
 
     p = sub.add_parser("pst", help="perfect-state-transfer mirror check")
-    p.add_argument("--n", type=_chain_size, required=True)
+    p.add_argument("--n", type=_IntAtLeast(2, maximum=_MAX_PST_N), required=True)
     p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_pst)
 
     p = sub.add_parser("verify-all", help="run the full identity suite")
-    p.add_argument("--n-max", type=_chain_size, default=6)
+    p.add_argument(
+        "--n-max", type=_IntAtLeast(2, maximum=_MAX_EIGENGATE_N), default=6,
+        help=f"largest N, at most {_MAX_EIGENGATE_N} (default 6)",
+    )
     p.set_defaults(func=_cmd_verify_all)
 
     parser._command_parsers = dict(sub.choices)

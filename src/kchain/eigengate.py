@@ -7,20 +7,19 @@ import numpy as np
 from .hamiltonians import (
     ChainSpec,
     build_hk,
-    build_hz,
     coupling_noises,
     hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
     single_particle_hopping,
 )
-from .krawtchouk import build_basis, eigenstate_vector
+from .krawtchouk import build_basis
 from .linalg import (
     assert_unitary,
     expm_hermitian,
     expm_hermitian_times,
     minors,
-    occupied_sites,
+    sector_indices,
 )
 
 __all__ = [
@@ -41,10 +40,29 @@ VARIANTS = ("three_step", "single_pulse")
 
 @dataclasses.dataclass(frozen=True)
 class EigengateForm:
+    """The eigengate on the full 2^N space, and its excitation-sector
+    blocks: blocks[q] is unitary's block on sector_indices(N, q)."""
+
     variant: str
     N: int
     J: float
     unitary: np.ndarray
+    blocks: tuple
+
+
+def _sector_hamiltonians(spec: ChainSpec, J: float):
+    """(states, Hk block, Hz diagonal) of every excitation sector q = 0..N,
+    on its ascending basis indices states.  Hk and Hz conserve the
+    excitation number, so these blocks hold every nonzero entry of both."""
+    hz = hz_diagonal(spec.N, J)
+    for q in range(spec.N + 1):
+        states = sector_indices(spec.N, q)
+        yield states, build_hk(spec, states), hz[states]
+
+
+def _check_spec_size(N: int, spec: ChainSpec) -> None:
+    if spec.N != N:
+        raise ValueError(f"spec is for N={spec.N}, but the gate is for N={N}")
 
 
 def build_eigengate(
@@ -55,21 +73,27 @@ def build_eigengate(
     three_step: exp(-i pi/2J Hz) exp(-i pi/2J Hk) exp(-i pi/2J Hz)
     single_pulse: exp(-i pi/J (Hk+Hz)/sqrt(2))
     A noisy spec perturbs only the chain pulse; the diagonal pulses are exact.
+    Each excitation sector's block is exponentiated on its own, and the
+    blocks are scattered into the 2^N unitary.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if spec is None:
         spec = krawtchouk_chain(N, J)
-    hk = build_hk(spec)
-    hz = build_hz(N, J)
+    _check_spec_size(N, spec)
     quarter = np.pi / (2.0 * J)
-    if variant == "three_step":
-        ez = np.diag(np.exp(-1.0j * hz_diagonal(N, J) * quarter))
-        u = ez @ expm_hermitian(hk, quarter) @ ez
-    else:
-        u = expm_hermitian((hk + hz) / np.sqrt(2.0), 2.0 * quarter)
-    assert_unitary(u)
-    return EigengateForm(variant=variant, N=N, J=J, unitary=u)
+    u = np.zeros((2**N, 2**N), dtype=complex)
+    blocks = []
+    for states, hk, hz in _sector_hamiltonians(spec, J):
+        if variant == "three_step":
+            ez = np.exp(-1.0j * hz * quarter)
+            block = ez[:, None] * expm_hermitian(hk, quarter) * ez
+        else:
+            block = expm_hermitian((hk + np.diag(hz)) / np.sqrt(2.0), 2.0 * quarter)
+        assert_unitary(block)
+        u[np.ix_(states, states)] = block
+        blocks.append(block)
+    return EigengateForm(variant=variant, N=N, J=J, unitary=u, blocks=tuple(blocks))
 
 
 def expected_phase(q: int, n: int) -> complex:
@@ -77,21 +101,14 @@ def expected_phase(q: int, n: int) -> complex:
     return 1.0j ** (q * n)
 
 
-def _overlaps(unitary: np.ndarray, targets: list):
-    """(magnitudes, phases) of <target_s| U |s> for every label s."""
-    dim = len(targets)
-    mags = np.zeros(dim)
-    phases = np.zeros(dim, dtype=complex)
-    for s, target in enumerate(targets):
-        amp = complex(target.conj() @ unitary[:, s])
-        mags[s] = abs(amp)
-        phases[s] = amp / abs(amp) if abs(amp) > 0 else 0.0
-    return mags, phases
-
-
-def check_intertwining(gate: EigengateForm, hk: np.ndarray, hz: np.ndarray) -> float:
-    """Max entry of |Hk U - U Hz|."""
-    return float(np.max(np.abs(hk @ gate.unitary - gate.unitary @ hz)))
+def check_intertwining(gate: EigengateForm) -> float:
+    """Max entry of |Hk U - U Hz| for the clean chain Hk, taken over the
+    excitation sectors, outside which all three are zero."""
+    spec = krawtchouk_chain(gate.N, gate.J)
+    return max(
+        float(np.max(np.abs(hk @ u - u * hz)))
+        for (_, hk, hz), u in zip(_sector_hamiltonians(spec, gate.J), gate.blocks)
+    )
 
 
 def rotation_checks(N: int, J: float, thetas) -> tuple:
@@ -103,20 +120,23 @@ def rotation_checks(N: int, J: float, thetas) -> tuple:
     each theta is that of the rotation identity for conjugation by the
     combined pulse: exp(-i Lh theta) Lz exp(+i Lh theta) should equal
     sin^2(theta/2) Lx - (sin theta / sqrt 2) Ly + cos^2(theta/2) Lz,
-    with Lh = (Lx + Lz)/sqrt(2).  One diagonalization of Lh serves every
-    theta.
+    with Lh = (Lx + Lz)/sqrt(2).  All four operators conserve the
+    excitation number, so each residual is the largest over the sector
+    blocks; one diagonalization of each block of Lh serves every theta.
     """
-    lx = build_hk(krawtchouk_chain(N, J)) / J
-    lz = build_hz(N, J) / J
-    ly = -1.0j * (lz @ lx - lx @ lz)
     comm = lambda a, b: a @ b - b @ a
-    so3 = {
-        "xy_z": float(np.max(np.abs(comm(lx, ly) - 1.0j * lz))),
-        "yz_x": float(np.max(np.abs(comm(ly, lz) - 1.0j * lx))),
-        "zx_y": float(np.max(np.abs(comm(lz, lx) - 1.0j * ly))),
-    }
-    rotations = expm_hermitian_times((lx + lz) / np.sqrt(2.0), thetas)
-    return so3, [_bch_residual(theta, u, lx, ly, lz) for theta, u in zip(thetas, rotations)]
+    so3 = dict.fromkeys(("xy_z", "yz_x", "zx_y"), 0.0)
+    bch = [0.0] * len(thetas)
+    for _, hk, hz in _sector_hamiltonians(krawtchouk_chain(N, J), J):
+        lx = hk / J
+        lz = np.diag(hz / J).astype(complex)
+        ly = -1.0j * (lz @ lx - lx @ lz)
+        for key, (a, b, c) in (("xy_z", (lx, ly, lz)), ("yz_x", (ly, lz, lx)), ("zx_y", (lz, lx, ly))):
+            so3[key] = max(so3[key], float(np.max(np.abs(comm(a, b) - 1.0j * c))))
+        rotations = expm_hermitian_times((lx + lz) / np.sqrt(2.0), thetas)
+        for k, (theta, u) in enumerate(zip(thetas, rotations)):
+            bch[k] = max(bch[k], _bch_residual(theta, u, lx, ly, lz))
+    return so3, bch
 
 
 def _bch_residual(theta, u, lx, ly, lz) -> float:
@@ -134,28 +154,39 @@ def compare_forms(N: int, J: float = 1.0) -> dict:
 
     Both variants are scored against the chain eigenstates, built once.  Per
     variant the report holds the gate, the smallest overlap |<s|_chain U |s>|,
-    the phase table and its largest deviation from i^(q n).
+    the phase table over all 2^N labels s and its largest deviation from
+    i^(q n).  The gates and the eigenstates are block diagonal over the
+    excitation sectors, so each sector is scored on its own.
     """
     n = N - 1
-    basis = build_basis(n, J)
-    # the chain eigenstate with the same occupied modes as s, for every label s
-    targets = [eigenstate_vector(basis, occupied_sites(s, N)) for s in range(2**N)]
+    phi = build_basis(n, J).phi
+    sectors = [sector_indices(N, q) for q in range(N + 1)]
+    # row r of a sector's table: the chain eigenstate whose occupied modes
+    # are the excited sites of states[r], on the sector's states; its
+    # entries are eigenstate_vector's bit for bit
+    targets = [free_fermion_block(phi, states) for states in sectors]
     report = {"N": N, "variants": {}}
     for variant in VARIANTS:
         gate = build_eigengate(N, J, variant)
-        mags, phases = _overlaps(gate.unitary, targets)
-        dev = max(
-            abs(phases[s] - expected_phase(bin(s).count("1"), n))
-            for s in range(2**N)
-        )
+        mags = np.zeros(2**N)
+        phases = np.zeros(2**N, dtype=complex)
+        dev = 0.0
+        for q, (states, target, block) in enumerate(zip(sectors, targets, gate.blocks)):
+            amps = np.sum(target.conj() * block.T, axis=1)
+            mag = np.abs(amps)
+            phase = np.divide(amps, mag, out=np.zeros_like(amps), where=mag > 0)
+            mags[states], phases[states] = mag, phase
+            dev = max(dev, float(np.max(np.abs(phase - expected_phase(q, n)))))
         report["variants"][variant] = {
             "gate": gate,
             "min_overlap": float(mags.min()),
             "phases": phases,
-            "max_phase_deviation": float(dev),
+            "max_phase_deviation": dev,
         }
-    three_step, single_pulse = (report["variants"][v]["gate"].unitary for v in VARIANTS)
-    report["entrywise_difference"] = float(np.max(np.abs(three_step - single_pulse)))
+    three_step, single_pulse = (report["variants"][v]["gate"].blocks for v in VARIANTS)
+    report["entrywise_difference"] = max(
+        float(np.max(np.abs(a - b))) for a, b in zip(three_step, single_pulse)
+    )
     return report
 
 
@@ -176,7 +207,10 @@ def eigengate_single_particle(
     if hop is None:
         if spec is None:
             spec = krawtchouk_chain(N, J)
+        _check_spec_size(N, spec)
         hop = single_particle_hopping(spec)
+    elif np.shape(hop)[-2:] != (N, N):
+        raise ValueError(f"hop has shape {np.shape(hop)}, but the gate is for N={N}: need (..., {N}, {N})")
     n = N - 1
     zdiag = J * (np.arange(N) - n / 2.0)
     quarter = np.pi / (2.0 * J)

@@ -20,7 +20,7 @@ from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
 from .driving import ProtocolParams, run_iswap_protocol
 from .eigengate import noisy_eigengate_errors
 from .hamiltonians import build_hk, krawtchouk_chain
-from .linalg import basis_index, expm_hermitian
+from .linalg import basis_index, expm_hermitian, sector_indices
 
 __all__ = [
     "FIG2_EPS_GRID",
@@ -204,56 +204,61 @@ def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
     """Fidelity of the one-pulse GHZ preparation on an odd chain.
 
     Evolves |+>^N under the chain for pi/J, applies exp(-i pi X/4) on
-    every site and a global phase, and compares against
-    (|0..0> + |1..1>)/sqrt(2).  The couplings override exists for
-    sensitivity probes.
+    every site and compares against (|0..0> + |1..1>)/sqrt(2).  The
+    couplings override exists for sensitivity probes.
+
+    The chain conserves the excitation number, so |+>^N evolves sector by
+    sector.  After the rotations, <0..0| and <1..1| have the amplitudes
+    (-i)^q / 2^(N/2) and (-i)^(N-q) / 2^(N/2) on every q-excitation state,
+    so each sector adds that weight times the sum of its evolved amplitudes.
     """
     if N % 2 == 0:
         raise ValueError("one-pulse GHZ preparation needs odd N")
     spec = krawtchouk_chain(N, J)
     if couplings is not None:
         spec = dataclasses.replace(spec, couplings=tuple(couplings))
-    hk = build_hk(spec)
-    dim = 2**N
-    plus = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    psi = expm_hermitian(hk, math.pi / J) @ plus
-    rot = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / math.sqrt(2.0)  # exp(-i pi X/4)
-    full = np.array([[1.0 + 0.0j]])
-    for _ in range(N):
-        full = np.kron(full, rot)
-    # the leftover global phase is e^{+i pi/4} for N = 3 mod 4, e^{-i pi/4}
-    # for N = 1 mod 4; cancel it so the target amplitudes are real positive
-    sign = -1.0 if N % 4 == 3 else 1.0
-    psi = np.exp(sign * 1.0j * math.pi / 4.0) * (full @ psi)
-    ghz = np.zeros(dim, dtype=complex)
-    ghz[0] = ghz[dim - 1] = 1.0 / math.sqrt(2.0)
-    return float(abs(np.vdot(ghz, psi)) ** 2)
+    overlap = 0.0
+    for q in range(N + 1):
+        u = expm_hermitian(build_hk(spec, sector_indices(N, q)), math.pi / J)
+        # |+>^N has amplitude 2^(-N/2) on every state
+        overlap += ((-1.0j) ** q + (-1.0j) ** (N - q)) * u.sum()
+    return float(abs(overlap / (2**N * math.sqrt(2.0))) ** 2)
 
 
-def _pst_propagator(N: int, J: float) -> np.ndarray:
-    """The chain's evolution over the transfer time pi/J."""
-    return expm_hermitian(build_hk(krawtchouk_chain(N, J)), math.pi / J)
+def _pst_propagator(N: int, J: float, q: int) -> tuple:
+    """(states, u): the chain's evolution u over the transfer time pi/J on
+    the q-excitation sector, whose ascending basis indices are states."""
+    states = sector_indices(N, q)
+    return states, expm_hermitian(build_hk(krawtchouk_chain(N, J), states), math.pi / J)
 
 
-def _mirror_amplitude(u: np.ndarray, bits) -> complex:
-    """<mirror(bits)| u |bits>, read straight from the propagator."""
-    return complex(u[basis_index(list(reversed(bits))), basis_index(bits)])
+def _mirror_amplitude(propagator: tuple, bits) -> complex:
+    """<mirror(bits)| u |bits>, read straight from the sector propagator."""
+    states, u = propagator
+    row, col = np.searchsorted(states, [basis_index(reversed(bits)), basis_index(bits)])
+    return complex(u[row, col])
 
 
-def pst_mirror_amplitude(N: int, bits: list, J: float = 1.0) -> complex:
-    """Amplitude on the site-mirrored basis state after a pi/J evolution."""
-    return _mirror_amplitude(_pst_propagator(N, J), bits)
+def pst_mirror_amplitude(N: int, bits, J: float = 1.0) -> complex:
+    """Amplitude on the site-mirrored basis state after a pi/J evolution.
+
+    bits are the N occupations (0 or 1) of the initial basis state."""
+    bits = list(bits)
+    if len(bits) != N or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"bits must be {N} zeros and ones, got {bits!r}")
+    return _mirror_amplitude(_pst_propagator(N, J, sum(bits)), bits)
 
 
 def pst_demo(N: int, J: float = 1.0) -> float:
     """Worst-case transfer infidelity over all single-excitation states.
 
-    One propagator serves every state.
+    One propagator, of the N-state one-excitation sector, serves every
+    state.
     """
-    u = _pst_propagator(N, J)
+    propagator = _pst_propagator(N, J, 1)
     worst = 0.0
     for x in range(N):
         bits = [0] * N
         bits[x] = 1
-        worst = max(worst, 1.0 - abs(_mirror_amplitude(u, bits)))
+        worst = max(worst, 1.0 - abs(_mirror_amplitude(propagator, bits)))
     return worst

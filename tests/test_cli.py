@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import platform
 import subprocess
 import sys
@@ -9,9 +10,20 @@ import sys
 import numpy as np
 import pytest
 
-from kchain import cli
+from kchain import cli, eigengate, hamiltonians
 from kchain.cli import main
 from kchain.experiments import point_seed
+from kchain.hamiltonians import build_hk, krawtchouk_chain
+from kchain.krawtchouk import build_basis, matrix_element_bruteforce
+from kchain.linalg import SIGMA_MINUS, SIGMA_PLUS, tensor_embed
+
+import dense_reference
+from dense_reference import (
+    SECTOR_TOL,
+    dense_compare_forms,
+    dense_intertwining,
+    dense_rotation_checks,
+)
 
 
 def run_cli(capsys, *argv):
@@ -312,14 +324,94 @@ VERIFY_ALL_N6_CHECKS = (
 )
 
 
+VERIFY_ALL_N8_CHECKS = (
+    [f"spectrum N={N}" for N in range(2, 9)]
+    + [
+        f"{check} N={N}"
+        for N in (2, 4, 6, 8)
+        for check in ("eigengate mapping", "eigengate phases", "intertwining", "so(3)", "BCH")
+    ]
+    + [f"Meixner n={n}" for n in range(2, 9)]
+    + ["matrix elements n=3", "matrix elements n=5", "matrix elements n=7"]
+    + [f"PST N={N}" for N in range(2, 9)]
+    + ["GHZ N=3", "GHZ N=5", "GHZ N=7"]
+    + [f"{gate} circuit N={N}" for N in (4, 6) for gate in ("ctrl-X", "ctrl-iSWAP2")]
+    + ["gate time N=6 M=4", "gate time N=4 M=1"]
+)
+
+
 def test_verify_all_check_list_is_frozen(capsys):
-    rc, out = run_cli(capsys, "verify-all", "--n-max", "6")
+    for n_max, checks in (("6", VERIFY_ALL_N6_CHECKS), ("8", VERIFY_ALL_N8_CHECKS)):
+        rc, out = run_cli(capsys, "verify-all", "--n-max", n_max)
+        assert rc == 0
+        lines = out.strip().split("\n")
+        assert lines[-1] == "all checks passed"
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+        names = [line[len("PASS "):].split(":")[0] for line in lines[:-1]]
+        assert names == checks
+
+
+def test_verify_all_diagonalizes_nothing_wider_than_a_sector(capsys, monkeypatch):
+    # every oracle works per excitation sector; the widest at N=8 holds
+    # C(8, 4) = 70 states, where a dense oracle would diagonalize 2^8
+    widths = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rc, _ = run_cli(capsys, "verify-all", "--n-max", "8")
     assert rc == 0
-    lines = out.strip().split("\n")
-    assert lines[-1] == "all checks passed"
-    assert all(line.startswith("PASS ") for line in lines[:-1])
-    names = [line[len("PASS "):].split(":")[0] for line in lines[:-1]]
-    assert names == VERIFY_ALL_N6_CHECKS
+    assert 0 < max(widths) <= math.comb(8, 4)
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+@pytest.mark.parametrize("N", range(2, 9))
+def test_eigengate_report_within_roundoff_of_dense_reference(monkeypatch, N, skewed):
+    if skewed:
+        # the true residuals are roundoff, which a bound of 1e-13 cannot
+        # tell from zero; with H^Z's diagonal doubled everywhere the gate
+        # is no eigengate and every reported value is of order one
+        doubled = lambda N, J, inner=hamiltonians.hz_diagonal: 2.0 * inner(N, J)
+        for module in (hamiltonians, eigengate, dense_reference):
+            monkeypatch.setattr(module, "hz_diagonal", doubled)
+    report = cli._eigengate_report(N, 1.0)
+    if skewed:
+        assert report["max_phase_deviation"] > 0.1 and report["intertwining_residual"] > 0.1
+        assert max(report["so3_residuals"].values()) > 0.1 and report["bch_residuals"]["3.141592653589793"] > 0.1
+    forms = dense_compare_forms(N)
+    so3, bch = dense_rotation_checks(N, 1.0, cli.BCH_THETAS)
+    for variant, ref in forms["variants"].items():
+        for key in ("min_overlap", "max_phase_deviation"):
+            assert abs(report["variants"][variant][key] - ref[key]) <= SECTOR_TOL
+    assert abs(report["entrywise_difference"] - forms["entrywise_difference"]) <= SECTOR_TOL
+    intertwining = dense_intertwining(forms["variants"]["three_step"]["unitary"], N, 1.0)
+    assert abs(report["intertwining_residual"] - intertwining) <= SECTOR_TOL
+    hk = build_hk(krawtchouk_chain(N, 1.0))
+    assert report["intertwining_allowance"] == 1e-9 * float(np.abs(hk).max())
+    assert all(abs(report["so3_residuals"][key] - so3[key]) <= SECTOR_TOL for key in so3)
+    assert report["bch_residuals"].keys() == {str(theta) for theta in cli.BCH_THETAS}
+    for theta, want in zip(cli.BCH_THETAS, bch):
+        assert abs(report["bch_residuals"][str(theta)] - want) <= SECTOR_TOL
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_m2_elements_equal_the_two_embed_products_bitwise(n):
+    # one embed of the two-site term has the entries of the product of two
+    # one-site embeds: each is a single product of zeros and ones
+    N = n + 1
+    basis = build_basis(n, 1.0)
+    lower, upper = tuple(range(N // 2)), tuple(range(N // 2, N))
+    rows = list(cli._m2_elements(n, conjugate=True))
+    assert len(rows) == n + 1 - (n + 1) // 2
+    for j, d, closed, brute, err in rows:
+        for a, b in ((SIGMA_MINUS, SIGMA_PLUS), (SIGMA_PLUS, SIGMA_MINUS)):
+            product = tensor_embed(a, [j], N) @ tensor_embed(b, [j + d], N)
+            assert np.array_equal(tensor_embed(np.kron(a, b), [j, j + d], N), product)
+        product = tensor_embed(SIGMA_MINUS, [j], N) @ tensor_embed(SIGMA_PLUS, [j + d], N)
+        assert brute == matrix_element_bruteforce(basis, lower, product, upper)
 
 
 def usage_error(capsys, *argv):
@@ -390,6 +482,12 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["verify-all", "--n-max", "1"], "argument --n-max: must be an integer >= 2, got '1'"),
     (["verify-all", "--n-max", "-3"], "argument --n-max: must be an integer >= 2"),
     (["matrix-elements", "--n-max", "0"], "argument --n-max: must be an integer >= 3, got '0'"),
+    (["ghz", "--n", "13"], "argument --n: must be at most 11, got '13'"),
+    (["matrix-elements", "--n-max", "11"], "argument --n-max: must be at most 9, got '11'"),
+    (["eigengate-check", "--n", "11"], "argument --n: must be at most 10, got '11'"),
+    (["pst", "--n", "21"], "argument --n: must be at most 20, got '21'"),
+    (["verify-all", "--n-max", "11"], "argument --n-max: must be at most 10, got '11'"),
+    (["verify-all", "--n-max", str(10**9)], f"argument --n-max: must be at most 10, got '{10**9}'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)

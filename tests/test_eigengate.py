@@ -17,9 +17,23 @@ from kchain.eigengate import (
     noisy_eigengate_errors,
     rotation_checks,
 )
-from kchain.hamiltonians import build_hk, build_hz, krawtchouk_chain, single_particle_hopping
+from kchain.hamiltonians import (
+    ChainSpec,
+    apply_coupling_noise,
+    build_hk,
+    krawtchouk_chain,
+    single_particle_hopping,
+)
 from kchain.krawtchouk import build_basis, eigenstate_vector
-from kchain.linalg import assert_unitary, expm_hermitian, occupied_sites, sector_indices, trace_error
+from kchain.linalg import assert_unitary, occupied_sites, sector_indices, trace_error
+
+from dense_reference import (
+    SECTOR_TOL,
+    dense_compare_forms,
+    dense_eigengate,
+    dense_intertwining,
+    dense_rotation_checks,
+)
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
@@ -54,12 +68,11 @@ def test_variants_agree_entrywise(N):
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_intertwining_swaps_hamiltonians(N):
-    spec = krawtchouk_chain(N, 1.0)
-    hk = build_hk(spec)
-    hz = build_hz(N, 1.0)
-    gate = build_eigengate(N, 1.0)
-    residual = check_intertwining(gate, hk, hz)
+    hk = build_hk(krawtchouk_chain(N, 1.0))
+    residual = check_intertwining(build_eigengate(N, 1.0))
     assert residual < 1e-9 * np.max(np.abs(hk))
+    dense = dense_intertwining(dense_eigengate(N, 1.0), N, 1.0)
+    assert abs(residual - dense) <= SECTOR_TOL
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
@@ -140,8 +153,8 @@ def test_stacked_noisy_errors_equal_single_calls_exactly(N, eps):
 
 
 def _mapping_table(gate):
-    """Per-gate route: overlaps <s|_chain U |s> of every label s against
-    eigenstates built afresh for this gate."""
+    """Per-label route: overlaps <s|_chain U |s> of every label s against
+    its own 2^N eigenstate_vector, on the full unitary."""
     basis = build_basis(gate.N - 1, gate.J)
     mags, phases = np.zeros(2**gate.N), np.zeros(2**gate.N, dtype=complex)
     for s in range(2**gate.N):
@@ -152,6 +165,8 @@ def _mapping_table(gate):
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_compare_forms_scores_equal_mapping_table_per_gate(N):
+    # the sector-wise scores sum the same products as the per-label route
+    # in another order, so they agree to roundoff
     report = compare_forms(N)
     n = N - 1
     for variant in VARIANTS:
@@ -159,26 +174,92 @@ def test_compare_forms_scores_equal_mapping_table_per_gate(N):
         gate = build_eigengate(N, 1.0, variant)
         assert np.array_equal(form["gate"].unitary, gate.unitary)
         mags, phases = _mapping_table(gate)
-        assert form["min_overlap"] == float(mags.min())
-        assert np.array_equal(form["phases"], phases)
+        assert abs(form["min_overlap"] - float(mags.min())) <= SECTOR_TOL
+        assert form["phases"].shape == (2**N,)
+        assert np.max(np.abs(form["phases"] - phases)) <= SECTOR_TOL
         dev = max(abs(phases[s] - expected_phase(bin(s).count("1"), n)) for s in range(2**N))
-        assert form["max_phase_deviation"] == float(dev)
+        assert abs(form["max_phase_deviation"] - float(dev)) <= SECTOR_TOL
     three, single = (report["variants"][v]["gate"].unitary for v in VARIANTS)
     assert report["entrywise_difference"] == float(np.max(np.abs(three - single)))
 
 
-def _bch_residual_reference(N, theta):
-    """Per-angle route: a fresh angular-momentum triple and exponential."""
-    spec = krawtchouk_chain(N, 1.0)
-    lx, lz = build_hk(spec), build_hz(N, 1.0)
-    ly = -1.0j * (lz @ lx - lx @ lz)
-    u = expm_hermitian((lx + lz) / np.sqrt(2.0), theta)
-    rhs = (
-        np.sin(theta / 2.0) ** 2 * lx
-        - (np.sin(theta) / np.sqrt(2.0)) * ly
-        + np.cos(theta / 2.0) ** 2 * lz
-    )
-    return float(np.max(np.abs(u @ lz @ u.conj().T - rhs)))
+@pytest.mark.parametrize("N", range(2, 9))
+def test_compare_forms_within_roundoff_of_dense_reference(N):
+    report, dense = compare_forms(N), dense_compare_forms(N)
+    assert set(report) == set(dense) == {"N", "variants", "entrywise_difference"}
+    for variant in VARIANTS:
+        form, ref = report["variants"][variant], dense["variants"][variant]
+        assert set(form) == {"gate", "min_overlap", "phases", "max_phase_deviation"}
+        assert np.max(np.abs(form["gate"].unitary - ref["unitary"])) <= SECTOR_TOL
+        assert abs(form["min_overlap"] - ref["min_overlap"]) <= SECTOR_TOL
+        assert np.max(np.abs(form["phases"] - ref["phases"])) <= SECTOR_TOL
+        assert abs(form["max_phase_deviation"] - ref["max_phase_deviation"]) <= SECTOR_TOL
+    assert abs(report["entrywise_difference"] - dense["entrywise_difference"]) <= SECTOR_TOL
+
+
+def test_compare_forms_targets_are_eigenstate_vectors_bitwise():
+    # a sector's Slater targets, one stacked minors call, hold the entries
+    # of each label's own eigenstate_vector bit for bit
+    N = 6
+    basis = build_basis(N - 1, 1.0)
+    for q in range(N + 1):
+        states = sector_indices(N, q)
+        targets = free_fermion_block(basis.phi, states)
+        for state, row in zip(states, targets):
+            full = eigenstate_vector(basis, occupied_sites(state, N))
+            assert np.array_equal(row, full[states])
+            assert not full[np.setdiff1d(np.arange(2**N), states)].any()
+
+
+def _chain_specs(N):
+    """The clean chain, a noisy draw and a draw with fields."""
+    noisy = apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N))
+    fielded = ChainSpec(N=N, J=1.0, couplings=noisy.couplings, zfields=np.linspace(0.3, -0.2, N))
+    return [krawtchouk_chain(N, 1.0), noisy, fielded]
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sector_eigengate_within_roundoff_of_dense_reference(N, variant):
+    for spec in _chain_specs(N):
+        gate = build_eigengate(N, 1.0, variant, spec=spec)
+        assert np.max(np.abs(gate.unitary - dense_eigengate(N, 1.0, variant, spec))) <= SECTOR_TOL
+        # the blocks are the unitary's, which is zero outside them
+        rest = gate.unitary.copy()
+        for q, block in enumerate(gate.blocks):
+            ix = sector_indices(N, q)
+            assert np.array_equal(block, gate.unitary[np.ix_(ix, ix)])
+            rest[np.ix_(ix, ix)] = 0.0
+        assert not rest.any()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
+def test_rotation_checks_within_roundoff_of_dense_reference(N):
+    thetas = [0.0, np.pi / 2, np.pi, 0.37, -2.1]
+    so3, bch = rotation_checks(N, 1.0, thetas)
+    dense_so3, dense_bch = dense_rotation_checks(N, 1.0, thetas)
+    assert set(so3) == set(dense_so3)
+    assert all(abs(so3[key] - dense_so3[key]) <= SECTOR_TOL for key in so3)
+    assert len(bch) == len(thetas)
+    assert all(abs(a - b) <= SECTOR_TOL for a, b in zip(bch, dense_bch))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(spec=krawtchouk_chain(6, 1.0)), "spec is for N=6, but the gate is for N=4"),
+        (dict(hop=np.eye(6)), r"hop has shape \(6, 6\), but the gate is for N=4"),
+        (dict(hop=np.zeros((3, 5, 5))), r"hop has shape \(3, 5, 5\), but the gate is for N=4"),
+        (dict(hop=np.zeros(4)), r"hop has shape \(4,\), but the gate is for N=4"),
+    ],
+)
+def test_gate_of_another_size_is_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        eigengate_single_particle(4, 1.0, **kwargs)
+    if "spec" in kwargs:
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match=message):
+                build_eigengate(4, 1.0, variant, spec=kwargs["spec"])
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
@@ -187,22 +268,14 @@ def test_bch_residuals_equal_per_angle_calls_exactly(N):
     _, batch = rotation_checks(N, 1.0, thetas)
     assert len(batch) == len(thetas)
     for theta, got in zip(thetas, batch):
-        assert got == _bch_residual_reference(N, theta)
-
-
-def _so3_reference(N):
-    """Commutator residuals from a fresh angular-momentum triple."""
-    lx, lz = build_hk(krawtchouk_chain(N, 1.0)), build_hz(N, 1.0)
-    ly = -1.0j * (lz @ lx - lx @ lz)
-    residual = lambda a, b, c: float(np.max(np.abs(a @ b - b @ a - 1.0j * c)))
-    return {"xy_z": residual(lx, ly, lz), "yz_x": residual(ly, lz, lx), "zx_y": residual(lz, lx, ly)}
+        assert got == rotation_checks(N, 1.0, [theta])[1][0]
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_rotation_checks_equal_separate_calls_exactly(N):
     thetas = [0.0, np.pi / 2, 0.37]
     so3, bch = rotation_checks(N, 1.0, thetas)
-    assert so3 == _so3_reference(N)
+    assert so3 == rotation_checks(N, 1.0, ())[0]
     assert bch == [rotation_checks(N, 1.0, [theta])[1][0] for theta in thetas]
 
 
@@ -211,8 +284,7 @@ def test_rotation_checks_equal_separate_calls_exactly(N):
 def test_free_fermion_blocks_match_dense_eigengate(N, variant):
     # a free-fermion unitary's sector block is the matrix of minors of its
     # single-particle matrix
-    dense = build_eigengate(N, 1.0, variant).unitary
+    blocks = build_eigengate(N, 1.0, variant).blocks
     u = eigengate_single_particle(N, 1.0, variant)
     for q in range(N + 1):
-        ix = sector_indices(N, q)
-        assert np.max(np.abs(free_fermion_block(u, ix) - dense[np.ix_(ix, ix)])) <= 1e-13
+        assert np.max(np.abs(free_fermion_block(u, sector_indices(N, q)) - blocks[q])) <= 1e-13

@@ -22,6 +22,8 @@ from kchain.experiments import (
 )
 from kchain.hamiltonians import krawtchouk_couplings
 
+from dense_reference import SECTOR_TOL, dense_ghz_demo, dense_pst_amplitude
+
 
 def test_eps_grids():
     assert FIG2_EPS_GRID == (0.0, 1e-3, 3e-3, 1e-2)
@@ -209,3 +211,27 @@ def test_pst_demo_equals_worst_single_state_amplitude(N):
         bits[x] = 1
         amps.append(pst_mirror_amplitude(N, bits))
     assert pst_demo(N) == max(0.0, *(1.0 - abs(a) for a in amps))
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_pst_within_roundoff_of_dense_reference(N):
+    singles = [[int(y == x) for y in range(N)] for x in range(N)]
+    dense = [dense_pst_amplitude(N, bits) for bits in singles]
+    assert abs(pst_demo(N) - max(1.0 - abs(a) for a in dense)) <= SECTOR_TOL
+    # every sector's propagator, not only the one-excitation one
+    wall = [1] * (N // 2) + [0] * (N - N // 2)
+    for bits in singles + [wall, [1] * N, [0] * N, [1, 0] * (N // 2) + [1] * (N % 2)]:
+        assert abs(pst_mirror_amplitude(N, bits) - dense_pst_amplitude(N, bits)) <= SECTOR_TOL
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_ghz_within_roundoff_of_dense_reference(N):
+    assert abs(ghz_demo(N) - dense_ghz_demo(N)) <= SECTOR_TOL
+    couplings = krawtchouk_couplings(N - 1, 1.0) * np.linspace(1.05, 0.97, N - 1)
+    assert abs(ghz_demo(N, couplings=couplings) - dense_ghz_demo(N, couplings=couplings)) <= SECTOR_TOL
+
+
+@pytest.mark.parametrize("bits", [[1, 0], [1, 0, 0, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, -1], "1000", [0.5, 0, 0, 0]])
+def test_mirror_amplitude_rejects_malformed_bits(bits):
+    with pytest.raises(ValueError, match="^bits must be 4 zeros and ones, got "):
+        pst_mirror_amplitude(4, bits)

@@ -208,6 +208,13 @@ def test_sector_blocks_equal_dense_slices(N):
         dense = build(None)
         for ix in sectors:
             assert np.array_equal(build(ix), dense[np.ix_(ix, ix)])
+    # the chain and its dual conserve the excitation number: the sector
+    # blocks hold every nonzero entry, which the sector-wise oracles rely on
+    for dense in (build_hk(noisy), build_hk(fielded), build_hz(N, 1.0)):
+        rest = dense.copy()
+        for ix in sectors:
+            rest[np.ix_(ix, ix)] = 0.0
+        assert not rest.any()
 
 
 @pytest.mark.parametrize("N", [4, 6, 8])

@@ -42,6 +42,7 @@ def test_run_fig2_bad_threads_is_a_usage_error(capsys, threads):
     ("run_fig2", ["--seed", "-1"], "argument --seed: must be an integer >= 0"),
     ("run_fig2", ["--m-min", "4", "--m-max", "3"], "argument --m-max: must be >= --m-min"),
     ("verify_all", ["--n-max", "1"], "argument --n-max: must be an integer >= 2"),
+    ("verify_all", ["--n-max", "11"], "argument --n-max: must be at most 10"),
 ])
 def test_script_flags_out_of_range_are_usage_errors(capsys, name, argv, fragment):
     code, err = usage_error(capsys, *FRONT_ENDS[name], *argv)
