@@ -163,9 +163,10 @@ def _xsl_rr(state: list) -> np.ndarray:
     return value >> rot | value << ((64 - rot) & 63)
 
 
-def uniform_stack(seeds: np.ndarray, low: float, high: float, size: int) -> np.ndarray:
-    """Row k is np.random.default_rng(seeds[k]).uniform(low, high, size),
-    for a uint64 array of seeds."""
+def uniform_stack(seeds: np.ndarray, low, high, size: int) -> np.ndarray:
+    """Row k is np.random.default_rng(seeds[k]).uniform(low[k], high[k], size),
+    for a uint64 array of seeds; low and high are floats (the same bounds
+    for every row) or float arrays of one bound per seed."""
     # SeedSequence(seed): the seed's two words, no spawn key, so no padding;
     # a seed below 2^32 hashes the same with a zero high word
     words = generate_state(mix_entropy([seeds & _MASK32, seeds >> 32]), 8)
@@ -178,6 +179,7 @@ def uniform_stack(seeds: np.ndarray, low: float, high: float, size: int) -> np.n
     # srandom: from state 0 a step gives inc; add the initial state, step
     state = _lcg_step(_add128(inc, initstate), inc)
     out = np.empty((len(seeds), size))
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
     span = high - low
     for k in range(size):
         # the output is that of the state after the step

@@ -40,11 +40,10 @@ from .hamiltonians import krawtchouk_chain, single_particle_hopping
 from .krawtchouk import (
     build_basis,
     conjugate_phase,
+    eigenstate_vector,
     m2_closed_form,
-    matrix_element_bruteforce,
     meixner_identity_check,
 )
-from .linalg import SIGMA_MINUS, SIGMA_PLUS, tensor_embed
 
 __all__ = ["main"]
 
@@ -81,10 +80,10 @@ _chain_size = _IntAtLeast(2)
 _even_chain_size = _IntAtLeast(4, step=2)
 # Upper bounds on the sizes of the verification commands.  The eigengate
 # checks hold two 2^N x 2^N gates and stacks of sector minors (about 50 MB
-# at N=10); the matrix elements embed dense 2^N x 2^N drive terms (16 MB
-# each at n=9); GHZ exponentiates every sector, up to C(N, (N-1)/2) wide
-# (462 at N=11); PST exponentiates the N-wide one-excitation sector but
-# scans all 2^N basis states for it.
+# at N=10); the matrix elements hold two dense 2^N band eigenstates and
+# apply each drive term to one by an index gather; GHZ exponentiates every
+# sector, up to C(N, (N-1)/2) wide (462 at N=11); PST exponentiates the
+# N-wide one-excitation sector but scans all 2^N basis states for it.
 _MAX_EIGENGATE_N = 10
 _MAX_MATRIX_ELEMENTS_N = 9
 _MAX_GHZ_N = 11
@@ -200,26 +199,38 @@ def _spectrum(N: int, J: float):
     return exact, float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max())
 
 
+def _two_site_hop(ket: np.ndarray, N: int, a: int, b: int) -> np.ndarray:
+    """sigma^-_a sigma^+_b ket on a dense 2^N ket: the term moves an
+    excitation from site b to an empty site a.  The term has at most one
+    nonzero entry, 1, per row and column, so gathering ket's entries gives
+    its dense product with ket exactly."""
+    ma, mb = 1 << (N - 1 - a), 1 << (N - 1 - b)
+    states = np.arange(2**N)
+    hit = states[(states & ma != 0) & (states & mb == 0)]
+    out = np.zeros(2**N, dtype=complex)
+    out[hit] = ket[hit ^ (ma | mb)]
+    return out
+
+
 def _m2_elements(n: int, conjugate: bool):
     """(j, d, closed form, brute force, deviation) of the drive term
     sigma^-_j sigma^+_{j+d} (d = (n+1)/2) between the half-filled band
     states, for every j at odd n.  With conjugate the deviation also covers
     sigma^+_j sigma^-_{j+d}, whose element is conjugate_phase(N) times the
-    closed form."""
+    closed form.  The brute force is <lower| term |upper> on the dense band
+    eigenstates, built once."""
     d = (n + 1) // 2
     N = n + 1
     basis = build_basis(n, 1.0)
-    lower = tuple(range(N // 2))
-    upper = tuple(range(N // 2, N))
+    bra = eigenstate_vector(basis, range(N // 2)).conj()
+    ket = eigenstate_vector(basis, range(N // 2, N))
     for j in range(0, n - d + 1):
         closed = m2_closed_form(n, j)
-        op = tensor_embed(np.kron(SIGMA_MINUS, SIGMA_PLUS), [j, j + d], N)
-        brute = matrix_element_bruteforce(basis, lower, op, upper)
-        err = abs(complex(brute) - closed)
+        brute = complex(bra @ _two_site_hop(ket, N, j, j + d))
+        err = abs(brute - closed)
         if conjugate:
-            conj_op = tensor_embed(np.kron(SIGMA_PLUS, SIGMA_MINUS), [j, j + d], N)
-            conj = matrix_element_bruteforce(basis, lower, conj_op, upper)
-            err = max(err, abs(complex(conj) - conjugate_phase(N) * closed))
+            conj = complex(bra @ _two_site_hop(ket, N, j + d, j))
+            err = max(err, abs(conj - conjugate_phase(N) * closed))
         yield j, d, closed, brute, err
 
 

@@ -6,11 +6,12 @@ import numpy as np
 
 from .hamiltonians import (
     ChainSpec,
-    build_hk,
+    chain_block,
     coupling_noises,
     hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
+    sector_hops,
     single_particle_hopping,
 )
 from .krawtchouk import build_basis
@@ -33,6 +34,7 @@ __all__ = [
     "free_fermion_block",
     "free_fermion_trace_error",
     "noisy_eigengate_errors",
+    "coupling_noise_errors",
 ]
 
 VARIANTS = ("three_step", "single_pulse")
@@ -56,8 +58,8 @@ def _sector_hamiltonians(spec: ChainSpec, J: float):
     excitation number, so these blocks hold every nonzero entry of both."""
     hz = hz_diagonal(spec.N, J)
     for q in range(spec.N + 1):
-        states = sector_indices(spec.N, q)
-        yield states, build_hk(spec, states), hz[states]
+        hops = sector_hops(spec.N, q)
+        yield hops[0], chain_block(spec, hops), hz[hops[0]]
 
 
 def _check_spec_size(N: int, spec: ChainSpec) -> None:
@@ -248,11 +250,22 @@ def noisy_eigengate_errors(N: int, J: float, eps: float, seeds) -> np.ndarray:
     Each seed draws its couplings as apply_coupling_noise does, all seeds
     in one stack (coupling_noises), so seeds are ints in [0, 2^64).  The noisy
     gates are built and scored as one stack against a clean gate computed
-    once; every element equals the error of its seed on its own.
+    once (coupling_noise_errors).
     """
     spec = krawtchouk_chain(N, J, noise_eps=eps)
-    hop = hopping_matrices(spec.couplings * (1.0 + coupling_noises(N, eps, seeds)))
     u_exact = eigengate_single_particle(N, J, "three_step")
-    u_noisy = eigengate_single_particle(N, J, "three_step", hop=hop)
+    return coupling_noise_errors(u_exact, spec, coupling_noises(N, eps, seeds))
+
+
+def coupling_noise_errors(u_exact: np.ndarray, spec: ChainSpec, noise: np.ndarray) -> np.ndarray:
+    """Trace errors against the single-particle gate u_exact of the
+    three-step gates of spec's chain with its couplings J_x -> (1 +
+    noise[k, x]) J_x, one gate per row k of noise.
+
+    The gates are built and scored as one stack; every element equals the
+    error of its row on its own, whatever stack the row is scored in.
+    """
+    hop = hopping_matrices(spec.couplings * (1.0 + noise))
+    u_noisy = eigengate_single_particle(spec.N, spec.J, "three_step", hop=hop)
     return free_fermion_trace_error(u_exact, u_noisy)
 

@@ -7,6 +7,7 @@ wall time) lives in a JSON sidecar next to the table.
 
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import numbers
@@ -18,9 +19,9 @@ import numpy as np
 from . import __version__
 from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
 from .driving import ProtocolParams, run_iswap_protocol
-from .eigengate import noisy_eigengate_errors
-from .hamiltonians import build_hk, krawtchouk_chain
-from .linalg import basis_index, expm_hermitian, sector_indices
+from .eigengate import coupling_noise_errors, eigengate_single_particle
+from .hamiltonians import chain_block, coupling_noises, krawtchouk_chain, sector_hops
+from .linalg import basis_index, expm_hermitian
 
 __all__ = [
     "FIG2_EPS_GRID",
@@ -41,9 +42,15 @@ __all__ = [
 FIG2_EPS_GRID = (0.0, 1e-3, 3e-3, 1e-2)
 FIG3_EPS_GRID = tuple(float(e) for e in np.logspace(-3, -2, 9))
 DEFAULT_SAMPLES = 200
-# samples of one fig3 grid point scored per stacked call; bounds the memory
-# of large --samples runs
+# noisy fig3 gates scored per stacked call, and (eps point, sample) pairs of
+# one chain size whose seeds and coupling draws are derived per stack; both
+# bound the memory of large --samples runs
 FIG3_BATCH = 256
+FIG3_DRAW_ROWS = 4096
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,12 +66,12 @@ class SweepConfig:
     def __post_init__(self):
         if self.protocol not in ("fig2", "fig3"):
             raise ValueError("protocol must be 'fig2' or 'fig3'")
-        if not isinstance(self.samples, numbers.Integral) or self.samples < 1:
+        if not _is_int(self.samples) or self.samples < 1:
             raise ValueError(f"samples must be an int >= 1, got {self.samples!r}")
-        if not isinstance(self.base_seed, numbers.Integral) or self.base_seed < 0:
+        if not _is_int(self.base_seed) or self.base_seed < 0:
             raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not _is_int(self.threads) or self.threads < 1:
+            raise ValueError(f"threads must be an int >= 1, got {self.threads!r}")
         if not self.n_values or not self.eps_values:
             raise ValueError("parameter grid must be non-empty")
         if self.protocol == "fig2" and not self.m_values:
@@ -72,9 +79,18 @@ class SweepConfig:
         object.__setattr__(self, "n_values", tuple(self.n_values))
         object.__setattr__(self, "eps_values", tuple(self.eps_values))
         object.__setattr__(self, "m_values", tuple(self.m_values))
+        # the whole grid is checked before any point is computed
+        for N in self.n_values:
+            if self.protocol == "fig2" and not (_is_int(N) and N >= 4 and N % 2 == 0):
+                raise ValueError(f"n_values must be even ints >= 4 for fig2, got {N!r}")
+            if not _is_int(N) or N < 2:
+                raise ValueError(f"n_values must be ints >= 2, got {N!r}")
+        for eps in self.eps_values:
+            if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 <= eps < 1.0:
+                raise ValueError(f"eps_values must be reals in [0, 1), got {eps!r}")
 
 
-def point_seeds(base_seed: int, N: int, M: int, eps_idx: int, sample_indices) -> np.ndarray:
+def point_seeds(base_seed: int, N: int, M: int, eps_idx, sample_indices) -> np.ndarray:
     """Stable 64-bit seeds of the samples sample_indices of one grid point,
     as a uint64 array.
 
@@ -85,12 +101,22 @@ def point_seeds(base_seed: int, N: int, M: int, eps_idx: int, sample_indices) ->
     versions or thread counts.  Every entropy word but the sample index is
     the grid point's, so those are mixed once and only the last word is
     mixed per sample (_seeding).  base_seed, N, M and eps_idx are ints >= 0
-    and each sample index an int in [0, 2^32).
+    and each sample index an int in [0, 2^32).  eps_idx may also be a
+    sequence of one index in [0, 2^32) per sample, which seeds samples of
+    several grid points in one stack: element k is then that of eps_idx[k].
     """
-    for name, value in (("base_seed", base_seed), ("N", N), ("M", M), ("eps_idx", eps_idx)):
+    scalars = [("base_seed", base_seed), ("N", N), ("M", M)]
+    if np.ndim(eps_idx) == 0:
+        scalars.append(("eps_idx", eps_idx))
+    for name, value in scalars:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     indices = uint_stack(sample_indices, 2**32, "sample index")
+    if np.ndim(eps_idx):
+        # a value below 2^32 is one SeedSequence word, as its scalar is
+        eps_idx = uint_stack(eps_idx, 2**32, "eps_idx")
+        if eps_idx.shape != indices.shape:
+            raise ValueError(f"eps_idx has {len(eps_idx)} values, but there are {len(indices)} sample indices")
     entropy = assembled_entropy(base_seed, (N, M, eps_idx, indices))
     lo, hi = generate_state(mix_entropy(entropy), 2)
     return hi << 32 | lo
@@ -149,26 +175,49 @@ def sweep_fig3(config: SweepConfig) -> list:
     """Eigengate trace error vs coupling noise strength.
 
     Returns rows (N, eps, mean_error, stderr, samples); noiseless points
-    are deterministic and use a single sample.  The samples of a grid point
-    are scored in stacks of at most FIG3_BATCH by noisy_eigengate_errors,
-    which works on N x N single-particle matrices, never on 2^N unitaries.
-    config.threads is not used: the stacked evaluation runs in one thread.
+    are deterministic and use a single sample.  Per chain size the clean
+    gate is built once, and the seeds and coupling draws of all its
+    (eps point, sample) pairs are derived as one stack, of at most
+    FIG3_DRAW_ROWS pairs.  The noisy gates are scored in stacks of at most
+    FIG3_BATCH by coupling_noise_errors, which works on N x N
+    single-particle matrices, never on 2^N unitaries; a stack may hold
+    samples of several eps points.  Every error equals its sample's
+    noisy_eigengate_errors on its own, so the rows depend on neither stack
+    size.  config.threads is not used: the stacked evaluation runs in one
+    thread.
     """
+    eps = np.array(config.eps_values, dtype=float)
+    counts = [1 if e == 0.0 else config.samples for e in config.eps_values]
+    # the pairs of eps point p are starts[p] <= pair < starts[p + 1]
+    starts = np.array([0, *itertools.accumulate(counts)])
     rows = []
     for N in config.n_values:
-        for eps_idx, eps in enumerate(config.eps_values):
-            count = 1 if eps == 0.0 else config.samples
-            seeds = point_seeds(config.base_seed, N, 0, eps_idx, np.arange(count))
+        spec = krawtchouk_chain(N, 1.0)
+        u_exact = eigengate_single_particle(N, 1.0, spec=spec)
+        pending = []  # errors of the point in progress, one array per draw stack
+        for lo in range(0, starts[-1], FIG3_DRAW_ROWS):
+            hi = min(lo + FIG3_DRAW_ROWS, starts[-1])
+            pair = np.arange(lo, hi)
+            point = np.searchsorted(starts, pair, side="right") - 1
+            points = np.unique(point)
             try:
+                seeds = point_seeds(config.base_seed, N, 0, point, pair - starts[point])
+                noise = coupling_noises(N, eps[point], seeds)
                 errors = np.concatenate([
-                    noisy_eigengate_errors(N, 1.0, eps, seeds[lo:lo + FIG3_BATCH])
-                    for lo in range(0, count, FIG3_BATCH)
+                    coupling_noise_errors(u_exact, spec, noise[b:b + FIG3_BATCH])
+                    for b in range(0, len(pair), FIG3_BATCH)
                 ])
             except Exception as exc:
+                shown = [config.eps_values[p] for p in points]
                 raise RuntimeError(
-                    f"samples failed at N={N} eps={eps} base_seed={config.base_seed}: {exc}"
+                    f"samples failed at N={N} eps in {shown} base_seed={config.base_seed}: {exc}"
                 ) from exc
-            rows.append((N, eps, *_mean_and_stderr(errors), count))
+            for p in points:
+                pending.append(errors[point == p])
+                if starts[p + 1] <= hi:
+                    point_errors = np.concatenate(pending)
+                    rows.append((N, config.eps_values[p], *_mean_and_stderr(point_errors), counts[p]))
+                    pending = []
     return rows
 
 
@@ -219,7 +268,7 @@ def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
         spec = dataclasses.replace(spec, couplings=tuple(couplings))
     overlap = 0.0
     for q in range(N + 1):
-        u = expm_hermitian(build_hk(spec, sector_indices(N, q)), math.pi / J)
+        u = expm_hermitian(chain_block(spec, sector_hops(N, q)), math.pi / J)
         # |+>^N has amplitude 2^(-N/2) on every state
         overlap += ((-1.0j) ** q + (-1.0j) ** (N - q)) * u.sum()
     return float(abs(overlap / (2**N * math.sqrt(2.0))) ** 2)
@@ -228,8 +277,8 @@ def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
 def _pst_propagator(N: int, J: float, q: int) -> tuple:
     """(states, u): the chain's evolution u over the transfer time pi/J on
     the q-excitation sector, whose ascending basis indices are states."""
-    states = sector_indices(N, q)
-    return states, expm_hermitian(build_hk(krawtchouk_chain(N, J), states), math.pi / J)
+    hops = sector_hops(N, q)
+    return hops[0], expm_hermitian(chain_block(krawtchouk_chain(N, J), hops), math.pi / J)
 
 
 def _mirror_amplitude(propagator: tuple, bits) -> complex:

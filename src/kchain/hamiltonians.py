@@ -1,12 +1,14 @@
 """Spin-chain Hamiltonians: XX+YY chains, their diagonal dual, and resonant drives."""
 
 import dataclasses
+import functools
 import math
 import numbers
 
 import numpy as np
 
 from ._seeding import uint_stack, uniform_stack
+from .linalg import sector_indices
 
 __all__ = [
     "ChainSpec",
@@ -17,6 +19,7 @@ __all__ = [
     "coupling_noises",
     "apply_coupling_noise",
     "chain_hops",
+    "sector_hops",
     "chain_block",
     "build_hk",
     "build_hz",
@@ -110,19 +113,35 @@ def coupling_noise(N: int, noise_eps: float, seed) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-noise_eps, noise_eps, size=N - 1)
 
 
-def coupling_noises(N: int, noise_eps: float, seeds) -> np.ndarray:
+def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
     """coupling_noise for a stack of seeds, each an int in [0, 2^64): row k
-    is coupling_noise(N, noise_eps, seeds[k]) bit for bit.
+    is coupling_noise(N, noise_eps, seeds[k]) bit for bit.  noise_eps is
+    one number for every seed, or a sequence of one per seed, in which case
+    row k is coupling_noise(N, noise_eps[k], seeds[k]).
 
     The seeds' SeedSequence and PCG64 streams are computed as one stack
     (_seeding), not one generator per seed.
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
         raise ValueError(f"N must be an int >= 1, got {N!r}")
-    if not (isinstance(noise_eps, numbers.Real) and 0.0 <= noise_eps < math.inf):
-        raise ValueError(f"noise_eps must be a finite number >= 0, got {noise_eps!r}")
+    if np.ndim(noise_eps) == 0:
+        _check_noise_eps(noise_eps)
+        eps = float(noise_eps)
+    else:
+        eps = np.asarray(noise_eps)
+        if eps.dtype.kind != "f" or not (np.isfinite(eps) & (eps >= 0.0)).all():
+            for value in eps.tolist():
+                _check_noise_eps(value)
+        eps = eps.astype(float)
     seeds = uint_stack(seeds, 2**64, "seed")
-    return uniform_stack(seeds, -float(noise_eps), float(noise_eps), N - 1)
+    if np.ndim(eps) and eps.shape != seeds.shape:
+        raise ValueError(f"noise_eps has {len(eps)} values, but there are {len(seeds)} seeds")
+    return uniform_stack(seeds, -eps, eps, N - 1)
+
+
+def _check_noise_eps(value) -> None:
+    if not (isinstance(value, numbers.Real) and 0.0 <= value < math.inf):
+        raise ValueError(f"noise_eps must be a finite number >= 0, got {value!r}")
 
 
 def apply_coupling_noise(spec: ChainSpec) -> ChainSpec:
@@ -167,6 +186,13 @@ def chain_hops(N: int, states=None) -> tuple:
     indices states, or on all 2^N states if None: what build_hk's block
     on those states shares across couplings and fields (chain_block)."""
     return _hop_pattern(N, states, [(x, x + 1) for x in range(N - 1)])
+
+
+@functools.lru_cache(maxsize=128)
+def sector_hops(N: int, q: int) -> tuple:
+    """chain_hops of the q-excitation sector (sector_indices(N, q)), built
+    once per (N, q) and shared: every array in it is read only."""
+    return chain_hops(N, sector_indices(N, q))
 
 
 def chain_block(spec: ChainSpec, hops) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Dense linear-algebra helpers for small multi-qubit Hilbert spaces."""
 
+import functools
 import math
 
 import numpy as np
@@ -70,15 +71,23 @@ def occupied_sites(index: int, nqubits: int):
     return tuple(x for x in range(nqubits) if (index >> (nqubits - 1 - x)) & 1)
 
 
+@functools.lru_cache(maxsize=128)
 def sector_indices(nqubits: int, weight: int) -> np.ndarray:
-    """Basis indices with the given excitation number, in increasing order."""
+    """Basis indices with the given excitation number, in increasing order.
+
+    Every sector-wise routine asks for the same few sectors, so each is
+    computed once (a popcount pass over all 2^nqubits states) and shared:
+    the array is read only.
+    """
     idx = np.arange(2**nqubits, dtype=np.int64)
     pop = np.zeros(2**nqubits, dtype=np.int64)
     v = idx.copy()
     while v.any():
         pop += v & 1
         v >>= 1
-    return idx[pop == weight]
+    states = idx[pop == weight]
+    states.flags.writeable = False
+    return states
 
 
 def minors(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -10,11 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from kchain import cli, eigengate, hamiltonians
+from kchain import cli, eigengate, hamiltonians, linalg
 from kchain.cli import main
 from kchain.experiments import point_seed
 from kchain.hamiltonians import build_hk, krawtchouk_chain
-from kchain.krawtchouk import build_basis, matrix_element_bruteforce
+from kchain.krawtchouk import build_basis, conjugate_phase, matrix_element_bruteforce
 from kchain.linalg import SIGMA_MINUS, SIGMA_PLUS, tensor_embed
 
 import dense_reference
@@ -412,6 +412,44 @@ def test_m2_elements_equal_the_two_embed_products_bitwise(n):
             assert np.array_equal(tensor_embed(np.kron(a, b), [j, j + d], N), product)
         product = tensor_embed(SIGMA_MINUS, [j], N) @ tensor_embed(SIGMA_PLUS, [j + d], N)
         assert brute == matrix_element_bruteforce(basis, lower, product, upper)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_m2_elements_equal_the_dense_embed_route_bitwise(monkeypatch, n):
+    # the route the gather replaced: dense embeds of both terms, applied
+    # with matrix_element_bruteforce
+    N = n + 1
+    basis = build_basis(n, 1.0)
+    lower, upper = tuple(range(N // 2)), tuple(range(N // 2, N))
+    want = []
+    for j, d, closed, *_ in cli._m2_elements(n, conjugate=True):
+        op = tensor_embed(np.kron(SIGMA_MINUS, SIGMA_PLUS), [j, j + d], N)
+        conj_op = tensor_embed(np.kron(SIGMA_PLUS, SIGMA_MINUS), [j, j + d], N)
+        brute = matrix_element_bruteforce(basis, lower, op, upper)
+        conj = matrix_element_bruteforce(basis, lower, conj_op, upper)
+        err = max(abs(brute - closed), abs(conj - conjugate_phase(N) * closed))
+        want.append((j, d, closed, brute, err))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("_m2_elements builds a dense operator")
+
+    monkeypatch.setattr(linalg, "tensor_embed", refused)
+    monkeypatch.setattr(np, "kron", refused)
+    assert list(cli._m2_elements(n, conjugate=True)) == want
+
+
+def test_verify_all_computes_each_sector_once(capsys):
+    # two runs share every sector's basis indices and clean hop pattern
+    for cached in (linalg.sector_indices, hamiltonians.sector_hops):
+        cached.cache_clear()
+    for _ in range(2):
+        rc, _ = run_cli(capsys, "verify-all", "--n-max", "8")
+        assert rc == 0
+    for cached in (linalg.sector_indices, hamiltonians.sector_hops):
+        info = cached.cache_info()
+        # every miss stored a new key and none was evicted, so no key was
+        # computed twice
+        assert 0 < info.misses == info.currsize < info.maxsize
 
 
 def usage_error(capsys, *argv):

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from kchain import driving, experiments
+from kchain import driving, eigengate, experiments
+from kchain.eigengate import noisy_eigengate_errors
 from kchain.experiments import (
     DEFAULT_SAMPLES,
     FIG2_EPS_GRID,
@@ -14,6 +15,7 @@ from kchain.experiments import (
     SweepConfig,
     ghz_demo,
     point_seed,
+    point_seeds,
     pst_demo,
     pst_mirror_amplitude,
     sweep_fig2,
@@ -49,6 +51,31 @@ def test_sweep_config_validation():
 def test_sweep_config_rejects_bad_sample_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an int >= "):
         SweepConfig(protocol="fig3", n_values=(4,), eps_values=(1e-3,), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(threads=2.5), "threads must be an int >= 1, got 2.5"),
+        (dict(threads=True), "threads must be an int >= 1, got True"),
+        (dict(threads="2"), "threads must be an int >= 1, got '2'"),
+        (dict(threads=None), "threads must be an int >= 1, got None"),
+        (dict(eps_values=(1e-3, -0.1)), "eps_values must be reals in \\[0, 1\\), got -0.1"),
+        (dict(eps_values=(float("nan"),)), "eps_values must be reals in \\[0, 1\\), got nan"),
+        (dict(eps_values=(1.0,)), "eps_values must be reals in \\[0, 1\\), got 1.0"),
+        (dict(eps_values=("0.1",)), "eps_values must be reals in \\[0, 1\\), got '0.1'"),
+        (dict(eps_values=(False,)), "eps_values must be reals in \\[0, 1\\), got False"),
+        (dict(n_values=(4, 1)), "n_values must be ints >= 2, got 1"),
+        (dict(n_values=(4.0,)), "n_values must be ints >= 2, got 4.0"),
+        (dict(n_values=(True,)), "n_values must be ints >= 2, got True"),
+        (dict(protocol="fig2", m_values=(1,), n_values=(6, 5)), "n_values must be even ints >= 4 for fig2, got 5"),
+        (dict(protocol="fig2", m_values=(1,), n_values=(2,)), "n_values must be even ints >= 4 for fig2, got 2"),
+    ],
+)
+def test_sweep_config_rejects_bad_grid_fields(fields, message):
+    # rejected when the config is built, before any grid point is computed
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepConfig(**(dict(protocol="fig3", n_values=(4,), eps_values=(1e-3,)) | fields))
 
 
 def test_point_seed_is_stable_and_collision_free():
@@ -194,6 +221,49 @@ def test_fig3_rows_do_not_depend_on_stack_size(monkeypatch):
     monkeypatch.setattr(experiments, "FIG3_BATCH", 5)
     cfg = SweepConfig(protocol="fig3", n_values=(2, 12), eps_values=(1e-3, 1e-2), samples=16)
     assert sweep_fig3(cfg) == FIG3_SMALL_FROZEN
+
+
+def reference_fig3_rows(cfg):
+    """sweep_fig3 point by point: one point_seeds and one
+    noisy_eigengate_errors call per grid point."""
+    rows = []
+    for N in cfg.n_values:
+        for eps_idx, eps in enumerate(cfg.eps_values):
+            count = 1 if eps == 0.0 else cfg.samples
+            seeds = point_seeds(cfg.base_seed, N, 0, eps_idx, np.arange(count))
+            errors = noisy_eigengate_errors(N, 1.0, eps, seeds)
+            rows.append((N, eps, *experiments._mean_and_stderr(errors), count))
+    return rows
+
+
+@pytest.mark.parametrize("batch, draw_rows", [(7, 10), (7, 4096), (256, 3)])
+def test_fig3_stacked_draws_equal_per_point_calls(monkeypatch, batch, draw_rows):
+    # gate stacks and draw stacks straddle eps points, the noiseless point's
+    # single sample among them
+    monkeypatch.setattr(experiments, "FIG3_BATCH", batch)
+    monkeypatch.setattr(experiments, "FIG3_DRAW_ROWS", draw_rows)
+    cfg = SweepConfig(
+        protocol="fig3", n_values=(3, 6), eps_values=(1e-3, 0.0, 2e-2, 0.0, 0.3), samples=17,
+        base_seed=2**40 + 7,
+    )
+    assert sweep_fig3(cfg) == reference_fig3_rows(cfg)
+
+
+def test_fig3_builds_one_clean_gate_per_chain_size(monkeypatch):
+    clean = []
+    inner = eigengate.eigengate_single_particle
+
+    def counted(N, J, *args, **kwargs):
+        if kwargs.get("hop") is None:
+            clean.append(N)
+        return inner(N, J, *args, **kwargs)
+
+    for module in (eigengate, experiments):
+        monkeypatch.setattr(module, "eigengate_single_particle", counted)
+    cfg = SweepConfig(protocol="fig3", n_values=(2, 4, 8, 12), eps_values=FIG3_EPS_GRID, samples=30)
+    rows = sweep_fig3(cfg)
+    assert len(rows) == 36
+    assert clean == [2, 4, 8, 12]
 
 
 def test_fig3_noiseless_point_is_single_exact_sample():

@@ -80,6 +80,13 @@ def test_sector_indices_partition_space():
     assert sorted(merged.tolist()) == list(range(32))
 
 
+def test_sector_indices_are_one_shared_read_only_array():
+    states = sector_indices(6, 2)
+    assert sector_indices(6, 2) is states
+    with pytest.raises(ValueError, match="read-only"):
+        states[0] = 1
+
+
 @pytest.mark.parametrize("N", range(2, 13))
 def test_sector_complement_is_partner_sector_reversed(N):
     # flipping every bit maps sector q onto sector N-q in reverse order,

@@ -51,6 +51,58 @@ def test_coupling_noises_equal_coupling_noise(eps):
         assert got[: len(EDGE_SEEDS)].tobytes() == direct.tobytes(), N
 
 
+@pytest.mark.parametrize("base_seed", [20260801, 2**40 + 7])
+def test_point_seeds_of_several_points_equal_per_point_calls(base_seed):
+    # one stack over (eps point, sample) pairs, eps points mixed in any order
+    eps_idx = np.array([0, 0, 3, 1, 3, 2**32 - 1, 0])
+    samples = np.array([0, 5, 2, 0, 2**32 - 1, 9, 4])
+    got = point_seeds(base_seed, 8, 0, eps_idx, samples)
+    want = [point_seed(base_seed, 8, 0, int(e), int(k)) for e, k in zip(eps_idx, samples)]
+    assert got.dtype == np.uint64 and got.tolist() == want
+    assert point_seeds(base_seed, 8, 0, [3, 3], [2, 2]).tolist() == want[2:3] * 2
+
+
+@pytest.mark.parametrize(
+    "eps_idx, samples, message",
+    [
+        ([0, 2**32], [0, 1], f"eps_idx must be an int in \\[0, {2**32}\\), got {2**32}"),
+        ([0, -1], [0, 1], f"eps_idx must be an int in \\[0, {2**32}\\), got -1"),
+        ([0, 1.5], [0, 1], f"eps_idx must be an int in \\[0, {2**32}\\), got 1.5"),
+        ([0, 1, 2], [0, 1], "eps_idx has 3 values, but there are 2 sample indices"),
+    ],
+)
+def test_point_seeds_reject_bad_eps_index_stacks(eps_idx, samples, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        point_seeds(1, 4, 0, eps_idx, samples)
+
+
+def test_coupling_noises_with_one_eps_per_seed_equal_per_eps_calls():
+    seeds = list(EDGE_SEEDS) + point_seeds(7, 6, 0, 1, np.arange(50)).tolist()
+    eps = np.resize([0.0, 1e-3, 0.0056, 0.5], len(seeds))
+    got = coupling_noises(6, eps, seeds)
+    for value in np.unique(eps):
+        rows = np.flatnonzero(eps == value)
+        want = coupling_noises(6, float(value), [seeds[k] for k in rows])
+        assert got[rows].tobytes() == want.tobytes(), value
+    want = np.array([coupling_noise(6, e, s) for e, s in zip(eps, seeds)])
+    assert got.tobytes() == want.tobytes()
+    assert coupling_noises(6, list(eps), seeds).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize(
+    "noise_eps, message",
+    [
+        ([0.01, -0.1], "noise_eps must be a finite number >= 0, got -0.1"),
+        ([0.01, np.nan], "noise_eps must be a finite number >= 0, got nan"),
+        (["0.1", 0.1], "noise_eps must be a finite number >= 0, got '0.1'"),
+        ([0.01, 0.02, 0.03], "noise_eps has 3 values, but there are 2 seeds"),
+    ],
+)
+def test_coupling_noises_reject_bad_eps_stacks(noise_eps, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        coupling_noises(4, noise_eps, [1, 2])
+
+
 def test_coupling_noises_take_a_uint64_stack():
     seeds = point_seeds(1, 4, 1, 0, np.arange(5))
     want = np.array([coupling_noise(6, 0.03, int(s)) for s in seeds])
