@@ -77,17 +77,18 @@ _nonnegative_int = _IntAtLeast(0)
 _positive_int = _IntAtLeast(1)
 _thread_count = _IntAtLeast(1, what="thread count (--threads or KRAW_THREADS)")
 _chain_size = _IntAtLeast(2)
-_even_chain_size = _IntAtLeast(4, step=2)
-# Upper bounds on the sizes of the verification commands.  The eigengate
-# checks hold two 2^N x 2^N gates and stacks of sector minors (about 50 MB
-# at N=10); the matrix elements hold two dense 2^N band eigenstates and
-# apply each drive term to one by an index gather; GHZ exponentiates every
-# sector, up to C(N, (N-1)/2) wide (462 at N=11); PST exponentiates the
-# N-wide one-excitation sector but scans all 2^N basis states for it.
+# Upper bounds on the sizes of the verification and protocol commands.  The
+# eigengate checks hold stacks of sector minors; the matrix elements hold
+# two dense 2^N band eigenstates; GHZ exponentiates sectors up to 462 wide
+# at N=11; PST scans all 2^N basis states for its N-wide sector.  A protocol
+# run steps sectors up to 252 wide at N=10, and circuit-verify multiplies
+# dense 2^N x 2^N gates, 16 MiB each at N=10 and 4 GiB at N=14.
 _MAX_EIGENGATE_N = 10
 _MAX_MATRIX_ELEMENTS_N = 9
 _MAX_GHZ_N = 11
 _MAX_PST_N = 20
+_MAX_PROTOCOL_N = 10
+_protocol_size = _IntAtLeast(4, step=2, maximum=_MAX_PROTOCOL_N)
 
 
 def _noise_eps(text) -> float:
@@ -152,42 +153,26 @@ def _config_value_one(action, key, value):
     return value
 
 
-def _explicit_dests(argv) -> set:
-    """Destinations given on the command line.
-
-    Parses argv again with every default suppressed, so a flag counts as
-    explicit even when its value equals the default.
-    """
-    shadow = _build_parser()
-    parsers = [shadow, *shadow._command_parsers.values()]
-    for p in parsers:
-        p._defaults.clear()
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(shadow.parse_args(argv)))
-
-
 def _apply_config_file(args, parser, argv):
-    """Fill flags from a JSON file of defaults; explicit flags win."""
+    """argv parsed again with a JSON file's values as the defaults of their
+    flags, so flags given on the command line win."""
     with open(args.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise SystemExit("config file must hold a JSON object")
-    # the command's own flags, then the global ones
+    # the command's own flags, then the global ones, each with its parser
     actions = {}
     for p in (parser._command_parsers[args.command], parser):
         for action in p._actions:
             if action.option_strings and action.dest not in ("help", "config"):
-                actions.setdefault(action.dest, action)
-    explicit = _explicit_dests(argv)
+                actions.setdefault(action.dest, (p, action))
     for key, value in overrides.items():
         dest = key.replace("-", "_")
         if dest not in actions:
             raise SystemExit(f"unknown config key {key!r}")
-        value = _config_value(actions[dest], key, value)
-        if dest not in explicit:
-            setattr(args, dest, value)
-    return args
+        p, action = actions[dest]
+        p.set_defaults(**{dest: _config_value(action, key, value)})
+    return parser.parse_args(argv)
 
 
 def _spectrum(N: int, J: float):
@@ -468,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eigengate_check)
 
     p = sub.add_parser("drive", help="run the resonant swap protocol")
-    p.add_argument("--n", type=_even_chain_size, default=6)
+    p.add_argument("--n", type=_protocol_size, default=6)
     p.add_argument("--m", type=_positive_int, default=4, help="drive length in 2pi/J units")
     p.add_argument("--eps", type=_noise_eps, default=0.0, help="coupling noise amplitude")
     p.add_argument("--seed", type=_nonnegative_int, default=20260801)
@@ -493,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circuit-verify", help="gate construction checks as JSON")
     p.add_argument("--which", choices=("ctrl-x", "ctrl-iswap2"), required=True)
-    p.add_argument("--n", type=_even_chain_size, required=True)
+    p.add_argument("--n", type=_protocol_size, required=True)
     p.add_argument("--use-simulated-drive", action="store_true")
     p.add_argument("--m", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_circuit_verify)
@@ -536,6 +521,9 @@ def main(argv=None) -> int:
             odd = [n for n in args.n if n < 4 or n % 2]
             if odd:
                 command.error(f"argument --n: fig2 needs even N >= 4, got {odd}")
+            big = [n for n in args.n if n > _MAX_PROTOCOL_N]
+            if big:
+                command.error(f"argument --n: fig2 needs N <= {_MAX_PROTOCOL_N}, got {big}")
             if args.m_max < args.m_min:
                 command.error(f"argument --m-max: must be >= --m-min ({args.m_min}), got {args.m_max}")
     if args.command == "circuit-verify" and args.which == "ctrl-iswap2" and args.n not in (4, 6):

@@ -12,14 +12,14 @@ from .hamiltonians import (
     DrivingSpec,
     apply_coupling_noise,
     chain_block,
-    chain_hops,
     driving_operator,
     hz_diagonal,
     krawtchouk_chain,
+    sector_hops,
 )
 from .krawtchouk import build_basis, driving_sign, eigenstate_vector, manybody_energy
 from .eigengate import eigengate_single_particle, free_fermion_block
-from .linalg import basis_index, max_column_distance, sector_indices
+from .linalg import basis_index, block_diagonal, max_column_distance, sector_indices
 
 __all__ = [
     "two_level_error",
@@ -358,7 +358,8 @@ class ProtocolParams:
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolResult:
-    unitary: np.ndarray
+    # the gate's block on sector_indices(N, q), q = 0..N
+    blocks: tuple
     error: float
     omega: float
     J_D: float
@@ -369,6 +370,11 @@ class ProtocolResult:
     # (substeps_per_period, delta) of every refinement level computed, the
     # first level's delta being inf; the last entry is the final pair
     refinement: tuple
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The gate on the full 2^N space, built from the blocks."""
+        return block_diagonal(self.blocks)
 
 
 def default_drive_pairs(N: int) -> tuple:
@@ -419,57 +425,51 @@ def _unit_drive(N: int, sign: str, pairs: tuple, states=None) -> np.ndarray:
     )
 
 
-def _read_only(arrays) -> tuple:
-    """The arrays as a tuple, each marked read only."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return tuple(arrays)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class _DrivePlan:
     """What every protocol run on the drive on pairs with sign on the chain
     (N, J) shares, noise aside: a sweep redraws only the couplings, and M,
     the drive phase and the inversion are applied per run.
 
-    Built with the plan: each excitation sector's basis indices, the drive
-    frequency, the two target states' positions in the half-filled sector,
-    and the unit drive's transition element V_ab between them and its
-    largest entry in that sector.
-    Built on first use, per sector q = 0..N: the chain's hop pattern
-    (chain_hops; a sample applies its couplings with chain_block), the
-    drive at J_D = 1, the inversion pulse's phases and the eigengate's
-    block, so a calibration alone builds no other sector's blocks.  Every
-    array is read only.
+    Built with the plan: the drive frequency, the two target states'
+    positions in the half-filled sector, and the unit drive's transition
+    element V_ab between them and its largest entry in that sector.
+    Built on first use, per sector q = 0..N: the drive at J_D = 1, the
+    inversion pulse's phases and the eigengate's block, so a calibration
+    alone builds no other sector's blocks.  Every array is read only.  The
+    sector indices and the chain's hop patterns are shared per (N, q) by
+    sector_indices and sector_hops.
     """
 
     N: int
     J: float
     sign: str
     pairs: tuple
-    sectors: tuple
     targets: tuple
     omega: float
     v_ab: complex
     v_max: float
 
-    @functools.cached_property
-    def hops(self) -> tuple:
-        return tuple(chain_hops(self.N, ix) for ix in self.sectors)
+    def _per_sector(self, build) -> tuple:
+        """build(states) on each sector's basis indices states, q = 0..N, read only."""
+        arrays = tuple(build(sector_indices(self.N, q)) for q in range(self.N + 1))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     @functools.cached_property
     def unit_blocks(self) -> tuple:
-        return _read_only([_unit_drive(self.N, self.sign, self.pairs, ix) for ix in self.sectors])
+        return self._per_sector(functools.partial(_unit_drive, self.N, self.sign, self.pairs))
 
     @functools.cached_property
     def inverts(self) -> tuple:
         p_diag = np.exp(-1.0j * math.pi * hz_diagonal(self.N, self.J) / self.J)
-        return _read_only([p_diag[ix] for ix in self.sectors])
+        return self._per_sector(lambda states: p_diag[states])
 
     @functools.cached_property
     def eigengate_blocks(self) -> tuple:
         u_sp = eigengate_single_particle(self.N, self.J, "three_step")
-        return _read_only([free_fermion_block(u_sp, ix) for ix in self.sectors])
+        return self._per_sector(functools.partial(free_fermion_block, u_sp))
 
 
 # typed: J = 1 and J = 1.0 get plans of their own, each built from the J
@@ -478,8 +478,7 @@ class _DrivePlan:
 def _layout_plan(N: int, J: float, sign: str, pairs: tuple) -> _DrivePlan:
     """The _DrivePlan of one drive layout, built once per layout."""
     basis = build_basis(N - 1, J)
-    sectors = _read_only([sector_indices(N, q) for q in range(N + 1)])
-    half = sectors[N // 2]
+    half = sector_indices(N, N // 2)
     bra = eigenstate_vector(basis, range(N // 2, N))[half]
     ket = eigenstate_vector(basis, range(N // 2))[half]
     v_half = _unit_drive(N, sign, pairs, half)
@@ -488,7 +487,6 @@ def _layout_plan(N: int, J: float, sign: str, pairs: tuple) -> _DrivePlan:
         J=J,
         sign=sign,
         pairs=pairs,
-        sectors=sectors,
         targets=tuple(int(np.searchsorted(half, t)) for t in _target_states(N)),
         omega=_band_gap(basis),
         v_ab=complex(bra.conj() @ (v_half @ ket)),
@@ -793,10 +791,10 @@ def run_iswap_protocol(
     than tol (> 0; inf takes the first refined level).
 
     What does not depend on the noise, M, the drive phase or the inversion
-    (the sector indices, the chain's hop patterns, the unit drive blocks,
-    the inversion phases and the eigengate's blocks) comes from the
-    layout's cached _DrivePlan; a sample builds its chain blocks by
-    applying its couplings to the hop patterns.
+    (the unit drive blocks, the inversion phases and the eigengate's
+    blocks) comes from the layout's cached _DrivePlan; a sample builds its
+    chain blocks by applying its couplings to the shared hop patterns
+    (sector_hops).  The result holds the gate's sector blocks.
     """
     N, J, M = params.N, params.J, params.M
     if not tol > 0.0:
@@ -815,7 +813,7 @@ def run_iswap_protocol(
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
     spec = apply_coupling_noise(spec)
-    h_blocks = [chain_block(spec, hops) for hops in plan.hops]
+    h_blocks = [chain_block(spec, sector_hops(N, q)) for q in range(N + 1)]
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_particle_hole_pairing(h_blocks, v_blocks, sign)
     inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)
@@ -840,15 +838,10 @@ def run_iswap_protocol(
     windows, history = _refine(drive_window, tol, nsub0, max_refine, where)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
-    u_total = np.zeros((2**N, 2**N), dtype=complex)
-    blocks = []
-    for ix, window, u_k in zip(plan.sectors, windows, plan.eigengate_blocks):
-        blocks.append(u_k.conj().T @ window @ u_k)
-        u_total[np.ix_(ix, ix)] = blocks[-1]
-    error = _swap_trace_error(blocks, plan.targets)
+    blocks = tuple(u_k.conj().T @ window @ u_k for window, u_k in zip(windows, plan.eigengate_blocks))
     return ProtocolResult(
-        unitary=u_total,
-        error=error,
+        blocks=blocks,
+        error=_swap_trace_error(blocks, plan.targets),
         omega=omega,
         J_D=j_d,
         amplitude=J / (4.0 * M),

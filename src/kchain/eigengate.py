@@ -17,6 +17,7 @@ from .hamiltonians import (
 from .krawtchouk import build_basis
 from .linalg import (
     assert_unitary,
+    block_diagonal,
     expm_hermitian,
     expm_hermitian_times,
     minors,
@@ -42,24 +43,28 @@ VARIANTS = ("three_step", "single_pulse")
 
 @dataclasses.dataclass(frozen=True)
 class EigengateForm:
-    """The eigengate on the full 2^N space, and its excitation-sector
-    blocks: blocks[q] is unitary's block on sector_indices(N, q)."""
+    """The eigengate by its excitation-sector blocks: blocks[q] is its
+    block on sector_indices(N, q), outside which it is zero."""
 
     variant: str
     N: int
     J: float
-    unitary: np.ndarray
     blocks: tuple
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The gate on the full 2^N space, built from the blocks."""
+        return block_diagonal(self.blocks)
 
 
 def _sector_hamiltonians(spec: ChainSpec, J: float):
-    """(states, Hk block, Hz diagonal) of every excitation sector q = 0..N,
-    on its ascending basis indices states.  Hk and Hz conserve the
+    """(Hk block, Hz diagonal) of every excitation sector q = 0..N, on its
+    ascending basis indices sector_indices(N, q).  Hk and Hz conserve the
     excitation number, so these blocks hold every nonzero entry of both."""
     hz = hz_diagonal(spec.N, J)
     for q in range(spec.N + 1):
         hops = sector_hops(spec.N, q)
-        yield hops[0], chain_block(spec, hops), hz[hops[0]]
+        yield chain_block(spec, hops), hz[hops[0]]
 
 
 def _check_spec_size(N: int, spec: ChainSpec) -> None:
@@ -75,8 +80,7 @@ def build_eigengate(
     three_step: exp(-i pi/2J Hz) exp(-i pi/2J Hk) exp(-i pi/2J Hz)
     single_pulse: exp(-i pi/J (Hk+Hz)/sqrt(2))
     A noisy spec perturbs only the chain pulse; the diagonal pulses are exact.
-    Each excitation sector's block is exponentiated on its own, and the
-    blocks are scattered into the 2^N unitary.
+    Each excitation sector's block is exponentiated on its own.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -84,18 +88,16 @@ def build_eigengate(
         spec = krawtchouk_chain(N, J)
     _check_spec_size(N, spec)
     quarter = np.pi / (2.0 * J)
-    u = np.zeros((2**N, 2**N), dtype=complex)
     blocks = []
-    for states, hk, hz in _sector_hamiltonians(spec, J):
+    for hk, hz in _sector_hamiltonians(spec, J):
         if variant == "three_step":
             ez = np.exp(-1.0j * hz * quarter)
             block = ez[:, None] * expm_hermitian(hk, quarter) * ez
         else:
             block = expm_hermitian((hk + np.diag(hz)) / np.sqrt(2.0), 2.0 * quarter)
         assert_unitary(block)
-        u[np.ix_(states, states)] = block
         blocks.append(block)
-    return EigengateForm(variant=variant, N=N, J=J, unitary=u, blocks=tuple(blocks))
+    return EigengateForm(variant=variant, N=N, J=J, blocks=tuple(blocks))
 
 
 def expected_phase(q: int, n: int) -> complex:
@@ -109,7 +111,7 @@ def check_intertwining(gate: EigengateForm) -> float:
     spec = krawtchouk_chain(gate.N, gate.J)
     return max(
         float(np.max(np.abs(hk @ u - u * hz)))
-        for (_, hk, hz), u in zip(_sector_hamiltonians(spec, gate.J), gate.blocks)
+        for (hk, hz), u in zip(_sector_hamiltonians(spec, gate.J), gate.blocks)
     )
 
 
@@ -129,7 +131,7 @@ def rotation_checks(N: int, J: float, thetas) -> tuple:
     comm = lambda a, b: a @ b - b @ a
     so3 = dict.fromkeys(("xy_z", "yz_x", "zx_y"), 0.0)
     bch = [0.0] * len(thetas)
-    for _, hk, hz in _sector_hamiltonians(krawtchouk_chain(N, J), J):
+    for hk, hz in _sector_hamiltonians(krawtchouk_chain(N, J), J):
         lx = hk / J
         lz = np.diag(hz / J).astype(complex)
         ly = -1.0j * (lz @ lx - lx @ lz)
@@ -206,6 +208,8 @@ def eigengate_single_particle(
     given, replaces the chain's hopping matrix; it may be a stack
     (..., N, N), which gives the stack of gates.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     if hop is None:
         if spec is None:
             spec = krawtchouk_chain(N, J)

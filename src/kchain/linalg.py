@@ -16,6 +16,7 @@ __all__ = [
     "basis_state",
     "occupied_sites",
     "sector_indices",
+    "block_diagonal",
     "minors",
     "tensor_embed",
     "is_hermitian",
@@ -88,6 +89,17 @@ def sector_indices(nqubits: int, weight: int) -> np.ndarray:
     states = idx[pop == weight]
     states.flags.writeable = False
     return states
+
+
+def block_diagonal(blocks) -> np.ndarray:
+    """The 2^N x 2^N matrix whose block on sector_indices(N, q) is blocks[q],
+    q = 0..N with N = len(blocks) - 1, and zero off the sectors."""
+    N = len(blocks) - 1
+    mat = np.zeros((2**N, 2**N), dtype=complex)
+    for q, block in enumerate(blocks):
+        states = sector_indices(N, q)
+        mat[np.ix_(states, states)] = block
+    return mat
 
 
 def minors(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -526,6 +526,9 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["pst", "--n", "21"], "argument --n: must be at most 20, got '21'"),
     (["verify-all", "--n-max", "11"], "argument --n-max: must be at most 10, got '11'"),
     (["verify-all", "--n-max", str(10**9)], f"argument --n-max: must be at most 10, got '{10**9}'"),
+    (["drive", "--n", "12"], "argument --n: must be at most 10, got '12'"),
+    (["circuit-verify", "--which", "ctrl-x", "--n", "14"], "argument --n: must be at most 10, got '14'"),
+    (["noise-sweep", "--figure", "2", "--n", "4", "12"], "argument --n: fig2 needs N <= 10, got [12]"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)

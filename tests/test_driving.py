@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from kchain import driving, eigengate
+from kchain.cli import main
 from kchain.driving import (
     ProtocolParams,
     default_drive_pairs,
@@ -36,6 +37,7 @@ from kchain.hamiltonians import (
     driving_operator,
     hz_diagonal,
     krawtchouk_chain,
+    sector_hops,
 )
 from kchain.linalg import (
     assert_unitary,
@@ -1060,6 +1062,31 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
         driving.chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
 
 
+def test_results_hold_sector_blocks_and_build_the_dense_gate_on_request(monkeypatch, capsys):
+    N = 8
+
+    def no_dense_gate(blocks):
+        raise AssertionError("dense gate built before .unitary was read")
+
+    monkeypatch.setattr(driving, "block_diagonal", no_dense_gate)
+    monkeypatch.setattr(eigengate, "block_diagonal", no_dense_gate)
+    results = [run_iswap_protocol(ProtocolParams(N=N, M=4)), build_eigengate(N, 1.0)]
+    eigengate.compare_forms(N)
+    assert main(["verify-all", "--n-max", str(N)]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    monkeypatch.undo()
+    for res in results:
+        stored = [getattr(res, f.name) for f in dataclasses.fields(res)]
+        arrays = [a for v in stored for a in (v if isinstance(v, tuple) else (v,))]
+        assert not any(np.shape(a) == (2**N, 2**N) for a in arrays)
+        assert [blk.shape for blk in res.blocks] == [(math.comb(N, q),) * 2 for q in range(N + 1)]
+        dense = np.zeros((2**N, 2**N), dtype=complex)
+        for q, blk in enumerate(res.blocks):
+            ix = sector_indices(N, q)
+            dense[np.ix_(ix, ix)] = blk
+        assert np.array_equal(res.unitary, dense)
+
+
 # ---------------------------------------------------------------- drive plan
 
 
@@ -1086,14 +1113,15 @@ def test_warm_plan_run_equals_cold_run_byte_for_byte():
 def test_plan_arrays_are_read_only():
     N = 6
     plan = driving._plan(ProtocolParams(N=N))
-    fields = (plan.sectors, plan.unit_blocks, plan.inverts, plan.eigengate_blocks)
+    sectors = [sector_indices(N, q) for q in range(N + 1)]
+    fields = (sectors, plan.unit_blocks, plan.inverts, plan.eigengate_blocks)
     arrays = [arr for field in fields for arr in field]
     assert len(arrays) == len(fields) * (N + 1)
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
     # (states, row, col, term) per sector; sectors 0 and N have no hops
-    hop_arrays = [arr for hops in plan.hops for arr in hops]
+    hop_arrays = [arr for q in range(N + 1) for arr in sector_hops(N, q)]
     assert len(hop_arrays) == 4 * (N + 1)
     assert not any(arr.flags.writeable for arr in hop_arrays)
 
@@ -1124,7 +1152,7 @@ def test_run_off_a_cached_layout_equals_its_cold_run(change, shares_plan):
 
 def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
     N = 4
-    calls = {"eigengate_single_particle": 0, "_unit_drive": 0, "chain_hops": 0}
+    calls = {"eigengate_single_particle": 0, "_unit_drive": 0}
 
     def counted(name):
         build = getattr(driving, name)
@@ -1138,11 +1166,13 @@ def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(driving, name, counted(name))
     driving._layout_plan.cache_clear()
+    sector_hops.cache_clear()
     for seed in range(10):
         run_iswap_protocol(ProtocolParams(N=N, M=1, noise_eps=0.01, seed=seed))
     # the unit drive once for the calibration, then once per sector; the
     # chain's hop pattern once per sector, its couplings applied per sample
-    assert calls == {"eigengate_single_particle": 1, "_unit_drive": 1 + (N + 1), "chain_hops": N + 1}
+    assert calls == {"eigengate_single_particle": 1, "_unit_drive": 1 + (N + 1)}
+    assert sector_hops.cache_info().misses == N + 1
 
 
 def test_drive_that_couples_nothing_raises_on_every_run():

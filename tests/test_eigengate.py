@@ -136,9 +136,10 @@ def test_noise_free_error_vanishes():
         assert noisy_eigengate_errors(N, 1.0, 0.0, [0])[0] < 1e-12
 
 
-def test_unknown_variant_rejected():
-    with pytest.raises(ValueError):
-        build_eigengate(4, 1.0, "bogus")
+@pytest.mark.parametrize("build", [build_eigengate, eigengate_single_particle], ids=lambda f: f.__name__)
+def test_unknown_variant_rejected(build):
+    with pytest.raises(ValueError, match="variant must be one of"):
+        build(4, 1.0, "bogus")
 
 
 @pytest.mark.parametrize("N, eps", [(2, 1e-3), (4, 0.05), (8, 1e-2), (12, 3e-3)])
