@@ -76,19 +76,32 @@ class _IntAtLeast:
 _nonnegative_int = _IntAtLeast(0)
 _positive_int = _IntAtLeast(1)
 _thread_count = _IntAtLeast(1, what="thread count (--threads or KRAW_THREADS)")
-_chain_size = _IntAtLeast(2)
 # Upper bounds on the sizes of the verification and protocol commands.  The
 # eigengate checks hold stacks of sector minors; the matrix elements hold
 # two dense 2^N band eigenstates; GHZ exponentiates sectors up to 462 wide
 # at N=11; PST scans all 2^N basis states for its N-wide sector.  A protocol
 # run steps sectors up to 252 wide at N=10, and circuit-verify multiplies
-# dense 2^N x 2^N gates, 16 MiB each at N=10 and 4 GiB at N=14.
+# dense 2^N x 2^N gates, 16 MiB each at N=10 and 4 GiB at N=14.  spectrum
+# diagonalizes a dense N x N hopping matrix, ~1 s at N=2048 on one core; a
+# fig3 sweep scores an N x N gate per sample, ~2 s and ~100 MiB for the
+# default grid at N=64, growing as N^3.
 _MAX_EIGENGATE_N = 10
 _MAX_MATRIX_ELEMENTS_N = 9
 _MAX_GHZ_N = 11
 _MAX_PST_N = 20
 _MAX_PROTOCOL_N = 10
+_MAX_SPECTRUM_N = 2048
+_MAX_FIG3_N = 64
 _protocol_size = _IntAtLeast(4, step=2, maximum=_MAX_PROTOCOL_N)
+_spectrum_size = _IntAtLeast(2, maximum=_MAX_SPECTRUM_N)
+_sweep_size = _IntAtLeast(2, maximum=_MAX_FIG3_N)
+
+# Tolerances of the checks run by their own command and by verify-all: value < tol passes
+_SPECTRUM_TOL = 1e-10
+_MATRIX_ELEMENTS_TOL = 1e-12
+_PST_TOL = 1e-10
+_GHZ_TOL = 1e-10
+_CIRCUIT_TOL = 1e-10
 
 
 def _noise_eps(text) -> float:
@@ -223,7 +236,7 @@ def _cmd_spectrum(args) -> int:
     exact, worst = _spectrum(args.n, args.j)
     rows = [(args.n - 1, k, lam) for k, lam in enumerate(exact)]
     sys.stdout.write(format_table(("n", "k", "lambda"), rows))
-    if worst > 1e-10:
+    if not worst < _SPECTRUM_TOL:
         print(f"FAIL spectrum deviation {worst:.3e}", file=sys.stderr)
         return 1
     return 0
@@ -237,7 +250,7 @@ def _cmd_matrix_elements(args) -> int:
     ]
     sys.stdout.write(format_table(("n", "j", "d", "M2_closed", "M2_brute", "abs_err"), rows))
     worst = max(row[-1] for row in rows)
-    if worst > 1e-12:
+    if not worst < _MATRIX_ELEMENTS_TOL:
         print(f"FAIL matrix elements deviate up to {worst:.3e}", file=sys.stderr)
         return 1
     return 0
@@ -364,7 +377,7 @@ def _cmd_circuit_verify(args) -> int:
     }
     if args.use_simulated_drive:
         report["m"] = args.m
-    passing = args.use_simulated_drive or deviation < 1e-10
+    passing = args.use_simulated_drive or deviation < _CIRCUIT_TOL
     report["pass"] = bool(passing)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if passing else 1
@@ -373,13 +386,13 @@ def _cmd_circuit_verify(args) -> int:
 def _cmd_ghz(args) -> int:
     fid = ghz_demo(args.n, args.j)
     print(json.dumps({"n": args.n, "fidelity": fid}))
-    return 0 if fid > 1.0 - 1e-10 else 1
+    return 0 if 1.0 - fid < _GHZ_TOL else 1
 
 
 def _cmd_pst(args) -> int:
     worst = pst_demo(args.n, args.j)
     print(json.dumps({"n": args.n, "max_infidelity": worst}))
-    return 0 if worst < 1e-10 else 1
+    return 0 if worst < _PST_TOL else 1
 
 
 def _cmd_verify_all(args) -> int:
@@ -393,7 +406,7 @@ def _cmd_verify_all(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:g})")
 
     for N in range(2, n_max + 1):
-        check(f"spectrum N={N}", _spectrum(N, 1.0)[1], 1e-10)
+        check(f"spectrum N={N}", _spectrum(N, 1.0)[1], _SPECTRUM_TOL)
     for N in range(2, n_max + 1, 2):
         for label, value, tol in _eigengate_checks(_eigengate_report(N, 1.0)):
             check(label, value, tol)
@@ -401,15 +414,15 @@ def _cmd_verify_all(args) -> int:
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)
     for n in range(3, min(n_max + 1, 8), 2):
         worst = max(err for *_, err in _m2_elements(n, conjugate=True))
-        check(f"matrix elements n={n}", worst, 1e-12)
+        check(f"matrix elements n={n}", worst, _MATRIX_ELEMENTS_TOL)
     for N in range(2, n_max + 1):
-        check(f"PST N={N}", pst_demo(N), 1e-10)
+        check(f"PST N={N}", pst_demo(N), _PST_TOL)
     for N in range(3, n_max + 1, 2):
-        check(f"GHZ N={N}", 1.0 - ghz_demo(N), 1e-10)
+        check(f"GHZ N={N}", 1.0 - ghz_demo(N), _GHZ_TOL)
     for N in (4, 6):
         if N <= max(n_max, 4):
-            check(f"ctrl-X circuit N={N}", verify_ctrl_x_circuit(N), 1e-10)
-            check(f"ctrl-iSWAP2 circuit N={N}", verify_ctrl_iswap2_circuit(N), 1e-10)
+            check(f"ctrl-X circuit N={N}", verify_ctrl_x_circuit(N), _CIRCUIT_TOL)
+            check(f"ctrl-iSWAP2 circuit N={N}", verify_ctrl_iswap2_circuit(N), _CIRCUIT_TOL)
     for N, M, expected in ((6, 4, 30), (4, 1, 8)):
         _, _, eq = gate_time_accounting(N, M)
         check(f"gate time N={N} M={M}", abs(eq - expected), 0.5)
@@ -434,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="single-particle chain spectrum as CSV")
-    p.add_argument("--n", type=_chain_size, required=True, help="qubit count N")
+    p.add_argument("--n", type=_spectrum_size, required=True, help="qubit count N")
     p.add_argument("--j", type=_positive_float, default=1.0, help="coupling scale J")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -466,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-sweep", help="Monte Carlo sweep to a CSV file")
     p.add_argument("--figure", type=int, choices=(2, 3), required=True)
-    p.add_argument("--n", type=_chain_size, nargs="+", default=None)
+    p.add_argument("--n", type=_sweep_size, nargs="+", default=None)
     p.add_argument("--m-min", type=_positive_int, default=1)
     p.add_argument("--m-max", type=_positive_int, default=20)
     p.add_argument("--eps", type=_noise_eps, nargs="+", default=None)

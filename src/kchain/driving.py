@@ -322,7 +322,6 @@ class ProtocolParams:
     halfway_inversion: bool = True
     noise_eps: float = 0.0
     seed: int | None = None
-    drive_phase: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
@@ -346,10 +345,6 @@ class ProtocolParams:
             raise ValueError(f"noise_eps must be a number in [0, 1), got {self.noise_eps!r}")
         if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be None or an int >= 0, got {self.seed!r}")
-        if self.drive_phase is not None and not (
-            isinstance(self.drive_phase, numbers.Real) and math.isfinite(self.drive_phase)
-        ):
-            raise ValueError(f"drive_phase must be a finite number, got {self.drive_phase!r}")
 
     @property
     def tau_d(self) -> float:
@@ -365,11 +360,17 @@ class ProtocolResult:
     J_D: float
     amplitude: float
     drive_phase: float
-    converged_delta: float
-    substeps_per_period: int
     # (substeps_per_period, delta) of every refinement level computed, the
     # first level's delta being inf; the last entry is the final pair
     refinement: tuple
+
+    @property
+    def converged_delta(self) -> float:
+        return self.refinement[-1][1]
+
+    @property
+    def substeps_per_period(self) -> int:
+        return self.refinement[-1][0]
 
     @property
     def unitary(self) -> np.ndarray:
@@ -428,8 +429,8 @@ def _unit_drive(N: int, sign: str, pairs: tuple, states=None) -> np.ndarray:
 @dataclasses.dataclass(frozen=True, eq=False)
 class _DrivePlan:
     """What every protocol run on the drive on pairs with sign on the chain
-    (N, J) shares, noise aside: a sweep redraws only the couplings, and M,
-    the drive phase and the inversion are applied per run.
+    (N, J) shares, noise aside: a sweep redraws only the couplings, and M
+    and the inversion are applied per run.
 
     Built with the plan: the drive frequency, the two target states'
     positions in the half-filled sector, and the unit drive's transition
@@ -511,9 +512,9 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     The drive strength is set so the half Rabi coupling A equals J/(4M),
     making the drive window an exact pi-pulse.  The drive phase is chosen
     from the argument of the transition matrix element so that both special
-    states acquire the phase +i; a caller-supplied phase overrides it.  A
-    drive whose element is within _COUPLING_FLOOR of zero raises ValueError.
-    omega and the element come from the layout's cached _DrivePlan.
+    states acquire the phase +i.  A drive whose element is within
+    _COUPLING_FLOOR of zero raises ValueError.  omega and the element come
+    from the layout's cached _DrivePlan.
     """
     J, M = params.J, params.M
     plan = _plan(params)
@@ -524,25 +525,22 @@ def drive_calibration(params: ProtocolParams) -> tuple:
             f"target states at N={params.N} (|V_ab| = {abs(v_ab):.1e})"
         )
     j_d = (J / (4.0 * M)) / (abs(v_ab) / 2.0)
-    phase = params.drive_phase
-    if phase is None:
-        phase = cmath.phase(v_ab) - math.pi
-    return plan.omega, j_d, phase
+    return plan.omega, j_d, cmath.phase(v_ab) - math.pi
 
 
-def _half_period_maps(basis, omega, phase, nsub, transposed_b=False, folded=False):
+def _half_period_maps(basis, omega, phase, nsub, folded=False):
     """Unitaries over the first and second half-period of the drive whose
-    commutator basis (_drive_basis) is basis.
+    commutator basis (_drive_basis) is basis, at the calibrated phase.
 
-    With transposed_b only the first is stepped and the second is its
-    transpose, which is exact when the drive is time symmetric about the
-    half-period boundary (_transposes_halves).
+    Only the first is stepped and the second is its transpose, which is
+    exact because the drive is time symmetric about the half-period
+    boundary (_check_sector_symmetries).
 
-    folded (with transposed_b) steps only the first quarter period, X, in
+    folded steps only the first quarter period, X, in
     ceil(nsub/2) steps, and takes the first half-period as R X^T R X, R the
     reversal of the basis order.  This is exact when moreover R h0 R = h0
     and R vop R = -vop: the half-filled sector under a '-' pairing, which
-    the spin flip maps onto itself (_check_particle_hole_pairing).  There
+    the spin flip maps onto itself (_check_sector_symmetries).  There
     h0 is real symmetric and vop^T = -vop, so R H(t)^T R = H(t), and the
     calibrated phase, an odd multiple of pi/2, makes the drive even about
     the cell's midpoint pi/(2 omega); hence U(pi/omega, pi/(2 omega)) =
@@ -555,27 +553,7 @@ def _half_period_maps(basis, omega, phase, nsub, transposed_b=False, folded=Fals
         ua = x.T[::-1, ::-1] @ x
     else:
         ua = _cell_map(basis, omega, phase, nsub, 0, 1)
-    return ua, ua.T if transposed_b else _cell_map(basis, omega, phase, nsub, 1, 2)
-
-
-def _transposes_halves(h0, vop, sign: str) -> bool:
-    """Whether, with the calibrated phase, the second half-period map is
-    the transpose of the first: when h0 is real symmetric and vop^T = s vop
-    exactly, with s = +1 under a '+' pairing and -1 under '-'.
-
-    The calibrated phase arg(V_ab) - pi is then a multiple of pi (V real
-    symmetric) or an odd multiple of pi/2 (V imaginary antisymmetric; the
-    eigenstates are real), so H(pi/omega + u) = H(pi/omega - u)^T and
-    U(2 pi/omega, pi/omega) = U(pi/omega, 0)^T; the sixth-order Magnus step
-    is time symmetric, so the stepped maps keep this to roundoff.  A
-    caller-supplied phase is stepped on both halves.
-    """
-    s = 1.0 if sign == "+" else -1.0
-    return (
-        not np.imag(h0).any()
-        and np.array_equal(h0, h0.T)
-        and np.array_equal(vop.T, s * vop)
-    )
+    return ua, ua.T
 
 
 def _partner_maps(ua, ub, sign: str):
@@ -689,26 +667,23 @@ def _window_map(ua, ub, partial, halves, invert):
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
-def _drive_window_sector(basis, transposed_b, omega, phase, length, inverts, nsub, sign: str):
+def _drive_window_sector(basis, omega, phase, length, inverts, nsub, sign: str):
     """Drive-window propagators on a sector q <= N/2 and its partner N-q.
 
     basis is _drive_basis of sector q's chain and drive blocks, and length
-    is each window's span on the drive clock.  inverts holds the pulse phases (None without the
-    inversion) of each sector to return: q, then N-q unless q = N/2.
+    is each window's span on the drive clock.  inverts holds the pulse
+    phases (None without the inversion) of each sector to return: q, then
+    N-q unless q = N/2.
     Whole half-period cells come from sector q's half-period maps, and the
     partial cells at a window's ends are stepped; a resonant window has
     none.  The partner's maps are q's in reverse basis order, half a
-    period later under a '-' pairing (_partner_maps).  With transposed_b
-    only q's first half-period is stepped, its second being the transpose
-    (_transposes_halves).  With transposed_b under a '-' pairing, the
-    self-paired sector q = N/2 (one entry in inverts) steps only its first
-    quarter period and folds it over the cell's midpoint (_half_period_maps,
-    folded).  Blocks that are exactly zero (no or all sites excited) give
-    identity half-period maps unstepped.
+    period later under a '-' pairing (_partner_maps).  Under a '-' pairing
+    the self-paired sector q = N/2 (one entry in inverts) folds its first
+    half-period (_half_period_maps).  Blocks that are exactly zero (no or
+    all sites excited) give identity half-period maps unstepped.
     """
     if basis[:2].any():
-        folded = transposed_b and sign == "-" and len(inverts) == 1
-        ua, ub = _half_period_maps(basis, omega, phase, nsub, transposed_b, folded)
+        ua, ub = _half_period_maps(basis, omega, phase, nsub, sign == "-" and len(inverts) == 1)
     else:
         ua = ub = np.eye(basis.shape[-1], dtype=complex)
     partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
@@ -722,20 +697,37 @@ def _drive_window_sector(basis, transposed_b, omega, phase, length, inverts, nsu
     return [_window_map(a, b, p, halves, inv) for (a, b, p), inv in zip(maps, inverts)]
 
 
-def _check_particle_hole_pairing(h_blocks, v_blocks, sign: str) -> None:
-    """Raise unless each sector N-q's blocks are sector q's in reverse basis
-    order, the drive's negated under a '-' pairing (exact comparison)."""
+def _check_sector_symmetries(h_blocks, v_blocks, sign: str) -> None:
+    """Raise ValueError unless each sector q <= N/2 of the chain blocks h
+    and drive blocks v has, exactly, the two symmetries the protocol steps
+    by, with s = +1 under a '+' pairing and -1 under '-'.
+
+    Particle-hole pairing: sector N-q's blocks are q's in reverse basis
+    order, the drive's times s, so only q <= N/2 is stepped.
+
+    Time reversal: h is real symmetric and v^T = s v.  The calibrated phase
+    arg(V_ab) - pi is then a multiple of pi (V real symmetric) or an odd
+    multiple of pi/2 (V imaginary antisymmetric; the eigenstates are real),
+    so H(pi/omega + u) = H(pi/omega - u)^T and U(2 pi/omega, pi/omega) =
+    U(pi/omega, 0)^T; the sixth-order Magnus step is time symmetric, so the
+    stepped maps keep this to roundoff (_half_period_maps).
+    """
     N = len(h_blocks) - 1
-    flip = 1.0 if sign == "+" else -1.0
+    s = 1.0 if sign == "+" else -1.0
     for q in range(N // 2 + 1):
         h, v = h_blocks[q], v_blocks[q]
         if not (
             np.array_equal(h_blocks[N - q], h[::-1, ::-1])
-            and np.array_equal(v_blocks[N - q], flip * v[::-1, ::-1])
+            and np.array_equal(v_blocks[N - q], s * v[::-1, ::-1])
         ):
             raise ValueError(
                 f"sectors {q} and {N - q} are not particle-hole partners under "
                 f"the '{sign}' drive pairing"
+            )
+        if np.imag(h).any() or not (np.array_equal(h, h.T) and np.array_equal(v.T, s * v)):
+            raise ValueError(
+                f"sector {q} is not time-reversal symmetric under the '{sign}' drive pairing "
+                f"(a real symmetric chain block, a drive block with V^T = {sign}V)"
             )
 
 
@@ -777,24 +769,23 @@ def run_iswap_protocol(
     the drive pairs sites (j, j+N/2) with one sign, so the global spin
     flip, which maps sector q onto sector N-q in reverse basis order,
     leaves the chain unchanged and the drive unchanged ('+') or negated
-    ('-', the drive half a period later).  These preconditions are checked
-    exactly on the sector blocks of every run, and a ValueError is raised
-    if they fail.  With the calibrated phase, each stepped sector steps
-    only its first half-period, the second being its transpose
-    (_transposes_halves); under a '-' pairing the half-filled sector, its
-    own partner, steps only its first quarter period and folds it over the
-    cell's midpoint (_half_period_maps).  A caller-supplied phase steps
-    both half-periods of every stepped sector.
+    ('-', the drive half a period later).  Each stepped sector steps only
+    its first half-period, the second being its transpose at the calibrated
+    phase; under a '-' pairing the half-filled sector, its own partner,
+    steps only its first quarter period and folds it over the cell's
+    midpoint (_half_period_maps).  The pairing and the time reversal this
+    rests on are checked exactly on every run's sector blocks, and a
+    ValueError is raised if they fail (_check_sector_symmetries).
 
     The drive is refined from nsub0 (an int >= 1) substeps per half-period,
     doubling up to max_refine times, until the window blocks move by less
     than tol (> 0; inf takes the first refined level).
 
-    What does not depend on the noise, M, the drive phase or the inversion
-    (the unit drive blocks, the inversion phases and the eigengate's
-    blocks) comes from the layout's cached _DrivePlan; a sample builds its
-    chain blocks by applying its couplings to the shared hop patterns
-    (sector_hops).  The result holds the gate's sector blocks.
+    What does not depend on the noise, M or the inversion (the unit drive
+    blocks, the inversion phases and the eigengate's blocks) comes from the
+    layout's cached _DrivePlan; a sample builds its chain blocks by applying
+    its couplings to the shared hop patterns (sector_hops).  The result
+    holds the gate's sector blocks.
     """
     N, J, M = params.N, params.J, params.M
     if not tol > 0.0:
@@ -815,20 +806,17 @@ def run_iswap_protocol(
     spec = apply_coupling_noise(spec)
     h_blocks = [chain_block(spec, sector_hops(N, q)) for q in range(N + 1)]
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
-    _check_particle_hole_pairing(h_blocks, v_blocks, sign)
+    _check_sector_symmetries(h_blocks, v_blocks, sign)
     inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)
-    stepped = [
-        (_drive_basis(h, v), params.drive_phase is None and _transposes_halves(h, v, sign))
-        for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])
-    ]
+    bases = [_drive_basis(h, v) for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])]
 
     def drive_window(nsub):
         windows = [None] * (N + 1)
-        for q, (basis, transposed_b) in enumerate(stepped):
+        for q, basis in enumerate(bases):
             partners = (q,) if 2 * q == N else (q, N - q)
             blocks = _drive_window_sector(
-                basis, transposed_b, omega, phase, params.tau_d / 2.0,
-                [inverts[p] for p in partners], nsub, sign,
+                basis, omega, phase, params.tau_d / 2.0,
+                [inverts[p] for p in partners], nsub=nsub, sign=sign,
             )
             for p, blk in zip(partners, blocks):
                 windows[p] = blk
@@ -846,8 +834,6 @@ def run_iswap_protocol(
         J_D=j_d,
         amplitude=J / (4.0 * M),
         drive_phase=float(phase),
-        converged_delta=refinement[-1][1],
-        substeps_per_period=refinement[-1][0],
         refinement=refinement,
     )
 

@@ -529,6 +529,10 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["drive", "--n", "12"], "argument --n: must be at most 10, got '12'"),
     (["circuit-verify", "--which", "ctrl-x", "--n", "14"], "argument --n: must be at most 10, got '14'"),
     (["noise-sweep", "--figure", "2", "--n", "4", "12"], "argument --n: fig2 needs N <= 10, got [12]"),
+    (["spectrum", "--n", "2049"], "argument --n: must be at most 2048, got '2049'"),
+    (["spectrum", "--n", "100000"], "argument --n: must be at most 2048, got '100000'"),
+    (["noise-sweep", "--figure", "3", "--n", "4", "65"], "argument --n: must be at most 64, got '65'"),
+    (["noise-sweep", "--figure", "3", "--n", "100000"], "argument --n: must be at most 64, got '100000'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)

@@ -379,6 +379,18 @@ def _window_from_maps(ua, ub, halves, invert):
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
+def _stepped_halves(basis, omega, phase, nsub):
+    """A sector's first and second half-period maps, each stepped on its
+    own (no transposition or fold)."""
+    return tuple(driving._cell_map(basis, omega, phase, nsub, a, a + 1) for a in (0, 1))
+
+
+def _calibrated_phase(sign):
+    """A phase the calibration rule allows: a multiple of pi under '+', an
+    odd multiple of pi/2 under '-'."""
+    return -np.pi if sign == "+" else -np.pi / 2
+
+
 def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
     """Drive-window propagator stepped end to end on the drive clock, at
     least nsub substeps per half-period, for any drive frequency."""
@@ -405,10 +417,13 @@ def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
     ],
 )
 def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed):
+    # the partner maps hold at any phase; the window route steps only the
+    # phases the calibration gives
     blocks = _sector_blocks(N, sign, pairs, eps, seed)
     omega, nsub, halves = float(N * N) / 4.0, 16, 2 * N + 1
     bases = [driving._drive_basis(h, v) for h, v, _ in blocks]
-    stepped = [driving._half_period_maps(basis, omega, phase, nsub) for basis in bases]
+    stepped = [_stepped_halves(basis, omega, phase, nsub) for basis in bases]
+    calibrated = _calibrated_phase(sign)
     for q in range(N // 2 + 1):
         for got, want in zip(driving._partner_maps(*stepped[q], sign), stepped[N - q]):
             assert np.max(np.abs(got - want)) <= 1e-13, (N - q, sign)
@@ -416,11 +431,12 @@ def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed
         for inversion in (True, False):
             inverts = [blocks[p][2] if inversion else None for p in partners]
             windows = driving._drive_window_sector(
-                bases[q], False, omega, phase, halves * np.pi / omega, inverts, nsub, sign
+                bases[q], omega, calibrated, halves * np.pi / omega, inverts, nsub, sign
             )
             assert len(windows) == len(partners)
             for p, inv, window in zip(partners, inverts, windows):
-                want = _window_from_maps(*stepped[p], halves, inv)
+                maps = _stepped_halves(bases[p], omega, calibrated, nsub)
+                want = _window_from_maps(*maps, halves, inv)
                 assert np.max(np.abs(window - want)) <= 1e-13, (p, sign, inversion)
 
 
@@ -437,7 +453,7 @@ def _step_every_sector(params):
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
-    def window(basis, transposed_b, omega, phase, length, inverts, nsub, sign):
+    def window(basis, omega, phase, length, inverts, nsub, sign):
         q = next(
             q for q, (hb, vb) in enumerate(blocks)
             if np.array_equal(hb, basis[0]) and np.array_equal(vb, basis[1])
@@ -446,7 +462,7 @@ def _step_every_sector(params):
         halves = length / (np.pi / omega)
         if abs(halves - round(halves)) < 1e-12:
             maps = [
-                driving._half_period_maps(driving._drive_basis(*blocks[p]), omega, phase, nsub)
+                _stepped_halves(driving._drive_basis(*blocks[p]), omega, phase, nsub)
                 for p in partners
             ]
             return [_window_from_maps(*m, round(halves), inv) for m, inv in zip(maps, inverts)]
@@ -471,7 +487,7 @@ def _assert_matches_every_sector_stepped(monkeypatch, params, omega=None):
     "params",
     [
         ProtocolParams(N=4, M=1),
-        ProtocolParams(N=4, M=2, pairs=(1,), drive_phase=0.4, halfway_inversion=False),
+        ProtocolParams(N=4, M=2, pairs=(1,), halfway_inversion=False),
         ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3),
         ProtocolParams(N=6, M=20, noise_eps=0.01, seed=11),
     ],
@@ -589,29 +605,17 @@ def test_transposed_second_half_period_matches_stepped(N, sign, pairs, seed):
     params = ProtocolParams(N=N, sign=sign, pairs=pairs, noise_eps=0.01, seed=seed)
     if (N, sign, pairs) in {(6, "+", (0, 1)), (8, "-", (0, 1))}:
         # these drives couple nothing, so there is no calibrated phase; take
-        # one the rule allows: a multiple of pi under '+', an odd multiple of
-        # pi/2 under '-'
-        omega, phase = resonance_frequency(N), -np.pi if sign == "+" else -np.pi / 2
+        # one the rule allows
+        omega, phase = resonance_frequency(N), _calibrated_phase(sign)
     else:
         omega, _, phase = drive_calibration(params)
-    for q, (h, v, _) in enumerate(_sector_blocks(N, sign, pairs, 0.01, seed)[: N // 2 + 1]):
-        assert driving._transposes_halves(h, v, sign)
-        ua, ub = driving._half_period_maps(driving._drive_basis(h, v), omega, phase, 32)
-        assert np.max(np.abs(ub - ua.T)) <= 1e-13, q
-
-
-@pytest.mark.parametrize("N, per_level", [(4, 4), (6, 6)])
-def test_caller_supplied_phase_steps_both_half_periods(monkeypatch, N, per_level):
-    # as without the transposition or the fold: every sector 0 < q <= N/2
-    # steps both whole halves
-    calls = _count_expm_stacks(monkeypatch)
-    params = ProtocolParams(N=N, M=4, drive_phase=0.4)
-    run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
-    # per_level half-periods a level, two a sector, which sum to one entry:
-    # two levels of per_level / 2 sectors
-    stepped = _per_sector_level(calls)
-    assert len(stepped) == 2 * (per_level // 2)
-    assert stepped == _stacks_per_level(N, (4, 8), lambda q, nsub: [nsub, nsub])
+    blocks = _sector_blocks(N, sign, pairs, 0.01, seed)
+    driving._check_sector_symmetries([h for h, _, _ in blocks], [v for _, v, _ in blocks], sign)
+    for q, (h, v, _) in enumerate(blocks[: N // 2 + 1]):
+        basis = driving._drive_basis(h, v)
+        got = driving._half_period_maps(basis, omega, phase, 32)
+        for g, want in zip(got, _stepped_halves(basis, omega, phase, 32)):
+            assert np.max(np.abs(g - want)) <= 1e-13, q
 
 
 def _reversal_symmetry(h, v):
@@ -629,15 +633,15 @@ def test_folded_half_period_matches_stepped(N, pairs, seed):
     params = ProtocolParams(N=N, sign="-", pairs=pairs, noise_eps=0.01, seed=seed)
     if pairs == (0, 1):
         # couples nothing, so no calibrated phase: an odd multiple of pi/2
-        omega, phase = resonance_frequency(N), -np.pi / 2
+        omega, phase = resonance_frequency(N), _calibrated_phase("-")
     else:
         omega, _, phase = drive_calibration(params)
     h, v, _ = _sector_blocks(N, "-", pairs, 0.01, seed)[N // 2]
-    assert driving._transposes_halves(h, v, "-") and _reversal_symmetry(h, v)
+    assert _reversal_symmetry(h, v)
     basis = driving._drive_basis(h, v)
     for nsub in (8, 32):
-        stepped = driving._half_period_maps(basis, omega, phase, nsub, True)
-        folded = driving._half_period_maps(basis, omega, phase, nsub, True, True)
+        stepped = driving._half_period_maps(basis, omega, phase, nsub)
+        folded = driving._half_period_maps(basis, omega, phase, nsub, folded=True)
         for got, want in zip(folded, stepped):
             assert np.max(np.abs(got - want)) <= 1e-13, nsub
 
@@ -654,10 +658,10 @@ def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypat
     fast = run_iswap_protocol(params)
     folds, stepped = [], driving._half_period_maps
 
-    def unfolded(basis, omega, phase, nsub, transposed_b=False, folded=False):
+    def unfolded(basis, omega, phase, nsub, folded=False):
         # every first half-period stepped whole: the route the fold replaced
         folds.append(folded)
-        return stepped(basis, omega, phase, nsub, transposed_b)
+        return stepped(basis, omega, phase, nsub)
 
     monkeypatch.setattr(driving, "_half_period_maps", unfolded)
     reference = run_iswap_protocol(params)
@@ -703,6 +707,25 @@ def test_unpaired_sectors_are_rejected(monkeypatch):
 
     monkeypatch.setattr(driving, "krawtchouk_chain", chain_with_field)
     with pytest.raises(ValueError, match="particle-hole partners"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1))
+
+
+def test_time_reversal_breaking_sectors_are_rejected(monkeypatch):
+    # an imaginary antisymmetric term that the basis reversal leaves alone
+    # keeps every chain block Hermitian and the sectors paired, but the
+    # second half-period map is then not the first's transpose: the run must
+    # stop, not step a map it cannot derive
+    build = driving.chain_block
+
+    def complex_block(spec, hops):
+        blk = build(spec, hops)
+        k = np.zeros(blk.shape)
+        if len(blk) > 1:
+            k[0, 1], k[1, 0] = 1.0, -1.0
+        return blk + 0.01j * (k + k[::-1, ::-1])
+
+    monkeypatch.setattr(driving, "chain_block", complex_block)
+    with pytest.raises(ValueError, match="sector 1 is not time-reversal symmetric"):
         run_iswap_protocol(ProtocolParams(N=4, M=1))
 
 
@@ -785,8 +808,8 @@ def test_protocol_params_reject_bad_coupling_scale(J):
         (dict(N=6, pairs=(1, 1)), "pairs"),
         (dict(N=6, pairs=()), "pairs"),
         (dict(N=6, pairs=1), "pairs"),
-        (dict(N=4, drive_phase=np.nan), "drive_phase"),
-        (dict(N=4, drive_phase=-np.inf), "drive_phase"),
+        (dict(N=4, M=0), "M"),
+        (dict(N=4, noise_eps=1.0), "noise_eps"),
         (dict(N=4, M=1.5), "M"),
         (dict(N=4, M=np.inf), "M"),
         (dict(N=4, M=np.nan), "M"),
@@ -797,7 +820,7 @@ def test_protocol_params_reject_bad_coupling_scale(J):
         (dict(N=4, noise_eps=2.0), "noise_eps"),
         (dict(N=4, noise_eps=-1e-3), "noise_eps"),
         (dict(N=4, noise_eps=np.nan), "noise_eps"),
-        (dict(N=4, drive_phase="0.4"), "drive_phase"),
+        (dict(N=6, pairs=[1]), "pairs"),
         (dict(N=4, seed=-1), "seed"),
         (dict(N=4, seed=1.5), "seed"),
     ],
@@ -1136,7 +1159,7 @@ _CACHED_LAYOUT = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=2)
         ({"sign": "-"}, False),  # couples nothing at N=4: raises both ways
         ({"pairs": (0,)}, False),
         ({"M": 2}, True),
-        ({"drive_phase": 0.4}, True),
+        ({"seed": 7}, True),
         ({"halfway_inversion": False}, True),
     ],
 )
