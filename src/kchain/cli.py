@@ -210,10 +210,10 @@ def _two_site_hop(ket: np.ndarray, N: int, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _m2_elements(n: int, conjugate: bool):
+def _m2_elements(n: int):
     """(j, d, closed form, brute force, deviation) of the drive term
     sigma^-_j sigma^+_{j+d} (d = (n+1)/2) between the half-filled band
-    states, for every j at odd n.  With conjugate the deviation also covers
+    states, for every j at odd n.  The deviation also covers
     sigma^+_j sigma^-_{j+d}, whose element is conjugate_phase(N) times the
     closed form.  The brute force is <lower| term |upper> on the dense band
     eigenstates, built once."""
@@ -225,10 +225,8 @@ def _m2_elements(n: int, conjugate: bool):
     for j in range(0, n - d + 1):
         closed = m2_closed_form(n, j)
         brute = complex(bra @ _two_site_hop(ket, N, j, j + d))
-        err = abs(brute - closed)
-        if conjugate:
-            conj = complex(bra @ _two_site_hop(ket, N, j + d, j))
-            err = max(err, abs(conj - conjugate_phase(N) * closed))
+        conj = complex(bra @ _two_site_hop(ket, N, j + d, j))
+        err = max(abs(brute - closed), abs(conj - conjugate_phase(N) * closed))
         yield j, d, closed, brute, err
 
 
@@ -246,7 +244,7 @@ def _cmd_matrix_elements(args) -> int:
     rows = [
         (n, j, d, closed, brute.real, err)
         for n in range(3, args.n_max + 1, 2)
-        for j, d, closed, brute, err in _m2_elements(n, conjugate=False)
+        for j, d, closed, brute, err in _m2_elements(n)
     ]
     sys.stdout.write(format_table(("n", "j", "d", "M2_closed", "M2_brute", "abs_err"), rows))
     worst = max(row[-1] for row in rows)
@@ -413,7 +411,7 @@ def _cmd_verify_all(args) -> int:
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)
     for n in range(3, min(n_max + 1, 8), 2):
-        worst = max(err for *_, err in _m2_elements(n, conjugate=True))
+        worst = max(err for *_, err in _m2_elements(n))
         check(f"matrix elements n={n}", worst, _MATRIX_ELEMENTS_TOL)
     for N in range(2, n_max + 1):
         check(f"PST N={N}", pst_demo(N), _PST_TOL)

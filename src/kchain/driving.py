@@ -10,7 +10,6 @@ import numpy as np
 
 from .hamiltonians import (
     DrivingSpec,
-    apply_coupling_noise,
     chain_block,
     driving_operator,
     hz_diagonal,
@@ -351,7 +350,7 @@ class ProtocolParams:
         return 2.0 * math.pi * self.M / self.J
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ProtocolResult:
     # the gate's block on sector_indices(N, q), q = 0..N
     blocks: tuple
@@ -803,7 +802,6 @@ def run_iswap_protocol(
     sign = plan.sign
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
-    spec = apply_coupling_noise(spec)
     h_blocks = [chain_block(spec, sector_hops(N, q)) for q in range(N + 1)]
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_sector_symmetries(h_blocks, v_blocks, sign)

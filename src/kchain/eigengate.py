@@ -41,7 +41,7 @@ __all__ = [
 VARIANTS = ("three_step", "single_pulse")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class EigengateForm:
     """The eigengate by its excitation-sector blocks: blocks[q] is its
     block on sector_indices(N, q), outside which it is zero."""
@@ -251,12 +251,12 @@ def free_fermion_trace_error(u_exact: np.ndarray, u_actual: np.ndarray) -> float
 def noisy_eigengate_errors(N: int, J: float, eps: float, seeds) -> np.ndarray:
     """Trace errors of noisy three-step gates against the clean one, per seed.
 
-    Each seed draws its couplings as apply_coupling_noise does, all seeds
-    in one stack (coupling_noises), so seeds are ints in [0, 2^64).  The noisy
-    gates are built and scored as one stack against a clean gate computed
-    once (coupling_noise_errors).
+    Each seed draws its couplings as krawtchouk_chain(N, J, eps, seed)
+    does, all seeds in one stack (coupling_noises), so seeds are ints in
+    [0, 2^64).  The noisy gates are built and scored as one stack against
+    a clean gate computed once (coupling_noise_errors).
     """
-    spec = krawtchouk_chain(N, J, noise_eps=eps)
+    spec = krawtchouk_chain(N, J)
     u_exact = eigengate_single_particle(N, J, "three_step")
     return coupling_noise_errors(u_exact, spec, coupling_noises(N, eps, seeds))
 

@@ -20,7 +20,7 @@ from . import __version__
 from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
 from .driving import ProtocolParams, run_iswap_protocol
 from .eigengate import coupling_noise_errors, eigengate_single_particle
-from .hamiltonians import chain_block, coupling_noises, krawtchouk_chain, sector_hops
+from .hamiltonians import ChainSpec, chain_block, coupling_noises, krawtchouk_chain, sector_hops
 from .linalg import basis_index, expm_hermitian
 
 __all__ = [
@@ -263,9 +263,7 @@ def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
     """
     if N % 2 == 0:
         raise ValueError("one-pulse GHZ preparation needs odd N")
-    spec = krawtchouk_chain(N, J)
-    if couplings is not None:
-        spec = dataclasses.replace(spec, couplings=tuple(couplings))
+    spec = krawtchouk_chain(N, J) if couplings is None else ChainSpec(N, J, couplings)
     overlap = 0.0
     for q in range(N + 1):
         u = expm_hermitian(chain_block(spec, sector_hops(N, q)), math.pi / J)

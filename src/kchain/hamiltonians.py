@@ -17,7 +17,6 @@ __all__ = [
     "krawtchouk_chain",
     "coupling_noise",
     "coupling_noises",
-    "apply_coupling_noise",
     "chain_hops",
     "sector_hops",
     "chain_block",
@@ -30,36 +29,23 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ChainSpec:
-    """Parameters of an open XX+YY chain on N qubits.
-
-    couplings[x] couples qubits x and x+1; zfields[x] is a longitudinal
-    field gamma_x on qubit x.  noise_eps is the half-width of the
-    multiplicative coupling noise drawn by apply_coupling_noise.
-    """
+    """An open XX+YY chain on N qubits: couplings[x] couples qubits x and
+    x+1, and J is the coupling scale the chain was built for."""
 
     N: int
     J: float
     couplings: np.ndarray
-    zfields: np.ndarray
-    noise_eps: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-        object.__setattr__(self, "zfields", np.asarray(self.zfields, dtype=float))
-        if self.N < 2:
-            raise ValueError("N must be at least 2")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 2:
+            raise ValueError(f"N must be an int >= 2, got {self.N!r}")
         if self.couplings.shape != (self.N - 1,):
             raise ValueError("couplings must have length N-1")
-        if self.zfields.shape != (self.N,):
-            raise ValueError("zfields must have length N")
-        for name in ("couplings", "zfields"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0.0 <= self.noise_eps < 1.0:
-            raise ValueError("noise_eps must lie in [0, 1)")
+        if not np.isfinite(self.couplings).all():
+            raise ValueError(f"couplings must be finite, got {self.couplings!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,15 +79,14 @@ def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
 
 
 def krawtchouk_chain(N: int, J: float, noise_eps: float = 0.0, seed=None) -> ChainSpec:
-    """ChainSpec with the engineered couplings and zero fields."""
-    return ChainSpec(
-        N=N,
-        J=J,
-        couplings=krawtchouk_couplings(N - 1, J),
-        zfields=np.zeros(N),
-        noise_eps=noise_eps,
-        seed=seed,
-    )
+    """The chain with the engineered couplings, each J_x -> (1 + eps_x) J_x
+    with eps_x = coupling_noise(N, noise_eps, seed) if noise_eps > 0."""
+    if isinstance(noise_eps, bool) or not (isinstance(noise_eps, numbers.Real) and 0.0 <= noise_eps < 1.0):
+        raise ValueError(f"noise_eps must be a number in [0, 1), got {noise_eps!r}")
+    couplings = krawtchouk_couplings(N - 1, J)
+    if noise_eps > 0.0:
+        couplings = couplings * (1.0 + coupling_noise(N, noise_eps, seed))
+    return ChainSpec(N, J, couplings)
 
 
 def coupling_noise(N: int, noise_eps: float, seed) -> np.ndarray:
@@ -144,17 +129,6 @@ def _check_noise_eps(value) -> None:
         raise ValueError(f"noise_eps must be a finite number >= 0, got {value!r}")
 
 
-def apply_coupling_noise(spec: ChainSpec) -> ChainSpec:
-    """Draw quenched multiplicative noise: J_x -> (1 + eps_x) J_x.
-
-    eps_x comes from coupling_noise(spec.N, spec.noise_eps, spec.seed).
-    """
-    if spec.noise_eps == 0.0:
-        return spec
-    eps = coupling_noise(spec.N, spec.noise_eps, spec.seed)
-    return dataclasses.replace(spec, couplings=spec.couplings * (1.0 + eps))
-
-
 def _hop_pattern(N: int, states, sites) -> tuple:
     """(states, row, col, term) of the hops sum_t |..0_a..1_b..><..1_a..0_b..|
     + h.c. with (a, b) = sites[t], on the ascending basis indices states
@@ -184,7 +158,7 @@ def _hopping_block(pattern, amps) -> np.ndarray:
 def chain_hops(N: int, states=None) -> tuple:
     """Hop pattern of the chain's bonds (x, x+1) on the ascending basis
     indices states, or on all 2^N states if None: what build_hk's block
-    on those states shares across couplings and fields (chain_block)."""
+    on those states shares across couplings (chain_block)."""
     return _hop_pattern(N, states, [(x, x + 1) for x in range(N - 1)])
 
 
@@ -197,24 +171,15 @@ def sector_hops(N: int, q: int) -> tuple:
 
 def chain_block(spec: ChainSpec, hops) -> np.ndarray:
     """build_hk(spec, states) from hops = chain_hops(spec.N, states): only
-    spec's couplings and fields are applied.  The block is Hermitian by
-    construction: each hop's two entries are set as a conjugate pair, and
-    ChainSpec holds only real, finite couplings and fields."""
-    states = hops[0]
-    ham = _hopping_block(hops, spec.couplings)
-    if np.any(spec.zfields):
-        N = spec.N
-        zdiag = np.zeros(len(states))
-        for x in range(N):
-            bit = (states >> (N - 1 - x)) & 1
-            zdiag += spec.zfields[x] * (1.0 - 2.0 * bit)
-        ham[np.diag_indices(len(states))] += zdiag
-    return ham
+    spec's couplings are applied.  The block is Hermitian by construction:
+    each hop's two entries are set as a conjugate pair, and ChainSpec holds
+    only real, finite couplings."""
+    return _hopping_block(hops, spec.couplings)
 
 
 def build_hk(spec: ChainSpec, states=None) -> np.ndarray:
-    """Chain Hamiltonian sum_x (J_x/2)(XX+YY) + sum_x gamma_x Z_x on the
-    ascending basis indices states, or on all 2^N states if None.
+    """Chain Hamiltonian sum_x (J_x/2)(XX+YY) on the ascending basis
+    indices states, or on all 2^N states if None.
 
     The hopping part has matrix element J_x between |..10..> and |..01..>
     on bond x, which fixes the single-particle normalization.
@@ -257,12 +222,7 @@ def hopping_matrices(couplings: np.ndarray) -> np.ndarray:
 
 def single_particle_hopping(spec: ChainSpec) -> np.ndarray:
     """(N x N) one-excitation block: tridiagonal with off-diagonals J_x."""
-    mat = hopping_matrices(spec.couplings)
-    if np.any(spec.zfields):
-        # sum_y gamma_y Z_y on a one-excitation state: every site contributes
-        # +gamma, the excited one flips to -gamma
-        mat += np.diag(spec.zfields.sum() - 2.0 * spec.zfields)
-    return mat
+    return hopping_matrices(spec.couplings)
 
 
 def driving_operator(spec: DrivingSpec, N: int, states=None) -> np.ndarray:

@@ -180,8 +180,18 @@ def test_noisy_drive_rows_carry_the_point_seeds(capsys):
         capsys, "drive", "--n", "4", "--m", "1", "--eps", "0.01", "--samples", "3", "--out", "json"
     )
     assert rc == 0
-    seeds = [row["seed"] for row in json.loads(out)["rows"]]
-    assert seeds == [point_seed(20260801, 4, 1, 0, i) for i in range(3)]
+    rows = json.loads(out)["rows"]
+    assert [row["seed"] for row in rows] == [point_seed(20260801, 4, 1, 0, i) for i in range(3)]
+    # a one-sample drive runs its --seed as given, so a printed row's seed
+    # reproduces that row
+    row = rows[2]
+    rc, out = run_cli(
+        capsys, "drive", "--n", "4", "--m", "1", "--eps", "0.01", "--samples", "1",
+        "--seed", str(row["seed"]), "--out", "json",
+    )
+    assert rc == 0
+    (again,) = json.loads(out)["rows"]
+    assert again == row
 
 
 def test_noise_sweep_thread_count_does_not_change_bytes(capsys, tmp_path):
@@ -404,7 +414,7 @@ def test_m2_elements_equal_the_two_embed_products_bitwise(n):
     N = n + 1
     basis = build_basis(n, 1.0)
     lower, upper = tuple(range(N // 2)), tuple(range(N // 2, N))
-    rows = list(cli._m2_elements(n, conjugate=True))
+    rows = list(cli._m2_elements(n))
     assert len(rows) == n + 1 - (n + 1) // 2
     for j, d, closed, brute, err in rows:
         for a, b in ((SIGMA_MINUS, SIGMA_PLUS), (SIGMA_PLUS, SIGMA_MINUS)):
@@ -422,7 +432,7 @@ def test_m2_elements_equal_the_dense_embed_route_bitwise(monkeypatch, n):
     basis = build_basis(n, 1.0)
     lower, upper = tuple(range(N // 2)), tuple(range(N // 2, N))
     want = []
-    for j, d, closed, *_ in cli._m2_elements(n, conjugate=True):
+    for j, d, closed, *_ in cli._m2_elements(n):
         op = tensor_embed(np.kron(SIGMA_MINUS, SIGMA_PLUS), [j, j + d], N)
         conj_op = tensor_embed(np.kron(SIGMA_PLUS, SIGMA_MINUS), [j, j + d], N)
         brute = matrix_element_bruteforce(basis, lower, op, upper)
@@ -435,7 +445,7 @@ def test_m2_elements_equal_the_dense_embed_route_bitwise(monkeypatch, n):
 
     monkeypatch.setattr(linalg, "tensor_embed", refused)
     monkeypatch.setattr(np, "kron", refused)
-    assert list(cli._m2_elements(n, conjugate=True)) == want
+    assert list(cli._m2_elements(n)) == want
 
 
 def test_verify_all_computes_each_sector_once(capsys):

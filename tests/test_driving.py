@@ -30,7 +30,6 @@ from kchain.krawtchouk import driving_sign
 from kchain.eigengate import build_eigengate
 from kchain.hamiltonians import (
     DrivingSpec,
-    apply_coupling_noise,
     build_hk,
     build_hz,
     chain_hops,
@@ -358,7 +357,7 @@ def test_taylor_steps_match_eigh_reference_route(monkeypatch, params):
 def _sector_blocks(N, sign, pairs, eps, seed):
     """Chain and drive blocks of every sector, built independently of
     run_iswap_protocol, and the inversion phases."""
-    h = build_hk(apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=eps, seed=seed)))
+    h = build_hk(krawtchouk_chain(N, 1.0, noise_eps=eps, seed=seed))
     v = sum(
         driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=0.3), N)
         for j in pairs
@@ -446,9 +445,7 @@ def _step_every_sector(params):
     resonant window composed from the sector's half-period maps, any other
     window stepped end to end on the drive clock."""
     _, j_d, _ = drive_calibration(params)
-    h = build_hk(apply_coupling_noise(
-        krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed)
-    ))
+    h = build_hk(krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed))
     v = j_d * driving._unit_drive(params.N, *driving._drive_layout(params))
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
@@ -699,14 +696,17 @@ def test_long_resonant_window_steps_no_partial_cell(monkeypatch):
 
 
 def test_unpaired_sectors_are_rejected(monkeypatch):
-    # a longitudinal field breaks the spin-flip symmetry: the run must stop,
-    # not silently pair sectors that are not partners
-    def chain_with_field(N, J, **kwargs):
-        spec = krawtchouk_chain(N, J, **kwargs)
-        return dataclasses.replace(spec, zfields=np.linspace(0.0, 0.1, N))
+    # a real diagonal ramp keeps every chain block real symmetric but breaks
+    # the spin-flip symmetry: the run must stop, not silently pair sectors
+    # that are not partners
+    build = driving.chain_block
 
-    monkeypatch.setattr(driving, "krawtchouk_chain", chain_with_field)
-    with pytest.raises(ValueError, match="particle-hole partners"):
+    def ramped_block(spec, hops):
+        blk = build(spec, hops)
+        return blk + np.diag(np.linspace(0.0, 0.1, len(blk)))
+
+    monkeypatch.setattr(driving, "chain_block", ramped_block)
+    with pytest.raises(ValueError, match="sectors 1 and 3 are not particle-hole partners"):
         run_iswap_protocol(ProtocolParams(N=4, M=1))
 
 
@@ -1108,6 +1108,22 @@ def test_results_hold_sector_blocks_and_build_the_dense_gate_on_request(monkeypa
             ix = sector_indices(N, q)
             dense[np.ix_(ix, ix)] = blk
         assert np.array_equal(res.unitary, dense)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: krawtchouk_chain(4, 1.0),
+        lambda: build_eigengate(4, 1.0),
+        lambda: run_iswap_protocol(ProtocolParams(N=4, M=1)),
+    ],
+    ids=["ChainSpec", "EigengateForm", "ProtocolResult"],
+)
+def test_array_holding_values_compare_by_identity(build):
+    # an array field has no single truth value, so == must not compare fields
+    a, b = build(), build()
+    assert (a == a) is True
+    assert (a == b) is False
 
 
 # ---------------------------------------------------------------- drive plan

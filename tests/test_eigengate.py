@@ -18,8 +18,6 @@ from kchain.eigengate import (
     rotation_checks,
 )
 from kchain.hamiltonians import (
-    ChainSpec,
-    apply_coupling_noise,
     build_hk,
     krawtchouk_chain,
     single_particle_hopping,
@@ -105,6 +103,9 @@ def test_single_particle_shortcut_matches_dense(N):
     small_noisy = eigengate_single_particle(N, 1.0, spec=spec)
     shortcut = free_fermion_trace_error(small_clean, small_noisy)
     dense = trace_error(dense_clean, dense_noisy)
+    # the noisy gate must differ from the clean one, or both errors are
+    # roundoff zeros and the comparison shows nothing
+    assert dense > 1e-3
     assert shortcut == pytest.approx(dense, abs=1e-12)
 
 
@@ -213,10 +214,8 @@ def test_compare_forms_targets_are_eigenstate_vectors_bitwise():
 
 
 def _chain_specs(N):
-    """The clean chain, a noisy draw and a draw with fields."""
-    noisy = apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N))
-    fielded = ChainSpec(N=N, J=1.0, couplings=noisy.couplings, zfields=np.linspace(0.3, -0.2, N))
-    return [krawtchouk_chain(N, 1.0), noisy, fielded]
+    """The clean chain and a noisy draw."""
+    return [krawtchouk_chain(N, 1.0), krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N)]
 
 
 @pytest.mark.parametrize("N", range(2, 9))

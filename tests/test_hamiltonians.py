@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kchain.hamiltonians import (
     ChainSpec,
     DrivingSpec,
-    apply_coupling_noise,
     build_hk,
     build_hz,
     chain_block,
@@ -44,31 +43,38 @@ def test_coupling_formula_values():
 
 
 def test_chain_spec_validation():
-    with pytest.raises(ValueError):
-        ChainSpec(N=4, J=1.0, couplings=np.zeros(5), zfields=np.zeros(4))
-    with pytest.raises(ValueError):
-        ChainSpec(N=4, J=1.0, couplings=np.zeros(3), zfields=np.zeros(3))
+    with pytest.raises(ValueError, match="couplings must have length N-1"):
+        ChainSpec(N=4, J=1.0, couplings=np.zeros(5))
+    # 4.0 would pass the length check, since (3.0,) == (3,)
+    for N in (4.0, True, "4", 1):
+        with pytest.raises(ValueError, match="^N must be an int >= 2"):
+            ChainSpec(N=N, J=1.0, couplings=np.zeros(3))
 
 
-@pytest.mark.parametrize("field", ["couplings", "zfields"])
+@pytest.mark.parametrize("field", ["couplings", "J"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_chain_spec_rejects_non_finite_values(field, bad):
-    values = {"couplings": np.ones(3), "zfields": np.zeros(4)}
-    values[field][1] = bad
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        ChainSpec(N=4, J=1.0, **values)
+    # a non-finite coupling scale reaches the spec through its couplings
+    with pytest.raises(ValueError, match="^couplings must be finite"):
+        if field == "J":
+            krawtchouk_chain(4, bad)
+        else:
+            ChainSpec(N=4, J=1.0, couplings=[1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("noise_eps", [np.nan, -0.1, 1.0, "0.1", True])
+def test_krawtchouk_chain_rejects_bad_noise_eps(noise_eps):
+    with pytest.raises(ValueError, match=r"^noise_eps must be a number in \[0, 1\)"):
+        krawtchouk_chain(4, 1.0, noise_eps=noise_eps, seed=1)
 
 
 @pytest.mark.parametrize("N", range(2, 11))
 def test_chain_blocks_are_exactly_hermitian(N):
     # chain_block checks nothing: its blocks must be Hermitian bit for bit
-    noisy = apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N))
-    fielded = ChainSpec(N=N, J=1.0, couplings=noisy.couplings, zfields=np.linspace(0.3, -0.2, N))
+    noisy = krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N)
     for q in range(N + 1):
-        hops = chain_hops(N, sector_indices(N, q))
-        for spec in (noisy, fielded):
-            block = chain_block(spec, hops)
-            assert np.array_equal(block, block.conj().T), (N, q)
+        block = chain_block(noisy, chain_hops(N, sector_indices(N, q)))
+        assert np.array_equal(block, block.conj().T), (N, q)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
@@ -109,29 +115,26 @@ def test_hz_diagonal_is_positional_dual_spectrum():
 
 
 def test_noise_free_spec_is_fixed_point():
-    spec = krawtchouk_chain(6, 1.0)
-    assert spec.noise_eps == 0.0
-    assert np.allclose(apply_coupling_noise(spec).couplings, spec.couplings)
+    # without noise the seed is not read: the chain is the engineered one
+    spec = krawtchouk_chain(6, 1.0, noise_eps=0.0, seed=5)
+    assert np.array_equal(spec.couplings, krawtchouk_couplings(5, 1.0))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_noise_is_bounded_and_seeded(seed):
     eps = 0.05
-    spec = krawtchouk_chain(6, 1.0, noise_eps=eps, seed=seed)
-    noisy = apply_coupling_noise(spec)
-    rel = noisy.couplings / spec.couplings - 1.0
+    noisy = krawtchouk_chain(6, 1.0, noise_eps=eps, seed=seed)
+    rel = noisy.couplings / krawtchouk_couplings(5, 1.0) - 1.0
     assert np.all(np.abs(rel) <= eps)
-    again = apply_coupling_noise(spec)
+    again = krawtchouk_chain(6, 1.0, noise_eps=eps, seed=seed)
     assert np.array_equal(noisy.couplings, again.couplings)
 
 
 def test_noise_draws_differ_across_seeds():
     spec_a = krawtchouk_chain(6, 1.0, noise_eps=0.05, seed=1)
     spec_b = krawtchouk_chain(6, 1.0, noise_eps=0.05, seed=2)
-    assert not np.allclose(
-        apply_coupling_noise(spec_a).couplings, apply_coupling_noise(spec_b).couplings
-    )
+    assert not np.allclose(spec_a.couplings, spec_b.couplings)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -159,27 +162,15 @@ def test_driving_operator_matrix_elements():
     assert np.allclose(op_plus[:, blocked], 0.0)
 
 
-def test_zfields_enter_both_pictures():
-    spec = krawtchouk_chain(4, 1.0)
-    fields = np.array([0.2, -0.1, 0.4, 0.0])
-    shifted = ChainSpec(N=4, J=1.0, couplings=spec.couplings, zfields=fields)
-    ham = build_hk(shifted)
-    hop = single_particle_hopping(shifted)
-    idx = [basis_index([1 if y == x else 0 for y in range(4)]) for x in range(4)]
-    assert np.allclose(ham[np.ix_(idx, idx)], hop)
-    vacuum = basis_index("0000")
-    assert ham[vacuum, vacuum] == pytest.approx(fields.sum())
-
-
-def test_coupling_noise_is_the_draw_apply_coupling_noise_uses():
+def test_coupling_noise_is_the_draw_krawtchouk_chain_uses():
     spec = krawtchouk_chain(7, 1.0, noise_eps=0.03, seed=11)
     eps = coupling_noise(7, 0.03, 11)
     assert eps.shape == (6,)
-    assert np.array_equal(apply_coupling_noise(spec).couplings, spec.couplings * (1.0 + eps))
+    assert np.array_equal(spec.couplings, krawtchouk_couplings(6, 1.0) * (1.0 + eps))
 
 
 def test_hopping_matrices_stack_matches_single_particle_hopping():
-    specs = [apply_coupling_noise(krawtchouk_chain(5, 1.0, noise_eps=0.1, seed=s)) for s in range(3)]
+    specs = [krawtchouk_chain(5, 1.0, noise_eps=0.1, seed=s) for s in range(3)]
     stack = hopping_matrices(np.array([spec.couplings for spec in specs]))
     assert stack.shape == (3, 5, 5)
     for spec, hop in zip(specs, stack):
@@ -189,15 +180,14 @@ def test_hopping_matrices_stack_matches_single_particle_hopping():
 @pytest.mark.parametrize("N", range(2, 11))
 def test_sector_blocks_equal_dense_slices(N):
     # the per-sector builders must give exactly the dense operator's blocks
-    noisy = apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N))
-    fielded = ChainSpec(N=N, J=1.0, couplings=noisy.couplings, zfields=np.linspace(0.3, -0.2, N))
+    noisy = krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N)
     drives = [
         DrivingSpec(j=j, d=d, sign=sign, J_D=0.7)
         for sign in "+-"
         for d in {1, N // 2, N - 1}
         for j in {0, N - 1 - d}
     ]
-    builders = [lambda states, s=s: build_hk(s, states) for s in (noisy, fielded)]
+    builders = [lambda states: build_hk(noisy, states)]
     builders += [lambda states, s=s: driving_operator(s, N, states) for s in drives]
     for sign in "+-":
         # every (j, j + N/2) pair summed, as the protocol's drive
@@ -210,7 +200,7 @@ def test_sector_blocks_equal_dense_slices(N):
             assert np.array_equal(build(ix), dense[np.ix_(ix, ix)])
     # the chain and its dual conserve the excitation number: the sector
     # blocks hold every nonzero entry, which the sector-wise oracles rely on
-    for dense in (build_hk(noisy), build_hk(fielded), build_hz(N, 1.0)):
+    for dense in (build_hk(noisy), build_hz(N, 1.0)):
         rest = dense.copy()
         for ix in sectors:
             rest[np.ix_(ix, ix)] = 0.0
@@ -219,10 +209,9 @@ def test_sector_blocks_equal_dense_slices(N):
 
 @pytest.mark.parametrize("N", [4, 6, 8])
 def test_one_hop_pattern_serves_every_coupling_draw(N):
-    # a sector's pattern is built once; each draw applies only its couplings
-    # and fields, bitwise as build_hk builds the block from scratch
-    specs = [apply_coupling_noise(krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=s)) for s in range(4)]
-    specs.append(ChainSpec(N=N, J=1.0, couplings=specs[0].couplings, zfields=np.linspace(0.3, -0.2, N)))
+    # a sector's pattern is built once; each draw applies only its couplings,
+    # bitwise as build_hk builds the block from scratch
+    specs = [krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=s) for s in range(4)]
     for ix in [sector_indices(N, q) for q in range(N + 1)] + [None]:
         hops = chain_hops(N, ix)
         for spec in specs:
