@@ -539,7 +539,13 @@ def main(argv=None) -> int:
                 command.error(f"argument --m-max: must be >= --m-min ({args.m_min}), got {args.m_max}")
     if args.command == "circuit-verify" and args.which == "ctrl-iswap2" and args.n not in (4, 6):
         command.error(f"argument --n: ctrl-iswap2 is defined for N in {{4, 6}}, got {args.n}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RuntimeError as exc:
+        # a run that does not converge (say, a long drive at the default
+        # tolerance) is reported, not raised as a traceback
+        print(f"kchain {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -226,7 +226,7 @@ def _step_coefficients(omega, phase, t_start, duration, nsteps) -> np.ndarray:
     cos(omega t + phase) vop over [t_start, t_start + duration], as a
     read-only (nsteps, 10) array of real coefficients in _drive_basis(h0,
     vop).  They depend on the drive clock only, not on h0 and vop, so they
-    are cached: every noisy sample of a layout steps the same stretches.
+    are cached: every noisy sample of a chain steps the same stretches.
 
     With the drive's values c at a step's three Gauss nodes: Blanes et
     al.'s -iG = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240, where A_j =
@@ -316,33 +316,25 @@ class ProtocolParams:
     N: int
     J: float = 1.0
     M: int = 1
-    pairs: tuple | None = None
-    sign: str | None = None
     halfway_inversion: bool = True
     noise_eps: float = 0.0
     seed: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
+        def number(value, kind):
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        if not number(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
             raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
-        if not isinstance(self.M, numbers.Integral) or self.M < 1:
+        if not number(self.M, numbers.Integral) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if not (isinstance(self.J, numbers.Real) and 0.0 < self.J < math.inf):
+        if not (number(self.J, numbers.Real) and 0.0 < self.J < math.inf):
             raise ValueError(f"J must be a finite number > 0, got {self.J!r}")
-        if self.sign not in (None, "+", "-"):
-            raise ValueError(f"sign must be None, '+' or '-', got {self.sign!r}")
-        pairs = self.pairs
-        if pairs is not None and not (
-            isinstance(pairs, tuple)
-            and all(isinstance(j, numbers.Integral) and 0 <= j < self.N // 2 for j in pairs)
-            and 0 < len(set(pairs)) == len(pairs)
-        ):
-            raise ValueError(f"pairs must be a tuple of distinct ints in [0, N/2), got {pairs!r}")
         if not isinstance(self.halfway_inversion, (bool, np.bool_)):
             raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
-        if not (isinstance(self.noise_eps, numbers.Real) and 0.0 <= self.noise_eps < 1.0):
+        if not (number(self.noise_eps, numbers.Real) and 0.0 <= self.noise_eps < 1.0):
             raise ValueError(f"noise_eps must be a number in [0, 1), got {self.noise_eps!r}")
-        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if self.seed is not None and not (number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be None or an int >= 0, got {self.seed!r}")
 
     @property
@@ -410,13 +402,6 @@ def iswap_target(N: int) -> np.ndarray:
     return target
 
 
-def _drive_layout(params: ProtocolParams) -> tuple:
-    """(sign, pairs) of the protocol's drive, defaults filled in."""
-    N = params.N
-    sign = params.sign if params.sign is not None else driving_sign(N)
-    return sign, params.pairs if params.pairs is not None else default_drive_pairs(N)
-
-
 def _unit_drive(N: int, sign: str, pairs: tuple, states=None) -> np.ndarray:
     """The drive on pairs with sign at J_D = 1 on the basis indices states (all if None)."""
     return sum(
@@ -427,13 +412,14 @@ def _unit_drive(N: int, sign: str, pairs: tuple, states=None) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _DrivePlan:
-    """What every protocol run on the drive on pairs with sign on the chain
-    (N, J) shares, noise aside: a sweep redraws only the couplings, and M
-    and the inversion are applied per run.
+    """What every protocol run on the chain (N, J) shares, noise aside: a
+    sweep redraws only the couplings, and M and the inversion are applied
+    per run.
 
-    Built with the plan: the drive frequency, the two target states'
-    positions in the half-filled sector, and the unit drive's transition
-    element V_ab between them and its largest entry in that sector.
+    Built with the plan: the drive's sign and pairs, the drive frequency,
+    the two target states' positions in the half-filled sector, and the
+    unit drive's transition element V_ab between them and its largest entry
+    in that sector.
     Built on first use, per sector q = 0..N: the drive at J_D = 1, the
     inversion pulse's phases and the eigengate's block, so a calibration
     alone builds no other sector's blocks.  Every array is read only.  The
@@ -475,8 +461,10 @@ class _DrivePlan:
 # typed: J = 1 and J = 1.0 get plans of their own, each built from the J
 # its runs were given
 @functools.lru_cache(maxsize=8, typed=True)
-def _layout_plan(N: int, J: float, sign: str, pairs: tuple) -> _DrivePlan:
-    """The _DrivePlan of one drive layout, built once per layout."""
+def _layout_plan(N: int, J: float) -> _DrivePlan:
+    """The _DrivePlan of the chain (N, J), built once per chain: N fixes
+    the drive's sign (driving_sign) and pairs (default_drive_pairs)."""
+    sign, pairs = driving_sign(N), default_drive_pairs(N)
     basis = build_basis(N - 1, J)
     half = sector_indices(N, N // 2)
     bra = eigenstate_vector(basis, range(N // 2, N))[half]
@@ -494,14 +482,11 @@ def _layout_plan(N: int, J: float, sign: str, pairs: tuple) -> _DrivePlan:
     )
 
 
-def _plan(params: ProtocolParams) -> _DrivePlan:
-    return _layout_plan(params.N, params.J, *_drive_layout(params))
-
-
 # Smallest |V_ab| / max|V| of a drive that couples the two target states.
 # For N <= 12, pair terms that cancel by symmetry leave at most 3.2e-17 of
 # roundoff, and calibrating on it would set J_D ~ 1e16 and overflow the step
-# exponentials; the weakest real coupling, pair 0 under '+' at N = 12, is 2.0e-8.
+# exponentials.  The layouts the chain sizes fix sit far above: 0.87, 0.156,
+# 1.5e-2, 1.1e-3 and 2.2e-5 at N = 4, 6, 8, 10 and 12.
 _COUPLING_FLOOR = 1e-12
 
 
@@ -513,10 +498,10 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     from the argument of the transition matrix element so that both special
     states acquire the phase +i.  A drive whose element is within
     _COUPLING_FLOOR of zero raises ValueError.  omega and the element come
-    from the layout's cached _DrivePlan.
+    from the chain's cached _DrivePlan.
     """
     J, M = params.J, params.M
-    plan = _plan(params)
+    plan = _layout_plan(params.N, J)
     v_ab = plan.v_ab
     if abs(v_ab) <= _COUPLING_FLOOR * plan.v_max:
         raise ValueError(
@@ -782,7 +767,7 @@ def run_iswap_protocol(
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the
-    layout's cached _DrivePlan; a sample builds its chain blocks by applying
+    chain's cached _DrivePlan; a sample builds its chain blocks by applying
     its couplings to the shared hop patterns (sector_hops).  The result
     holds the gate's sector blocks.
     """
@@ -798,7 +783,7 @@ def run_iswap_protocol(
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         omega = float(omega_override)
-    plan = _plan(params)
+    plan = _layout_plan(N, J)
     sign = plan.sign
 
     spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)

@@ -46,6 +46,9 @@ class ChainSpec:
             raise ValueError("couplings must have length N-1")
         if not np.isfinite(self.couplings).all():
             raise ValueError(f"couplings must be finite, got {self.couplings!r}")
+        J = self.J
+        if isinstance(J, bool) or not (isinstance(J, numbers.Real) and 0.0 < J < math.inf):
+            raise ValueError(f"J must be a finite number > 0, got {J!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,7 +128,7 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
 
 
 def _check_noise_eps(value) -> None:
-    if not (isinstance(value, numbers.Real) and 0.0 <= value < math.inf):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 <= value < math.inf):
         raise ValueError(f"noise_eps must be a finite number >= 0, got {value!r}")
 
 

@@ -254,6 +254,19 @@ def test_console_entry_point_runs():
     assert proc.stdout.startswith("n,k,lambda")
 
 
+def test_nonconverging_drive_is_reported_not_raised():
+    # at the default tolerance the refinement cannot converge over a window
+    # this long; the command must say so and exit 1, without a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "kchain.cli", "drive", "--n", "4", "--m", "1000000"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("kchain drive: ")
+    assert "did not converge" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_nonpositive_threads_is_a_usage_error(capsys, threads):
     with pytest.raises(SystemExit) as exc:

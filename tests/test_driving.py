@@ -119,7 +119,7 @@ def _dense_inversion_reference(params, calibration, tol):
     the step moves it by less than tol."""
     N, J = params.N, params.J
     omega, j_d, phase = calibration
-    vop = j_d * driving._unit_drive(N, *driving._drive_layout(params))
+    vop = j_d * driving._unit_drive(N, driving_sign(N), default_drive_pairs(N))
     basis = driving._drive_basis(build_hk(krawtchouk_chain(N, J)), vop)
     hz, half, pulse = build_hz(N, J), params.tau_d / 2.0, np.pi / J
     invert, restore = expm_hermitian(hz, pulse), expm_hermitian(-hz, pulse)
@@ -390,6 +390,17 @@ def _calibrated_phase(sign):
     return -np.pi if sign == "+" else -np.pi / 2
 
 
+def _layout_frequency_and_phase(N, sign, pairs):
+    """The drive frequency and phase of the drive on pairs with sign at chain
+    size N: the calibration's if it is N's own layout; otherwise (some of
+    these couple nothing, so there is no calibrated phase) the resonance and
+    a phase the calibration rule allows."""
+    if (sign, pairs) == (driving_sign(N), default_drive_pairs(N)):
+        omega, _, phase = drive_calibration(ProtocolParams(N=N))
+        return omega, phase
+    return resonance_frequency(N), _calibrated_phase(sign)
+
+
 def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
     """Drive-window propagator stepped end to end on the drive clock, at
     least nsub substeps per half-period, for any drive frequency."""
@@ -446,7 +457,7 @@ def _step_every_sector(params):
     window stepped end to end on the drive clock."""
     _, j_d, _ = drive_calibration(params)
     h = build_hk(krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed))
-    v = j_d * driving._unit_drive(params.N, *driving._drive_layout(params))
+    v = j_d * driving._unit_drive(params.N, driving_sign(params.N), default_drive_pairs(params.N))
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
@@ -484,7 +495,7 @@ def _assert_matches_every_sector_stepped(monkeypatch, params, omega=None):
     "params",
     [
         ProtocolParams(N=4, M=1),
-        ProtocolParams(N=4, M=2, pairs=(1,), halfway_inversion=False),
+        ProtocolParams(N=4, M=2, halfway_inversion=False),
         ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3),
         ProtocolParams(N=6, M=20, noise_eps=0.01, seed=11),
     ],
@@ -599,13 +610,7 @@ def _count_expm_stacks(monkeypatch):
     [(4, "+", (0, 1), 1), (6, "-", (1,), 3), (6, "+", (0, 1), 4), (8, "+", (1,), 5), (8, "-", (0, 1), 6)],
 )
 def test_transposed_second_half_period_matches_stepped(N, sign, pairs, seed):
-    params = ProtocolParams(N=N, sign=sign, pairs=pairs, noise_eps=0.01, seed=seed)
-    if (N, sign, pairs) in {(6, "+", (0, 1)), (8, "-", (0, 1))}:
-        # these drives couple nothing, so there is no calibrated phase; take
-        # one the rule allows
-        omega, phase = resonance_frequency(N), _calibrated_phase(sign)
-    else:
-        omega, _, phase = drive_calibration(params)
+    omega, phase = _layout_frequency_and_phase(N, sign, pairs)
     blocks = _sector_blocks(N, sign, pairs, 0.01, seed)
     driving._check_sector_symmetries([h for h, _, _ in blocks], [v for _, v, _ in blocks], sign)
     for q, (h, v, _) in enumerate(blocks[: N // 2 + 1]):
@@ -627,12 +632,7 @@ def _reversal_symmetry(h, v):
     [(6, (1,), 3), (8, (0, 1), 6), (10, (2,), 7)],
 )
 def test_folded_half_period_matches_stepped(N, pairs, seed):
-    params = ProtocolParams(N=N, sign="-", pairs=pairs, noise_eps=0.01, seed=seed)
-    if pairs == (0, 1):
-        # couples nothing, so no calibrated phase: an odd multiple of pi/2
-        omega, phase = resonance_frequency(N), _calibrated_phase("-")
-    else:
-        omega, _, phase = drive_calibration(params)
+    omega, phase = _layout_frequency_and_phase(N, "-", pairs)
     h, v, _ = _sector_blocks(N, "-", pairs, 0.01, seed)[N // 2]
     assert _reversal_symmetry(h, v)
     basis = driving._drive_basis(h, v)
@@ -790,6 +790,13 @@ def test_protocol_params_validation():
         ProtocolParams(N=4, M=0)
 
 
+def test_protocol_params_hold_no_drive_layout():
+    # the chain size fixes the drive's sign and pairs (_layout_plan)
+    assert [f.name for f in dataclasses.fields(ProtocolParams)] == [
+        "N", "J", "M", "halfway_inversion", "noise_eps", "seed"
+    ]
+
+
 @pytest.mark.parametrize("J", [0.0, -1.0, np.nan, np.inf])
 def test_protocol_params_reject_bad_coupling_scale(J):
     with pytest.raises(ValueError, match="J must be a finite number > 0"):
@@ -800,14 +807,15 @@ def test_protocol_params_reject_bad_coupling_scale(J):
     "kwargs, field",
     [
         (dict(N=4.0), "N"),
-        (dict(N=4, sign="x"), "sign"),
-        (dict(N=4, sign="\u2212"), "sign"),
-        (dict(N=6, pairs=(1.5,)), "pairs"),
-        (dict(N=6, pairs=(3,)), "pairs"),
-        (dict(N=6, pairs=(-1,)), "pairs"),
-        (dict(N=6, pairs=(1, 1)), "pairs"),
-        (dict(N=6, pairs=()), "pairs"),
-        (dict(N=6, pairs=1), "pairs"),
+        # bools are ints to Python, but no count, scale, amplitude or seed
+        (dict(N=4, M=True), "M"),
+        (dict(N=4, M=False), "M"),
+        (dict(N=4, J=True), "J"),
+        (dict(N=4, J=False), "J"),
+        (dict(N=4, seed=True), "seed"),
+        (dict(N=4, seed=False), "seed"),
+        (dict(N=True), "N"),
+        (dict(N=4, noise_eps=True), "noise_eps"),
         (dict(N=4, M=0), "M"),
         (dict(N=4, noise_eps=1.0), "noise_eps"),
         (dict(N=4, M=1.5), "M"),
@@ -820,7 +828,7 @@ def test_protocol_params_reject_bad_coupling_scale(J):
         (dict(N=4, noise_eps=2.0), "noise_eps"),
         (dict(N=4, noise_eps=-1e-3), "noise_eps"),
         (dict(N=4, noise_eps=np.nan), "noise_eps"),
-        (dict(N=6, pairs=[1]), "pairs"),
+        (dict(N=4, noise_eps=False), "noise_eps"),
         (dict(N=4, seed=-1), "seed"),
         (dict(N=4, seed=1.5), "seed"),
     ],
@@ -885,7 +893,7 @@ def test_calibration_exact_values():
     assert omega == pytest.approx(4.0)
     assert j_d == pytest.approx(3.0**-0.5, rel=1e-12)
     assert phase == pytest.approx(-np.pi, abs=1e-12)
-    vop = driving._unit_drive(4, *driving._drive_layout(ProtocolParams(N=4, M=1)))
+    vop = driving._unit_drive(4, driving_sign(4), default_drive_pairs(4))
     assert np.max(np.abs(vop - vop.conj().T)) < 1e-14
     omega, j_d, phase = drive_calibration(ProtocolParams(N=6, M=4))
     assert omega == pytest.approx(9.0)
@@ -895,26 +903,54 @@ def test_calibration_exact_values():
     assert (1.0 / 16.0) / j_d == pytest.approx(5.0 / 64.0, rel=1e-12)
 
 
+@pytest.fixture
+def layout(monkeypatch):
+    """layout(N, sign, pairs) makes the drive on pairs with sign the one
+    chain size N takes, for the drives no chain size takes.  The plan cache
+    is cleared before and after, so no plan of a patched drive outlives the
+    test."""
+
+    def install(N, sign, pairs):
+        monkeypatch.setattr(driving, "driving_sign", lambda n: sign if n == N else driving_sign(n))
+        monkeypatch.setattr(
+            driving, "default_drive_pairs", lambda n: pairs if n == N else default_drive_pairs(n)
+        )
+
+    driving._layout_plan.cache_clear()
+    yield install
+    driving._layout_plan.cache_clear()
+
+
 @pytest.mark.parametrize(
     "params",
-    [
-        ProtocolParams(N=4, M=1, sign="-"),
-        ProtocolParams(N=8, M=4, sign="-", pairs=(0, 3), noise_eps=0.05, seed=3),
-    ],
+    [ProtocolParams(N=4, M=1), ProtocolParams(N=8, M=4, noise_eps=0.05, seed=3)],
 )
-def test_drive_that_couples_nothing_is_rejected(params):
-    # the pair terms cancel in the target element up to roundoff
-    pairs = re.escape(str(params.pairs or default_drive_pairs(params.N)))
-    with pytest.raises(ValueError, match=f"pairs {pairs} with sign '-' .* at N={params.N} "):
+def test_drive_that_couples_nothing_is_rejected(layout, params):
+    # with N/2 even, pair 0 and its mirror pair N/2 - 1 cancel under '-' in
+    # the target element up to roundoff
+    pairs = (0, params.N // 2 - 1)
+    layout(params.N, "-", pairs)
+    message = re.escape(f"pairs {pairs} with sign '-'") + f" .* at N={params.N} "
+    with pytest.raises(ValueError, match=message):
         drive_calibration(params)
     with pytest.raises(ValueError, match="does not couple the target states"):
         run_iswap_protocol(params)
 
 
-def test_weakest_real_coupling_is_calibrated():
+def test_weakest_real_coupling_is_calibrated(layout):
     # pair 0 under '+' at N = 12: |V_ab| = 2.0e-8, far above the floor
-    _, j_d, _ = drive_calibration(ProtocolParams(N=12, M=1, sign="+", pairs=(0,)))
+    layout(12, "+", (0,))
+    _, j_d, _ = drive_calibration(ProtocolParams(N=12, M=1))
     assert 1e7 < j_d < 1e8
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
+def test_default_layouts_couple_far_above_the_floor(N):
+    # the ratios _COUPLING_FLOOR's comment cites
+    plan = driving._layout_plan(N, 1.0)
+    ratio = abs(plan.v_ab) / plan.v_max
+    assert ratio >= 1e-5
+    assert ratio == pytest.approx({4: 0.87, 6: 0.156, 8: 1.5e-2, 10: 1.1e-3, 12: 2.2e-5}[N], rel=0.05)
 
 
 def test_headline_gate_errors_frozen():
@@ -1151,7 +1187,7 @@ def test_warm_plan_run_equals_cold_run_byte_for_byte():
 
 def test_plan_arrays_are_read_only():
     N = 6
-    plan = driving._plan(ProtocolParams(N=N))
+    plan = driving._layout_plan(N, 1.0)
     sectors = [sector_indices(N, q) for q in range(N + 1)]
     fields = (sectors, plan.unit_blocks, plan.inverts, plan.eigengate_blocks)
     arrays = [arr for field in fields for arr in field]
@@ -1172,8 +1208,8 @@ _CACHED_LAYOUT = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=2)
     "change, shares_plan",
     [
         ({"J": 1.5}, False),
-        ({"sign": "-"}, False),  # couples nothing at N=4: raises both ways
-        ({"pairs": (0,)}, False),
+        ({"N": 6}, False),
+        ({"J": 1}, False),  # an int J gets a plan of its own
         ({"M": 2}, True),
         ({"seed": 7}, True),
         ({"halfway_inversion": False}, True),
@@ -1214,9 +1250,9 @@ def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
     assert sector_hops.cache_info().misses == N + 1
 
 
-def test_drive_that_couples_nothing_raises_on_every_run():
-    params = ProtocolParams(N=4, M=1, sign="-")
-    driving._layout_plan.cache_clear()
+def test_drive_that_couples_nothing_raises_on_every_run(layout):
+    params = ProtocolParams(N=4, M=1)
+    layout(4, "-", (0, 1))
     for _ in range(3):
         with pytest.raises(ValueError, match="does not couple the target states"):
             run_iswap_protocol(params)
@@ -1251,6 +1287,6 @@ def test_block_trace_error_on_random_sector_blocks(rng, N):
     for q, blk in enumerate(blocks):
         ix = sector_indices(N, q)
         u[np.ix_(ix, ix)] = blk
-    targets = driving._plan(ProtocolParams(N=N)).targets
+    targets = driving._layout_plan(N, 1.0).targets
     want = trace_error(iswap_target(N), u)
     assert abs(driving._swap_trace_error(blocks, targets) - want) <= 1e-15

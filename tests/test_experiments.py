@@ -104,7 +104,7 @@ def test_fig2_point_frozen_and_thread_invariant():
 
 
 def test_fig2_threads_building_one_plan_match_one_thread():
-    # the worker threads race to build the layout's drive plan, then share it
+    # the worker threads race to build the chain's drive plan, then share it
     cfg = SweepConfig(
         protocol="fig2", n_values=(6,), m_values=(16, 20), eps_values=(1e-2,), samples=8,
         threads=4,

@@ -62,6 +62,20 @@ def test_chain_spec_rejects_non_finite_values(field, bad):
             ChainSpec(N=4, J=1.0, couplings=[1.0, bad, 1.0])
 
 
+@pytest.mark.parametrize("J", [np.nan, -np.inf, -1.0, 0.0, True, "1"])
+def test_chain_spec_rejects_bad_coupling_scale(J):
+    with pytest.raises(ValueError, match="^J must be a finite number > 0"):
+        ChainSpec(4, J, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("J", [-1.0, 0.0, True])
+def test_krawtchouk_chain_rejects_a_bad_finite_coupling_scale(J):
+    # its couplings are finite (all zero at J = 0, which once ended in a
+    # ZeroDivisionError in the eigengate), so the scale itself is checked
+    with pytest.raises(ValueError, match="^J must be a finite number > 0"):
+        krawtchouk_chain(4, J)
+
+
 @pytest.mark.parametrize("noise_eps", [np.nan, -0.1, 1.0, "0.1", True])
 def test_krawtchouk_chain_rejects_bad_noise_eps(noise_eps):
     with pytest.raises(ValueError, match=r"^noise_eps must be a number in \[0, 1\)"):

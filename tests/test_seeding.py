@@ -96,6 +96,7 @@ def test_coupling_noises_with_one_eps_per_seed_equal_per_eps_calls():
         ([0.01, np.nan], "noise_eps must be a finite number >= 0, got nan"),
         (["0.1", 0.1], "noise_eps must be a finite number >= 0, got '0.1'"),
         ([0.01, 0.02, 0.03], "noise_eps has 3 values, but there are 2 seeds"),
+        ([True, True], "noise_eps must be a finite number >= 0, got True"),
     ],
 )
 def test_coupling_noises_reject_bad_eps_stacks(noise_eps, message):
@@ -133,6 +134,7 @@ def test_coupling_noises_reject_bad_seeds(seeds, shown):
         (dict(noise_eps=-0.1), "noise_eps must be a finite number >= 0, got -0.1"),
         (dict(noise_eps=np.inf), "noise_eps must be a finite number >= 0, got inf"),
         (dict(seeds=5), "seed must be a 1-D sequence of ints, got 5"),
+        (dict(noise_eps=True), "noise_eps must be a finite number >= 0, got True"),
     ],
 )
 def test_coupling_noises_reject_bad_arguments(kwargs, message):
