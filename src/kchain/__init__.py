@@ -29,19 +29,16 @@ from .driving import (
 )
 from .eigengate import build_eigengate, noisy_eigengate_errors
 from .experiments import SweepConfig, ghz_demo, pst_demo, sweep_fig2, sweep_fig3
-from .hamiltonians import ChainSpec, DrivingSpec, build_hk, build_hz, krawtchouk_chain
+from .hamiltonians import ChainSpec, krawtchouk_chain
 from .krawtchouk import build_basis, m1_closed_form, m2_closed_form
 
 __all__ = [
     "ChainSpec",
-    "DrivingSpec",
     "ProtocolParams",
     "ProtocolResult",
     "SweepConfig",
     "build_basis",
     "build_eigengate",
-    "build_hk",
-    "build_hz",
     "gate_time_accounting",
     "ghz_demo",
     "iswap_target",

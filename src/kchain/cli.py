@@ -15,6 +15,8 @@ import time
 import numpy as np
 
 from .circuits import (
+    cns_decomposition,
+    cns_unitary,
     ctrl_iswap2_circuit,
     ctrl_x_circuit,
     phase_gate,
@@ -41,6 +43,7 @@ from .krawtchouk import (
     build_basis,
     conjugate_phase,
     eigenstate_vector,
+    m1_closed_form,
     m2_closed_form,
     meixner_identity_check,
 )
@@ -197,12 +200,13 @@ def _spectrum(N: int, J: float):
     return exact, float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max())
 
 
-def _two_site_hop(ket: np.ndarray, N: int, a: int, b: int) -> np.ndarray:
+def _site_term(ket: np.ndarray, N: int, a: int, b: int | None = None) -> np.ndarray:
     """sigma^-_a sigma^+_b ket on a dense 2^N ket: the term moves an
-    excitation from site b to an empty site a.  The term has at most one
-    nonzero entry, 1, per row and column, so gathering ket's entries gives
-    its dense product with ket exactly."""
-    ma, mb = 1 << (N - 1 - a), 1 << (N - 1 - b)
+    excitation from site b to an empty site a; without b, sigma^-_a ket
+    excites the empty site a.  The term has at most one nonzero entry, 1,
+    per row and column, so gathering ket's entries gives its dense product
+    with ket exactly."""
+    ma, mb = 1 << (N - 1 - a), 0 if b is None else 1 << (N - 1 - b)
     states = np.arange(2**N)
     hit = states[(states & ma != 0) & (states & mb == 0)]
     out = np.zeros(2**N, dtype=complex)
@@ -224,10 +228,23 @@ def _m2_elements(n: int):
     ket = eigenstate_vector(basis, range(N // 2, N))
     for j in range(0, n - d + 1):
         closed = m2_closed_form(n, j)
-        brute = complex(bra @ _two_site_hop(ket, N, j, j + d))
-        conj = complex(bra @ _two_site_hop(ket, N, j + d, j))
+        brute = complex(bra @ _site_term(ket, N, j, j + d))
+        conj = complex(bra @ _site_term(ket, N, j + d, j))
         err = max(abs(brute - closed), abs(conj - conjugate_phase(N) * closed))
         yield j, d, closed, brute, err
+
+
+def _m1_element(n: int) -> tuple:
+    """(power form, minor form, brute force) of the one-site term
+    sigma^-_{n/2} between the half-filled band states at even n (odd N):
+    m1_closed_form's two forms and <lower| term |upper> on the dense band
+    eigenstates."""
+    N = n + 1
+    basis = build_basis(n, 1.0)
+    bra = eigenstate_vector(basis, range(n // 2 + 1)).conj()
+    ket = eigenstate_vector(basis, range(n // 2 + 1, N))
+    forms = m1_closed_form(n)
+    return forms.power_form, forms.minor_form, complex(bra @ _site_term(ket, N, n // 2))
 
 
 def _cmd_spectrum(args) -> int:
@@ -413,10 +430,14 @@ def _cmd_verify_all(args) -> int:
     for n in range(3, min(n_max + 1, 8), 2):
         worst = max(err for *_, err in _m2_elements(n))
         check(f"matrix elements n={n}", worst, _MATRIX_ELEMENTS_TOL)
+    for n in range(2, n_max, 2):
+        power, minor, brute = _m1_element(n)
+        check(f"M1 n={n}", max(abs(minor - power), abs(brute - power)), _MATRIX_ELEMENTS_TOL)
     for N in range(2, n_max + 1):
         check(f"PST N={N}", pst_demo(N), _PST_TOL)
     for N in range(3, n_max + 1, 2):
         check(f"GHZ N={N}", 1.0 - ghz_demo(N), _GHZ_TOL)
+    check("CNS decomposition", float(np.abs(cns_decomposition() - cns_unitary()).max()), _CIRCUIT_TOL)
     for N in (4, 6):
         if N <= max(n_max, 4):
             check(f"ctrl-X circuit N={N}", verify_ctrl_x_circuit(N), _CIRCUIT_TOL)
@@ -541,9 +562,11 @@ def main(argv=None) -> int:
         command.error(f"argument --n: ctrl-iswap2 is defined for N in {{4, 6}}, got {args.n}")
     try:
         return args.func(args)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         # a run that does not converge (say, a long drive at the default
-        # tolerance) is reported, not raised as a traceback
+        # tolerance) or that the library refuses (an omega override far
+        # from the calibrated frequency) is reported, not raised as a
+        # traceback
         print(f"kchain {args.command}: {exc}", file=sys.stderr)
         return 1
 

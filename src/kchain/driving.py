@@ -9,19 +9,18 @@ import numbers
 import numpy as np
 
 from .hamiltonians import (
-    DrivingSpec,
+    _check_noise_eps,
     chain_block,
-    driving_operator,
     hz_diagonal,
     krawtchouk_chain,
     sector_hops,
+    unit_drive,
 )
 from .krawtchouk import build_basis, driving_sign, eigenstate_vector, manybody_energy
 from .eigengate import eigengate_single_particle, free_fermion_block
 from .linalg import basis_index, block_diagonal, max_column_distance, sector_indices
 
 __all__ = [
-    "two_level_error",
     "ProtocolParams",
     "ProtocolResult",
     "default_drive_pairs",
@@ -288,25 +287,6 @@ def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
     raise RuntimeError(f"{where} did not converge below {tol:g}; last change {delta:.3e}")
 
 
-def two_level_error(A: float, delta: float, gap: float) -> tuple:
-    """(measured, leading-order) off-resonant error of a pi-pulse.
-
-    measured = 1 - |cos[(pi/4A) sqrt(delta^2 + 4A^2)]|, valid when
-    tau_D*gap/2pi and tau_D*delta/2pi are integers (tau_D = pi/2A);
-    leading order is (pi^2/8)(A/delta)^2.
-    """
-    if delta <= 0:
-        raise ValueError("off-resonant comparison needs delta > 0")
-    tau = math.pi / (2.0 * A)
-    for name, value in (("gap", gap), ("delta", delta)):
-        cycles = tau * value / (2.0 * math.pi)
-        if abs(cycles - round(cycles)) > 1e-9:
-            raise ValueError(f"tau_D*{name}/2pi = {cycles:g} is not an integer")
-    measured = 1.0 - abs(math.cos((math.pi / (4.0 * A)) * math.hypot(delta, 2.0 * A)))
-    predicted = (math.pi**2 / 8.0) * (A / delta) ** 2
-    return measured, predicted
-
-
 # ------------------------------------------------------------- swap protocol
 
 @dataclasses.dataclass(frozen=True)
@@ -328,12 +308,14 @@ class ProtocolParams:
             raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
         if not number(self.M, numbers.Integral) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if not (number(self.J, numbers.Real) and 0.0 < self.J < math.inf):
-            raise ValueError(f"J must be a finite number > 0, got {self.J!r}")
+        # a numpy float narrower (or wider) than float64 would carry its
+        # precision into the calibration and every step
+        narrow = isinstance(self.J, np.floating) and not isinstance(self.J, np.float64)
+        if narrow or not (number(self.J, numbers.Real) and 0.0 < self.J < math.inf):
+            raise ValueError(f"J must be a finite number > 0 (a numpy float only as float64), got {self.J!r}")
         if not isinstance(self.halfway_inversion, (bool, np.bool_)):
             raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
-        if not (number(self.noise_eps, numbers.Real) and 0.0 <= self.noise_eps < 1.0):
-            raise ValueError(f"noise_eps must be a number in [0, 1), got {self.noise_eps!r}")
+        _check_noise_eps(self.noise_eps)
         if self.seed is not None and not (number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be None or an int >= 0, got {self.seed!r}")
 
@@ -402,14 +384,6 @@ def iswap_target(N: int) -> np.ndarray:
     return target
 
 
-def _unit_drive(N: int, sign: str, pairs: tuple, states=None) -> np.ndarray:
-    """The drive on pairs with sign at J_D = 1 on the basis indices states (all if None)."""
-    return sum(
-        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=1.0), N, states)
-        for j in pairs
-    )
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class _DrivePlan:
     """What every protocol run on the chain (N, J) shares, noise aside: a
@@ -445,7 +419,7 @@ class _DrivePlan:
 
     @functools.cached_property
     def unit_blocks(self) -> tuple:
-        return self._per_sector(functools.partial(_unit_drive, self.N, self.sign, self.pairs))
+        return self._per_sector(functools.partial(unit_drive, self.N, self.sign, self.pairs))
 
     @functools.cached_property
     def inverts(self) -> tuple:
@@ -469,7 +443,7 @@ def _layout_plan(N: int, J: float) -> _DrivePlan:
     half = sector_indices(N, N // 2)
     bra = eigenstate_vector(basis, range(N // 2, N))[half]
     ket = eigenstate_vector(basis, range(N // 2))[half]
-    v_half = _unit_drive(N, sign, pairs, half)
+    v_half = unit_drive(N, sign, pairs, half)
     return _DrivePlan(
         N=N,
         J=J,
@@ -732,6 +706,14 @@ def _swap_trace_error(blocks, targets) -> float:
     return 1.0 - abs(sum(traces)) / 2**N
 
 
+# How far omega_override may stray from the calibrated drive frequency,
+# either way.  A far smaller frequency makes the step coefficients' powers of
+# the step length overflow (1e-300 did, in h**2), and a far larger one steps
+# a window of countless half-periods; 16 leaves room for the probes down to
+# 0.3 at N = 4, 13x below its resonance.
+_OMEGA_OVERRIDE_RANGE = 16.0
+
+
 def run_iswap_protocol(
     params: ProtocolParams,
     tol: float = 1e-9,
@@ -746,7 +728,8 @@ def run_iswap_protocol(
     is built per excitation sector (the eigengate's blocks as minors), and
     each window is composed on the drive clock from half-period maps, so on
     resonance (a whole number of half-periods) the cost is independent of M up to a logarithm; an
-    off-resonant omega_override adds only the partial half-periods at the
+    off-resonant omega_override, within a factor of _OMEGA_OVERRIDE_RANGE of
+    the calibrated frequency, adds only the partial half-periods at the
     windows' ends.
 
     Only the sectors q <= N/2 are stepped.  The chain has zero fields and
@@ -778,10 +761,13 @@ def run_iswap_protocol(
         raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
     if not isinstance(max_refine, numbers.Integral) or max_refine < 0:
         raise ValueError(f"max_refine must be an int >= 0, got {max_refine!r}")
-    if omega_override is not None and not 0.0 < omega_override < math.inf:
-        raise ValueError(f"omega_override must be a finite number > 0, got {omega_override!r}")
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
+        if not omega / _OMEGA_OVERRIDE_RANGE <= omega_override <= omega * _OMEGA_OVERRIDE_RANGE:
+            raise ValueError(
+                f"omega_override must be a finite number > 0 within a factor of "
+                f"{_OMEGA_OVERRIDE_RANGE:g} of the calibrated drive frequency {omega!r}, got {omega_override!r}"
+            )
         omega = float(omega_override)
     plan = _layout_plan(N, J)
     sign = plan.sign

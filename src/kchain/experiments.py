@@ -36,7 +36,6 @@ __all__ = [
     "write_table",
     "ghz_demo",
     "pst_demo",
-    "pst_mirror_amplitude",
 ]
 
 FIG2_EPS_GRID = (0.0, 1e-3, 3e-3, 1e-2)
@@ -142,12 +141,18 @@ def _sample_errors(worker, count: int, threads: int) -> np.ndarray:
     return np.array([worker(i) for i in range(count)])
 
 
+def _check_protocol(config: SweepConfig, protocol: str) -> None:
+    if config.protocol != protocol:
+        raise ValueError(f"sweep_{protocol} needs a {protocol!r} config, got protocol {config.protocol!r}")
+
+
 def sweep_fig2(config: SweepConfig) -> list:
     """Protocol error vs drive length under coupling noise.
 
     Returns rows (N, M, eps, mean_error, stderr, samples); noiseless
     points are deterministic and use a single run.
     """
+    _check_protocol(config, "fig2")
     rows = []
     for N in config.n_values:
         for M in config.m_values:
@@ -186,6 +191,7 @@ def sweep_fig3(config: SweepConfig) -> list:
     size.  config.threads is not used: the stacked evaluation runs in one
     thread.
     """
+    _check_protocol(config, "fig3")
     eps = np.array(config.eps_values, dtype=float)
     counts = [1 if e == 0.0 else config.samples for e in config.eps_values]
     # the pairs of eps point p are starts[p] <= pair < starts[p + 1]
@@ -284,16 +290,6 @@ def _mirror_amplitude(propagator: tuple, bits) -> complex:
     states, u = propagator
     row, col = np.searchsorted(states, [basis_index(reversed(bits)), basis_index(bits)])
     return complex(u[row, col])
-
-
-def pst_mirror_amplitude(N: int, bits, J: float = 1.0) -> complex:
-    """Amplitude on the site-mirrored basis state after a pi/J evolution.
-
-    bits are the N occupations (0 or 1) of the initial basis state."""
-    bits = list(bits)
-    if len(bits) != N or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bits must be {N} zeros and ones, got {bits!r}")
-    return _mirror_amplitude(_pst_propagator(N, J, sum(bits)), bits)
 
 
 def pst_demo(N: int, J: float = 1.0) -> float:

@@ -1,4 +1,4 @@
-"""Spin-chain Hamiltonians: XX+YY chains, their diagonal dual, and resonant drives."""
+"""Spin-chain Hamiltonians: XX+YY chains, their diagonal dual, and the resonant drive."""
 
 import dataclasses
 import functools
@@ -12,7 +12,6 @@ from .linalg import sector_indices
 
 __all__ = [
     "ChainSpec",
-    "DrivingSpec",
     "krawtchouk_couplings",
     "krawtchouk_chain",
     "coupling_noise",
@@ -20,12 +19,10 @@ __all__ = [
     "chain_hops",
     "sector_hops",
     "chain_block",
-    "build_hk",
-    "build_hz",
     "hz_diagonal",
     "hopping_matrices",
     "single_particle_hopping",
-    "driving_operator",
+    "unit_drive",
 ]
 
 
@@ -51,28 +48,6 @@ class ChainSpec:
             raise ValueError(f"J must be a finite number > 0, got {J!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class DrivingSpec:
-    """One oscillatory two-site driving term.
-
-    Site j carries the raising operator and site j+d the lowering one (and
-    conjugates).  sign selects the real ('+') or imaginary ('-') pairing.
-    The spec fixes the constant operator (driving_operator); the drive's
-    frequency and phase belong to the protocol that modulates it.
-    """
-
-    j: int
-    d: int
-    sign: str
-    J_D: float
-
-    def __post_init__(self):
-        if self.sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
-        if self.j < 0 or self.d < 1:
-            raise ValueError("need j >= 0 and d >= 1")
-
-
 def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
     """Engineered couplings -J/2 * sqrt((x+1)(n-x)) for x = 0..n-1."""
     if n < 1:
@@ -84,8 +59,7 @@ def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
 def krawtchouk_chain(N: int, J: float, noise_eps: float = 0.0, seed=None) -> ChainSpec:
     """The chain with the engineered couplings, each J_x -> (1 + eps_x) J_x
     with eps_x = coupling_noise(N, noise_eps, seed) if noise_eps > 0."""
-    if isinstance(noise_eps, bool) or not (isinstance(noise_eps, numbers.Real) and 0.0 <= noise_eps < 1.0):
-        raise ValueError(f"noise_eps must be a number in [0, 1), got {noise_eps!r}")
+    _check_noise_eps(noise_eps)
     couplings = krawtchouk_couplings(N - 1, J)
     if noise_eps > 0.0:
         couplings = couplings * (1.0 + coupling_noise(N, noise_eps, seed))
@@ -117,7 +91,7 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
         eps = float(noise_eps)
     else:
         eps = np.asarray(noise_eps)
-        if eps.dtype.kind != "f" or not (np.isfinite(eps) & (eps >= 0.0)).all():
+        if eps.dtype.kind != "f" or not ((eps >= 0.0) & (eps < 1.0)).all():
             for value in eps.tolist():
                 _check_noise_eps(value)
         eps = eps.astype(float)
@@ -128,8 +102,10 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
 
 
 def _check_noise_eps(value) -> None:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 <= value < math.inf):
-        raise ValueError(f"noise_eps must be a finite number >= 0, got {value!r}")
+    """Raise ValueError unless value is a noise amplitude: a number in [0, 1),
+    so no drawn factor 1 + eps_x can reach zero or flip a coupling's sign."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 <= value < 1.0):
+        raise ValueError(f"noise_eps must be a finite number in [0, 1), got {value!r}")
 
 
 def _hop_pattern(N: int, states, sites) -> tuple:
@@ -160,7 +136,7 @@ def _hopping_block(pattern, amps) -> np.ndarray:
 
 def chain_hops(N: int, states=None) -> tuple:
     """Hop pattern of the chain's bonds (x, x+1) on the ascending basis
-    indices states, or on all 2^N states if None: what build_hk's block
+    indices states, or on all 2^N states if None: what the chain's block
     on those states shares across couplings (chain_block)."""
     return _hop_pattern(N, states, [(x, x + 1) for x in range(N - 1)])
 
@@ -173,25 +149,20 @@ def sector_hops(N: int, q: int) -> tuple:
 
 
 def chain_block(spec: ChainSpec, hops) -> np.ndarray:
-    """build_hk(spec, states) from hops = chain_hops(spec.N, states): only
-    spec's couplings are applied.  The block is Hermitian by construction:
-    each hop's two entries are set as a conjugate pair, and ChainSpec holds
-    only real, finite couplings."""
+    """Chain Hamiltonian sum_x (J_x/2)(XX+YY) on the basis indices states
+    of hops = chain_hops(spec.N, states): only spec's couplings are applied.
+
+    The hopping part has matrix element J_x between |..10..> and |..01..>
+    on bond x, which fixes the single-particle normalization.  The block is
+    Hermitian by construction: each hop's two entries are set as a
+    conjugate pair, and ChainSpec holds only real, finite couplings."""
     return _hopping_block(hops, spec.couplings)
 
 
-def build_hk(spec: ChainSpec, states=None) -> np.ndarray:
-    """Chain Hamiltonian sum_x (J_x/2)(XX+YY) on the ascending basis
-    indices states, or on all 2^N states if None.
-
-    The hopping part has matrix element J_x between |..10..> and |..01..>
-    on bond x, which fixes the single-particle normalization.
-    """
-    return chain_block(spec, chain_hops(spec.N, states))
-
-
 def hz_diagonal(N: int, J: float) -> np.ndarray:
-    """Diagonal of the dual Hamiltonian: J * sum over excited sites of (x - n/2)."""
+    """Diagonal of the dual Hamiltonian (J/2) sum_x (x - n/2)(1 - Z)_x, which
+    is diagonal in the computational basis: J * sum over excited sites of
+    (x - n/2)."""
     n = N - 1
     dim = 2**N
     idx = np.arange(dim)
@@ -200,13 +171,6 @@ def hz_diagonal(N: int, J: float) -> np.ndarray:
         bit = (idx >> (N - 1 - x)) & 1
         diag += J * (x - n / 2.0) * bit
     return diag
-
-
-def build_hz(N: int, J: float) -> np.ndarray:
-    """(J/2) sum_x (x - n/2)(1 - Z)_x, diagonal in the computational basis."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    return np.diag(hz_diagonal(N, J)).astype(complex)
 
 
 def hopping_matrices(couplings: np.ndarray) -> np.ndarray:
@@ -228,17 +192,19 @@ def single_particle_hopping(spec: ChainSpec) -> np.ndarray:
     return hopping_matrices(spec.couplings)
 
 
-def driving_operator(spec: DrivingSpec, N: int, states=None) -> np.ndarray:
-    """Constant operator part of the drive (the cos factor stripped), on the
-    ascending basis indices states, or on all 2^N states if None.
+def unit_drive(N: int, sign: str, pairs, states=None) -> np.ndarray:
+    """The drive's constant operator at J_D = 1 (the cos factor stripped) on
+    the pairs (j, j + N/2), j in pairs, on the ascending basis indices
+    states, or on all 2^N states if None:
 
-    sign '+': J_D [sp_j sm_{j+d} + sm_j sp_{j+d}]
-    sign '-': i J_D [sp_j sm_{j+d} - sm_j sp_{j+d}]
+    sign '+': sum_j [sp_j sm_{j+N/2} + sm_j sp_{j+N/2}]
+    sign '-': i sum_j [sp_j sm_{j+N/2} - sm_j sp_{j+N/2}]
     where sp removes and sm creates an excitation.
     """
-    a, b = spec.j, spec.j + spec.d
-    if b >= N:
-        raise ValueError("site j+d out of range")
-    amp = spec.J_D if spec.sign == "+" else 1.0j * spec.J_D
-    return _hopping_block(_hop_pattern(N, states, [(a, b)]), [amp])
-
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    d = N // 2
+    if not all(0 <= j < N - d for j in pairs):
+        raise ValueError(f"drive pairs need 0 <= j < {N - d} at N={N}, got {pairs!r}")
+    amps = [1.0 if sign == "+" else 1.0j] * len(pairs)
+    return _hopping_block(_hop_pattern(N, states, [(j, j + d) for j in pairs]), amps)

@@ -20,7 +20,6 @@ __all__ = [
     "build_basis",
     "manybody_energy",
     "eigenstate_vector",
-    "matrix_element_bruteforce",
     "phi_minor_exact",
     "M1Result",
     "m1_closed_form",
@@ -143,20 +142,6 @@ def eigenstate_vector(basis: KrawtchoukBasis, modes: Sequence[int]) -> np.ndarra
     vec = np.zeros(2**N)
     vec[np.sum(1 << (N - 1 - sites), axis=1)] = minors(basis.phi, rows, sites)[0]
     return vec
-
-
-def matrix_element_bruteforce(
-    basis: KrawtchoukBasis,
-    bra_modes: Sequence[int],
-    op: np.ndarray,
-    ket_modes: Sequence[int],
-) -> complex:
-    """<bra| op |ket> with both states built as dense eigenstate vectors."""
-    bra = eigenstate_vector(basis, bra_modes)
-    ket = eigenstate_vector(basis, ket_modes)
-    if op.shape != (bra.size, bra.size):
-        raise ValueError("operator dimension mismatch")
-    return complex(bra.conj() @ (op @ ket))
 
 
 def phi_minor_exact(n: int, rows: Sequence[int], cols: Sequence[int]) -> float:

@@ -7,19 +7,11 @@ import numpy as np
 
 __all__ = [
     "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
     "basis_index",
-    "bits_of_index",
-    "basis_state",
-    "occupied_sites",
     "sector_indices",
     "block_diagonal",
     "minors",
     "tensor_embed",
-    "is_hermitian",
     "assert_hermitian",
     "assert_unitary",
     "expm_hermitian",
@@ -28,13 +20,8 @@ __all__ = [
     "max_column_distance",
 ]
 
-# Single-qubit operators in the |0>, |1> basis.  |1> is the excited state;
-# SIGMA_MINUS creates it (|0> -> |1>) and SIGMA_PLUS removes it.
+# Pauli X in the |0>, |1> basis; |1> is the excited state.
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_PLUS = 0.5 * (PAULI_X + 1.0j * PAULI_Y)
-SIGMA_MINUS = 0.5 * (PAULI_X - 1.0j * PAULI_Y)
 
 
 # ---------------------------------------------------------------- basis maps
@@ -49,27 +36,6 @@ def basis_index(bits) -> int:
     for b in bits:
         idx = (idx << 1) | int(b)
     return idx
-
-
-def bits_of_index(index: int, nqubits: int):
-    """Tuple (b_0, ..., b_{N-1}) for a basis index, qubit 0 most significant."""
-    return tuple((index >> (nqubits - 1 - x)) & 1 for x in range(nqubits))
-
-
-def basis_state(bits_or_index, nqubits: int) -> np.ndarray:
-    """Unit state vector for a bitstring (iterable/str) or basis index."""
-    if isinstance(bits_or_index, (int, np.integer)):
-        idx = int(bits_or_index)
-    else:
-        idx = basis_index(int(b) for b in bits_or_index)
-    vec = np.zeros(2**nqubits, dtype=complex)
-    vec[idx] = 1.0
-    return vec
-
-
-def occupied_sites(index: int, nqubits: int):
-    """Ascending tuple of excited qubit positions in a basis state."""
-    return tuple(x for x in range(nqubits) if (index >> (nqubits - 1 - x)) & 1)
 
 
 @functools.lru_cache(maxsize=128)
@@ -136,10 +102,6 @@ def tensor_embed(op: np.ndarray, sites, nqubits: int) -> np.ndarray:
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes; leading axes are batch axes."""
     return mat.conj().swapaxes(-1, -2)
-
-
-def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(mat - _adjoint(mat))) <= tol)
 
 
 def assert_hermitian(mat: np.ndarray, tol: float = 1e-12) -> None:

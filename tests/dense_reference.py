@@ -1,5 +1,6 @@
 """Dense 2^N x 2^N references for the sector-wise eigengate, rotation, PST
-and GHZ oracles.
+and GHZ oracles, and the dense single-qubit operators, basis states and
+matrix elements the tests check the library against.
 
 Each function builds the full many-body operators and works on them
 directly, as the oracles did before they were reduced to the excitation
@@ -12,9 +13,56 @@ import math
 import numpy as np
 
 from kchain.eigengate import VARIANTS, expected_phase
-from kchain.hamiltonians import build_hk, build_hz, hz_diagonal, krawtchouk_chain
+from kchain.hamiltonians import chain_block, chain_hops, hz_diagonal, krawtchouk_chain
 from kchain.krawtchouk import build_basis, eigenstate_vector
-from kchain.linalg import assert_unitary, basis_index, expm_hermitian, occupied_sites
+from kchain.linalg import PAULI_X, assert_unitary, basis_index, expm_hermitian, tensor_embed
+
+# Single-qubit operators in the |0>, |1> basis.  |1> is the excited state;
+# SIGMA_MINUS creates it (|0> -> |1>) and SIGMA_PLUS removes it.
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+SIGMA_PLUS = 0.5 * (PAULI_X + 1.0j * PAULI_Y)
+SIGMA_MINUS = 0.5 * (PAULI_X - 1.0j * PAULI_Y)
+
+
+def basis_state(bits_or_index, nqubits: int) -> np.ndarray:
+    """Unit state vector for a bitstring (iterable/str) or basis index."""
+    if isinstance(bits_or_index, (int, np.integer)):
+        idx = int(bits_or_index)
+    else:
+        idx = basis_index(int(b) for b in bits_or_index)
+    vec = np.zeros(2**nqubits, dtype=complex)
+    vec[idx] = 1.0
+    return vec
+
+
+def occupied_sites(index: int, nqubits: int):
+    """Ascending tuple of excited qubit positions in a basis state."""
+    return tuple(x for x in range(nqubits) if (index >> (nqubits - 1 - x)) & 1)
+
+
+def matrix_element_bruteforce(basis, bra_modes, op, ket_modes) -> complex:
+    """<bra| op |ket> with both states built as dense eigenstate vectors."""
+    bra = eigenstate_vector(basis, bra_modes)
+    ket = eigenstate_vector(basis, ket_modes)
+    if op.shape != (bra.size, bra.size):
+        raise ValueError("operator dimension mismatch")
+    return complex(bra.conj() @ (op @ ket))
+
+
+def dense_unit_drive(N, sign, pairs):
+    """The unit drive of hamiltonians.unit_drive as a sum of dense embeds:
+    sum_j [sp_j sm_{j+N/2} + sm_j sp_{j+N/2}] under '+' and i times the
+    difference under '-'."""
+    s = 1.0 if sign == "+" else -1.0
+    amp = 1.0 if sign == "+" else 1.0j
+    d = N // 2
+    return sum(
+        amp * (tensor_embed(np.kron(SIGMA_PLUS, SIGMA_MINUS), [j, j + d], N)
+               + s * tensor_embed(np.kron(SIGMA_MINUS, SIGMA_PLUS), [j, j + d], N))
+        for j in pairs
+    )
+
 
 # the largest entrywise gap allowed between a sector route and its reference
 SECTOR_TOL = 1e-13
@@ -25,7 +73,7 @@ def dense_eigengate(N, J, variant="three_step", spec=None):
     dense diagonal matrices)."""
     if spec is None:
         spec = krawtchouk_chain(N, J)
-    hk, hz = build_hk(spec), build_hz(N, J)
+    hk, hz = chain_block(spec, chain_hops(N)), np.diag(hz_diagonal(N, J))
     quarter = np.pi / (2.0 * J)
     if variant == "three_step":
         ez = np.diag(np.exp(-1.0j * hz_diagonal(N, J) * quarter))
@@ -38,15 +86,15 @@ def dense_eigengate(N, J, variant="three_step", spec=None):
 
 def dense_intertwining(u, N, J):
     """Max entry of |Hk U - U Hz| with the dense clean chain and dual."""
-    hk, hz = build_hk(krawtchouk_chain(N, J)), build_hz(N, J)
+    hk, hz = chain_block(krawtchouk_chain(N, J), chain_hops(N)), np.diag(hz_diagonal(N, J))
     return float(np.max(np.abs(hk @ u - u @ hz)))
 
 
 def dense_rotation_checks(N, J, thetas):
     """rotation_checks' (so(3), BCH) residuals on the dense triple, one
     exponential per angle."""
-    lx = build_hk(krawtchouk_chain(N, J)) / J
-    lz = build_hz(N, J) / J
+    lx = chain_block(krawtchouk_chain(N, J), chain_hops(N)) / J
+    lz = np.diag(hz_diagonal(N, J)) / J
     ly = -1.0j * (lz @ lx - lx @ lz)
     residual = lambda a, b, c: float(np.max(np.abs(a @ b - b @ a - 1.0j * c)))
     so3 = {"xy_z": residual(lx, ly, lz), "yz_x": residual(ly, lz, lx), "zx_y": residual(lz, lx, ly)}
@@ -87,7 +135,7 @@ def dense_compare_forms(N, J=1.0):
 
 def dense_pst_amplitude(N, bits, J=1.0):
     """<mirror(bits)| exp(-i pi Hk / J) |bits> from the 2^N propagator."""
-    u = expm_hermitian(build_hk(krawtchouk_chain(N, J)), math.pi / J)
+    u = expm_hermitian(chain_block(krawtchouk_chain(N, J), chain_hops(N)), math.pi / J)
     return complex(u[basis_index(list(reversed(bits))), basis_index(bits)])
 
 
@@ -98,7 +146,7 @@ def dense_ghz_demo(N, J=1.0, couplings=None):
     if couplings is not None:
         spec = dataclasses.replace(spec, couplings=tuple(couplings))
     dim = 2**N
-    psi = expm_hermitian(build_hk(spec), math.pi / J) @ np.full(dim, dim**-0.5, dtype=complex)
+    psi = expm_hermitian(chain_block(spec, chain_hops(N)), math.pi / J) @ np.full(dim, dim**-0.5, dtype=complex)
     rot = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / math.sqrt(2.0)  # exp(-i pi X/4)
     full = np.array([[1.0 + 0.0j]])
     for _ in range(N):

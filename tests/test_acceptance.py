@@ -23,16 +23,17 @@ from kchain.experiments import (
     sweep_fig3,
     write_table,
 )
-from kchain.hamiltonians import build_hk, krawtchouk_chain, single_particle_hopping
+from kchain.hamiltonians import chain_block, chain_hops, krawtchouk_chain, single_particle_hopping
 from kchain.krawtchouk import (
     build_basis,
     conjugate_phase,
     m1_closed_form,
     m2_closed_form,
-    matrix_element_bruteforce,
     meixner_identity_check,
 )
-from kchain.linalg import SIGMA_MINUS, SIGMA_PLUS, basis_index, tensor_embed
+from kchain.linalg import basis_index, tensor_embed
+
+from dense_reference import SIGMA_MINUS, SIGMA_PLUS, matrix_element_bruteforce
 
 
 def report(num, label, detail):
@@ -68,7 +69,7 @@ def test_criterion_02_eigengate_mapping_and_phases():
 def test_criterion_03_intertwining():
     worst_ratio = 0.0
     for N in range(2, 9):
-        hk = build_hk(krawtchouk_chain(N, 1.0))
+        hk = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
         residual = check_intertwining(build_eigengate(N, 1.0))
         worst_ratio = max(worst_ratio, residual / np.max(np.abs(hk)))
     assert worst_ratio < 1e-9, worst_ratio

@@ -19,7 +19,9 @@ from kchain.circuits import (
     verify_ctrl_x_circuit,
 )
 from kchain.driving import ProtocolParams, iswap_target, run_iswap_protocol
-from kchain.linalg import PAULI_X, assert_unitary, basis_index, basis_state
+from kchain.linalg import PAULI_X, assert_unitary, basis_index
+
+from dense_reference import basis_state
 
 
 def test_iswap2_matrix():

@@ -10,19 +10,22 @@ import sys
 import numpy as np
 import pytest
 
-from kchain import cli, eigengate, hamiltonians, linalg
+from kchain import cli, eigengate, hamiltonians, krawtchouk, linalg
 from kchain.cli import main
 from kchain.experiments import point_seed
-from kchain.hamiltonians import build_hk, krawtchouk_chain
-from kchain.krawtchouk import build_basis, conjugate_phase, matrix_element_bruteforce
-from kchain.linalg import SIGMA_MINUS, SIGMA_PLUS, tensor_embed
+from kchain.hamiltonians import chain_block, chain_hops, krawtchouk_chain
+from kchain.krawtchouk import build_basis, conjugate_phase
+from kchain.linalg import tensor_embed
 
 import dense_reference
 from dense_reference import (
     SECTOR_TOL,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     dense_compare_forms,
     dense_intertwining,
     dense_rotation_checks,
+    matrix_element_bruteforce,
 )
 
 
@@ -340,8 +343,10 @@ VERIFY_ALL_N6_CHECKS = (
     ]
     + [f"Meixner n={n}" for n in range(2, 7)]
     + ["matrix elements n=3", "matrix elements n=5"]
+    + ["M1 n=2", "M1 n=4"]
     + [f"PST N={N}" for N in range(2, 7)]
     + ["GHZ N=3", "GHZ N=5"]
+    + ["CNS decomposition"]
     + [f"{gate} circuit N={N}" for N in (4, 6) for gate in ("ctrl-X", "ctrl-iSWAP2")]
     + ["gate time N=6 M=4", "gate time N=4 M=1"]
 )
@@ -356,8 +361,10 @@ VERIFY_ALL_N8_CHECKS = (
     ]
     + [f"Meixner n={n}" for n in range(2, 9)]
     + ["matrix elements n=3", "matrix elements n=5", "matrix elements n=7"]
+    + ["M1 n=2", "M1 n=4", "M1 n=6"]
     + [f"PST N={N}" for N in range(2, 9)]
     + ["GHZ N=3", "GHZ N=5", "GHZ N=7"]
+    + ["CNS decomposition"]
     + [f"{gate} circuit N={N}" for N in (4, 6) for gate in ("ctrl-X", "ctrl-iSWAP2")]
     + ["gate time N=6 M=4", "gate time N=4 M=1"]
 )
@@ -412,7 +419,7 @@ def test_eigengate_report_within_roundoff_of_dense_reference(monkeypatch, N, ske
     assert abs(report["entrywise_difference"] - forms["entrywise_difference"]) <= SECTOR_TOL
     intertwining = dense_intertwining(forms["variants"]["three_step"]["unitary"], N, 1.0)
     assert abs(report["intertwining_residual"] - intertwining) <= SECTOR_TOL
-    hk = build_hk(krawtchouk_chain(N, 1.0))
+    hk = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
     assert report["intertwining_allowance"] == 1e-9 * float(np.abs(hk).max())
     assert all(abs(report["so3_residuals"][key] - so3[key]) <= SECTOR_TOL for key in so3)
     assert report["bch_residuals"].keys() == {str(theta) for theta in cli.BCH_THETAS}
@@ -459,6 +466,37 @@ def test_m2_elements_equal_the_dense_embed_route_bitwise(monkeypatch, n):
     monkeypatch.setattr(linalg, "tensor_embed", refused)
     monkeypatch.setattr(np, "kron", refused)
     assert list(cli._m2_elements(n)) == want
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_m1_element_equals_the_dense_embed_route_bitwise(monkeypatch, n):
+    # the route the gather replaced: a dense embed of sigma^- on site n/2,
+    # applied with matrix_element_bruteforce
+    N = n + 1
+    basis = build_basis(n, 1.0)
+    op = tensor_embed(SIGMA_MINUS, [n // 2], N)
+    want = matrix_element_bruteforce(basis, range(n // 2 + 1), op, range(n // 2 + 1, N))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("_m1_element builds a dense operator")
+
+    monkeypatch.setattr(linalg, "tensor_embed", refused)
+    power, minor, brute = cli._m1_element(n)
+    assert brute == want
+    assert abs(power - minor) < 1e-12 and abs(brute - power) < 1e-12
+
+
+@pytest.mark.parametrize("broken", ["m1", "cns"])
+def test_verify_all_fails_on_a_broken_m1_or_cns_identity(capsys, monkeypatch, broken):
+    if broken == "m1":
+        monkeypatch.setattr(cli, "m1_closed_form", lambda n: krawtchouk.M1Result(1.0, 1.0))
+    else:
+        monkeypatch.setattr(cli, "cns_decomposition", lambda: np.eye(4))
+    rc, out = run_cli(capsys, "verify-all", "--n-max", "4")
+    assert rc == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    names = ["M1 n=2"] if broken == "m1" else ["CNS decomposition"]
+    assert [line[len("FAIL "):].split(":")[0] for line in failed] == names
 
 
 def test_verify_all_computes_each_sector_once(capsys):
@@ -569,6 +607,20 @@ def test_config_values_get_the_flag_range_checks(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["drive", "--config", str(cfg)])
     assert "config key 'samples': must be a positive integer, got 0" in str(exc.value.code)
+
+
+@pytest.mark.parametrize("omega", ["1e-300", "1e300"])
+def test_omega_override_far_from_resonance_is_one_error_line(omega):
+    proc = subprocess.run(
+        [sys.executable, "-m", "kchain.cli", "drive", "--n", "4", "--m", "1", "--omega-override", omega],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "kchain drive: omega_override must be a finite number > 0 within a factor of 16 of "
+        f"the calibrated drive frequency 4.0, got {float(omega)!r}\n"
+    )
 
 
 def test_omega_override_in_config_runs_off_resonance(capsys, tmp_path):

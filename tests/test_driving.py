@@ -1,9 +1,10 @@
 """Tests for the Magnus drive stepper and the resonant swap protocol.
 
 The generic sixth-order Magnus step, the whole step stack exponentiated in
-one call, the dense halfway-inversion propagator and the two-level
-Hamiltonian below are the reference routes the protocol and its drive
-stepper are checked against; nothing in the library uses them.
+one call, the dense halfway-inversion propagator, the two-level
+Hamiltonian and its off-resonant error estimate below are the reference
+routes the protocol and its drive stepper are checked against; nothing in
+the library uses them.
 """
 
 import dataclasses
@@ -24,19 +25,16 @@ from kchain.driving import (
     iswap_target,
     resonance_frequency,
     run_iswap_protocol,
-    two_level_error,
 )
 from kchain.krawtchouk import driving_sign
 from kchain.eigengate import build_eigengate
 from kchain.hamiltonians import (
-    DrivingSpec,
-    build_hk,
-    build_hz,
+    chain_block,
     chain_hops,
-    driving_operator,
     hz_diagonal,
     krawtchouk_chain,
     sector_hops,
+    unit_drive,
 )
 from kchain.linalg import (
     assert_unitary,
@@ -119,9 +117,9 @@ def _dense_inversion_reference(params, calibration, tol):
     the step moves it by less than tol."""
     N, J = params.N, params.J
     omega, j_d, phase = calibration
-    vop = j_d * driving._unit_drive(N, driving_sign(N), default_drive_pairs(N))
-    basis = driving._drive_basis(build_hk(krawtchouk_chain(N, J)), vop)
-    hz, half, pulse = build_hz(N, J), params.tau_d / 2.0, np.pi / J
+    vop = j_d * unit_drive(N, driving_sign(N), default_drive_pairs(N))
+    basis = driving._drive_basis(chain_block(krawtchouk_chain(N, J), chain_hops(N)), vop)
+    hz, half, pulse = np.diag(hz_diagonal(N, J)), params.tau_d / 2.0, np.pi / J
     invert, restore = expm_hermitian(hz, pulse), expm_hermitian(-hz, pulse)
 
     def compute(nsub):
@@ -357,11 +355,8 @@ def test_taylor_steps_match_eigh_reference_route(monkeypatch, params):
 def _sector_blocks(N, sign, pairs, eps, seed):
     """Chain and drive blocks of every sector, built independently of
     run_iswap_protocol, and the inversion phases."""
-    h = build_hk(krawtchouk_chain(N, 1.0, noise_eps=eps, seed=seed))
-    v = sum(
-        driving_operator(DrivingSpec(j=j, d=N // 2, sign=sign, J_D=0.3), N)
-        for j in pairs
-    )
+    h = chain_block(krawtchouk_chain(N, 1.0, noise_eps=eps, seed=seed), chain_hops(N))
+    v = 0.3 * unit_drive(N, sign, pairs)
     p = np.exp(-1.0j * np.pi * hz_diagonal(N, 1.0))
     sectors = [sector_indices(N, q) for q in range(N + 1)]
     return [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)], p[ix]) for ix in sectors]
@@ -456,8 +451,11 @@ def _step_every_sector(params):
     resonant window composed from the sector's half-period maps, any other
     window stepped end to end on the drive clock."""
     _, j_d, _ = drive_calibration(params)
-    h = build_hk(krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed))
-    v = j_d * driving._unit_drive(params.N, driving_sign(params.N), default_drive_pairs(params.N))
+    h = chain_block(
+        krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed),
+        chain_hops(params.N),
+    )
+    v = j_d * unit_drive(params.N, driving_sign(params.N), default_drive_pairs(params.N))
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
@@ -764,6 +762,25 @@ def test_two_level_resonant_pulse_transfers_population():
     assert abs(u[1, 0]) ** 2 < (amp / gap) ** 2
 
 
+def two_level_error(A: float, delta: float, gap: float) -> tuple:
+    """(measured, leading-order) off-resonant error of a pi-pulse.
+
+    measured = 1 - |cos[(pi/4A) sqrt(delta^2 + 4A^2)]|, valid when
+    tau_D*gap/2pi and tau_D*delta/2pi are integers (tau_D = pi/2A);
+    leading order is (pi^2/8)(A/delta)^2.
+    """
+    if delta <= 0:
+        raise ValueError("off-resonant comparison needs delta > 0")
+    tau = math.pi / (2.0 * A)
+    for name, value in (("gap", gap), ("delta", delta)):
+        cycles = tau * value / (2.0 * math.pi)
+        if abs(cycles - round(cycles)) > 1e-9:
+            raise ValueError(f"tau_D*{name}/2pi = {cycles:g} is not an integer")
+    measured = 1.0 - abs(math.cos((math.pi / (4.0 * A)) * math.hypot(delta, 2.0 * A)))
+    predicted = (math.pi**2 / 8.0) * (A / delta) ** 2
+    return measured, predicted
+
+
 def test_two_level_off_resonant_error_frozen():
     measured, predicted = two_level_error(1.0, 100.0, 400.0)
     assert measured == pytest.approx(0.00012334285150927826, rel=1e-9)
@@ -800,6 +817,13 @@ def test_protocol_params_hold_no_drive_layout():
 @pytest.mark.parametrize("J", [0.0, -1.0, np.nan, np.inf])
 def test_protocol_params_reject_bad_coupling_scale(J):
     with pytest.raises(ValueError, match="J must be a finite number > 0"):
+        ProtocolParams(N=4, J=J)
+
+
+@pytest.mark.parametrize("J", [np.float32(1.0), np.float16(1.0), np.longdouble(1.0)])
+def test_protocol_params_reject_numpy_floats_but_float64(J):
+    # a float32 J once ran the whole protocol in single precision, silently
+    with pytest.raises(ValueError, match=r"^J must be a finite number > 0 \(a numpy float only as float64\)"):
         ProtocolParams(N=4, J=J)
 
 
@@ -869,6 +893,20 @@ def test_protocol_rejects_bad_omega_override(omega):
         run_iswap_protocol(ProtocolParams(N=4, M=1), omega_override=omega)
 
 
+@pytest.mark.parametrize("omega", [1e-300, 1e300, 4.0 / 17.0, 4.0 * 17.0])
+def test_protocol_rejects_an_omega_override_far_from_the_calibration(omega):
+    message = "within a factor of 16 of the calibrated drive frequency 4.0, got "
+    with pytest.raises(ValueError, match=f"^omega_override must be .*{re.escape(message + repr(omega))}$"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), omega_override=omega)
+
+
+@pytest.mark.parametrize("omega", [4.0 / 16.0, 4.0 * 16.0])
+def test_protocol_takes_an_omega_override_at_the_range_ends(omega):
+    res = run_iswap_protocol(ProtocolParams(N=4, M=1), omega_override=omega)
+    assert res.omega == omega
+    assert 0.0 <= res.error < 1.0
+
+
 def test_drive_pair_defaults_and_resonance():
     assert default_drive_pairs(4) == (0, 1)
     assert default_drive_pairs(6) == (1,)
@@ -893,7 +931,7 @@ def test_calibration_exact_values():
     assert omega == pytest.approx(4.0)
     assert j_d == pytest.approx(3.0**-0.5, rel=1e-12)
     assert phase == pytest.approx(-np.pi, abs=1e-12)
-    vop = driving._unit_drive(4, driving_sign(4), default_drive_pairs(4))
+    vop = unit_drive(4, driving_sign(4), default_drive_pairs(4))
     assert np.max(np.abs(vop - vop.conj().T)) < 1e-14
     omega, j_d, phase = drive_calibration(ProtocolParams(N=6, M=4))
     assert omega == pytest.approx(9.0)
@@ -1109,7 +1147,7 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
     def no_dense_eigengate(*args, **kwargs):
         raise AssertionError("dense eigengate in the protocol route")
 
-    for name in ("chain_block", "driving_operator"):
+    for name in ("chain_block", "unit_drive"):
         monkeypatch.setattr(driving, name, sector_only(getattr(driving, name)))
     monkeypatch.setattr(eigengate, "build_eigengate", no_dense_eigengate)
     monkeypatch.setattr(driving, "build_eigengate", no_dense_eigengate, raising=False)
@@ -1201,6 +1239,11 @@ def test_plan_arrays_are_read_only():
     assert not any(arr.flags.writeable for arr in hop_arrays)
 
 
+def test_int_float_and_float64_coupling_scales_run_the_same_bits():
+    runs = [_outcome(ProtocolParams(N=4, M=1, J=J)) for J in (1, 1.0, np.float64(1.0))]
+    assert runs[0] == runs[1] == runs[2]
+
+
 _CACHED_LAYOUT = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=2)
 
 
@@ -1227,7 +1270,7 @@ def test_run_off_a_cached_layout_equals_its_cold_run(change, shares_plan):
 
 def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
     N = 4
-    calls = {"eigengate_single_particle": 0, "_unit_drive": 0}
+    calls = {"eigengate_single_particle": 0, "unit_drive": 0}
 
     def counted(name):
         build = getattr(driving, name)
@@ -1246,7 +1289,7 @@ def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
         run_iswap_protocol(ProtocolParams(N=N, M=1, noise_eps=0.01, seed=seed))
     # the unit drive once for the calibration, then once per sector; the
     # chain's hop pattern once per sector, its couplings applied per sample
-    assert calls == {"eigengate_single_particle": 1, "_unit_drive": 1 + (N + 1)}
+    assert calls == {"eigengate_single_particle": 1, "unit_drive": 1 + (N + 1)}
     assert sector_hops.cache_info().misses == N + 1
 
 

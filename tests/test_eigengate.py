@@ -18,15 +18,17 @@ from kchain.eigengate import (
     rotation_checks,
 )
 from kchain.hamiltonians import (
-    build_hk,
+    chain_block,
+    chain_hops,
     krawtchouk_chain,
     single_particle_hopping,
 )
 from kchain.krawtchouk import build_basis, eigenstate_vector
-from kchain.linalg import assert_unitary, occupied_sites, sector_indices, trace_error
+from kchain.linalg import assert_unitary, sector_indices, trace_error
 
 from dense_reference import (
     SECTOR_TOL,
+    occupied_sites,
     dense_compare_forms,
     dense_eigengate,
     dense_intertwining,
@@ -66,7 +68,7 @@ def test_variants_agree_entrywise(N):
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_intertwining_swaps_hamiltonians(N):
-    hk = build_hk(krawtchouk_chain(N, 1.0))
+    hk = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
     residual = check_intertwining(build_eigengate(N, 1.0))
     assert residual < 1e-9 * np.max(np.abs(hk))
     dense = dense_intertwining(dense_eigengate(N, 1.0), N, 1.0)

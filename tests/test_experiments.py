@@ -17,7 +17,6 @@ from kchain.experiments import (
     point_seed,
     point_seeds,
     pst_demo,
-    pst_mirror_amplitude,
     sweep_fig2,
     sweep_fig3,
     write_table,
@@ -191,9 +190,26 @@ def test_state_transfer_is_perfect(N):
     assert pst_demo(N) < 1e-10
 
 
+def mirror_amplitude(N, bits):
+    """<mirror(bits)| exp(-i pi Hk) |bits> (J = 1) from the sector
+    propagator, as pst_demo reads it."""
+    return experiments._mirror_amplitude(experiments._pst_propagator(N, 1.0, sum(bits)), bits)
+
+
 def test_mirror_amplitude_of_domain_wall():
-    amp = pst_mirror_amplitude(4, [1, 1, 0, 0])
+    amp = mirror_amplitude(4, [1, 1, 0, 0])
     assert abs(amp - 1.0) < 1e-10
+
+
+def test_each_sweep_refuses_the_other_figures_config():
+    # a fig3 config once made sweep_fig2 return no rows, and a fig2 config
+    # ran as fig3
+    fig2 = SweepConfig(protocol="fig2", n_values=(4,), m_values=(1,), eps_values=(0.0,))
+    fig3 = SweepConfig(protocol="fig3", n_values=(4,), eps_values=(0.0,))
+    with pytest.raises(ValueError, match="^sweep_fig2 needs a 'fig2' config, got protocol 'fig3'"):
+        sweep_fig2(fig3)
+    with pytest.raises(ValueError, match="^sweep_fig3 needs a 'fig3' config, got protocol 'fig2'"):
+        sweep_fig3(fig2)
 
 
 def test_sweep_config_rejects_nonpositive_threads():
@@ -279,7 +295,7 @@ def test_pst_demo_equals_worst_single_state_amplitude(N):
     for x in range(N):
         bits = [0] * N
         bits[x] = 1
-        amps.append(pst_mirror_amplitude(N, bits))
+        amps.append(mirror_amplitude(N, bits))
     assert pst_demo(N) == max(0.0, *(1.0 - abs(a) for a in amps))
 
 
@@ -291,7 +307,7 @@ def test_pst_within_roundoff_of_dense_reference(N):
     # every sector's propagator, not only the one-excitation one
     wall = [1] * (N // 2) + [0] * (N - N // 2)
     for bits in singles + [wall, [1] * N, [0] * N, [1, 0] * (N // 2) + [1] * (N % 2)]:
-        assert abs(pst_mirror_amplitude(N, bits) - dense_pst_amplitude(N, bits)) <= SECTOR_TOL
+        assert abs(mirror_amplitude(N, bits) - dense_pst_amplitude(N, bits)) <= SECTOR_TOL
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
@@ -300,8 +316,3 @@ def test_ghz_within_roundoff_of_dense_reference(N):
     couplings = krawtchouk_couplings(N - 1, 1.0) * np.linspace(1.05, 0.97, N - 1)
     assert abs(ghz_demo(N, couplings=couplings) - dense_ghz_demo(N, couplings=couplings)) <= SECTOR_TOL
 
-
-@pytest.mark.parametrize("bits", [[1, 0], [1, 0, 0, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, -1], "1000", [0.5, 0, 0, 0]])
-def test_mirror_amplitude_rejects_malformed_bits(bits):
-    with pytest.raises(ValueError, match="^bits must be 4 zeros and ones, got "):
-        pst_mirror_amplitude(4, bits)

@@ -1,5 +1,7 @@
 """Tests for chain Hamiltonians: couplings, symmetry sectors, noise, driving term."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,26 +9,24 @@ from hypothesis import strategies as st
 
 from kchain.hamiltonians import (
     ChainSpec,
-    DrivingSpec,
-    build_hk,
-    build_hz,
     chain_block,
     chain_hops,
     coupling_noise,
-    driving_operator,
     hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
     krawtchouk_couplings,
     single_particle_hopping,
+    unit_drive,
 )
 from kchain.linalg import (
-    PAULI_Z,
+    assert_hermitian,
     basis_index,
-    is_hermitian,
     sector_indices,
     tensor_embed,
 )
+
+from dense_reference import PAULI_Z, dense_unit_drive
 
 
 def total_z(N):
@@ -78,7 +78,7 @@ def test_krawtchouk_chain_rejects_a_bad_finite_coupling_scale(J):
 
 @pytest.mark.parametrize("noise_eps", [np.nan, -0.1, 1.0, "0.1", True])
 def test_krawtchouk_chain_rejects_bad_noise_eps(noise_eps):
-    with pytest.raises(ValueError, match=r"^noise_eps must be a number in \[0, 1\)"):
+    with pytest.raises(ValueError, match=r"^noise_eps must be a finite number in \[0, 1\)"):
         krawtchouk_chain(4, 1.0, noise_eps=noise_eps, seed=1)
 
 
@@ -93,15 +93,15 @@ def test_chain_blocks_are_exactly_hermitian(N):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_hk_hermitian_and_u1_symmetric(N):
-    ham = build_hk(krawtchouk_chain(N, 1.0))
-    assert is_hermitian(ham)
+    ham = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
+    assert_hermitian(ham)
     assert np.allclose(ham @ total_z(N), total_z(N) @ ham)
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_single_excitation_block_matches_hopping_matrix(N):
     spec = krawtchouk_chain(N, 1.3)
-    ham = build_hk(spec)
+    ham = chain_block(spec, chain_hops(N))
     hop = single_particle_hopping(spec)
     idx = [basis_index([1 if y == x else 0 for y in range(N)]) for x in range(N)]
     assert np.allclose(ham[np.ix_(idx, idx)], hop)
@@ -122,7 +122,6 @@ def test_hz_diagonal_is_positional_dual_spectrum():
     assert diag[basis_index("100")] == -2.0
     assert diag[basis_index("001")] == 2.0
     assert diag[basis_index("111")] == 0.0
-    assert np.allclose(build_hz(3, 2.0), np.diag(diag))
     # single-excitation values sweep the full linear ladder
     single = [hz_diagonal(4, 1.0)[basis_index([1 if y == x else 0 for y in range(4)])] for x in range(4)]
     assert np.allclose(single, [-1.5, -0.5, 0.5, 1.5])
@@ -154,26 +153,33 @@ def test_noise_draws_differ_across_seeds():
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_driving_operator_hermitian_and_sector_coupling(sign):
     N = 6
-    op = driving_operator(DrivingSpec(j=1, d=3, sign=sign, J_D=0.8), N)
-    assert is_hermitian(op)
-    # moves exactly one excitation between sites j and j+d: total weight conserved
+    op = unit_drive(N, sign, (1,))
+    assert_hermitian(op)
+    # moves exactly one excitation between sites j and j+N/2: total weight conserved
     tz = total_z(N)
     assert np.allclose(op @ tz, tz @ op)
 
 
 def test_driving_operator_matrix_elements():
     N = 4
-    op_plus = driving_operator(DrivingSpec(j=0, d=2, sign="+", J_D=0.5), N)
-    src = basis_index("1000")  # excited at j=0, empty at j+d=2
+    op_plus = unit_drive(N, "+", (0,))
+    src = basis_index("1000")  # excited at j=0, empty at j+N/2=2
     dst = basis_index("0010")
-    assert op_plus[dst, src] == pytest.approx(0.5)
-    assert op_plus[src, dst] == pytest.approx(0.5)
-    op_minus = driving_operator(DrivingSpec(j=0, d=2, sign="-", J_D=0.5), N)
-    assert op_minus[dst, src] == pytest.approx(0.5j)
-    assert op_minus[src, dst] == pytest.approx(-0.5j)
-    # spectator sites untouched: no coupling when j+d already occupied
+    assert op_plus[dst, src] == 1.0
+    assert op_plus[src, dst] == 1.0
+    op_minus = unit_drive(N, "-", (0,))
+    assert op_minus[dst, src] == 1.0j
+    assert op_minus[src, dst] == -1.0j
+    # spectator sites untouched: no coupling when j+N/2 already occupied
     blocked = basis_index("1010")
     assert np.allclose(op_plus[:, blocked], 0.0)
+
+
+def test_unit_drive_rejects_a_bad_sign_or_pair():
+    with pytest.raises(ValueError, match="^sign must be '[+]' or '-', got 'x'"):
+        unit_drive(4, "x", (0,))
+    with pytest.raises(ValueError, match=r"^drive pairs need 0 <= j < 2 at N=4, got \(0, 2\)"):
+        unit_drive(4, "+", (0, 2))
 
 
 def test_coupling_noise_is_the_draw_krawtchouk_chain_uses():
@@ -195,18 +201,11 @@ def test_hopping_matrices_stack_matches_single_particle_hopping():
 def test_sector_blocks_equal_dense_slices(N):
     # the per-sector builders must give exactly the dense operator's blocks
     noisy = krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N)
-    drives = [
-        DrivingSpec(j=j, d=d, sign=sign, J_D=0.7)
-        for sign in "+-"
-        for d in {1, N // 2, N - 1}
-        for j in {0, N - 1 - d}
-    ]
-    builders = [lambda states: build_hk(noisy, states)]
-    builders += [lambda states, s=s: driving_operator(s, N, states) for s in drives]
+    builders = [lambda states: chain_block(noisy, chain_hops(N, states))]
     for sign in "+-":
-        # every (j, j + N/2) pair summed, as the protocol's drive
-        pairs = [DrivingSpec(j=j, d=N // 2, sign=sign, J_D=0.7) for j in range(N // 2)]
-        builders.append(lambda states, p=pairs: sum(driving_operator(s, N, states) for s in p))
+        # one (j, j + N/2) pair, and every pair summed
+        for pairs in {(0,), ((N - 1) // 2,), tuple(range(N // 2))}:
+            builders.append(lambda states, s=sign, p=pairs: unit_drive(N, s, p, states))
     sectors = [sector_indices(N, q) for q in range(N + 1)]
     for build in builders:
         dense = build(None)
@@ -214,7 +213,7 @@ def test_sector_blocks_equal_dense_slices(N):
             assert np.array_equal(build(ix), dense[np.ix_(ix, ix)])
     # the chain and its dual conserve the excitation number: the sector
     # blocks hold every nonzero entry, which the sector-wise oracles rely on
-    for dense in (build_hk(noisy), build_hz(N, 1.0)):
+    for dense in (chain_block(noisy, chain_hops(N)), np.diag(hz_diagonal(N, 1.0))):
         rest = dense.copy()
         for ix in sectors:
             rest[np.ix_(ix, ix)] = 0.0
@@ -224,9 +223,25 @@ def test_sector_blocks_equal_dense_slices(N):
 @pytest.mark.parametrize("N", [4, 6, 8])
 def test_one_hop_pattern_serves_every_coupling_draw(N):
     # a sector's pattern is built once; each draw applies only its couplings,
-    # bitwise as build_hk builds the block from scratch
+    # bitwise as a pattern built afresh for that draw
     specs = [krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=s) for s in range(4)]
     for ix in [sector_indices(N, q) for q in range(N + 1)] + [None]:
         hops = chain_hops(N, ix)
         for spec in specs:
-            assert np.array_equal(chain_block(spec, hops), build_hk(spec, ix))
+            assert np.array_equal(chain_block(spec, hops), chain_block(spec, chain_hops(N, ix)))
+
+
+# every subset of the (j, j + N/2) pairs: the layouts the chain sizes fix
+# (driving.default_drive_pairs) and those the drive tests patch in
+@pytest.mark.parametrize("N", range(4, 11, 2))
+def test_unit_drive_equals_the_per_pair_sum_and_the_dense_embeds(N):
+    sectors = [None] + [sector_indices(N, q) for q in range(N + 1)]
+    for sign in "+-":
+        for j in range(N // 2):
+            assert np.array_equal(unit_drive(N, sign, (j,)), dense_unit_drive(N, sign, (j,))), (sign, j)
+        for ix in sectors:
+            single = [unit_drive(N, sign, (j,), ix) for j in range(N // 2)]
+            for r in range(2, N // 2 + 1):
+                for pairs in itertools.combinations(range(N // 2), r):
+                    want = sum(single[j] for j in pairs)
+                    assert np.array_equal(unit_drive(N, sign, pairs, ix), want), (sign, pairs)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kchain.hamiltonians import krawtchouk_chain
+from kchain.hamiltonians import chain_block, chain_hops, krawtchouk_chain
 from kchain.krawtchouk import (
     build_basis,
     conjugate_phase,
@@ -21,12 +21,12 @@ from kchain.krawtchouk import (
     m1_closed_form,
     m2_closed_form,
     manybody_energy,
-    matrix_element_bruteforce,
     meixner_identity_check,
     phi_minor_exact,
 )
-from kchain.hamiltonians import build_hk
-from kchain.linalg import SIGMA_MINUS, SIGMA_PLUS, tensor_embed
+from kchain.linalg import tensor_embed
+
+from dense_reference import SIGMA_MINUS, SIGMA_PLUS, matrix_element_bruteforce
 
 
 def brute_m2(n, j):
@@ -197,7 +197,7 @@ def test_manybody_energies_and_gap():
 @pytest.mark.parametrize("N", [4, 6])
 def test_eigenstate_vectors_diagonalize_chain(N):
     basis = build_basis(N - 1)
-    ham = build_hk(krawtchouk_chain(N, 1.0))
+    ham = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
     for q in (1, N // 2):
         for modes in list(combinations(range(N), q))[:6]:
             vec = eigenstate_vector(basis, modes)

@@ -1,15 +1,15 @@
-"""Usage-error tests for the sweep front ends.
+"""Usage-error tests for the `kchain noise-sweep --figure 2|3` and
+`kchain verify-all` commands.
 
-The figure 2 and figure 3 sweeps and the full verification run are the
-`kchain noise-sweep --figure 2|3` and `kchain verify-all` commands; each
-front end below names the command line it runs.
+COMMANDS maps each case's key to the command line it runs; the keys
+(run_fig2, run_fig3, verify_all) are part of the test ids.
 """
 
 import pytest
 
 from kchain.cli import main
 
-FRONT_ENDS = {
+COMMANDS = {
     "run_fig2": ["noise-sweep", "--figure", "2"],
     "run_fig3": ["noise-sweep", "--figure", "3"],
     "verify_all": ["verify-all"],
@@ -26,7 +26,7 @@ def usage_error(capsys, *argv):
 
 @pytest.mark.parametrize("threads", ["0", "-1", "two"])
 def test_run_fig2_bad_threads_is_a_usage_error(capsys, threads):
-    code, err = usage_error(capsys, "--threads", threads, *FRONT_ENDS["run_fig2"])
+    code, err = usage_error(capsys, "--threads", threads, *COMMANDS["run_fig2"])
     assert code == 2
     assert "argument --threads:" in err
     assert f"must be a positive integer, got '{threads}'" in err
@@ -45,6 +45,6 @@ def test_run_fig2_bad_threads_is_a_usage_error(capsys, threads):
     ("verify_all", ["--n-max", "11"], "argument --n-max: must be at most 10"),
 ])
 def test_script_flags_out_of_range_are_usage_errors(capsys, name, argv, fragment):
-    code, err = usage_error(capsys, *FRONT_ENDS[name], *argv)
+    code, err = usage_error(capsys, *COMMANDS[name], *argv)
     assert code == 2
     assert fragment in err

@@ -2,11 +2,13 @@
 default_rng, their oracle: equal bit for bit, or this fails (say, if NumPy
 ever changes either stream)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from kchain.experiments import SweepConfig, point_seed, point_seeds, sweep_fig3
-from kchain.hamiltonians import coupling_noise, coupling_noises
+from kchain.hamiltonians import coupling_noise, coupling_noises, krawtchouk_chain
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
@@ -92,16 +94,27 @@ def test_coupling_noises_with_one_eps_per_seed_equal_per_eps_calls():
 @pytest.mark.parametrize(
     "noise_eps, message",
     [
-        ([0.01, -0.1], "noise_eps must be a finite number >= 0, got -0.1"),
-        ([0.01, np.nan], "noise_eps must be a finite number >= 0, got nan"),
-        (["0.1", 0.1], "noise_eps must be a finite number >= 0, got '0.1'"),
+        ([0.01, -0.1], "noise_eps must be a finite number in [0, 1), got -0.1"),
+        ([0.01, np.nan], "noise_eps must be a finite number in [0, 1), got nan"),
+        (["0.1", 0.1], "noise_eps must be a finite number in [0, 1), got '0.1'"),
         ([0.01, 0.02, 0.03], "noise_eps has 3 values, but there are 2 seeds"),
-        ([True, True], "noise_eps must be a finite number >= 0, got True"),
+        ([True, True], "noise_eps must be a finite number in [0, 1), got True"),
     ],
 )
 def test_coupling_noises_reject_bad_eps_stacks(noise_eps, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         coupling_noises(4, noise_eps, [1, 2])
+
+
+@pytest.mark.parametrize("noise_eps", [1.0, 1.5])
+def test_noise_of_one_or_more_is_rejected_in_every_form(noise_eps):
+    # 1.5 once drew a factor 1 + eps_x of -0.07, flipping a coupling's sign
+    message = f"^{re.escape(f'noise_eps must be a finite number in [0, 1), got {noise_eps!r}')}"
+    for form in (noise_eps, [0.01, noise_eps], np.array([noise_eps, 0.01])):
+        with pytest.raises(ValueError, match=message):
+            coupling_noises(4, form, [1, 2])
+    with pytest.raises(ValueError, match=message):
+        krawtchouk_chain(4, 1.0, noise_eps=noise_eps, seed=1)
 
 
 def test_coupling_noises_take_a_uint64_stack():
@@ -131,15 +144,15 @@ def test_coupling_noises_reject_bad_seeds(seeds, shown):
     "kwargs, message",
     [
         (dict(N=0), "N must be an int >= 1, got 0"),
-        (dict(noise_eps=-0.1), "noise_eps must be a finite number >= 0, got -0.1"),
-        (dict(noise_eps=np.inf), "noise_eps must be a finite number >= 0, got inf"),
+        (dict(noise_eps=-0.1), "noise_eps must be a finite number in [0, 1), got -0.1"),
+        (dict(noise_eps=np.inf), "noise_eps must be a finite number in [0, 1), got inf"),
         (dict(seeds=5), "seed must be a 1-D sequence of ints, got 5"),
-        (dict(noise_eps=True), "noise_eps must be a finite number >= 0, got True"),
+        (dict(noise_eps=True), "noise_eps must be a finite number in [0, 1), got True"),
     ],
 )
 def test_coupling_noises_reject_bad_arguments(kwargs, message):
     args = dict(N=4, noise_eps=0.01, seeds=[1]) | kwargs
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         coupling_noises(**args)
 
 
