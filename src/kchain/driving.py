@@ -266,28 +266,89 @@ def _drive_generators(basis: np.ndarray, coeffs: np.ndarray, out: np.ndarray) ->
     return out
 
 
-def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str):
+def _error_fall(factor: int) -> float:
+    """How many times a level's error falls when its substeps grow factor
+    times, once discretization dominates: factor^6 for the sixth-order
+    Magnus step.  Healthy runs' successive doubling changes fall 47-105x."""
+    return float(factor) ** 6
+
+
+# A change that falls less than 1/16 of _error_fall(2) (4x) from the one
+# before it comes from roundoff, which refining only adds to: a long window
+# amplifies each half-period map's roundoff by its cell count.
+_STALL_MARGIN = 16.0
+
+
+def _unitarity_defect(blocks) -> float:
+    """Largest max|U^dagger U - I| over the square blocks."""
+    return max(float(np.abs(b.conj().T @ b - np.eye(len(b))).max()) for b in blocks)
+
+
+def _change(cur, prev, where: str, nsub: int) -> float:
+    """Largest column 2-norm change between two lists of blocks; a
+    non-finite one raises at once."""
+    # np.max, unlike max, keeps a NaN wherever it falls among the blocks
+    delta = float(np.max([max_column_distance(a, b) for a, b in zip(cur, prev)]))
+    if not math.isfinite(delta):
+        raise RuntimeError(f"{where} gave a non-finite change ({delta}) at nsub={nsub}")
+    return delta
+
+
+def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str, probe: bool = False):
     """compute(nsub), a list of blocks, at nsub0, 2 nsub0, ... until two
     results differ by less than tol (max column 2-norm over the blocks).
-    Returns the last and the (nsub, delta) of every level, the first inf;
-    a non-finite change at a later level raises at once."""
-    prev, nsub, history = None, nsub0, []
+    Returns the last and the (nsub, delta) of every level stepped, by
+    increasing nsub, delta being inf where a level was compared with none.
+
+    With probe (nsub0 a multiple of 8, and compute stepping every stretch
+    at nsub per cell), the first candidate, 2 nsub0, is checked against a
+    probe at nsub0/4 with one eighth of its steps: the probe's change
+    scaled by (2^6 - 1)/(8^6 - 1) predicts the doubling change, and is the
+    candidate's delta.  The prediction holds only while discretization
+    dominates, so it decides only when the candidate's unitarity defect is
+    below tol/64; otherwise nsub0 is stepped and the loop goes on as
+    without a probe, comparing raw doubling changes.
+
+    A non-finite change raises at once, as does, once three doubling
+    levels exist, a change that fell less than _error_fall(2) /
+    _STALL_MARGIN times from the one before it; so does running out of
+    max_refine doublings."""
+    history, stepped = [], {}
+    if probe and max_refine >= 1:
+        coarse, cur = compute(nsub0 // 4), compute(2 * nsub0)
+        history.append((nsub0 // 4, math.inf))
+        scale = (_error_fall(2) - 1.0) / (_error_fall(8) - 1.0)
+        delta = _change(cur, coarse, where, 2 * nsub0) * scale
+        if delta < tol and _unitarity_defect(cur) < tol / _error_fall(2):
+            return cur, history + [(2 * nsub0, delta)]
+        stepped[2 * nsub0] = cur
+    prev, nsub, last = None, nsub0, math.inf
     for _ in range(max_refine + 1):
-        cur = compute(nsub)
-        delta = math.inf
-        if prev is not None:
-            # np.max, unlike max, keeps a NaN wherever it falls among the blocks
-            delta = float(np.max([max_column_distance(a, b) for a, b in zip(cur, prev)]))
-            if not math.isfinite(delta):
-                raise RuntimeError(f"{where} gave a non-finite change ({delta}) at nsub={nsub}")
+        cur = stepped.pop(nsub) if nsub in stepped else compute(nsub)
+        delta = math.inf if prev is None else _change(cur, prev, where, nsub)
         history.append((nsub, delta))
         if delta < tol:
             return cur, history
-        prev, nsub = cur, 2 * nsub
+        # last is inf until two changes exist
+        if last < delta * _error_fall(2) / _STALL_MARGIN:
+            raise RuntimeError(
+                f"{where} did not converge below {tol:g}: the change {delta:.3e} at nsub={nsub} "
+                f"fell only {last / delta:.2g}x from {last:.3e}, so roundoff "
+                f"dominates (the blocks' unitarity defect is {_unitarity_defect(cur):.1e})"
+            )
+        prev, nsub, last = cur, 2 * nsub, delta
     raise RuntimeError(f"{where} did not converge below {tol:g}; last change {delta:.3e}")
 
 
 # ------------------------------------------------------------- swap protocol
+
+# The coupling scales a protocol run accepts.  The step coefficients carry
+# up to the fifth power of the step length (~1/J) and the commutator basis
+# the fourth power of the chain (~J), so J = 1e-80 and 1e80 overflow while
+# 1e-60 to 1e60 run; this range keeps every J from 1e-3 to 1e3 that runs
+# and the cell-count snapping checked across it (_SNAP_RTOL).
+_J_RANGE = (1e-6, 1e6)
+
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolParams:
@@ -311,8 +372,12 @@ class ProtocolParams:
         # a numpy float narrower (or wider) than float64 would carry its
         # precision into the calibration and every step
         narrow = isinstance(self.J, np.floating) and not isinstance(self.J, np.float64)
-        if narrow or not (number(self.J, numbers.Real) and 0.0 < self.J < math.inf):
-            raise ValueError(f"J must be a finite number > 0 (a numpy float only as float64), got {self.J!r}")
+        lo, hi = _J_RANGE
+        if narrow or not (number(self.J, numbers.Real) and lo <= self.J <= hi):
+            raise ValueError(
+                f"J must be a finite number > 0 (a numpy float only as float64) "
+                f"in [{lo:g}, {hi:g}], got {self.J!r}"
+            )
         if not isinstance(self.halfway_inversion, (bool, np.bool_)):
             raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
         _check_noise_eps(self.noise_eps)
@@ -333,8 +398,12 @@ class ProtocolResult:
     J_D: float
     amplitude: float
     drive_phase: float
-    # (substeps_per_period, delta) of every refinement level computed, the
-    # first level's delta being inf; the last entry is the final pair
+    # (substeps_per_period, delta) of every refinement level stepped, by
+    # increasing substeps (_refine); the last entry is the returned level.
+    # A level compared with none has delta inf: the first, and in a run
+    # that steps a probe at an eighth of the second level's substeps and
+    # falls back, the second.  When the probe decides, the returned level's
+    # delta is the doubling change predicted from the probe's.
     refinement: tuple
 
     @property
@@ -344,6 +413,13 @@ class ProtocolResult:
     @property
     def substeps_per_period(self) -> int:
         return self.refinement[-1][0]
+
+    @property
+    def unitarity_defect(self) -> float:
+        """Largest max|U^dagger U - I| over the gate's blocks: the roundoff
+        floor under the error, which a long window raises with its cell
+        count."""
+        return _unitarity_defect(self.blocks)
 
     @property
     def unitary(self) -> np.ndarray:
@@ -540,10 +616,11 @@ def _compose_half_periods(ua, ub, count: int, start_second: bool):
 # A resonant window's cell count, (pi M / J) / (pi / omega) = M omega / J, is
 # formed with four roundings (2 pi M, / J, pi / omega and the quotient) of
 # relative size <= 2^-53 each, and omega, a difference of many-body
-# energies, carries a few more; for N <= 12, M <= 2000 and J in [0.1, 3.7]
-# the count lies within 4 units of roundoff of its integer.  Sixteen units,
-# relative to the count, leave a factor of four; an absolute tolerance is
-# outgrown by the count's roundoff at large M.
+# energies, carries a few more; for N <= 12, M <= 2000 and J across
+# _J_RANGE (log-spaced and random draws) the count lies within 4.5 units of
+# roundoff of its integer.  Sixteen units, relative to the count, leave a
+# factor of three; an absolute tolerance is outgrown by the count's
+# roundoff at large M.
 _SNAP_RTOL = 16 * 2.0**-53
 
 
@@ -638,12 +715,13 @@ def _drive_window_sector(basis, omega, phase, length, inverts, nsub, sign: str):
     period later under a '-' pairing (_partner_maps).  Under a '-' pairing
     the self-paired sector q = N/2 (one entry in inverts) folds its first
     half-period (_half_period_maps).  Blocks that are exactly zero (no or
-    all sites excited) give identity half-period maps unstepped.
+    all sites excited) evolve by the identity, so their windows are the
+    identity wrapped in the inversion pulses, neither stepped nor composed.
     """
-    if basis[:2].any():
-        ua, ub = _half_period_maps(basis, omega, phase, nsub, sign == "-" and len(inverts) == 1)
-    else:
-        ua = ub = np.eye(basis.shape[-1], dtype=complex)
+    if not basis[:2].any():
+        eye = np.eye(basis.shape[-1], dtype=complex)
+        return [eye if inv is None else np.conj(inv)[:, None] * (inv[:, None] * eye) for inv in inverts]
+    ua, ub = _half_period_maps(basis, omega, phase, nsub, sign == "-" and len(inverts) == 1)
     partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
     shift = 0 if sign == "+" else 1
 
@@ -746,7 +824,16 @@ def run_iswap_protocol(
 
     The drive is refined from nsub0 (an int >= 1) substeps per half-period,
     doubling up to max_refine times, until the window blocks move by less
-    than tol (> 0; inf takes the first refined level).
+    than tol (> 0; inf takes the first refined level).  A window of whole
+    half-period cells with nsub0 a multiple of 8 first checks the level
+    2 nsub0 against a probe at nsub0/4, whose change, scaled by the
+    sixth-order ratio (2^6 - 1)/(8^6 - 1), predicts that level's doubling
+    change; the probe decides only while the level's unitarity defect is
+    below tol/64, and otherwise nsub0 is stepped and compared as without
+    it.  The blocks returned are the same either way; only the refinement
+    history differs.  Once three doubling levels exist, a change that fell
+    less than 4x from the one before raises at once: roundoff, which
+    refining adds to, then dominates (_refine).
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the
@@ -791,8 +878,16 @@ def run_iswap_protocol(
                 windows[p] = blk
         return windows
 
-    where = f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed}"
-    windows, history = _refine(drive_window, tol, nsub0, max_refine, where)
+    # each window's span in half-period cells, as _drive_window_sector counts
+    # it: a probe steps one eighth of every stretch only when no window ends
+    # in a partial cell
+    halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
+    where = (
+        f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed} "
+        f"over {_snap(2 * halves)} half-period cells"
+    )
+    probe = nsub0 % 8 == 0 and isinstance(halves, int)
+    windows, history = _refine(drive_window, tol, nsub0, max_refine, where, probe)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
     blocks = tuple(u_k.conj().T @ window @ u_k for window, u_k in zip(windows, plan.eigengate_blocks))

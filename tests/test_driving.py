@@ -8,6 +8,7 @@ the library uses them.
 """
 
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -97,6 +98,26 @@ def _propagate_callable(func, duration, tol):
     steps until halving the step moves it by less than tol."""
     compute = lambda n: [driving._ordered_product(_generic_steps(func, 0.0, duration, n))]
     return driving._refine(compute, tol, 64, 14, "generic reference")[0][0]
+
+
+def _doubling_refine(compute, tol, nsub0, max_refine, where):
+    """The refinement loop without a probe or a stall rule: compute(nsub)
+    at nsub0, 2 nsub0, ... until two results differ by less than tol (max
+    column 2-norm over the blocks).  Returns the last and the (nsub, delta)
+    of every level, the first inf."""
+    prev, nsub, history = None, nsub0, []
+    for _ in range(max_refine + 1):
+        cur = compute(nsub)
+        delta = math.inf
+        if prev is not None:
+            delta = float(np.max([max_column_distance(a, b) for a, b in zip(cur, prev)]))
+            if not math.isfinite(delta):
+                raise RuntimeError(f"{where} gave a non-finite change ({delta}) at nsub={nsub}")
+        history.append((nsub, delta))
+        if delta < tol:
+            return cur, history
+        prev, nsub = cur, 2 * nsub
+    raise RuntimeError(f"{where} did not converge below {tol:g}; last change {delta:.3e}")
 
 
 def _two_level_hamiltonian(A, omega, e1, e2):
@@ -231,7 +252,7 @@ def test_step_coefficients_are_cached_read_only():
 @pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (8, 4)])
 def test_default_runs_converge_at_the_second_level(N, M):
     res = run_iswap_protocol(ProtocolParams(N=N, M=M))
-    assert [n for n, _ in res.refinement] == [64, 128]
+    assert [n for n, _ in res.refinement] == [16, 128]
 
 
 # --------------------------------------------------------- step exponentials
@@ -741,10 +762,161 @@ def test_refinement_history_ends_at_the_reported_level():
     res = run_iswap_protocol(ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3))
     substeps = [n for n, _ in res.refinement]
     deltas = [d for _, d in res.refinement]
-    assert substeps == [64 * 2**k for k in range(len(substeps))]
+    assert substeps == [16, 128]
     assert deltas[0] == np.inf and all(d >= 1e-9 for d in deltas[:-1])
     assert res.refinement[-1] == (res.substeps_per_period, res.converged_delta)
     assert res.converged_delta < 1e-9
+
+
+_PROBE_PANEL = [
+    *(ProtocolParams(N=N, M=M) for N in (4, 6, 8) for M in (1, 4, 16, 64)),
+    ProtocolParams(N=4, M=4, noise_eps=0.01, seed=1),
+    ProtocolParams(N=6, M=16, noise_eps=0.01, seed=3),
+    ProtocolParams(N=6, M=20, noise_eps=0.01, seed=11),
+    ProtocolParams(N=8, M=16, noise_eps=0.01, seed=5),
+    ProtocolParams(N=4, M=2, halfway_inversion=False),
+    ProtocolParams(N=6, M=4, halfway_inversion=False),
+    # the candidate's unitarity defect (~2e-9) is above tol/64: the probe
+    # may not decide, and the run steps nsub0 as the reference does
+    ProtocolParams(N=4, M=100000),
+]
+
+
+@pytest.mark.parametrize(
+    "params, omega",
+    [(params, None) for params in _PROBE_PANEL]
+    # off resonance the windows end in partial cells, and no probe is stepped
+    + [(ProtocolParams(N=4, M=1), 3.7), (ProtocolParams(N=6, M=4, noise_eps=0.01, seed=2), 8.9)],
+)
+def test_probed_refinement_returns_the_doubling_loops_level(monkeypatch, params, omega):
+    fast = run_iswap_protocol(params, omega_override=omega)
+    monkeypatch.setattr(
+        driving, "_refine",
+        lambda compute, tol, nsub0, max_refine, where, probe: _doubling_refine(
+            compute, tol, nsub0, max_refine, where
+        ),
+    )
+    reference = run_iswap_protocol(params, omega_override=omega)
+    assert [b.tobytes() for b in fast.blocks] == [b.tobytes() for b in reference.blocks]
+    assert fast.error == reference.error
+    assert fast.substeps_per_period == reference.substeps_per_period
+    if omega is not None:
+        assert fast.refinement == reference.refinement
+    elif [n for n, _ in reference.refinement] == [64, 128] and params.M != 100000:
+        # the probe decided: its prediction stands in for the change the
+        # doubling loop measured at the same level
+        assert [n for n, _ in fast.refinement] == [16, 128]
+        assert 0.5 < fast.converged_delta / reference.converged_delta < 2.0
+    else:
+        # the guard (M = 1e5) or a prediction >= tol (a strong drive, N = 8
+        # M = 1): the doubling loop's levels follow the probe's
+        assert fast.refinement == ((16, math.inf),) + reference.refinement
+
+
+def test_default_run_steps_only_the_probe_and_the_returned_level(monkeypatch):
+    # N = 6 folds its half-filled sector: half the steps, over a quarter period
+    calls = _count_expm_stacks(monkeypatch)
+    res = run_iswap_protocol(ProtocolParams(N=6, M=4))
+    assert [n for n, _ in res.refinement] == [16, 128]
+    assert _per_sector_level(calls) == _stacks_per_level(
+        6, (8, 64), lambda q, nsub: [nsub // 2 if 2 * q == 6 else nsub]
+    )
+
+
+def _scripted_levels(changes):
+    """compute(nsub) for _refine whose successive doubling levels from
+    nsub = 1 differ by the given changes."""
+    values = np.concatenate([[0.0], np.cumsum(changes)])
+    return lambda nsub: [np.array([[values[nsub.bit_length() - 1]]])]
+
+
+def test_refinement_stalls_on_a_change_that_does_not_fall():
+    # changes as N = 4 M = 1e6 gives them: they grow with the substeps
+    with pytest.raises(RuntimeError, match=r"did not converge below 1e-09: the change 2\.300e-08 "):
+        driving._refine(_scripted_levels([1.0e-8, 2.3e-8, 1.0e-7]), 1e-9, 1, 10, "test loop")
+    # a fall just short of 4x stalls; 4x refines on
+    with pytest.raises(RuntimeError, match="fell only 3.9x"):
+        driving._refine(_scripted_levels([1.0e-6, 1.0e-6 / 3.9]), 1e-9, 1, 10, "test loop")
+    _, history = driving._refine(_scripted_levels([1.0e-6, 2.5e-7, 1e-10]), 1e-9, 1, 10, "test loop")
+    assert [n for n, _ in history] == [1, 2, 4, 8]
+
+
+def test_refinement_does_not_stall_on_healthy_falls():
+    # the changes of N = 10 M = 4 from nsub0 = 4, which fall 105, 62, 65,
+    # 61 and 64x
+    changes = [4.6e-2, 4.4e-4, 7.1e-6, 1.1e-7, 1.8e-9, 2.8e-11]
+    _, history = driving._refine(_scripted_levels(changes), 1e-9, 1, 10, "test loop")
+    assert [n for n, _ in history] == [1, 2, 4, 8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("N, M, cells", [(4, 1000000, 8000000), (6, 30000, 540000), (8, 30000, 960000)])
+def test_long_window_stops_on_its_roundoff_floor(monkeypatch, N, M, cells):
+    # these windows once stepped all eleven levels before failing (N = 8 in
+    # 44 s); refining only adds roundoff there, so the run stops after the
+    # probe, the candidate and two doubling levels
+    levels, window = set(), driving._drive_window_sector
+
+    def counting_window(*args, nsub, **kwargs):
+        levels.add(nsub)
+        return window(*args, nsub=nsub, **kwargs)
+
+    monkeypatch.setattr(driving, "_drive_window_sector", counting_window)
+    with pytest.raises(RuntimeError) as exc:
+        run_iswap_protocol(ProtocolParams(N=N, M=M))
+    message = str(exc.value)
+    assert levels == {8, 32, 64, 128}
+    assert "did not converge" in message and "fell only" in message
+    assert f"over {cells} half-period cells" in message
+    assert re.search(r"unitarity defect is \d\.\de-0\d\)$", message)
+
+
+def test_unitarity_defect_reads_the_blocks():
+    res = run_iswap_protocol(ProtocolParams(N=4, M=1))
+    assert res.unitarity_defect <= 1e-13
+    dense = np.abs(res.unitary.conj().T @ res.unitary - np.eye(16)).max()
+    assert res.unitarity_defect == pytest.approx(dense, abs=1e-15)
+    assert "unitarity_defect" not in [f.name for f in dataclasses.fields(res)]
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10])
+@pytest.mark.parametrize("M", [1, 3, 4, 16, 20, 101])
+def test_zero_sector_windows_match_the_composed_identity(monkeypatch, N, M):
+    # q = 0 and q = N have exactly zero blocks: their windows must be the
+    # bits the half-period route composes from identity maps, unstepped
+    plan = driving._layout_plan(N, 1.0)
+    params = ProtocolParams(N=N, M=M)
+    basis = np.zeros((10, 1, 1), dtype=complex)
+    eye = np.eye(1, dtype=complex)
+    for omega in (plan.omega, 0.9 * plan.omega):
+        length, phase = params.tau_d / 2.0, -np.pi / 2.0
+        halves = driving._snap(length / (np.pi / omega))
+        partial = functools.partial(driving._cell_map, basis, omega, phase, 32)
+        # the plan's pulse phases there are 1; a general phase checks the wrap
+        for inverts in ([plan.inverts[0], plan.inverts[N]], [np.exp([0.7j]), np.exp([-2.1j])], [None, None]):
+            calls = _count_expm_stacks(monkeypatch)
+            got = driving._drive_window_sector(
+                basis, omega, phase, length, inverts, nsub=32, sign=driving_sign(N)
+            )
+            assert calls == []
+            want = [driving._window_map(eye, eye, partial, halves, inv) for inv in inverts]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("J", [1e-300, 1e300, 5e-7, 2e6])
+def test_protocol_params_reject_a_coupling_scale_out_of_range(J):
+    # 1e-300 once overflowed the step coefficients and 1e300 the commutator
+    # basis
+    lo, hi = driving._J_RANGE
+    with pytest.raises(ValueError, match=r"^J must be a finite number > 0 .* in " + re.escape(f"[{lo:g}, {hi:g}]")):
+        ProtocolParams(N=4, M=1, J=J)
+
+
+@pytest.mark.parametrize("J", [*driving._J_RANGE, 1e-3, 3.7, 1e3])
+def test_protocol_runs_across_the_coupling_range(J):
+    # times are in 1/J, so the gate error does not depend on J
+    res = run_iswap_protocol(ProtocolParams(N=4, M=1, J=J))
+    assert res.error == pytest.approx(6.72556e-4, rel=1e-5)
 
 
 # ---------------------------------------------------------- two-level checks
