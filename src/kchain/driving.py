@@ -294,32 +294,65 @@ def _change(cur, prev, where: str, nsub: int) -> float:
     return delta
 
 
-def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str, probe: bool = False):
+def _map_change(cur, prev) -> float:
+    """Largest Frobenius norm of the change in the first half-period map
+    between two lists of sector maps ((ua, ub), None for a zero block); a
+    NaN anywhere is kept."""
+    return float(np.max([np.linalg.norm(a[0] - b[0]) for a, b in zip(cur, prev) if a is not None]))
+
+
+def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str, probe=None):
     """compute(nsub), a list of blocks, at nsub0, 2 nsub0, ... until two
     results differ by less than tol (max column 2-norm over the blocks).
     Returns the last and the (nsub, delta) of every level stepped, by
     increasing nsub, delta being inf where a level was compared with none.
 
-    With probe (nsub0 a multiple of 8, and compute stepping every stretch
-    at nsub per cell), the first candidate, 2 nsub0, is checked against a
-    probe at nsub0/4 with one eighth of its steps: the probe's change
-    scaled by (2^6 - 1)/(8^6 - 1) predicts the doubling change, and is the
-    candidate's delta.  The prediction holds only while discretization
-    dominates, so it decides only when the candidate's unitarity defect is
-    below tol/64; otherwise nsub0 is stepped and the loop goes on as
-    without a probe, comparing raw doubling changes.
+    probe, when given, is (maps_at, cells): maps_at(nsub) steps the
+    half-period maps of every stepped sector at nsub per cell,
+    compute(nsub, maps_at(nsub)) composes that level's windows from them,
+    and each window is a product of cells such maps (nsub0 a multiple of
+    8, and no partial cells).  Then the first candidate, 2 nsub0, is
+    checked against a probe at nsub0/4 with one eighth of its steps: the
+    probe's change scaled by (2^6 - 1)/(8^6 - 1) predicts the doubling
+    change, and is the candidate's delta.  The prediction holds only while discretization dominates, so
+    it decides only when the candidate's unitarity defect is below tol/64;
+    otherwise nsub0 is stepped and the loop goes on as without a probe,
+    comparing raw doubling changes.
+
+    The probe's windows are composed only when a bound from the maps
+    cannot decide.  A window is a product of cells maps, each ua or ua^T
+    (or the reversal of one, for a partner sector), with diagonal pulses of
+    modulus 1 between them that both levels share.  By the triangle
+    inequality two levels' windows then differ in operator norm by at most
+    cells times the largest ||ua - ua'||_2 over the sectors; the Frobenius
+    norm bounds that (_map_change), and the operator norm bounds every
+    column's 2-norm, which _change measures.  The maps are unitary only to
+    roundoff, so this holds up to a factor (1 + d)^cells, d the maps'
+    unitarity defect: about 1 plus the windows' defect, which the gate
+    keeps below 1 + tol/64.  So the bound, scaled as the prediction, is
+    never below it: when it is below tol and the gate holds, it is the
+    candidate's delta, and it accepts only what the prediction would.
+    Otherwise the probe's windows are composed from the maps already
+    stepped, and the prediction decides.
 
     A non-finite change raises at once, as does, once three doubling
     levels exist, a change that fell less than _error_fall(2) /
     _STALL_MARGIN times from the one before it; so does running out of
     max_refine doublings."""
     history, stepped = [], {}
-    if probe and max_refine >= 1:
-        coarse, cur = compute(nsub0 // 4), compute(2 * nsub0)
+    if probe is not None and max_refine >= 1:
+        maps_at, cells = probe
+        coarse = maps_at(nsub0 // 4)
+        fine = maps_at(2 * nsub0)
+        cur = compute(2 * nsub0, fine)
         history.append((nsub0 // 4, math.inf))
         scale = (_error_fall(2) - 1.0) / (_error_fall(8) - 1.0)
-        delta = _change(cur, coarse, where, 2 * nsub0) * scale
-        if delta < tol and _unitarity_defect(cur) < tol / _error_fall(2):
+        sound = _unitarity_defect(cur) < tol / _error_fall(2)
+        bound = scale * cells * _map_change(fine, coarse)
+        if bound < tol and sound:
+            return cur, history + [(2 * nsub0, bound)]
+        delta = _change(cur, compute(nsub0 // 4, coarse), where, 2 * nsub0) * scale
+        if delta < tol and sound:
             return cur, history + [(2 * nsub0, delta)]
         stepped[2 * nsub0] = cur
     prev, nsub, last = None, nsub0, math.inf
@@ -350,6 +383,11 @@ def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str, probe:
 _J_RANGE = (1e-6, 1e6)
 
 
+def _is_number(value, kind) -> bool:
+    """Whether value is an instance of the numbers ABC kind and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class ProtocolParams:
     """Resonant-drive protocol configuration for the N-qubit swap gate."""
@@ -362,18 +400,15 @@ class ProtocolParams:
     seed: int | None = None
 
     def __post_init__(self):
-        def number(value, kind):
-            return isinstance(value, kind) and not isinstance(value, bool)
-
-        if not number(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
+        if not _is_number(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
             raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
-        if not number(self.M, numbers.Integral) or self.M < 1:
+        if not _is_number(self.M, numbers.Integral) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
         # a numpy float narrower (or wider) than float64 would carry its
         # precision into the calibration and every step
         narrow = isinstance(self.J, np.floating) and not isinstance(self.J, np.float64)
         lo, hi = _J_RANGE
-        if narrow or not (number(self.J, numbers.Real) and lo <= self.J <= hi):
+        if narrow or not (_is_number(self.J, numbers.Real) and lo <= self.J <= hi):
             raise ValueError(
                 f"J must be a finite number > 0 (a numpy float only as float64) "
                 f"in [{lo:g}, {hi:g}], got {self.J!r}"
@@ -381,7 +416,7 @@ class ProtocolParams:
         if not isinstance(self.halfway_inversion, (bool, np.bool_)):
             raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
         _check_noise_eps(self.noise_eps)
-        if self.seed is not None and not (number(self.seed, numbers.Integral) and self.seed >= 0):
+        if self.seed is not None and not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be None or an int >= 0, got {self.seed!r}")
 
     @property
@@ -403,7 +438,9 @@ class ProtocolResult:
     # A level compared with none has delta inf: the first, and in a run
     # that steps a probe at an eighth of the second level's substeps and
     # falls back, the second.  When the probe decides, the returned level's
-    # delta is the doubling change predicted from the probe's.
+    # delta is the doubling change predicted from the probe's: an upper
+    # bound on it from the two levels' half-period maps, or, when that bound
+    # is not below tol, the prediction from the composed windows.
     refinement: tuple
 
     @property
@@ -702,26 +739,38 @@ def _window_map(ua, ub, partial, halves, invert):
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
-def _drive_window_sector(basis, omega, phase, length, inverts, nsub, sign: str):
+def _sector_maps(basis, omega, phase, nsub, folded):
+    """Sector q's half-period maps (_half_period_maps), or None for a block
+    that is exactly zero (no or all sites excited), which evolves by the
+    identity and is never stepped."""
+    if not basis[:2].any():
+        return None
+    return _half_period_maps(basis, omega, phase, nsub, folded)
+
+
+def _drive_window_sector(basis, omega, phase, length, inverts, nsub, sign: str, maps=None):
     """Drive-window propagators on a sector q <= N/2 and its partner N-q.
 
     basis is _drive_basis of sector q's chain and drive blocks, and length
     is each window's span on the drive clock.  inverts holds the pulse
     phases (None without the inversion) of each sector to return: q, then
-    N-q unless q = N/2.
+    N-q unless q = N/2.  maps, if given, are sector q's half-period maps at
+    nsub (_sector_maps), stepped already; otherwise they are stepped here.
     Whole half-period cells come from sector q's half-period maps, and the
     partial cells at a window's ends are stepped; a resonant window has
     none.  The partner's maps are q's in reverse basis order, half a
     period later under a '-' pairing (_partner_maps).  Under a '-' pairing
     the self-paired sector q = N/2 (one entry in inverts) folds its first
-    half-period (_half_period_maps).  Blocks that are exactly zero (no or
-    all sites excited) evolve by the identity, so their windows are the
-    identity wrapped in the inversion pulses, neither stepped nor composed.
+    half-period (_half_period_maps).  Blocks that are exactly zero evolve
+    by the identity, so their windows are the identity wrapped in the
+    inversion pulses, neither stepped nor composed.
     """
-    if not basis[:2].any():
+    if maps is None:
+        maps = _sector_maps(basis, omega, phase, nsub, sign == "-" and len(inverts) == 1)
+    if maps is None:
         eye = np.eye(basis.shape[-1], dtype=complex)
         return [eye if inv is None else np.conj(inv)[:, None] * (inv[:, None] * eye) for inv in inverts]
-    ua, ub = _half_period_maps(basis, omega, phase, nsub, sign == "-" and len(inverts) == 1)
+    ua, ub = maps
     partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
     shift = 0 if sign == "+" else 1
 
@@ -830,10 +879,15 @@ def run_iswap_protocol(
     sixth-order ratio (2^6 - 1)/(8^6 - 1), predicts that level's doubling
     change; the probe decides only while the level's unitarity defect is
     below tol/64, and otherwise nsub0 is stepped and compared as without
-    it.  The blocks returned are the same either way; only the refinement
-    history differs.  Once three doubling levels exist, a change that fell
-    less than 4x from the one before raises at once: roundoff, which
-    refining adds to, then dominates (_refine).
+    it.  The probe first bounds the window change from the two levels'
+    half-period maps (a window is 2 halves of them), and composes its
+    windows only when that bound cannot decide (_refine).  The blocks
+    returned are the same either way; only the refinement history differs.
+    Once three doubling levels exist, a change that fell less than 4x from
+    the one before raises at once: roundoff, which refining adds to, then
+    dominates (_refine).  tol, nsub0, max_refine and omega_override must
+    be numbers of their kind, not bools or strings, or a ValueError names
+    them.
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the
@@ -842,15 +896,18 @@ def run_iswap_protocol(
     holds the gate's sector blocks.
     """
     N, J, M = params.N, params.J, params.M
-    if not tol > 0.0:
+    if not (_is_number(tol, numbers.Real) and tol > 0.0):
         raise ValueError(f"tol must be a number > 0, got {tol!r}")
-    if not isinstance(nsub0, numbers.Integral) or nsub0 < 1:
+    if not (_is_number(nsub0, numbers.Integral) and nsub0 >= 1):
         raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
-    if not isinstance(max_refine, numbers.Integral) or max_refine < 0:
+    if not (_is_number(max_refine, numbers.Integral) and max_refine >= 0):
         raise ValueError(f"max_refine must be an int >= 0, got {max_refine!r}")
+    # refinement records Python ints, whatever integer type nsub0 came as
+    nsub0, max_refine = int(nsub0), int(max_refine)
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
-        if not omega / _OMEGA_OVERRIDE_RANGE <= omega_override <= omega * _OMEGA_OVERRIDE_RANGE:
+        lo, hi = omega / _OMEGA_OVERRIDE_RANGE, omega * _OMEGA_OVERRIDE_RANGE
+        if not (_is_number(omega_override, numbers.Real) and lo <= omega_override <= hi):
             raise ValueError(
                 f"omega_override must be a finite number > 0 within a factor of "
                 f"{_OMEGA_OVERRIDE_RANGE:g} of the calibrated drive frequency {omega!r}, got {omega_override!r}"
@@ -866,13 +923,20 @@ def run_iswap_protocol(
     inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)
     bases = [_drive_basis(h, v) for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])]
 
-    def drive_window(nsub):
+    def sector_maps(nsub):
+        # the half-filled sector folds under a '-' pairing, as in _drive_window_sector
+        return [
+            _sector_maps(basis, omega, phase, nsub, sign == "-" and 2 * q == N)
+            for q, basis in enumerate(bases)
+        ]
+
+    def drive_window(nsub, maps=None):
         windows = [None] * (N + 1)
         for q, basis in enumerate(bases):
             partners = (q,) if 2 * q == N else (q, N - q)
             blocks = _drive_window_sector(
-                basis, omega, phase, params.tau_d / 2.0,
-                [inverts[p] for p in partners], nsub=nsub, sign=sign,
+                basis, omega, phase, params.tau_d / 2.0, [inverts[p] for p in partners],
+                nsub=nsub, sign=sign, maps=None if maps is None else maps[q],
             )
             for p, blk in zip(partners, blocks):
                 windows[p] = blk
@@ -880,13 +944,13 @@ def run_iswap_protocol(
 
     # each window's span in half-period cells, as _drive_window_sector counts
     # it: a probe steps one eighth of every stretch only when no window ends
-    # in a partial cell
+    # in a partial cell, and each window is then 2 halves half-period maps
     halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
     where = (
         f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed} "
         f"over {_snap(2 * halves)} half-period cells"
     )
-    probe = nsub0 % 8 == 0 and isinstance(halves, int)
+    probe = (sector_maps, 2 * halves) if nsub0 % 8 == 0 and isinstance(halves, int) else None
     windows, history = _refine(drive_window, tol, nsub0, max_refine, where, probe)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 

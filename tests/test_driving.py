@@ -480,7 +480,7 @@ def _step_every_sector(params):
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
-    def window(basis, omega, phase, length, inverts, nsub, sign):
+    def window(basis, omega, phase, length, inverts, nsub, sign, maps=None):
         q = next(
             q for q, (hb, vb) in enumerate(blocks)
             if np.array_equal(hb, basis[0]) and np.array_equal(vb, basis[1])
@@ -671,7 +671,10 @@ def test_folded_half_period_matches_stepped(N, pairs, seed):
     ],
 )
 def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypatch, params):
-    fast = run_iswap_protocol(params)
+    # N = 10 compares the two routes at one fixed level: refined to
+    # convergence it steps four more
+    kwargs = {"tol": math.inf, "max_refine": 1} if params.N == 10 else {}
+    fast = run_iswap_protocol(params, **kwargs)
     folds, stepped = [], driving._half_period_maps
 
     def unfolded(basis, omega, phase, nsub, folded=False):
@@ -680,7 +683,7 @@ def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypat
         return stepped(basis, omega, phase, nsub)
 
     monkeypatch.setattr(driving, "_half_period_maps", unfolded)
-    reference = run_iswap_protocol(params)
+    reference = run_iswap_protocol(params, **kwargs)
     # one folded sector per level
     assert folds.count(True) == len(reference.refinement)
     assert [n for n, _ in fast.refinement] == [n for n, _ in reference.refinement]
@@ -803,14 +806,72 @@ def test_probed_refinement_returns_the_doubling_loops_level(monkeypatch, params,
     if omega is not None:
         assert fast.refinement == reference.refinement
     elif [n for n, _ in reference.refinement] == [64, 128] and params.M != 100000:
-        # the probe decided: its prediction stands in for the change the
-        # doubling loop measured at the same level
+        # the probe decided: its prediction, or the bound on it from the
+        # half-period maps (test_map_bound_decides_only_above_the_window_change),
+        # stands in for the change the doubling loop measured at the same level
         assert [n for n, _ in fast.refinement] == [16, 128]
-        assert 0.5 < fast.converged_delta / reference.converged_delta < 2.0
+        assert 0.5 < fast.converged_delta / reference.converged_delta
+        assert fast.converged_delta < 1e-9
     else:
         # the guard (M = 1e5) or a prediction >= tol (a strong drive, N = 8
         # M = 1): the doubling loop's levels follow the probe's
         assert fast.refinement == ((16, math.inf),) + reference.refinement
+
+
+def _record_probe_levels(monkeypatch):
+    """Record, while the run lasts, the compute and probe the protocol hands
+    _refine and the nsub of every window _drive_window_sector composes."""
+    seen, composed = {}, []
+    refine, window = driving._refine, driving._drive_window_sector
+
+    def recording_refine(compute, *args):
+        seen["compute"], seen["probe"] = compute, args[-1]
+        return refine(compute, *args)
+
+    def recording_window(*args, nsub, **kwargs):
+        composed.append(nsub)
+        return window(*args, nsub=nsub, **kwargs)
+
+    monkeypatch.setattr(driving, "_refine", recording_refine)
+    monkeypatch.setattr(driving, "_drive_window_sector", recording_window)
+    return seen, composed
+
+
+@pytest.mark.parametrize("params", _PROBE_PANEL)
+def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
+    # a probe whose windows are never composed was decided by the bound
+    # from the half-period maps: it must lie above the scaled change of the
+    # windows it stands in for, so it accepts only what that change would
+    seen, composed = _record_probe_levels(monkeypatch)
+    res = run_iswap_protocol(params)
+    assert seen["probe"] is not None
+    if 8 in composed:
+        return
+    assert composed == [64] * (params.N // 2 + 1)
+    monkeypatch.undo()
+    compute, scale = seen["compute"], 63.0 / (8.0**6 - 1.0)
+    change = driving._change(compute(64), compute(8), "test", 64)
+    assert res.refinement[0] == (16, math.inf) and len(res.refinement) == 2
+    assert scale * change <= res.converged_delta < 1e-9
+
+
+@pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (6, 20), (8, 16), (8, 64)])
+def test_default_runs_decide_from_the_maps(monkeypatch, N, M):
+    # no probe window is composed: only the candidate's
+    _, composed = _record_probe_levels(monkeypatch)
+    run_iswap_protocol(ProtocolParams(N=N, M=M, noise_eps=0.01, seed=1))
+    assert composed == [64] * (N // 2 + 1)
+
+
+def test_run_the_map_bound_cannot_decide_steps_each_level_once(monkeypatch):
+    # at N = 8 M = 4 the bound is not below tol: the probe's windows are
+    # composed from the maps already stepped, not stepped again
+    calls = _count_expm_stacks(monkeypatch)
+    _, composed = _record_probe_levels(monkeypatch)
+    res = run_iswap_protocol(ProtocolParams(N=8, M=4))
+    assert [n for n, _ in res.refinement] == [16, 128]
+    assert sorted(set(composed)) == [8, 64]
+    assert _per_sector_level(calls) == _stacks_per_level(8, (8, 64), lambda q, nsub: [nsub])
 
 
 def test_default_run_steps_only_the_probe_and_the_returned_level(monkeypatch):
@@ -1048,6 +1109,39 @@ def test_protocol_params_reject_bad_fields(kwargs, field):
 def test_protocol_rejects_nonpositive_initial_substeps(kwargs, message):
     with pytest.raises(ValueError, match=message):
         run_iswap_protocol(ProtocolParams(N=4, M=1), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", "1e-9"),
+        ("tol", None),
+        ("tol", True),
+        ("nsub0", True),
+        ("nsub0", np.True_),
+        ("nsub0", "32"),
+        ("nsub0", None),
+        ("max_refine", True),
+        ("max_refine", "1"),
+        ("max_refine", None),
+        ("omega_override", "3"),
+        ("omega_override", True),
+        ("omega_override", 3.5j),
+    ],
+)
+def test_protocol_rejects_keyword_arguments_that_are_not_numbers(monkeypatch, field, value):
+    # bools are not taken as numbers, nor strings parsed: each names its field
+    calls = _count_expm_stacks(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), **{field: value})
+    assert calls == []
+
+
+def test_refinement_records_python_ints_for_numpy_substeps():
+    res = run_iswap_protocol(ProtocolParams(N=4, M=1), nsub0=np.int64(32), max_refine=np.int64(1))
+    plain = run_iswap_protocol(ProtocolParams(N=4, M=1), max_refine=1)
+    assert [type(n) for n, _ in res.refinement] == [int, int]
+    assert res.refinement == plain.refinement
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, -np.inf])
