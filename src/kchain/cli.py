@@ -24,7 +24,7 @@ from .circuits import (
     verify_ctrl_x_circuit,
 )
 from .driving import ProtocolParams, gate_time_accounting, run_iswap_protocol
-from .eigengate import check_intertwining, compare_forms, rotation_checks
+from .eigengate import eigengate_report
 from .experiments import (
     DEFAULT_SAMPLES,
     FIG2_EPS_GRID,
@@ -274,31 +274,8 @@ def _cmd_matrix_elements(args) -> int:
 BCH_THETAS = (0.0, math.pi / 2.0, math.pi)
 
 
-def _eigengate_report(N: int, J: float) -> dict:
-    """compare_forms' scores of both variants, the intertwining residual and
-    the so(3) and BCH rotation checks."""
-    so3, bch = rotation_checks(N, J, BCH_THETAS)
-    forms = compare_forms(N, J)
-    variants = {
-        variant: {key: form[key] for key in ("min_overlap", "max_phase_deviation")}
-        for variant, form in forms["variants"].items()
-    }
-    return {
-        "N": N,
-        "variants": variants,
-        "min_overlap": min(v["min_overlap"] for v in variants.values()),
-        "max_phase_deviation": max(v["max_phase_deviation"] for v in variants.values()),
-        "entrywise_difference": forms["entrywise_difference"],
-        "intertwining_residual": check_intertwining(forms["variants"]["three_step"]["gate"]),
-        # Hk's largest entry is its largest coupling
-        "intertwining_allowance": 1e-9 * float(np.abs(krawtchouk_chain(N, J).couplings).max()),
-        "so3_residuals": so3,
-        "bch_residuals": dict(zip(map(str, BCH_THETAS), bch)),
-    }
-
-
 def _eigengate_checks(report: dict):
-    """(label, value, tol) of every check in one _eigengate_report; a check
+    """(label, value, tol) of every check in one eigengate_report; a check
     passes when value < tol."""
     N = report["N"]
     yield f"eigengate mapping N={N}", 1.0 - report["min_overlap"], 1e-9
@@ -309,7 +286,7 @@ def _eigengate_checks(report: dict):
 
 
 def _cmd_eigengate_check(args) -> int:
-    report = _eigengate_report(args.n, args.j)
+    report = eigengate_report(args.n, args.j, BCH_THETAS)
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = all(value < tol for _, value, tol in _eigengate_checks(report))
     return 0 if ok else 1
@@ -423,7 +400,7 @@ def _cmd_verify_all(args) -> int:
     for N in range(2, n_max + 1):
         check(f"spectrum N={N}", _spectrum(N, 1.0)[1], _SPECTRUM_TOL)
     for N in range(2, n_max + 1, 2):
-        for label, value, tol in _eigengate_checks(_eigengate_report(N, 1.0)):
+        for label, value, tol in _eigengate_checks(eigengate_report(N, 1.0, BCH_THETAS)):
             check(label, value, tol)
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)

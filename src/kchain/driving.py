@@ -748,25 +748,21 @@ def _sector_maps(basis, omega, phase, nsub, folded):
     return _half_period_maps(basis, omega, phase, nsub, folded)
 
 
-def _drive_window_sector(basis, omega, phase, length, inverts, nsub, sign: str, maps=None):
+def _drive_window_sector(basis, omega, phase, length, inverts, nsub, sign: str, maps):
     """Drive-window propagators on a sector q <= N/2 and its partner N-q.
 
     basis is _drive_basis of sector q's chain and drive blocks, and length
     is each window's span on the drive clock.  inverts holds the pulse
     phases (None without the inversion) of each sector to return: q, then
-    N-q unless q = N/2.  maps, if given, are sector q's half-period maps at
-    nsub (_sector_maps), stepped already; otherwise they are stepped here.
-    Whole half-period cells come from sector q's half-period maps, and the
-    partial cells at a window's ends are stepped; a resonant window has
-    none.  The partner's maps are q's in reverse basis order, half a
-    period later under a '-' pairing (_partner_maps).  Under a '-' pairing
-    the self-paired sector q = N/2 (one entry in inverts) folds its first
-    half-period (_half_period_maps).  Blocks that are exactly zero evolve
-    by the identity, so their windows are the identity wrapped in the
-    inversion pulses, neither stepped nor composed.
+    N-q unless q = N/2.  maps are sector q's half-period maps at nsub
+    (_sector_maps), stepped by the caller, which decides whether they fold.
+    Whole half-period cells come from them, and the partial cells at a
+    window's ends are stepped; a resonant window has none.  The partner's
+    maps are q's in reverse basis order, half a period later under a '-'
+    pairing (_partner_maps).  Blocks that are exactly zero (maps None)
+    evolve by the identity, so their windows are the identity wrapped in
+    the inversion pulses, neither stepped nor composed.
     """
-    if maps is None:
-        maps = _sector_maps(basis, omega, phase, nsub, sign == "-" and len(inverts) == 1)
     if maps is None:
         eye = np.eye(basis.shape[-1], dtype=complex)
         return [eye if inv is None else np.conj(inv)[:, None] * (inv[:, None] * eye) for inv in inverts]
@@ -921,22 +917,29 @@ def run_iswap_protocol(
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_sector_symmetries(h_blocks, v_blocks, sign)
     inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)
-    bases = [_drive_basis(h, v) for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])]
+    # the sector with no site excited has exactly zero blocks: its (h, v)
+    # pair stands in for a commutator basis, which _sector_maps reads as zero
+    bases = [
+        _drive_basis(h, v) if h.any() or v.any() else np.stack([h, v])
+        for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])
+    ]
 
     def sector_maps(nsub):
-        # the half-filled sector folds under a '-' pairing, as in _drive_window_sector
+        # the half-filled sector, its own partner, folds under a '-' pairing
         return [
             _sector_maps(basis, omega, phase, nsub, sign == "-" and 2 * q == N)
             for q, basis in enumerate(bases)
         ]
 
     def drive_window(nsub, maps=None):
+        if maps is None:
+            maps = sector_maps(nsub)
         windows = [None] * (N + 1)
         for q, basis in enumerate(bases):
             partners = (q,) if 2 * q == N else (q, N - q)
             blocks = _drive_window_sector(
                 basis, omega, phase, params.tau_d / 2.0, [inverts[p] for p in partners],
-                nsub=nsub, sign=sign, maps=None if maps is None else maps[q],
+                nsub=nsub, sign=sign, maps=maps[q],
             )
             for p, blk in zip(partners, blocks):
                 windows[p] = blk

@@ -21,16 +21,13 @@ from .linalg import (
     expm_hermitian,
     expm_hermitian_times,
     minors,
-    sector_indices,
 )
 
 __all__ = [
     "EigengateForm",
     "build_eigengate",
     "expected_phase",
-    "check_intertwining",
-    "rotation_checks",
-    "compare_forms",
+    "eigengate_report",
     "eigengate_single_particle",
     "free_fermion_block",
     "free_fermion_trace_error",
@@ -58,13 +55,26 @@ class EigengateForm:
 
 
 def _sector_hamiltonians(spec: ChainSpec, J: float):
-    """(Hk block, Hz diagonal) of every excitation sector q = 0..N, on its
-    ascending basis indices sector_indices(N, q).  Hk and Hz conserve the
-    excitation number, so these blocks hold every nonzero entry of both."""
-    hz = hz_diagonal(spec.N, J)
+    """(states, Hk block, Hz diagonal) of every excitation sector q = 0..N,
+    states being its ascending basis indices sector_indices(N, q).  Hk and
+    Hz conserve the excitation number, so these blocks hold every nonzero
+    entry of both."""
     for q in range(spec.N + 1):
         hops = sector_hops(spec.N, q)
-        yield chain_block(spec, hops), hz[hops[0]]
+        yield hops[0], chain_block(spec, hops), hz_diagonal(spec.N, J, hops[0])
+
+
+def _sector_gate(variant: str, hk: np.ndarray, hz: np.ndarray, J: float) -> np.ndarray:
+    """One excitation sector's block of the eigengate variant, from the
+    sector's Hk block and Hz diagonal (build_eigengate)."""
+    quarter = np.pi / (2.0 * J)
+    if variant == "three_step":
+        ez = np.exp(-1.0j * hz * quarter)
+        block = ez[:, None] * expm_hermitian(hk, quarter) * ez
+    else:
+        block = expm_hermitian((hk + np.diag(hz)) / np.sqrt(2.0), 2.0 * quarter)
+    assert_unitary(block)
+    return block
 
 
 def _check_spec_size(N: int, spec: ChainSpec) -> None:
@@ -87,17 +97,8 @@ def build_eigengate(
     if spec is None:
         spec = krawtchouk_chain(N, J)
     _check_spec_size(N, spec)
-    quarter = np.pi / (2.0 * J)
-    blocks = []
-    for hk, hz in _sector_hamiltonians(spec, J):
-        if variant == "three_step":
-            ez = np.exp(-1.0j * hz * quarter)
-            block = ez[:, None] * expm_hermitian(hk, quarter) * ez
-        else:
-            block = expm_hermitian((hk + np.diag(hz)) / np.sqrt(2.0), 2.0 * quarter)
-        assert_unitary(block)
-        blocks.append(block)
-    return EigengateForm(variant=variant, N=N, J=J, blocks=tuple(blocks))
+    blocks = tuple(_sector_gate(variant, hk, hz, J) for _, hk, hz in _sector_hamiltonians(spec, J))
+    return EigengateForm(variant=variant, N=N, J=J, blocks=blocks)
 
 
 def expected_phase(q: int, n: int) -> complex:
@@ -105,93 +106,75 @@ def expected_phase(q: int, n: int) -> complex:
     return 1.0j ** (q * n)
 
 
-def check_intertwining(gate: EigengateForm) -> float:
-    """Max entry of |Hk U - U Hz| for the clean chain Hk, taken over the
-    excitation sectors, outside which all three are zero."""
-    spec = krawtchouk_chain(gate.N, gate.J)
-    return max(
-        float(np.max(np.abs(hk @ u - u * hz)))
-        for (hk, hz), u in zip(_sector_hamiltonians(spec, gate.J), gate.blocks)
-    )
+def eigengate_report(N: int, J: float, thetas) -> dict:
+    """Every identity check of the eigengate on the clean chain (N, J), in
+    one pass over its excitation sectors; all the operators conserve the
+    excitation number, so each value is the worst over the sectors.
 
-
-def rotation_checks(N: int, J: float, thetas) -> tuple:
-    """(so(3) residuals, BCH rotation residuals) of the angular-momentum
-    triple Lx = Hk/J, Lz = Hz/J, Ly = -i[Lz, Lx] on the full 2^N space.
-
-    The so(3) residuals, keyed xy_z, yz_x and zx_y, are the largest entries
-    of [Lx, Ly] - i Lz and its cyclic permutations.  The BCH residual at
-    each theta is that of the rotation identity for conjugation by the
-    combined pulse: exp(-i Lh theta) Lz exp(+i Lh theta) should equal
-    sin^2(theta/2) Lx - (sin theta / sqrt 2) Ly + cos^2(theta/2) Lz,
-    with Lh = (Lx + Lz)/sqrt(2).  All four operators conserve the
-    excitation number, so each residual is the largest over the sector
-    blocks; one diagonalization of each block of Lh serves every theta.
-    """
-    comm = lambda a, b: a @ b - b @ a
-    so3 = dict.fromkeys(("xy_z", "yz_x", "zx_y"), 0.0)
-    bch = [0.0] * len(thetas)
-    for hk, hz in _sector_hamiltonians(krawtchouk_chain(N, J), J):
-        lx = hk / J
-        lz = np.diag(hz / J).astype(complex)
-        ly = -1.0j * (lz @ lx - lx @ lz)
-        for key, (a, b, c) in (("xy_z", (lx, ly, lz)), ("yz_x", (ly, lz, lx)), ("zx_y", (lz, lx, ly))):
-            so3[key] = max(so3[key], float(np.max(np.abs(comm(a, b) - 1.0j * c))))
-        rotations = expm_hermitian_times((lx + lz) / np.sqrt(2.0), thetas)
-        for k, (theta, u) in enumerate(zip(thetas, rotations)):
-            bch[k] = max(bch[k], _bch_residual(theta, u, lx, ly, lz))
-    return so3, bch
-
-
-def _bch_residual(theta, u, lx, ly, lz) -> float:
-    # the in-place steps round exactly as lhs - (a lx - b ly + c lz) does
-    diff = u @ lz @ u.conj().T
-    rhs = np.sin(theta / 2.0) ** 2 * lx
-    rhs -= (np.sin(theta) / np.sqrt(2.0)) * ly
-    rhs += np.cos(theta / 2.0) ** 2 * lz
-    diff -= rhs
-    return float(np.max(np.abs(diff)))
-
-
-def compare_forms(N: int, J: float = 1.0) -> dict:
-    """Mapping and phase tables for both gate variants, and their difference.
-
-    Both variants are scored against the chain eigenstates, built once.  Per
-    variant the report holds the gate, the smallest overlap |<s|_chain U |s>|,
-    the phase table over all 2^N labels s and its largest deviation from
-    i^(q n).  The gates and the eigenstates are block diagonal over the
-    excitation sectors, so each sector is scored on its own.
+    variants[v] scores gate variant v: min_overlap is the smallest
+    |<s|_chain U |s>| over the states s, against the Slater targets
+    free_fermion_block gives, and max_phase_deviation the largest distance
+    of its phase from i^(q n); the top-level pair is the worse of both.
+    entrywise_difference is max |U_three_step - U_single_pulse|, and
+    intertwining_residual max |Hk U - U Hz| of the three-step gate, allowed
+    1e-9 times the largest coupling.  so3_residuals are the largest entries
+    of [Lx, Ly] - i Lz and its cyclic permutations (xy_z, yz_x, zx_y), for
+    Lx = Hk/J, Lz = Hz/J and Ly = -i[Lz, Lx] = -i C: Lx, Lz and C are real
+    and Lz diagonal, so they are |[Lx, C] + Lz|, |[C, Lz] + Lx| and
+    |[Lz, Lx] - C|.  bch_residuals[str(theta)] is the largest entry of
+    exp(-i Lh theta) Lz exp(i Lh theta) - (sin^2(theta/2) Lx - (sin theta /
+    sqrt 2) Ly + cos^2(theta/2) Lz), Lh = (Lx + Lz)/sqrt(2), for each theta
+    in thetas; one real eigendecomposition of each sector's Lh serves every
+    theta, so a residual does not depend on the other thetas.
     """
     n = N - 1
+    spec = krawtchouk_chain(N, J)
     phi = build_basis(n, J).phi
-    sectors = [sector_indices(N, q) for q in range(N + 1)]
-    # row r of a sector's table: the chain eigenstate whose occupied modes
-    # are the excited sites of states[r], on the sector's states; its
-    # entries are eigenstate_vector's bit for bit
-    targets = [free_fermion_block(phi, states) for states in sectors]
-    report = {"N": N, "variants": {}}
-    for variant in VARIANTS:
-        gate = build_eigengate(N, J, variant)
-        mags = np.zeros(2**N)
-        phases = np.zeros(2**N, dtype=complex)
-        dev = 0.0
-        for q, (states, target, block) in enumerate(zip(sectors, targets, gate.blocks)):
+    overlap, deviation = dict.fromkeys(VARIANTS, 1.0), dict.fromkeys(VARIANTS, 0.0)
+    difference = intertwining = 0.0
+    so3 = dict.fromkeys(("xy_z", "yz_x", "zx_y"), 0.0)
+    bch = [0.0] * len(thetas)
+    for q, (states, hk, hz) in enumerate(_sector_hamiltonians(spec, J)):
+        target = free_fermion_block(phi, states)
+        blocks = {variant: _sector_gate(variant, hk, hz, J) for variant in VARIANTS}
+        for variant, block in blocks.items():
             amps = np.sum(target.conj() * block.T, axis=1)
             mag = np.abs(amps)
             phase = np.divide(amps, mag, out=np.zeros_like(amps), where=mag > 0)
-            mags[states], phases[states] = mag, phase
-            dev = max(dev, float(np.max(np.abs(phase - expected_phase(q, n)))))
-        report["variants"][variant] = {
-            "gate": gate,
-            "min_overlap": float(mags.min()),
-            "phases": phases,
-            "max_phase_deviation": dev,
-        }
-    three_step, single_pulse = (report["variants"][v]["gate"].blocks for v in VARIANTS)
-    report["entrywise_difference"] = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(three_step, single_pulse)
-    )
-    return report
+            overlap[variant] = min(overlap[variant], float(mag.min()))
+            dev = float(np.max(np.abs(phase - expected_phase(q, n))))
+            deviation[variant] = max(deviation[variant], dev)
+        u = blocks["three_step"]
+        difference = max(difference, float(np.max(np.abs(u - blocks["single_pulse"]))))
+        intertwining = max(intertwining, float(np.max(np.abs(hk @ u - u * hz))))
+
+        lx, lz = hk.real / J, hz / J
+        c = lz[:, None] * lx - lx * lz
+        for key, residual in (
+            ("xy_z", lx @ c - c @ lx + np.diag(lz)),
+            ("yz_x", c * lz - lz[:, None] * c + lx),
+            ("zx_y", lz[:, None] * lx - lx * lz - c),
+        ):
+            so3[key] = max(so3[key], float(np.max(np.abs(residual))))
+        rotations = expm_hermitian_times((lx + np.diag(lz)) / np.sqrt(2.0), thetas)
+        for k, (theta, rot) in enumerate(zip(thetas, rotations)):
+            rhs = np.sin(theta / 2.0) ** 2 * lx + np.cos(theta / 2.0) ** 2 * np.diag(lz)
+            rhs = rhs + 1.0j * (np.sin(theta) / np.sqrt(2.0)) * c
+            bch[k] = max(bch[k], float(np.max(np.abs((rot * lz) @ rot.conj().T - rhs))))
+    return {
+        "N": N,
+        "variants": {
+            variant: {"min_overlap": overlap[variant], "max_phase_deviation": deviation[variant]}
+            for variant in VARIANTS
+        },
+        "min_overlap": min(overlap.values()),
+        "max_phase_deviation": max(deviation.values()),
+        "entrywise_difference": difference,
+        "intertwining_residual": intertwining,
+        "intertwining_allowance": 1e-9 * float(np.abs(spec.couplings).max()),
+        "so3_residuals": so3,
+        "bch_residuals": dict(zip(map(str, thetas), bch)),
+    }
 
 
 def eigengate_single_particle(

@@ -20,7 +20,14 @@ from . import __version__
 from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
 from .driving import ProtocolParams, run_iswap_protocol
 from .eigengate import coupling_noise_errors, eigengate_single_particle
-from .hamiltonians import ChainSpec, chain_block, coupling_noises, krawtchouk_chain, sector_hops
+from .hamiltonians import (
+    ChainSpec,
+    _check_float64,
+    chain_block,
+    coupling_noises,
+    krawtchouk_chain,
+    sector_hops,
+)
 from .linalg import basis_index, expm_hermitian
 
 __all__ = [
@@ -63,7 +70,7 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.protocol not in ("fig2", "fig3"):
+        if not isinstance(self.protocol, str) or self.protocol not in ("fig2", "fig3"):
             raise ValueError("protocol must be 'fig2' or 'fig3'")
         if not _is_int(self.samples) or self.samples < 1:
             raise ValueError(f"samples must be an int >= 1, got {self.samples!r}")
@@ -71,20 +78,27 @@ class SweepConfig:
             raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
         if not _is_int(self.threads) or self.threads < 1:
             raise ValueError(f"threads must be an int >= 1, got {self.threads!r}")
-        if not self.n_values or not self.eps_values:
-            raise ValueError("parameter grid must be non-empty")
+        for name in ("n_values", "eps_values", "m_values"):
+            try:
+                values = tuple(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
+            if not values and name != "m_values":
+                raise ValueError(f"{name} must be non-empty")
+            object.__setattr__(self, name, values)
         if self.protocol == "fig2" and not self.m_values:
             raise ValueError("fig2 sweep needs m_values")
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "eps_values", tuple(self.eps_values))
-        object.__setattr__(self, "m_values", tuple(self.m_values))
         # the whole grid is checked before any point is computed
         for N in self.n_values:
             if self.protocol == "fig2" and not (_is_int(N) and N >= 4 and N % 2 == 0):
                 raise ValueError(f"n_values must be even ints >= 4 for fig2, got {N!r}")
             if not _is_int(N) or N < 2:
                 raise ValueError(f"n_values must be ints >= 2, got {N!r}")
+        for M in self.m_values:
+            if not _is_int(M) or M < 1:
+                raise ValueError(f"m_values must be ints >= 1, got {M!r}")
         for eps in self.eps_values:
+            _check_float64(eps, "eps_values")
             if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 <= eps < 1.0:
                 raise ValueError(f"eps_values must be reals in [0, 1), got {eps!r}")
 

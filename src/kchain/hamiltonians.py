@@ -36,6 +36,10 @@ class ChainSpec:
     couplings: np.ndarray
 
     def __post_init__(self):
+        # a bool, string, complex or narrower float would be cast without a word
+        dtype = np.asarray(self.couplings).dtype
+        if not (dtype.kind in "iu" or dtype == np.float64):
+            raise ValueError(f"couplings must be ints or float64 numbers, got {self.couplings!r}")
         object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
         if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 2:
             raise ValueError(f"N must be an int >= 2, got {self.N!r}")
@@ -44,6 +48,7 @@ class ChainSpec:
         if not np.isfinite(self.couplings).all():
             raise ValueError(f"couplings must be finite, got {self.couplings!r}")
         J = self.J
+        _check_float64(J, "J")
         if isinstance(J, bool) or not (isinstance(J, numbers.Real) and 0.0 < J < math.inf):
             raise ValueError(f"J must be a finite number > 0, got {J!r}")
 
@@ -86,13 +91,17 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
         raise ValueError(f"N must be an int >= 1, got {N!r}")
+    _check_float64(noise_eps, "noise_eps")
     if np.ndim(noise_eps) == 0:
         _check_noise_eps(noise_eps)
         eps = float(noise_eps)
     else:
         eps = np.asarray(noise_eps)
-        if eps.dtype.kind != "f" or not ((eps >= 0.0) & (eps < 1.0)).all():
-            for value in eps.tolist():
+        # a float array is checked at once, anything else value by value, so
+        # a numpy float32 in a list of floats is refused too
+        array = isinstance(noise_eps, np.ndarray)
+        if not array or eps.dtype.kind != "f" or not ((eps >= 0.0) & (eps < 1.0)).all():
+            for value in eps.ravel().tolist() if array else noise_eps:
                 _check_noise_eps(value)
         eps = eps.astype(float)
     seeds = uint_stack(seeds, 2**64, "seed")
@@ -101,9 +110,19 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
     return uniform_stack(seeds, -eps, eps, N - 1)
 
 
+def _check_float64(value, name: str) -> None:
+    """Raise ValueError if value is a numpy float or float array of a dtype
+    other than float64: its precision would carry into every computation."""
+    dtype = value.dtype if isinstance(value, (np.floating, np.ndarray)) else np.dtype(float)
+    if dtype.kind == "f" and dtype != np.float64:
+        raise ValueError(f"{name} must not be a numpy {dtype} (a numpy float only as float64), got {value!r}")
+
+
 def _check_noise_eps(value) -> None:
     """Raise ValueError unless value is a noise amplitude: a number in [0, 1),
-    so no drawn factor 1 + eps_x can reach zero or flip a coupling's sign."""
+    so no drawn factor 1 + eps_x can reach zero or flip a coupling's sign,
+    and a numpy float only as float64 (_check_float64)."""
+    _check_float64(value, "noise_eps")
     if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 <= value < 1.0):
         raise ValueError(f"noise_eps must be a finite number in [0, 1), got {value!r}")
 
@@ -159,14 +178,13 @@ def chain_block(spec: ChainSpec, hops) -> np.ndarray:
     return _hopping_block(hops, spec.couplings)
 
 
-def hz_diagonal(N: int, J: float) -> np.ndarray:
+def hz_diagonal(N: int, J: float, states=None) -> np.ndarray:
     """Diagonal of the dual Hamiltonian (J/2) sum_x (x - n/2)(1 - Z)_x, which
     is diagonal in the computational basis: J * sum over excited sites of
-    (x - n/2)."""
+    (x - n/2), on the basis indices states, or on all 2^N states if None."""
     n = N - 1
-    dim = 2**N
-    idx = np.arange(dim)
-    diag = np.zeros(dim)
+    idx = np.arange(2**N) if states is None else np.asarray(states)
+    diag = np.zeros(len(idx))
     for x in range(N):
         bit = (idx >> (N - 1 - x)) & 1
         diag += J * (x - n / 2.0) * bit

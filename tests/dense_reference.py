@@ -91,8 +91,8 @@ def dense_intertwining(u, N, J):
 
 
 def dense_rotation_checks(N, J, thetas):
-    """rotation_checks' (so(3), BCH) residuals on the dense triple, one
-    exponential per angle."""
+    """eigengate_report's so(3) residuals and BCH residuals (one per angle)
+    on the dense triple, one exponential per angle."""
     lx = chain_block(krawtchouk_chain(N, J), chain_hops(N)) / J
     lz = np.diag(hz_diagonal(N, J)) / J
     ly = -1.0j * (lz @ lx - lx @ lz)
@@ -111,8 +111,10 @@ def dense_rotation_checks(N, J, thetas):
 
 
 def dense_compare_forms(N, J=1.0):
-    """compare_forms' report from dense gates, each label scored against
-    its own 2^N eigenstate_vector."""
+    """eigengate_report's mapping and phase scores of both variants and
+    their entrywise difference, from dense gates, each label scored
+    against its own 2^N eigenstate_vector.  Each variant also keeps its
+    dense unitary and phase table."""
     n = N - 1
     basis = build_basis(n, J)
     targets = [eigenstate_vector(basis, occupied_sites(s, N)) for s in range(2**N)]

@@ -13,7 +13,7 @@ import pytest
 
 from kchain.circuits import ctrl_iswap2_circuit, verify_ctrl_iswap2_circuit, verify_ctrl_x_circuit
 from kchain.driving import ProtocolParams, gate_time_accounting, run_iswap_protocol
-from kchain.eigengate import build_eigengate, check_intertwining, compare_forms, rotation_checks
+from kchain.eigengate import eigengate_report
 from kchain.experiments import (
     FIG3_EPS_GRID,
     SweepConfig,
@@ -58,7 +58,7 @@ def test_criterion_01_single_particle_spectrum():
 def test_criterion_02_eigengate_mapping_and_phases():
     worst_overlap, worst_phase = 1.0, 0.0
     for N in (2, 4, 6, 8):
-        for form in compare_forms(N)["variants"].values():
+        for form in eigengate_report(N, 1.0, ())["variants"].values():
             worst_overlap = min(worst_overlap, form["min_overlap"])
             worst_phase = max(worst_phase, form["max_phase_deviation"])
     assert worst_overlap > 1.0 - 1e-9, worst_overlap
@@ -70,7 +70,7 @@ def test_criterion_03_intertwining():
     worst_ratio = 0.0
     for N in range(2, 9):
         hk = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
-        residual = check_intertwining(build_eigengate(N, 1.0))
+        residual = eigengate_report(N, 1.0, ())["intertwining_residual"]
         worst_ratio = max(worst_ratio, residual / np.max(np.abs(hk)))
     assert worst_ratio < 1e-9, worst_ratio
     report(3, "hamiltonian exchange N<=8", f"max residual ratio {worst_ratio:.1e}")
@@ -79,8 +79,8 @@ def test_criterion_03_intertwining():
 def test_criterion_04_rotation_algebra_and_meixner():
     worst = 0.0
     for N in (2, 4, 6):
-        so3, bch = rotation_checks(N, 1.0, (0.0, np.pi / 2.0, np.pi))
-        worst = max(worst, *so3.values(), *bch)
+        checks = eigengate_report(N, 1.0, (0.0, np.pi / 2.0, np.pi))
+        worst = max(worst, *checks["so3_residuals"].values(), *checks["bch_residuals"].values())
     assert worst < 1e-9, worst
     worst_meixner = max(meixner_identity_check(n) for n in range(2, 10))
     assert worst_meixner < 1e-9, worst_meixner

@@ -1,0 +1,142 @@
+"""The numeric boundaries: every constructor of a run's or a sweep's
+parameters, and every noise amplitude, takes a value or refuses it with a
+ValueError naming the field."""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kchain.driving import ProtocolParams, run_iswap_protocol
+from kchain.experiments import SweepConfig, format_table, sweep_fig3
+from kchain.hamiltonians import ChainSpec, coupling_noises, krawtchouk_chain, krawtchouk_couplings
+
+with warnings.catch_warnings():
+    # a float16 of 1e300 overflows to inf, with a warning, as it is made
+    warnings.simplefilter("ignore")
+    NUMPY_SCALARS = [
+        dtype(value)
+        for dtype in (np.float16, np.float32, np.float64, np.longdouble)
+        for value in (0.01, 1.0, 4.0, 1e300, math.nan)
+    ]
+HOSTILE = [
+    True, False, math.nan, math.inf, -math.inf, -0.0, 1e300, -1e300, 1e-300,
+    *NUMPY_SCALARS,
+    np.int8(4), np.int8(-3), np.int64(4), np.int64(-1), np.uint64(4), np.uint64(2**64 - 1),
+    np.array(0.01), np.array(4), np.array(True), np.array([0.01, 0.02]),
+    "0.01", "4", "abc", "",
+]
+
+# each boundary: (build, the valid arguments, the fields that take hostile values)
+BOUNDARIES = {
+    "ProtocolParams": (
+        ProtocolParams,
+        dict(N=4, J=1.0, M=1, halfway_inversion=True, noise_eps=0.01, seed=3),
+        ("N", "J", "M", "halfway_inversion", "noise_eps", "seed"),
+    ),
+    "SweepConfig": (
+        SweepConfig,
+        dict(
+            protocol="fig2", n_values=(4,), eps_values=(0.01,), m_values=(1,), samples=4, base_seed=1, threads=1
+        ),
+        ("protocol", "n_values", "eps_values", "m_values", "samples", "base_seed", "threads"),
+    ),
+    "ChainSpec": (ChainSpec, dict(N=4, J=1.0, couplings=krawtchouk_couplings(3, 1.0)), ("N", "J", "couplings")),
+    "krawtchouk_chain": (krawtchouk_chain, dict(N=4, J=1.0, noise_eps=0.01, seed=3), ("noise_eps",)),
+    "coupling_noises": (coupling_noises, dict(N=4, noise_eps=0.01, seeds=[3, 5]), ("noise_eps",)),
+}
+# a sequence field takes the hostile value as itself and as every entry of
+# a sequence of this length
+SEQUENCES = {
+    ("SweepConfig", "n_values"): 1,
+    ("SweepConfig", "eps_values"): 1,
+    ("SweepConfig", "m_values"): 1,
+    ("ChainSpec", "couplings"): 3,
+    ("coupling_noises", "noise_eps"): 2,
+}
+CASES = [
+    (boundary, field, None) for boundary, (_, _, fields) in BOUNDARIES.items() for field in fields
+] + [(boundary, field, length) for (boundary, field), length in SEQUENCES.items()]
+
+
+@given(st.sampled_from(CASES), st.sampled_from(HOSTILE))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_a_hostile_value_builds_or_is_refused_by_name(case, value):
+    boundary, field, length = case
+    build, valid, _ = BOUNDARIES[boundary]
+    if length is not None:
+        value = [value] * length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            build(**{**valid, field: value})
+        except ValueError as exc:
+            assert re.search(rf"\b{field}\b", str(exc)), (boundary, field, value, str(exc))
+
+
+def _sweep(**fields):
+    return SweepConfig(**{**BOUNDARIES["SweepConfig"][1], **fields})
+
+
+# (boundary, field, value, build): the noise amplitude of each of the four
+# boundaries as a numpy float narrower or wider than float64, which each
+# used to take and compute with at its own precision, then the values the
+# property test above found to fail with another exception or a ValueError
+# naming no field, and the values ChainSpec and SweepConfig used to take
+# without a word
+REFUSED = [
+    *(
+        (boundary, field, dtype(0.01), build)
+        for boundary, field, build in [
+            ("ProtocolParams", "noise_eps", lambda eps: ProtocolParams(N=4, M=1, noise_eps=eps, seed=3)),
+            ("SweepConfig", "eps_values", lambda eps: _sweep(protocol="fig3", eps_values=(eps,))),
+            ("krawtchouk_chain", "noise_eps", lambda eps: krawtchouk_chain(4, 1.0, eps, seed=3)),
+            ("coupling_noises", "noise_eps", lambda eps: coupling_noises(4, eps, [3, 5])),
+            ("coupling_noises array", "noise_eps", lambda eps: coupling_noises(4, np.full(2, eps), [3, 5])),
+            ("coupling_noises list", "noise_eps", lambda eps: coupling_noises(4, [0.02, eps], [3, 5])),
+        ]
+        for dtype in (np.float16, np.float32, np.longdouble)
+    ),
+    ("SweepConfig", "protocol", np.array([0.01, 0.02]), lambda value: _sweep(protocol=value)),
+    ("SweepConfig", "n_values", math.nan, lambda value: _sweep(n_values=value)),
+    ("SweepConfig", "n_values", np.array(4), lambda value: _sweep(n_values=value)),
+    ("SweepConfig", "n_values", False, lambda value: _sweep(n_values=value)),
+    ("SweepConfig", "eps_values", 0.01, lambda value: _sweep(eps_values=value)),
+    ("SweepConfig", "m_values", True, lambda value: _sweep(m_values=value)),
+    ("SweepConfig", "m_values", (1, math.nan), lambda value: _sweep(m_values=value)),
+    ("ChainSpec", "couplings", "abc", lambda value: ChainSpec(4, 1.0, value)),
+    ("ChainSpec", "couplings", ["abc"] * 3, lambda value: ChainSpec(4, 1.0, value)),
+    ("ChainSpec", "couplings", [True] * 3, lambda value: ChainSpec(4, 1.0, value)),
+    ("ChainSpec", "couplings", [1j] * 3, lambda value: ChainSpec(4, 1.0, value)),
+    ("ChainSpec", "couplings", np.ones(3, np.float32), lambda value: ChainSpec(4, 1.0, value)),
+    ("ChainSpec", "J", np.float32(1.0), lambda value: ChainSpec(4, value, krawtchouk_couplings(3, 1.0))),
+]
+
+
+@pytest.mark.parametrize(
+    "boundary, field, value, build", REFUSED, ids=[f"{b}-{f}-{v!r}" for b, f, v, _ in REFUSED]
+)
+def test_a_refused_value_names_its_field(boundary, field, value, build):
+    with pytest.raises(ValueError, match=rf"^{field} must "):
+        build(value)
+
+
+def test_a_float64_noise_amplitude_gives_the_bits_of_a_python_float():
+    a, b = np.float64(0.01), 0.01
+    assert run_iswap_protocol(ProtocolParams(N=4, M=1, noise_eps=a, seed=3)).error == (
+        run_iswap_protocol(ProtocolParams(N=4, M=1, noise_eps=b, seed=3)).error
+    )
+    header = ("N", "eps", "mean_error", "stderr", "samples")
+    tables = [
+        format_table(header, sweep_fig3(SweepConfig("fig3", n_values=(4,), eps_values=(eps,), samples=4)))
+        for eps in (a, b)
+    ]
+    assert tables[0] == tables[1]
+    chains = [krawtchouk_chain(4, 1.0, eps, seed=3) for eps in (a, b)]
+    assert np.array_equal(chains[0].couplings, chains[1].couplings)
+    for form in (lambda eps: eps, lambda eps: np.full(2, eps)):
+        assert np.array_equal(coupling_noises(4, form(a), [3, 5]), coupling_noises(4, form(b), [3, 5]))

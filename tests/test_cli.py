@@ -76,11 +76,15 @@ def test_eigengate_check_json(capsys):
 def test_eigengate_check_fails_on_a_rotation_residual(capsys, monkeypatch, broken):
     # the so(3) and BCH residuals it reports count toward its exit code,
     # as they do in verify-all
-    def rotation_checks(N, J, thetas):
-        so3 = {"xy_z": 0.0, "yz_x": 0.0, "zx_y": 1.0 if broken == "so3" else 0.0}
-        return so3, [1.0 if broken == "bch" else 0.0 for _ in thetas]
+    def broken_report(N, J, thetas, inner=cli.eigengate_report):
+        report = inner(N, J, thetas)
+        if broken == "so3":
+            report["so3_residuals"]["zx_y"] = 1.0
+        else:
+            report["bch_residuals"] = dict.fromkeys(report["bch_residuals"], 1.0)
+        return report
 
-    monkeypatch.setattr(cli, "rotation_checks", rotation_checks)
+    monkeypatch.setattr(cli, "eigengate_report", broken_report)
     rc, out = run_cli(capsys, "eigengate-check", "--n", "4")
     assert rc == 1
     assert json.loads(out)["N"] == 4
@@ -404,10 +408,10 @@ def test_eigengate_report_within_roundoff_of_dense_reference(monkeypatch, N, ske
         # the true residuals are roundoff, which a bound of 1e-13 cannot
         # tell from zero; with H^Z's diagonal doubled everywhere the gate
         # is no eigengate and every reported value is of order one
-        doubled = lambda N, J, inner=hamiltonians.hz_diagonal: 2.0 * inner(N, J)
+        doubled = lambda N, J, states=None, inner=hamiltonians.hz_diagonal: 2.0 * inner(N, J, states)
         for module in (hamiltonians, eigengate, dense_reference):
             monkeypatch.setattr(module, "hz_diagonal", doubled)
-    report = cli._eigengate_report(N, 1.0)
+    report = eigengate.eigengate_report(N, 1.0, cli.BCH_THETAS)
     if skewed:
         assert report["max_phase_deviation"] > 0.1 and report["intertwining_residual"] > 0.1
         assert max(report["so3_residuals"].values()) > 0.1 and report["bch_residuals"]["3.141592653589793"] > 0.1

@@ -10,7 +10,9 @@ the library uses them.
 import dataclasses
 import functools
 import math
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -456,8 +458,9 @@ def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed
         partners = (q,) if 2 * q == N else (q, N - q)
         for inversion in (True, False):
             inverts = [blocks[p][2] if inversion else None for p in partners]
+            maps = driving._sector_maps(bases[q], omega, calibrated, nsub, sign == "-" and 2 * q == N)
             windows = driving._drive_window_sector(
-                bases[q], omega, calibrated, halves * np.pi / omega, inverts, nsub, sign
+                bases[q], omega, calibrated, halves * np.pi / omega, inverts, nsub, sign, maps
             )
             assert len(windows) == len(partners)
             for p, inv, window in zip(partners, inverts, windows):
@@ -956,7 +959,8 @@ def test_zero_sector_windows_match_the_composed_identity(monkeypatch, N, M):
         for inverts in ([plan.inverts[0], plan.inverts[N]], [np.exp([0.7j]), np.exp([-2.1j])], [None, None]):
             calls = _count_expm_stacks(monkeypatch)
             got = driving._drive_window_sector(
-                basis, omega, phase, length, inverts, nsub=32, sign=driving_sign(N)
+                basis, omega, phase, length, inverts, nsub=32, sign=driving_sign(N),
+                maps=driving._sector_maps(basis, omega, phase, 32, False),
             )
             assert calls == []
             want = [driving._window_map(eye, eye, partial, halves, inv) for inv in inverts]
@@ -1425,6 +1429,36 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
         driving.chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
 
 
+def _widest_axis(run) -> int:
+    """The longest axis of any array that a kchain frame holds in a local
+    (or a tuple in a local) or returns while run() runs."""
+    package = os.path.dirname(driving.__file__) + os.sep
+    widest = 0
+
+    def look(values):
+        nonlocal widest
+        for value in values:
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray) and arr.ndim:
+                    widest = max(widest, *arr.shape)
+
+    def in_frame(frame, event, arg):
+        look(frame.f_locals.values())
+        if event == "return":
+            look([arg])
+        return in_frame
+
+    def on_call(frame, event, arg):
+        return in_frame if frame.f_code.co_filename.startswith(package) else None
+
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return widest
+
+
 def test_results_hold_sector_blocks_and_build_the_dense_gate_on_request(monkeypatch, capsys):
     N = 8
 
@@ -1434,10 +1468,13 @@ def test_results_hold_sector_blocks_and_build_the_dense_gate_on_request(monkeypa
     monkeypatch.setattr(driving, "block_diagonal", no_dense_gate)
     monkeypatch.setattr(eigengate, "block_diagonal", no_dense_gate)
     results = [run_iswap_protocol(ProtocolParams(N=N, M=4)), build_eigengate(N, 1.0)]
-    eigengate.compare_forms(N)
     assert main(["verify-all", "--n-max", str(N)]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")
     monkeypatch.undo()
+    # the eigengate report holds its sectors' arrays only, none spanning
+    # the 2^N states, as a dense 2^N builder would
+    assert _widest_axis(lambda: hz_diagonal(N, 1.0)) == 2**N
+    assert 0 < _widest_axis(lambda: eigengate.eigengate_report(N, 1.0, (0.0, math.pi))) < 2**N
     for res in results:
         stored = [getattr(res, f.name) for f in dataclasses.fields(res)]
         arrays = [a for v in stored for a in (v if isinstance(v, tuple) else (v,))]

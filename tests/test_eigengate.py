@@ -1,21 +1,23 @@
 """Tests for the eigenbasis-mapping gate and its algebraic identities."""
 
+import collections
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kchain import eigengate
 from kchain.eigengate import (
     VARIANTS,
     build_eigengate,
-    check_intertwining,
-    compare_forms,
+    eigengate_report,
     eigengate_single_particle,
     expected_phase,
     free_fermion_block,
     free_fermion_trace_error,
     noisy_eigengate_errors,
-    rotation_checks,
 )
 from kchain.hamiltonians import (
     chain_block,
@@ -39,14 +41,11 @@ from dense_reference import (
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_eigengate_maps_states_with_clean_phases(N, variant):
-    form = compare_forms(N)["variants"][variant]
-    assert_unitary(form["gate"].unitary)
-    phases = form["phases"]
+    form = eigengate_report(N, 1.0, ())["variants"][variant]
+    assert_unitary(build_eigengate(N, 1.0, variant).unitary)
     assert form["min_overlap"] > 1.0 - 1e-9
-    n = N - 1
-    for state in range(2**N):
-        q = bin(state).count("1")
-        assert abs(phases[state] - expected_phase(q, n)) < 1e-8
+    # the largest deviation of any state's phase from i^(q n)
+    assert form["max_phase_deviation"] < 1e-8
 
 
 def test_expected_phase_is_quarter_cycle():
@@ -60,7 +59,7 @@ def test_expected_phase_is_quarter_cycle():
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_variants_agree_entrywise(N):
-    report = compare_forms(N)
+    report = eigengate_report(N, 1.0, ())
     assert report["entrywise_difference"] < 1e-12
     for variant in VARIANTS:
         assert report["variants"][variant]["min_overlap"] > 1.0 - 1e-9
@@ -69,7 +68,7 @@ def test_variants_agree_entrywise(N):
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_intertwining_swaps_hamiltonians(N):
     hk = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
-    residual = check_intertwining(build_eigengate(N, 1.0))
+    residual = eigengate_report(N, 1.0, ())["intertwining_residual"]
     assert residual < 1e-9 * np.max(np.abs(hk))
     dense = dense_intertwining(dense_eigengate(N, 1.0), N, 1.0)
     assert abs(residual - dense) <= SECTOR_TOL
@@ -77,7 +76,7 @@ def test_intertwining_swaps_hamiltonians(N):
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_so3_structure(N):
-    res, _ = rotation_checks(N, 1.0, ())
+    res = eigengate_report(N, 1.0, ())["so3_residuals"]
     assert set(res) == {"xy_z", "yz_x", "zx_y"}
     assert max(res.values()) < 1e-9
 
@@ -85,13 +84,13 @@ def test_so3_structure(N):
 @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi])
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_bch_rotation_identity_grid(N, theta):
-    assert rotation_checks(N, 1.0, [theta])[1][0] < 1e-9
+    assert eigengate_report(N, 1.0, [theta])["bch_residuals"][str(theta)] < 1e-9
 
 
 @given(st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False))
 @settings(max_examples=20, deadline=None)
 def test_bch_rotation_identity_any_angle(theta):
-    assert rotation_checks(4, 1.0, [theta])[1][0] < 1e-9
+    assert eigengate_report(4, 1.0, [theta])["bch_residuals"][str(theta)] < 1e-9
 
 
 @pytest.mark.parametrize("N", [4, 6])
@@ -170,33 +169,29 @@ def _mapping_table(gate):
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_compare_forms_scores_equal_mapping_table_per_gate(N):
     # the sector-wise scores sum the same products as the per-label route
-    # in another order, so they agree to roundoff
-    report = compare_forms(N)
+    # in another order, so they agree to roundoff; the report scores the
+    # gates build_eigengate builds, bit for bit
+    report = eigengate_report(N, 1.0, ())
     n = N - 1
     for variant in VARIANTS:
         form = report["variants"][variant]
-        gate = build_eigengate(N, 1.0, variant)
-        assert np.array_equal(form["gate"].unitary, gate.unitary)
-        mags, phases = _mapping_table(gate)
+        mags, phases = _mapping_table(build_eigengate(N, 1.0, variant))
         assert abs(form["min_overlap"] - float(mags.min())) <= SECTOR_TOL
-        assert form["phases"].shape == (2**N,)
-        assert np.max(np.abs(form["phases"] - phases)) <= SECTOR_TOL
         dev = max(abs(phases[s] - expected_phase(bin(s).count("1"), n)) for s in range(2**N))
         assert abs(form["max_phase_deviation"] - float(dev)) <= SECTOR_TOL
-    three, single = (report["variants"][v]["gate"].unitary for v in VARIANTS)
+    three, single = (build_eigengate(N, 1.0, v).unitary for v in VARIANTS)
     assert report["entrywise_difference"] == float(np.max(np.abs(three - single)))
 
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_compare_forms_within_roundoff_of_dense_reference(N):
-    report, dense = compare_forms(N), dense_compare_forms(N)
-    assert set(report) == set(dense) == {"N", "variants", "entrywise_difference"}
+    report, dense = eigengate_report(N, 1.0, ()), dense_compare_forms(N)
     for variant in VARIANTS:
         form, ref = report["variants"][variant], dense["variants"][variant]
-        assert set(form) == {"gate", "min_overlap", "phases", "max_phase_deviation"}
-        assert np.max(np.abs(form["gate"].unitary - ref["unitary"])) <= SECTOR_TOL
+        assert set(form) == {"min_overlap", "max_phase_deviation"}
+        gate = build_eigengate(N, 1.0, variant)
+        assert np.max(np.abs(gate.unitary - ref["unitary"])) <= SECTOR_TOL
         assert abs(form["min_overlap"] - ref["min_overlap"]) <= SECTOR_TOL
-        assert np.max(np.abs(form["phases"] - ref["phases"])) <= SECTOR_TOL
         assert abs(form["max_phase_deviation"] - ref["max_phase_deviation"]) <= SECTOR_TOL
     assert abs(report["entrywise_difference"] - dense["entrywise_difference"]) <= SECTOR_TOL
 
@@ -238,12 +233,43 @@ def test_sector_eigengate_within_roundoff_of_dense_reference(N, variant):
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
 def test_rotation_checks_within_roundoff_of_dense_reference(N):
     thetas = [0.0, np.pi / 2, np.pi, 0.37, -2.1]
-    so3, bch = rotation_checks(N, 1.0, thetas)
+    report = eigengate_report(N, 1.0, thetas)
+    so3, bch = report["so3_residuals"], report["bch_residuals"]
     dense_so3, dense_bch = dense_rotation_checks(N, 1.0, thetas)
     assert set(so3) == set(dense_so3)
     assert all(abs(so3[key] - dense_so3[key]) <= SECTOR_TOL for key in so3)
-    assert len(bch) == len(thetas)
-    assert all(abs(a - b) <= SECTOR_TOL for a, b in zip(bch, dense_bch))
+    assert list(bch) == [str(theta) for theta in thetas]
+    assert all(abs(a - b) <= SECTOR_TOL for a, b in zip(bch.values(), dense_bch))
+
+
+@pytest.mark.parametrize("N", [2, 5, 8])
+def test_eigengate_report_builds_the_chain_and_each_sector_once(monkeypatch, N):
+    # one pass: the clean chain and its mode basis once, each sector's Hk
+    # block and Hz diagonal once, and a number of diagonalizations that
+    # does not grow with the BCH angles
+    calls, sizes = collections.Counter(), []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "chain_block":
+                sizes.append(len(args[1][0]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("krawtchouk_chain", "build_basis", "chain_block", "hz_diagonal"):
+        counted(eigengate, name)
+    counted(np.linalg, "eigh")
+    eigengate_report(N, 1.0, [0.0])
+    eighs = calls.pop("eigh")
+    assert calls == {"krawtchouk_chain": 1, "build_basis": 1, "chain_block": N + 1, "hz_diagonal": N + 1}
+    assert sizes == [math.comb(N, q) for q in range(N + 1)]
+    calls.clear()
+    eigengate_report(N, 1.0, [0.0, 0.37, np.pi, -2.1])
+    assert calls["eigh"] == eighs == 3 * (N + 1)
 
 
 @pytest.mark.parametrize(
@@ -267,18 +293,23 @@ def test_gate_of_another_size_is_rejected(kwargs, message):
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
 def test_bch_residuals_equal_per_angle_calls_exactly(N):
     thetas = [0.0, np.pi / 2, np.pi, 0.37, -2.1]
-    _, batch = rotation_checks(N, 1.0, thetas)
+    batch = eigengate_report(N, 1.0, thetas)["bch_residuals"]
     assert len(batch) == len(thetas)
-    for theta, got in zip(thetas, batch):
-        assert got == rotation_checks(N, 1.0, [theta])[1][0]
+    for theta in thetas:
+        key = str(theta)
+        assert batch[key] == eigengate_report(N, 1.0, [theta])["bch_residuals"][key]
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_rotation_checks_equal_separate_calls_exactly(N):
     thetas = [0.0, np.pi / 2, 0.37]
-    so3, bch = rotation_checks(N, 1.0, thetas)
-    assert so3 == rotation_checks(N, 1.0, ())[0]
-    assert bch == [rotation_checks(N, 1.0, [theta])[1][0] for theta in thetas]
+    report = eigengate_report(N, 1.0, thetas)
+    # the thetas change the BCH residuals only
+    alone = eigengate_report(N, 1.0, ())
+    assert alone.pop("bch_residuals") == {}
+    assert {key: value for key, value in report.items() if key != "bch_residuals"} == alone
+    bch = [eigengate_report(N, 1.0, [theta])["bch_residuals"][str(theta)] for theta in thetas]
+    assert list(report["bch_residuals"].values()) == bch
 
 
 @pytest.mark.parametrize("N", range(2, 9))
