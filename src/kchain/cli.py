@@ -293,7 +293,7 @@ def _cmd_eigengate_check(args) -> int:
 
 
 def _cmd_drive(args) -> int:
-    rows = []
+    rows, levels = [], []
     count = 1 if args.eps == 0.0 else args.samples
     seeds = [args.seed]
     if count > 1:
@@ -311,11 +311,19 @@ def _cmd_drive(args) -> int:
         )
         tau_d = 2.0 * math.pi * args.m
         rows.append((args.n, args.m, tau_d, args.eps, seed, res.error))
+        # a JSON row also says which refinement level the run returned
+        levels.append(
+            {
+                "substeps_per_period": res.substeps_per_period,
+                "converged_delta": res.converged_delta,
+                "unitarity_defect": res.unitarity_defect,
+            }
+        )
     if args.out == "json":
         payload = {
             "rows": [
-                dict(zip(("N", "M", "tauD_J", "eps", "seed", "error"), r))
-                for r in rows
+                {**dict(zip(("N", "M", "tauD_J", "eps", "seed", "error"), r)), **level}
+                for r, level in zip(rows, levels)
             ],
             "mean_error": float(np.mean([r[-1] for r in rows])),
             "omega": res.omega,

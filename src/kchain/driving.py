@@ -310,14 +310,17 @@ def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str, probe=
     probe, when given, is (maps_at, cells): maps_at(nsub) steps the
     half-period maps of every stepped sector at nsub per cell,
     compute(nsub, maps_at(nsub)) composes that level's windows from them,
-    and each window is a product of cells such maps (nsub0 a multiple of
-    8, and no partial cells).  Then the first candidate, 2 nsub0, is
-    checked against a probe at nsub0/4 with one eighth of its steps: the
-    probe's change scaled by (2^6 - 1)/(8^6 - 1) predicts the doubling
-    change, and is the candidate's delta.  The prediction holds only while discretization dominates, so
-    it decides only when the candidate's unitarity defect is below tol/64;
-    otherwise nsub0 is stepped and the loop goes on as without a probe,
-    comparing raw doubling changes.
+    and each window is a product of cells such maps (no partial cells,
+    and nsub0 such that every stretch the probe steps is an exact eighth of
+    the candidate's).  Then nsub0 itself is the candidate, checked
+    against a probe at nsub0/8 with one eighth of its steps.  Once
+    discretization dominates, the probe's error is 8^6 times the
+    candidate's, so the probe's change over 8^6 - 1 estimates the
+    candidate's own error; when the estimate is below tol it is the
+    candidate's delta and the candidate is returned.  The estimate holds
+    only while discretization dominates, so it decides only when the
+    candidate's unitarity defect is below tol/64; otherwise the loop goes
+    on from nsub0 as without a probe, comparing raw doubling changes.
 
     The probe's windows are composed only when a bound from the maps
     cannot decide.  A window is a product of cells maps, each ua or ua^T
@@ -329,32 +332,32 @@ def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str, probe=
     column's 2-norm, which _change measures.  The maps are unitary only to
     roundoff, so this holds up to a factor (1 + d)^cells, d the maps'
     unitarity defect: about 1 plus the windows' defect, which the gate
-    keeps below 1 + tol/64.  So the bound, scaled as the prediction, is
-    never below it: when it is below tol and the gate holds, it is the
-    candidate's delta, and it accepts only what the prediction would.
+    keeps below 1 + tol/64.  So the bound, scaled as the estimate, is never
+    below it: when it is below tol and the gate holds, it is the
+    candidate's delta, and it accepts only what the estimate would.
     Otherwise the probe's windows are composed from the maps already
-    stepped, and the prediction decides.
+    stepped, and the estimate decides.
 
     A non-finite change raises at once, as does, once three doubling
     levels exist, a change that fell less than _error_fall(2) /
     _STALL_MARGIN times from the one before it; so does running out of
     max_refine doublings."""
     history, stepped = [], {}
-    if probe is not None and max_refine >= 1:
+    if probe is not None:
         maps_at, cells = probe
-        coarse = maps_at(nsub0 // 4)
-        fine = maps_at(2 * nsub0)
-        cur = compute(2 * nsub0, fine)
-        history.append((nsub0 // 4, math.inf))
-        scale = (_error_fall(2) - 1.0) / (_error_fall(8) - 1.0)
+        coarse = maps_at(nsub0 // 8)
+        fine = maps_at(nsub0)
+        cur = compute(nsub0, fine)
+        history.append((nsub0 // 8, math.inf))
+        scale = 1.0 / (_error_fall(8) - 1.0)
         sound = _unitarity_defect(cur) < tol / _error_fall(2)
         bound = scale * cells * _map_change(fine, coarse)
         if bound < tol and sound:
-            return cur, history + [(2 * nsub0, bound)]
-        delta = _change(cur, compute(nsub0 // 4, coarse), where, 2 * nsub0) * scale
+            return cur, history + [(nsub0, bound)]
+        delta = _change(cur, compute(nsub0 // 8, coarse), where, nsub0) * scale
         if delta < tol and sound:
-            return cur, history + [(2 * nsub0, delta)]
-        stepped[2 * nsub0] = cur
+            return cur, history + [(nsub0, delta)]
+        stepped[nsub0] = cur
     prev, nsub, last = None, nsub0, math.inf
     for _ in range(max_refine + 1):
         cur = stepped.pop(nsub) if nsub in stepped else compute(nsub)
@@ -437,10 +440,12 @@ class ProtocolResult:
     # increasing substeps (_refine); the last entry is the returned level.
     # A level compared with none has delta inf: the first, and in a run
     # that steps a probe at an eighth of the second level's substeps and
-    # falls back, the second.  When the probe decides, the returned level's
-    # delta is the doubling change predicted from the probe's: an upper
-    # bound on it from the two levels' half-period maps, or, when that bound
-    # is not below tol, the prediction from the composed windows.
+    # falls back, the second.  When the probe decides, the returned level is
+    # the second and its delta is its own error estimated from the probe's
+    # change: an upper bound on the estimate from the two levels'
+    # half-period maps, or, when that bound is not below tol, the estimate
+    # from the composed windows.  Otherwise delta is the change from the
+    # level before.
     refinement: tuple
 
     @property
@@ -836,6 +841,20 @@ def _swap_trace_error(blocks, targets) -> float:
 # 0.3 at N = 4, 13x below its resonance.
 _OMEGA_OVERRIDE_RANGE = 16.0
 
+# Most substeps per half-period cell any refinement level may step: twice
+# the default's finest level (nsub0 = 32 doubled ten times), which no run
+# measured comes near (long windows up to N = 4 M = 1e5 and N = 6 M = 1e4
+# converge by 128 per period, N = 10 M = 4 and off-resonant N = 4 runs by
+# 512).  One level there takes 0.5 s at N = 4 and 54 s at N = 8 M = 1, and
+# its cached step coefficients 5 MiB; an unbounded one (nsub0 = 2^40) asked
+# for terabytes.
+_MAX_SUBSTEPS = 2**16
+
+# Smallest tol a run accepts: float64's machine epsilon.  Two levels'
+# unitaries differ by at least their roundoff, so no smaller change is
+# ever seen and such a run could only exhaust its doublings.
+_TOL_FLOOR = 2.0**-52
+
 
 def run_iswap_protocol(
     params: ProtocolParams,
@@ -867,23 +886,24 @@ def run_iswap_protocol(
     rests on are checked exactly on every run's sector blocks, and a
     ValueError is raised if they fail (_check_sector_symmetries).
 
-    The drive is refined from nsub0 (an int >= 1) substeps per half-period,
-    doubling up to max_refine times, until the window blocks move by less
-    than tol (> 0; inf takes the first refined level).  A window of whole
-    half-period cells with nsub0 a multiple of 8 first checks the level
-    2 nsub0 against a probe at nsub0/4, whose change, scaled by the
-    sixth-order ratio (2^6 - 1)/(8^6 - 1), predicts that level's doubling
-    change; the probe decides only while the level's unitarity defect is
-    below tol/64, and otherwise nsub0 is stepped and compared as without
-    it.  The probe first bounds the window change from the two levels'
-    half-period maps (a window is 2 halves of them), and composes its
-    windows only when that bound cannot decide (_refine).  The blocks
-    returned are the same either way; only the refinement history differs.
+    The drive is refined from nsub0 (an int >= 1) substeps per half-period
+    until the returned level's estimated error is below tol (at least
+    2^-52; inf takes the first level compared).  A window of whole
+    half-period cells with nsub0 a multiple of 16 returns the level nsub0
+    itself when a probe at nsub0/8 (even, so an exact eighth of the folded
+    sector's steps too) puts its error below tol: the probe's change over
+    8^6 - 1, the sixth-order ratio, estimates the candidate's error.  The
+    probe decides only while the level's unitarity defect is below tol/64;
+    otherwise, and on every other window, the loop doubles from nsub0, up to
+    max_refine (>= 1) times, until two levels' window blocks move by less
+    than tol, and returns the finer.  The probe first bounds the estimate
+    from the two levels' half-period maps (a window is 2 halves of them),
+    and composes its windows only when that bound cannot decide (_refine).
     Once three doubling levels exist, a change that fell less than 4x from
     the one before raises at once: roundoff, which refining adds to, then
     dominates (_refine).  tol, nsub0, max_refine and omega_override must
-    be numbers of their kind, not bools or strings, or a ValueError names
-    them.
+    be numbers of their kind, not bools or strings, and the finest level,
+    nsub0 2^max_refine, at most _MAX_SUBSTEPS, or a ValueError names them.
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the
@@ -892,14 +912,21 @@ def run_iswap_protocol(
     holds the gate's sector blocks.
     """
     N, J, M = params.N, params.J, params.M
-    if not (_is_number(tol, numbers.Real) and tol > 0.0):
-        raise ValueError(f"tol must be a number > 0, got {tol!r}")
+    if not (_is_number(tol, numbers.Real) and tol >= _TOL_FLOOR):
+        raise ValueError(f"tol must be a number > 0 and at least 2^-52 (float64's machine epsilon), got {tol!r}")
     if not (_is_number(nsub0, numbers.Integral) and nsub0 >= 1):
         raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
-    if not (_is_number(max_refine, numbers.Integral) and max_refine >= 0):
-        raise ValueError(f"max_refine must be an int >= 0, got {max_refine!r}")
+    if not (_is_number(max_refine, numbers.Integral) and max_refine >= 1):
+        raise ValueError(
+            f"max_refine must be an int >= 1 (a run compares at least two levels), got {max_refine!r}"
+        )
     # refinement records Python ints, whatever integer type nsub0 came as
     nsub0, max_refine = int(nsub0), int(max_refine)
+    if max_refine >= _MAX_SUBSTEPS.bit_length() or nsub0 << max_refine > _MAX_SUBSTEPS:
+        raise ValueError(
+            f"nsub0 and max_refine must keep the finest level, nsub0 * 2^max_refine, within "
+            f"{_MAX_SUBSTEPS} substeps per half-period, got nsub0={nsub0}, max_refine={max_refine}"
+        )
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         lo, hi = omega / _OMEGA_OVERRIDE_RANGE, omega * _OMEGA_OVERRIDE_RANGE
@@ -947,13 +974,15 @@ def run_iswap_protocol(
 
     # each window's span in half-period cells, as _drive_window_sector counts
     # it: a probe steps one eighth of every stretch only when no window ends
-    # in a partial cell, and each window is then 2 halves half-period maps
+    # in a partial cell and nsub0 / 8 is even (the folded sector steps
+    # ceil(nsub/2) per quarter period), and each window is then 2 halves
+    # half-period maps
     halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
     where = (
         f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed} "
         f"over {_snap(2 * halves)} half-period cells"
     )
-    probe = (sector_maps, 2 * halves) if nsub0 % 8 == 0 and isinstance(halves, int) else None
+    probe = (sector_maps, 2 * halves) if nsub0 % 16 == 0 and isinstance(halves, int) else None
     windows, history = _refine(drive_window, tol, nsub0, max_refine, where, probe)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 

@@ -1,6 +1,6 @@
 """The numeric boundaries: every constructor of a run's or a sweep's
-parameters, and every noise amplitude, takes a value or refuses it with a
-ValueError naming the field."""
+parameters, every noise amplitude and every keyword argument of a protocol
+run takes a value or refuses it with a ValueError naming the field."""
 
 import math
 import re
@@ -76,6 +76,25 @@ def test_a_hostile_value_builds_or_is_refused_by_name(case, value):
             build(**{**valid, field: value})
         except ValueError as exc:
             assert re.search(rf"\b{field}\b", str(exc)), (boundary, field, value, str(exc))
+
+
+# run_iswap_protocol's keyword arguments, each in turn hostile while the
+# others keep their defaults; N = 4 M = 1 and the bound on the finest level
+# keep every run that is taken short
+RUN_FIELDS = ("tol", "nsub0", "max_refine", "omega_override")
+
+
+@given(st.sampled_from(RUN_FIELDS), st.sampled_from(HOSTILE))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_a_hostile_run_argument_runs_or_is_refused_by_name(field, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = run_iswap_protocol(ProtocolParams(N=4, M=1), **{field: value})
+        except ValueError as exc:
+            assert re.search(rf"\b{field}\b", str(exc)), (field, value, str(exc))
+        else:
+            assert 0.0 <= res.error < 1.0 and res.converged_delta < 1e-9, (field, value)
 
 
 def _sweep(**fields):

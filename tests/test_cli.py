@@ -12,6 +12,7 @@ import pytest
 
 from kchain import cli, eigengate, hamiltonians, krawtchouk, linalg
 from kchain.cli import main
+from kchain.driving import ProtocolParams, run_iswap_protocol
 from kchain.experiments import point_seed
 from kchain.hamiltonians import chain_block, chain_hops, krawtchouk_chain
 from kchain.krawtchouk import build_basis, conjugate_phase
@@ -98,6 +99,20 @@ def test_drive_json_report(capsys):
     assert doc["omega"] == pytest.approx(4.0)
     assert doc["halfway_inversion"] is True
     assert len(doc["rows"]) == 1
+
+
+def test_drive_json_rows_report_the_returned_level(capsys):
+    rc, out = run_cli(
+        capsys, "drive", "--n", "4", "--m", "1", "--eps", "0.01", "--samples", "2", "--out", "json"
+    )
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    for row in rows:
+        res = run_iswap_protocol(ProtocolParams(N=4, M=1, noise_eps=0.01, seed=row["seed"]))
+        assert row["substeps_per_period"] == res.substeps_per_period == 64
+        assert row["converged_delta"] == res.converged_delta < 1e-9
+        assert row["unitarity_defect"] == res.unitarity_defect < 1e-13
+        assert row["error"] == res.error
 
 
 def test_drive_csv_schema(capsys):

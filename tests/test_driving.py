@@ -159,8 +159,9 @@ def _dense_inversion_reference(params, calibration, tol):
 
 
 def test_integrator_reports_nonconvergence():
+    # one doubling cannot bring the change below 1e-15
     with pytest.raises(RuntimeError, match="did not converge"):
-        run_iswap_protocol(ProtocolParams(N=4, M=1), max_refine=0)
+        run_iswap_protocol(ProtocolParams(N=4, M=1), tol=1e-15, max_refine=1)
 
 
 _GAUSS4 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -254,7 +255,7 @@ def test_step_coefficients_are_cached_read_only():
 @pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (8, 4)])
 def test_default_runs_converge_at_the_second_level(N, M):
     res = run_iswap_protocol(ProtocolParams(N=N, M=M))
-    assert [n for n, _ in res.refinement] == [16, 128]
+    assert [n for n, _ in res.refinement] == [8, 64]
 
 
 # --------------------------------------------------------- step exponentials
@@ -768,7 +769,7 @@ def test_refinement_history_ends_at_the_reported_level():
     res = run_iswap_protocol(ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3))
     substeps = [n for n, _ in res.refinement]
     deltas = [d for _, d in res.refinement]
-    assert substeps == [16, 128]
+    assert substeps == [8, 64]
     assert deltas[0] == np.inf and all(d >= 1e-9 for d in deltas[:-1])
     assert res.refinement[-1] == (res.substeps_per_period, res.converged_delta)
     assert res.converged_delta < 1e-9
@@ -783,7 +784,7 @@ _PROBE_PANEL = [
     ProtocolParams(N=4, M=2, halfway_inversion=False),
     ProtocolParams(N=6, M=4, halfway_inversion=False),
     # the candidate's unitarity defect (~2e-9) is above tol/64: the probe
-    # may not decide, and the run steps nsub0 as the reference does
+    # may not decide, and the run refines from nsub0 as the reference does
     ProtocolParams(N=4, M=100000),
 ]
 
@@ -795,6 +796,9 @@ _PROBE_PANEL = [
     + [(ProtocolParams(N=4, M=1), 3.7), (ProtocolParams(N=6, M=4, noise_eps=0.01, seed=2), 8.9)],
 )
 def test_probed_refinement_returns_the_doubling_loops_level(monkeypatch, params, omega):
+    # a run the probe does not decide returns the doubling loop's level,
+    # bit for bit; one it decides returns the level before it, within the
+    # doubling loop's own change of it
     fast = run_iswap_protocol(params, omega_override=omega)
     monkeypatch.setattr(
         driving, "_refine",
@@ -803,22 +807,39 @@ def test_probed_refinement_returns_the_doubling_loops_level(monkeypatch, params,
         ),
     )
     reference = run_iswap_protocol(params, omega_override=omega)
-    assert [b.tobytes() for b in fast.blocks] == [b.tobytes() for b in reference.blocks]
-    assert fast.error == reference.error
-    assert fast.substeps_per_period == reference.substeps_per_period
+    monkeypatch.undo()
+    same_bits = [b.tobytes() for b in fast.blocks] == [b.tobytes() for b in reference.blocks]
     if omega is not None:
+        assert same_bits and fast.error == reference.error
         assert fast.refinement == reference.refinement
-    elif [n for n, _ in reference.refinement] == [64, 128] and params.M != 100000:
-        # the probe decided: its prediction, or the bound on it from the
-        # half-period maps (test_map_bound_decides_only_above_the_window_change),
-        # stands in for the change the doubling loop measured at the same level
-        assert [n for n, _ in fast.refinement] == [16, 128]
-        assert 0.5 < fast.converged_delta / reference.converged_delta
-        assert fast.converged_delta < 1e-9
+    elif len(fast.refinement) == 2:
+        # the probe decided: the candidate at nsub0, whose estimated error
+        # (the probe's change over 8^6 - 1, or the bound on it from the
+        # half-period maps) is its delta
+        assert [n for n, _ in fast.refinement] == [8, 64]
+        assert [n for n, _ in reference.refinement] == [64, 128]
+        assert max(max_column_distance(a, b) for a, b in zip(fast.blocks, reference.blocks)) <= 2e-10
+        # against a level three doublings finer the estimate is never below
+        # half the distance, and the distance is within tol/8
+        finer = run_iswap_protocol(params, tol=math.inf, nsub0=256, max_refine=1)
+        assert finer.substeps_per_period == 512
+        distance = max(max_column_distance(a, b) for a, b in zip(fast.blocks, finer.blocks))
+        assert distance <= 1e-9 / 8
+        assert distance / 2 <= fast.converged_delta < 1e-9
     else:
-        # the guard (M = 1e5) or a prediction >= tol (a strong drive, N = 8
+        # the guard (M = 1e5) or an estimate >= tol (a strong drive, N = 8
         # M = 1): the doubling loop's levels follow the probe's
-        assert fast.refinement == ((16, math.inf),) + reference.refinement
+        assert same_bits and fast.error == reference.error
+        assert fast.refinement == ((8, math.inf),) + reference.refinement
+
+
+@pytest.mark.parametrize("nsub0, first", [(8, 16), (16, 4), (48, 12)])
+def test_probe_steps_only_an_even_eighth_of_the_candidate(nsub0, first):
+    # N = 6 folds its half-filled sector into ceil(nsub/2) steps per quarter
+    # period, so only an even probe level is an exact eighth of nsub0
+    res = run_iswap_protocol(ProtocolParams(N=6, M=4), nsub0=nsub0)
+    assert res.refinement[0] == (first, math.inf)
+    assert res.converged_delta < 1e-9
 
 
 def _record_probe_levels(monkeypatch):
@@ -848,13 +869,13 @@ def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
     seen, composed = _record_probe_levels(monkeypatch)
     res = run_iswap_protocol(params)
     assert seen["probe"] is not None
-    if 8 in composed:
+    if 4 in composed:
         return
-    assert composed == [64] * (params.N // 2 + 1)
+    assert composed == [32] * (params.N // 2 + 1)
     monkeypatch.undo()
-    compute, scale = seen["compute"], 63.0 / (8.0**6 - 1.0)
-    change = driving._change(compute(64), compute(8), "test", 64)
-    assert res.refinement[0] == (16, math.inf) and len(res.refinement) == 2
+    compute, scale = seen["compute"], 1.0 / (8.0**6 - 1.0)
+    change = driving._change(compute(32), compute(4), "test", 32)
+    assert res.refinement[0] == (8, math.inf) and len(res.refinement) == 2
     assert scale * change <= res.converged_delta < 1e-9
 
 
@@ -863,7 +884,7 @@ def test_default_runs_decide_from_the_maps(monkeypatch, N, M):
     # no probe window is composed: only the candidate's
     _, composed = _record_probe_levels(monkeypatch)
     run_iswap_protocol(ProtocolParams(N=N, M=M, noise_eps=0.01, seed=1))
-    assert composed == [64] * (N // 2 + 1)
+    assert composed == [32] * (N // 2 + 1)
 
 
 def test_run_the_map_bound_cannot_decide_steps_each_level_once(monkeypatch):
@@ -872,18 +893,18 @@ def test_run_the_map_bound_cannot_decide_steps_each_level_once(monkeypatch):
     calls = _count_expm_stacks(monkeypatch)
     _, composed = _record_probe_levels(monkeypatch)
     res = run_iswap_protocol(ProtocolParams(N=8, M=4))
-    assert [n for n, _ in res.refinement] == [16, 128]
-    assert sorted(set(composed)) == [8, 64]
-    assert _per_sector_level(calls) == _stacks_per_level(8, (8, 64), lambda q, nsub: [nsub])
+    assert [n for n, _ in res.refinement] == [8, 64]
+    assert sorted(set(composed)) == [4, 32]
+    assert _per_sector_level(calls) == _stacks_per_level(8, (4, 32), lambda q, nsub: [nsub])
 
 
 def test_default_run_steps_only_the_probe_and_the_returned_level(monkeypatch):
     # N = 6 folds its half-filled sector: half the steps, over a quarter period
     calls = _count_expm_stacks(monkeypatch)
     res = run_iswap_protocol(ProtocolParams(N=6, M=4))
-    assert [n for n, _ in res.refinement] == [16, 128]
+    assert [n for n, _ in res.refinement] == [8, 64]
     assert _per_sector_level(calls) == _stacks_per_level(
-        6, (8, 64), lambda q, nsub: [nsub // 2 if 2 * q == 6 else nsub]
+        6, (4, 32), lambda q, nsub: [nsub // 2 if 2 * q == 6 else nsub]
     )
 
 
@@ -928,7 +949,7 @@ def test_long_window_stops_on_its_roundoff_floor(monkeypatch, N, M, cells):
     with pytest.raises(RuntimeError) as exc:
         run_iswap_protocol(ProtocolParams(N=N, M=M))
     message = str(exc.value)
-    assert levels == {8, 32, 64, 128}
+    assert levels == {4, 32, 64, 128}
     assert "did not converge" in message and "fell only" in message
     assert f"over {cells} half-period cells" in message
     assert re.search(r"unitarity defect is \d\.\de-0\d\)$", message)
@@ -1106,13 +1127,36 @@ def test_protocol_params_reject_bad_fields(kwargs, field):
         pytest.param({"nsub0": -2}, "nsub0 must be a positive integer", id="-2"),
         pytest.param({"nsub0": 1.5}, "nsub0 must be a positive integer", id="1.5"),
         pytest.param({"nsub0": np.nan}, "nsub0 must be a positive integer", id="nan"),
-        pytest.param({"max_refine": -1}, "max_refine must be an int >= 0", id="max_refine=-1"),
-        pytest.param({"max_refine": 1.5}, "max_refine must be an int >= 0", id="max_refine=1.5"),
+        pytest.param({"max_refine": -1}, "max_refine must be an int >= 1", id="max_refine=-1"),
+        pytest.param({"max_refine": 1.5}, "max_refine must be an int >= 1", id="max_refine=1.5"),
+        # one level has nothing to be compared with, even at tol = inf
+        pytest.param({"max_refine": 0, "tol": math.inf}, "max_refine must be an int >= 1", id="max_refine=0"),
     ],
 )
 def test_protocol_rejects_nonpositive_initial_substeps(kwargs, message):
     with pytest.raises(ValueError, match=message):
         run_iswap_protocol(ProtocolParams(N=4, M=1), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "nsub0, max_refine",
+    [(2**40, 10), (2**16 + 16, 1), (64, 11), (1, 17), (32, 10**300), (np.uint64(2**64 - 1), 10)],
+)
+def test_protocol_bounds_the_finest_level(monkeypatch, nsub0, max_refine):
+    # refused before any stepping, with both fields named; 2^40 once asked
+    # numpy for 2 TiB of step coefficients
+    calls = _count_expm_stacks(monkeypatch)
+    with pytest.raises(ValueError, match=r"^nsub0 and max_refine must keep the finest level"):
+        run_iswap_protocol(ProtocolParams(N=4, M=1), nsub0=nsub0, max_refine=max_refine)
+    assert calls == []
+
+
+@pytest.mark.parametrize("nsub0, max_refine", [(64, 10), (1, 16)])
+def test_protocol_takes_a_finest_level_at_the_bound(nsub0, max_refine):
+    # tol = inf accepts the first level compared, so the bound's edge is
+    # taken without stepping it
+    res = run_iswap_protocol(ProtocolParams(N=4, M=1), tol=math.inf, nsub0=nsub0, max_refine=max_refine)
+    assert res.substeps_per_period == 2 * (nsub0 if nsub0 % 16 == 0 else 2 * nsub0)
 
 
 @pytest.mark.parametrize(
@@ -1148,7 +1192,7 @@ def test_refinement_records_python_ints_for_numpy_substeps():
     assert res.refinement == plain.refinement
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, -np.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, -np.inf, 1e-300, 2.0**-53])
 def test_protocol_rejects_bad_tolerance(monkeypatch, tol):
     # rejected before any stepping, not after every refinement level
     calls = _count_expm_stacks(monkeypatch)
@@ -1394,7 +1438,7 @@ def test_gate_time_accounting_frozen():
 def test_protocol_nonconvergence_names_its_coordinates():
     params = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=7)
     with pytest.raises(RuntimeError) as exc:
-        run_iswap_protocol(params, tol=1e-300, max_refine=1)
+        run_iswap_protocol(params, tol=1e-15, max_refine=1)
     message = str(exc.value)
     for coordinate in ("N=4", "M=1", "eps=0.01", "seed=7"):
         assert coordinate in message
