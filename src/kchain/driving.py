@@ -301,79 +301,67 @@ def _map_change(cur, prev) -> float:
     return float(np.max([np.linalg.norm(a[0] - b[0]) for a, b in zip(cur, prev) if a is not None]))
 
 
-def _refine(compute, tol: float, nsub0: int, max_refine: int, where: str, probe=None):
-    """compute(nsub), a list of blocks, at nsub0, 2 nsub0, ... until two
-    results differ by less than tol (max column 2-norm over the blocks).
-    Returns the last and the (nsub, delta) of every level stepped, by
-    increasing nsub, delta being inf where a level was compared with none.
+def _refine(step, compose, tol: float, levels, where: str, cells=None):
+    """Step the levels nsub in levels, by increasing nsub, until one's
+    estimated error is below tol.  Returns that level's blocks and the
+    (nsub, delta) of every level stepped, delta being its estimated error
+    (inf for the first, which is compared with none).
 
-    probe, when given, is (maps_at, cells): maps_at(nsub) steps the
-    half-period maps of every stepped sector at nsub per cell,
-    compute(nsub, maps_at(nsub)) composes that level's windows from them,
-    and each window is a product of cells such maps (no partial cells,
-    and nsub0 such that every stretch the probe steps is an exact eighth of
-    the candidate's).  Then nsub0 itself is the candidate, checked
-    against a probe at nsub0/8 with one eighth of its steps.  Once
-    discretization dominates, the probe's error is 8^6 times the
-    candidate's, so the probe's change over 8^6 - 1 estimates the
-    candidate's own error; when the estimate is below tol it is the
-    candidate's delta and the candidate is returned.  The estimate holds
-    only while discretization dominates, so it decides only when the
-    candidate's unitarity defect is below tol/64; otherwise the loop goes
-    on from nsub0 as without a probe, comparing raw doubling changes.
+    step(nsub) steps a level's maps and compose(nsub, maps) its blocks.
+    Each level is compared with the one before, f = 8 or 2 times coarser,
+    by the largest column 2-norm change over the blocks (_change).  Once
+    discretization dominates, a level's error falls f^6 times
+    (_error_fall), so the change over f^6 - 1 estimates the finer level's
+    own error.  That holds only while roundoff is far below tol, so the
+    change is scaled only when the finer level's unitarity defect is below
+    tol/64; otherwise the estimate is the raw change.
 
-    The probe's windows are composed only when a bound from the maps
-    cannot decide.  A window is a product of cells maps, each ua or ua^T
-    (or the reversal of one, for a partner sector), with diagonal pulses of
-    modulus 1 between them that both levels share.  By the triangle
-    inequality two levels' windows then differ in operator norm by at most
-    cells times the largest ||ua - ua'||_2 over the sectors; the Frobenius
-    norm bounds that (_map_change), and the operator norm bounds every
-    column's 2-norm, which _change measures.  The maps are unitary only to
-    roundoff, so this holds up to a factor (1 + d)^cells, d the maps'
+    cells, when given, says every window is a product of cells maps, each
+    a sector's first half-period map ua, its transpose or the reversal of
+    either, with diagonal pulses of modulus 1 between them that both levels
+    share.  By the triangle inequality two levels' windows then differ in
+    operator norm by at most cells times the largest ||ua - ua'||_2 over
+    the sectors; the Frobenius norm bounds that (_map_change), and the
+    operator norm bounds every column's 2-norm.  The maps are unitary only
+    to roundoff, so this holds up to a factor (1 + d)^cells, d their
     unitarity defect: about 1 plus the windows' defect, which the gate
-    keeps below 1 + tol/64.  So the bound, scaled as the estimate, is never
-    below it: when it is below tol and the gate holds, it is the
-    candidate's delta, and it accepts only what the estimate would.
-    Otherwise the probe's windows are composed from the maps already
-    stepped, and the estimate decides.
+    keeps below 1 + tol/64.  So the bound, scaled as the change, is never
+    below the estimate.  Under the gate it is tried first, and when it is
+    below tol it is the level's delta; only otherwise are the windows
+    compared, the level before's composed if they were not yet.
 
-    A non-finite change raises at once, as does, once three doubling
-    levels exist, a change that fell less than _error_fall(2) /
-    _STALL_MARGIN times from the one before it; so does running out of
-    max_refine doublings."""
-    history, stepped = [], {}
-    if probe is not None:
-        maps_at, cells = probe
-        coarse = maps_at(nsub0 // 8)
-        fine = maps_at(nsub0)
-        cur = compute(nsub0, fine)
-        history.append((nsub0 // 8, math.inf))
-        scale = 1.0 / (_error_fall(8) - 1.0)
+    A non-finite change raises at once, as does running out of levels, and
+    a doubling change that fell less than _error_fall(2) / _STALL_MARGIN
+    times from the doubling change before it."""
+    first, *rest = levels
+    history, prev, last = [(first, math.inf)], (first, step(first), None), math.inf
+    for nsub in rest:
+        maps = step(nsub)
+        cur = compose(nsub, maps)
+        prev_nsub, prev_maps, prev_blocks = prev
+        factor = nsub // prev_nsub
         sound = _unitarity_defect(cur) < tol / _error_fall(2)
-        bound = scale * cells * _map_change(fine, coarse)
-        if bound < tol and sound:
-            return cur, history + [(nsub0, bound)]
-        delta = _change(cur, compute(nsub0 // 8, coarse), where, nsub0) * scale
-        if delta < tol and sound:
-            return cur, history + [(nsub0, delta)]
-        stepped[nsub0] = cur
-    prev, nsub, last = None, nsub0, math.inf
-    for _ in range(max_refine + 1):
-        cur = stepped.pop(nsub) if nsub in stepped else compute(nsub)
-        delta = math.inf if prev is None else _change(cur, prev, where, nsub)
+        scale = 1.0 / (_error_fall(factor) - 1.0) if sound else 1.0
+        delta = scale * cells * _map_change(maps, prev_maps) if sound and cells is not None else math.inf
+        if not delta < tol:
+            if prev_blocks is None:
+                prev_blocks = compose(prev_nsub, prev_maps)
+            change = _change(cur, prev_blocks, where, nsub)
+            delta = change * scale
         history.append((nsub, delta))
         if delta < tol:
             return cur, history
-        # last is inf until two changes exist
-        if last < delta * _error_fall(2) / _STALL_MARGIN:
-            raise RuntimeError(
-                f"{where} did not converge below {tol:g}: the change {delta:.3e} at nsub={nsub} "
-                f"fell only {last / delta:.2g}x from {last:.3e}, so roundoff "
-                f"dominates (the blocks' unitarity defect is {_unitarity_defect(cur):.1e})"
-            )
-        prev, nsub, last = cur, 2 * nsub, delta
-    raise RuntimeError(f"{where} did not converge below {tol:g}; last change {delta:.3e}")
+        # last is inf until a doubling change exists; the probe's is none
+        if factor == 2:
+            if last < change * _error_fall(2) / _STALL_MARGIN:
+                raise RuntimeError(
+                    f"{where} did not converge below {tol:g}: the change {change:.3e} at nsub={nsub} "
+                    f"fell only {last / change:.2g}x from {last:.3e}, so roundoff "
+                    f"dominates (the blocks' unitarity defect is {_unitarity_defect(cur):.1e})"
+                )
+            last = change
+        prev = (nsub, maps, cur)
+    raise RuntimeError(f"{where} did not converge below {tol:g}; last estimated error {delta:.3e}")
 
 
 # ------------------------------------------------------------- swap protocol
@@ -437,15 +425,8 @@ class ProtocolResult:
     amplitude: float
     drive_phase: float
     # (substeps_per_period, delta) of every refinement level stepped, by
-    # increasing substeps (_refine); the last entry is the returned level.
-    # A level compared with none has delta inf: the first, and in a run
-    # that steps a probe at an eighth of the second level's substeps and
-    # falls back, the second.  When the probe decides, the returned level is
-    # the second and its delta is its own error estimated from the probe's
-    # change: an upper bound on the estimate from the two levels'
-    # half-period maps, or, when that bound is not below tol, the estimate
-    # from the composed windows.  Otherwise delta is the change from the
-    # level before.
+    # increasing substeps; the last entry is the returned level.  delta is
+    # the level's estimated error (_refine), inf for the first level.
     refinement: tuple
 
     @property
@@ -845,7 +826,7 @@ _OMEGA_OVERRIDE_RANGE = 16.0
 # the default's finest level (nsub0 = 32 doubled ten times), which no run
 # measured comes near (long windows up to N = 4 M = 1e5 and N = 6 M = 1e4
 # converge by 128 per period, N = 10 M = 4 and off-resonant N = 4 runs by
-# 512).  One level there takes 0.5 s at N = 4 and 54 s at N = 8 M = 1, and
+# 256).  One level there takes 0.5 s at N = 4 and 54 s at N = 8 M = 1, and
 # its cached step coefficients 5 MiB; an unbounded one (nsub0 = 2^40) asked
 # for terabytes.
 _MAX_SUBSTEPS = 2**16
@@ -886,22 +867,20 @@ def run_iswap_protocol(
     rests on are checked exactly on every run's sector blocks, and a
     ValueError is raised if they fail (_check_sector_symmetries).
 
-    The drive is refined from nsub0 (an int >= 1) substeps per half-period
-    until the returned level's estimated error is below tol (at least
-    2^-52; inf takes the first level compared).  A window of whole
-    half-period cells with nsub0 a multiple of 16 returns the level nsub0
-    itself when a probe at nsub0/8 (even, so an exact eighth of the folded
-    sector's steps too) puts its error below tol: the probe's change over
-    8^6 - 1, the sixth-order ratio, estimates the candidate's error.  The
-    probe decides only while the level's unitarity defect is below tol/64;
-    otherwise, and on every other window, the loop doubles from nsub0, up to
-    max_refine (>= 1) times, until two levels' window blocks move by less
-    than tol, and returns the finer.  The probe first bounds the estimate
-    from the two levels' half-period maps (a window is 2 halves of them),
-    and composes its windows only when that bound cannot decide (_refine).
-    Once three doubling levels exist, a change that fell less than 4x from
-    the one before raises at once: roundoff, which refining adds to, then
-    dominates (_refine).  tol, nsub0, max_refine and omega_override must
+    The drive is stepped at the levels nsub0, 2 nsub0, ..., nsub0
+    2^max_refine substeps per half-period (nsub0 an int >= 1, max_refine
+    >= 1), led by a probe at nsub0/8 when every window is whole
+    half-period cells and nsub0 a multiple of 16 (nsub0/8 even, so an exact
+    eighth of the folded sector's steps too).  The first level whose
+    estimated error is below tol (at least 2^-52; inf takes the first level
+    compared) is returned: its change from the level before over f^6 - 1,
+    f = 8 or 2 the sixth-order ratio, while its unitarity defect is below
+    tol/64, and the raw change otherwise.  On whole-cell windows that
+    estimate is first bounded from the two levels' half-period maps, and
+    the windows are compared only when the bound cannot decide (_refine).
+    A doubling change that fell less than 4x from the one before raises at
+    once: roundoff, which refining adds to, then dominates.  tol, nsub0,
+    max_refine and omega_override must
     be numbers of their kind, not bools or strings, and the finest level,
     nsub0 2^max_refine, at most _MAX_SUBSTEPS, or a ValueError names them.
 
@@ -958,9 +937,7 @@ def run_iswap_protocol(
             for q, basis in enumerate(bases)
         ]
 
-    def drive_window(nsub, maps=None):
-        if maps is None:
-            maps = sector_maps(nsub)
+    def drive_window(nsub, maps):
         windows = [None] * (N + 1)
         for q, basis in enumerate(bases):
             partners = (q,) if 2 * q == N else (q, N - q)
@@ -973,17 +950,19 @@ def run_iswap_protocol(
         return windows
 
     # each window's span in half-period cells, as _drive_window_sector counts
-    # it: a probe steps one eighth of every stretch only when no window ends
-    # in a partial cell and nsub0 / 8 is even (the folded sector steps
-    # ceil(nsub/2) per quarter period), and each window is then 2 halves
-    # half-period maps
+    # it; a whole number makes each window 2 halves half-period maps, and a
+    # probe then steps one eighth of every stretch when nsub0 / 8 is even
+    # (the folded sector steps ceil(nsub/2) per quarter period)
     halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
     where = (
         f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed} "
         f"over {_snap(2 * halves)} half-period cells"
     )
-    probe = (sector_maps, 2 * halves) if nsub0 % 16 == 0 and isinstance(halves, int) else None
-    windows, history = _refine(drive_window, tol, nsub0, max_refine, where, probe)
+    whole = isinstance(halves, int)
+    levels = [nsub0 << k for k in range(max_refine + 1)]
+    if whole and nsub0 % 16 == 0:
+        levels.insert(0, nsub0 // 8)
+    windows, history = _refine(sector_maps, drive_window, tol, levels, where, 2 * halves if whole else None)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
     blocks = tuple(u_k.conj().T @ window @ u_k for window, u_k in zip(windows, plan.eigengate_blocks))

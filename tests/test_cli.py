@@ -51,6 +51,18 @@ def test_spectrum_respects_coupling_scale(capsys):
     assert "1,0,-1" in out and "1,1,1" in out
 
 
+@pytest.mark.parametrize("n, j", [("64", "1e4"), ("4", "1e300"), ("4", "1.0")])
+def test_spectrum_check_scales_with_the_spectral_radius(capsys, monkeypatch, n, j):
+    # the eigenvalues' roundoff grows with J(N - 1)/2 (4.7e-10 at N = 64,
+    # J = 1e4, against an absolute tolerance of 1e-10); a spectrum off by a
+    # relative 1e-9 still fails at every scale
+    assert run_cli(capsys, "spectrum", "--n", n, "--j", j)[0] == 0
+    hopping = cli.single_particle_hopping
+    monkeypatch.setattr(cli, "single_particle_hopping", lambda spec: hopping(spec) * (1.0 + 1e-9))
+    assert main(["spectrum", "--n", n, "--j", j]) == 1
+    assert "FAIL spectrum deviation" in capsys.readouterr().err
+
+
 def test_matrix_elements_table(capsys):
     rc, out = run_cli(capsys, "matrix-elements", "--n-max", "5")
     assert rc == 0

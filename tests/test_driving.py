@@ -99,14 +99,15 @@ def _propagate_callable(func, duration, tol):
     """Propagator of H(t) = func(t) over [0, duration], refined from 64
     steps until halving the step moves it by less than tol."""
     compute = lambda n: [driving._ordered_product(_generic_steps(func, 0.0, duration, n))]
-    return driving._refine(compute, tol, 64, 14, "generic reference")[0][0]
+    return _doubling_refine(compute, tol, 64, 14, "generic reference")[0][0]
 
 
 def _doubling_refine(compute, tol, nsub0, max_refine, where):
-    """The refinement loop without a probe or a stall rule: compute(nsub)
-    at nsub0, 2 nsub0, ... until two results differ by less than tol (max
-    column 2-norm over the blocks).  Returns the last and the (nsub, delta)
-    of every level, the first inf."""
+    """A refinement loop of its own for the references, independent of the
+    protocol's _refine and its acceptance rule: compute(nsub) at nsub0,
+    2 nsub0, ... until two results differ by less than tol (max column
+    2-norm over the blocks).  Returns the last and the (nsub, delta) of
+    every level, the first inf."""
     prev, nsub, history = None, nsub0, []
     for _ in range(max_refine + 1):
         cur = compute(nsub)
@@ -152,7 +153,7 @@ def _dense_inversion_reference(params, calibration, tol):
             restore @ driving._ordered_product(second) @ invert @ driving._ordered_product(first)
         ]
 
-    return driving._refine(compute, tol, 64, 14, "dense reference")[0][0]
+    return _doubling_refine(compute, tol, 64, 14, "dense reference")[0][0]
 
 
 # ----------------------------------------------------------- drive stepping
@@ -484,7 +485,7 @@ def _step_every_sector(params):
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
-    def window(basis, omega, phase, length, inverts, nsub, sign, maps=None):
+    def window(basis, omega, phase, length, inverts, nsub, sign, maps):
         q = next(
             q for q, (hb, vb) in enumerate(blocks)
             if np.array_equal(hb, basis[0]) and np.array_equal(vb, basis[1])
@@ -676,7 +677,7 @@ def test_folded_half_period_matches_stepped(N, pairs, seed):
 )
 def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypatch, params):
     # N = 10 compares the two routes at one fixed level: refined to
-    # convergence it steps four more
+    # convergence it steps two more
     kwargs = {"tol": math.inf, "max_refine": 1} if params.N == 10 else {}
     fast = run_iswap_protocol(params, **kwargs)
     folds, stepped = [], driving._half_period_maps
@@ -755,6 +756,13 @@ def test_time_reversal_breaking_sectors_are_rejected(monkeypatch):
         run_iswap_protocol(ProtocolParams(N=4, M=1))
 
 
+def _refine_blocks(compute, tol, levels=tuple(1 << k for k in range(11))):
+    """driving._refine over levels (by default ten doublings from 1) of
+    compute(nsub), a list of blocks, with no maps to bound the change
+    from."""
+    return driving._refine(compute, lambda nsub, blocks: blocks, tol, levels, "test loop")
+
+
 def test_refinement_stops_at_a_nan_block():
     # a NaN anywhere among the blocks must stop the loop, also when a finite
     # block comes first (a plain max over the distances would drop the NaN)
@@ -762,7 +770,7 @@ def test_refinement_stops_at_a_nan_block():
         return [np.eye(2), np.full((2, 2), np.nan)]
 
     with pytest.raises(RuntimeError, match="non-finite change"):
-        driving._refine(compute, 1e-9, 4, 3, "test loop")
+        _refine_blocks(compute, 1e-9)
 
 
 def test_refinement_history_ends_at_the_reported_level():
@@ -783,54 +791,47 @@ _PROBE_PANEL = [
     ProtocolParams(N=8, M=16, noise_eps=0.01, seed=5),
     ProtocolParams(N=4, M=2, halfway_inversion=False),
     ProtocolParams(N=6, M=4, halfway_inversion=False),
-    # the candidate's unitarity defect (~2e-9) is above tol/64: the probe
-    # may not decide, and the run refines from nsub0 as the reference does
+    # the unitarity defect (~2e-9) is above tol/64: the raw changes decide
     ProtocolParams(N=4, M=100000),
 ]
+
+# the levels a run returns: [8, 64] where the probe decides; a strong
+# drive, whose level 128 is accepted on its doubling estimate, and the long
+# window, on its raw doubling change, go on; off resonance no probe is
+# stepped
+_RETURNED_LEVELS = {
+    (ProtocolParams(N=8, M=1), None): [8, 64, 128],
+    (ProtocolParams(N=4, M=100000), None): [8, 64, 128],
+    (ProtocolParams(N=4, M=1), 3.7): [64, 128],
+    (ProtocolParams(N=6, M=4, noise_eps=0.01, seed=2), 8.9): [64, 128],
+}
 
 
 @pytest.mark.parametrize(
     "params, omega",
     [(params, None) for params in _PROBE_PANEL]
-    # off resonance the windows end in partial cells, and no probe is stepped
     + [(ProtocolParams(N=4, M=1), 3.7), (ProtocolParams(N=6, M=4, noise_eps=0.01, seed=2), 8.9)],
 )
-def test_probed_refinement_returns_the_doubling_loops_level(monkeypatch, params, omega):
-    # a run the probe does not decide returns the doubling loop's level,
-    # bit for bit; one it decides returns the level before it, within the
-    # doubling loop's own change of it
-    fast = run_iswap_protocol(params, omega_override=omega)
-    monkeypatch.setattr(
-        driving, "_refine",
-        lambda compute, tol, nsub0, max_refine, where, probe: _doubling_refine(
-            compute, tol, nsub0, max_refine, where
-        ),
-    )
-    reference = run_iswap_protocol(params, omega_override=omega)
-    monkeypatch.undo()
-    same_bits = [b.tobytes() for b in fast.blocks] == [b.tobytes() for b in reference.blocks]
-    if omega is not None:
-        assert same_bits and fast.error == reference.error
-        assert fast.refinement == reference.refinement
-    elif len(fast.refinement) == 2:
-        # the probe decided: the candidate at nsub0, whose estimated error
-        # (the probe's change over 8^6 - 1, or the bound on it from the
-        # half-period maps) is its delta
-        assert [n for n, _ in fast.refinement] == [8, 64]
-        assert [n for n, _ in reference.refinement] == [64, 128]
-        assert max(max_column_distance(a, b) for a, b in zip(fast.blocks, reference.blocks)) <= 2e-10
-        # against a level three doublings finer the estimate is never below
-        # half the distance, and the distance is within tol/8
-        finer = run_iswap_protocol(params, tol=math.inf, nsub0=256, max_refine=1)
-        assert finer.substeps_per_period == 512
-        distance = max(max_column_distance(a, b) for a, b in zip(fast.blocks, finer.blocks))
-        assert distance <= 1e-9 / 8
-        assert distance / 2 <= fast.converged_delta < 1e-9
-    else:
-        # the guard (M = 1e5) or an estimate >= tol (a strong drive, N = 8
-        # M = 1): the doubling loop's levels follow the probe's
-        assert same_bits and fast.error == reference.error
-        assert fast.refinement == ((8, math.inf),) + reference.refinement
+def test_probed_refinement_returns_the_doubling_loops_level(params, omega):
+    # the returned level is within tol/8 of the level three doublings finer,
+    # up to the roundoff floor of the two (their unitarity defect), and its
+    # estimated error is never below half the distance where the distance
+    # stands above that floor
+    tol = 1e-9
+    levels = _RETURNED_LEVELS.get((params, omega), [8, 64])
+    res = run_iswap_protocol(params, tol=tol, omega_override=omega)
+    assert [n for n, _ in res.refinement] == levels
+    # tol=inf returns the first level compared: nsub0 itself where a probe
+    # leads (whole cells), 2 nsub0 otherwise
+    nsub0 = 4 * levels[-1] if omega is None else 2 * levels[-1]
+    finer = run_iswap_protocol(params, tol=math.inf, nsub0=nsub0, max_refine=1, omega_override=omega)
+    assert finer.substeps_per_period == 8 * levels[-1]
+    distance = max(max_column_distance(a, b) for a, b in zip(res.blocks, finer.blocks))
+    floor = max(res.unitarity_defect, finer.unitarity_defect)
+    assert distance <= tol / 8 + floor
+    assert res.converged_delta < tol
+    if distance > floor:
+        assert distance / 2 <= res.converged_delta
 
 
 @pytest.mark.parametrize("nsub0, first", [(8, 16), (16, 4), (48, 12)])
@@ -842,15 +843,16 @@ def test_probe_steps_only_an_even_eighth_of_the_candidate(nsub0, first):
     assert res.converged_delta < 1e-9
 
 
-def _record_probe_levels(monkeypatch):
-    """Record, while the run lasts, the compute and probe the protocol hands
-    _refine and the nsub of every window _drive_window_sector composes."""
+def _record_refinement(monkeypatch):
+    """Record, while the run lasts, the step, compose and cells the protocol
+    hands _refine and the nsub of every window _drive_window_sector
+    composes."""
     seen, composed = {}, []
     refine, window = driving._refine, driving._drive_window_sector
 
-    def recording_refine(compute, *args):
-        seen["compute"], seen["probe"] = compute, args[-1]
-        return refine(compute, *args)
+    def recording_refine(step, compose, tol, levels, where, cells=None):
+        seen.update(step=step, compose=compose, cells=cells)
+        return refine(step, compose, tol, levels, where, cells)
 
     def recording_window(*args, nsub, **kwargs):
         composed.append(nsub)
@@ -863,26 +865,39 @@ def _record_probe_levels(monkeypatch):
 
 @pytest.mark.parametrize("params", _PROBE_PANEL)
 def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
-    # a probe whose windows are never composed was decided by the bound
-    # from the half-period maps: it must lie above the scaled change of the
-    # windows it stands in for, so it accepts only what that change would
-    seen, composed = _record_probe_levels(monkeypatch)
-    res = run_iswap_protocol(params)
-    assert seen["probe"] is not None
-    if 4 in composed:
-        return
-    assert composed == [32] * (params.N // 2 + 1)
+    # the bound from the half-period maps lies above the scaled change of
+    # the windows it stands in for, at the probe's comparison and at a
+    # doubling one (N = 8 M = 1), so it accepts only what that change
+    # would; where it accepts, it is the level's delta, and a probe's
+    # windows are never composed
+    tol = 1e-9
+    seen, composed = _record_refinement(monkeypatch)
+    res = run_iswap_protocol(params, tol=tol)
     monkeypatch.undo()
-    compute, scale = seen["compute"], 1.0 / (8.0**6 - 1.0)
-    change = driving._change(compute(32), compute(4), "test", 32)
-    assert res.refinement[0] == (8, math.inf) and len(res.refinement) == 2
-    assert scale * change <= res.converged_delta < 1e-9
+    step, compose, cells = seen["step"], seen["compose"], seen["cells"]
+    (prev, _), (last, delta) = [(n // 2, d) for n, d in res.refinement[-2:]]
+    maps, prev_maps = step(last), step(prev)
+    windows = compose(last, maps)
+    change = driving._change(windows, compose(prev, prev_maps), "test", last)
+    if driving._unitarity_defect(windows) >= tol / 64:
+        # ungated (M = 1e5): the raw change decides, and no bound is tried
+        assert delta == change < tol
+        return
+    scale = 1.0 / (driving._error_fall(last // prev) - 1.0)
+    bound = scale * cells * driving._map_change(maps, prev_maps)
+    assert change * scale <= bound
+    if bound < tol:
+        assert delta == bound
+    else:
+        assert delta == change * scale < tol
+    if len(res.refinement) == 2:
+        assert (prev in composed) == (delta != bound)
 
 
 @pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (6, 20), (8, 16), (8, 64)])
 def test_default_runs_decide_from_the_maps(monkeypatch, N, M):
     # no probe window is composed: only the candidate's
-    _, composed = _record_probe_levels(monkeypatch)
+    _, composed = _record_refinement(monkeypatch)
     run_iswap_protocol(ProtocolParams(N=N, M=M, noise_eps=0.01, seed=1))
     assert composed == [32] * (N // 2 + 1)
 
@@ -891,7 +906,7 @@ def test_run_the_map_bound_cannot_decide_steps_each_level_once(monkeypatch):
     # at N = 8 M = 4 the bound is not below tol: the probe's windows are
     # composed from the maps already stepped, not stepped again
     calls = _count_expm_stacks(monkeypatch)
-    _, composed = _record_probe_levels(monkeypatch)
+    _, composed = _record_refinement(monkeypatch)
     res = run_iswap_protocol(ProtocolParams(N=8, M=4))
     assert [n for n, _ in res.refinement] == [8, 64]
     assert sorted(set(composed)) == [4, 32]
@@ -908,29 +923,50 @@ def test_default_run_steps_only_the_probe_and_the_returned_level(monkeypatch):
     )
 
 
-def _scripted_levels(changes):
+def _scripted_levels(changes, unitary=False):
     """compute(nsub) for _refine whose successive doubling levels from
-    nsub = 1 differ by the given changes."""
+    nsub = 1 differ by the given changes: 1 x 1 blocks holding their
+    running sum, or, unitary, e^i times it, so that the unitarity gate
+    holds."""
     values = np.concatenate([[0.0], np.cumsum(changes)])
+    if unitary:
+        values = np.exp(1.0j * values)
     return lambda nsub: [np.array([[values[nsub.bit_length() - 1]]])]
+
+
+def test_doubling_levels_are_accepted_on_their_estimated_error():
+    # under the unitarity gate a doubling level is accepted once its change
+    # over 2^6 - 1 is below tol; without it, only once the raw change is
+    changes = [1.0e-6, 3.0e-8, 5.0e-10]
+    _, history = _refine_blocks(_scripted_levels(changes, unitary=True), 1e-9)
+    assert [n for n, _ in history] == [1, 2, 4]
+    assert history[-1][1] == pytest.approx(3.0e-8 / 63.0, rel=1e-6)
+    _, history = _refine_blocks(_scripted_levels(changes), 1e-9)
+    assert [n for n, _ in history] == [1, 2, 4, 8]
+    assert history[-1][1] == pytest.approx(5.0e-10, rel=1e-6)
 
 
 def test_refinement_stalls_on_a_change_that_does_not_fall():
     # changes as N = 4 M = 1e6 gives them: they grow with the substeps
     with pytest.raises(RuntimeError, match=r"did not converge below 1e-09: the change 2\.300e-08 "):
-        driving._refine(_scripted_levels([1.0e-8, 2.3e-8, 1.0e-7]), 1e-9, 1, 10, "test loop")
+        _refine_blocks(_scripted_levels([1.0e-8, 2.3e-8, 1.0e-7]), 1e-9)
     # a fall just short of 4x stalls; 4x refines on
     with pytest.raises(RuntimeError, match="fell only 3.9x"):
-        driving._refine(_scripted_levels([1.0e-6, 1.0e-6 / 3.9]), 1e-9, 1, 10, "test loop")
-    _, history = driving._refine(_scripted_levels([1.0e-6, 2.5e-7, 1e-10]), 1e-9, 1, 10, "test loop")
+        _refine_blocks(_scripted_levels([1.0e-6, 1.0e-6 / 3.9]), 1e-9)
+    _, history = _refine_blocks(_scripted_levels([1.0e-6, 2.5e-7, 1e-10]), 1e-9)
     assert [n for n, _ in history] == [1, 2, 4, 8]
+    # the probe's change (8 against 1) is not a doubling change: the first
+    # doubling change may stand level with it
+    scripted = _scripted_levels([0.0, 0.0, 1.0e-8, 1.0e-8, 1.0e-11])
+    _, history = _refine_blocks(scripted, 1e-9, [1, 8, 16, 32])
+    assert [n for n, _ in history] == [1, 8, 16, 32]
 
 
 def test_refinement_does_not_stall_on_healthy_falls():
     # the changes of N = 10 M = 4 from nsub0 = 4, which fall 105, 62, 65,
     # 61 and 64x
     changes = [4.6e-2, 4.4e-4, 7.1e-6, 1.1e-7, 1.8e-9, 2.8e-11]
-    _, history = driving._refine(_scripted_levels(changes), 1e-9, 1, 10, "test loop")
+    _, history = _refine_blocks(_scripted_levels(changes), 1e-9)
     assert [n for n, _ in history] == [1, 2, 4, 8, 16, 32, 64]
 
 

@@ -96,8 +96,10 @@ def test_fig2_point_frozen_and_thread_invariant():
     assert len(rows) == 1
     N, M, eps, mean, stderr, count = rows[0]
     assert (N, M, eps, count) == (6, 4, 1e-2, 12)
-    assert mean == pytest.approx(0.0011098785208222088, rel=1e-12)
-    assert stderr == pytest.approx(0.00038966154549248486, rel=1e-12)
+    # relative pins with no absolute slack: pytest.approx's default abs=1e-12
+    # would stand for rel 9e-10 and 2.6e-9 at these values
+    assert mean == pytest.approx(0.0011098785208222088, rel=5e-10, abs=0.0)
+    assert stderr == pytest.approx(0.00038966154549248486, rel=5e-10, abs=0.0)
     threaded = SweepConfig(protocol="fig2", n_values=(6,), m_values=(4,), eps_values=(1e-2,), samples=12, threads=4)
     assert sweep_fig2(threaded) == rows
 
@@ -119,7 +121,7 @@ def test_fig2_noiseless_point_is_single_run():
     rows = sweep_fig2(cfg)
     N, M, eps, mean, stderr, count = rows[0]
     assert count == 1 and stderr == 0.0
-    assert mean == pytest.approx(0.000672555999634894, rel=1e-9)
+    assert mean == pytest.approx(0.000672555999634894, rel=5e-10, abs=0.0)
 
 
 def test_fig2_stderr_shrinks_with_samples():
