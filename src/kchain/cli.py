@@ -546,6 +546,11 @@ def main(argv=None) -> int:
                 command.error(f"argument --n: fig2 needs N <= {_MAX_PROTOCOL_N}, got {big}")
             if args.m_max < args.m_min:
                 command.error(f"argument --m-max: must be >= --m-min ({args.m_min}), got {args.m_max}")
+    # every coupling and energy of a chain, many-body ones included (up to
+    # J N^2 / 8), lies below J N^2
+    j = getattr(args, "j", None)
+    if j is not None and not math.isfinite(j * args.n * args.n):
+        command.error(f"argument --j: J * N^2 must be finite in float64, got J={j!r} at N={args.n}")
     if args.command == "circuit-verify" and args.which == "ctrl-iswap2" and args.n not in (4, 6):
         command.error(f"argument --n: ctrl-iswap2 is defined for N in {{4, 6}}, got {args.n}")
     try:

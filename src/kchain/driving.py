@@ -296,9 +296,8 @@ def _change(cur, prev, where: str, nsub: int) -> float:
 
 def _map_change(cur, prev) -> float:
     """Largest Frobenius norm of the change in the first half-period map
-    between two lists of sector maps ((ua, ub), None for a zero block); a
-    NaN anywhere is kept."""
-    return float(np.max([np.linalg.norm(a[0] - b[0]) for a, b in zip(cur, prev) if a is not None]))
+    between two lists of sector maps; a NaN anywhere is kept."""
+    return float(np.max([np.linalg.norm(a - b) for a, b in zip(cur, prev)]))
 
 
 def _refine(step, compose, tol: float, levels, where: str, cells=None):
@@ -317,9 +316,9 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
     tol/64; otherwise the estimate is the raw change.
 
     cells, when given, says every window is a product of cells maps, each
-    a sector's first half-period map ua, its transpose or the reversal of
-    either, with diagonal pulses of modulus 1 between them that both levels
-    share.  By the triangle inequality two levels' windows then differ in
+    a sector's first half-period map ua (_half_period_map), its transpose
+    or the reversal of either, with diagonal pulses of modulus 1 between
+    them that both levels share.  By the triangle inequality two levels' windows then differ in
     operator norm by at most cells times the largest ||ua - ua'||_2 over
     the sectors; the Frobenius norm bounds that (_map_change), and the
     operator norm bounds every column's 2-norm.  The maps are unitary only
@@ -585,55 +584,28 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     return plan.omega, j_d, cmath.phase(v_ab) - math.pi
 
 
-def _half_period_maps(basis, omega, phase, nsub, folded=False):
-    """Unitaries over the first and second half-period of the drive whose
-    commutator basis (_drive_basis) is basis, at the calibrated phase.
+def _half_period_map(basis, omega, phase, nsub, folded=False):
+    """Unitary ua over the first half-period of the drive whose commutator
+    basis (_drive_basis) is basis, at the calibrated phase and an even
+    nsub.  The second half-period's map is ua.T, exact because the drive is
+    time symmetric about the half-period boundary
+    (_check_sector_symmetries), so it is never stepped.
 
-    Only the first is stepped and the second is its transpose, which is
-    exact because the drive is time symmetric about the half-period
-    boundary (_check_sector_symmetries).
-
-    folded steps only the first quarter period, X, in
-    ceil(nsub/2) steps, and takes the first half-period as R X^T R X, R the
-    reversal of the basis order.  This is exact when moreover R h0 R = h0
-    and R vop R = -vop: the half-filled sector under a '-' pairing, which
-    the spin flip maps onto itself (_check_sector_symmetries).  There
-    h0 is real symmetric and vop^T = -vop, so R H(t)^T R = H(t), and the
-    calibrated phase, an odd multiple of pi/2, makes the drive even about
-    the cell's midpoint pi/(2 omega); hence U(pi/omega, pi/(2 omega)) =
-    R X^T R.  The sixth-order Magnus step is time symmetric, so the folded
-    map equals the stepped one to roundoff; for even nsub the steps are
-    the unfolded map's.
+    folded steps only the first quarter period, X, in nsub/2 steps, and
+    takes the first half-period as R X^T R X, R the reversal of the basis
+    order.  This is exact when moreover R h0 R = h0 and R vop R = -vop: the
+    half-filled sector under a '-' pairing, which the spin flip maps onto
+    itself (_check_sector_symmetries).  There h0 is real symmetric and
+    vop^T = -vop, so R H(t)^T R = H(t), and the calibrated phase, an odd
+    multiple of pi/2, makes the drive even about the cell's midpoint
+    pi/(2 omega); hence U(pi/omega, pi/(2 omega)) = R X^T R.  The
+    sixth-order Magnus step is time symmetric, so the folded map equals the
+    stepped one to roundoff, and its steps are the unfolded map's.
     """
     if folded:
         x = _cell_map(basis, omega, phase, nsub, 0, 0.5)
-        ua = x.T[::-1, ::-1] @ x
-    else:
-        ua = _cell_map(basis, omega, phase, nsub, 0, 1)
-    return ua, ua.T
-
-
-def _partner_maps(ua, ub, sign: str):
-    """Half-period maps of sector N-q from those of sector q.
-
-    The spin flip reverses the sector's basis order; under a '-' pairing it
-    also negates the drive, i.e. shifts it by half a period, so the two
-    halves trade places.
-    """
-    ra, rb = ua[::-1, ::-1], ub[::-1, ::-1]
-    return (ra, rb) if sign == "+" else (rb, ra)
-
-
-def _compose_half_periods(ua, ub, count: int, start_second: bool):
-    """Evolution through `count` half-periods starting at the given parity."""
-    if count == 0:
-        return np.eye(ua.shape[0], dtype=complex)
-    first, second = (ub, ua) if start_second else (ua, ub)
-    pair = second @ first
-    u = np.linalg.matrix_power(pair, count // 2)
-    if count % 2:
-        u = first @ u
-    return u
+        return x.T[::-1, ::-1] @ x
+    return _cell_map(basis, omega, phase, nsub, 0, 1)
 
 
 # A resonant window's cell count, (pi M / J) / (pi / omega) = M omega / J, is
@@ -695,14 +667,21 @@ def _cell_map(basis, omega, phase, nsub, a, b):
     return u
 
 
-def _interval_map(ua, ub, partial, s, e):
+def _interval_map(ua, partial, s, e):
     """Unitary over the drive-clock interval [s, e], in half-period cells:
-    the whole cells composed from the half-period maps by parity, and
-    partial(a, b) over a partial cell at either end."""
+    the whole cells composed from the first half-period map ua and its
+    transpose, the second, by parity, and partial(a, b) over a partial
+    cell at either end."""
     k0, k1 = math.ceil(s), math.floor(e)
     if k0 > k1:
         return partial(s, e)
-    u = _compose_half_periods(ua, ub, k1 - k0, bool(k0 % 2))
+    if k1 == k0:
+        u = np.eye(len(ua), dtype=complex)
+    else:
+        first = ua.T if k0 % 2 else ua
+        u = np.linalg.matrix_power(first.T @ first, (k1 - k0) // 2)
+        if (k1 - k0) % 2:
+            u = first @ u
     if s < k0:
         u = u @ partial(s, k0)
     if e > k1:
@@ -710,58 +689,44 @@ def _interval_map(ua, ub, partial, s, e):
     return u
 
 
-def _window_map(ua, ub, partial, halves, invert):
+def _window_map(ua, partial, halves, invert):
     """Drive-window propagator of one sector over [0, 2 halves] cells, or,
     with the inversion, over [0, halves] and [halves, 2 halves] with the
     diagonal pulse (invert; it reverses the chain's spectrum) and its
     inverse wrapped around the second, so every spectator phase cancels."""
     end = _snap(2 * halves)
     if invert is None:
-        return _interval_map(ua, ub, partial, 0, end)
-    first = _interval_map(ua, ub, partial, 0, halves)
+        return _interval_map(ua, partial, 0, end)
+    first = _interval_map(ua, partial, 0, halves)
     # an even whole number of cells: the second window has the first's cell
     # count and start parity and no partial cells, so the same product
-    second = first if halves % 2 == 0 else _interval_map(ua, ub, partial, halves, end)
+    second = first if halves % 2 == 0 else _interval_map(ua, partial, halves, end)
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
-def _sector_maps(basis, omega, phase, nsub, folded):
-    """Sector q's half-period maps (_half_period_maps), or None for a block
-    that is exactly zero (no or all sites excited), which evolves by the
-    identity and is never stepped."""
-    if not basis[:2].any():
-        return None
-    return _half_period_maps(basis, omega, phase, nsub, folded)
+def _drive_window_sector(basis, omega, phase, halves, inverts, nsub, sign: str, ua):
+    """Drive-window propagators on a sector 0 < q <= N/2 and its partner N-q.
 
-
-def _drive_window_sector(basis, omega, phase, length, inverts, nsub, sign: str, maps):
-    """Drive-window propagators on a sector q <= N/2 and its partner N-q.
-
-    basis is _drive_basis of sector q's chain and drive blocks, and length
-    is each window's span on the drive clock.  inverts holds the pulse
+    basis is _drive_basis of sector q's chain and drive blocks, and halves
+    is each window's span in half-period cells.  inverts holds the pulse
     phases (None without the inversion) of each sector to return: q, then
-    N-q unless q = N/2.  maps are sector q's half-period maps at nsub
-    (_sector_maps), stepped by the caller, which decides whether they fold.
-    Whole half-period cells come from them, and the partial cells at a
-    window's ends are stepped; a resonant window has none.  The partner's
-    maps are q's in reverse basis order, half a period later under a '-'
-    pairing (_partner_maps).  Blocks that are exactly zero (maps None)
-    evolve by the identity, so their windows are the identity wrapped in
-    the inversion pulses, neither stepped nor composed.
+    N-q unless q = N/2.  ua is sector q's first half-period map at nsub
+    (_half_period_map), stepped by the caller, which decides whether it
+    folds.  Whole half-period cells come from it, and the partial cells at
+    a window's ends are stepped; a resonant window has none.  The spin flip
+    reverses the partner's basis order and, under a '-' pairing, shifts its
+    drive by one cell, so the partner's first half-period map is q's
+    second, ua.T, reversed.
     """
-    if maps is None:
-        eye = np.eye(basis.shape[-1], dtype=complex)
-        return [eye if inv is None else np.conj(inv)[:, None] * (inv[:, None] * eye) for inv in inverts]
-    ua, ub = maps
     partial = functools.cache(functools.partial(_cell_map, basis, omega, phase, nsub))
     shift = 0 if sign == "+" else 1
 
     def partner_partial(a, b):
         return partial(a + shift, b + shift)[::-1, ::-1]
 
-    halves = _snap(length / (math.pi / omega))
-    maps = ((ua, ub, partial), (*_partner_maps(ua, ub, sign), partner_partial))
-    return [_window_map(a, b, p, halves, inv) for (a, b, p), inv in zip(maps, inverts)]
+    partner = (ua.T if shift else ua)[::-1, ::-1]
+    sectors = ((ua, partial), (partner, partner_partial))
+    return [_window_map(a, p, halves, inv) for (a, p), inv in zip(sectors, inverts)]
 
 
 def _check_sector_symmetries(h_blocks, v_blocks, sign: str) -> None:
@@ -777,7 +742,7 @@ def _check_sector_symmetries(h_blocks, v_blocks, sign: str) -> None:
     multiple of pi/2 (V imaginary antisymmetric; the eigenstates are real),
     so H(pi/omega + u) = H(pi/omega - u)^T and U(2 pi/omega, pi/omega) =
     U(pi/omega, 0)^T; the sixth-order Magnus step is time symmetric, so the
-    stepped maps keep this to roundoff (_half_period_maps).
+    stepped maps keep this to roundoff (_half_period_map).
     """
     N = len(h_blocks) - 1
     s = 1.0 if sign == "+" else -1.0
@@ -850,26 +815,27 @@ def run_iswap_protocol(
     term; the eigengates and the inversion pulses are exact.  Every piece
     is built per excitation sector (the eigengate's blocks as minors), and
     each window is composed on the drive clock from half-period maps, so on
-    resonance (a whole number of half-periods) the cost is independent of M up to a logarithm; an
-    off-resonant omega_override, within a factor of _OMEGA_OVERRIDE_RANGE of
-    the calibrated frequency, adds only the partial half-periods at the
-    windows' ends.
+    resonance (a whole number of half-periods) the cost is independent of
+    M up to a logarithm; an off-resonant omega_override, within a factor of
+    _OMEGA_OVERRIDE_RANGE of the calibrated frequency, adds only the
+    partial half-periods at the windows' ends.
 
-    Only the sectors q <= N/2 are stepped.  The chain has zero fields and
-    the drive pairs sites (j, j+N/2) with one sign, so the global spin
-    flip, which maps sector q onto sector N-q in reverse basis order,
-    leaves the chain unchanged and the drive unchanged ('+') or negated
-    ('-', the drive half a period later).  Each stepped sector steps only
+    Only the sectors 0 < q <= N/2 are stepped: q = 0 and N are exactly
+    zero, so their windows are the inversion pulses alone.  The chain has
+    zero fields and the drive pairs sites (j, j+N/2) with one sign, so the
+    global spin flip, which maps sector q onto sector N-q in reverse basis
+    order, leaves the chain unchanged and the drive unchanged ('+') or
+    negated ('-', the drive half a period later).  Each stepped sector steps only
     its first half-period, the second being its transpose at the calibrated
     phase; under a '-' pairing the half-filled sector, its own partner,
     steps only its first quarter period and folds it over the cell's
-    midpoint (_half_period_maps).  The pairing and the time reversal this
+    midpoint (_half_period_map).  The pairing and the time reversal this
     rests on are checked exactly on every run's sector blocks, and a
     ValueError is raised if they fail (_check_sector_symmetries).
 
     The drive is stepped at the levels nsub0, 2 nsub0, ..., nsub0
-    2^max_refine substeps per half-period (nsub0 an int >= 1, max_refine
-    >= 1), led by a probe at nsub0/8 when every window is whole
+    2^max_refine substeps per half-period (nsub0 an even int >= 2,
+    max_refine >= 1), led by a probe at nsub0/8 when every window is whole
     half-period cells and nsub0 a multiple of 16 (nsub0/8 even, so an exact
     eighth of the folded sector's steps too).  The first level whose
     estimated error is below tol (at least 2^-52; inf takes the first level
@@ -880,9 +846,9 @@ def run_iswap_protocol(
     the windows are compared only when the bound cannot decide (_refine).
     A doubling change that fell less than 4x from the one before raises at
     once: roundoff, which refining adds to, then dominates.  tol, nsub0,
-    max_refine and omega_override must
-    be numbers of their kind, not bools or strings, and the finest level,
-    nsub0 2^max_refine, at most _MAX_SUBSTEPS, or a ValueError names them.
+    max_refine and omega_override must be numbers of their kind, not bools
+    or strings, and the finest level, nsub0 2^max_refine, at most
+    _MAX_SUBSTEPS, or a ValueError names them.
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the
@@ -906,6 +872,8 @@ def run_iswap_protocol(
             f"nsub0 and max_refine must keep the finest level, nsub0 * 2^max_refine, within "
             f"{_MAX_SUBSTEPS} substeps per half-period, got nsub0={nsub0}, max_refine={max_refine}"
         )
+    if nsub0 % 2:
+        raise ValueError(f"nsub0 must be even (a folded sector steps nsub/2 per quarter period), got {nsub0}")
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         lo, hi = omega / _OMEGA_OVERRIDE_RANGE, omega * _OMEGA_OVERRIDE_RANGE
@@ -923,37 +891,34 @@ def run_iswap_protocol(
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_sector_symmetries(h_blocks, v_blocks, sign)
     inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)
-    # the sector with no site excited has exactly zero blocks: its (h, v)
-    # pair stands in for a commutator basis, which _sector_maps reads as zero
-    bases = [
-        _drive_basis(h, v) if h.any() or v.any() else np.stack([h, v])
-        for h, v in zip(h_blocks[: N // 2 + 1], v_blocks[: N // 2 + 1])
-    ]
+    # the sectors q = 0 and N are 1 x 1 and exactly zero (no hop, no drive):
+    # their windows are the identity wrapped in the inversion pulses
+    eye = np.eye(1, dtype=complex)
+    empty, full = (eye if inv is None else np.conj(inv)[:, None] * (inv[:, None] * eye) for inv in inverts[:: N])
+    bases = [_drive_basis(h_blocks[q], v_blocks[q]) for q in range(1, N // 2 + 1)]
+    # each window's span in half-period cells; a whole number makes each
+    # window 2 halves half-period maps, and a probe then steps one eighth of
+    # every stretch when nsub0 / 8 is even
+    halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
 
     def sector_maps(nsub):
         # the half-filled sector, its own partner, folds under a '-' pairing
         return [
-            _sector_maps(basis, omega, phase, nsub, sign == "-" and 2 * q == N)
-            for q, basis in enumerate(bases)
+            _half_period_map(basis, omega, phase, nsub, sign == "-" and 2 * q == N)
+            for q, basis in enumerate(bases, start=1)
         ]
 
     def drive_window(nsub, maps):
-        windows = [None] * (N + 1)
-        for q, basis in enumerate(bases):
+        windows = [empty, *[None] * (N - 1), full]
+        for q, (basis, ua) in enumerate(zip(bases, maps), start=1):
             partners = (q,) if 2 * q == N else (q, N - q)
             blocks = _drive_window_sector(
-                basis, omega, phase, params.tau_d / 2.0, [inverts[p] for p in partners],
-                nsub=nsub, sign=sign, maps=maps[q],
+                basis, omega, phase, halves, [inverts[p] for p in partners], nsub=nsub, sign=sign, ua=ua
             )
             for p, blk in zip(partners, blocks):
                 windows[p] = blk
         return windows
 
-    # each window's span in half-period cells, as _drive_window_sector counts
-    # it; a whole number makes each window 2 halves half-period maps, and a
-    # probe then steps one eighth of every stretch when nsub0 / 8 is even
-    # (the folded sector steps ceil(nsub/2) per quarter period)
-    halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
     where = (
         f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed} "
         f"over {_snap(2 * halves)} half-period cells"

@@ -632,6 +632,21 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("command, n", [("spectrum", 64), ("eigengate-check", 10), ("ghz", 11), ("pst", 20)])
+def test_coupling_scale_whose_energies_overflow_is_a_usage_error(capsys, command, n):
+    # a chain's many-body energies reach J N^2 / 8: J with J N^2 finite runs
+    # clean (any warning fails the test), and one just above is refused
+    # with one usage line; 1e307 at N = 64 once gave a NaN deviation
+    largest = sys.float_info.max / n**2
+    assert run_cli(capsys, command, "--n", str(n), "--j", repr(0.99 * largest))[0] == 0
+    for j in (1.01 * largest, 1e307, sys.float_info.max):
+        code, err = usage_error(capsys, command, "--n", str(n), "--j", repr(j))
+        assert code == 2
+        usage, message = err.splitlines()
+        assert usage.startswith(f"usage: kchain {command} ")
+        assert message == f"kchain {command}: error: argument --j: J * N^2 must be finite in float64, got J={j!r} at N={n}"
+
+
 def test_config_values_get_the_flag_range_checks(tmp_path):
     cfg = tmp_path / "drive.json"
     cfg.write_text(json.dumps({"samples": 0}))

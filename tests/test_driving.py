@@ -388,13 +388,19 @@ def _sector_blocks(N, sign, pairs, eps, seed):
 
 
 def _window_from_maps(ua, ub, halves, invert):
-    """Drive-window propagator of one sector from its half-period maps over
-    a whole number of half-periods per window: the composition the
-    resonant route used before windows were cut into drive-clock cells."""
+    """Drive-window propagator of one sector from its first and second
+    half-period maps over a whole number of half-periods per window, each
+    half-period multiplied in turn."""
+
+    def cells(start, count):
+        u = np.eye(len(ua), dtype=complex)
+        for k in range(start, start + count):
+            u = (ub if k % 2 else ua) @ u
+        return u
+
     if invert is None:
-        return driving._compose_half_periods(ua, ub, 2 * halves, False)
-    first = driving._compose_half_periods(ua, ub, halves, False)
-    second = driving._compose_half_periods(ua, ub, halves, bool(halves % 2))
+        return cells(0, 2 * halves)
+    first, second = cells(0, halves), cells(halves, halves)
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
@@ -447,23 +453,32 @@ def _step_window_directly(h0, vop, omega, phase, length, invert, nsub):
     ],
 )
 def test_derived_sector_maps_match_stepped_maps(N, sign, pairs, phase, eps, seed):
-    # the partner maps hold at any phase; the window route steps only the
-    # phases the calibration gives
+    # at any phase the partner's half-period maps are q's in reverse basis
+    # order, swapped under '-'; at the phases the calibration gives, which
+    # the window route steps, the second half-period is ua^T, so the
+    # partner's maps are R ua R and its transpose under '+' and R ua^T R and
+    # its transpose under '-' (R the basis reversal)
     blocks = _sector_blocks(N, sign, pairs, eps, seed)
     omega, nsub, halves = float(N * N) / 4.0, 16, 2 * N + 1
     bases = [driving._drive_basis(h, v) for h, v, _ in blocks]
     stepped = [_stepped_halves(basis, omega, phase, nsub) for basis in bases]
     calibrated = _calibrated_phase(sign)
+    at_calibrated = [_stepped_halves(basis, omega, calibrated, nsub) for basis in bases]
     for q in range(N // 2 + 1):
-        for got, want in zip(driving._partner_maps(*stepped[q], sign), stepped[N - q]):
+        ra, rb = (m[::-1, ::-1] for m in stepped[q])
+        for got, want in zip((ra, rb) if sign == "+" else (rb, ra), stepped[N - q]):
             assert np.max(np.abs(got - want)) <= 1e-13, (N - q, sign)
+        ua = at_calibrated[q][0]
+        partner = (ua if sign == "+" else ua.T)[::-1, ::-1]
+        derived = (ua.T, partner, partner.T)
+        for got, want in zip(derived, (at_calibrated[q][1], *at_calibrated[N - q])):
+            assert np.max(np.abs(got - want)) <= 1e-13, (q, sign)
+    for q in range(1, N // 2 + 1):
         partners = (q,) if 2 * q == N else (q, N - q)
         for inversion in (True, False):
             inverts = [blocks[p][2] if inversion else None for p in partners]
-            maps = driving._sector_maps(bases[q], omega, calibrated, nsub, sign == "-" and 2 * q == N)
-            windows = driving._drive_window_sector(
-                bases[q], omega, calibrated, halves * np.pi / omega, inverts, nsub, sign, maps
-            )
+            ua = driving._half_period_map(bases[q], omega, calibrated, nsub, sign == "-" and 2 * q == N)
+            windows = driving._drive_window_sector(bases[q], omega, calibrated, halves, inverts, nsub, sign, ua)
             assert len(windows) == len(partners)
             for p, inv, window in zip(partners, inverts, windows):
                 maps = _stepped_halves(bases[p], omega, calibrated, nsub)
@@ -485,13 +500,13 @@ def _step_every_sector(params):
     sectors = [sector_indices(params.N, q) for q in range(params.N + 1)]
     blocks = [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)]) for ix in sectors]
 
-    def window(basis, omega, phase, length, inverts, nsub, sign, maps):
+    def window(basis, omega, phase, halves, inverts, nsub, sign, ua):
         q = next(
             q for q, (hb, vb) in enumerate(blocks)
             if np.array_equal(hb, basis[0]) and np.array_equal(vb, basis[1])
         )
         partners = (q,) if 2 * q == params.N else (q, params.N - q)
-        halves = length / (np.pi / omega)
+        length = halves * np.pi / omega
         if abs(halves - round(halves)) < 1e-12:
             maps = [
                 _stepped_halves(driving._drive_basis(*blocks[p]), omega, phase, nsub)
@@ -639,9 +654,9 @@ def test_transposed_second_half_period_matches_stepped(N, sign, pairs, seed):
     driving._check_sector_symmetries([h for h, _, _ in blocks], [v for _, v, _ in blocks], sign)
     for q, (h, v, _) in enumerate(blocks[: N // 2 + 1]):
         basis = driving._drive_basis(h, v)
-        got = driving._half_period_maps(basis, omega, phase, 32)
-        for g, want in zip(got, _stepped_halves(basis, omega, phase, 32)):
-            assert np.max(np.abs(g - want)) <= 1e-13, q
+        ua = driving._half_period_map(basis, omega, phase, 32)
+        for got, want in zip((ua, ua.T), _stepped_halves(basis, omega, phase, 32)):
+            assert np.max(np.abs(got - want)) <= 1e-13, q
 
 
 def _reversal_symmetry(h, v):
@@ -661,10 +676,9 @@ def test_folded_half_period_matches_stepped(N, pairs, seed):
     assert _reversal_symmetry(h, v)
     basis = driving._drive_basis(h, v)
     for nsub in (8, 32):
-        stepped = driving._half_period_maps(basis, omega, phase, nsub)
-        folded = driving._half_period_maps(basis, omega, phase, nsub, folded=True)
-        for got, want in zip(folded, stepped):
-            assert np.max(np.abs(got - want)) <= 1e-13, nsub
+        stepped = driving._half_period_map(basis, omega, phase, nsub)
+        folded = driving._half_period_map(basis, omega, phase, nsub, folded=True)
+        assert np.max(np.abs(folded - stepped)) <= 1e-13, nsub
 
 
 @pytest.mark.parametrize(
@@ -680,14 +694,14 @@ def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypat
     # convergence it steps two more
     kwargs = {"tol": math.inf, "max_refine": 1} if params.N == 10 else {}
     fast = run_iswap_protocol(params, **kwargs)
-    folds, stepped = [], driving._half_period_maps
+    folds, stepped = [], driving._half_period_map
 
     def unfolded(basis, omega, phase, nsub, folded=False):
         # every first half-period stepped whole: the route the fold replaced
         folds.append(folded)
         return stepped(basis, omega, phase, nsub)
 
-    monkeypatch.setattr(driving, "_half_period_maps", unfolded)
+    monkeypatch.setattr(driving, "_half_period_map", unfolded)
     reference = run_iswap_protocol(params, **kwargs)
     # one folded sector per level
     assert folds.count(True) == len(reference.refinement)
@@ -836,7 +850,7 @@ def test_probed_refinement_returns_the_doubling_loops_level(params, omega):
 
 @pytest.mark.parametrize("nsub0, first", [(8, 16), (16, 4), (48, 12)])
 def test_probe_steps_only_an_even_eighth_of_the_candidate(nsub0, first):
-    # N = 6 folds its half-filled sector into ceil(nsub/2) steps per quarter
+    # N = 6 folds its half-filled sector into nsub/2 steps per quarter
     # period, so only an even probe level is an exact eighth of nsub0
     res = run_iswap_protocol(ProtocolParams(N=6, M=4), nsub0=nsub0)
     assert res.refinement[0] == (first, math.inf)
@@ -896,10 +910,11 @@ def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
 
 @pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (6, 20), (8, 16), (8, 64)])
 def test_default_runs_decide_from_the_maps(monkeypatch, N, M):
-    # no probe window is composed: only the candidate's
+    # no probe window is composed: only the candidate's, one per stepped
+    # sector 0 < q <= N/2
     _, composed = _record_refinement(monkeypatch)
     run_iswap_protocol(ProtocolParams(N=N, M=M, noise_eps=0.01, seed=1))
-    assert composed == [32] * (N // 2 + 1)
+    assert composed == [32] * (N // 2)
 
 
 def test_run_the_map_bound_cannot_decide_steps_each_level_once(monkeypatch):
@@ -999,29 +1014,45 @@ def test_unitarity_defect_reads_the_blocks():
     assert "unitarity_defect" not in [f.name for f in dataclasses.fields(res)]
 
 
+def _with_end_pulses(plan, first, last):
+    """A copy of plan whose inversion pulses on the sectors q = 0 and N
+    are the phases e^(i first) and e^(i last)."""
+    moved = dataclasses.replace(plan)
+    # inverts is a cached property: the copy's is set before its first use
+    moved.__dict__["inverts"] = (np.exp([1.0j * first]), *plan.inverts[1:-1], np.exp([1.0j * last]))
+    return moved
+
+
 @pytest.mark.parametrize("N", [4, 6, 8, 10])
 @pytest.mark.parametrize("M", [1, 3, 4, 16, 20, 101])
 def test_zero_sector_windows_match_the_composed_identity(monkeypatch, N, M):
-    # q = 0 and q = N have exactly zero blocks: their windows must be the
-    # bits the half-period route composes from identity maps, unstepped
+    # q = 0 and q = N have exactly zero blocks: their gate blocks must be
+    # the bits the half-period route composes from identity maps, and no
+    # 1 x 1 block is ever stepped.  The other sectors' blocks do not enter
+    # them, so their stepping is stood in for by identity maps.
     plan = driving._layout_plan(N, 1.0)
-    params = ProtocolParams(N=N, M=M)
     basis = np.zeros((10, 1, 1), dtype=complex)
     eye = np.eye(1, dtype=complex)
+    cell_map, stepped = driving._cell_map, []
+
+    def identity_map(basis, *args):
+        stepped.append(basis.shape[-1])
+        return np.eye(basis.shape[-1], dtype=complex)
+
     for omega in (plan.omega, 0.9 * plan.omega):
-        length, phase = params.tau_d / 2.0, -np.pi / 2.0
-        halves = driving._snap(length / (np.pi / omega))
-        partial = functools.partial(driving._cell_map, basis, omega, phase, 32)
         # the plan's pulse phases there are 1; a general phase checks the wrap
-        for inverts in ([plan.inverts[0], plan.inverts[N]], [np.exp([0.7j]), np.exp([-2.1j])], [None, None]):
-            calls = _count_expm_stacks(monkeypatch)
-            got = driving._drive_window_sector(
-                basis, omega, phase, length, inverts, nsub=32, sign=driving_sign(N),
-                maps=driving._sector_maps(basis, omega, phase, 32, False),
-            )
-            assert calls == []
-            want = [driving._window_map(eye, eye, partial, halves, inv) for inv in inverts]
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        for inversion, pulses in ((True, plan), (True, _with_end_pulses(plan, 0.7, -2.1)), (False, plan)):
+            params = ProtocolParams(N=N, M=M, halfway_inversion=inversion)
+            halves = driving._snap(params.tau_d / 2.0 / (np.pi / omega))
+            partial = functools.partial(cell_map, basis, omega, -np.pi / 2.0, 2)
+            monkeypatch.setattr(driving, "_layout_plan", lambda n, j: pulses)
+            monkeypatch.setattr(driving, "_cell_map", identity_map)
+            res = run_iswap_protocol(params, tol=math.inf, nsub0=2, max_refine=1, omega_override=omega)
+            assert stepped and min(stepped) > 1
+            for q in (0, N):
+                window = driving._window_map(eye, partial, halves, pulses.inverts[q] if inversion else None)
+                u_k = pulses.eigengate_blocks[q]
+                assert res.blocks[q].tobytes() == (u_k.conj().T @ window @ u_k).tobytes(), (q, omega)
             monkeypatch.undo()
 
 
@@ -1187,7 +1218,7 @@ def test_protocol_bounds_the_finest_level(monkeypatch, nsub0, max_refine):
     assert calls == []
 
 
-@pytest.mark.parametrize("nsub0, max_refine", [(64, 10), (1, 16)])
+@pytest.mark.parametrize("nsub0, max_refine", [(64, 10), (2, 15)])
 def test_protocol_takes_a_finest_level_at_the_bound(nsub0, max_refine):
     # tol = inf accepts the first level compared, so the bound's edge is
     # taken without stepping it
@@ -1218,6 +1249,17 @@ def test_protocol_rejects_keyword_arguments_that_are_not_numbers(monkeypatch, fi
     calls = _count_expm_stacks(monkeypatch)
     with pytest.raises(ValueError, match=f"^{field} must be "):
         run_iswap_protocol(ProtocolParams(N=4, M=1), **{field: value})
+    assert calls == []
+
+
+@pytest.mark.parametrize("nsub0", [1, 3, np.int64(3)])
+def test_protocol_refuses_an_odd_initial_level(monkeypatch, nsub0):
+    # a folded sector steps nsub/2 per quarter period, so from an odd level
+    # the first doubling would not double its steps, and the stall check
+    # once read that as roundoff (N = 6 M = 4 at nsub0 = 1)
+    calls = _count_expm_stacks(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^nsub0 must be even .*, got {int(nsub0)}$"):
+        run_iswap_protocol(ProtocolParams(N=6, M=4), nsub0=nsub0)
     assert calls == []
 
 

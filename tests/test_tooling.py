@@ -1,9 +1,15 @@
-"""The test configuration itself: a failing test must be reported as one
-failure among the others' results, not end the session."""
+"""The tooling around the package: the test configuration, under which a
+failing test must be reported as one failure among the others' results,
+not end the session, and the names the benchmark's tracer hooks on."""
 
+import importlib
+import importlib.util
 import pathlib
 import subprocess
 import sys
+
+import kchain
+from kchain import ProtocolParams, driving
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -40,3 +46,35 @@ def test_a_failing_property_leaves_the_other_tests_reported(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert proc.returncode == 1
     assert "1 failed, 2 passed" in proc.stdout.splitlines()[-1]
+
+
+def _benchmark_runner():
+    """perfbench/run.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_hooks_name_functions_that_exist(monkeypatch):
+    # a renamed function leaves the benchmark's per-layer metrics absent
+    # without an error, so every name it tags must resolve, and the drive
+    # window's hook must find nsub among the keyword arguments
+    hooks = _benchmark_runner().trace_hooks(kchain)
+    assert set(hooks) >= {"driving._expm_stack", "driving._drive_window_sector", "driving.run_iswap_protocol"}
+    for name in hooks:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"kchain.{module}"), function, None)), name
+    calls, window = [], driving._drive_window_sector
+
+    def recording_window(*args, **kwargs):
+        result = window(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(driving, "_drive_window_sector", recording_window)
+    driving.run_iswap_protocol(ProtocolParams(N=6, M=1), tol=float("inf"), nsub0=4, max_refine=1)
+    assert calls
+    for args, kwargs, result in calls:
+        assert "nsub" in kwargs
+        assert hooks["driving._drive_window_sector"](args, kwargs, result) == kwargs["nsub"]
