@@ -192,12 +192,15 @@ def _apply_config_file(args, parser, argv):
 
 
 def _spectrum(N: int, J: float):
-    """Closed-form single-particle spectrum J(k - n/2), k = 0..N-1, and its
-    largest deviation from the diagonalized chain."""
+    """Closed-form single-particle spectrum J(k - n/2), k = 0..N-1, its
+    largest deviation from the diagonalized chain, and the deviation's
+    tolerance.  The eigenvalues' roundoff grows with the spectral radius
+    J n/2; a radius up to 1 keeps the absolute _SPECTRUM_TOL."""
     n = N - 1
     hop = single_particle_hopping(krawtchouk_chain(N, J))
     exact = np.array([J * (k - n / 2.0) for k in range(N)])
-    return exact, float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max())
+    deviation = float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max())
+    return exact, deviation, _SPECTRUM_TOL * max(1.0, J * n / 2.0)
 
 
 def _site_term(ket: np.ndarray, N: int, a: int, b: int | None = None) -> np.ndarray:
@@ -248,12 +251,9 @@ def _m1_element(n: int) -> tuple:
 
 
 def _cmd_spectrum(args) -> int:
-    exact, worst = _spectrum(args.n, args.j)
+    exact, worst, tol = _spectrum(args.n, args.j)
     rows = [(args.n - 1, k, lam) for k, lam in enumerate(exact)]
     sys.stdout.write(format_table(("n", "k", "lambda"), rows))
-    # the eigenvalues' roundoff grows with the spectral radius J(N - 1)/2;
-    # a radius up to 1 keeps the absolute tolerance
-    tol = _SPECTRUM_TOL * max(1.0, args.j * (args.n - 1) / 2.0)
     if not worst < tol:
         print(f"FAIL spectrum deviation {worst:.3e} (tol {tol:g})", file=sys.stderr)
         return 1
@@ -409,7 +409,7 @@ def _cmd_verify_all(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:g})")
 
     for N in range(2, n_max + 1):
-        check(f"spectrum N={N}", _spectrum(N, 1.0)[1], _SPECTRUM_TOL)
+        check(f"spectrum N={N}", *_spectrum(N, 1.0)[1:])
     for N in range(2, n_max + 1, 2):
         for label, value, tol in _eigengate_checks(eigengate_report(N, 1.0, BCH_THETAS)):
             check(label, value, tol)

@@ -392,6 +392,8 @@ class ProtocolParams:
     def __post_init__(self):
         if not _is_number(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
             raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
+        # as a numpy uint64, N would turn the sectors' bit shifts into floats
+        object.__setattr__(self, "N", int(self.N))
         if not _is_number(self.M, numbers.Integral) or self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
         # a numpy float narrower (or wider) than float64 would carry its
@@ -456,15 +458,10 @@ def default_drive_pairs(N: int) -> tuple:
     return ((N - 2) // 4,)
 
 
-def _band_gap(basis) -> float:
-    """Energy difference between the two half-filled band states of basis."""
-    N = basis.n + 1
-    return manybody_energy(basis, range(N // 2, N)) - manybody_energy(basis, range(N // 2))
-
-
 def resonance_frequency(N: int, J: float = 1.0) -> float:
-    """Energy difference between the two half-filled band states (= N^2 J/4)."""
-    return _band_gap(build_basis(N - 1, J))
+    """Energy difference between the two half-filled band states (= N^2 J/4)
+    of the chain (N, J), N an even int >= 4: its _DrivePlan's omega."""
+    return _layout_plan(ProtocolParams(N=N, J=J).N, J).omega
 
 
 def _target_states(N: int) -> tuple:
@@ -548,7 +545,8 @@ def _layout_plan(N: int, J: float) -> _DrivePlan:
         sign=sign,
         pairs=pairs,
         targets=tuple(int(np.searchsorted(half, t)) for t in _target_states(N)),
-        omega=_band_gap(basis),
+        # the energy difference between the two half-filled band states
+        omega=manybody_energy(basis, range(N // 2, N)) - manybody_energy(basis, range(N // 2)),
         v_ab=complex(bra.conj() @ (v_half @ ket)),
         v_max=np.abs(v_half).max(),
     )
@@ -948,13 +946,17 @@ def gate_time_accounting(N: int, M: int, J: float = 1.0, Jmax: float | None = No
     raw = two eigengate pulses plus the drive window; the penalty factor
     (N/2)(J/Jmax) normalizes the largest chain coupling to Jmax/2, and the
     reference two-qubit swap takes pi/Jmax.  The equivalent count
-    N*(M+1) is exact.
+    N*(M+1) is exact.  N and J are checked as ProtocolParams checks them, M
+    is an int >= 0 and Jmax, if given, a finite number > 0.
     """
-    if N % 2:
-        raise ValueError("N must be even")
+    N = ProtocolParams(N=N, J=J).N
+    if not _is_number(M, numbers.Integral) or M < 0:
+        raise ValueError(f"M must be an int >= 0, got {M!r}")
     if Jmax is None:
         Jmax = J
+    elif not (_is_number(Jmax, numbers.Real) and 0.0 < Jmax < math.inf):
+        raise ValueError(f"Jmax must be a finite number > 0, got {Jmax!r}")
     raw = 2.0 * math.pi / J + 2.0 * math.pi * M / J
     penalized = raw * (N / 2.0) * (J / Jmax)
-    equivalents = N * (M + 1)
+    equivalents = N * (int(M) + 1)
     return raw, penalized, equivalents

@@ -77,11 +77,6 @@ def _sector_gate(variant: str, hk: np.ndarray, hz: np.ndarray, J: float) -> np.n
     return block
 
 
-def _check_spec_size(N: int, spec: ChainSpec) -> None:
-    if spec.N != N:
-        raise ValueError(f"spec is for N={spec.N}, but the gate is for N={N}")
-
-
 def build_eigengate(
     N: int, J: float, variant: str = "three_step", spec: ChainSpec | None = None
 ) -> EigengateForm:
@@ -96,7 +91,8 @@ def build_eigengate(
         raise ValueError(f"variant must be one of {VARIANTS}")
     if spec is None:
         spec = krawtchouk_chain(N, J)
-    _check_spec_size(N, spec)
+    if spec.N != N:
+        raise ValueError(f"spec is for N={spec.N}, but the gate is for N={N}")
     blocks = tuple(_sector_gate(variant, hk, hz, J) for _, hk, hz in _sector_hamiltonians(spec, J))
     return EigengateForm(variant=variant, N=N, J=J, blocks=blocks)
 
@@ -178,26 +174,20 @@ def eigengate_report(N: int, J: float, thetas) -> dict:
 
 
 def eigengate_single_particle(
-    N: int,
-    J: float,
-    variant: str = "three_step",
-    spec: ChainSpec | None = None,
-    hop: np.ndarray | None = None,
+    N: int, J: float, variant: str = "three_step", hop: np.ndarray | None = None
 ) -> np.ndarray:
     """(N x N) single-particle matrix of the eigengate.
 
     The gate is a particle-number-conserving free-fermion unitary fixing the
-    vacuum with phase one, so this matrix determines it completely.  hop, if
-    given, replaces the chain's hopping matrix; it may be a stack
+    vacuum with phase one, so this matrix determines it completely.  It is
+    the clean chain's (N, J) gate unless hop, the only way another chain
+    reaches it, replaces the chain's hopping matrix; hop may be a stack
     (..., N, N), which gives the stack of gates.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if hop is None:
-        if spec is None:
-            spec = krawtchouk_chain(N, J)
-        _check_spec_size(N, spec)
-        hop = single_particle_hopping(spec)
+        hop = single_particle_hopping(krawtchouk_chain(N, J))
     elif np.shape(hop)[-2:] != (N, N):
         raise ValueError(f"hop has shape {np.shape(hop)}, but the gate is for N={N}: need (..., {N}, {N})")
     n = N - 1

@@ -28,7 +28,7 @@ from .hamiltonians import (
     krawtchouk_chain,
     sector_hops,
 )
-from .linalg import basis_index, expm_hermitian
+from .linalg import expm_hermitian
 
 __all__ = [
     "FIG2_EPS_GRID",
@@ -200,7 +200,9 @@ def sweep_fig3(config: SweepConfig) -> list:
     FIG3_DRAW_ROWS pairs.  The noisy gates are scored in stacks of at most
     FIG3_BATCH by coupling_noise_errors, which works on N x N
     single-particle matrices, never on 2^N unitaries; a stack may hold
-    samples of several eps points.  Every error equals its sample's
+    samples of several eps points.  One chain size's errors are held as one
+    array, 8 bytes per sample, and row p reads its slice
+    starts[p]:starts[p + 1].  Every error equals its sample's
     noisy_eigengate_errors on its own, so the rows depend on neither stack
     size.  config.threads is not used: the stacked evaluation runs in one
     thread.
@@ -213,31 +215,26 @@ def sweep_fig3(config: SweepConfig) -> list:
     rows = []
     for N in config.n_values:
         spec = krawtchouk_chain(N, 1.0)
-        u_exact = eigengate_single_particle(N, 1.0, spec=spec)
-        pending = []  # errors of the point in progress, one array per draw stack
+        u_exact = eigengate_single_particle(N, 1.0)
+        stacks = []  # the errors of every gate stack, in pair order
         for lo in range(0, starts[-1], FIG3_DRAW_ROWS):
-            hi = min(lo + FIG3_DRAW_ROWS, starts[-1])
-            pair = np.arange(lo, hi)
+            pair = np.arange(lo, min(lo + FIG3_DRAW_ROWS, starts[-1]))
             point = np.searchsorted(starts, pair, side="right") - 1
-            points = np.unique(point)
             try:
                 seeds = point_seeds(config.base_seed, N, 0, point, pair - starts[point])
                 noise = coupling_noises(N, eps[point], seeds)
-                errors = np.concatenate([
+                stacks += (
                     coupling_noise_errors(u_exact, spec, noise[b:b + FIG3_BATCH])
                     for b in range(0, len(pair), FIG3_BATCH)
-                ])
+                )
             except Exception as exc:
-                shown = [config.eps_values[p] for p in points]
+                shown = [config.eps_values[p] for p in np.unique(point)]
                 raise RuntimeError(
                     f"samples failed at N={N} eps in {shown} base_seed={config.base_seed}: {exc}"
                 ) from exc
-            for p in points:
-                pending.append(errors[point == p])
-                if starts[p + 1] <= hi:
-                    point_errors = np.concatenate(pending)
-                    rows.append((N, config.eps_values[p], *_mean_and_stderr(point_errors), counts[p]))
-                    pending = []
+        errors = np.concatenate(stacks)
+        for p, e in enumerate(config.eps_values):
+            rows.append((N, e, *_mean_and_stderr(errors[starts[p]:starts[p + 1]]), counts[p]))
     return rows
 
 
@@ -292,30 +289,13 @@ def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
     return float(abs(overlap / (2**N * math.sqrt(2.0))) ** 2)
 
 
-def _pst_propagator(N: int, J: float, q: int) -> tuple:
-    """(states, u): the chain's evolution u over the transfer time pi/J on
-    the q-excitation sector, whose ascending basis indices are states."""
-    hops = sector_hops(N, q)
-    return hops[0], expm_hermitian(chain_block(krawtchouk_chain(N, J), hops), math.pi / J)
-
-
-def _mirror_amplitude(propagator: tuple, bits) -> complex:
-    """<mirror(bits)| u |bits>, read straight from the sector propagator."""
-    states, u = propagator
-    row, col = np.searchsorted(states, [basis_index(reversed(bits)), basis_index(bits)])
-    return complex(u[row, col])
-
-
 def pst_demo(N: int, J: float = 1.0) -> float:
     """Worst-case transfer infidelity over all single-excitation states.
 
-    One propagator, of the N-state one-excitation sector, serves every
-    state.
+    One propagator, of the N-state one-excitation sector over the transfer
+    time pi/J, serves every state: site x sits at position N-1-x of the
+    sector's ascending basis, so its mirror amplitude is u[x, N-1-x].  An
+    amplitude a roundoff above 1 in magnitude reads 0.
     """
-    propagator = _pst_propagator(N, J, 1)
-    worst = 0.0
-    for x in range(N):
-        bits = [0] * N
-        bits[x] = 1
-        worst = max(worst, 1.0 - abs(_mirror_amplitude(propagator, bits)))
-    return worst
+    u = expm_hermitian(chain_block(krawtchouk_chain(N, J), sector_hops(N, 1)), math.pi / J)
+    return max(0.0, *(1.0 - abs(complex(u[x, N - 1 - x])) for x in range(N)))

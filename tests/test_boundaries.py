@@ -1,6 +1,7 @@
 """The numeric boundaries: every constructor of a run's or a sweep's
-parameters, every noise amplitude and every keyword argument of a protocol
-run takes a value or refuses it with a ValueError naming the field."""
+parameters, every noise amplitude, every keyword argument of a protocol
+run, and the arguments of the gate-time count and the resonance frequency
+take a value or refuse it with a ValueError naming the field."""
 
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kchain.driving import ProtocolParams, run_iswap_protocol
+from kchain.driving import ProtocolParams, gate_time_accounting, resonance_frequency, run_iswap_protocol
 from kchain.experiments import SweepConfig, format_table, sweep_fig3
 from kchain.hamiltonians import ChainSpec, coupling_noises, krawtchouk_chain, krawtchouk_couplings
 
@@ -48,6 +49,8 @@ BOUNDARIES = {
     "ChainSpec": (ChainSpec, dict(N=4, J=1.0, couplings=krawtchouk_couplings(3, 1.0)), ("N", "J", "couplings")),
     "krawtchouk_chain": (krawtchouk_chain, dict(N=4, J=1.0, noise_eps=0.01, seed=3), ("noise_eps",)),
     "coupling_noises": (coupling_noises, dict(N=4, noise_eps=0.01, seeds=[3, 5]), ("noise_eps",)),
+    "gate_time_accounting": (gate_time_accounting, dict(N=4, M=1, J=1.0, Jmax=1.0), ("N", "M", "J", "Jmax")),
+    "resonance_frequency": (resonance_frequency, dict(N=4, J=1.0), ("N", "J")),
 }
 # a sequence field takes the hostile value as itself and as every entry of
 # a sequence of this length
@@ -159,3 +162,14 @@ def test_a_float64_noise_amplitude_gives_the_bits_of_a_python_float():
     assert np.array_equal(chains[0].couplings, chains[1].couplings)
     for form in (lambda eps: eps, lambda eps: np.full(2, eps)):
         assert np.array_equal(coupling_noises(4, form(a), [3, 5]), coupling_noises(4, form(b), [3, 5]))
+
+
+def test_a_numpy_integer_chain_size_runs_as_its_int():
+    # an np.uint64 N once built params whose run raised a TypeError in the
+    # sectors' bit shifts
+    reference = run_iswap_protocol(ProtocolParams(N=4, M=1)).error
+    for N in (np.uint64(4), np.int64(4)):
+        params = ProtocolParams(N=N, M=1)
+        assert type(params.N) is int
+        assert run_iswap_protocol(params).error == reference
+        assert resonance_frequency(N) == resonance_frequency(4)

@@ -1,14 +1,19 @@
 """Tests for the command line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kchain import cli, eigengate, hamiltonians, krawtchouk, linalg
 from kchain.cli import main
@@ -645,6 +650,42 @@ def test_coupling_scale_whose_energies_overflow_is_a_usage_error(capsys, command
         usage, message = err.splitlines()
         assert usage.startswith(f"usage: kchain {command} ")
         assert message == f"kchain {command}: error: argument --j: J * N^2 must be finite in float64, got J={j!r} at N={n}"
+
+
+# hostile --n and --j tokens, each also drawn next to a valid value of the other
+HOSTILE_TOKENS = ["True", "nan", "inf", "-inf", "-0.0", "0", "1e300", "1e-300", "1e307", "abc", "", "0x10"]
+
+
+@given(
+    st.sampled_from(("spectrum", "pst", "ghz", "eigengate-check")),
+    st.sampled_from(["3", *HOSTILE_TOKENS]),
+    st.sampled_from(["0.7", *HOSTILE_TOKENS]),
+)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_a_hostile_size_or_coupling_runs_or_is_refused_in_one_line(command, n, j):
+    # exit 0; exit 2 with a usage line and an error line; or exit 1 with one
+    # error line, spectrum's FAIL line or the command's own JSON report.
+    # Any warning raises, and any exception but SystemExit fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main([command, "--n", n, "--j", j])
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == "" and len(lines) == 2, (command, n, j, lines)
+        assert lines[0].startswith(f"usage: kchain {command} ")
+        assert lines[1].startswith(f"kchain {command}: error: argument --")
+    elif code == 1 and lines:
+        assert len(lines) == 1, (command, n, j, lines)
+        assert lines[0].startswith((f"kchain {command}: ", "FAIL spectrum deviation "))
+    elif code == 1:
+        assert command != "spectrum"
+        json.loads(out.getvalue())
+    else:
+        assert code == 0 and lines == [], (command, n, j, code, lines)
 
 
 def test_config_values_get_the_flag_range_checks(tmp_path):

@@ -101,7 +101,7 @@ def test_single_particle_shortcut_matches_dense(N):
     dense_clean = build_eigengate(N, 1.0).unitary
     dense_noisy = build_eigengate(N, 1.0, spec=spec).unitary
     small_clean = eigengate_single_particle(N, 1.0)
-    small_noisy = eigengate_single_particle(N, 1.0, spec=spec)
+    small_noisy = eigengate_single_particle(N, 1.0, hop=single_particle_hopping(spec))
     shortcut = free_fermion_trace_error(small_clean, small_noisy)
     dense = trace_error(dense_clean, dense_noisy)
     # the noisy gate must differ from the clean one, or both errors are
@@ -282,12 +282,12 @@ def test_eigengate_report_builds_the_chain_and_each_sector_once(monkeypatch, N):
     ],
 )
 def test_gate_of_another_size_is_rejected(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        eigengate_single_particle(4, 1.0, **kwargs)
-    if "spec" in kwargs:
-        for variant in VARIANTS:
-            with pytest.raises(ValueError, match=message):
-                build_eigengate(4, 1.0, variant, spec=kwargs["spec"])
+    # a chain reaches the many-body gate as spec and the single-particle
+    # gate as hop
+    build = build_eigengate if "spec" in kwargs else eigengate_single_particle
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match=message):
+            build(4, 1.0, variant, **kwargs)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])

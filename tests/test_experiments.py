@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from kchain.experiments import (
     sweep_fig3,
     write_table,
 )
-from kchain.hamiltonians import krawtchouk_couplings
+from kchain.hamiltonians import chain_block, krawtchouk_chain, krawtchouk_couplings, sector_hops
+from kchain.linalg import basis_index, expm_hermitian
 
 from dense_reference import SECTOR_TOL, dense_ghz_demo, dense_pst_amplitude
 
@@ -193,9 +195,12 @@ def test_state_transfer_is_perfect(N):
 
 
 def mirror_amplitude(N, bits):
-    """<mirror(bits)| exp(-i pi Hk) |bits> (J = 1) from the sector
-    propagator, as pst_demo reads it."""
-    return experiments._mirror_amplitude(experiments._pst_propagator(N, 1.0, sum(bits)), bits)
+    """<mirror(bits)| exp(-i pi Hk) |bits> (J = 1) from the propagator of
+    the excitation sector of bits, looked up by basis index."""
+    hops = sector_hops(N, sum(bits))
+    u = expm_hermitian(chain_block(krawtchouk_chain(N, 1.0), hops), math.pi)
+    row, col = np.searchsorted(hops[0], [basis_index(bits[::-1]), basis_index(bits)])
+    return complex(u[row, col])
 
 
 def test_mirror_amplitude_of_domain_wall():
@@ -299,6 +304,13 @@ def test_pst_demo_equals_worst_single_state_amplitude(N):
         bits[x] = 1
         amps.append(mirror_amplitude(N, bits))
     assert pst_demo(N) == max(0.0, *(1.0 - abs(a) for a in amps))
+
+
+def test_pst_amplitude_a_roundoff_above_one_reads_zero(monkeypatch):
+    # every mirror amplitude 1 + 1e-15 in magnitude, on the anti-diagonal
+    # that pst_demo reads
+    monkeypatch.setattr(experiments, "expm_hermitian", lambda h, t: np.fliplr(np.eye(len(h))) * (1.0 + 1e-15))
+    assert pst_demo(5) == 0.0
 
 
 @pytest.mark.parametrize("N", range(2, 9))
