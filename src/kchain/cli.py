@@ -87,7 +87,8 @@ _thread_count = _IntAtLeast(1, what="thread count (--threads or KRAW_THREADS)")
 # dense 2^N x 2^N gates, 16 MiB each at N=10 and 4 GiB at N=14.  spectrum
 # diagonalizes a dense N x N hopping matrix, ~1 s at N=2048 on one core; a
 # fig3 sweep scores an N x N gate per sample, ~2 s and ~100 MiB for the
-# default grid at N=64, growing as N^3.
+# default grid at N=64, growing as N^3.  A drive of 10^6 periods already
+# stalls at the default tolerance, and a fig2 sweep holds its M grid whole.
 _MAX_EIGENGATE_N = 10
 _MAX_MATRIX_ELEMENTS_N = 9
 _MAX_GHZ_N = 11
@@ -95,9 +96,11 @@ _MAX_PST_N = 20
 _MAX_PROTOCOL_N = 10
 _MAX_SPECTRUM_N = 2048
 _MAX_FIG3_N = 64
+_MAX_PROTOCOL_M = 10**6
 _protocol_size = _IntAtLeast(4, step=2, maximum=_MAX_PROTOCOL_N)
 _spectrum_size = _IntAtLeast(2, maximum=_MAX_SPECTRUM_N)
 _sweep_size = _IntAtLeast(2, maximum=_MAX_FIG3_N)
+_drive_length = _IntAtLeast(1, maximum=_MAX_PROTOCOL_M)
 
 # Tolerances of the checks run by their own command and by verify-all: value < tol passes
 _SPECTRUM_TOL = 1e-10
@@ -302,18 +305,11 @@ def _cmd_drive(args) -> int:
     if count > 1:
         seeds = point_seeds(args.seed, args.n, args.m, 0, range(count)).tolist()
     for seed in seeds:
-        res = run_iswap_protocol(
-            ProtocolParams(
-                N=args.n,
-                M=args.m,
-                noise_eps=args.eps,
-                seed=seed,
-                halfway_inversion=not args.no_inversion,
-            ),
-            omega_override=args.omega_override,
+        params = ProtocolParams(
+            N=args.n, M=args.m, noise_eps=args.eps, seed=seed, halfway_inversion=not args.no_inversion
         )
-        tau_d = 2.0 * math.pi * args.m
-        rows.append((args.n, args.m, tau_d, args.eps, seed, res.error))
+        res = run_iswap_protocol(params, omega_override=args.omega_override)
+        rows.append((args.n, args.m, params.tau_d, args.eps, seed, res.error))
         # a JSON row also says which refinement level the run returned
         levels.append(
             {
@@ -474,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("drive", help="run the resonant swap protocol")
     p.add_argument("--n", type=_protocol_size, default=6)
-    p.add_argument("--m", type=_positive_int, default=4, help="drive length in 2pi/J units")
+    p.add_argument("--m", type=_drive_length, default=4, help="drive length in 2pi/J units")
     p.add_argument("--eps", type=_noise_eps, default=0.0, help="coupling noise amplitude")
     p.add_argument("--seed", type=_nonnegative_int, default=20260801)
     p.add_argument("--samples", type=_positive_int, default=1)
@@ -487,8 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise-sweep", help="Monte Carlo sweep to a CSV file")
     p.add_argument("--figure", type=int, choices=(2, 3), required=True)
     p.add_argument("--n", type=_sweep_size, nargs="+", default=None)
-    p.add_argument("--m-min", type=_positive_int, default=1)
-    p.add_argument("--m-max", type=_positive_int, default=20)
+    p.add_argument("--m-min", type=_drive_length, default=1)
+    p.add_argument("--m-max", type=_drive_length, default=20)
     p.add_argument("--eps", type=_noise_eps, nargs="+", default=None)
     p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=_nonnegative_int, default=20260801)
@@ -500,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("ctrl-x", "ctrl-iswap2"), required=True)
     p.add_argument("--n", type=_protocol_size, required=True)
     p.add_argument("--use-simulated-drive", action="store_true")
-    p.add_argument("--m", type=_positive_int, default=1)
+    p.add_argument("--m", type=_drive_length, default=1)
     p.set_defaults(func=_cmd_circuit_verify)
 
     p = sub.add_parser("ghz", help="one-pulse GHZ preparation fidelity")

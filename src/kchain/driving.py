@@ -5,11 +5,13 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 
 import numpy as np
 
 from .hamiltonians import (
     _check_noise_eps,
+    _is_number,
     chain_block,
     hz_diagonal,
     krawtchouk_chain,
@@ -372,10 +374,9 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
 # and the cell-count snapping checked across it (_SNAP_RTOL).
 _J_RANGE = (1e-6, 1e6)
 
-
-def _is_number(value, kind) -> bool:
-    """Whether value is an instance of the numbers ABC kind and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+# The largest N and M a run or a gate-time count accepts: the integers
+# float64 holds exactly, so 2 pi M / J, 4 M and N / 2 stay finite.
+_COUNT_MAX = 2**53
 
 
 @dataclasses.dataclass(frozen=True)
@@ -390,17 +391,14 @@ class ProtocolParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not _is_number(self.N, numbers.Integral) or self.N % 2 or self.N < 4:
-            raise ValueError(f"N must be an even int >= 4, got {self.N!r}")
+        if not (_is_number(self.N, numbers.Integral) and 4 <= self.N <= _COUNT_MAX) or self.N % 2:
+            raise ValueError(f"N must be an even int >= 4 (at most 2^53), got {self.N!r}")
         # as a numpy uint64, N would turn the sectors' bit shifts into floats
         object.__setattr__(self, "N", int(self.N))
-        if not _is_number(self.M, numbers.Integral) or self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        # a numpy float narrower (or wider) than float64 would carry its
-        # precision into the calibration and every step
-        narrow = isinstance(self.J, np.floating) and not isinstance(self.J, np.float64)
+        if not (_is_number(self.M, numbers.Integral) and 1 <= self.M <= _COUNT_MAX):
+            raise ValueError(f"M must be a positive integer (at most 2^53), got {self.M!r}")
         lo, hi = _J_RANGE
-        if narrow or not (_is_number(self.J, numbers.Real) and lo <= self.J <= hi):
+        if not (_is_number(self.J, numbers.Real) and lo <= self.J <= hi):
             raise ValueError(
                 f"J must be a finite number > 0 (a numpy float only as float64) "
                 f"in [{lo:g}, {hi:g}], got {self.J!r}"
@@ -408,8 +406,9 @@ class ProtocolParams:
         if not isinstance(self.halfway_inversion, (bool, np.bool_)):
             raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
         _check_noise_eps(self.noise_eps)
-        if self.seed is not None and not (_is_number(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be None or an int >= 0, got {self.seed!r}")
+        noiseless = self.seed is None and self.noise_eps == 0.0
+        if not (noiseless or _is_number(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, or None for a noiseless run, got {self.seed!r}")
 
     @property
     def tau_d(self) -> float:
@@ -844,8 +843,8 @@ def run_iswap_protocol(
     the windows are compared only when the bound cannot decide (_refine).
     A doubling change that fell less than 4x from the one before raises at
     once: roundoff, which refining adds to, then dominates.  tol, nsub0,
-    max_refine and omega_override must be numbers of their kind, not bools
-    or strings, and the finest level, nsub0 2^max_refine, at most
+    max_refine and omega_override must be numbers of their kind
+    (_is_number), and the finest level, nsub0 2^max_refine, at most
     _MAX_SUBSTEPS, or a ValueError names them.
 
     What does not depend on the noise, M or the inversion (the unit drive
@@ -855,8 +854,10 @@ def run_iswap_protocol(
     holds the gate's sector blocks.
     """
     N, J, M = params.N, params.J, params.M
-    if not (_is_number(tol, numbers.Real) and tol >= _TOL_FLOOR):
-        raise ValueError(f"tol must be a number > 0 and at least 2^-52 (float64's machine epsilon), got {tol!r}")
+    # an int past float64's range compares below inf, yet no float holds it
+    held = _is_number(tol, numbers.Real) and (tol == math.inf or tol <= sys.float_info.max)
+    if not (held and tol >= _TOL_FLOOR):
+        raise ValueError(f"tol must be a number > 0 and >= 2^-52 (a numpy float only as float64), got {tol!r}")
     if not (_is_number(nsub0, numbers.Integral) and nsub0 >= 1):
         raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
     if not (_is_number(max_refine, numbers.Integral) and max_refine >= 1):
@@ -877,8 +878,9 @@ def run_iswap_protocol(
         lo, hi = omega / _OMEGA_OVERRIDE_RANGE, omega * _OMEGA_OVERRIDE_RANGE
         if not (_is_number(omega_override, numbers.Real) and lo <= omega_override <= hi):
             raise ValueError(
-                f"omega_override must be a finite number > 0 within a factor of "
-                f"{_OMEGA_OVERRIDE_RANGE:g} of the calibrated drive frequency {omega!r}, got {omega_override!r}"
+                f"omega_override must be a finite number > 0 (a numpy float only as float64) within a "
+                f"factor of {_OMEGA_OVERRIDE_RANGE:g} of the calibrated drive frequency {omega!r}, "
+                f"got {omega_override!r}"
             )
         omega = float(omega_override)
     plan = _layout_plan(N, J)
@@ -947,15 +949,15 @@ def gate_time_accounting(N: int, M: int, J: float = 1.0, Jmax: float | None = No
     (N/2)(J/Jmax) normalizes the largest chain coupling to Jmax/2, and the
     reference two-qubit swap takes pi/Jmax.  The equivalent count
     N*(M+1) is exact.  N and J are checked as ProtocolParams checks them, M
-    is an int >= 0 and Jmax, if given, a finite number > 0.
+    is an int in [0, 2^53] and Jmax, if given, a finite number > 0.
     """
     N = ProtocolParams(N=N, J=J).N
-    if not _is_number(M, numbers.Integral) or M < 0:
-        raise ValueError(f"M must be an int >= 0, got {M!r}")
+    if not (_is_number(M, numbers.Integral) and 0 <= M <= _COUNT_MAX):
+        raise ValueError(f"M must be an int >= 0 (at most 2^53), got {M!r}")
     if Jmax is None:
         Jmax = J
-    elif not (_is_number(Jmax, numbers.Real) and 0.0 < Jmax < math.inf):
-        raise ValueError(f"Jmax must be a finite number > 0, got {Jmax!r}")
+    elif not (_is_number(Jmax, numbers.Real) and 0.0 < Jmax <= sys.float_info.max):
+        raise ValueError(f"Jmax must be a finite number > 0 (a numpy float only as float64), got {Jmax!r}")
     raw = 2.0 * math.pi / J + 2.0 * math.pi * M / J
     penalized = raw * (N / 2.0) * (J / Jmax)
     equivalents = N * (int(M) + 1)

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
-from .driving import ProtocolParams, run_iswap_protocol
+from .driving import _COUNT_MAX, ProtocolParams, run_iswap_protocol
 from .eigengate import coupling_noise_errors, eigengate_single_particle
 from .hamiltonians import (
     ChainSpec,
-    _check_float64,
+    _check_noise_eps,
+    _is_number,
     chain_block,
     coupling_noises,
     krawtchouk_chain,
@@ -55,10 +56,6 @@ FIG3_BATCH = 256
 FIG3_DRAW_ROWS = 4096
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclasses.dataclass(frozen=True)
 class SweepConfig:
     protocol: str
@@ -72,11 +69,11 @@ class SweepConfig:
     def __post_init__(self):
         if not isinstance(self.protocol, str) or self.protocol not in ("fig2", "fig3"):
             raise ValueError("protocol must be 'fig2' or 'fig3'")
-        if not _is_int(self.samples) or self.samples < 1:
+        if not _is_number(self.samples, numbers.Integral) or self.samples < 1:
             raise ValueError(f"samples must be an int >= 1, got {self.samples!r}")
-        if not _is_int(self.base_seed) or self.base_seed < 0:
+        if not _is_number(self.base_seed, numbers.Integral) or self.base_seed < 0:
             raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
-        if not _is_int(self.threads) or self.threads < 1:
+        if not _is_number(self.threads, numbers.Integral) or self.threads < 1:
             raise ValueError(f"threads must be an int >= 1, got {self.threads!r}")
         for name in ("n_values", "eps_values", "m_values"):
             try:
@@ -90,17 +87,15 @@ class SweepConfig:
             raise ValueError("fig2 sweep needs m_values")
         # the whole grid is checked before any point is computed
         for N in self.n_values:
-            if self.protocol == "fig2" and not (_is_int(N) and N >= 4 and N % 2 == 0):
+            if self.protocol == "fig2" and not (_is_number(N, numbers.Integral) and N >= 4 and N % 2 == 0):
                 raise ValueError(f"n_values must be even ints >= 4 for fig2, got {N!r}")
-            if not _is_int(N) or N < 2:
+            if not _is_number(N, numbers.Integral) or N < 2:
                 raise ValueError(f"n_values must be ints >= 2, got {N!r}")
         for M in self.m_values:
-            if not _is_int(M) or M < 1:
-                raise ValueError(f"m_values must be ints >= 1, got {M!r}")
+            if not (_is_number(M, numbers.Integral) and 1 <= M <= _COUNT_MAX):
+                raise ValueError(f"m_values must be ints >= 1 (at most 2^53), got {M!r}")
         for eps in self.eps_values:
-            _check_float64(eps, "eps_values")
-            if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 <= eps < 1.0:
-                raise ValueError(f"eps_values must be reals in [0, 1), got {eps!r}")
+            _check_noise_eps(eps, "eps_values")
 
 
 def point_seeds(base_seed: int, N: int, M: int, eps_idx, sample_indices) -> np.ndarray:
@@ -122,7 +117,7 @@ def point_seeds(base_seed: int, N: int, M: int, eps_idx, sample_indices) -> np.n
     if np.ndim(eps_idx) == 0:
         scalars.append(("eps_idx", eps_idx))
     for name, value in scalars:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        if not (_is_number(value, numbers.Integral) and value >= 0):
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
     indices = uint_stack(sample_indices, 2**32, "sample index")
     if np.ndim(eps_idx):

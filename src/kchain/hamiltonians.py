@@ -41,16 +41,14 @@ class ChainSpec:
         if not (dtype.kind in "iu" or dtype == np.float64):
             raise ValueError(f"couplings must be ints or float64 numbers, got {self.couplings!r}")
         object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 2:
+        if not (_is_number(self.N, numbers.Integral) and self.N >= 2):
             raise ValueError(f"N must be an int >= 2, got {self.N!r}")
         if self.couplings.shape != (self.N - 1,):
             raise ValueError("couplings must have length N-1")
         if not np.isfinite(self.couplings).all():
             raise ValueError(f"couplings must be finite, got {self.couplings!r}")
-        J = self.J
-        _check_float64(J, "J")
-        if isinstance(J, bool) or not (isinstance(J, numbers.Real) and 0.0 < J < math.inf):
-            raise ValueError(f"J must be a finite number > 0, got {J!r}")
+        if not (_is_number(self.J, numbers.Real) and 0.0 < self.J < math.inf):
+            raise ValueError(f"J must be a finite number > 0 (a numpy float only as float64), got {self.J!r}")
 
 
 def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
@@ -63,10 +61,12 @@ def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
 
 def krawtchouk_chain(N: int, J: float, noise_eps: float = 0.0, seed=None) -> ChainSpec:
     """The chain with the engineered couplings, each J_x -> (1 + eps_x) J_x
-    with eps_x = coupling_noise(N, noise_eps, seed) if noise_eps > 0."""
+    with eps_x = coupling_noise(N, noise_eps, seed) if noise_eps > 0 (seed given)."""
     _check_noise_eps(noise_eps)
     couplings = krawtchouk_couplings(N - 1, J)
     if noise_eps > 0.0:
+        if seed is None:
+            raise ValueError("seed must be given for a noisy chain (noise_eps > 0), got None")
         couplings = couplings * (1.0 + coupling_noise(N, noise_eps, seed))
     return ChainSpec(N, J, couplings)
 
@@ -89,17 +89,18 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
     The seeds' SeedSequence and PCG64 streams are computed as one stack
     (_seeding), not one generator per seed.
     """
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+    if not (_is_number(N, numbers.Integral) and N >= 1):
         raise ValueError(f"N must be an int >= 1, got {N!r}")
-    _check_float64(noise_eps, "noise_eps")
     if np.ndim(noise_eps) == 0:
         _check_noise_eps(noise_eps)
         eps = float(noise_eps)
     else:
         eps = np.asarray(noise_eps)
-        # a float array is checked at once, anything else value by value, so
-        # a numpy float32 in a list of floats is refused too
+        # a float64 array is checked at once, anything else value by value,
+        # so a numpy float32 in a list of floats is refused too
         array = isinstance(noise_eps, np.ndarray)
+        if array and eps.dtype.kind == "f" and eps.dtype != np.float64:
+            raise ValueError(f"noise_eps must be float64 numbers, got a {eps.dtype} array")
         if not array or eps.dtype.kind != "f" or not ((eps >= 0.0) & (eps < 1.0)).all():
             for value in eps.ravel().tolist() if array else noise_eps:
                 _check_noise_eps(value)
@@ -110,21 +111,20 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
     return uniform_stack(seeds, -eps, eps, N - 1)
 
 
-def _check_float64(value, name: str) -> None:
-    """Raise ValueError if value is a numpy float or float array of a dtype
-    other than float64: its precision would carry into every computation."""
-    dtype = value.dtype if isinstance(value, (np.floating, np.ndarray)) else np.dtype(float)
-    if dtype.kind == "f" and dtype != np.float64:
-        raise ValueError(f"{name} must not be a numpy {dtype} (a numpy float only as float64), got {value!r}")
+def _is_number(value, kind) -> bool:
+    """The number rule of every boundary: value is an instance of the numbers
+    ABC kind, not a bool, and, if a numpy float, a float64 (a narrower or
+    wider one would carry its precision into every computation)."""
+    non_float64 = isinstance(value, np.floating) and not isinstance(value, np.float64)
+    return isinstance(value, kind) and not isinstance(value, bool) and not non_float64
 
 
-def _check_noise_eps(value) -> None:
-    """Raise ValueError unless value is a noise amplitude: a number in [0, 1),
-    so no drawn factor 1 + eps_x can reach zero or flip a coupling's sign,
-    and a numpy float only as float64 (_check_float64)."""
-    _check_float64(value, "noise_eps")
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0.0 <= value < 1.0):
-        raise ValueError(f"noise_eps must be a finite number in [0, 1), got {value!r}")
+def _check_noise_eps(value, name: str = "noise_eps") -> None:
+    """Raise ValueError naming name unless value is a noise amplitude: a
+    number (_is_number) in [0, 1), so no drawn factor 1 + eps_x can reach
+    zero or flip a coupling's sign."""
+    if not (_is_number(value, numbers.Real) and 0.0 <= value < 1.0):
+        raise ValueError(f"{name} must be a finite number in [0, 1), got {value!r}")
 
 
 def _hop_pattern(N: int, states, sites) -> tuple:

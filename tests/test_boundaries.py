@@ -30,6 +30,8 @@ HOSTILE = [
     np.int8(4), np.int8(-3), np.int64(4), np.int64(-1), np.uint64(4), np.uint64(2**64 - 1),
     np.array(0.01), np.array(4), np.array(True), np.array([0.01, 0.02]),
     "0.01", "4", "abc", "",
+    # a count float64 cannot hold; 4 M and 2 pi M / J once overflowed on it
+    10**400,
 ]
 
 # each boundary: (build, the valid arguments, the fields that take hostile values)
@@ -136,11 +138,35 @@ REFUSED = [
     ("ChainSpec", "couplings", [1j] * 3, lambda value: ChainSpec(4, 1.0, value)),
     ("ChainSpec", "couplings", np.ones(3, np.float32), lambda value: ChainSpec(4, 1.0, value)),
     ("ChainSpec", "J", np.float32(1.0), lambda value: ChainSpec(4, value, krawtchouk_couplings(3, 1.0))),
+    # the run arguments and Jmax as a numpy float other than float64, which
+    # each used to take (a float16 omega_override ran at 3.69921875), and
+    # an M float64 cannot hold
+    *(
+        (boundary, field, dtype(value), build)
+        for boundary, field, value, build in [
+            ("run_iswap_protocol", "tol", 1e-3, lambda tol: run_iswap_protocol(ProtocolParams(N=4, M=1), tol=tol)),
+            (
+                "run_iswap_protocol",
+                "omega_override",
+                3.7,
+                lambda omega: run_iswap_protocol(ProtocolParams(N=4, M=1), omega_override=omega),
+            ),
+            ("gate_time_accounting", "Jmax", 0.7, lambda jmax: gate_time_accounting(4, 1, 1.0, jmax)),
+        ]
+        for dtype in (np.float16, np.float32, np.longdouble)
+    ),
+    ("ProtocolParams", "M", 10**400, lambda value: ProtocolParams(N=4, M=value)),
+    ("ProtocolParams", "M", 2**53 + 1, lambda value: ProtocolParams(N=4, M=value)),
+    ("gate_time_accounting", "M", 10**400, lambda value: gate_time_accounting(4, value)),
+    ("SweepConfig", "m_values", (1, 10**400), lambda value: _sweep(m_values=value)),
+    # a noisy chain without a seed would draw other couplings on every call
+    ("ProtocolParams", "seed", None, lambda value: ProtocolParams(N=4, M=1, noise_eps=0.01, seed=value)),
+    ("krawtchouk_chain", "seed", None, lambda value: krawtchouk_chain(4, 1.0, 0.01, seed=value)),
 ]
 
 
 @pytest.mark.parametrize(
-    "boundary, field, value, build", REFUSED, ids=[f"{b}-{f}-{v!r}" for b, f, v, _ in REFUSED]
+    "boundary, field, value, build", REFUSED, ids=[f"{b}-{f}-{v!r:.40}" for b, f, v, _ in REFUSED]
 )
 def test_a_refused_value_names_its_field(boundary, field, value, build):
     with pytest.raises(ValueError, match=rf"^{field} must "):

@@ -8,6 +8,7 @@ import math
 import platform
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -630,6 +631,8 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["spectrum", "--n", "100000"], "argument --n: must be at most 2048, got '100000'"),
     (["noise-sweep", "--figure", "3", "--n", "4", "65"], "argument --n: must be at most 64, got '65'"),
     (["noise-sweep", "--figure", "3", "--n", "100000"], "argument --n: must be at most 64, got '100000'"),
+    (["drive", "--m", "1000001"], "argument --m: must be at most 1000000, got '1000001'"),
+    (["noise-sweep", "--figure", "2", "--m-max", str(10**10)], f"argument --m-max: must be at most 1000000, got '{10**10}'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)
@@ -656,6 +659,27 @@ def test_coupling_scale_whose_energies_overflow_is_a_usage_error(capsys, command
 HOSTILE_TOKENS = ["True", "nan", "inf", "-inf", "-0.0", "0", "1e300", "1e-300", "1e307", "abc", "", "0x10"]
 
 
+def _run_hostile(argv):
+    """(exit code, stdout, stderr lines) of main(argv).  Any warning raises,
+    and any exception but SystemExit fails the calling test.  An exit 2 is
+    checked here: no output but the usage, its continuation lines indented,
+    and one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == "" and len(lines) >= 2, (argv, lines)
+        assert lines[0].startswith(f"usage: kchain {argv[0]} ")
+        assert all(line.startswith(" ") for line in lines[1:-1]), (argv, lines)
+        assert lines[-1].startswith(f"kchain {argv[0]}: error: argument --")
+    return code, out.getvalue(), lines
+
+
 @given(
     st.sampled_from(("spectrum", "pst", "ghz", "eigengate-check")),
     st.sampled_from(["3", *HOSTILE_TOKENS]),
@@ -664,28 +688,46 @@ HOSTILE_TOKENS = ["True", "nan", "inf", "-inf", "-0.0", "0", "1e300", "1e-300", 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_a_hostile_size_or_coupling_runs_or_is_refused_in_one_line(command, n, j):
     # exit 0; exit 2 with a usage line and an error line; or exit 1 with one
-    # error line, spectrum's FAIL line or the command's own JSON report.
-    # Any warning raises, and any exception but SystemExit fails the test
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        try:
-            code = main([command, "--n", n, "--j", j])
-        except SystemExit as exc:
-            code = exc.code
-    lines = err.getvalue().splitlines()
-    if code == 2:
-        assert out.getvalue() == "" and len(lines) == 2, (command, n, j, lines)
-        assert lines[0].startswith(f"usage: kchain {command} ")
-        assert lines[1].startswith(f"kchain {command}: error: argument --")
-    elif code == 1 and lines:
+    # error line, spectrum's FAIL line or the command's own JSON report
+    code, out, lines = _run_hostile([command, "--n", n, "--j", j])
+    if code == 1 and lines:
         assert len(lines) == 1, (command, n, j, lines)
         assert lines[0].startswith((f"kchain {command}: ", "FAIL spectrum deviation "))
     elif code == 1:
         assert command != "spectrum"
-        json.loads(out.getvalue())
+        json.loads(out)
     else:
-        assert code == 0 and lines == [], (command, n, j, code, lines)
+        assert code == 2 or (code == 0 and lines == []), (command, n, j, code, lines)
+
+
+# drive's and the fig2 sweep's length, noise, seed and frequency flags, each
+# with a valid token; every run taken is at N = 4 and M <= 2
+DRIVE_FLAGS = {"--m": "1", "--eps": "0.01", "--seed": "3", "--omega-override": "3.7"}
+SWEEP_FLAGS = {"--m-min": "1", "--m-max": "2"}
+
+
+@given(
+    st.sampled_from(sorted({**DRIVE_FLAGS, **SWEEP_FLAGS})),
+    # None takes the flag's valid token; the 400-digit M once overflowed
+    st.sampled_from([None, *HOSTILE_TOKENS, "1" + "0" * 400]),
+)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_a_hostile_drive_flag_runs_or_is_refused_in_one_line(flag, token):
+    # exit 0 with no error line, exit 2 with a usage line and an error line,
+    # or exit 1 with one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        if flag in DRIVE_FLAGS:
+            command, token = "drive", DRIVE_FLAGS[flag] if token is None else token
+            argv = [command, "--n", "4", "--m", "1", "--eps", "0.01", flag, token]
+        else:
+            command, token = "noise-sweep", SWEEP_FLAGS[flag] if token is None else token
+            argv = [command, "--figure", "2", "--n", "4", "--samples", "1", "--eps", "0.01"]
+            argv += ["--m-min", "1", "--m-max", "2", "--out", f"{tmp}/fig2.csv", flag, token]
+        code, out, lines = _run_hostile(argv)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith(f"kchain {command}: "), (flag, token, lines)
+    else:
+        assert code == 2 or (code == 0 and lines == []), (flag, token, code, lines)
 
 
 def test_config_values_get_the_flag_range_checks(tmp_path):
@@ -705,8 +747,8 @@ def test_omega_override_far_from_resonance_is_one_error_line(omega):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (
-        "kchain drive: omega_override must be a finite number > 0 within a factor of 16 of "
-        f"the calibrated drive frequency 4.0, got {float(omega)!r}\n"
+        "kchain drive: omega_override must be a finite number > 0 (a numpy float only as float64) within a "
+        f"factor of 16 of the calibrated drive frequency 4.0, got {float(omega)!r}\n"
     )
 
 

@@ -61,11 +61,11 @@ def test_sweep_config_rejects_bad_sample_fields(field, value):
         (dict(threads=True), "threads must be an int >= 1, got True"),
         (dict(threads="2"), "threads must be an int >= 1, got '2'"),
         (dict(threads=None), "threads must be an int >= 1, got None"),
-        (dict(eps_values=(1e-3, -0.1)), "eps_values must be reals in \\[0, 1\\), got -0.1"),
-        (dict(eps_values=(float("nan"),)), "eps_values must be reals in \\[0, 1\\), got nan"),
-        (dict(eps_values=(1.0,)), "eps_values must be reals in \\[0, 1\\), got 1.0"),
-        (dict(eps_values=("0.1",)), "eps_values must be reals in \\[0, 1\\), got '0.1'"),
-        (dict(eps_values=(False,)), "eps_values must be reals in \\[0, 1\\), got False"),
+        (dict(eps_values=(1e-3, -0.1)), "eps_values must be a finite number in \\[0, 1\\), got -0.1"),
+        (dict(eps_values=(float("nan"),)), "eps_values must be a finite number in \\[0, 1\\), got nan"),
+        (dict(eps_values=(1.0,)), "eps_values must be a finite number in \\[0, 1\\), got 1.0"),
+        (dict(eps_values=("0.1",)), "eps_values must be a finite number in \\[0, 1\\), got '0.1'"),
+        (dict(eps_values=(False,)), "eps_values must be a finite number in \\[0, 1\\), got False"),
         (dict(n_values=(4, 1)), "n_values must be ints >= 2, got 1"),
         (dict(n_values=(4.0,)), "n_values must be ints >= 2, got 4.0"),
         (dict(n_values=(True,)), "n_values must be ints >= 2, got True"),
