@@ -114,7 +114,8 @@ def _noise_eps(text) -> float:
     """argparse type for a coupling-noise amplitude in [0, 1)."""
     try:
         value = float(text)
-    except ValueError:
+    except (ValueError, OverflowError):
+        # OverflowError: a config file's integer past float64's range
         value = math.nan
     if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError(f"noise amplitude must lie in [0, 1), got {text!r}")
@@ -125,7 +126,7 @@ def _positive_float(text) -> float:
     """argparse type for a finite number > 0 (a coupling scale, a frequency)."""
     try:
         value = float(text)
-    except ValueError:
+    except (ValueError, OverflowError):
         value = math.nan
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
@@ -175,8 +176,11 @@ def _config_value_one(action, key, value):
 def _apply_config_file(args, parser, argv):
     """argv parsed again with a JSON file's values as the defaults of their
     flags, so flags given on the command line win."""
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"config file {args.config!r}: {exc}") from None
     if not isinstance(overrides, dict):
         raise SystemExit("config file must hold a JSON object")
     # the command's own flags, then the global ones, each with its parser
@@ -551,11 +555,11 @@ def main(argv=None) -> int:
         command.error(f"argument --n: ctrl-iswap2 is defined for N in {{4, 6}}, got {args.n}")
     try:
         return args.func(args)
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
         # a run that does not converge (say, a long drive at the default
-        # tolerance) or that the library refuses (an omega override far
-        # from the calibrated frequency) is reported, not raised as a
-        # traceback
+        # tolerance), that the library refuses (an omega override far from
+        # the calibrated frequency) or whose table cannot be written is
+        # reported, not raised as a traceback
         print(f"kchain {args.command}: {exc}", file=sys.stderr)
         return 1
 

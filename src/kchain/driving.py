@@ -374,9 +374,13 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
 # and the cell-count snapping checked across it (_SNAP_RTOL).
 _J_RANGE = (1e-6, 1e6)
 
-# The largest N and M a run or a gate-time count accepts: the integers
-# float64 holds exactly, so 2 pi M / J, 4 M and N / 2 stay finite.
+# The largest M a run or a gate-time count accepts: the integers float64
+# holds exactly, so 2 pi M / J and 4 M stay finite.
 _COUNT_MAX = 2**53
+
+# The largest N a run accepts: the largest that the calibration's floor
+# (_COUPLING_FLOOR) and the cell-count snapping (_SNAP_RTOL) are checked at.
+_N_MAX = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -391,8 +395,8 @@ class ProtocolParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.N, numbers.Integral) and 4 <= self.N <= _COUNT_MAX) or self.N % 2:
-            raise ValueError(f"N must be an even int >= 4 (at most 2^53), got {self.N!r}")
+        if not (_is_number(self.N, numbers.Integral) and 4 <= self.N <= _N_MAX) or self.N % 2:
+            raise ValueError(f"N must be an even int >= 4 (at most {_N_MAX}), got {self.N!r}")
         # as a numpy uint64, N would turn the sectors' bit shifts into floats
         object.__setattr__(self, "N", int(self.N))
         if not (_is_number(self.M, numbers.Integral) and 1 <= self.M <= _COUNT_MAX):
@@ -784,28 +788,17 @@ def _swap_trace_error(blocks, targets) -> float:
 # 0.3 at N = 4, 13x below its resonance.
 _OMEGA_OVERRIDE_RANGE = 16.0
 
-# Most substeps per half-period cell any refinement level may step: twice
-# the default's finest level (nsub0 = 32 doubled ten times), which no run
-# measured comes near (long windows up to N = 4 M = 1e5 and N = 6 M = 1e4
-# converge by 128 per period, N = 10 M = 4 and off-resonant N = 4 runs by
-# 256).  One level there takes 0.5 s at N = 4 and 54 s at N = 8 M = 1, and
-# its cached step coefficients 5 MiB; an unbounded one (nsub0 = 2^40) asked
-# for terabytes.
-_MAX_SUBSTEPS = 2**16
-
-# Smallest tol a run accepts: float64's machine epsilon.  Two levels'
-# unitaries differ by at least their roundoff, so no smaller change is
-# ever seen and such a run could only exhaust its doublings.
-_TOL_FLOOR = 2.0**-52
+# The refinement ladder of every run, read at call time: levels of _NSUB0,
+# 2 _NSUB0, ..., _NSUB0 2^_MAX_REFINE substeps per half-period (32768 at the
+# finest), led by a probe at _NSUB0/8 on whole-cell windows, until one's
+# estimated error is below _TOL (_refine).  _NSUB0 is a multiple of 16, so
+# the probe is an even eighth that a folded sector halves exactly.
+_TOL = 1e-9
+_NSUB0 = 32
+_MAX_REFINE = 10
 
 
-def run_iswap_protocol(
-    params: ProtocolParams,
-    tol: float = 1e-9,
-    nsub0: int = 32,
-    max_refine: int = 10,
-    omega_override: float | None = None,
-) -> ProtocolResult:
+def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = None) -> ProtocolResult:
     """Complete protocol: eigengate, resonant drive window, inverse eigengate.
 
     The drive evolves under the (possibly noisy) chain plus the oscillatory
@@ -830,22 +823,13 @@ def run_iswap_protocol(
     rests on are checked exactly on every run's sector blocks, and a
     ValueError is raised if they fail (_check_sector_symmetries).
 
-    The drive is stepped at the levels nsub0, 2 nsub0, ..., nsub0
-    2^max_refine substeps per half-period (nsub0 an even int >= 2,
-    max_refine >= 1), led by a probe at nsub0/8 when every window is whole
-    half-period cells and nsub0 a multiple of 16 (nsub0/8 even, so an exact
-    eighth of the folded sector's steps too).  The first level whose
-    estimated error is below tol (at least 2^-52; inf takes the first level
-    compared) is returned: its change from the level before over f^6 - 1,
-    f = 8 or 2 the sixth-order ratio, while its unitarity defect is below
-    tol/64, and the raw change otherwise.  On whole-cell windows that
-    estimate is first bounded from the two levels' half-period maps, and
-    the windows are compared only when the bound cannot decide (_refine).
-    A doubling change that fell less than 4x from the one before raises at
-    once: roundoff, which refining adds to, then dominates.  tol, nsub0,
-    max_refine and omega_override must be numbers of their kind
-    (_is_number), and the finest level, nsub0 2^max_refine, at most
-    _MAX_SUBSTEPS, or a ValueError names them.
+    The drive is refined on the fixed ladder (_NSUB0) until a level's
+    estimated error is below _TOL: its change from the level before over
+    f^6 - 1 (f = 8 or 2, the sixth-order ratio) while its unitarity defect
+    is below _TOL/64, and the raw change otherwise, on whole-cell windows
+    first bounded from the half-period maps (_refine).  A doubling change
+    that fell less than 4x from the one before raises at once: roundoff,
+    which refining adds to, then dominates.
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the
@@ -854,25 +838,6 @@ def run_iswap_protocol(
     holds the gate's sector blocks.
     """
     N, J, M = params.N, params.J, params.M
-    # an int past float64's range compares below inf, yet no float holds it
-    held = _is_number(tol, numbers.Real) and (tol == math.inf or tol <= sys.float_info.max)
-    if not (held and tol >= _TOL_FLOOR):
-        raise ValueError(f"tol must be a number > 0 and >= 2^-52 (a numpy float only as float64), got {tol!r}")
-    if not (_is_number(nsub0, numbers.Integral) and nsub0 >= 1):
-        raise ValueError(f"nsub0 must be a positive integer, got {nsub0!r}")
-    if not (_is_number(max_refine, numbers.Integral) and max_refine >= 1):
-        raise ValueError(
-            f"max_refine must be an int >= 1 (a run compares at least two levels), got {max_refine!r}"
-        )
-    # refinement records Python ints, whatever integer type nsub0 came as
-    nsub0, max_refine = int(nsub0), int(max_refine)
-    if max_refine >= _MAX_SUBSTEPS.bit_length() or nsub0 << max_refine > _MAX_SUBSTEPS:
-        raise ValueError(
-            f"nsub0 and max_refine must keep the finest level, nsub0 * 2^max_refine, within "
-            f"{_MAX_SUBSTEPS} substeps per half-period, got nsub0={nsub0}, max_refine={max_refine}"
-        )
-    if nsub0 % 2:
-        raise ValueError(f"nsub0 must be even (a folded sector steps nsub/2 per quarter period), got {nsub0}")
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         lo, hi = omega / _OMEGA_OVERRIDE_RANGE, omega * _OMEGA_OVERRIDE_RANGE
@@ -897,8 +862,7 @@ def run_iswap_protocol(
     empty, full = (eye if inv is None else np.conj(inv)[:, None] * (inv[:, None] * eye) for inv in inverts[:: N])
     bases = [_drive_basis(h_blocks[q], v_blocks[q]) for q in range(1, N // 2 + 1)]
     # each window's span in half-period cells; a whole number makes each
-    # window 2 halves half-period maps, and a probe then steps one eighth of
-    # every stretch when nsub0 / 8 is even
+    # window 2 halves half-period maps, and only then is a probe stepped
     halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
 
     def sector_maps(nsub):
@@ -924,10 +888,10 @@ def run_iswap_protocol(
         f"over {_snap(2 * halves)} half-period cells"
     )
     whole = isinstance(halves, int)
-    levels = [nsub0 << k for k in range(max_refine + 1)]
-    if whole and nsub0 % 16 == 0:
-        levels.insert(0, nsub0 // 8)
-    windows, history = _refine(sector_maps, drive_window, tol, levels, where, 2 * halves if whole else None)
+    levels = [_NSUB0 << k for k in range(_MAX_REFINE + 1)]
+    if whole:
+        levels.insert(0, _NSUB0 // 8)
+    windows, history = _refine(sector_maps, drive_window, _TOL, levels, where, 2 * halves if whole else None)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
     blocks = tuple(u_k.conj().T @ window @ u_k for window, u_k in zip(windows, plan.eigengate_blocks))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
-from .driving import _COUNT_MAX, ProtocolParams, run_iswap_protocol
+from .driving import _COUNT_MAX, _N_MAX, ProtocolParams, run_iswap_protocol
 from .eigengate import coupling_noise_errors, eigengate_single_particle
 from .hamiltonians import (
     ChainSpec,
@@ -87,8 +87,8 @@ class SweepConfig:
             raise ValueError("fig2 sweep needs m_values")
         # the whole grid is checked before any point is computed
         for N in self.n_values:
-            if self.protocol == "fig2" and not (_is_number(N, numbers.Integral) and N >= 4 and N % 2 == 0):
-                raise ValueError(f"n_values must be even ints >= 4 for fig2, got {N!r}")
+            if self.protocol == "fig2" and not (_is_number(N, numbers.Integral) and N in range(4, _N_MAX + 1, 2)):
+                raise ValueError(f"n_values must be even ints in [4, {_N_MAX}] for fig2, got {N!r}")
             if not _is_number(N, numbers.Integral) or N < 2:
                 raise ValueError(f"n_values must be ints >= 2, got {N!r}")
         for M in self.m_values:

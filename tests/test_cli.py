@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -661,9 +662,10 @@ HOSTILE_TOKENS = ["True", "nan", "inf", "-inf", "-0.0", "0", "1e300", "1e-300", 
 
 def _run_hostile(argv):
     """(exit code, stdout, stderr lines) of main(argv).  Any warning raises,
-    and any exception but SystemExit fails the calling test.  An exit 2 is
-    checked here: no output but the usage, its continuation lines indented,
-    and one error line."""
+    and any exception but SystemExit fails the calling test; a SystemExit
+    message is an exit 1 with that message on stderr, as the interpreter
+    gives it.  An exit 2 is checked here: no output but the usage, its
+    continuation lines indented, and one error line."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
@@ -671,6 +673,9 @@ def _run_hostile(argv):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    if isinstance(code, str):
+        err.write(code + "\n")
+        code = 1
     lines = err.getvalue().splitlines()
     if code == 2:
         assert out.getvalue() == "" and len(lines) >= 2, (argv, lines)
@@ -728,6 +733,117 @@ def test_a_hostile_drive_flag_runs_or_is_refused_in_one_line(flag, token):
         assert len(lines) == 1 and lines[0].startswith(f"kchain {command}: "), (flag, token, lines)
     else:
         assert code == 2 or (code == 0 and lines == []), (flag, token, code, lines)
+
+
+# the verification commands' flags, each with its valid tokens; every run
+# taken is at N = 4, M <= 4 and --n-max <= 4 (verify-all) or 5
+# (matrix-elements), 2-15 ms each
+VERIFY_FLAGS = {
+    "circuit-verify": {"--which": ["ctrl-x", "ctrl-iswap2"], "--n": ["4"], "--m": ["1", "4"]},
+    "verify-all": {"--n-max": ["2", "4"]},
+    "matrix-elements": {"--n-max": ["3", "5"]},
+}
+HOSTILE_COUNT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_FLAGS))
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_a_hostile_verification_flag_runs_or_is_refused_in_one_line(command, data):
+    # one flag takes a valid or hostile token, the others their first valid
+    # one; exit 0 with no error line, exit 2 with a usage line and an error
+    # line, or exit 1 with one error line
+    flags = VERIFY_FLAGS[command]
+    flag = data.draw(st.sampled_from(sorted(flags)))
+    tokens = {name: valid[0] for name, valid in flags.items()}
+    tokens[flag] = data.draw(st.sampled_from([*flags[flag], *HOSTILE_TOKENS, HOSTILE_COUNT]))
+    argv = [command, *(item for pair in tokens.items() for item in pair)]
+    if command == "circuit-verify" and data.draw(st.booleans()):
+        argv.append("--use-simulated-drive")
+    code, out, lines = _run_hostile(argv)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith(f"kchain {command}: "), (argv, lines)
+    else:
+        assert code == 2 or (code == 0 and lines == []), (argv, code, lines)
+
+
+# a config file's valid values for drive and the fig2 sweep (figure 2 comes
+# from the command line); the hostile ones each replace one key's value
+CONFIG_BASES = {
+    "drive": {"n": 4, "m": 1, "eps": 0.01, "seed": 3, "omega-override": 3.7, "out": "csv", "no-inversion": False},
+    "noise-sweep": {"n": [4], "m-min": 1, "m-max": 1, "eps": [0.01], "samples": 1, "seed": 3, "out": "fig2.csv"},
+}
+# the hostile tokens as JSON strings, and JSON values of every kind
+CONFIG_VALUES = [
+    *HOSTILE_TOKENS, HOSTILE_COUNT,
+    True, False, None, math.nan, math.inf, -math.inf, -0.0, 0, 1e300, 1e-300, 1e307, 10**400, [], {},
+]
+# a file that is missing, a directory, malformed JSON, or not an object
+CONFIG_FILES = ["missing.json", ".", "{bad", "[1]", "3", "null", ""]
+
+
+@given(
+    st.sampled_from(sorted(CONFIG_BASES)),
+    st.one_of(
+        st.sampled_from(CONFIG_FILES),
+        # a key with a hostile value, as itself or as a list's one entry
+        st.tuples(st.integers(0, 6), st.sampled_from(CONFIG_VALUES), st.booleans()),
+    ),
+)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_a_hostile_config_file_runs_or_is_refused_in_one_line(command, case):
+    # --samples and --threads are not drawn: a valid count past the caps
+    # (samples <= 2, threads <= 2) would run, for as long as it asks
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        if isinstance(case, tuple):
+            base = dict(CONFIG_BASES[command])
+            key, value, listed = case
+            base[sorted(base)[key]] = [value] if listed else value
+            case = json.dumps(base)
+        if case == ".":
+            path = tmp
+        elif case != "missing.json":
+            with open(path, "w") as fh:
+                fh.write(case)
+        argv = [command, "--config", path] if command == "drive" else [command, "--figure", "2", "--config", path]
+        # a table or sidecar is written to the temporary directory only
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            code, out, lines = _run_hostile(argv)
+        finally:
+            os.chdir(cwd)
+    if code == 1:
+        assert len(lines) == 1, (argv, case, lines)
+    else:
+        assert code == 2 or (code == 0 and lines == []), (argv, case, code, lines)
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [("missing", "No such file or directory"), ("directory", "Is a directory"), ("malformed", "Expecting")],
+)
+def test_a_config_file_that_cannot_be_read_is_one_error_line(tmp_path, case, reason):
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path, "malformed": tmp_path / "bad.json"}[case]
+    (tmp_path / "bad.json").write_text("{bad")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kchain.cli", "drive", "--config", str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"config file {str(path)!r}: ") and reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_a_table_that_cannot_be_written_is_one_error_line(tmp_path):
+    out = tmp_path / "nodir" / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kchain.cli", "noise-sweep", "--figure", "3", "--n", "2", "--samples", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and not out.exists()
+    assert proc.stderr == f"kchain noise-sweep: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 def test_config_values_get_the_flag_range_checks(tmp_path):

@@ -159,10 +159,11 @@ def _dense_inversion_reference(params, calibration, tol):
 # ----------------------------------------------------------- drive stepping
 
 
-def test_integrator_reports_nonconvergence():
+def test_integrator_reports_nonconvergence(ladder):
     # one doubling cannot bring the change below 1e-15
+    ladder(tol=1e-15, max_refine=1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        run_iswap_protocol(ProtocolParams(N=4, M=1), tol=1e-15, max_refine=1)
+        run_iswap_protocol(ProtocolParams(N=4, M=1))
 
 
 _GAUSS4 = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
@@ -225,11 +226,12 @@ def test_drive_basis_steps_match_the_generic_step(rng):
 @pytest.mark.parametrize(
     "params", [ProtocolParams(N=4, M=1), ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3)]
 )
-def test_sixth_order_protocol_matches_fourth_order_reference(monkeypatch, params):
+def test_sixth_order_protocol_matches_fourth_order_reference(monkeypatch, ladder, params):
     fast = run_iswap_protocol(params)
-    sixth = run_iswap_protocol(params, tol=3e-11)
+    ladder(tol=3e-11)
+    sixth = run_iswap_protocol(params)
     monkeypatch.setattr(driving, "_step_coefficients", _magnus4_coefficients)
-    reference = run_iswap_protocol(params, tol=3e-11)
+    reference = run_iswap_protocol(params)
     assert len(reference.refinement) > len(fast.refinement)
     # the patch reached the run: at one tolerance the fourth-order steps
     # need more levels than the sixth-order ones
@@ -599,36 +601,39 @@ def _per_sector_level(calls):
 
 
 @pytest.mark.parametrize("N, per_level", [(4, 2), (6, 3), (8, 4)])
-def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, N, per_level):
+def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, ladder, N, per_level):
     # with the calibrated phase each sector 0 < q <= N/2 steps its first
     # half-period only, the second being its transpose, and under the '-'
     # pairing (N = 6) the half-filled sector steps its first quarter period
-    # only, folded over the cell's midpoint; q = 0 and every q > N/2 step none
+    # only, folded over the cell's midpoint; q = 0 and every q > N/2 step none.
+    # tol = inf returns the first level compared, after the probe at 16 / 8
+    ladder(tol=np.inf, nsub0=16, max_refine=1)
     calls = _count_expm_stacks(monkeypatch)
-    res = run_iswap_protocol(ProtocolParams(N=N, M=4), tol=np.inf, nsub0=4, max_refine=1)
+    res = run_iswap_protocol(ProtocolParams(N=N, M=4))
     assert len(res.refinement) == 2
     stepped = _per_sector_level(calls)
     assert len(stepped) == 2 * per_level
     folds = driving_sign(N) == "-"
     assert stepped == _stacks_per_level(
-        N, (4, 8), lambda q, nsub: [nsub // 2 if folds and 2 * q == N else nsub]
+        N, (2, 16), lambda q, nsub: [nsub // 2 if folds and 2 * q == N else nsub]
     )
 
 
 @pytest.mark.parametrize("N, M, per_level", [(4, 11, 2), (6, 13, 3)])
-def test_window_within_roundoff_of_whole_cells_steps_no_partial_cell(monkeypatch, N, M, per_level):
+def test_window_within_roundoff_of_whole_cells_steps_no_partial_cell(monkeypatch, ladder, N, M, per_level):
     # on resonance the window's cell count M omega / J misses its integer by
     # roundoff here; it must still be composed from whole half-periods only
     params = ProtocolParams(N=N, M=M)
     cells = (params.tau_d / 2.0) / (np.pi / resonance_frequency(N))
     assert cells != round(cells) and abs(cells - round(cells)) < 1e-12
+    ladder(tol=np.inf, nsub0=16, max_refine=1)
     calls = _count_expm_stacks(monkeypatch)
-    run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
+    run_iswap_protocol(params)
     stepped = _per_sector_level(calls)
     assert len(stepped) == 2 * per_level
     folds = driving_sign(N) == "-"
     assert stepped == _stacks_per_level(
-        N, (4, 8), lambda q, nsub: [nsub // 2 if folds and 2 * q == N else nsub]
+        N, (2, 16), lambda q, nsub: [nsub // 2 if folds and 2 * q == N else nsub]
     )
 
 
@@ -689,11 +694,12 @@ def test_folded_half_period_matches_stepped(N, pairs, seed):
         ProtocolParams(N=10, M=4),
     ],
 )
-def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypatch, params):
+def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypatch, ladder, params):
     # N = 10 compares the two routes at one fixed level: refined to
     # convergence it steps two more
-    kwargs = {"tol": math.inf, "max_refine": 1} if params.N == 10 else {}
-    fast = run_iswap_protocol(params, **kwargs)
+    if params.N == 10:
+        ladder(tol=math.inf, max_refine=1)
+    fast = run_iswap_protocol(params)
     folds, stepped = [], driving._half_period_map
 
     def unfolded(basis, omega, phase, nsub, folded=False):
@@ -702,7 +708,7 @@ def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypat
         return stepped(basis, omega, phase, nsub)
 
     monkeypatch.setattr(driving, "_half_period_map", unfolded)
-    reference = run_iswap_protocol(params, **kwargs)
+    reference = run_iswap_protocol(params)
     # one folded sector per level
     assert folds.count(True) == len(reference.refinement)
     assert [n for n, _ in fast.refinement] == [n for n, _ in reference.refinement]
@@ -724,16 +730,17 @@ def test_resonant_cell_counts_snap_to_whole_cells(N):
     assert max(misses) >= 1e-12
 
 
-def test_long_resonant_window_steps_no_partial_cell(monkeypatch):
+def test_long_resonant_window_steps_no_partial_cell(monkeypatch, ladder):
     params = ProtocolParams(N=8, M=700)
     cells = (params.tau_d / 2.0) / (np.pi / resonance_frequency(8))
     assert abs(cells - round(cells)) >= 1e-12
+    ladder(tol=np.inf, nsub0=16, max_refine=1)
     calls = _count_expm_stacks(monkeypatch)
-    run_iswap_protocol(params, tol=np.inf, nsub0=4, max_refine=1)
+    run_iswap_protocol(params)
     # each sector 0 < q <= 4 steps its first half-period whole, nothing more
     stepped = _per_sector_level(calls)
     assert len(stepped) == 2 * 4
-    assert stepped == _stacks_per_level(8, (4, 8), lambda q, nsub: [nsub])
+    assert stepped == _stacks_per_level(8, (2, 16), lambda q, nsub: [nsub])
 
 
 def test_unpaired_sectors_are_rejected(monkeypatch):
@@ -826,19 +833,20 @@ _RETURNED_LEVELS = {
     [(params, None) for params in _PROBE_PANEL]
     + [(ProtocolParams(N=4, M=1), 3.7), (ProtocolParams(N=6, M=4, noise_eps=0.01, seed=2), 8.9)],
 )
-def test_probed_refinement_returns_the_doubling_loops_level(params, omega):
+def test_probed_refinement_returns_the_doubling_loops_level(ladder, params, omega):
     # the returned level is within tol/8 of the level three doublings finer,
     # up to the roundoff floor of the two (their unitarity defect), and its
     # estimated error is never below half the distance where the distance
     # stands above that floor
     tol = 1e-9
     levels = _RETURNED_LEVELS.get((params, omega), [8, 64])
-    res = run_iswap_protocol(params, tol=tol, omega_override=omega)
+    res = run_iswap_protocol(params, omega_override=omega)
     assert [n for n, _ in res.refinement] == levels
     # tol=inf returns the first level compared: nsub0 itself where a probe
     # leads (whole cells), 2 nsub0 otherwise
     nsub0 = 4 * levels[-1] if omega is None else 2 * levels[-1]
-    finer = run_iswap_protocol(params, tol=math.inf, nsub0=nsub0, max_refine=1, omega_override=omega)
+    ladder(tol=math.inf, nsub0=nsub0, max_refine=1)
+    finer = run_iswap_protocol(params, omega_override=omega)
     assert finer.substeps_per_period == 8 * levels[-1]
     distance = max(max_column_distance(a, b) for a, b in zip(res.blocks, finer.blocks))
     floor = max(res.unitarity_defect, finer.unitarity_defect)
@@ -848,11 +856,12 @@ def test_probed_refinement_returns_the_doubling_loops_level(params, omega):
         assert distance / 2 <= res.converged_delta
 
 
-@pytest.mark.parametrize("nsub0, first", [(8, 16), (16, 4), (48, 12)])
-def test_probe_steps_only_an_even_eighth_of_the_candidate(nsub0, first):
+@pytest.mark.parametrize("nsub0, first", [(16, 4), (32, 8), (48, 12)])
+def test_probe_steps_only_an_even_eighth_of_the_candidate(ladder, nsub0, first):
     # N = 6 folds its half-filled sector into nsub/2 steps per quarter
     # period, so only an even probe level is an exact eighth of nsub0
-    res = run_iswap_protocol(ProtocolParams(N=6, M=4), nsub0=nsub0)
+    ladder(nsub0=nsub0)
+    res = run_iswap_protocol(ProtocolParams(N=6, M=4))
     assert res.refinement[0] == (first, math.inf)
     assert res.converged_delta < 1e-9
 
@@ -886,7 +895,7 @@ def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
     # windows are never composed
     tol = 1e-9
     seen, composed = _record_refinement(monkeypatch)
-    res = run_iswap_protocol(params, tol=tol)
+    res = run_iswap_protocol(params)
     monkeypatch.undo()
     step, compose, cells = seen["step"], seen["compose"], seen["cells"]
     (prev, _), (last, delta) = [(n // 2, d) for n, d in res.refinement[-2:]]
@@ -1025,7 +1034,7 @@ def _with_end_pulses(plan, first, last):
 
 @pytest.mark.parametrize("N", [4, 6, 8, 10])
 @pytest.mark.parametrize("M", [1, 3, 4, 16, 20, 101])
-def test_zero_sector_windows_match_the_composed_identity(monkeypatch, N, M):
+def test_zero_sector_windows_match_the_composed_identity(monkeypatch, ladder, N, M):
     # q = 0 and q = N have exactly zero blocks: their gate blocks must be
     # the bits the half-period route composes from identity maps, and no
     # 1 x 1 block is ever stepped.  The other sectors' blocks do not enter
@@ -1047,7 +1056,8 @@ def test_zero_sector_windows_match_the_composed_identity(monkeypatch, N, M):
             partial = functools.partial(cell_map, basis, omega, -np.pi / 2.0, 2)
             monkeypatch.setattr(driving, "_layout_plan", lambda n, j: pulses)
             monkeypatch.setattr(driving, "_cell_map", identity_map)
-            res = run_iswap_protocol(params, tol=math.inf, nsub0=2, max_refine=1, omega_override=omega)
+            ladder(tol=math.inf, nsub0=16, max_refine=1)
+            res = run_iswap_protocol(params, omega_override=omega)
             assert stepped and min(stepped) > 1
             for q in (0, N):
                 window = driving._window_map(eye, partial, halves, pulses.inverts[q] if inversion else None)
@@ -1188,57 +1198,8 @@ def test_protocol_params_reject_bad_fields(kwargs, field):
 
 
 @pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        pytest.param({"nsub0": 0}, "nsub0 must be a positive integer", id="0"),
-        pytest.param({"nsub0": -2}, "nsub0 must be a positive integer", id="-2"),
-        pytest.param({"nsub0": 1.5}, "nsub0 must be a positive integer", id="1.5"),
-        pytest.param({"nsub0": np.nan}, "nsub0 must be a positive integer", id="nan"),
-        pytest.param({"max_refine": -1}, "max_refine must be an int >= 1", id="max_refine=-1"),
-        pytest.param({"max_refine": 1.5}, "max_refine must be an int >= 1", id="max_refine=1.5"),
-        # one level has nothing to be compared with, even at tol = inf
-        pytest.param({"max_refine": 0, "tol": math.inf}, "max_refine must be an int >= 1", id="max_refine=0"),
-    ],
-)
-def test_protocol_rejects_nonpositive_initial_substeps(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        run_iswap_protocol(ProtocolParams(N=4, M=1), **kwargs)
-
-
-@pytest.mark.parametrize(
-    "nsub0, max_refine",
-    [(2**40, 10), (2**16 + 16, 1), (64, 11), (1, 17), (32, 10**300), (np.uint64(2**64 - 1), 10)],
-)
-def test_protocol_bounds_the_finest_level(monkeypatch, nsub0, max_refine):
-    # refused before any stepping, with both fields named; 2^40 once asked
-    # numpy for 2 TiB of step coefficients
-    calls = _count_expm_stacks(monkeypatch)
-    with pytest.raises(ValueError, match=r"^nsub0 and max_refine must keep the finest level"):
-        run_iswap_protocol(ProtocolParams(N=4, M=1), nsub0=nsub0, max_refine=max_refine)
-    assert calls == []
-
-
-@pytest.mark.parametrize("nsub0, max_refine", [(64, 10), (2, 15)])
-def test_protocol_takes_a_finest_level_at_the_bound(nsub0, max_refine):
-    # tol = inf accepts the first level compared, so the bound's edge is
-    # taken without stepping it
-    res = run_iswap_protocol(ProtocolParams(N=4, M=1), tol=math.inf, nsub0=nsub0, max_refine=max_refine)
-    assert res.substeps_per_period == 2 * (nsub0 if nsub0 % 16 == 0 else 2 * nsub0)
-
-
-@pytest.mark.parametrize(
     "field, value",
     [
-        ("tol", "1e-9"),
-        ("tol", None),
-        ("tol", True),
-        ("nsub0", True),
-        ("nsub0", np.True_),
-        ("nsub0", "32"),
-        ("nsub0", None),
-        ("max_refine", True),
-        ("max_refine", "1"),
-        ("max_refine", None),
         ("omega_override", "3"),
         ("omega_override", True),
         ("omega_override", 3.5j),
@@ -1249,33 +1210,6 @@ def test_protocol_rejects_keyword_arguments_that_are_not_numbers(monkeypatch, fi
     calls = _count_expm_stacks(monkeypatch)
     with pytest.raises(ValueError, match=f"^{field} must be "):
         run_iswap_protocol(ProtocolParams(N=4, M=1), **{field: value})
-    assert calls == []
-
-
-@pytest.mark.parametrize("nsub0", [1, 3, np.int64(3)])
-def test_protocol_refuses_an_odd_initial_level(monkeypatch, nsub0):
-    # a folded sector steps nsub/2 per quarter period, so from an odd level
-    # the first doubling would not double its steps, and the stall check
-    # once read that as roundoff (N = 6 M = 4 at nsub0 = 1)
-    calls = _count_expm_stacks(monkeypatch)
-    with pytest.raises(ValueError, match=rf"^nsub0 must be even .*, got {int(nsub0)}$"):
-        run_iswap_protocol(ProtocolParams(N=6, M=4), nsub0=nsub0)
-    assert calls == []
-
-
-def test_refinement_records_python_ints_for_numpy_substeps():
-    res = run_iswap_protocol(ProtocolParams(N=4, M=1), nsub0=np.int64(32), max_refine=np.int64(1))
-    plain = run_iswap_protocol(ProtocolParams(N=4, M=1), max_refine=1)
-    assert [type(n) for n, _ in res.refinement] == [int, int]
-    assert res.refinement == plain.refinement
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, -np.inf, 1e-300, 2.0**-53])
-def test_protocol_rejects_bad_tolerance(monkeypatch, tol):
-    # rejected before any stepping, not after every refinement level
-    calls = _count_expm_stacks(monkeypatch)
-    with pytest.raises(ValueError, match="tol must be a number > 0"):
-        run_iswap_protocol(ProtocolParams(N=4, M=1), tol=tol)
     assert calls == []
 
 
@@ -1439,18 +1373,20 @@ def test_explicit_schedule_route_matches_fast_path():
     assert trace_error(iswap_target(4), full) == pytest.approx(0.000672555999634894, rel=1e-4)
 
 
-def test_error_converged_in_substep_count():
-    # tol=inf with one refinement returns the fixed-resolution result at
-    # 2*nsub0 substeps per half period; doubling the count again must move
-    # the reported gate error by well under 10% of its value.
-    import math
-
+def test_error_converged_in_substep_count(ladder):
+    # tol=inf returns the first level compared, after the probe: a fixed
+    # resolution of nsub0 substeps per half period on these resonant
+    # windows; doubling the count must move the reported gate error by
+    # well under 10% of its value.
     for params in (
         ProtocolParams(N=4, M=1),
         ProtocolParams(N=6, M=4, noise_eps=0.01, seed=3),
     ):
-        coarse = run_iswap_protocol(params, tol=math.inf, nsub0=4, max_refine=1)
-        fine = run_iswap_protocol(params, tol=math.inf, nsub0=8, max_refine=1)
+        ladder(tol=math.inf, nsub0=16, max_refine=1)
+        coarse = run_iswap_protocol(params)
+        ladder(nsub0=32)
+        fine = run_iswap_protocol(params)
+        assert (coarse.substeps_per_period, fine.substeps_per_period) == (32, 64)
         assert abs(fine.error - coarse.error) < 0.1 * fine.error
 
 
@@ -1513,10 +1449,11 @@ def test_gate_time_accounting_frozen():
     assert pen == pytest.approx(raw * 4.0 / 2.0)
 
 
-def test_protocol_nonconvergence_names_its_coordinates():
+def test_protocol_nonconvergence_names_its_coordinates(ladder):
     params = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=7)
+    ladder(tol=1e-15, max_refine=1)
     with pytest.raises(RuntimeError) as exc:
-        run_iswap_protocol(params, tol=1e-15, max_refine=1)
+        run_iswap_protocol(params)
     message = str(exc.value)
     for coordinate in ("N=4", "M=1", "eps=0.01", "seed=7"):
         assert coordinate in message

@@ -69,8 +69,8 @@ def test_sweep_config_rejects_bad_sample_fields(field, value):
         (dict(n_values=(4, 1)), "n_values must be ints >= 2, got 1"),
         (dict(n_values=(4.0,)), "n_values must be ints >= 2, got 4.0"),
         (dict(n_values=(True,)), "n_values must be ints >= 2, got True"),
-        (dict(protocol="fig2", m_values=(1,), n_values=(6, 5)), "n_values must be even ints >= 4 for fig2, got 5"),
-        (dict(protocol="fig2", m_values=(1,), n_values=(2,)), "n_values must be even ints >= 4 for fig2, got 2"),
+        (dict(protocol="fig2", m_values=(1,), n_values=(6, 5)), "n_values must be even ints in \\[4, 12\\] for fig2, got 5"),
+        (dict(protocol="fig2", m_values=(1,), n_values=(2,)), "n_values must be even ints in \\[4, 12\\] for fig2, got 2"),
     ],
 )
 def test_sweep_config_rejects_bad_grid_fields(fields, message):

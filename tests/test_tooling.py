@@ -56,7 +56,7 @@ def _benchmark_runner():
     return module
 
 
-def test_benchmark_trace_hooks_name_functions_that_exist(monkeypatch):
+def test_benchmark_trace_hooks_name_functions_that_exist(monkeypatch, ladder):
     # a renamed function leaves the benchmark's per-layer metrics absent
     # without an error, so every name it tags must resolve, and the drive
     # window's hook must find nsub among the keyword arguments
@@ -73,7 +73,8 @@ def test_benchmark_trace_hooks_name_functions_that_exist(monkeypatch):
         return result
 
     monkeypatch.setattr(driving, "_drive_window_sector", recording_window)
-    driving.run_iswap_protocol(ProtocolParams(N=6, M=1), tol=float("inf"), nsub0=4, max_refine=1)
+    ladder(tol=float("inf"), nsub0=16, max_refine=1)
+    driving.run_iswap_protocol(ProtocolParams(N=6, M=1))
     assert calls
     for args, kwargs, result in calls:
         assert "nsub" in kwargs
