@@ -48,8 +48,8 @@ def _taylor_remainder_bound(theta: float, m: int) -> float:
 
 
 def _taylor_threshold(m: int) -> float:
-    """Largest 1-norm (to bisection precision) whose degree-m remainder
-    bound is at most the unit roundoff 2^-53."""
+    """Largest norm (to bisection precision) whose degree-m remainder bound
+    is at most the unit roundoff 2^-53."""
     lo, hi = 0.0, 1.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
@@ -65,105 +65,101 @@ def _taylor_threshold(m: int) -> float:
 _TAYLOR_DEGREES = tuple((m, _taylor_threshold(m)) for m in (8, 12))
 
 # Bytes of the complex step arrays one _cell_map holds at once, for
-# _CHUNK_ARRAYS stacks of one chunk's length (_chunk_length): six in its
-# scratch block (the generators and _expm_stack's five stacks) and at most
-# one in _ordered_product's temporaries.  One chunk's arrays thus stay in
-# cache, and no level allocates the pages of its whole step stack afresh.
+# _CHUNK_ARRAYS stacks of one chunk's length (_chunk_length): _expm_stack's
+# seven in its scratch block, the first holding the generators till read,
+# and at most one in _ordered_product's temporaries.  One chunk's arrays thus
+# stay in cache, and no level allocates its whole step stack's pages afresh.
 _STEP_BYTES = 1024 * 1024
-_CHUNK_ARRAYS = 7
+_CHUNK_ARRAYS = 8
+_EXPM_STACKS = _CHUNK_ARRAYS - 1
 
 
-def _t8_coefficients() -> tuple:
-    """(x1, ..., x7, y2) of Bader, Blanes and Casas (Mathematics 7 (2019)
-    1174): with A2 = A^2, A4 = A2 (x1 A + x2 A2) and A8 = (x3 A2 + A4)
-    (x4 I + x5 A + x6 A2 + x7 A4), I + A + y2 A2 + A8 is the degree-8
-    Taylor polynomial of exp(A), in three products."""
+def _t8_tables() -> tuple:
+    """x4 and the tables of Bader, Blanes and Casas's degree-8 Taylor
+    polynomial of exp(A) (Mathematics 7 (2019) 1174), I + A + y2 A2 + A8 in
+    three products: A4 = A2 (x1 A + x2 A2), A8 = (x3 A2 + A4)(x4 I + x5 A +
+    x6 A2 + x7 A4).  One table row per combination, over (A, A2), (A4, A,
+    A2) and (A, A2, A8)."""
     r, x3 = math.sqrt(177.0), 2.0 / 3.0
-    return (
-        x3 * (1.0 + r) / 88.0,
-        x3 * (1.0 + r) / 352.0,
-        x3,
-        (-271.0 + 29.0 * r) / (315.0 * x3),
-        11.0 * (-1.0 + r) / (1260.0 * x3),
-        11.0 * (-9.0 + r) / (5040.0 * x3),
-        (89.0 - r) / (5040.0 * x3**2),
-        (857.0 - 58.0 * r) / 630.0,
-    )
+    x1, x2, x4 = x3 * (1.0 + r) / 88.0, x3 * (1.0 + r) / 352.0, (-271.0 + 29.0 * r) / (315.0 * x3)
+    x5, x6 = 11.0 * (-1.0 + r) / (1260.0 * x3), 11.0 * (-9.0 + r) / (5040.0 * x3)
+    x7, y2 = (89.0 - r) / (5040.0 * x3**2), (857.0 - 58.0 * r) / 630.0
+    return x4, (np.array([[x1, x2]]), np.array([[1.0, 0.0, x3], [x7, x5, x6]]), np.array([[1.0, y2, 1.0]]))
 
 
-_T8_COEFFS = _t8_coefficients()
+_T8_X4, _T8_TABLES = _t8_tables()
+_T12_TABLE = np.array([[1.0 / math.factorial(3 * q + j) for j in (3, 1, 2)] for q in range(4)])
 
 
-def _add_to_diagonal(stack: np.ndarray, value) -> None:
+def _add_to_diagonal(stack: np.ndarray, value) -> np.ndarray:
     """stack += value I, for a C-contiguous stack of square matrices (on any
-    other layout the reshape would copy and the update would be lost)."""
+    other layout the reshape would copy and the update would be lost), and
+    return stack."""
     n = stack.shape[-1]
     stack.reshape(-1, n * n)[:, :: n + 1] += value
+    return stack
 
 
-def _taylor8(a, a2, b, c, d):
-    """exp(A) to degree 8 in three products (_T8_COEFFS), for the stack A in
-    a; a2, b, c and d are scratch stacks of its shape.  Returns d."""
-    x1, x2, x3, x4, x5, x6, x7, y2 = _T8_COEFFS
-    np.matmul(a, a, out=a2)
-    np.multiply(a, x1 / x2, out=b)
-    b += a2
-    b *= x2
-    np.matmul(a2, b, out=c)  # A4
-    np.multiply(a2, x3, out=b)
-    b += c
-    c *= x7
-    np.multiply(a, x5, out=d)
-    c += d
-    np.multiply(a2, x6, out=d)
-    c += d
-    _add_to_diagonal(c, x4)
-    np.matmul(b, c, out=d)  # A8
-    d += a
-    a2 *= y2
-    d += a2
-    _add_to_diagonal(d, 1.0)
-    return d
+def _combine(table: np.ndarray, powers: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = sum_j table[r, j] powers[j]: one real product over the
+    C-contiguous complex stacks' real and imaginary parts."""
+    rows, k = table.shape
+    np.matmul(table, powers.reshape(k, -1).view(np.float64), out=out.reshape(rows, -1).view(np.float64))
 
 
-def _taylor12(a, a2, a3, acc, spare):
+def _taylor8(p):
+    """exp(A) to degree 8 in three products (_t8_tables), for A and A^2 in
+    p[1] and p[2] of the scratch stacks p.  A4 goes to p[0] and A8 to p[3],
+    so each combination reads adjacent stacks.  Returns p[4]."""
+    t1, t2, t3 = _T8_TABLES
+    _combine(t1, p[1:3], p[3])
+    np.matmul(p[2], p[3], out=p[0])  # A4
+    _combine(t2, p[0:3], p[4:6])
+    _add_to_diagonal(p[5], _T8_X4)
+    np.matmul(p[4], p[5], out=p[3])  # A8
+    _combine(t3, p[1:4], p[4])
+    return _add_to_diagonal(p[4], 1.0)
+
+
+def _taylor12(p):
     """exp(A) to degree 12 by Paterson and Stockmeyer's scheme (1973) in
-    five products, for the stack A in a: I + B0 + Y(B1 + Y(B2 + Y B3))
-    with Y = A^3 and B_q = sum_{j=1..3} A^j / (3q + j)!; a2, a3, acc and
-    spare are scratch stacks of its shape.  Returns one of acc and spare."""
-    np.matmul(a, a, out=a2)
-    np.matmul(a2, a, out=a3)
-    acc.fill(0.0)
-    for q in (3, 2, 1, 0):
-        if q < 3:
-            np.matmul(a3, acc, out=spare)
-            acc, spare = spare, acc
-        for j, power in enumerate((a, a2, a3), start=1):
-            np.multiply(power, 1.0 / math.factorial(3 * q + j), out=spare)
-            acc += spare
-    _add_to_diagonal(acc, 1.0)
-    return acc
+    five products, for A and A^2 in p[1] and p[2] of the scratch stacks p:
+    I + B0 + Y(B1 + Y(B2 + Y B3)), Y = A^3 in p[0], with every B_q = sum_j
+    A^j / (3q + j)!, j = 1..3, formed at once in p[3:7].  Returns p[1]."""
+    np.matmul(p[2], p[1], out=p[0])
+    _combine(_T12_TABLE, p[0:3], p[3:7])
+    for acc, out, b in ((6, 1, 5), (1, 2, 4), (2, 1, 3)):  # Y acc + B_q
+        np.matmul(p[0], p[acc], out=p[out])
+        p[out] += p[b]
+    return _add_to_diagonal(p[1], 1.0)
 
 
 def _expm_stack(gs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """exp(-i G) for a stack of Hermitian matrices, each unitary to roundoff
     (backward error <= 2^-53).
 
-    One truncated Taylor series serves the stack, chosen by its largest
-    1-norm theta for the fewest products: degree 8 in three products
-    (_taylor8) up to theta_8, and with one squaring up to 2 theta_8; above,
-    degree 12 in five (_taylor12), the norm halved until it fits theta_12
-    and the result squared as many times (scaling and squaring, as in
-    Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009).
-
-    Either kernel works in five stacks of the input's size and no
-    temporaries: the first five of work (a C-contiguous complex array of
-    shape (>= 5, >= len(stack), n, n)), the result then being a view of
-    it, or fresh arrays if work is None.
+    One truncated Taylor series serves the stack, chosen for the fewest
+    products by theta, the largest ||A^2||_1^(1/2) over its A = -i G: A is
+    normal, so ||A||_2^2 = ||A^2||_2 <= ||A^2||_1, and A^2 is both kernels'
+    first product.  Degree 8 in three products (_taylor8) serves up to
+    theta_8, with one squaring up to 2 theta_8; above, degree 12 in five
+    (_taylor12), theta halved s times until it fits theta_12, A and A^2
+    scaled exactly by 2^-s and 4^-s and the result squared s times (as in
+    Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009).  The kernels work
+    in the first _EXPM_STACKS stacks of gs's shape carved from work (a
+    C-contiguous complex array; fresh if None), of which the result is a
+    view.  gs may be the first: it is read before it is written.
     """
     n = gs.shape[-1]
     flat = gs.reshape(-1, n, n)
-    theta = float(np.abs(flat).sum(axis=-2).max(initial=0.0))
+    if work is None:
+        work = np.empty((_EXPM_STACKS,) + flat.shape, dtype=complex)
+    p = work.reshape(-1)[: _EXPM_STACKS * flat.size].reshape((_EXPM_STACKS,) + flat.shape)
+    a, a2 = p[1], p[2]
+    np.multiply(flat, -1.0j, out=a)
+    np.matmul(a, a, out=a2)
+    # A^2 is Hermitian, so its 1-norm is its largest row sum: one product
+    theta = math.sqrt(float((np.abs(a2) @ np.ones(n)).max(initial=0.0)))
     if not math.isfinite(theta):
         raise ValueError("step generators must be finite")
     (_, theta8), (_, theta12) = _TAYLOR_DEGREES
@@ -173,12 +169,10 @@ def _expm_stack(gs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         while theta > theta12:
             theta /= 2.0
             squarings += 1
-    if work is None:
-        work = np.empty((5,) + flat.shape, dtype=complex)
-    bufs = list(work[:5, : len(flat)])
-    np.multiply(flat, -1.0j / 2.0**squarings, out=bufs[0])
-    u = taylor(*bufs)
-    spare = bufs[0]
+    if squarings:
+        a *= 0.5**squarings
+        a2 *= 0.25**squarings
+    u, spare = taylor(p), p[0]
     for _ in range(squarings):
         np.matmul(u, u, out=spare)
         u, spare = spare, u
@@ -283,7 +277,7 @@ _STALL_MARGIN = 16.0
 
 def _unitarity_defect(blocks) -> float:
     """Largest max|U^dagger U - I| over the square blocks."""
-    return max(float(np.abs(b.conj().T @ b - np.eye(len(b))).max()) for b in blocks)
+    return max(float(np.abs(_add_to_diagonal(b.conj().T @ b, -1.0)).max()) for b in blocks)
 
 
 def _change(cur, prev, where: str, nsub: int) -> float:
@@ -594,14 +588,13 @@ def _half_period_map(basis, omega, phase, nsub, folded=False):
 
     folded steps only the first quarter period, X, in nsub/2 steps, and
     takes the first half-period as R X^T R X, R the reversal of the basis
-    order.  This is exact when moreover R h0 R = h0 and R vop R = -vop: the
-    half-filled sector under a '-' pairing, which the spin flip maps onto
-    itself (_check_sector_symmetries).  There h0 is real symmetric and
-    vop^T = -vop, so R H(t)^T R = H(t), and the calibrated phase, an odd
-    multiple of pi/2, makes the drive even about the cell's midpoint
-    pi/(2 omega); hence U(pi/omega, pi/(2 omega)) = R X^T R.  The
-    sixth-order Magnus step is time symmetric, so the folded map equals the
-    stepped one to roundoff, and its steps are the unfolded map's.
+    order: exact when moreover R h0 R = h0 and R vop R = -vop, as in the
+    half-filled sector under a '-' pairing (_check_sector_symmetries).
+    There h0 is real symmetric and vop^T = -vop, so R H(t)^T R = H(t), and
+    the calibrated phase, an odd multiple of pi/2, makes the drive even
+    about the cell's midpoint; hence U(pi/omega, pi/(2 omega)) = R X^T R.
+    The Magnus step is time symmetric, so the folded map equals the stepped
+    one to roundoff, and its steps are the unfolded map's.
     """
     if folded:
         x = _cell_map(basis, omega, phase, nsub, 0, 0.5)
@@ -655,17 +648,29 @@ def _cell_map(basis, omega, phase, nsub, a, b):
     # allocator hands back the one it was given last; glibc, having unmapped
     # the first, raises its mmap and trim thresholds past that size, and the
     # block's pages stay mapped from cell to cell
-    shape = (_CHUNK_ARRAYS - 1, size, n, n)
-    count = math.prod(shape)
-    work = np.empty(max(count, _STEP_BYTES // 16), dtype=complex)[:count].reshape(shape)
+    work = np.empty(max(_EXPM_STACKS * size * n * n, _STEP_BYTES // 16), dtype=complex)
     u = None
     for lo in range(0, nsteps, size):
         chunk = coeffs[lo : lo + size]
-        gs = _drive_generators(basis, chunk, work[0, : len(chunk)])
-        step = _ordered_product(_expm_stack(gs, work[1:]))
+        gs = _drive_generators(basis, chunk, work[: len(chunk) * n * n].reshape(len(chunk), n, n))
+        step = _ordered_product(_expm_stack(gs, work))
         # a one-step chunk's product is a view of the scratch block
         u = step.copy() if u is None else step @ u
     return u
+
+
+def _matrix_power(a, k: int) -> np.ndarray:
+    """a^k for k >= 0, multiplied in np.linalg.matrix_power's order, so to
+    its bits, without its argument checks."""
+    if k in (0, 3):
+        return (a @ a) @ a if k else np.eye(len(a), dtype=a.dtype)
+    z = result = None
+    while k:
+        z = a if z is None else z @ z
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
 
 
 def _interval_map(ua, partial, s, e):
@@ -676,13 +681,10 @@ def _interval_map(ua, partial, s, e):
     k0, k1 = math.ceil(s), math.floor(e)
     if k0 > k1:
         return partial(s, e)
-    if k1 == k0:
-        u = np.eye(len(ua), dtype=complex)
-    else:
-        first = ua.T if k0 % 2 else ua
-        u = np.linalg.matrix_power(first.T @ first, (k1 - k0) // 2)
-        if (k1 - k0) % 2:
-            u = first @ u
+    first = ua.T if k0 % 2 else ua
+    u = _matrix_power(first.T @ first, (k1 - k0) // 2)
+    if (k1 - k0) % 2:
+        u = first @ u
     if s < k0:
         u = u @ partial(s, k0)
     if e > k1:
@@ -747,17 +749,18 @@ def _check_sector_symmetries(h_blocks, v_blocks, sign: str) -> None:
     """
     N = len(h_blocks) - 1
     s = 1.0 if sign == "+" else -1.0
+
+    def equal(x, y):  # np.array_equal without its conversions
+        return x.shape == y.shape and bool((x == y).all())
+
     for q in range(N // 2 + 1):
         h, v = h_blocks[q], v_blocks[q]
-        if not (
-            np.array_equal(h_blocks[N - q], h[::-1, ::-1])
-            and np.array_equal(v_blocks[N - q], s * v[::-1, ::-1])
-        ):
+        if not (equal(h_blocks[N - q], h[::-1, ::-1]) and equal(v_blocks[N - q], s * v[::-1, ::-1])):
             raise ValueError(
                 f"sectors {q} and {N - q} are not particle-hole partners under "
                 f"the '{sign}' drive pairing"
             )
-        if np.imag(h).any() or not (np.array_equal(h, h.T) and np.array_equal(v.T, s * v)):
+        if np.imag(h).any() or not (equal(h, h.T) and equal(v.T, s * v)):
             raise ValueError(
                 f"sector {q} is not time-reversal symmetric under the '{sign}' drive pairing "
                 f"(a real symmetric chain block, a drive block with V^T = {sign}V)"
@@ -824,12 +827,9 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
     ValueError is raised if they fail (_check_sector_symmetries).
 
     The drive is refined on the fixed ladder (_NSUB0) until a level's
-    estimated error is below _TOL: its change from the level before over
-    f^6 - 1 (f = 8 or 2, the sixth-order ratio) while its unitarity defect
-    is below _TOL/64, and the raw change otherwise, on whole-cell windows
-    first bounded from the half-period maps (_refine).  A doubling change
-    that fell less than 4x from the one before raises at once: roundoff,
-    which refining adds to, then dominates.
+    estimated error is below _TOL (_refine); a doubling change that fell
+    less than 4x from the one before raises at once, as roundoff, which
+    refining adds to, then dominates.
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the

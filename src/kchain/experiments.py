@@ -12,7 +12,6 @@ import json
 import math
 import numbers
 import platform
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -145,6 +144,7 @@ def _mean_and_stderr(errors: np.ndarray) -> tuple:
 def _sample_errors(worker, count: int, threads: int) -> np.ndarray:
     """Evaluate worker(sample_idx) for each index, in index order."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging, so only here
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return np.array(list(pool.map(worker, range(count))))
     return np.array([worker(i) for i in range(count)])

@@ -17,6 +17,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kchain import driving, eigengate
 from kchain.cli import main
@@ -43,6 +45,7 @@ from kchain.linalg import (
     assert_unitary,
     basis_index,
     expm_hermitian,
+    expm_hermitian_times,
     max_column_distance,
     sector_indices,
     trace_error,
@@ -279,43 +282,125 @@ def _hermitian_stack(rng, count, n, norm):
 
 
 def test_taylor8_coefficients_give_the_degree_8_taylor_polynomial():
-    x1, x2, x3, x4, x5, x6, x7, y2 = driving._T8_COEFFS
-    poly = np.polynomial.Polynomial
-    a = poly([0.0, 1.0])
+    # _taylor8's steps on the polynomial A, each combination a table row
+    t1, t2, t3 = driving._T8_TABLES
+
+    def combine(row, powers):
+        return sum(c * power for c, power in zip(row, powers))
+
+    a = np.polynomial.Polynomial([0.0, 1.0])
     a2 = a * a
-    a4 = a2 * (x1 * a + x2 * a2)
-    t8 = 1.0 + a + y2 * a2 + (x3 * a2 + a4) * (x4 + x5 * a + x6 * a2 + x7 * a4)
+    a4 = a2 * combine(t1[0], (a, a2))
+    left, right = (combine(row, (a4, a, a2)) for row in t2)
+    t8 = 1.0 + combine(t3[0], (a, a2, left * (right + driving._T8_X4)))
     assert t8.degree() == 8
     for k, coef in enumerate(t8.coef):
         assert abs(coef * math.factorial(k) - 1.0) <= 1e-15, k
 
 
+def _theta(gs) -> float:
+    """The largest ||A^2||_1^(1/2) over A = -i G of the Hermitian stack gs
+    (A^2 = -G^2)."""
+    return math.sqrt(np.abs(gs @ gs).sum(axis=-2).max())
+
+
+def _theta_stack(rng, count, n, theta):
+    """Random Hermitian stack whose _theta is ``theta``."""
+    gs = _hermitian_stack(rng, count, n, 1.0)
+    return gs * (theta / _theta(gs))
+
+
+def _taylor_choice(theta) -> tuple:
+    """(degree, squarings) that _expm_stack's rule gives a stack of _theta
+    theta: degree 8 up to theta_8, with one squaring up to twice it, then
+    degree 12 with theta halved until it fits theta_12."""
+    (_, theta8), (_, theta12) = driving._TAYLOR_DEGREES
+    if theta <= 2.0 * theta8:
+        return 8, int(theta > theta8)
+    return 12, max(0, math.ceil(math.log2(theta / theta12)))
+
+
+def _recording_kernels(monkeypatch, largest):
+    """Record the (degree, squarings) of every _expm_stack call from now on:
+    the Taylor kernel it runs, and how many halvings took -i G to the A the
+    kernel gets, largest() being max|G| of the stack being exponentiated."""
+    taken = []
+    for degree in (8, 12):
+
+        def kernel(p, degree=degree, run=getattr(driving, f"_taylor{degree}")):
+            halvings = math.log2(largest() / np.abs(p[1]).max())
+            taken.append((degree, round(halvings)))
+            return run(p)
+
+        monkeypatch.setattr(driving, f"_taylor{degree}", kernel)
+    return taken
+
+
 @pytest.mark.parametrize("n", [1, 6, 20, 70])
-def test_expm_stack_matches_eigh_oracle(rng, n):
+def test_expm_stack_matches_eigh_oracle(monkeypatch, rng, n):
     (_, theta8), (_, theta12) = driving._TAYLOR_DEGREES
     above = 1.0 + 1e-9
-    # degree 8 at and below its threshold, with one squaring just above it
-    # and up to twice it, degree 12 just above that, then one and many
-    # squarings of degree 12
-    norms = (1e-4, theta8, theta8 * above, 2.0 * theta8, 2.0 * theta8 * above,
-             theta12, 2.0 * theta12, 1.0, 50.0)
+    # by theta = max ||A^2||_1^(1/2): degree 8 at and below its threshold,
+    # with one squaring just above it and up to twice it, degree 12 just
+    # above that, then one and many squarings of degree 12
+    thetas = (1e-4, theta8, theta8 * above, 2.0 * theta8, 2.0 * theta8 * above,
+              theta12, 2.0 * theta12, 1.0, 50.0)
+    largest = []
+    taken = _recording_kernels(monkeypatch, lambda: largest[-1])
     for count in (1, 27, 45):
-        for norm in norms:
-            gs = np.ascontiguousarray(_hermitian_stack(rng, count, n, norm))
+        # one stack at every theta, so one eigendecomposition serves them all
+        unit = np.ascontiguousarray(_theta_stack(rng, count, n, 1.0))
+        for theta, want in zip(thetas, expm_hermitian_times(unit, thetas)):
+            gs = theta * unit
+            largest.append(np.abs(gs).max())
             # the same values in a view that is not C-contiguous
             strided = np.swapaxes(np.conj(gs), -1, -2)
             assert np.array_equal(strided, gs)
             assert n == 1 or not strided.flags.c_contiguous
-            want = expm_hermitian(gs)
             for stack in (gs, strided):
                 u = driving._expm_stack(stack)
-                # and the same in scratch arrays, as the protocol steps
-                work = np.empty((5, count, n, n), dtype=complex)
+                # and the same in a scratch array, as the protocol steps
+                work = np.empty((driving._EXPM_STACKS, count, n, n), dtype=complex)
                 assert np.array_equal(driving._expm_stack(stack, work), u)
                 assert u.shape == gs.shape
-                assert np.max(np.abs(u - want)) <= 1e-13, (count, norm)
+                assert np.max(np.abs(u - want)) <= 1e-13, (count, theta)
                 gram = u @ np.conj(np.swapaxes(u, -1, -2))
-                assert np.max(np.abs(gram - np.eye(n))) <= 1e-13, (count, norm)
+                assert np.max(np.abs(gram - np.eye(n))) <= 1e-13, (count, theta)
+    assert {(8, 0), (8, 1), (12, 0), (12, 1)} <= set(taken)
+    assert max(s for _, s in taken) >= 8
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=1e-3, max_value=20.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_expm_stack_degree_rests_on_a_bound_of_the_spectral_norm(seed, n, scale):
+    # A = -i G is normal, so ||A||_2^2 = ||A^2||_2 <= ||A^2||_1: theta bounds
+    # every eigenvalue of G, and the scaled A fits its degree's threshold
+    gs = _hermitian_stack(np.random.default_rng(seed), 3, n, scale)
+    theta = _theta(gs)
+    radius = np.abs(np.linalg.eigvalsh(gs)).max()
+    assert theta >= radius * (1.0 - 1e-14)
+    with pytest.MonkeyPatch.context() as mp:
+        taken = _recording_kernels(mp, lambda: np.abs(gs).max())
+        driving._expm_stack(gs)
+    (degree, squarings), = taken
+    assert (degree, squarings) == _taylor_choice(theta)
+    assert radius / 2.0**squarings <= dict(driving._TAYLOR_DEGREES)[degree] * (1.0 + 1e-14)
+
+
+def test_a_stack_above_theta8_in_1_norm_but_not_in_theta_takes_no_squaring(monkeypatch):
+    (_, theta8), _ = driving._TAYLOR_DEGREES
+    # a symmetric Hadamard matrix H has 1-norm 4 but H^2 = 4 I, so theta = 2
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex)
+    gs = 0.45 * theta8 * hadamard[None]
+    assert np.abs(gs).sum(axis=-2).max() > theta8 > _theta(gs)
+    taken = _recording_kernels(monkeypatch, lambda: np.abs(gs).max())
+    u = driving._expm_stack(gs)
+    assert taken == [(8, 0)]
+    assert np.max(np.abs(u - expm_hermitian(gs))) <= 1e-15
 
 
 def _random_drive_basis(rng, n):
@@ -1023,13 +1108,20 @@ def test_unitarity_defect_reads_the_blocks():
     assert "unitarity_defect" not in [f.name for f in dataclasses.fields(res)]
 
 
-def _with_end_pulses(plan, first, last):
-    """A copy of plan whose inversion pulses on the sectors q = 0 and N
-    are the phases e^(i first) and e^(i last)."""
+@functools.cache
+def _end_pulse_plans(N):
+    """The _DrivePlan of the chain (N, 1.0) and a copy whose inversion
+    pulses on the sectors q = 0 and N are the phases e^(0.7 i) and
+    e^(-2.1 i), built once per N: the copy shares the plan's other blocks."""
+    plan = driving._layout_plan(N, 1.0)
     moved = dataclasses.replace(plan)
-    # inverts is a cached property: the copy's is set before its first use
-    moved.__dict__["inverts"] = (np.exp([1.0j * first]), *plan.inverts[1:-1], np.exp([1.0j * last]))
-    return moved
+    # cached properties: the copy's are set before their first use
+    moved.__dict__.update(
+        unit_blocks=plan.unit_blocks,
+        eigengate_blocks=plan.eigengate_blocks,
+        inverts=(np.exp([0.7j]), *plan.inverts[1:-1], np.exp([-2.1j])),
+    )
+    return plan, moved
 
 
 @pytest.mark.parametrize("N", [4, 6, 8, 10])
@@ -1038,8 +1130,10 @@ def test_zero_sector_windows_match_the_composed_identity(monkeypatch, ladder, N,
     # q = 0 and q = N have exactly zero blocks: their gate blocks must be
     # the bits the half-period route composes from identity maps, and no
     # 1 x 1 block is ever stepped.  The other sectors' blocks do not enter
-    # them, so their stepping is stood in for by identity maps.
-    plan = driving._layout_plan(N, 1.0)
+    # them, so their stepping is stood in for by identity maps, their
+    # windows by the identity, and their commutator bases, which only the
+    # stepping reads, by the chain blocks.
+    plan, moved = _end_pulse_plans(N)
     basis = np.zeros((10, 1, 1), dtype=complex)
     eye = np.eye(1, dtype=complex)
     cell_map, stepped = driving._cell_map, []
@@ -1048,14 +1142,19 @@ def test_zero_sector_windows_match_the_composed_identity(monkeypatch, ladder, N,
         stepped.append(basis.shape[-1])
         return np.eye(basis.shape[-1], dtype=complex)
 
+    def identity_windows(basis, omega, phase, halves, inverts, nsub, sign, ua):
+        return [np.eye(len(ua), dtype=complex)] * len(inverts)
+
     for omega in (plan.omega, 0.9 * plan.omega):
         # the plan's pulse phases there are 1; a general phase checks the wrap
-        for inversion, pulses in ((True, plan), (True, _with_end_pulses(plan, 0.7, -2.1)), (False, plan)):
+        for inversion, pulses in ((True, plan), (True, moved), (False, plan)):
             params = ProtocolParams(N=N, M=M, halfway_inversion=inversion)
             halves = driving._snap(params.tau_d / 2.0 / (np.pi / omega))
             partial = functools.partial(cell_map, basis, omega, -np.pi / 2.0, 2)
             monkeypatch.setattr(driving, "_layout_plan", lambda n, j: pulses)
             monkeypatch.setattr(driving, "_cell_map", identity_map)
+            monkeypatch.setattr(driving, "_drive_basis", lambda h0, vop: h0)
+            monkeypatch.setattr(driving, "_drive_window_sector", identity_windows)
             ladder(tol=math.inf, nsub0=16, max_refine=1)
             res = run_iswap_protocol(params, omega_override=omega)
             assert stepped and min(stepped) > 1

@@ -1,8 +1,11 @@
-"""Every import in src/ and tests/ is used, every exported name exists, and
-src/ defines only names that src/ reads or that the package exports."""
+"""Every import in src/ and tests/ is used, every exported name exists,
+src/ defines only names that src/ reads or that the package exports, and
+importing the package loads no module that a default run never uses."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +80,15 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == [], f"{module}.__all__ names undefined {missing}"
+
+
+def test_importing_the_package_loads_no_thread_pool_or_logging():
+    # a fresh interpreter pays for every module kchain loads; only a sweep
+    # run with threads > 1 needs concurrent.futures, which loads logging
+    code = "import sys, kchain, kchain.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def unread_names(sources: dict) -> list:
