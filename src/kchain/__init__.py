@@ -27,7 +27,7 @@ from .driving import (
     resonance_frequency,
     run_iswap_protocol,
 )
-from .eigengate import build_eigengate, noisy_eigengate_errors
+from .eigengate import build_eigengate
 from .experiments import SweepConfig, ghz_demo, pst_demo, sweep_fig2, sweep_fig3
 from .hamiltonians import ChainSpec, krawtchouk_chain
 from .krawtchouk import build_basis, m1_closed_form, m2_closed_form
@@ -45,7 +45,6 @@ __all__ = [
     "krawtchouk_chain",
     "m1_closed_form",
     "m2_closed_form",
-    "noisy_eigengate_errors",
     "pst_demo",
     "resonance_frequency",
     "run_iswap_protocol",

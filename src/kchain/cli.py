@@ -38,7 +38,7 @@ from .experiments import (
     sweep_fig3,
     write_table,
 )
-from .hamiltonians import krawtchouk_chain, single_particle_hopping
+from .hamiltonians import _SEED_END, hopping_matrices, krawtchouk_chain
 from .krawtchouk import (
     build_basis,
     conjugate_phase,
@@ -204,7 +204,7 @@ def _spectrum(N: int, J: float):
     tolerance.  The eigenvalues' roundoff grows with the spectral radius
     J n/2; a radius up to 1 keeps the absolute _SPECTRUM_TOL."""
     n = N - 1
-    hop = single_particle_hopping(krawtchouk_chain(N, J))
+    hop = hopping_matrices(krawtchouk_chain(N, J).couplings)
     exact = np.array([J * (k - n / 2.0) for k in range(N)])
     deviation = float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max())
     return exact, deviation, _SPECTRUM_TOL * max(1.0, J * n / 2.0)
@@ -476,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_protocol_size, default=6)
     p.add_argument("--m", type=_drive_length, default=4, help="drive length in 2pi/J units")
     p.add_argument("--eps", type=_noise_eps, default=0.0, help="coupling noise amplitude")
-    p.add_argument("--seed", type=_nonnegative_int, default=20260801)
+    p.add_argument("--seed", type=_IntAtLeast(0, maximum=_SEED_END - 1), default=20260801, help="noise-draw seed")
     p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--no-inversion", action="store_true")
     p.add_argument("--omega-override", type=_positive_float, default=None)

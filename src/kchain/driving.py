@@ -11,6 +11,7 @@ import numpy as np
 
 from .hamiltonians import (
     _check_noise_eps,
+    _check_seed,
     _is_number,
     chain_block,
     hz_diagonal,
@@ -404,9 +405,7 @@ class ProtocolParams:
         if not isinstance(self.halfway_inversion, (bool, np.bool_)):
             raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
         _check_noise_eps(self.noise_eps)
-        noiseless = self.seed is None and self.noise_eps == 0.0
-        if not (noiseless or _is_number(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an int >= 0, or None for a noiseless run, got {self.seed!r}")
+        _check_seed(self.seed, self.noise_eps)
 
     @property
     def tau_d(self) -> float:
@@ -520,7 +519,7 @@ class _DrivePlan:
 
     @functools.cached_property
     def eigengate_blocks(self) -> tuple:
-        u_sp = eigengate_single_particle(self.N, self.J, "three_step")
+        u_sp = eigengate_single_particle(self.N, self.J)
         return self._per_sector(functools.partial(free_fermion_block, u_sp))
 
 

@@ -7,12 +7,10 @@ import numpy as np
 from .hamiltonians import (
     ChainSpec,
     chain_block,
-    coupling_noises,
     hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
     sector_hops,
-    single_particle_hopping,
 )
 from .krawtchouk import build_basis
 from .linalg import (
@@ -31,7 +29,6 @@ __all__ = [
     "eigengate_single_particle",
     "free_fermion_block",
     "free_fermion_trace_error",
-    "noisy_eigengate_errors",
     "coupling_noise_errors",
 ]
 
@@ -77,22 +74,16 @@ def _sector_gate(variant: str, hk: np.ndarray, hz: np.ndarray, J: float) -> np.n
     return block
 
 
-def build_eigengate(
-    N: int, J: float, variant: str = "three_step", spec: ChainSpec | None = None
-) -> EigengateForm:
-    """Unitary mapping every computational state to the chain eigenstate.
+def build_eigengate(N: int, J: float, variant: str = "three_step") -> EigengateForm:
+    """Unitary mapping every computational state to the clean chain's eigenstate.
 
     three_step: exp(-i pi/2J Hz) exp(-i pi/2J Hk) exp(-i pi/2J Hz)
     single_pulse: exp(-i pi/J (Hk+Hz)/sqrt(2))
-    A noisy spec perturbs only the chain pulse; the diagonal pulses are exact.
     Each excitation sector's block is exponentiated on its own.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if spec is None:
-        spec = krawtchouk_chain(N, J)
-    if spec.N != N:
-        raise ValueError(f"spec is for N={spec.N}, but the gate is for N={N}")
+    spec = krawtchouk_chain(N, J)
     blocks = tuple(_sector_gate(variant, hk, hz, J) for _, hk, hz in _sector_hamiltonians(spec, J))
     return EigengateForm(variant=variant, N=N, J=J, blocks=blocks)
 
@@ -173,10 +164,8 @@ def eigengate_report(N: int, J: float, thetas) -> dict:
     }
 
 
-def eigengate_single_particle(
-    N: int, J: float, variant: str = "three_step", hop: np.ndarray | None = None
-) -> np.ndarray:
-    """(N x N) single-particle matrix of the eigengate.
+def eigengate_single_particle(N: int, J: float, hop: np.ndarray | None = None) -> np.ndarray:
+    """(N x N) single-particle matrix of the three-step eigengate.
 
     The gate is a particle-number-conserving free-fermion unitary fixing the
     vacuum with phase one, so this matrix determines it completely.  It is
@@ -184,19 +173,15 @@ def eigengate_single_particle(
     reaches it, replaces the chain's hopping matrix; hop may be a stack
     (..., N, N), which gives the stack of gates.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     if hop is None:
-        hop = single_particle_hopping(krawtchouk_chain(N, J))
+        hop = hopping_matrices(krawtchouk_chain(N, J).couplings)
     elif np.shape(hop)[-2:] != (N, N):
         raise ValueError(f"hop has shape {np.shape(hop)}, but the gate is for N={N}: need (..., {N}, {N})")
     n = N - 1
     zdiag = J * (np.arange(N) - n / 2.0)
     quarter = np.pi / (2.0 * J)
-    if variant == "three_step":
-        ez = np.diag(np.exp(-1.0j * zdiag * quarter))
-        return ez @ expm_hermitian(hop, quarter) @ ez
-    return expm_hermitian((hop + np.diag(zdiag)) / np.sqrt(2.0), 2.0 * quarter)
+    ez = np.diag(np.exp(-1.0j * zdiag * quarter))
+    return ez @ expm_hermitian(hop, quarter) @ ez
 
 
 def free_fermion_block(u: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -221,19 +206,6 @@ def free_fermion_trace_error(u_exact: np.ndarray, u_actual: np.ndarray) -> float
     return 1.0 - np.abs(np.linalg.det(np.eye(N) + w)) / 2**N
 
 
-def noisy_eigengate_errors(N: int, J: float, eps: float, seeds) -> np.ndarray:
-    """Trace errors of noisy three-step gates against the clean one, per seed.
-
-    Each seed draws its couplings as krawtchouk_chain(N, J, eps, seed)
-    does, all seeds in one stack (coupling_noises), so seeds are ints in
-    [0, 2^64).  The noisy gates are built and scored as one stack against
-    a clean gate computed once (coupling_noise_errors).
-    """
-    spec = krawtchouk_chain(N, J)
-    u_exact = eigengate_single_particle(N, J, "three_step")
-    return coupling_noise_errors(u_exact, spec, coupling_noises(N, eps, seeds))
-
-
 def coupling_noise_errors(u_exact: np.ndarray, spec: ChainSpec, noise: np.ndarray) -> np.ndarray:
     """Trace errors against the single-particle gate u_exact of the
     three-step gates of spec's chain with its couplings J_x -> (1 +
@@ -243,6 +215,6 @@ def coupling_noise_errors(u_exact: np.ndarray, spec: ChainSpec, noise: np.ndarra
     error of its row on its own, whatever stack the row is scored in.
     """
     hop = hopping_matrices(spec.couplings * (1.0 + noise))
-    u_noisy = eigengate_single_particle(spec.N, spec.J, "three_step", hop=hop)
+    u_noisy = eigengate_single_particle(spec.N, spec.J, hop=hop)
     return free_fermion_trace_error(u_exact, u_noisy)
 

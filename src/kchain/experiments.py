@@ -20,7 +20,6 @@ from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
 from .driving import _COUNT_MAX, _N_MAX, ProtocolParams, run_iswap_protocol
 from .eigengate import coupling_noise_errors, eigengate_single_particle
 from .hamiltonians import (
-    ChainSpec,
     _check_noise_eps,
     _is_number,
     chain_block,
@@ -57,6 +56,8 @@ FIG3_DRAW_ROWS = 4096
 
 @dataclasses.dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's grid; base_seed is SeedSequence entropy (any int >= 0), not a draw's seed."""
+
     protocol: str
     n_values: tuple
     eps_values: tuple
@@ -198,7 +199,7 @@ def sweep_fig3(config: SweepConfig) -> list:
     samples of several eps points.  One chain size's errors are held as one
     array, 8 bytes per sample, and row p reads its slice
     starts[p]:starts[p + 1].  Every error equals its sample's
-    noisy_eigengate_errors on its own, so the rows depend on neither stack
+    coupling_noise_errors on its own, so the rows depend on neither stack
     size.  config.threads is not used: the stacked evaluation runs in one
     thread.
     """
@@ -261,12 +262,11 @@ def write_table(path: str, header: tuple, rows: list, config=None, wall_time: fl
         fh.write("\n")
 
 
-def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
+def ghz_demo(N: int, J: float = 1.0) -> float:
     """Fidelity of the one-pulse GHZ preparation on an odd chain.
 
     Evolves |+>^N under the chain for pi/J, applies exp(-i pi X/4) on
-    every site and compares against (|0..0> + |1..1>)/sqrt(2).  The
-    couplings override exists for sensitivity probes.
+    every site and compares against (|0..0> + |1..1>)/sqrt(2).
 
     The chain conserves the excitation number, so |+>^N evolves sector by
     sector.  After the rotations, <0..0| and <1..1| have the amplitudes
@@ -275,7 +275,7 @@ def ghz_demo(N: int, J: float = 1.0, couplings: tuple | None = None) -> float:
     """
     if N % 2 == 0:
         raise ValueError("one-pulse GHZ preparation needs odd N")
-    spec = krawtchouk_chain(N, J) if couplings is None else ChainSpec(N, J, couplings)
+    spec = krawtchouk_chain(N, J)
     overlap = 0.0
     for q in range(N + 1):
         u = expm_hermitian(chain_block(spec, sector_hops(N, q)), math.pi / J)

@@ -2,8 +2,8 @@
 
 import dataclasses
 import functools
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -14,16 +14,21 @@ __all__ = [
     "ChainSpec",
     "krawtchouk_couplings",
     "krawtchouk_chain",
-    "coupling_noise",
     "coupling_noises",
     "chain_hops",
     "sector_hops",
     "chain_block",
     "hz_diagonal",
     "hopping_matrices",
-    "single_particle_hopping",
     "unit_drive",
 ]
+
+# One draw's seeds lie below this, the stacked draw's too (coupling_noises)
+_SEED_END = 2**64
+
+# The largest chain a ChainSpec holds, the largest a command builds (kchain
+# spectrum): an N such as 10**400 would otherwise reach np.arange unchecked.
+_CHAIN_N_MAX = 2048
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -41,14 +46,19 @@ class ChainSpec:
         if not (dtype.kind in "iu" or dtype == np.float64):
             raise ValueError(f"couplings must be ints or float64 numbers, got {self.couplings!r}")
         object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-        if not (_is_number(self.N, numbers.Integral) and self.N >= 2):
-            raise ValueError(f"N must be an int >= 2, got {self.N!r}")
+        _check_chain(self.N, self.J)
         if self.couplings.shape != (self.N - 1,):
             raise ValueError("couplings must have length N-1")
         if not np.isfinite(self.couplings).all():
             raise ValueError(f"couplings must be finite, got {self.couplings!r}")
-        if not (_is_number(self.J, numbers.Real) and 0.0 < self.J < math.inf):
-            raise ValueError(f"J must be a finite number > 0 (a numpy float only as float64), got {self.J!r}")
+
+
+def _check_chain(N, J) -> None:
+    """ChainSpec's rules for N and J, which krawtchouk_chain checks first."""
+    if not (_is_number(N, numbers.Integral) and 2 <= N <= _CHAIN_N_MAX):
+        raise ValueError(f"N must be an int >= 2 (at most {_CHAIN_N_MAX}), got {N!r}")
+    if not (_is_number(J, numbers.Real) and 0.0 < J <= sys.float_info.max):
+        raise ValueError(f"J must be a finite number > 0 (a numpy float only as float64), got {J!r}")
 
 
 def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
@@ -61,30 +71,22 @@ def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
 
 def krawtchouk_chain(N: int, J: float, noise_eps: float = 0.0, seed=None) -> ChainSpec:
     """The chain with the engineered couplings, each J_x -> (1 + eps_x) J_x
-    with eps_x = coupling_noise(N, noise_eps, seed) if noise_eps > 0 (seed given)."""
+    with eps_x uniform on [-noise_eps, noise_eps] from default_rng(seed)."""
+    _check_chain(N, J)
     _check_noise_eps(noise_eps)
+    _check_seed(seed, noise_eps)
     couplings = krawtchouk_couplings(N - 1, J)
     if noise_eps > 0.0:
-        if seed is None:
-            raise ValueError("seed must be given for a noisy chain (noise_eps > 0), got None")
-        couplings = couplings * (1.0 + coupling_noise(N, noise_eps, seed))
+        couplings = couplings * (1.0 + np.random.default_rng(seed).uniform(-noise_eps, noise_eps, N - 1))
     return ChainSpec(N, J, couplings)
 
 
-def coupling_noise(N: int, noise_eps: float, seed) -> np.ndarray:
-    """Relative coupling errors eps_x of the N-1 bonds for one seed.
-
-    eps_x is uniform on [-noise_eps, noise_eps], drawn from a generator
-    seeded by seed, so the draw is reproducible.
-    """
-    return np.random.default_rng(seed).uniform(-noise_eps, noise_eps, size=N - 1)
-
-
 def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
-    """coupling_noise for a stack of seeds, each an int in [0, 2^64): row k
-    is coupling_noise(N, noise_eps, seeds[k]) bit for bit.  noise_eps is
-    one number for every seed, or a sequence of one per seed, in which case
-    row k is coupling_noise(N, noise_eps[k], seeds[k]).
+    """The relative coupling errors of a stack of seeds, each an int in
+    [0, 2^64): row k is the draw krawtchouk_chain(N, J, noise_eps, seeds[k])
+    applies, bit for bit.  noise_eps is one number for every seed, or a
+    sequence of one per seed, in which case row k is the draw of
+    krawtchouk_chain(N, J, noise_eps[k], seeds[k]).
 
     The seeds' SeedSequence and PCG64 streams are computed as one stack
     (_seeding), not one generator per seed.
@@ -105,7 +107,7 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
             for value in eps.ravel().tolist() if array else noise_eps:
                 _check_noise_eps(value)
         eps = eps.astype(float)
-    seeds = uint_stack(seeds, 2**64, "seed")
+    seeds = uint_stack(seeds, _SEED_END, "seed")
     if np.ndim(eps) and eps.shape != seeds.shape:
         raise ValueError(f"noise_eps has {len(eps)} values, but there are {len(seeds)} seeds")
     return uniform_stack(seeds, -eps, eps, N - 1)
@@ -125,6 +127,14 @@ def _check_noise_eps(value, name: str = "noise_eps") -> None:
     zero or flip a coupling's sign."""
     if not (_is_number(value, numbers.Real) and 0.0 <= value < 1.0):
         raise ValueError(f"{name} must be a finite number in [0, 1), got {value!r}")
+
+
+def _check_seed(seed, noise_eps) -> None:
+    """Raise ValueError naming seed unless it is one draw's seed, or None
+    for a clean draw (a noisy draw without a seed would differ per call)."""
+    clean = seed is None and noise_eps == 0.0
+    if not (clean or _is_number(seed, numbers.Integral) and 0 <= seed < _SEED_END):
+        raise ValueError(f"seed must be an int in [0, {_SEED_END}), or None for a noiseless draw, got {seed!r}")
 
 
 def _hop_pattern(N: int, states, sites) -> tuple:
@@ -203,11 +213,6 @@ def hopping_matrices(couplings: np.ndarray) -> np.ndarray:
     mat[..., x, x + 1] = couplings
     mat[..., x + 1, x] = couplings
     return mat
-
-
-def single_particle_hopping(spec: ChainSpec) -> np.ndarray:
-    """(N x N) one-excitation block: tridiagonal with off-diagonals J_x."""
-    return hopping_matrices(spec.couplings)
 
 
 def unit_drive(N: int, sign: str, pairs, states=None) -> np.ndarray:

@@ -87,7 +87,6 @@ class KrawtchoukBasis:
 
     n: int
     J: float
-    kmatrix: np.ndarray
     phi: np.ndarray
     lambdas: np.ndarray
 
@@ -107,7 +106,7 @@ def build_basis(n: int, J: float = 1.0) -> KrawtchoukBasis:
             ratio = Fraction(comb(n, x), comb(n, k) * 2**n)
             phi[k, x] = int(kmat[k, x]) * math.sqrt(ratio)
     lambdas = J * (np.arange(n + 1) - n / 2.0)
-    return KrawtchoukBasis(n=n, J=J, kmatrix=kmat, phi=phi, lambdas=lambdas)
+    return KrawtchoukBasis(n=n, J=J, phi=phi, lambdas=lambdas)
 
 
 def _check_modes(n: int, modes: Sequence[int]) -> tuple:

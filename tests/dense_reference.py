@@ -2,9 +2,11 @@
 and GHZ oracles, and the dense single-qubit operators, basis states and
 matrix elements the tests check the library against.
 
-Each function builds the full many-body operators and works on them
+Each dense function builds the full many-body operators and works on them
 directly, as the oracles did before they were reduced to the excitation
-sectors; the tests bound the sector routes against these.
+sectors; the tests bound the sector routes against these.  The per-point
+noisy eigengate errors the fig3 sweep is checked against, and the
+single-pulse gate's single-particle matrix, are here too.
 """
 
 import dataclasses
@@ -12,8 +14,15 @@ import math
 
 import numpy as np
 
-from kchain.eigengate import VARIANTS, expected_phase
-from kchain.hamiltonians import chain_block, chain_hops, hz_diagonal, krawtchouk_chain
+from kchain.eigengate import VARIANTS, coupling_noise_errors, eigengate_single_particle, expected_phase
+from kchain.hamiltonians import (
+    chain_block,
+    chain_hops,
+    coupling_noises,
+    hopping_matrices,
+    hz_diagonal,
+    krawtchouk_chain,
+)
 from kchain.krawtchouk import build_basis, eigenstate_vector
 from kchain.linalg import PAULI_X, assert_unitary, basis_index, expm_hermitian, tensor_embed
 
@@ -82,6 +91,28 @@ def dense_eigengate(N, J, variant="three_step", spec=None):
         u = expm_hermitian((hk + hz) / np.sqrt(2.0), 2.0 * quarter)
     assert_unitary(u)
     return u
+
+
+def noisy_eigengate_errors(N, J, eps, seeds):
+    """Trace errors of noisy three-step gates against the clean one, per seed.
+
+    Each seed draws its couplings as krawtchouk_chain(N, J, eps, seed)
+    does, all seeds in one stack (coupling_noises), so seeds are ints in
+    [0, 2^64).  The noisy gates are built and scored as one stack against
+    a clean gate computed once (coupling_noise_errors).
+    """
+    spec = krawtchouk_chain(N, J)
+    u_exact = eigengate_single_particle(N, J)
+    return coupling_noise_errors(u_exact, spec, coupling_noises(N, eps, seeds))
+
+
+def single_pulse_single_particle(N, J):
+    """(N x N) single-particle matrix of the single-pulse eigengate,
+    exp(-i pi/J (hop + Hz)/sqrt(2)) on the clean chain's one-excitation
+    sector."""
+    zdiag = J * (np.arange(N) - (N - 1) / 2.0)
+    hop = hopping_matrices(krawtchouk_chain(N, J).couplings)
+    return expm_hermitian((hop + np.diag(zdiag)) / np.sqrt(2.0), math.pi / J)
 
 
 def dense_intertwining(u, N, J):

@@ -23,7 +23,7 @@ from kchain.experiments import (
     sweep_fig3,
     write_table,
 )
-from kchain.hamiltonians import chain_block, chain_hops, krawtchouk_chain, single_particle_hopping
+from kchain.hamiltonians import chain_block, chain_hops, hopping_matrices, krawtchouk_chain
 from kchain.krawtchouk import (
     build_basis,
     conjugate_phase,
@@ -45,7 +45,7 @@ def test_criterion_01_single_particle_spectrum():
     worst = 0.0
     for N in range(2, 14):
         n = N - 1
-        hop = single_particle_hopping(krawtchouk_chain(N, 1.0))
+        hop = hopping_matrices(krawtchouk_chain(N, 1.0).couplings)
         evals = np.linalg.eigvalsh(hop)
         exact = np.array([k - n / 2.0 for k in range(N)])
         worst = max(worst, float(np.max(np.abs(evals - exact))))

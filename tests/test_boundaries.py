@@ -48,7 +48,7 @@ BOUNDARIES = {
         ("protocol", "n_values", "eps_values", "m_values", "samples", "base_seed", "threads"),
     ),
     "ChainSpec": (ChainSpec, dict(N=4, J=1.0, couplings=krawtchouk_couplings(3, 1.0)), ("N", "J", "couplings")),
-    "krawtchouk_chain": (krawtchouk_chain, dict(N=4, J=1.0, noise_eps=0.01, seed=3), ("noise_eps",)),
+    "krawtchouk_chain": (krawtchouk_chain, dict(N=4, J=1.0, noise_eps=0.01, seed=3), ("N", "J", "noise_eps", "seed")),
     "coupling_noises": (coupling_noises, dict(N=4, noise_eps=0.01, seeds=[3, 5]), ("noise_eps",)),
     "gate_time_accounting": (gate_time_accounting, dict(N=4, M=1, J=1.0, Jmax=1.0), ("N", "M", "J", "Jmax")),
     "resonance_frequency": (resonance_frequency, dict(N=4, J=1.0), ("N", "J")),
@@ -182,11 +182,31 @@ REFUSED = [
     # a noisy chain without a seed would draw other couplings on every call
     ("ProtocolParams", "seed", None, lambda value: ProtocolParams(N=4, M=1, noise_eps=0.01, seed=value)),
     ("krawtchouk_chain", "seed", None, lambda value: krawtchouk_chain(4, 1.0, 0.01, seed=value)),
+    # seeds outside the draws' one domain, ints in [0, 2^64), which the
+    # per-sample draw once took (a Generator gave other couplings per call)
+    *(
+        row
+        for seed in (2**64, 2**70, True, [1, 2], np.random.default_rng(3), np.random.SeedSequence(4), "3")
+        for row in [
+            ("ProtocolParams", "seed", seed, lambda value: ProtocolParams(N=4, M=1, noise_eps=0.01, seed=value)),
+            ("krawtchouk_chain", "seed", seed, lambda value: krawtchouk_chain(4, 1.0, 0.01, seed=value)),
+        ]
+    ),
+    # a seed given to a clean chain, which it once ignored
+    ("krawtchouk_chain", "seed", "abc", lambda value: krawtchouk_chain(4, 1.0, 0.0, seed=value)),
 ]
 
 
+def _shown(value) -> str:
+    """value as a test id shows it: a NumPy seeding object by its type, as
+    its repr holds an address or spans lines."""
+    if isinstance(value, (np.random.Generator, np.random.SeedSequence)):
+        return type(value).__name__
+    return f"{value!r:.40}"
+
+
 @pytest.mark.parametrize(
-    "boundary, field, value, build", REFUSED, ids=[f"{b}-{f}-{v!r:.40}" for b, f, v, _ in REFUSED]
+    "boundary, field, value, build", REFUSED, ids=[f"{b}-{f}-{_shown(v)}" for b, f, v, _ in REFUSED]
 )
 def test_a_refused_value_names_its_field(boundary, field, value, build):
     with pytest.raises(ValueError, match=rf"^{field} must "):

@@ -64,8 +64,8 @@ def test_spectrum_check_scales_with_the_spectral_radius(capsys, monkeypatch, n, 
     # J = 1e4, against an absolute tolerance of 1e-10); a spectrum off by a
     # relative 1e-9 still fails at every scale
     assert run_cli(capsys, "spectrum", "--n", n, "--j", j)[0] == 0
-    hopping = cli.single_particle_hopping
-    monkeypatch.setattr(cli, "single_particle_hopping", lambda spec: hopping(spec) * (1.0 + 1e-9))
+    hopping = cli.hopping_matrices
+    monkeypatch.setattr(cli, "hopping_matrices", lambda couplings: hopping(couplings) * (1.0 + 1e-9))
     assert main(["spectrum", "--n", n, "--j", j]) == 1
     assert "FAIL spectrum deviation" in capsys.readouterr().err
 
@@ -233,6 +233,19 @@ def test_noisy_drive_rows_carry_the_point_seeds(capsys):
     assert rc == 0
     (again,) = json.loads(out)["rows"]
     assert again == row
+
+
+def test_drive_seed_is_a_draw_seed_and_a_sweep_seed_any_int(capsys, tmp_path):
+    # drive's --seed seeds a run's noise draw, which takes seeds below 2^64;
+    # noise-sweep's is the SeedSequence entropy of every point
+    rc, out = run_cli(capsys, "drive", "--n", "4", "--m", "1", "--eps", "0.01", "--seed", str(2**64 - 1))
+    assert rc == 0 and out.splitlines()[1].split(",")[4] == str(2**64 - 1)
+    out_path = tmp_path / "fig3.csv"
+    rc, out = run_cli(
+        capsys, "noise-sweep", "--figure", "3", "--n", "4", "--eps", "0.01", "--samples", "2",
+        "--seed", str(2**70), "--out", str(out_path),
+    )
+    assert rc == 0 and f"wrote 1 rows to {out_path}" in out
 
 
 def test_noise_sweep_thread_count_does_not_change_bytes(capsys, tmp_path):
@@ -634,6 +647,7 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["noise-sweep", "--figure", "3", "--n", "100000"], "argument --n: must be at most 64, got '100000'"),
     (["drive", "--m", "1000001"], "argument --m: must be at most 1000000, got '1000001'"),
     (["noise-sweep", "--figure", "2", "--m-max", str(10**10)], f"argument --m-max: must be at most 1000000, got '{10**10}'"),
+    (["drive", "--eps", "0.01", "--seed", str(2**64)], f"argument --seed: must be at most {2**64 - 1}, got '{2**64}'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)

@@ -17,13 +17,12 @@ from kchain.eigengate import (
     expected_phase,
     free_fermion_block,
     free_fermion_trace_error,
-    noisy_eigengate_errors,
 )
 from kchain.hamiltonians import (
     chain_block,
     chain_hops,
+    hopping_matrices,
     krawtchouk_chain,
-    single_particle_hopping,
 )
 from kchain.krawtchouk import build_basis, eigenstate_vector
 from kchain.linalg import assert_unitary, sector_indices, trace_error
@@ -35,6 +34,8 @@ from dense_reference import (
     dense_eigengate,
     dense_intertwining,
     dense_rotation_checks,
+    noisy_eigengate_errors,
+    single_pulse_single_particle,
 )
 
 
@@ -99,9 +100,9 @@ def test_single_particle_shortcut_matches_dense(N):
     # must reproduce the dense 2^N x 2^N trace error
     spec = krawtchouk_chain(N, 1.0, noise_eps=0.08, seed=7)
     dense_clean = build_eigengate(N, 1.0).unitary
-    dense_noisy = build_eigengate(N, 1.0, spec=spec).unitary
+    dense_noisy = dense_eigengate(N, 1.0, "three_step", spec)
     small_clean = eigengate_single_particle(N, 1.0)
-    small_noisy = eigengate_single_particle(N, 1.0, hop=single_particle_hopping(spec))
+    small_noisy = eigengate_single_particle(N, 1.0, hop=hopping_matrices(spec.couplings))
     shortcut = free_fermion_trace_error(small_clean, small_noisy)
     dense = trace_error(dense_clean, dense_noisy)
     # the noisy gate must differ from the clean one, or both errors are
@@ -114,7 +115,7 @@ def test_single_particle_gate_diagonalizes_hopping():
     N = 6
     spec = krawtchouk_chain(N, 1.0)
     u = eigengate_single_particle(N, 1.0)
-    hop = single_particle_hopping(spec)
+    hop = hopping_matrices(spec.couplings)
     transformed = u.conj().T @ hop @ u
     off = transformed - np.diag(np.diag(transformed))
     assert np.max(np.abs(off)) < 1e-10
@@ -138,7 +139,7 @@ def test_noise_free_error_vanishes():
         assert noisy_eigengate_errors(N, 1.0, 0.0, [0])[0] < 1e-12
 
 
-@pytest.mark.parametrize("build", [build_eigengate, eigengate_single_particle], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("build", [build_eigengate], ids=lambda f: f.__name__)
 def test_unknown_variant_rejected(build):
     with pytest.raises(ValueError, match="variant must be one of"):
         build(4, 1.0, "bogus")
@@ -210,24 +211,18 @@ def test_compare_forms_targets_are_eigenstate_vectors_bitwise():
             assert not full[np.setdiff1d(np.arange(2**N), states)].any()
 
 
-def _chain_specs(N):
-    """The clean chain and a noisy draw."""
-    return [krawtchouk_chain(N, 1.0), krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N)]
-
-
 @pytest.mark.parametrize("N", range(2, 9))
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sector_eigengate_within_roundoff_of_dense_reference(N, variant):
-    for spec in _chain_specs(N):
-        gate = build_eigengate(N, 1.0, variant, spec=spec)
-        assert np.max(np.abs(gate.unitary - dense_eigengate(N, 1.0, variant, spec))) <= SECTOR_TOL
-        # the blocks are the unitary's, which is zero outside them
-        rest = gate.unitary.copy()
-        for q, block in enumerate(gate.blocks):
-            ix = sector_indices(N, q)
-            assert np.array_equal(block, gate.unitary[np.ix_(ix, ix)])
-            rest[np.ix_(ix, ix)] = 0.0
-        assert not rest.any()
+    gate = build_eigengate(N, 1.0, variant)
+    assert np.max(np.abs(gate.unitary - dense_eigengate(N, 1.0, variant))) <= SECTOR_TOL
+    # the blocks are the unitary's, which is zero outside them
+    rest = gate.unitary.copy()
+    for q, block in enumerate(gate.blocks):
+        ix = sector_indices(N, q)
+        assert np.array_equal(block, gate.unitary[np.ix_(ix, ix)])
+        rest[np.ix_(ix, ix)] = 0.0
+    assert not rest.any()
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
@@ -275,19 +270,16 @@ def test_eigengate_report_builds_the_chain_and_each_sector_once(monkeypatch, N):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(spec=krawtchouk_chain(6, 1.0)), "spec is for N=6, but the gate is for N=4"),
+        (dict(hop=np.zeros((4, 5))), r"hop has shape \(4, 5\), but the gate is for N=4"),
         (dict(hop=np.eye(6)), r"hop has shape \(6, 6\), but the gate is for N=4"),
         (dict(hop=np.zeros((3, 5, 5))), r"hop has shape \(3, 5, 5\), but the gate is for N=4"),
         (dict(hop=np.zeros(4)), r"hop has shape \(4,\), but the gate is for N=4"),
     ],
 )
 def test_gate_of_another_size_is_rejected(kwargs, message):
-    # a chain reaches the many-body gate as spec and the single-particle
-    # gate as hop
-    build = build_eigengate if "spec" in kwargs else eigengate_single_particle
-    for variant in VARIANTS:
-        with pytest.raises(ValueError, match=message):
-            build(4, 1.0, variant, **kwargs)
+    # a chain reaches the single-particle gate only as hop
+    with pytest.raises(ValueError, match=message):
+        eigengate_single_particle(4, 1.0, **kwargs)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
@@ -318,6 +310,6 @@ def test_free_fermion_blocks_match_dense_eigengate(N, variant):
     # a free-fermion unitary's sector block is the matrix of minors of its
     # single-particle matrix
     blocks = build_eigengate(N, 1.0, variant).blocks
-    u = eigengate_single_particle(N, 1.0, variant)
+    u = eigengate_single_particle(N, 1.0) if variant == "three_step" else single_pulse_single_particle(N, 1.0)
     for q in range(N + 1):
         assert np.max(np.abs(free_fermion_block(u, sector_indices(N, q)) - blocks[q])) <= 1e-13

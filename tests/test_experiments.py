@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from kchain import driving, eigengate, experiments
-from kchain.eigengate import noisy_eigengate_errors
 from kchain.experiments import (
     DEFAULT_SAMPLES,
     FIG2_EPS_GRID,
@@ -22,10 +21,10 @@ from kchain.experiments import (
     sweep_fig3,
     write_table,
 )
-from kchain.hamiltonians import chain_block, krawtchouk_chain, krawtchouk_couplings, sector_hops
+from kchain.hamiltonians import ChainSpec, chain_block, krawtchouk_chain, krawtchouk_couplings, sector_hops
 from kchain.linalg import basis_index, expm_hermitian
 
-from dense_reference import SECTOR_TOL, dense_ghz_demo, dense_pst_amplitude
+from dense_reference import SECTOR_TOL, dense_ghz_demo, dense_pst_amplitude, noisy_eigengate_errors
 
 
 def test_eps_grids():
@@ -181,10 +180,11 @@ def test_ghz_fidelity_exact_for_odd_chains():
     assert ghz_demo(5) > 1.0 - 1e-12
 
 
-def test_ghz_detects_miscalibrated_coupling():
+def test_ghz_detects_miscalibrated_coupling(monkeypatch):
     c = list(krawtchouk_couplings(2, 1.0))
     c[0] *= 1.05
-    fid = ghz_demo(3, couplings=tuple(c))
+    monkeypatch.setattr(experiments, "krawtchouk_chain", lambda N, J: ChainSpec(N, J, c))
+    fid = ghz_demo(3)
     assert fid == pytest.approx(0.9972355998845928, rel=1e-12)
     assert fid < 1.0 - 1e-4
 
@@ -325,8 +325,10 @@ def test_pst_within_roundoff_of_dense_reference(N):
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
-def test_ghz_within_roundoff_of_dense_reference(N):
+def test_ghz_within_roundoff_of_dense_reference(monkeypatch, N):
     assert abs(ghz_demo(N) - dense_ghz_demo(N)) <= SECTOR_TOL
+    # a miscalibrated chain, which reaches ghz_demo only as a stand-in
     couplings = krawtchouk_couplings(N - 1, 1.0) * np.linspace(1.05, 0.97, N - 1)
-    assert abs(ghz_demo(N, couplings=couplings) - dense_ghz_demo(N, couplings=couplings)) <= SECTOR_TOL
+    monkeypatch.setattr(experiments, "krawtchouk_chain", lambda N, J: ChainSpec(N, J, couplings))
+    assert abs(ghz_demo(N) - dense_ghz_demo(N, couplings=couplings)) <= SECTOR_TOL
 

@@ -11,12 +11,11 @@ from kchain.hamiltonians import (
     ChainSpec,
     chain_block,
     chain_hops,
-    coupling_noise,
+    coupling_noises,
     hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
     krawtchouk_couplings,
-    single_particle_hopping,
     unit_drive,
 )
 from kchain.linalg import (
@@ -54,8 +53,10 @@ def test_chain_spec_validation():
 @pytest.mark.parametrize("field", ["couplings", "J"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_chain_spec_rejects_non_finite_values(field, bad):
-    # a non-finite coupling scale reaches the spec through its couplings
-    with pytest.raises(ValueError, match="^couplings must be finite"):
+    # krawtchouk_chain refuses a non-finite coupling scale by name before
+    # it builds any couplings
+    message = "^J must be a finite number > 0" if field == "J" else "^couplings must be finite"
+    with pytest.raises(ValueError, match=message):
         if field == "J":
             krawtchouk_chain(4, bad)
         else:
@@ -102,14 +103,14 @@ def test_hk_hermitian_and_u1_symmetric(N):
 def test_single_excitation_block_matches_hopping_matrix(N):
     spec = krawtchouk_chain(N, 1.3)
     ham = chain_block(spec, chain_hops(N))
-    hop = single_particle_hopping(spec)
+    hop = hopping_matrices(spec.couplings)
     idx = [basis_index([1 if y == x else 0 for y in range(N)]) for x in range(N)]
     assert np.allclose(ham[np.ix_(idx, idx)], hop)
 
 
 def test_single_particle_spectrum_is_linear():
     for N in (4, 7, 10):
-        hop = single_particle_hopping(krawtchouk_chain(N, 1.0))
+        hop = hopping_matrices(krawtchouk_chain(N, 1.0).couplings)
         evals = np.linalg.eigvalsh(hop)
         n = N - 1
         assert np.allclose(evals, [1.0 * (k - n / 2.0) for k in range(N)], atol=1e-12)
@@ -183,10 +184,11 @@ def test_unit_drive_rejects_a_bad_sign_or_pair():
 
 
 def test_coupling_noise_is_the_draw_krawtchouk_chain_uses():
+    # NumPy's generator of the seed, and the stacked draw's row of it
     spec = krawtchouk_chain(7, 1.0, noise_eps=0.03, seed=11)
-    eps = coupling_noise(7, 0.03, 11)
-    assert eps.shape == (6,)
+    eps = np.random.default_rng(11).uniform(-0.03, 0.03, 6)
     assert np.array_equal(spec.couplings, krawtchouk_couplings(6, 1.0) * (1.0 + eps))
+    assert coupling_noises(7, 0.03, [11])[0].tobytes() == eps.tobytes()
 
 
 def test_hopping_matrices_stack_matches_single_particle_hopping():
@@ -194,7 +196,7 @@ def test_hopping_matrices_stack_matches_single_particle_hopping():
     stack = hopping_matrices(np.array([spec.couplings for spec in specs]))
     assert stack.shape == (3, 5, 5)
     for spec, hop in zip(specs, stack):
-        assert np.array_equal(hop, single_particle_hopping(spec))
+        assert np.array_equal(hop, hopping_matrices(spec.couplings))
 
 
 @pytest.mark.parametrize("N", range(2, 11))

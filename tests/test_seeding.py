@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from kchain.experiments import SweepConfig, point_seed, point_seeds, sweep_fig3
-from kchain.hamiltonians import coupling_noise, coupling_noises, krawtchouk_chain
+from kchain.hamiltonians import coupling_noises, krawtchouk_chain
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def numpy_draw(N, eps, seed) -> np.ndarray:
+    """The relative coupling errors krawtchouk_chain(N, J, eps, seed) draws,
+    one NumPy generator per seed."""
+    return np.random.default_rng(seed).uniform(-eps, eps, N - 1)
 
 
 def reference_point_seed(base_seed, N, M, eps_idx, sample_idx) -> int:
@@ -44,12 +50,12 @@ def test_coupling_noises_equal_coupling_noise(eps):
     seeds = list(EDGE_SEEDS) + point_seeds(20260801, 8, 0, 3, np.arange(4096)).tolist()
     # a draw of N - 1 values is the first N - 1 of the longest one's stream
     # (checked directly on the edge seeds below), so NumPy draws each seed once
-    longest = np.array([coupling_noise(13, eps, s) for s in seeds])
+    longest = np.array([numpy_draw(13, eps, s) for s in seeds])
     for N in range(2, 14):
         got = coupling_noises(N, eps, seeds)
         assert got.shape == (len(seeds), N - 1)
         assert got.tobytes() == np.ascontiguousarray(longest[:, : N - 1]).tobytes(), N
-        direct = np.array([coupling_noise(N, eps, s) for s in EDGE_SEEDS])
+        direct = np.array([numpy_draw(N, eps, s) for s in EDGE_SEEDS])
         assert got[: len(EDGE_SEEDS)].tobytes() == direct.tobytes(), N
 
 
@@ -86,7 +92,7 @@ def test_coupling_noises_with_one_eps_per_seed_equal_per_eps_calls():
         rows = np.flatnonzero(eps == value)
         want = coupling_noises(6, float(value), [seeds[k] for k in rows])
         assert got[rows].tobytes() == want.tobytes(), value
-    want = np.array([coupling_noise(6, e, s) for e, s in zip(eps, seeds)])
+    want = np.array([numpy_draw(6, e, s) for e, s in zip(eps, seeds)])
     assert got.tobytes() == want.tobytes()
     assert coupling_noises(6, list(eps), seeds).tobytes() == got.tobytes()
 
@@ -119,7 +125,7 @@ def test_noise_of_one_or_more_is_rejected_in_every_form(noise_eps):
 
 def test_coupling_noises_take_a_uint64_stack():
     seeds = point_seeds(1, 4, 1, 0, np.arange(5))
-    want = np.array([coupling_noise(6, 0.03, int(s)) for s in seeds])
+    want = np.array([numpy_draw(6, 0.03, int(s)) for s in seeds])
     assert coupling_noises(6, 0.03, seeds).tobytes() == want.tobytes()
 
 
@@ -191,6 +197,6 @@ def test_fig3_sweep_builds_no_numpy_seeding_object(monkeypatch):
     assert [row[4] for row in rows] == [40] * 4
     assert counts == {}
     # the counters see the per-run draw, which keeps NumPy's generator
-    coupling_noise(4, 0.01, 3)
+    krawtchouk_chain(4, 1.0, 0.01, seed=3)
     assert counts == {"default_rng": 1}
 
