@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -362,15 +361,8 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
 
 # ------------------------------------------------------------- swap protocol
 
-# The coupling scales a protocol run accepts.  The step coefficients carry
-# up to the fifth power of the step length (~1/J) and the commutator basis
-# the fourth power of the chain (~J), so J = 1e-80 and 1e80 overflow while
-# 1e-60 to 1e60 run; this range keeps every J from 1e-3 to 1e3 that runs
-# and the cell-count snapping checked across it (_SNAP_RTOL).
-_J_RANGE = (1e-6, 1e6)
-
 # The largest M a run or a gate-time count accepts: the integers float64
-# holds exactly, so 2 pi M / J and 4 M stay finite.
+# holds exactly, so 2 pi M and 4 M stay finite.
 _COUNT_MAX = 2**53
 
 # The largest N a run accepts: the largest that the calibration's floor
@@ -380,10 +372,10 @@ _N_MAX = 12
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolParams:
-    """Resonant-drive protocol configuration for the N-qubit swap gate."""
+    """Resonant-drive protocol configuration for the N-qubit swap gate, on
+    the chain at J = 1: energies are in units of J and times in 1/J."""
 
     N: int
-    J: float = 1.0
     M: int = 1
     halfway_inversion: bool = True
     noise_eps: float = 0.0
@@ -396,12 +388,6 @@ class ProtocolParams:
         object.__setattr__(self, "N", int(self.N))
         if not (_is_number(self.M, numbers.Integral) and 1 <= self.M <= _COUNT_MAX):
             raise ValueError(f"M must be a positive integer (at most 2^53), got {self.M!r}")
-        lo, hi = _J_RANGE
-        if not (_is_number(self.J, numbers.Real) and lo <= self.J <= hi):
-            raise ValueError(
-                f"J must be a finite number > 0 (a numpy float only as float64) "
-                f"in [{lo:g}, {hi:g}], got {self.J!r}"
-            )
         if not isinstance(self.halfway_inversion, (bool, np.bool_)):
             raise ValueError(f"halfway_inversion must be a bool, got {self.halfway_inversion!r}")
         _check_noise_eps(self.noise_eps)
@@ -409,7 +395,7 @@ class ProtocolParams:
 
     @property
     def tau_d(self) -> float:
-        return 2.0 * math.pi * self.M / self.J
+        return 2.0 * math.pi * self.M
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -454,10 +440,10 @@ def default_drive_pairs(N: int) -> tuple:
     return ((N - 2) // 4,)
 
 
-def resonance_frequency(N: int, J: float = 1.0) -> float:
-    """Energy difference between the two half-filled band states (= N^2 J/4)
-    of the chain (N, J), N an even int >= 4: its _DrivePlan's omega."""
-    return _layout_plan(ProtocolParams(N=N, J=J).N, J).omega
+def resonance_frequency(N: int) -> float:
+    """Energy difference between the two half-filled band states (= N^2/4)
+    of the chain of N sites, N an even int >= 4: its _DrivePlan's omega."""
+    return _layout_plan(ProtocolParams(N=N).N).omega
 
 
 def _target_states(N: int) -> tuple:
@@ -477,7 +463,7 @@ def iswap_target(N: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _DrivePlan:
-    """What every protocol run on the chain (N, J) shares, noise aside: a
+    """What every protocol run on the chain of N sites shares, noise aside: a
     sweep redraws only the couplings, and M and the inversion are applied
     per run.
 
@@ -493,7 +479,6 @@ class _DrivePlan:
     """
 
     N: int
-    J: float
     sign: str
     pairs: tuple
     targets: tuple
@@ -514,30 +499,27 @@ class _DrivePlan:
 
     @functools.cached_property
     def inverts(self) -> tuple:
-        p_diag = np.exp(-1.0j * math.pi * hz_diagonal(self.N, self.J) / self.J)
+        p_diag = np.exp(-1.0j * math.pi * hz_diagonal(self.N, 1.0))
         return self._per_sector(lambda states: p_diag[states])
 
     @functools.cached_property
     def eigengate_blocks(self) -> tuple:
-        u_sp = eigengate_single_particle(self.N, self.J)
+        u_sp = eigengate_single_particle(self.N, 1.0)
         return self._per_sector(functools.partial(free_fermion_block, u_sp))
 
 
-# typed: J = 1 and J = 1.0 get plans of their own, each built from the J
-# its runs were given
-@functools.lru_cache(maxsize=8, typed=True)
-def _layout_plan(N: int, J: float) -> _DrivePlan:
-    """The _DrivePlan of the chain (N, J), built once per chain: N fixes
+@functools.lru_cache(maxsize=8)
+def _layout_plan(N: int) -> _DrivePlan:
+    """The _DrivePlan of the chain of N sites, built once per chain: N fixes
     the drive's sign (driving_sign) and pairs (default_drive_pairs)."""
     sign, pairs = driving_sign(N), default_drive_pairs(N)
-    basis = build_basis(N - 1, J)
+    basis = build_basis(N - 1, 1.0)
     half = sector_indices(N, N // 2)
     bra = eigenstate_vector(basis, range(N // 2, N))[half]
     ket = eigenstate_vector(basis, range(N // 2))[half]
     v_half = unit_drive(N, sign, pairs, half)
     return _DrivePlan(
         N=N,
-        J=J,
         sign=sign,
         pairs=pairs,
         targets=tuple(int(np.searchsorted(half, t)) for t in _target_states(N)),
@@ -559,22 +541,22 @@ _COUPLING_FLOOR = 1e-12
 def drive_calibration(params: ProtocolParams) -> tuple:
     """(omega, J_D, phase) for the protocol.
 
-    The drive strength is set so the half Rabi coupling A equals J/(4M),
+    The drive strength is set so the half Rabi coupling A equals 1/(4M),
     making the drive window an exact pi-pulse.  The drive phase is chosen
     from the argument of the transition matrix element so that both special
     states acquire the phase +i.  A drive whose element is within
     _COUPLING_FLOOR of zero raises ValueError.  omega and the element come
     from the chain's cached _DrivePlan.
     """
-    J, M = params.J, params.M
-    plan = _layout_plan(params.N, J)
+    M = params.M
+    plan = _layout_plan(params.N)
     v_ab = plan.v_ab
     if abs(v_ab) <= _COUPLING_FLOOR * plan.v_max:
         raise ValueError(
             f"the drive on pairs {plan.pairs} with sign '{plan.sign}' does not couple the "
             f"target states at N={params.N} (|V_ab| = {abs(v_ab):.1e})"
         )
-    j_d = (J / (4.0 * M)) / (abs(v_ab) / 2.0)
+    j_d = (1.0 / (4.0 * M)) / (abs(v_ab) / 2.0)
     return plan.omega, j_d, cmath.phase(v_ab) - math.pi
 
 
@@ -601,14 +583,13 @@ def _half_period_map(basis, omega, phase, nsub, folded=False):
     return _cell_map(basis, omega, phase, nsub, 0, 1)
 
 
-# A resonant window's cell count, (pi M / J) / (pi / omega) = M omega / J, is
-# formed with four roundings (2 pi M, / J, pi / omega and the quotient) of
+# A resonant window's cell count, (pi M) / (pi / omega) = M omega, is
+# formed with three roundings (2 pi M, pi / omega and the quotient) of
 # relative size <= 2^-53 each, and omega, a difference of many-body
-# energies, carries a few more; for N <= 12, M <= 2000 and J across
-# _J_RANGE (log-spaced and random draws) the count lies within 4.5 units of
-# roundoff of its integer.  Sixteen units, relative to the count, leave a
-# factor of three; an absolute tolerance is outgrown by the count's
-# roundoff at large M.
+# energies, carries a few more; for N <= 12 and M <= 2000 the count lies
+# within 4.5 units of roundoff of its integer.  Sixteen units, relative to
+# the count, leave a factor of three; an absolute tolerance is outgrown by
+# the count's roundoff at large M.
 _SNAP_RTOL = 16 * 2.0**-53
 
 
@@ -658,20 +639,6 @@ def _cell_map(basis, omega, phase, nsub, a, b):
     return u
 
 
-def _matrix_power(a, k: int) -> np.ndarray:
-    """a^k for k >= 0, multiplied in np.linalg.matrix_power's order, so to
-    its bits, without its argument checks."""
-    if k in (0, 3):
-        return (a @ a) @ a if k else np.eye(len(a), dtype=a.dtype)
-    z = result = None
-    while k:
-        z = a if z is None else z @ z
-        k, bit = divmod(k, 2)
-        if bit:
-            result = z if result is None else result @ z
-    return result
-
-
 def _interval_map(ua, partial, s, e):
     """Unitary over the drive-clock interval [s, e], in half-period cells:
     the whole cells composed from the first half-period map ua and its
@@ -681,7 +648,7 @@ def _interval_map(ua, partial, s, e):
     if k0 > k1:
         return partial(s, e)
     first = ua.T if k0 % 2 else ua
-    u = _matrix_power(first.T @ first, (k1 - k0) // 2)
+    u = np.linalg.matrix_power(first.T @ first, (k1 - k0) // 2)
     if (k1 - k0) % 2:
         u = first @ u
     if s < k0:
@@ -836,7 +803,7 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
     its couplings to the shared hop patterns (sector_hops).  The result
     holds the gate's sector blocks.
     """
-    N, J, M = params.N, params.J, params.M
+    N, M = params.N, params.M
     omega, j_d, phase = drive_calibration(params)
     if omega_override is not None:
         lo, hi = omega / _OMEGA_OVERRIDE_RANGE, omega * _OMEGA_OVERRIDE_RANGE
@@ -847,10 +814,10 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
                 f"got {omega_override!r}"
             )
         omega = float(omega_override)
-    plan = _layout_plan(N, J)
+    plan = _layout_plan(N)
     sign = plan.sign
 
-    spec = krawtchouk_chain(N, J, noise_eps=params.noise_eps, seed=params.seed)
+    spec = krawtchouk_chain(N, 1.0, noise_eps=params.noise_eps, seed=params.seed)
     h_blocks = [chain_block(spec, sector_hops(N, q)) for q in range(N + 1)]
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_sector_symmetries(h_blocks, v_blocks, sign)
@@ -899,29 +866,24 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
         error=_swap_trace_error(blocks, plan.targets),
         omega=omega,
         J_D=j_d,
-        amplitude=J / (4.0 * M),
+        amplitude=1.0 / (4.0 * M),
         drive_phase=float(phase),
         refinement=refinement,
     )
 
 
-def gate_time_accounting(N: int, M: int, J: float = 1.0, Jmax: float | None = None):
-    """(raw time, penalized time, two-qubit-gate equivalents).
+def gate_time_accounting(N: int, M: int):
+    """(raw time, penalized time, two-qubit-gate equivalents), in 1/J.
 
     raw = two eigengate pulses plus the drive window; the penalty factor
-    (N/2)(J/Jmax) normalizes the largest chain coupling to Jmax/2, and the
-    reference two-qubit swap takes pi/Jmax.  The equivalent count
-    N*(M+1) is exact.  N and J are checked as ProtocolParams checks them, M
-    is an int in [0, 2^53] and Jmax, if given, a finite number > 0.
+    N/2 normalizes the largest chain coupling to J/2, and the reference
+    two-qubit swap takes pi/J.  The equivalent count N*(M+1) is exact.  N
+    is checked as ProtocolParams checks it, and M is an int in [0, 2^53].
     """
-    N = ProtocolParams(N=N, J=J).N
+    N = ProtocolParams(N=N).N
     if not (_is_number(M, numbers.Integral) and 0 <= M <= _COUNT_MAX):
         raise ValueError(f"M must be an int >= 0 (at most 2^53), got {M!r}")
-    if Jmax is None:
-        Jmax = J
-    elif not (_is_number(Jmax, numbers.Real) and 0.0 < Jmax <= sys.float_info.max):
-        raise ValueError(f"Jmax must be a finite number > 0 (a numpy float only as float64), got {Jmax!r}")
-    raw = 2.0 * math.pi / J + 2.0 * math.pi * M / J
-    penalized = raw * (N / 2.0) * (J / Jmax)
+    raw = 2.0 * math.pi + 2.0 * math.pi * M
+    penalized = raw * (N / 2.0)
     equivalents = N * (int(M) + 1)
     return raw, penalized, equivalents

@@ -20,6 +20,7 @@ from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
 from .driving import _COUNT_MAX, _N_MAX, ProtocolParams, run_iswap_protocol
 from .eigengate import coupling_noise_errors, eigengate_single_particle
 from .hamiltonians import (
+    _CHAIN_N_MAX,
     _check_noise_eps,
     _is_number,
     chain_block,
@@ -91,6 +92,8 @@ class SweepConfig:
                 raise ValueError(f"n_values must be even ints in [4, {_N_MAX}] for fig2, got {N!r}")
             if not _is_number(N, numbers.Integral) or N < 2:
                 raise ValueError(f"n_values must be ints >= 2, got {N!r}")
+            if N > _CHAIN_N_MAX:
+                raise ValueError(f"n_values must be at most {_CHAIN_N_MAX}, the largest chain, got {N!r}")
         for M in self.m_values:
             if not (_is_number(M, numbers.Integral) and 1 <= M <= _COUNT_MAX):
                 raise ValueError(f"m_values must be ints >= 1 (at most 2^53), got {M!r}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import numbers
 import sys
 
@@ -54,11 +55,16 @@ class ChainSpec:
 
 
 def _check_chain(N, J) -> None:
-    """ChainSpec's rules for N and J, which krawtchouk_chain checks first."""
+    """ChainSpec's rules for N and J, which krawtchouk_chain checks first.
+    J N^2 bounds every coupling and energy of the chain, so it must be
+    finite in float64, as the commands' --j must."""
     if not (_is_number(N, numbers.Integral) and 2 <= N <= _CHAIN_N_MAX):
         raise ValueError(f"N must be an int >= 2 (at most {_CHAIN_N_MAX}), got {N!r}")
-    if not (_is_number(J, numbers.Real) and 0.0 < J <= sys.float_info.max):
-        raise ValueError(f"J must be a finite number > 0 (a numpy float only as float64), got {J!r}")
+    finite = _is_number(J, numbers.Real) and 0.0 < J <= sys.float_info.max
+    if not (finite and math.isfinite(float(J) * int(N) ** 2)):
+        raise ValueError(
+            f"J must be a finite number > 0 (a numpy float only as float64) with J * N^2 finite, got {J!r} at N={N}"
+        )
 
 
 def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
@@ -91,8 +97,7 @@ def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
     The seeds' SeedSequence and PCG64 streams are computed as one stack
     (_seeding), not one generator per seed.
     """
-    if not (_is_number(N, numbers.Integral) and N >= 1):
-        raise ValueError(f"N must be an int >= 1, got {N!r}")
+    _check_chain(N, 1.0)  # the draws are relative, so only N is checked
     if np.ndim(noise_eps) == 0:
         _check_noise_eps(noise_eps)
         eps = float(noise_eps)

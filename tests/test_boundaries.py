@@ -3,6 +3,8 @@ parameters, every noise amplitude, a protocol run's frequency override,
 and the arguments of the gate-time count and the resonance frequency take
 a value or refuse it with a ValueError naming the field."""
 
+import dataclasses
+import inspect
 import itertools
 import math
 import re
@@ -29,7 +31,7 @@ HOSTILE = [
     np.int8(4), np.int8(-3), np.int64(4), np.int64(-1), np.uint64(4), np.uint64(2**64 - 1),
     np.array(0.01), np.array(4), np.array(True), np.array([0.01, 0.02]),
     "0.01", "4", "abc", "",
-    # a count float64 cannot hold; 4 M and 2 pi M / J once overflowed on it
+    # a count float64 cannot hold; 4 M and 2 pi M once overflowed on it
     10**400,
 ]
 
@@ -37,8 +39,8 @@ HOSTILE = [
 BOUNDARIES = {
     "ProtocolParams": (
         ProtocolParams,
-        dict(N=4, J=1.0, M=1, halfway_inversion=True, noise_eps=0.01, seed=3),
-        ("N", "J", "M", "halfway_inversion", "noise_eps", "seed"),
+        dict(N=4, M=1, halfway_inversion=True, noise_eps=0.01, seed=3),
+        ("N", "M", "halfway_inversion", "noise_eps", "seed"),
     ),
     "SweepConfig": (
         SweepConfig,
@@ -49,9 +51,14 @@ BOUNDARIES = {
     ),
     "ChainSpec": (ChainSpec, dict(N=4, J=1.0, couplings=krawtchouk_couplings(3, 1.0)), ("N", "J", "couplings")),
     "krawtchouk_chain": (krawtchouk_chain, dict(N=4, J=1.0, noise_eps=0.01, seed=3), ("N", "J", "noise_eps", "seed")),
-    "coupling_noises": (coupling_noises, dict(N=4, noise_eps=0.01, seeds=[3, 5]), ("noise_eps",)),
-    "gate_time_accounting": (gate_time_accounting, dict(N=4, M=1, J=1.0, Jmax=1.0), ("N", "M", "J", "Jmax")),
-    "resonance_frequency": (resonance_frequency, dict(N=4, J=1.0), ("N", "J")),
+    "coupling_noises": (coupling_noises, dict(N=4, noise_eps=0.01, seeds=[3, 5]), ("N", "noise_eps")),
+    "gate_time_accounting": (gate_time_accounting, dict(N=4, M=1), ("N", "M")),
+    "resonance_frequency": (resonance_frequency, dict(N=4), ("N",)),
+}
+# the parameters of a boundary that take no hostile value here, each with
+# the reason
+UNLISTED = {
+    ("coupling_noises", "seeds"): "a sequence whose every entry uint_stack checks as a seed (tests/test_seeding.py)",
 }
 # a sequence field takes the hostile value as itself and as every entry of
 # a sequence of this length
@@ -65,6 +72,22 @@ SEQUENCES = {
 CASES = [
     (boundary, field, None) for boundary, (_, _, fields) in BOUNDARIES.items() for field in fields
 ] + [(boundary, field, length) for (boundary, field), length in SEQUENCES.items()]
+
+
+def _parameters(build) -> list:
+    """The fields of a dataclass, or the parameters of a function."""
+    if dataclasses.is_dataclass(build):
+        return [f.name for f in dataclasses.fields(build)]
+    return list(inspect.signature(build).parameters)
+
+
+def test_the_table_lists_every_parameter_of_each_boundary():
+    # a parameter added to a boundary, or a listed one it no longer has,
+    # fails here until the table says what it takes
+    table = {(boundary, field) for boundary, (_, _, fields) in BOUNDARIES.items() for field in fields}
+    parameters = {(boundary, name) for boundary, (build, _, _) in BOUNDARIES.items() for name in _parameters(build)}
+    assert table.isdisjoint(UNLISTED)
+    assert parameters == table | UNLISTED.keys()
 
 
 def _offence(build, field, value):
@@ -147,20 +170,16 @@ REFUSED = [
     ("ChainSpec", "couplings", [1j] * 3, lambda value: ChainSpec(4, 1.0, value)),
     ("ChainSpec", "couplings", np.ones(3, np.float32), lambda value: ChainSpec(4, 1.0, value)),
     ("ChainSpec", "J", np.float32(1.0), lambda value: ChainSpec(4, value, krawtchouk_couplings(3, 1.0))),
-    # omega_override and Jmax as a numpy float other than float64, which
-    # each used to take (a float16 omega_override ran at 3.69921875), and
-    # an M float64 cannot hold
+    # omega_override as a numpy float other than float64, which it used to
+    # take (a float16 omega_override ran at 3.69921875), and an M float64
+    # cannot hold
     *(
-        (boundary, field, dtype(value), build)
-        for boundary, field, value, build in [
-            (
-                "run_iswap_protocol",
-                "omega_override",
-                3.7,
-                lambda omega: run_iswap_protocol(ProtocolParams(N=4, M=1), omega_override=omega),
-            ),
-            ("gate_time_accounting", "Jmax", 0.7, lambda jmax: gate_time_accounting(4, 1, 1.0, jmax)),
-        ]
+        (
+            "run_iswap_protocol",
+            "omega_override",
+            dtype(3.7),
+            lambda omega: run_iswap_protocol(ProtocolParams(N=4, M=1), omega_override=omega),
+        )
         for dtype in (np.float16, np.float32, np.longdouble)
     ),
     # a chain size past the bound, which resonance_frequency and a fig2
@@ -179,6 +198,15 @@ REFUSED = [
     ("ProtocolParams", "M", 2**53 + 1, lambda value: ProtocolParams(N=4, M=value)),
     ("gate_time_accounting", "M", 10**400, lambda value: gate_time_accounting(4, value)),
     ("SweepConfig", "m_values", (1, 10**400), lambda value: _sweep(m_values=value)),
+    # a chain past the chain bound (2048), which a fig3 sweep once took and
+    # failed on after scoring the chain sizes before it, and which
+    # coupling_noises once took and failed on in numpy (a MemoryError for
+    # 8 TiB at 2^40)
+    ("SweepConfig", "n_values", 4096, lambda value: _sweep(protocol="fig3", n_values=(4, value))),
+    ("coupling_noises", "N", 2**40, lambda value: coupling_noises(value, 0.01, [3, 5])),
+    # a coupling scale whose couplings overflow at that size, which the
+    # chain once took and refused with a RuntimeWarning naming couplings
+    ("krawtchouk_chain", "J", 1e306, lambda value: krawtchouk_chain(2048, value)),
     # a noisy chain without a seed would draw other couplings on every call
     ("ProtocolParams", "seed", None, lambda value: ProtocolParams(N=4, M=1, noise_eps=0.01, seed=value)),
     ("krawtchouk_chain", "seed", None, lambda value: krawtchouk_chain(4, 1.0, 0.01, seed=value)),

@@ -142,7 +142,7 @@ def _dense_inversion_reference(params, calibration, tol):
     by -omega pi/J (the drive clock stops while the chain is off), then
     exp(+i Hz pi/J); refined from 64 steps per drive stretch until halving
     the step moves it by less than tol."""
-    N, J = params.N, params.J
+    N, J = params.N, 1.0
     omega, j_d, phase = calibration
     vop = j_d * unit_drive(N, driving_sign(N), default_drive_pairs(N))
     basis = driving._drive_basis(chain_block(krawtchouk_chain(N, J), chain_hops(N)), vop)
@@ -580,7 +580,7 @@ def _step_every_sector(params):
     window stepped end to end on the drive clock."""
     _, j_d, _ = drive_calibration(params)
     h = chain_block(
-        krawtchouk_chain(params.N, params.J, noise_eps=params.noise_eps, seed=params.seed),
+        krawtchouk_chain(params.N, 1.0, noise_eps=params.noise_eps, seed=params.seed),
         chain_hops(params.N),
     )
     v = j_d * unit_drive(params.N, driving_sign(params.N), default_drive_pairs(params.N))
@@ -706,7 +706,7 @@ def test_each_level_steps_only_the_unpaired_half_periods(monkeypatch, ladder, N,
 
 @pytest.mark.parametrize("N, M, per_level", [(4, 11, 2), (6, 13, 3)])
 def test_window_within_roundoff_of_whole_cells_steps_no_partial_cell(monkeypatch, ladder, N, M, per_level):
-    # on resonance the window's cell count M omega / J misses its integer by
+    # on resonance the window's cell count M omega misses its integer by
     # roundoff here; it must still be composed from whole half-periods only
     params = ProtocolParams(N=N, M=M)
     cells = (params.tau_d / 2.0) / (np.pi / resonance_frequency(N))
@@ -1110,10 +1110,10 @@ def test_unitarity_defect_reads_the_blocks():
 
 @functools.cache
 def _end_pulse_plans(N):
-    """The _DrivePlan of the chain (N, 1.0) and a copy whose inversion
+    """The _DrivePlan of the chain of N sites and a copy whose inversion
     pulses on the sectors q = 0 and N are the phases e^(0.7 i) and
     e^(-2.1 i), built once per N: the copy shares the plan's other blocks."""
-    plan = driving._layout_plan(N, 1.0)
+    plan = driving._layout_plan(N)
     moved = dataclasses.replace(plan)
     # cached properties: the copy's are set before their first use
     moved.__dict__.update(
@@ -1151,7 +1151,7 @@ def test_zero_sector_windows_match_the_composed_identity(monkeypatch, ladder, N,
             params = ProtocolParams(N=N, M=M, halfway_inversion=inversion)
             halves = driving._snap(params.tau_d / 2.0 / (np.pi / omega))
             partial = functools.partial(cell_map, basis, omega, -np.pi / 2.0, 2)
-            monkeypatch.setattr(driving, "_layout_plan", lambda n, j: pulses)
+            monkeypatch.setattr(driving, "_layout_plan", lambda n: pulses)
             monkeypatch.setattr(driving, "_cell_map", identity_map)
             monkeypatch.setattr(driving, "_drive_basis", lambda h0, vop: h0)
             monkeypatch.setattr(driving, "_drive_window_sector", identity_windows)
@@ -1163,22 +1163,6 @@ def test_zero_sector_windows_match_the_composed_identity(monkeypatch, ladder, N,
                 u_k = pulses.eigengate_blocks[q]
                 assert res.blocks[q].tobytes() == (u_k.conj().T @ window @ u_k).tobytes(), (q, omega)
             monkeypatch.undo()
-
-
-@pytest.mark.parametrize("J", [1e-300, 1e300, 5e-7, 2e6])
-def test_protocol_params_reject_a_coupling_scale_out_of_range(J):
-    # 1e-300 once overflowed the step coefficients and 1e300 the commutator
-    # basis
-    lo, hi = driving._J_RANGE
-    with pytest.raises(ValueError, match=r"^J must be a finite number > 0 .* in " + re.escape(f"[{lo:g}, {hi:g}]")):
-        ProtocolParams(N=4, M=1, J=J)
-
-
-@pytest.mark.parametrize("J", [*driving._J_RANGE, 1e-3, 3.7, 1e3])
-def test_protocol_runs_across_the_coupling_range(J):
-    # times are in 1/J, so the gate error does not depend on J
-    res = run_iswap_protocol(ProtocolParams(N=4, M=1, J=J))
-    assert res.error == pytest.approx(6.72556e-4, rel=1e-5)
 
 
 # ---------------------------------------------------------- two-level checks
@@ -1244,32 +1228,19 @@ def test_protocol_params_validation():
 def test_protocol_params_hold_no_drive_layout():
     # the chain size fixes the drive's sign and pairs (_layout_plan)
     assert [f.name for f in dataclasses.fields(ProtocolParams)] == [
-        "N", "J", "M", "halfway_inversion", "noise_eps", "seed"
+        "N", "M", "halfway_inversion", "noise_eps", "seed"
     ]
-
-
-@pytest.mark.parametrize("J", [0.0, -1.0, np.nan, np.inf])
-def test_protocol_params_reject_bad_coupling_scale(J):
-    with pytest.raises(ValueError, match="J must be a finite number > 0"):
-        ProtocolParams(N=4, J=J)
-
-
-@pytest.mark.parametrize("J", [np.float32(1.0), np.float16(1.0), np.longdouble(1.0)])
-def test_protocol_params_reject_numpy_floats_but_float64(J):
-    # a float32 J once ran the whole protocol in single precision, silently
-    with pytest.raises(ValueError, match=r"^J must be a finite number > 0 \(a numpy float only as float64\)"):
-        ProtocolParams(N=4, J=J)
 
 
 @pytest.mark.parametrize(
     "kwargs, field",
     [
         (dict(N=4.0), "N"),
-        # bools are ints to Python, but no count, scale, amplitude or seed
+        # bools are ints to Python, but no count, amplitude or seed
         (dict(N=4, M=True), "M"),
         (dict(N=4, M=False), "M"),
-        (dict(N=4, J=True), "J"),
-        (dict(N=4, J=False), "J"),
+        (dict(N=False), "N"),
+        (dict(N=4, M=np.True_), "M"),
         (dict(N=4, seed=True), "seed"),
         (dict(N=4, seed=False), "seed"),
         (dict(N=True), "N"),
@@ -1279,7 +1250,7 @@ def test_protocol_params_reject_numpy_floats_but_float64(J):
         (dict(N=4, M=1.5), "M"),
         (dict(N=4, M=np.inf), "M"),
         (dict(N=4, M=np.nan), "M"),
-        (dict(N=4, J="1"), "J"),
+        (dict(N=4, M="1"), "M"),
         (dict(N=4, halfway_inversion="no"), "halfway_inversion"),
         (dict(N=4, halfway_inversion=0), "halfway_inversion"),
         (dict(N=4, noise_eps="0.1"), "noise_eps"),
@@ -1410,7 +1381,7 @@ def test_weakest_real_coupling_is_calibrated(layout):
 @pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
 def test_default_layouts_couple_far_above_the_floor(N):
     # the ratios _COUPLING_FLOOR's comment cites
-    plan = driving._layout_plan(N, 1.0)
+    plan = driving._layout_plan(N)
     ratio = abs(plan.v_ab) / plan.v_max
     assert ratio >= 1e-5
     assert ratio == pytest.approx({4: 0.87, 6: 0.156, 8: 1.5e-2, 10: 1.1e-3, 12: 2.2e-5}[N], rel=0.05)
@@ -1543,9 +1514,9 @@ def test_gate_time_accounting_frozen():
     assert gate_time_accounting(4, 1)[2] == 8
     # hypothetical M -> 0 limit leaves only the two eigengates
     assert gate_time_accounting(4, 0)[0] == pytest.approx(2.0 * np.pi)
-    # penalty scales the whole protocol by (N/2) J/Jmax
-    raw, pen, _ = gate_time_accounting(8, 3, Jmax=2.0)
-    assert pen == pytest.approx(raw * 4.0 / 2.0)
+    # penalty scales the whole protocol by N/2
+    raw, pen, _ = gate_time_accounting(8, 3)
+    assert pen == raw * 4.0
 
 
 def test_protocol_nonconvergence_names_its_coordinates(ladder):
@@ -1686,7 +1657,7 @@ def test_warm_plan_run_equals_cold_run_byte_for_byte():
 
 def test_plan_arrays_are_read_only():
     N = 6
-    plan = driving._layout_plan(N, 1.0)
+    plan = driving._layout_plan(N)
     sectors = [sector_indices(N, q) for q in range(N + 1)]
     fields = (sectors, plan.unit_blocks, plan.inverts, plan.eigengate_blocks)
     arrays = [arr for field in fields for arr in field]
@@ -1700,20 +1671,15 @@ def test_plan_arrays_are_read_only():
     assert not any(arr.flags.writeable for arr in hop_arrays)
 
 
-def test_int_float_and_float64_coupling_scales_run_the_same_bits():
-    runs = [_outcome(ProtocolParams(N=4, M=1, J=J)) for J in (1, 1.0, np.float64(1.0))]
-    assert runs[0] == runs[1] == runs[2]
-
-
 _CACHED_LAYOUT = ProtocolParams(N=4, M=1, noise_eps=0.01, seed=2)
 
 
 @pytest.mark.parametrize(
     "change, shares_plan",
     [
-        ({"J": 1.5}, False),
+        ({"N": 8}, False),
         ({"N": 6}, False),
-        ({"J": 1}, False),  # an int J gets a plan of its own
+        ({"N": 6, "M": 2}, False),
         ({"M": 2}, True),
         ({"seed": 7}, True),
         ({"halfway_inversion": False}, True),
@@ -1791,6 +1757,6 @@ def test_block_trace_error_on_random_sector_blocks(rng, N):
     for q, blk in enumerate(blocks):
         ix = sector_indices(N, q)
         u[np.ix_(ix, ix)] = blk
-    targets = driving._layout_plan(N, 1.0).targets
+    targets = driving._layout_plan(N).targets
     want = trace_error(iswap_target(N), u)
     assert abs(driving._swap_trace_error(blocks, targets) - want) <= 1e-15

@@ -149,7 +149,7 @@ def test_coupling_noises_reject_bad_seeds(seeds, shown):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(N=0), "N must be an int >= 1, got 0"),
+        (dict(N=0), "N must be an int >= 2 (at most 2048), got 0"),
         (dict(noise_eps=-0.1), "noise_eps must be a finite number in [0, 1), got -0.1"),
         (dict(noise_eps=np.inf), "noise_eps must be a finite number in [0, 1), got inf"),
         (dict(seeds=5), "seed must be a 1-D sequence of ints, got 5"),
