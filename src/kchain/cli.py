@@ -38,7 +38,7 @@ from .experiments import (
     sweep_fig3,
     write_table,
 )
-from .hamiltonians import _SEED_END, hopping_matrices, krawtchouk_chain
+from .hamiltonians import _CHAIN_N_MAX, _SEED_END, hopping_matrices, krawtchouk_chain
 from .krawtchouk import (
     build_basis,
     conjugate_phase,
@@ -94,11 +94,10 @@ _MAX_MATRIX_ELEMENTS_N = 9
 _MAX_GHZ_N = 11
 _MAX_PST_N = 20
 _MAX_PROTOCOL_N = 10
-_MAX_SPECTRUM_N = 2048
 _MAX_FIG3_N = 64
 _MAX_PROTOCOL_M = 10**6
 _protocol_size = _IntAtLeast(4, step=2, maximum=_MAX_PROTOCOL_N)
-_spectrum_size = _IntAtLeast(2, maximum=_MAX_SPECTRUM_N)
+_spectrum_size = _IntAtLeast(2, maximum=_CHAIN_N_MAX)
 _sweep_size = _IntAtLeast(2, maximum=_MAX_FIG3_N)
 _drive_length = _IntAtLeast(1, maximum=_MAX_PROTOCOL_M)
 
@@ -123,7 +122,7 @@ def _noise_eps(text) -> float:
 
 
 def _positive_float(text) -> float:
-    """argparse type for a finite number > 0 (a coupling scale, a frequency)."""
+    """argparse type for a finite number > 0 (a frequency)."""
     try:
         value = float(text)
     except (ValueError, OverflowError):
@@ -198,16 +197,16 @@ def _apply_config_file(args, parser, argv):
     return parser.parse_args(argv)
 
 
-def _spectrum(N: int, J: float):
-    """Closed-form single-particle spectrum J(k - n/2), k = 0..N-1, its
+def _spectrum(N: int):
+    """Closed-form single-particle spectrum k - n/2, k = 0..N-1, its
     largest deviation from the diagonalized chain, and the deviation's
     tolerance.  The eigenvalues' roundoff grows with the spectral radius
-    J n/2; a radius up to 1 keeps the absolute _SPECTRUM_TOL."""
+    n/2; a radius up to 1 keeps the absolute _SPECTRUM_TOL."""
     n = N - 1
-    hop = hopping_matrices(krawtchouk_chain(N, J).couplings)
-    exact = np.array([J * (k - n / 2.0) for k in range(N)])
+    hop = hopping_matrices(krawtchouk_chain(N).couplings)
+    exact = np.array([k - n / 2.0 for k in range(N)])
     deviation = float(np.abs(np.sort(np.linalg.eigvalsh(hop)) - exact).max())
-    return exact, deviation, _SPECTRUM_TOL * max(1.0, J * n / 2.0)
+    return exact, deviation, _SPECTRUM_TOL * max(1.0, n / 2.0)
 
 
 def _site_term(ket: np.ndarray, N: int, a: int, b: int | None = None) -> np.ndarray:
@@ -233,7 +232,7 @@ def _m2_elements(n: int):
     eigenstates, built once."""
     d = (n + 1) // 2
     N = n + 1
-    basis = build_basis(n, 1.0)
+    basis = build_basis(n)
     bra = eigenstate_vector(basis, range(N // 2)).conj()
     ket = eigenstate_vector(basis, range(N // 2, N))
     for j in range(0, n - d + 1):
@@ -250,7 +249,7 @@ def _m1_element(n: int) -> tuple:
     m1_closed_form's two forms and <lower| term |upper> on the dense band
     eigenstates."""
     N = n + 1
-    basis = build_basis(n, 1.0)
+    basis = build_basis(n)
     bra = eigenstate_vector(basis, range(n // 2 + 1)).conj()
     ket = eigenstate_vector(basis, range(n // 2 + 1, N))
     forms = m1_closed_form(n)
@@ -258,7 +257,7 @@ def _m1_element(n: int) -> tuple:
 
 
 def _cmd_spectrum(args) -> int:
-    exact, worst, tol = _spectrum(args.n, args.j)
+    exact, worst, tol = _spectrum(args.n)
     rows = [(args.n - 1, k, lam) for k, lam in enumerate(exact)]
     sys.stdout.write(format_table(("n", "k", "lambda"), rows))
     if not worst < tol:
@@ -296,7 +295,7 @@ def _eigengate_checks(report: dict):
 
 
 def _cmd_eigengate_check(args) -> int:
-    report = eigengate_report(args.n, args.j, BCH_THETAS)
+    report = eigengate_report(args.n, BCH_THETAS)
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = all(value < tol for _, value, tol in _eigengate_checks(report))
     return 0 if ok else 1
@@ -387,13 +386,13 @@ def _cmd_circuit_verify(args) -> int:
 
 
 def _cmd_ghz(args) -> int:
-    fid = ghz_demo(args.n, args.j)
+    fid = ghz_demo(args.n)
     print(json.dumps({"n": args.n, "fidelity": fid}))
     return 0 if 1.0 - fid < _GHZ_TOL else 1
 
 
 def _cmd_pst(args) -> int:
-    worst = pst_demo(args.n, args.j)
+    worst = pst_demo(args.n)
     print(json.dumps({"n": args.n, "max_infidelity": worst}))
     return 0 if worst < _PST_TOL else 1
 
@@ -409,9 +408,9 @@ def _cmd_verify_all(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:g})")
 
     for N in range(2, n_max + 1):
-        check(f"spectrum N={N}", *_spectrum(N, 1.0)[1:])
+        check(f"spectrum N={N}", *_spectrum(N)[1:])
     for N in range(2, n_max + 1, 2):
-        for label, value, tol in _eigengate_checks(eigengate_report(N, 1.0, BCH_THETAS)):
+        for label, value, tol in _eigengate_checks(eigengate_report(N, BCH_THETAS)):
             check(label, value, tol)
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)
@@ -455,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="single-particle chain spectrum as CSV")
     p.add_argument("--n", type=_spectrum_size, required=True, help="qubit count N")
-    p.add_argument("--j", type=_positive_float, default=1.0, help="coupling scale J")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(
@@ -469,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigengate-check", help="eigengate identity report as JSON")
     p.add_argument("--n", type=_IntAtLeast(2, maximum=_MAX_EIGENGATE_N), required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_eigengate_check)
 
     p = sub.add_parser("drive", help="run the resonant swap protocol")
@@ -505,12 +502,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ghz", help="one-pulse GHZ preparation fidelity")
     p.add_argument("--n", type=_IntAtLeast(3, step=2, maximum=_MAX_GHZ_N), required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_ghz)
 
     p = sub.add_parser("pst", help="perfect-state-transfer mirror check")
     p.add_argument("--n", type=_IntAtLeast(2, maximum=_MAX_PST_N), required=True)
-    p.add_argument("--j", type=_positive_float, default=1.0)
     p.set_defaults(func=_cmd_pst)
 
     p = sub.add_parser("verify-all", help="run the full identity suite")
@@ -546,11 +541,6 @@ def main(argv=None) -> int:
                 command.error(f"argument --n: fig2 needs N <= {_MAX_PROTOCOL_N}, got {big}")
             if args.m_max < args.m_min:
                 command.error(f"argument --m-max: must be >= --m-min ({args.m_min}), got {args.m_max}")
-    # every coupling and energy of a chain, many-body ones included (up to
-    # J N^2 / 8), lies below J N^2
-    j = getattr(args, "j", None)
-    if j is not None and not math.isfinite(j * args.n * args.n):
-        command.error(f"argument --j: J * N^2 must be finite in float64, got J={j!r} at N={args.n}")
     if args.command == "circuit-verify" and args.which == "ctrl-iswap2" and args.n not in (4, 6):
         command.error(f"argument --n: ctrl-iswap2 is defined for N in {{4, 6}}, got {args.n}")
     try:

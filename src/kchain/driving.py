@@ -372,8 +372,7 @@ _N_MAX = 12
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolParams:
-    """Resonant-drive protocol configuration for the N-qubit swap gate, on
-    the chain at J = 1: energies are in units of J and times in 1/J."""
+    """Resonant-drive protocol configuration for the N-qubit swap gate."""
 
     N: int
     M: int = 1
@@ -499,12 +498,12 @@ class _DrivePlan:
 
     @functools.cached_property
     def inverts(self) -> tuple:
-        p_diag = np.exp(-1.0j * math.pi * hz_diagonal(self.N, 1.0))
+        p_diag = np.exp(-1.0j * math.pi * hz_diagonal(self.N))
         return self._per_sector(lambda states: p_diag[states])
 
     @functools.cached_property
     def eigengate_blocks(self) -> tuple:
-        u_sp = eigengate_single_particle(self.N, 1.0)
+        u_sp = eigengate_single_particle(self.N)
         return self._per_sector(functools.partial(free_fermion_block, u_sp))
 
 
@@ -513,7 +512,7 @@ def _layout_plan(N: int) -> _DrivePlan:
     """The _DrivePlan of the chain of N sites, built once per chain: N fixes
     the drive's sign (driving_sign) and pairs (default_drive_pairs)."""
     sign, pairs = driving_sign(N), default_drive_pairs(N)
-    basis = build_basis(N - 1, 1.0)
+    basis = build_basis(N - 1)
     half = sector_indices(N, N // 2)
     bra = eigenstate_vector(basis, range(N // 2, N))[half]
     ket = eigenstate_vector(basis, range(N // 2))[half]
@@ -586,10 +585,10 @@ def _half_period_map(basis, omega, phase, nsub, folded=False):
 # A resonant window's cell count, (pi M) / (pi / omega) = M omega, is
 # formed with three roundings (2 pi M, pi / omega and the quotient) of
 # relative size <= 2^-53 each, and omega, a difference of many-body
-# energies, carries a few more; for N <= 12 and M <= 2000 the count lies
-# within 4.5 units of roundoff of its integer.  Sixteen units, relative to
-# the count, leave a factor of three; an absolute tolerance is outgrown by
-# the count's roundoff at large M.
+# energies, may carry a few more; for N <= 12 and every M a command takes
+# (M <= 10^6) the count lies within 2.0 units of roundoff of its integer.
+# Sixteen units, relative to the count, leave a factor of eight; an
+# absolute tolerance is outgrown by the count's roundoff at large M.
 _SNAP_RTOL = 16 * 2.0**-53
 
 
@@ -817,7 +816,7 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
     plan = _layout_plan(N)
     sign = plan.sign
 
-    spec = krawtchouk_chain(N, 1.0, noise_eps=params.noise_eps, seed=params.seed)
+    spec = krawtchouk_chain(N, noise_eps=params.noise_eps, seed=params.seed)
     h_blocks = [chain_block(spec, sector_hops(N, q)) for q in range(N + 1)]
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_sector_symmetries(h_blocks, v_blocks, sign)

@@ -42,7 +42,6 @@ class EigengateForm:
 
     variant: str
     N: int
-    J: float
     blocks: tuple
 
     @property
@@ -51,20 +50,20 @@ class EigengateForm:
         return block_diagonal(self.blocks)
 
 
-def _sector_hamiltonians(spec: ChainSpec, J: float):
+def _sector_hamiltonians(spec: ChainSpec):
     """(states, Hk block, Hz diagonal) of every excitation sector q = 0..N,
     states being its ascending basis indices sector_indices(N, q).  Hk and
     Hz conserve the excitation number, so these blocks hold every nonzero
     entry of both."""
     for q in range(spec.N + 1):
         hops = sector_hops(spec.N, q)
-        yield hops[0], chain_block(spec, hops), hz_diagonal(spec.N, J, hops[0])
+        yield hops[0], chain_block(spec, hops), hz_diagonal(spec.N, hops[0])
 
 
-def _sector_gate(variant: str, hk: np.ndarray, hz: np.ndarray, J: float) -> np.ndarray:
+def _sector_gate(variant: str, hk: np.ndarray, hz: np.ndarray) -> np.ndarray:
     """One excitation sector's block of the eigengate variant, from the
     sector's Hk block and Hz diagonal (build_eigengate)."""
-    quarter = np.pi / (2.0 * J)
+    quarter = np.pi / 2.0
     if variant == "three_step":
         ez = np.exp(-1.0j * hz * quarter)
         block = ez[:, None] * expm_hermitian(hk, quarter) * ez
@@ -74,18 +73,18 @@ def _sector_gate(variant: str, hk: np.ndarray, hz: np.ndarray, J: float) -> np.n
     return block
 
 
-def build_eigengate(N: int, J: float, variant: str = "three_step") -> EigengateForm:
+def build_eigengate(N: int, variant: str = "three_step") -> EigengateForm:
     """Unitary mapping every computational state to the clean chain's eigenstate.
 
-    three_step: exp(-i pi/2J Hz) exp(-i pi/2J Hk) exp(-i pi/2J Hz)
-    single_pulse: exp(-i pi/J (Hk+Hz)/sqrt(2))
+    three_step: exp(-i pi/2 Hz) exp(-i pi/2 Hk) exp(-i pi/2 Hz)
+    single_pulse: exp(-i pi (Hk+Hz)/sqrt(2))
     Each excitation sector's block is exponentiated on its own.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    spec = krawtchouk_chain(N, J)
-    blocks = tuple(_sector_gate(variant, hk, hz, J) for _, hk, hz in _sector_hamiltonians(spec, J))
-    return EigengateForm(variant=variant, N=N, J=J, blocks=blocks)
+    spec = krawtchouk_chain(N)
+    blocks = tuple(_sector_gate(variant, hk, hz) for _, hk, hz in _sector_hamiltonians(spec))
+    return EigengateForm(variant=variant, N=N, blocks=blocks)
 
 
 def expected_phase(q: int, n: int) -> complex:
@@ -93,8 +92,8 @@ def expected_phase(q: int, n: int) -> complex:
     return 1.0j ** (q * n)
 
 
-def eigengate_report(N: int, J: float, thetas) -> dict:
-    """Every identity check of the eigengate on the clean chain (N, J), in
+def eigengate_report(N: int, thetas) -> dict:
+    """Every identity check of the eigengate on the clean N-qubit chain, in
     one pass over its excitation sectors; all the operators conserve the
     excitation number, so each value is the worst over the sectors.
 
@@ -106,7 +105,7 @@ def eigengate_report(N: int, J: float, thetas) -> dict:
     intertwining_residual max |Hk U - U Hz| of the three-step gate, allowed
     1e-9 times the largest coupling.  so3_residuals are the largest entries
     of [Lx, Ly] - i Lz and its cyclic permutations (xy_z, yz_x, zx_y), for
-    Lx = Hk/J, Lz = Hz/J and Ly = -i[Lz, Lx] = -i C: Lx, Lz and C are real
+    Lx = Hk, Lz = Hz and Ly = -i[Lz, Lx] = -i C: Lx, Lz and C are real
     and Lz diagonal, so they are |[Lx, C] + Lz|, |[C, Lz] + Lx| and
     |[Lz, Lx] - C|.  bch_residuals[str(theta)] is the largest entry of
     exp(-i Lh theta) Lz exp(i Lh theta) - (sin^2(theta/2) Lx - (sin theta /
@@ -115,15 +114,15 @@ def eigengate_report(N: int, J: float, thetas) -> dict:
     theta, so a residual does not depend on the other thetas.
     """
     n = N - 1
-    spec = krawtchouk_chain(N, J)
-    phi = build_basis(n, J).phi
+    spec = krawtchouk_chain(N)
+    phi = build_basis(n).phi
     overlap, deviation = dict.fromkeys(VARIANTS, 1.0), dict.fromkeys(VARIANTS, 0.0)
     difference = intertwining = 0.0
     so3 = dict.fromkeys(("xy_z", "yz_x", "zx_y"), 0.0)
     bch = [0.0] * len(thetas)
-    for q, (states, hk, hz) in enumerate(_sector_hamiltonians(spec, J)):
+    for q, (states, hk, hz) in enumerate(_sector_hamiltonians(spec)):
         target = free_fermion_block(phi, states)
-        blocks = {variant: _sector_gate(variant, hk, hz, J) for variant in VARIANTS}
+        blocks = {variant: _sector_gate(variant, hk, hz) for variant in VARIANTS}
         for variant, block in blocks.items():
             amps = np.sum(target.conj() * block.T, axis=1)
             mag = np.abs(amps)
@@ -135,7 +134,7 @@ def eigengate_report(N: int, J: float, thetas) -> dict:
         difference = max(difference, float(np.max(np.abs(u - blocks["single_pulse"]))))
         intertwining = max(intertwining, float(np.max(np.abs(hk @ u - u * hz))))
 
-        lx, lz = hk.real / J, hz / J
+        lx, lz = hk.real, hz
         c = lz[:, None] * lx - lx * lz
         for key, residual in (
             ("xy_z", lx @ c - c @ lx + np.diag(lz)),
@@ -164,22 +163,22 @@ def eigengate_report(N: int, J: float, thetas) -> dict:
     }
 
 
-def eigengate_single_particle(N: int, J: float, hop: np.ndarray | None = None) -> np.ndarray:
+def eigengate_single_particle(N: int, hop: np.ndarray | None = None) -> np.ndarray:
     """(N x N) single-particle matrix of the three-step eigengate.
 
     The gate is a particle-number-conserving free-fermion unitary fixing the
     vacuum with phase one, so this matrix determines it completely.  It is
-    the clean chain's (N, J) gate unless hop, the only way another chain
+    the clean chain's gate unless hop, the only way another chain
     reaches it, replaces the chain's hopping matrix; hop may be a stack
     (..., N, N), which gives the stack of gates.
     """
     if hop is None:
-        hop = hopping_matrices(krawtchouk_chain(N, J).couplings)
+        hop = hopping_matrices(krawtchouk_chain(N).couplings)
     elif np.shape(hop)[-2:] != (N, N):
         raise ValueError(f"hop has shape {np.shape(hop)}, but the gate is for N={N}: need (..., {N}, {N})")
     n = N - 1
-    zdiag = J * (np.arange(N) - n / 2.0)
-    quarter = np.pi / (2.0 * J)
+    zdiag = np.arange(N) - n / 2.0
+    quarter = np.pi / 2.0
     ez = np.diag(np.exp(-1.0j * zdiag * quarter))
     return ez @ expm_hermitian(hop, quarter) @ ez
 
@@ -215,6 +214,6 @@ def coupling_noise_errors(u_exact: np.ndarray, spec: ChainSpec, noise: np.ndarra
     error of its row on its own, whatever stack the row is scored in.
     """
     hop = hopping_matrices(spec.couplings * (1.0 + noise))
-    u_noisy = eigengate_single_particle(spec.N, spec.J, hop=hop)
+    u_noisy = eigengate_single_particle(spec.N, hop=hop)
     return free_fermion_trace_error(u_exact, u_noisy)
 

@@ -213,8 +213,8 @@ def sweep_fig3(config: SweepConfig) -> list:
     starts = np.array([0, *itertools.accumulate(counts)])
     rows = []
     for N in config.n_values:
-        spec = krawtchouk_chain(N, 1.0)
-        u_exact = eigengate_single_particle(N, 1.0)
+        spec = krawtchouk_chain(N)
+        u_exact = eigengate_single_particle(N)
         stacks = []  # the errors of every gate stack, in pair order
         for lo in range(0, starts[-1], FIG3_DRAW_ROWS):
             pair = np.arange(lo, min(lo + FIG3_DRAW_ROWS, starts[-1]))
@@ -265,10 +265,10 @@ def write_table(path: str, header: tuple, rows: list, config=None, wall_time: fl
         fh.write("\n")
 
 
-def ghz_demo(N: int, J: float = 1.0) -> float:
+def ghz_demo(N: int) -> float:
     """Fidelity of the one-pulse GHZ preparation on an odd chain.
 
-    Evolves |+>^N under the chain for pi/J, applies exp(-i pi X/4) on
+    Evolves |+>^N under the chain for a time pi, applies exp(-i pi X/4) on
     every site and compares against (|0..0> + |1..1>)/sqrt(2).
 
     The chain conserves the excitation number, so |+>^N evolves sector by
@@ -278,22 +278,22 @@ def ghz_demo(N: int, J: float = 1.0) -> float:
     """
     if N % 2 == 0:
         raise ValueError("one-pulse GHZ preparation needs odd N")
-    spec = krawtchouk_chain(N, J)
+    spec = krawtchouk_chain(N)
     overlap = 0.0
     for q in range(N + 1):
-        u = expm_hermitian(chain_block(spec, sector_hops(N, q)), math.pi / J)
+        u = expm_hermitian(chain_block(spec, sector_hops(N, q)), math.pi)
         # |+>^N has amplitude 2^(-N/2) on every state
         overlap += ((-1.0j) ** q + (-1.0j) ** (N - q)) * u.sum()
     return float(abs(overlap / (2**N * math.sqrt(2.0))) ** 2)
 
 
-def pst_demo(N: int, J: float = 1.0) -> float:
+def pst_demo(N: int) -> float:
     """Worst-case transfer infidelity over all single-excitation states.
 
     One propagator, of the N-state one-excitation sector over the transfer
-    time pi/J, serves every state: site x sits at position N-1-x of the
+    time pi, serves every state: site x sits at position N-1-x of the
     sector's ascending basis, so its mirror amplitude is u[x, N-1-x].  An
     amplitude a roundoff above 1 in magnitude reads 0.
     """
-    u = expm_hermitian(chain_block(krawtchouk_chain(N, J), sector_hops(N, 1)), math.pi / J)
+    u = expm_hermitian(chain_block(krawtchouk_chain(N), sector_hops(N, 1)), math.pi)
     return max(0.0, *(1.0 - abs(complex(u[x, N - 1 - x])) for x in range(N)))

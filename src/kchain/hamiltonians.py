@@ -2,9 +2,7 @@
 
 import dataclasses
 import functools
-import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -34,11 +32,9 @@ _CHAIN_N_MAX = 2048
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ChainSpec:
-    """An open XX+YY chain on N qubits: couplings[x] couples qubits x and
-    x+1, and J is the coupling scale the chain was built for."""
+    """An open XX+YY chain on N qubits: couplings[x] couples qubits x and x+1."""
 
     N: int
-    J: float
     couplings: np.ndarray
 
     def __post_init__(self):
@@ -47,57 +43,50 @@ class ChainSpec:
         if not (dtype.kind in "iu" or dtype == np.float64):
             raise ValueError(f"couplings must be ints or float64 numbers, got {self.couplings!r}")
         object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-        _check_chain(self.N, self.J)
+        _check_chain(self.N)
         if self.couplings.shape != (self.N - 1,):
             raise ValueError("couplings must have length N-1")
         if not np.isfinite(self.couplings).all():
             raise ValueError(f"couplings must be finite, got {self.couplings!r}")
 
 
-def _check_chain(N, J) -> None:
-    """ChainSpec's rules for N and J, which krawtchouk_chain checks first.
-    J N^2 bounds every coupling and energy of the chain, so it must be
-    finite in float64, as the commands' --j must."""
+def _check_chain(N) -> None:
+    """ChainSpec's rule for N, which krawtchouk_chain checks first."""
     if not (_is_number(N, numbers.Integral) and 2 <= N <= _CHAIN_N_MAX):
         raise ValueError(f"N must be an int >= 2 (at most {_CHAIN_N_MAX}), got {N!r}")
-    finite = _is_number(J, numbers.Real) and 0.0 < J <= sys.float_info.max
-    if not (finite and math.isfinite(float(J) * int(N) ** 2)):
-        raise ValueError(
-            f"J must be a finite number > 0 (a numpy float only as float64) with J * N^2 finite, got {J!r} at N={N}"
-        )
 
 
-def krawtchouk_couplings(n: int, J: float) -> np.ndarray:
-    """Engineered couplings -J/2 * sqrt((x+1)(n-x)) for x = 0..n-1."""
+def krawtchouk_couplings(n: int) -> np.ndarray:
+    """Engineered couplings -1/2 * sqrt((x+1)(n-x)) for x = 0..n-1."""
     if n < 1:
         raise ValueError("n must be at least 1")
     x = np.arange(n)
-    return -(J / 2.0) * np.sqrt((x + 1.0) * (n - x))
+    return -0.5 * np.sqrt((x + 1.0) * (n - x))
 
 
-def krawtchouk_chain(N: int, J: float, noise_eps: float = 0.0, seed=None) -> ChainSpec:
+def krawtchouk_chain(N: int, noise_eps: float = 0.0, seed=None) -> ChainSpec:
     """The chain with the engineered couplings, each J_x -> (1 + eps_x) J_x
     with eps_x uniform on [-noise_eps, noise_eps] from default_rng(seed)."""
-    _check_chain(N, J)
+    _check_chain(N)
     _check_noise_eps(noise_eps)
     _check_seed(seed, noise_eps)
-    couplings = krawtchouk_couplings(N - 1, J)
+    couplings = krawtchouk_couplings(N - 1)
     if noise_eps > 0.0:
         couplings = couplings * (1.0 + np.random.default_rng(seed).uniform(-noise_eps, noise_eps, N - 1))
-    return ChainSpec(N, J, couplings)
+    return ChainSpec(N, couplings)
 
 
 def coupling_noises(N: int, noise_eps, seeds) -> np.ndarray:
     """The relative coupling errors of a stack of seeds, each an int in
-    [0, 2^64): row k is the draw krawtchouk_chain(N, J, noise_eps, seeds[k])
+    [0, 2^64): row k is the draw krawtchouk_chain(N, noise_eps, seeds[k])
     applies, bit for bit.  noise_eps is one number for every seed, or a
     sequence of one per seed, in which case row k is the draw of
-    krawtchouk_chain(N, J, noise_eps[k], seeds[k]).
+    krawtchouk_chain(N, noise_eps[k], seeds[k]).
 
     The seeds' SeedSequence and PCG64 streams are computed as one stack
     (_seeding), not one generator per seed.
     """
-    _check_chain(N, 1.0)  # the draws are relative, so only N is checked
+    _check_chain(N)
     if np.ndim(noise_eps) == 0:
         _check_noise_eps(noise_eps)
         eps = float(noise_eps)
@@ -193,16 +182,16 @@ def chain_block(spec: ChainSpec, hops) -> np.ndarray:
     return _hopping_block(hops, spec.couplings)
 
 
-def hz_diagonal(N: int, J: float, states=None) -> np.ndarray:
-    """Diagonal of the dual Hamiltonian (J/2) sum_x (x - n/2)(1 - Z)_x, which
-    is diagonal in the computational basis: J * sum over excited sites of
+def hz_diagonal(N: int, states=None) -> np.ndarray:
+    """Diagonal of the dual Hamiltonian (1/2) sum_x (x - n/2)(1 - Z)_x, which
+    is diagonal in the computational basis: the sum over excited sites of
     (x - n/2), on the basis indices states, or on all 2^N states if None."""
     n = N - 1
     idx = np.arange(2**N) if states is None else np.asarray(states)
     diag = np.zeros(len(idx))
     for x in range(N):
         bit = (idx >> (N - 1 - x)) & 1
-        diag += J * (x - n / 2.0) * bit
+        diag += (x - n / 2.0) * bit
     return diag
 
 

@@ -82,16 +82,15 @@ class KrawtchoukBasis:
     """Single-particle eigenbasis of the engineered chain on N = n+1 sites.
 
     phi[k, x] is the real orthogonal (and symmetric) eigenvector matrix;
-    row k is the eigenvector with eigenvalue lambdas[k] = J (k - n/2).
+    row k is the eigenvector with eigenvalue lambdas[k] = k - n/2.
     """
 
     n: int
-    J: float
     phi: np.ndarray
     lambdas: np.ndarray
 
 
-def build_basis(n: int, J: float = 1.0) -> KrawtchoukBasis:
+def build_basis(n: int) -> KrawtchoukBasis:
     """Construct phi_{k,x} = sqrt(C(n,x) / (C(n,k) 2^n)) K_{k,x} exactly.
 
     Binomial ratios are kept exact (Fraction) until the final square root,
@@ -105,8 +104,8 @@ def build_basis(n: int, J: float = 1.0) -> KrawtchoukBasis:
         for x in range(n + 1):
             ratio = Fraction(comb(n, x), comb(n, k) * 2**n)
             phi[k, x] = int(kmat[k, x]) * math.sqrt(ratio)
-    lambdas = J * (np.arange(n + 1) - n / 2.0)
-    return KrawtchoukBasis(n=n, J=J, phi=phi, lambdas=lambdas)
+    lambdas = np.arange(n + 1) - n / 2.0
+    return KrawtchoukBasis(n=n, phi=phi, lambdas=lambdas)
 
 
 def _check_modes(n: int, modes: Sequence[int]) -> tuple:

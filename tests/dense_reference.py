@@ -77,15 +77,15 @@ def dense_unit_drive(N, sign, pairs):
 SECTOR_TOL = 1e-13
 
 
-def dense_eigengate(N, J, variant="three_step", spec=None):
+def dense_eigengate(N, variant="three_step", spec=None):
     """The eigengate as one 2^N x 2^N exponential (the diagonal pulses as
     dense diagonal matrices)."""
     if spec is None:
-        spec = krawtchouk_chain(N, J)
-    hk, hz = chain_block(spec, chain_hops(N)), np.diag(hz_diagonal(N, J))
-    quarter = np.pi / (2.0 * J)
+        spec = krawtchouk_chain(N)
+    hk, hz = chain_block(spec, chain_hops(N)), np.diag(hz_diagonal(N))
+    quarter = np.pi / 2.0
     if variant == "three_step":
-        ez = np.diag(np.exp(-1.0j * hz_diagonal(N, J) * quarter))
+        ez = np.diag(np.exp(-1.0j * hz_diagonal(N) * quarter))
         u = ez @ expm_hermitian(hk, quarter) @ ez
     else:
         u = expm_hermitian((hk + hz) / np.sqrt(2.0), 2.0 * quarter)
@@ -93,39 +93,39 @@ def dense_eigengate(N, J, variant="three_step", spec=None):
     return u
 
 
-def noisy_eigengate_errors(N, J, eps, seeds):
+def noisy_eigengate_errors(N, eps, seeds):
     """Trace errors of noisy three-step gates against the clean one, per seed.
 
-    Each seed draws its couplings as krawtchouk_chain(N, J, eps, seed)
+    Each seed draws its couplings as krawtchouk_chain(N, eps, seed)
     does, all seeds in one stack (coupling_noises), so seeds are ints in
     [0, 2^64).  The noisy gates are built and scored as one stack against
     a clean gate computed once (coupling_noise_errors).
     """
-    spec = krawtchouk_chain(N, J)
-    u_exact = eigengate_single_particle(N, J)
+    spec = krawtchouk_chain(N)
+    u_exact = eigengate_single_particle(N)
     return coupling_noise_errors(u_exact, spec, coupling_noises(N, eps, seeds))
 
 
-def single_pulse_single_particle(N, J):
+def single_pulse_single_particle(N):
     """(N x N) single-particle matrix of the single-pulse eigengate,
-    exp(-i pi/J (hop + Hz)/sqrt(2)) on the clean chain's one-excitation
+    exp(-i pi (hop + Hz)/sqrt(2)) on the clean chain's one-excitation
     sector."""
-    zdiag = J * (np.arange(N) - (N - 1) / 2.0)
-    hop = hopping_matrices(krawtchouk_chain(N, J).couplings)
-    return expm_hermitian((hop + np.diag(zdiag)) / np.sqrt(2.0), math.pi / J)
+    zdiag = np.arange(N) - (N - 1) / 2.0
+    hop = hopping_matrices(krawtchouk_chain(N).couplings)
+    return expm_hermitian((hop + np.diag(zdiag)) / np.sqrt(2.0), math.pi)
 
 
-def dense_intertwining(u, N, J):
+def dense_intertwining(u, N):
     """Max entry of |Hk U - U Hz| with the dense clean chain and dual."""
-    hk, hz = chain_block(krawtchouk_chain(N, J), chain_hops(N)), np.diag(hz_diagonal(N, J))
+    hk, hz = chain_block(krawtchouk_chain(N), chain_hops(N)), np.diag(hz_diagonal(N))
     return float(np.max(np.abs(hk @ u - u @ hz)))
 
 
-def dense_rotation_checks(N, J, thetas):
+def dense_rotation_checks(N, thetas):
     """eigengate_report's so(3) residuals and BCH residuals (one per angle)
     on the dense triple, one exponential per angle."""
-    lx = chain_block(krawtchouk_chain(N, J), chain_hops(N)) / J
-    lz = np.diag(hz_diagonal(N, J)) / J
+    lx = chain_block(krawtchouk_chain(N), chain_hops(N))
+    lz = np.diag(hz_diagonal(N))
     ly = -1.0j * (lz @ lx - lx @ lz)
     residual = lambda a, b, c: float(np.max(np.abs(a @ b - b @ a - 1.0j * c)))
     so3 = {"xy_z": residual(lx, ly, lz), "yz_x": residual(ly, lz, lx), "zx_y": residual(lz, lx, ly)}
@@ -141,17 +141,17 @@ def dense_rotation_checks(N, J, thetas):
     return so3, bch
 
 
-def dense_compare_forms(N, J=1.0):
+def dense_compare_forms(N):
     """eigengate_report's mapping and phase scores of both variants and
     their entrywise difference, from dense gates, each label scored
     against its own 2^N eigenstate_vector.  Each variant also keeps its
     dense unitary and phase table."""
     n = N - 1
-    basis = build_basis(n, J)
+    basis = build_basis(n)
     targets = [eigenstate_vector(basis, occupied_sites(s, N)) for s in range(2**N)]
     report = {"N": N, "variants": {}}
     for variant in VARIANTS:
-        u = dense_eigengate(N, J, variant)
+        u = dense_eigengate(N, variant)
         amps = np.array([complex(t.conj() @ u[:, s]) for s, t in enumerate(targets)])
         phases = amps / np.abs(amps)
         dev = max(abs(phases[s] - expected_phase(bin(s).count("1"), n)) for s in range(2**N))
@@ -166,20 +166,20 @@ def dense_compare_forms(N, J=1.0):
     return report
 
 
-def dense_pst_amplitude(N, bits, J=1.0):
-    """<mirror(bits)| exp(-i pi Hk / J) |bits> from the 2^N propagator."""
-    u = expm_hermitian(chain_block(krawtchouk_chain(N, J), chain_hops(N)), math.pi / J)
+def dense_pst_amplitude(N, bits):
+    """<mirror(bits)| exp(-i pi Hk) |bits> from the 2^N propagator."""
+    u = expm_hermitian(chain_block(krawtchouk_chain(N), chain_hops(N)), math.pi)
     return complex(u[basis_index(list(reversed(bits))), basis_index(bits)])
 
 
-def dense_ghz_demo(N, J=1.0, couplings=None):
+def dense_ghz_demo(N, couplings=None):
     """ghz_demo's fidelity from the 2^N state and a dense product of the
     N single-qubit rotations."""
-    spec = krawtchouk_chain(N, J)
+    spec = krawtchouk_chain(N)
     if couplings is not None:
         spec = dataclasses.replace(spec, couplings=tuple(couplings))
     dim = 2**N
-    psi = expm_hermitian(chain_block(spec, chain_hops(N)), math.pi / J) @ np.full(dim, dim**-0.5, dtype=complex)
+    psi = expm_hermitian(chain_block(spec, chain_hops(N)), math.pi) @ np.full(dim, dim**-0.5, dtype=complex)
     rot = np.array([[1.0, -1.0j], [-1.0j, 1.0]]) / math.sqrt(2.0)  # exp(-i pi X/4)
     full = np.array([[1.0 + 0.0j]])
     for _ in range(N):

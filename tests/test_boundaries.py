@@ -49,8 +49,8 @@ BOUNDARIES = {
         ),
         ("protocol", "n_values", "eps_values", "m_values", "samples", "base_seed", "threads"),
     ),
-    "ChainSpec": (ChainSpec, dict(N=4, J=1.0, couplings=krawtchouk_couplings(3, 1.0)), ("N", "J", "couplings")),
-    "krawtchouk_chain": (krawtchouk_chain, dict(N=4, J=1.0, noise_eps=0.01, seed=3), ("N", "J", "noise_eps", "seed")),
+    "ChainSpec": (ChainSpec, dict(N=4, couplings=krawtchouk_couplings(3)), ("N", "couplings")),
+    "krawtchouk_chain": (krawtchouk_chain, dict(N=4, noise_eps=0.01, seed=3), ("N", "noise_eps", "seed")),
     "coupling_noises": (coupling_noises, dict(N=4, noise_eps=0.01, seeds=[3, 5]), ("N", "noise_eps")),
     "gate_time_accounting": (gate_time_accounting, dict(N=4, M=1), ("N", "M")),
     "resonance_frequency": (resonance_frequency, dict(N=4), ("N",)),
@@ -150,7 +150,7 @@ REFUSED = [
         for boundary, field, build in [
             ("ProtocolParams", "noise_eps", lambda eps: ProtocolParams(N=4, M=1, noise_eps=eps, seed=3)),
             ("SweepConfig", "eps_values", lambda eps: _sweep(protocol="fig3", eps_values=(eps,))),
-            ("krawtchouk_chain", "noise_eps", lambda eps: krawtchouk_chain(4, 1.0, eps, seed=3)),
+            ("krawtchouk_chain", "noise_eps", lambda eps: krawtchouk_chain(4, eps, seed=3)),
             ("coupling_noises", "noise_eps", lambda eps: coupling_noises(4, eps, [3, 5])),
             ("coupling_noises array", "noise_eps", lambda eps: coupling_noises(4, np.full(2, eps), [3, 5])),
             ("coupling_noises list", "noise_eps", lambda eps: coupling_noises(4, [0.02, eps], [3, 5])),
@@ -164,12 +164,11 @@ REFUSED = [
     ("SweepConfig", "eps_values", 0.01, lambda value: _sweep(eps_values=value)),
     ("SweepConfig", "m_values", True, lambda value: _sweep(m_values=value)),
     ("SweepConfig", "m_values", (1, math.nan), lambda value: _sweep(m_values=value)),
-    ("ChainSpec", "couplings", "abc", lambda value: ChainSpec(4, 1.0, value)),
-    ("ChainSpec", "couplings", ["abc"] * 3, lambda value: ChainSpec(4, 1.0, value)),
-    ("ChainSpec", "couplings", [True] * 3, lambda value: ChainSpec(4, 1.0, value)),
-    ("ChainSpec", "couplings", [1j] * 3, lambda value: ChainSpec(4, 1.0, value)),
-    ("ChainSpec", "couplings", np.ones(3, np.float32), lambda value: ChainSpec(4, 1.0, value)),
-    ("ChainSpec", "J", np.float32(1.0), lambda value: ChainSpec(4, value, krawtchouk_couplings(3, 1.0))),
+    ("ChainSpec", "couplings", "abc", lambda value: ChainSpec(4, value)),
+    ("ChainSpec", "couplings", ["abc"] * 3, lambda value: ChainSpec(4, value)),
+    ("ChainSpec", "couplings", [True] * 3, lambda value: ChainSpec(4, value)),
+    ("ChainSpec", "couplings", [1j] * 3, lambda value: ChainSpec(4, value)),
+    ("ChainSpec", "couplings", np.ones(3, np.float32), lambda value: ChainSpec(4, value)),
     # omega_override as a numpy float other than float64, which it used to
     # take (a float16 omega_override ran at 3.69921875), and an M float64
     # cannot hold
@@ -204,12 +203,9 @@ REFUSED = [
     # 8 TiB at 2^40)
     ("SweepConfig", "n_values", 4096, lambda value: _sweep(protocol="fig3", n_values=(4, value))),
     ("coupling_noises", "N", 2**40, lambda value: coupling_noises(value, 0.01, [3, 5])),
-    # a coupling scale whose couplings overflow at that size, which the
-    # chain once took and refused with a RuntimeWarning naming couplings
-    ("krawtchouk_chain", "J", 1e306, lambda value: krawtchouk_chain(2048, value)),
     # a noisy chain without a seed would draw other couplings on every call
     ("ProtocolParams", "seed", None, lambda value: ProtocolParams(N=4, M=1, noise_eps=0.01, seed=value)),
-    ("krawtchouk_chain", "seed", None, lambda value: krawtchouk_chain(4, 1.0, 0.01, seed=value)),
+    ("krawtchouk_chain", "seed", None, lambda value: krawtchouk_chain(4, 0.01, seed=value)),
     # seeds outside the draws' one domain, ints in [0, 2^64), which the
     # per-sample draw once took (a Generator gave other couplings per call)
     *(
@@ -217,11 +213,11 @@ REFUSED = [
         for seed in (2**64, 2**70, True, [1, 2], np.random.default_rng(3), np.random.SeedSequence(4), "3")
         for row in [
             ("ProtocolParams", "seed", seed, lambda value: ProtocolParams(N=4, M=1, noise_eps=0.01, seed=value)),
-            ("krawtchouk_chain", "seed", seed, lambda value: krawtchouk_chain(4, 1.0, 0.01, seed=value)),
+            ("krawtchouk_chain", "seed", seed, lambda value: krawtchouk_chain(4, 0.01, seed=value)),
         ]
     ),
     # a seed given to a clean chain, which it once ignored
-    ("krawtchouk_chain", "seed", "abc", lambda value: krawtchouk_chain(4, 1.0, 0.0, seed=value)),
+    ("krawtchouk_chain", "seed", "abc", lambda value: krawtchouk_chain(4, 0.0, seed=value)),
 ]
 
 
@@ -252,7 +248,7 @@ def test_a_float64_noise_amplitude_gives_the_bits_of_a_python_float():
         for eps in (a, b)
     ]
     assert tables[0] == tables[1]
-    chains = [krawtchouk_chain(4, 1.0, eps, seed=3) for eps in (a, b)]
+    chains = [krawtchouk_chain(4, eps, seed=3) for eps in (a, b)]
     assert np.array_equal(chains[0].couplings, chains[1].couplings)
     for form in (lambda eps: eps, lambda eps: np.full(2, eps)):
         assert np.array_equal(coupling_noises(4, form(a), [3, 5]), coupling_noises(4, form(b), [3, 5]))

@@ -52,21 +52,15 @@ def test_spectrum_csv(capsys):
     assert "5,0,-2.5" in out and "5,5,2.5" in out
 
 
-def test_spectrum_respects_coupling_scale(capsys):
-    rc, out = run_cli(capsys, "spectrum", "--n", "2", "--j", "2.0")
-    assert rc == 0
-    assert "1,0,-1" in out and "1,1,1" in out
-
-
-@pytest.mark.parametrize("n, j", [("64", "1e4"), ("4", "1e300"), ("4", "1.0")])
-def test_spectrum_check_scales_with_the_spectral_radius(capsys, monkeypatch, n, j):
-    # the eigenvalues' roundoff grows with J(N - 1)/2 (4.7e-10 at N = 64,
-    # J = 1e4, against an absolute tolerance of 1e-10); a spectrum off by a
-    # relative 1e-9 still fails at every scale
-    assert run_cli(capsys, "spectrum", "--n", n, "--j", j)[0] == 0
+@pytest.mark.parametrize("n", ["4", "64"])
+def test_spectrum_check_scales_with_the_spectral_radius(capsys, monkeypatch, n):
+    # the tolerance grows with the spectral radius (N - 1)/2 past 1, as the
+    # eigenvalues' roundoff does; a spectrum off by a relative 1e-9 still
+    # fails at every size
+    assert run_cli(capsys, "spectrum", "--n", n)[0] == 0
     hopping = cli.hopping_matrices
     monkeypatch.setattr(cli, "hopping_matrices", lambda couplings: hopping(couplings) * (1.0 + 1e-9))
-    assert main(["spectrum", "--n", n, "--j", j]) == 1
+    assert main(["spectrum", "--n", n]) == 1
     assert "FAIL spectrum deviation" in capsys.readouterr().err
 
 
@@ -96,8 +90,8 @@ def test_eigengate_check_json(capsys):
 def test_eigengate_check_fails_on_a_rotation_residual(capsys, monkeypatch, broken):
     # the so(3) and BCH residuals it reports count toward its exit code,
     # as they do in verify-all
-    def broken_report(N, J, thetas, inner=cli.eigengate_report):
-        report = inner(N, J, thetas)
+    def broken_report(N, thetas, inner=cli.eigengate_report):
+        report = inner(N, thetas)
         if broken == "so3":
             report["so3_residuals"]["zx_y"] = 1.0
         else:
@@ -455,22 +449,22 @@ def test_eigengate_report_within_roundoff_of_dense_reference(monkeypatch, N, ske
         # the true residuals are roundoff, which a bound of 1e-13 cannot
         # tell from zero; with H^Z's diagonal doubled everywhere the gate
         # is no eigengate and every reported value is of order one
-        doubled = lambda N, J, states=None, inner=hamiltonians.hz_diagonal: 2.0 * inner(N, J, states)
+        doubled = lambda N, states=None, inner=hamiltonians.hz_diagonal: 2.0 * inner(N, states)
         for module in (hamiltonians, eigengate, dense_reference):
             monkeypatch.setattr(module, "hz_diagonal", doubled)
-    report = eigengate.eigengate_report(N, 1.0, cli.BCH_THETAS)
+    report = eigengate.eigengate_report(N, cli.BCH_THETAS)
     if skewed:
         assert report["max_phase_deviation"] > 0.1 and report["intertwining_residual"] > 0.1
         assert max(report["so3_residuals"].values()) > 0.1 and report["bch_residuals"]["3.141592653589793"] > 0.1
     forms = dense_compare_forms(N)
-    so3, bch = dense_rotation_checks(N, 1.0, cli.BCH_THETAS)
+    so3, bch = dense_rotation_checks(N, cli.BCH_THETAS)
     for variant, ref in forms["variants"].items():
         for key in ("min_overlap", "max_phase_deviation"):
             assert abs(report["variants"][variant][key] - ref[key]) <= SECTOR_TOL
     assert abs(report["entrywise_difference"] - forms["entrywise_difference"]) <= SECTOR_TOL
-    intertwining = dense_intertwining(forms["variants"]["three_step"]["unitary"], N, 1.0)
+    intertwining = dense_intertwining(forms["variants"]["three_step"]["unitary"], N)
     assert abs(report["intertwining_residual"] - intertwining) <= SECTOR_TOL
-    hk = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
+    hk = chain_block(krawtchouk_chain(N), chain_hops(N))
     assert report["intertwining_allowance"] == 1e-9 * float(np.abs(hk).max())
     assert all(abs(report["so3_residuals"][key] - so3[key]) <= SECTOR_TOL for key in so3)
     assert report["bch_residuals"].keys() == {str(theta) for theta in cli.BCH_THETAS}
@@ -483,7 +477,7 @@ def test_m2_elements_equal_the_two_embed_products_bitwise(n):
     # one embed of the two-site term has the entries of the product of two
     # one-site embeds: each is a single product of zeros and ones
     N = n + 1
-    basis = build_basis(n, 1.0)
+    basis = build_basis(n)
     lower, upper = tuple(range(N // 2)), tuple(range(N // 2, N))
     rows = list(cli._m2_elements(n))
     assert len(rows) == n + 1 - (n + 1) // 2
@@ -500,7 +494,7 @@ def test_m2_elements_equal_the_dense_embed_route_bitwise(monkeypatch, n):
     # the route the gather replaced: dense embeds of both terms, applied
     # with matrix_element_bruteforce
     N = n + 1
-    basis = build_basis(n, 1.0)
+    basis = build_basis(n)
     lower, upper = tuple(range(N // 2)), tuple(range(N // 2, N))
     want = []
     for j, d, closed, *_ in cli._m2_elements(n):
@@ -524,7 +518,7 @@ def test_m1_element_equals_the_dense_embed_route_bitwise(monkeypatch, n):
     # the route the gather replaced: a dense embed of sigma^- on site n/2,
     # applied with matrix_element_bruteforce
     N = n + 1
-    basis = build_basis(n, 1.0)
+    basis = build_basis(n)
     op = tensor_embed(SIGMA_MINUS, [n // 2], N)
     want = matrix_element_bruteforce(basis, range(n // 2 + 1), op, range(n // 2 + 1, N))
 
@@ -622,9 +616,9 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["circuit-verify", "--which", "ctrl-iswap2", "--n", "8"], "ctrl-iswap2 is defined for N in {4, 6}"),
     (["drive", "--eps", "0.01", "--seed", "-1"], "argument --seed: must be an integer >= 0, got '-1'"),
     (["noise-sweep", "--figure", "3", "--seed", "-5"], "argument --seed: must be an integer >= 0"),
-    (["eigengate-check", "--n", "4", "--j", "0"], "argument --j: must be a positive number, got '0'"),
-    (["spectrum", "--n", "4", "--j", "-1"], "argument --j: must be a positive number"),
-    (["pst", "--n", "4", "--j", "nan"], "argument --j: must be a positive number"),
+    (["spectrum", "--n", "1"], "argument --n: must be an integer >= 2, got '1'"),
+    (["circuit-verify", "--which", "ctrl-x", "--n", "4", "--m", "0"], "argument --m: must be a positive integer"),
+    (["noise-sweep", "--figure", "2", "--m-min", "0"], "argument --m-min: must be a positive integer, got '0'"),
     (["drive", "--omega-override", "0"], "argument --omega-override: must be a positive number, got '0'"),
     (["drive", "--omega-override", "-4"], "argument --omega-override: must be a positive number"),
     (["drive", "--omega-override", "nan"], "argument --omega-override: must be a positive number"),
@@ -655,22 +649,7 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     assert fragment in err
 
 
-@pytest.mark.parametrize("command, n", [("spectrum", 64), ("eigengate-check", 10), ("ghz", 11), ("pst", 20)])
-def test_coupling_scale_whose_energies_overflow_is_a_usage_error(capsys, command, n):
-    # a chain's many-body energies reach J N^2 / 8: J with J N^2 finite runs
-    # clean (any warning fails the test), and one just above is refused
-    # with one usage line; 1e307 at N = 64 once gave a NaN deviation
-    largest = sys.float_info.max / n**2
-    assert run_cli(capsys, command, "--n", str(n), "--j", repr(0.99 * largest))[0] == 0
-    for j in (1.01 * largest, 1e307, sys.float_info.max):
-        code, err = usage_error(capsys, command, "--n", str(n), "--j", repr(j))
-        assert code == 2
-        usage, message = err.splitlines()
-        assert usage.startswith(f"usage: kchain {command} ")
-        assert message == f"kchain {command}: error: argument --j: J * N^2 must be finite in float64, got J={j!r} at N={n}"
-
-
-# hostile --n and --j tokens, each also drawn next to a valid value of the other
+# hostile --n tokens, each drawn for every command
 HOSTILE_TOKENS = ["True", "nan", "inf", "-inf", "-0.0", "0", "1e300", "1e-300", "1e307", "abc", "", "0x10"]
 
 
@@ -702,21 +681,20 @@ def _run_hostile(argv):
 @given(
     st.sampled_from(("spectrum", "pst", "ghz", "eigengate-check")),
     st.sampled_from(["3", *HOSTILE_TOKENS]),
-    st.sampled_from(["0.7", *HOSTILE_TOKENS]),
 )
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-def test_a_hostile_size_or_coupling_runs_or_is_refused_in_one_line(command, n, j):
+def test_a_hostile_size_or_coupling_runs_or_is_refused_in_one_line(command, n):
     # exit 0; exit 2 with a usage line and an error line; or exit 1 with one
     # error line, spectrum's FAIL line or the command's own JSON report
-    code, out, lines = _run_hostile([command, "--n", n, "--j", j])
+    code, out, lines = _run_hostile([command, "--n", n])
     if code == 1 and lines:
-        assert len(lines) == 1, (command, n, j, lines)
+        assert len(lines) == 1, (command, n, lines)
         assert lines[0].startswith((f"kchain {command}: ", "FAIL spectrum deviation "))
     elif code == 1:
         assert command != "spectrum"
         json.loads(out)
     else:
-        assert code == 2 or (code == 0 and lines == []), (command, n, j, code, lines)
+        assert code == 2 or (code == 0 and lines == []), (command, n, code, lines)
 
 
 # drive's and the fig2 sweep's length, noise, seed and frequency flags, each

@@ -138,15 +138,15 @@ def _two_level_hamiltonian(A, omega, e1, e2):
 
 def _dense_inversion_reference(params, calibration, tol):
     """Dense 2^N drive-window propagator with the halfway inversion: drive
-    for tau_D/2, exp(-i Hz pi/J), drive for tau_D/2 with its phase shifted
-    by -omega pi/J (the drive clock stops while the chain is off), then
-    exp(+i Hz pi/J); refined from 64 steps per drive stretch until halving
+    for tau_D/2, exp(-i Hz pi), drive for tau_D/2 with its phase shifted
+    by -omega pi (the drive clock stops while the chain is off), then
+    exp(+i Hz pi); refined from 64 steps per drive stretch until halving
     the step moves it by less than tol."""
-    N, J = params.N, 1.0
+    N = params.N
     omega, j_d, phase = calibration
     vop = j_d * unit_drive(N, driving_sign(N), default_drive_pairs(N))
-    basis = driving._drive_basis(chain_block(krawtchouk_chain(N, J), chain_hops(N)), vop)
-    hz, half, pulse = np.diag(hz_diagonal(N, J)), params.tau_d / 2.0, np.pi / J
+    basis = driving._drive_basis(chain_block(krawtchouk_chain(N), chain_hops(N)), vop)
+    hz, half, pulse = np.diag(hz_diagonal(N)), params.tau_d / 2.0, np.pi
     invert, restore = expm_hermitian(hz, pulse), expm_hermitian(-hz, pulse)
 
     def compute(nsub):
@@ -467,9 +467,9 @@ def test_taylor_steps_match_eigh_reference_route(monkeypatch, params):
 def _sector_blocks(N, sign, pairs, eps, seed):
     """Chain and drive blocks of every sector, built independently of
     run_iswap_protocol, and the inversion phases."""
-    h = chain_block(krawtchouk_chain(N, 1.0, noise_eps=eps, seed=seed), chain_hops(N))
+    h = chain_block(krawtchouk_chain(N, noise_eps=eps, seed=seed), chain_hops(N))
     v = 0.3 * unit_drive(N, sign, pairs)
-    p = np.exp(-1.0j * np.pi * hz_diagonal(N, 1.0))
+    p = np.exp(-1.0j * np.pi * hz_diagonal(N))
     sectors = [sector_indices(N, q) for q in range(N + 1)]
     return [(h[np.ix_(ix, ix)], v[np.ix_(ix, ix)], p[ix]) for ix in sectors]
 
@@ -580,7 +580,7 @@ def _step_every_sector(params):
     window stepped end to end on the drive clock."""
     _, j_d, _ = drive_calibration(params)
     h = chain_block(
-        krawtchouk_chain(params.N, 1.0, noise_eps=params.noise_eps, seed=params.seed),
+        krawtchouk_chain(params.N, noise_eps=params.noise_eps, seed=params.seed),
         chain_hops(params.N),
     )
     v = j_d * unit_drive(params.N, driving_sign(params.N), default_drive_pairs(params.N))
@@ -653,7 +653,7 @@ def test_off_resonant_protocol_matches_explicit_schedule(omega):
     params = ProtocolParams(N=4, M=1)
     _, j_d, phase = drive_calibration(params)
     window = _dense_inversion_reference(params, (omega, j_d, phase), tol=1e-11)
-    uk = build_eigengate(4, 1.0).unitary
+    uk = build_eigengate(4).unitary
     reference = uk.conj().T @ window @ uk
     fast = run_iswap_protocol(params, omega_override=omega)
     assert max_column_distance(fast.unitary, reference) < 1e-9
@@ -801,12 +801,13 @@ def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypat
     assert abs(fast.error - reference.error) <= 1e-13
 
 
-@pytest.mark.parametrize("N", [8, 10, 12])
+@pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
 def test_resonant_cell_counts_snap_to_whole_cells(N):
-    # the count's roundoff grows with M, past any fixed absolute tolerance
+    # the count's roundoff grows with M, past any fixed absolute tolerance;
+    # every M up to 2000, then a stride up to the largest M a command takes
     cell = np.pi / resonance_frequency(N)
     misses = []
-    for M in range(1, 2001):
+    for M in [*range(1, 2001), *range(2001, 10**6 + 1, 997)]:
         cells = (ProtocolParams(N=N, M=M).tau_d / 2.0) / cell
         misses.append(abs(cells - round(cells)))
         snapped = driving._snap(cells)
@@ -1436,7 +1437,7 @@ def test_swapped_pair_picks_up_i_phase():
 def test_explicit_schedule_route_matches_fast_path():
     params = ProtocolParams(N=4, M=1)
     u_drive = _dense_inversion_reference(params, drive_calibration(params), tol=1e-10)
-    uk = build_eigengate(4, 1.0).unitary
+    uk = build_eigengate(4).unitary
     full = uk.conj().T @ u_drive @ uk
     fast = run_iswap_protocol(params).unitary
     assert trace_error(full, fast) < 1e-8
@@ -1555,7 +1556,7 @@ def test_protocol_builds_no_dense_operator(monkeypatch):
     res = run_iswap_protocol(ProtocolParams(N=N, M=4, noise_eps=0.01, seed=3))
     assert res.unitary.shape == (2**N, 2**N)
     with pytest.raises(AssertionError, match="dense chain_block"):
-        driving.chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
+        driving.chain_block(krawtchouk_chain(N), chain_hops(N))
 
 
 def _widest_axis(run) -> int:
@@ -1596,14 +1597,14 @@ def test_results_hold_sector_blocks_and_build_the_dense_gate_on_request(monkeypa
 
     monkeypatch.setattr(driving, "block_diagonal", no_dense_gate)
     monkeypatch.setattr(eigengate, "block_diagonal", no_dense_gate)
-    results = [run_iswap_protocol(ProtocolParams(N=N, M=4)), build_eigengate(N, 1.0)]
+    results = [run_iswap_protocol(ProtocolParams(N=N, M=4)), build_eigengate(N)]
     assert main(["verify-all", "--n-max", str(N)]) == 0
     assert capsys.readouterr().out.endswith("all checks passed\n")
     monkeypatch.undo()
     # the eigengate report holds its sectors' arrays only, none spanning
     # the 2^N states, as a dense 2^N builder would
-    assert _widest_axis(lambda: hz_diagonal(N, 1.0)) == 2**N
-    assert 0 < _widest_axis(lambda: eigengate.eigengate_report(N, 1.0, (0.0, math.pi))) < 2**N
+    assert _widest_axis(lambda: hz_diagonal(N)) == 2**N
+    assert 0 < _widest_axis(lambda: eigengate.eigengate_report(N, (0.0, math.pi))) < 2**N
     for res in results:
         stored = [getattr(res, f.name) for f in dataclasses.fields(res)]
         arrays = [a for v in stored for a in (v if isinstance(v, tuple) else (v,))]
@@ -1619,8 +1620,8 @@ def test_results_hold_sector_blocks_and_build_the_dense_gate_on_request(monkeypa
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: krawtchouk_chain(4, 1.0),
-        lambda: build_eigengate(4, 1.0),
+        lambda: krawtchouk_chain(4),
+        lambda: build_eigengate(4),
         lambda: run_iswap_protocol(ProtocolParams(N=4, M=1)),
     ],
     ids=["ChainSpec", "EigengateForm", "ProtocolResult"],

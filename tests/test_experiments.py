@@ -181,9 +181,9 @@ def test_ghz_fidelity_exact_for_odd_chains():
 
 
 def test_ghz_detects_miscalibrated_coupling(monkeypatch):
-    c = list(krawtchouk_couplings(2, 1.0))
+    c = list(krawtchouk_couplings(2))
     c[0] *= 1.05
-    monkeypatch.setattr(experiments, "krawtchouk_chain", lambda N, J: ChainSpec(N, J, c))
+    monkeypatch.setattr(experiments, "krawtchouk_chain", lambda N: ChainSpec(N, c))
     fid = ghz_demo(3)
     assert fid == pytest.approx(0.9972355998845928, rel=1e-12)
     assert fid < 1.0 - 1e-4
@@ -198,7 +198,7 @@ def mirror_amplitude(N, bits):
     """<mirror(bits)| exp(-i pi Hk) |bits> (J = 1) from the propagator of
     the excitation sector of bits, looked up by basis index."""
     hops = sector_hops(N, sum(bits))
-    u = expm_hermitian(chain_block(krawtchouk_chain(N, 1.0), hops), math.pi)
+    u = expm_hermitian(chain_block(krawtchouk_chain(N), hops), math.pi)
     row, col = np.searchsorted(hops[0], [basis_index(bits[::-1]), basis_index(bits)])
     return complex(u[row, col])
 
@@ -254,7 +254,7 @@ def reference_fig3_rows(cfg):
         for eps_idx, eps in enumerate(cfg.eps_values):
             count = 1 if eps == 0.0 else cfg.samples
             seeds = point_seeds(cfg.base_seed, N, 0, eps_idx, np.arange(count))
-            errors = noisy_eigengate_errors(N, 1.0, eps, seeds)
+            errors = noisy_eigengate_errors(N, eps, seeds)
             rows.append((N, eps, *experiments._mean_and_stderr(errors), count))
     return rows
 
@@ -276,10 +276,10 @@ def test_fig3_builds_one_clean_gate_per_chain_size(monkeypatch):
     clean = []
     inner = eigengate.eigengate_single_particle
 
-    def counted(N, J, *args, **kwargs):
+    def counted(N, *args, **kwargs):
         if kwargs.get("hop") is None:
             clean.append(N)
-        return inner(N, J, *args, **kwargs)
+        return inner(N, *args, **kwargs)
 
     for module in (eigengate, experiments):
         monkeypatch.setattr(module, "eigengate_single_particle", counted)
@@ -328,7 +328,7 @@ def test_pst_within_roundoff_of_dense_reference(N):
 def test_ghz_within_roundoff_of_dense_reference(monkeypatch, N):
     assert abs(ghz_demo(N) - dense_ghz_demo(N)) <= SECTOR_TOL
     # a miscalibrated chain, which reaches ghz_demo only as a stand-in
-    couplings = krawtchouk_couplings(N - 1, 1.0) * np.linspace(1.05, 0.97, N - 1)
-    monkeypatch.setattr(experiments, "krawtchouk_chain", lambda N, J: ChainSpec(N, J, couplings))
+    couplings = krawtchouk_couplings(N - 1) * np.linspace(1.05, 0.97, N - 1)
+    monkeypatch.setattr(experiments, "krawtchouk_chain", lambda N: ChainSpec(N, couplings))
     assert abs(ghz_demo(N) - dense_ghz_demo(N, couplings=couplings)) <= SECTOR_TOL
 

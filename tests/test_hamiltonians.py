@@ -33,60 +33,40 @@ def total_z(N):
 
 
 def test_coupling_formula_values():
-    # J_x = -(J/2) sqrt((x+1)(n-x))
-    got = krawtchouk_couplings(3, 1.0)
+    # J_x = -(1/2) sqrt((x+1)(n-x))
+    got = krawtchouk_couplings(3)
     assert np.allclose(got, [-np.sqrt(3) / 2, -1.0, -np.sqrt(3) / 2])
-    got = krawtchouk_couplings(5, 2.0)
-    assert np.allclose(got[0], -np.sqrt(5))
+    got = krawtchouk_couplings(5)
+    assert np.allclose(got[0], -np.sqrt(5) / 2)
     assert np.allclose(got, got[::-1])  # mirror symmetric chain
 
 
 def test_chain_spec_validation():
     with pytest.raises(ValueError, match="couplings must have length N-1"):
-        ChainSpec(N=4, J=1.0, couplings=np.zeros(5))
+        ChainSpec(N=4, couplings=np.zeros(5))
     # 4.0 would pass the length check, since (3.0,) == (3,)
     for N in (4.0, True, "4", 1):
         with pytest.raises(ValueError, match="^N must be an int >= 2"):
-            ChainSpec(N=N, J=1.0, couplings=np.zeros(3))
+            ChainSpec(N=N, couplings=np.zeros(3))
 
 
-@pytest.mark.parametrize("field", ["couplings", "J"])
+@pytest.mark.parametrize("field", ["couplings"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_chain_spec_rejects_non_finite_values(field, bad):
-    # krawtchouk_chain refuses a non-finite coupling scale by name before
-    # it builds any couplings
-    message = "^J must be a finite number > 0" if field == "J" else "^couplings must be finite"
-    with pytest.raises(ValueError, match=message):
-        if field == "J":
-            krawtchouk_chain(4, bad)
-        else:
-            ChainSpec(N=4, J=1.0, couplings=[1.0, bad, 1.0])
-
-
-@pytest.mark.parametrize("J", [np.nan, -np.inf, -1.0, 0.0, True, "1"])
-def test_chain_spec_rejects_bad_coupling_scale(J):
-    with pytest.raises(ValueError, match="^J must be a finite number > 0"):
-        ChainSpec(4, J, [1.0, 1.0, 1.0])
-
-
-@pytest.mark.parametrize("J", [-1.0, 0.0, True])
-def test_krawtchouk_chain_rejects_a_bad_finite_coupling_scale(J):
-    # its couplings are finite (all zero at J = 0, which once ended in a
-    # ZeroDivisionError in the eigengate), so the scale itself is checked
-    with pytest.raises(ValueError, match="^J must be a finite number > 0"):
-        krawtchouk_chain(4, J)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ChainSpec(N=4, couplings=[1.0, bad, 1.0])
 
 
 @pytest.mark.parametrize("noise_eps", [np.nan, -0.1, 1.0, "0.1", True])
 def test_krawtchouk_chain_rejects_bad_noise_eps(noise_eps):
     with pytest.raises(ValueError, match=r"^noise_eps must be a finite number in \[0, 1\)"):
-        krawtchouk_chain(4, 1.0, noise_eps=noise_eps, seed=1)
+        krawtchouk_chain(4, noise_eps=noise_eps, seed=1)
 
 
 @pytest.mark.parametrize("N", range(2, 11))
 def test_chain_blocks_are_exactly_hermitian(N):
     # chain_block checks nothing: its blocks must be Hermitian bit for bit
-    noisy = krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N)
+    noisy = krawtchouk_chain(N, noise_eps=0.05, seed=N)
     for q in range(N + 1):
         block = chain_block(noisy, chain_hops(N, sector_indices(N, q)))
         assert np.array_equal(block, block.conj().T), (N, q)
@@ -94,14 +74,14 @@ def test_chain_blocks_are_exactly_hermitian(N):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_hk_hermitian_and_u1_symmetric(N):
-    ham = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
+    ham = chain_block(krawtchouk_chain(N), chain_hops(N))
     assert_hermitian(ham)
     assert np.allclose(ham @ total_z(N), total_z(N) @ ham)
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_single_excitation_block_matches_hopping_matrix(N):
-    spec = krawtchouk_chain(N, 1.3)
+    spec = krawtchouk_chain(N)
     ham = chain_block(spec, chain_hops(N))
     hop = hopping_matrices(spec.couplings)
     idx = [basis_index([1 if y == x else 0 for y in range(N)]) for x in range(N)]
@@ -110,44 +90,44 @@ def test_single_excitation_block_matches_hopping_matrix(N):
 
 def test_single_particle_spectrum_is_linear():
     for N in (4, 7, 10):
-        hop = hopping_matrices(krawtchouk_chain(N, 1.0).couplings)
+        hop = hopping_matrices(krawtchouk_chain(N).couplings)
         evals = np.linalg.eigvalsh(hop)
         n = N - 1
         assert np.allclose(evals, [1.0 * (k - n / 2.0) for k in range(N)], atol=1e-12)
 
 
 def test_hz_diagonal_is_positional_dual_spectrum():
-    # each excited site x contributes J*(x - n/2), mirroring the hopping spectrum
-    diag = hz_diagonal(3, 2.0)
+    # each excited site x contributes x - n/2, mirroring the hopping spectrum
+    diag = hz_diagonal(3)
     assert diag[basis_index("000")] == 0.0
-    assert diag[basis_index("100")] == -2.0
-    assert diag[basis_index("001")] == 2.0
+    assert diag[basis_index("100")] == -1.0
+    assert diag[basis_index("001")] == 1.0
     assert diag[basis_index("111")] == 0.0
     # single-excitation values sweep the full linear ladder
-    single = [hz_diagonal(4, 1.0)[basis_index([1 if y == x else 0 for y in range(4)])] for x in range(4)]
+    single = [hz_diagonal(4)[basis_index([1 if y == x else 0 for y in range(4)])] for x in range(4)]
     assert np.allclose(single, [-1.5, -0.5, 0.5, 1.5])
 
 
 def test_noise_free_spec_is_fixed_point():
     # without noise the seed is not read: the chain is the engineered one
-    spec = krawtchouk_chain(6, 1.0, noise_eps=0.0, seed=5)
-    assert np.array_equal(spec.couplings, krawtchouk_couplings(5, 1.0))
+    spec = krawtchouk_chain(6, noise_eps=0.0, seed=5)
+    assert np.array_equal(spec.couplings, krawtchouk_couplings(5))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_noise_is_bounded_and_seeded(seed):
     eps = 0.05
-    noisy = krawtchouk_chain(6, 1.0, noise_eps=eps, seed=seed)
-    rel = noisy.couplings / krawtchouk_couplings(5, 1.0) - 1.0
+    noisy = krawtchouk_chain(6, noise_eps=eps, seed=seed)
+    rel = noisy.couplings / krawtchouk_couplings(5) - 1.0
     assert np.all(np.abs(rel) <= eps)
-    again = krawtchouk_chain(6, 1.0, noise_eps=eps, seed=seed)
+    again = krawtchouk_chain(6, noise_eps=eps, seed=seed)
     assert np.array_equal(noisy.couplings, again.couplings)
 
 
 def test_noise_draws_differ_across_seeds():
-    spec_a = krawtchouk_chain(6, 1.0, noise_eps=0.05, seed=1)
-    spec_b = krawtchouk_chain(6, 1.0, noise_eps=0.05, seed=2)
+    spec_a = krawtchouk_chain(6, noise_eps=0.05, seed=1)
+    spec_b = krawtchouk_chain(6, noise_eps=0.05, seed=2)
     assert not np.allclose(spec_a.couplings, spec_b.couplings)
 
 
@@ -185,14 +165,14 @@ def test_unit_drive_rejects_a_bad_sign_or_pair():
 
 def test_coupling_noise_is_the_draw_krawtchouk_chain_uses():
     # NumPy's generator of the seed, and the stacked draw's row of it
-    spec = krawtchouk_chain(7, 1.0, noise_eps=0.03, seed=11)
+    spec = krawtchouk_chain(7, noise_eps=0.03, seed=11)
     eps = np.random.default_rng(11).uniform(-0.03, 0.03, 6)
-    assert np.array_equal(spec.couplings, krawtchouk_couplings(6, 1.0) * (1.0 + eps))
+    assert np.array_equal(spec.couplings, krawtchouk_couplings(6) * (1.0 + eps))
     assert coupling_noises(7, 0.03, [11])[0].tobytes() == eps.tobytes()
 
 
 def test_hopping_matrices_stack_matches_single_particle_hopping():
-    specs = [krawtchouk_chain(5, 1.0, noise_eps=0.1, seed=s) for s in range(3)]
+    specs = [krawtchouk_chain(5, noise_eps=0.1, seed=s) for s in range(3)]
     stack = hopping_matrices(np.array([spec.couplings for spec in specs]))
     assert stack.shape == (3, 5, 5)
     for spec, hop in zip(specs, stack):
@@ -202,7 +182,7 @@ def test_hopping_matrices_stack_matches_single_particle_hopping():
 @pytest.mark.parametrize("N", range(2, 11))
 def test_sector_blocks_equal_dense_slices(N):
     # the per-sector builders must give exactly the dense operator's blocks
-    noisy = krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=N)
+    noisy = krawtchouk_chain(N, noise_eps=0.05, seed=N)
     builders = [lambda states: chain_block(noisy, chain_hops(N, states))]
     for sign in "+-":
         # one (j, j + N/2) pair, and every pair summed
@@ -215,7 +195,7 @@ def test_sector_blocks_equal_dense_slices(N):
             assert np.array_equal(build(ix), dense[np.ix_(ix, ix)])
     # the chain and its dual conserve the excitation number: the sector
     # blocks hold every nonzero entry, which the sector-wise oracles rely on
-    for dense in (chain_block(noisy, chain_hops(N)), np.diag(hz_diagonal(N, 1.0))):
+    for dense in (chain_block(noisy, chain_hops(N)), np.diag(hz_diagonal(N))):
         rest = dense.copy()
         for ix in sectors:
             rest[np.ix_(ix, ix)] = 0.0
@@ -226,7 +206,7 @@ def test_sector_blocks_equal_dense_slices(N):
 def test_one_hop_pattern_serves_every_coupling_draw(N):
     # a sector's pattern is built once; each draw applies only its couplings,
     # bitwise as a pattern built afresh for that draw
-    specs = [krawtchouk_chain(N, 1.0, noise_eps=0.05, seed=s) for s in range(4)]
+    specs = [krawtchouk_chain(N, noise_eps=0.05, seed=s) for s in range(4)]
     for ix in [sector_indices(N, q) for q in range(N + 1)] + [None]:
         hops = chain_hops(N, ix)
         for spec in specs:

@@ -59,9 +59,9 @@ def test_phi_orthogonal_and_symmetric(n):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_spectrum_is_linear_ladder(n):
-    basis = build_basis(n, J=1.0)
+    basis = build_basis(n)
     assert np.allclose(basis.lambdas, [k - n / 2.0 for k in range(n + 1)], atol=0)
-    hop = np.diag(krawtchouk_chain(n + 1, 1.0).couplings, 1)
+    hop = np.diag(krawtchouk_chain(n + 1).couplings, 1)
     hop = hop + hop.T
     assert np.max(np.abs(hop @ basis.phi.T - basis.phi.T @ np.diag(basis.lambdas))) < 1e-12
 
@@ -187,7 +187,7 @@ def test_manybody_energies_and_gap():
     basis = build_basis(5)
     assert manybody_energy(basis, (0, 1, 2)) == pytest.approx(-4.5)
     assert manybody_energy(basis, (3, 4, 5)) == pytest.approx(4.5)
-    # N^2 J / 4 gap between half seas
+    # N^2 / 4 gap between half seas
     for N in (4, 6, 8):
         b = build_basis(N - 1)
         gap = manybody_energy(b, range(N // 2, N)) - manybody_energy(b, range(N // 2))
@@ -197,7 +197,7 @@ def test_manybody_energies_and_gap():
 @pytest.mark.parametrize("N", [4, 6])
 def test_eigenstate_vectors_diagonalize_chain(N):
     basis = build_basis(N - 1)
-    ham = chain_block(krawtchouk_chain(N, 1.0), chain_hops(N))
+    ham = chain_block(krawtchouk_chain(N), chain_hops(N))
     for q in (1, N // 2):
         for modes in list(combinations(range(N), q))[:6]:
             vec = eigenstate_vector(basis, modes)
@@ -259,7 +259,7 @@ def _eigenstate_by_minor_loop(basis, modes):
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_stacked_eigenstate_equals_minor_loop_exactly(N):
-    basis = build_basis(N - 1, 1.0)
+    basis = build_basis(N - 1)
     for q in range(N + 1):
         for modes in combinations(range(N), q):
             got = eigenstate_vector(basis, modes)

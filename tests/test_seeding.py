@@ -14,7 +14,7 @@ EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 
 def numpy_draw(N, eps, seed) -> np.ndarray:
-    """The relative coupling errors krawtchouk_chain(N, J, eps, seed) draws,
+    """The relative coupling errors krawtchouk_chain(N, eps, seed) draws,
     one NumPy generator per seed."""
     return np.random.default_rng(seed).uniform(-eps, eps, N - 1)
 
@@ -120,7 +120,7 @@ def test_noise_of_one_or_more_is_rejected_in_every_form(noise_eps):
         with pytest.raises(ValueError, match=message):
             coupling_noises(4, form, [1, 2])
     with pytest.raises(ValueError, match=message):
-        krawtchouk_chain(4, 1.0, noise_eps=noise_eps, seed=1)
+        krawtchouk_chain(4, noise_eps=noise_eps, seed=1)
 
 
 def test_coupling_noises_take_a_uint64_stack():
@@ -197,6 +197,6 @@ def test_fig3_sweep_builds_no_numpy_seeding_object(monkeypatch):
     assert [row[4] for row in rows] == [40] * 4
     assert counts == {}
     # the counters see the per-run draw, which keeps NumPy's generator
-    krawtchouk_chain(4, 1.0, 0.01, seed=3)
+    krawtchouk_chain(4, 0.01, seed=3)
     assert counts == {"default_rng": 1}
 

@@ -1,15 +1,21 @@
 """The tooling around the package: the test configuration, under which a
 failing test must be reported as one failure among the others' results,
-not end the session, and the names the benchmark's tracer hooks on."""
+not end the session, the names the benchmark's tracer hooks on, and the
+package's one unit, the chain coupling J."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import kchain
 from kchain import ProtocolParams, driving
+from kchain.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -79,3 +85,29 @@ def test_benchmark_trace_hooks_name_functions_that_exist(monkeypatch, ladder):
     for args, kwargs, result in calls:
         assert "nsub" in kwargs
         assert hooks["driving._drive_window_sector"](args, kwargs, result) == kwargs["nsub"]
+
+
+def test_no_public_callable_or_command_takes_a_coupling_scale(capsys):
+    # every chain is the engineered chain at J = 1, the unit all energies
+    # and times are quoted in, so no coupling scale J may come back as a
+    # parameter, a dataclass field or a command's --j
+    offenders = []
+    for name in ("kchain", "hamiltonians", "krawtchouk", "eigengate", "experiments", "driving"):
+        module = kchain if name == "kchain" else importlib.import_module(f"kchain.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if dataclasses.is_dataclass(obj):
+                names = [field.name for field in dataclasses.fields(obj)]
+            elif callable(obj):
+                names = list(inspect.signature(obj).parameters)
+            else:
+                continue
+            if "J" in names:
+                offenders.append(f"{name}.{attr}")
+    assert offenders == []
+    # ghz takes odd chains only, so its --n is the smallest odd one
+    for command, n in (("spectrum", "4"), ("eigengate-check", "4"), ("ghz", "3"), ("pst", "4")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", n, "--j", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --j 1" in capsys.readouterr().err
