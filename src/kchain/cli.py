@@ -77,7 +77,6 @@ class _IntAtLeast:
 
 
 _nonnegative_int = _IntAtLeast(0)
-_positive_int = _IntAtLeast(1)
 _thread_count = _IntAtLeast(1, what="thread count (--threads or KRAW_THREADS)")
 # Upper bounds on the sizes of the verification and protocol commands.  The
 # eigengate checks hold stacks of sector minors; the matrix elements hold
@@ -88,7 +87,8 @@ _thread_count = _IntAtLeast(1, what="thread count (--threads or KRAW_THREADS)")
 # diagonalizes a dense N x N hopping matrix, ~1 s at N=2048 on one core; a
 # fig3 sweep scores an N x N gate per sample, ~2 s and ~100 MiB for the
 # default grid at N=64, growing as N^3.  A drive of 10^6 periods already
-# stalls at the default tolerance, and a fig2 sweep holds its M grid whole.
+# stalls at the default tolerance, and a fig2 sweep holds its M grid whole;
+# a fig3 sweep keeps 8 bytes per sample per eps point, 72 MB at 10^6.
 _MAX_EIGENGATE_N = 10
 _MAX_MATRIX_ELEMENTS_N = 9
 _MAX_GHZ_N = 11
@@ -96,10 +96,12 @@ _MAX_PST_N = 20
 _MAX_PROTOCOL_N = 10
 _MAX_FIG3_N = 64
 _MAX_PROTOCOL_M = 10**6
+_MAX_SAMPLES = 10**6
 _protocol_size = _IntAtLeast(4, step=2, maximum=_MAX_PROTOCOL_N)
 _spectrum_size = _IntAtLeast(2, maximum=_CHAIN_N_MAX)
 _sweep_size = _IntAtLeast(2, maximum=_MAX_FIG3_N)
 _drive_length = _IntAtLeast(1, maximum=_MAX_PROTOCOL_M)
+_sample_count = _IntAtLeast(1, maximum=_MAX_SAMPLES)
 
 # Tolerances of the checks run by their own command and by verify-all: value < tol passes
 _SPECTRUM_TOL = 1e-10
@@ -474,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_drive_length, default=4, help="drive length in 2pi/J units")
     p.add_argument("--eps", type=_noise_eps, default=0.0, help="coupling noise amplitude")
     p.add_argument("--seed", type=_IntAtLeast(0, maximum=_SEED_END - 1), default=20260801, help="noise-draw seed")
-    p.add_argument("--samples", type=_positive_int, default=1)
+    p.add_argument("--samples", type=_sample_count, default=1)
     p.add_argument("--no-inversion", action="store_true")
     p.add_argument("--omega-override", type=_positive_float, default=None)
     p.add_argument("--out", choices=("csv", "json"), default="csv")
@@ -487,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-min", type=_drive_length, default=1)
     p.add_argument("--m-max", type=_drive_length, default=20)
     p.add_argument("--eps", type=_noise_eps, nargs="+", default=None)
-    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=_nonnegative_int, default=20260801)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None, help="JSON file of defaults")

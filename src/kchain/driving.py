@@ -65,10 +65,9 @@ def _taylor_threshold(m: int) -> float:
 _TAYLOR_DEGREES = tuple((m, _taylor_threshold(m)) for m in (8, 12))
 
 # Bytes of the complex step arrays one _cell_map holds at once, for
-# _CHUNK_ARRAYS stacks of one chunk's length (_chunk_length): _expm_stack's
-# seven in its scratch block, the first holding the generators till read,
-# and at most one in _ordered_product's temporaries.  One chunk's arrays thus
-# stay in cache, and no level allocates its whole step stack's pages afresh.
+# _CHUNK_ARRAYS stacks of one chunk's length (_chunk_length): the generators
+# and _expm_stack's _EXPM_STACKS.  One chunk's arrays thus stay in cache,
+# whatever a level's step count.
 _STEP_BYTES = 1024 * 1024
 _CHUNK_ARRAYS = 8
 _EXPM_STACKS = _CHUNK_ARRAYS - 1
@@ -134,7 +133,7 @@ def _taylor12(p):
     return _add_to_diagonal(p[1], 1.0)
 
 
-def _expm_stack(gs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _expm_stack(gs: np.ndarray) -> np.ndarray:
     """exp(-i G) for a stack of Hermitian matrices, each unitary to roundoff
     (backward error <= 2^-53).
 
@@ -146,15 +145,12 @@ def _expm_stack(gs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     (_taylor12), theta halved s times until it fits theta_12, A and A^2
     scaled exactly by 2^-s and 4^-s and the result squared s times (as in
     Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 2009).  The kernels work
-    in the first _EXPM_STACKS stacks of gs's shape carved from work (a
-    C-contiguous complex array; fresh if None), of which the result is a
-    view.  gs may be the first: it is read before it is written.
+    in _EXPM_STACKS fresh stacks of gs's shape, of which the result is a
+    view.
     """
     n = gs.shape[-1]
     flat = gs.reshape(-1, n, n)
-    if work is None:
-        work = np.empty((_EXPM_STACKS,) + flat.shape, dtype=complex)
-    p = work.reshape(-1)[: _EXPM_STACKS * flat.size].reshape((_EXPM_STACKS,) + flat.shape)
+    p = np.empty((_EXPM_STACKS,) + flat.shape, dtype=complex)
     a, a2 = p[1], p[2]
     np.multiply(flat, -1.0j, out=a)
     np.matmul(a, a, out=a2)
@@ -251,15 +247,13 @@ def _step_coefficients(omega, phase, t_start, duration, nsteps) -> np.ndarray:
     return coeffs
 
 
-def _drive_generators(basis: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The step generators whose real coefficients in basis (_drive_basis)
-    are the rows of coeffs (_step_coefficients), written into out, a
-    C-contiguous complex stack of len(coeffs) matrices, and returned."""
+def _drive_generators(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The stack of step generators whose real coefficients in basis
+    (_drive_basis) are the rows of coeffs (_step_coefficients)."""
     n = basis.shape[-1]
     flat = basis.reshape(len(basis), n * n).view(np.float64)
     # real coefficients times the basis's real and imaginary parts at once
-    np.matmul(coeffs, flat, out=out.reshape(len(coeffs), n * n).view(np.float64))
-    return out
+    return (coeffs @ flat).view(complex).reshape(len(coeffs), n, n)
 
 
 def _error_fall(factor: int) -> float:
@@ -366,7 +360,7 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
 _COUNT_MAX = 2**53
 
 # The largest N a run accepts: the largest that the calibration's floor
-# (_COUPLING_FLOOR) and the cell-count snapping (_SNAP_RTOL) are checked at.
+# (_COUPLING_FLOOR) is checked at.
 _N_MAX = 12
 
 
@@ -453,6 +447,7 @@ def _target_states(N: int) -> tuple:
 
 def iswap_target(N: int) -> np.ndarray:
     """Swap of |1..10..0> and |0..01..1> with phase i, identity elsewhere."""
+    N = ProtocolParams(N=N).N
     a, b = _target_states(N)
     target = np.eye(2**N, dtype=complex)
     target[a, a] = target[b, b] = 0.0
@@ -582,22 +577,14 @@ def _half_period_map(basis, omega, phase, nsub, folded=False):
     return _cell_map(basis, omega, phase, nsub, 0, 1)
 
 
-# A resonant window's cell count, (pi M) / (pi / omega) = M omega, is
-# formed with three roundings (2 pi M, pi / omega and the quotient) of
-# relative size <= 2^-53 each, and omega, a difference of many-body
-# energies, may carry a few more; for N <= 12 and every M a command takes
-# (M <= 10^6) the count lies within 2.0 units of roundoff of its integer.
-# Sixteen units, relative to the count, leave a factor of eight; an
-# absolute tolerance is outgrown by the count's roundoff at large M.
-_SNAP_RTOL = 16 * 2.0**-53
-
-
-def _snap(cells):
-    """A drive-clock position in half-period cells, put on the nearest cell
-    boundary (as an int) when it lies within _SNAP_RTOL of it, relative to
-    the position."""
-    whole = round(cells)
-    return whole if abs(cells - whole) <= _SNAP_RTOL * abs(cells) else cells
+def _half_window_cells(M: int, omega: float):
+    """Half-period cells in each half of the window tau_d = 2 pi M, M omega:
+    the exact int at a whole omega (the resonance N^2/4, a difference of
+    half-integer band energies), else the float product, an int if whole."""
+    if omega.is_integer():
+        return int(M) * int(omega)
+    cells = M * omega
+    return int(cells) if cells.is_integer() else cells
 
 
 def _chunk_length(n: int) -> int:
@@ -613,28 +600,22 @@ def _cell_map(basis, omega, phase, nsub, a, b):
     drive's commutator basis (_drive_basis).
 
     The steps' coefficients are formed once; the steps themselves are
-    exponentiated in chunks of _chunk_length(n), in one scratch block, and
-    each chunk's ordered product is multiplied into the running one from
-    the left.  So the matrices held at once fit _STEP_BYTES whatever the
-    step count, unless a single step's do not.
+    exponentiated in chunks of _chunk_length(n), and each chunk's ordered
+    product is multiplied into the running one from the left.  So the
+    matrices held at once fit _STEP_BYTES whatever the step count, unless a
+    single step's do not.
     """
     cell = math.pi / omega
     nsteps = max(1, math.ceil((b - a) * nsub))
     coeffs = _step_coefficients(omega, phase, a * cell, (b - a) * cell, nsteps)
-    n = basis.shape[-1]
-    size = min(nsteps, _chunk_length(n))
-    # every cell asks for a block of the same size, _STEP_BYTES, so the
-    # allocator hands back the one it was given last; glibc, having unmapped
-    # the first, raises its mmap and trim thresholds past that size, and the
-    # block's pages stay mapped from cell to cell
-    work = np.empty(max(_EXPM_STACKS * size * n * n, _STEP_BYTES // 16), dtype=complex)
+    size = _chunk_length(basis.shape[-1])
     u = None
     for lo in range(0, nsteps, size):
-        chunk = coeffs[lo : lo + size]
-        gs = _drive_generators(basis, chunk, work[: len(chunk) * n * n].reshape(len(chunk), n, n))
-        step = _ordered_product(_expm_stack(gs, work))
-        # a one-step chunk's product is a view of the scratch block
+        step = _ordered_product(_expm_stack(_drive_generators(basis, coeffs[lo : lo + size])))
+        # a one-step chunk's product is a view of the kernel's stacks: copied
+        # and dropped, so they are freed before the next chunk allocates its own
         u = step.copy() if u is None else step @ u
+        del step
     return u
 
 
@@ -662,13 +643,12 @@ def _window_map(ua, partial, halves, invert):
     with the inversion, over [0, halves] and [halves, 2 halves] with the
     diagonal pulse (invert; it reverses the chain's spectrum) and its
     inverse wrapped around the second, so every spectator phase cancels."""
-    end = _snap(2 * halves)
     if invert is None:
-        return _interval_map(ua, partial, 0, end)
+        return _interval_map(ua, partial, 0, 2 * halves)
     first = _interval_map(ua, partial, 0, halves)
     # an even whole number of cells: the second window has the first's cell
     # count and start parity and no partial cells, so the same product
-    second = first if halves % 2 == 0 else _interval_map(ua, partial, halves, end)
+    second = first if halves % 2 == 0 else _interval_map(ua, partial, halves, 2 * halves)
     return np.conj(invert)[:, None] * (second @ (invert[:, None] * first))
 
 
@@ -828,7 +808,7 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
     bases = [_drive_basis(h_blocks[q], v_blocks[q]) for q in range(1, N // 2 + 1)]
     # each window's span in half-period cells; a whole number makes each
     # window 2 halves half-period maps, and only then is a probe stepped
-    halves = _snap(params.tau_d / 2.0 / (math.pi / omega))
+    halves = _half_window_cells(M, omega)
 
     def sector_maps(nsub):
         # the half-filled sector, its own partner, folds under a '-' pairing
@@ -850,7 +830,7 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
 
     where = (
         f"protocol integrator at N={N} M={M} eps={params.noise_eps} seed={params.seed} "
-        f"over {_snap(2 * halves)} half-period cells"
+        f"over {2 * halves} half-period cells"
     )
     whole = isinstance(halves, int)
     levels = [_NSUB0 << k for k in range(_MAX_REFINE + 1)]

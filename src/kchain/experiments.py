@@ -276,9 +276,9 @@ def ghz_demo(N: int) -> float:
     (-i)^q / 2^(N/2) and (-i)^(N-q) / 2^(N/2) on every q-excitation state,
     so each sector adds that weight times the sum of its evolved amplitudes.
     """
+    spec = krawtchouk_chain(N)  # checks N before its parity is read
     if N % 2 == 0:
         raise ValueError("one-pulse GHZ preparation needs odd N")
-    spec = krawtchouk_chain(N)
     overlap = 0.0
     for q in range(N + 1):
         u = expm_hermitian(chain_block(spec, sector_hops(N, q)), math.pi)

@@ -3,12 +3,14 @@
 import dataclasses
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
+from .hamiltonians import _is_number
 from .linalg import minors
 
 __all__ = [
@@ -96,8 +98,8 @@ def build_basis(n: int) -> KrawtchoukBasis:
     Binomial ratios are kept exact (Fraction) until the final square root,
     which keeps the matrix orthogonal to machine precision for n <= 40.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not (_is_number(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     kmat = kmatrix(n)
     phi = np.zeros((n + 1, n + 1))
     for k in range(n + 1):

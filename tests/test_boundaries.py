@@ -1,7 +1,8 @@
 """The numeric boundaries: every constructor of a run's or a sweep's
 parameters, every noise amplitude, a protocol run's frequency override,
-and the arguments of the gate-time count and the resonance frequency take
-a value or refuse it with a ValueError naming the field."""
+and the size arguments of the gate-time count, the resonance frequency,
+the target gate, the GHZ demo and the Krawtchouk basis take a value or
+refuse it with a ValueError naming the field."""
 
 import dataclasses
 import inspect
@@ -13,9 +14,16 @@ import warnings
 import numpy as np
 import pytest
 
-from kchain.driving import ProtocolParams, gate_time_accounting, resonance_frequency, run_iswap_protocol
-from kchain.experiments import SweepConfig, format_table, sweep_fig3
+from kchain.driving import (
+    ProtocolParams,
+    gate_time_accounting,
+    iswap_target,
+    resonance_frequency,
+    run_iswap_protocol,
+)
+from kchain.experiments import SweepConfig, format_table, ghz_demo, sweep_fig3
 from kchain.hamiltonians import ChainSpec, coupling_noises, krawtchouk_chain, krawtchouk_couplings
+from kchain.krawtchouk import build_basis
 
 with warnings.catch_warnings():
     # a float16 of 1e300 overflows to inf, with a warning, as it is made
@@ -218,6 +226,12 @@ REFUSED = [
     ),
     # a seed given to a clean chain, which it once ignored
     ("krawtchouk_chain", "seed", "abc", lambda value: krawtchouk_chain(4, 0.0, seed=value)),
+    # exported size arguments that once failed in a TypeError or in numpy,
+    # or built a basis, or a target gate for a chain no run takes
+    ("ghz_demo", "N", "3", ghz_demo),
+    ("ghz_demo", "N", None, ghz_demo),
+    *(("iswap_target", "N", N, iswap_target) for N in (4.0, "4", 3, 0, 40)),
+    *(("build_basis", "n", n, build_basis) for n in (True, "3", 3.0)),
 ]
 
 

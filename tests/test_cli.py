@@ -642,6 +642,8 @@ def test_drive_zero_length_is_a_usage_error(capsys):
     (["drive", "--m", "1000001"], "argument --m: must be at most 1000000, got '1000001'"),
     (["noise-sweep", "--figure", "2", "--m-max", str(10**10)], f"argument --m-max: must be at most 1000000, got '{10**10}'"),
     (["drive", "--eps", "0.01", "--seed", str(2**64)], f"argument --seed: must be at most {2**64 - 1}, got '{2**64}'"),
+    (["drive", "--samples", "1000001"], "argument --samples: must be at most 1000000, got '1000001'"),
+    (["noise-sweep", "--figure", "3", "--samples", str(10**9)], f"argument --samples: must be at most 1000000, got '{10**9}'"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, fragment):
     code, err = usage_error(capsys, *argv)
@@ -844,6 +846,10 @@ def test_config_values_get_the_flag_range_checks(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["drive", "--config", str(cfg)])
     assert "config key 'samples': must be a positive integer, got 0" in str(exc.value.code)
+    cfg.write_text(json.dumps({"samples": 10**6 + 1}))
+    with pytest.raises(SystemExit) as exc:
+        main(["noise-sweep", "--figure", "3", "--config", str(cfg)])
+    assert "config key 'samples': must be at most 1000000, got 1000001" in str(exc.value.code)
 
 
 @pytest.mark.parametrize("omega", ["1e-300", "1e300"])

@@ -85,8 +85,7 @@ def _magnus_steps(basis, omega, phase, t_start, duration, nsteps):
     (_drive_basis) over [t_start, t_start + duration]: what the protocol's
     _cell_map exponentiates and multiplies chunk by chunk."""
     coeffs = driving._step_coefficients(omega, phase, t_start, duration, nsteps)
-    gs = np.empty((nsteps,) + basis.shape[1:], dtype=complex)
-    return driving._expm_stack(driving._drive_generators(basis, coeffs, gs))
+    return driving._expm_stack(driving._drive_generators(basis, coeffs))
 
 
 def _generic_steps(func, t_start, duration, nsteps):
@@ -359,9 +358,6 @@ def test_expm_stack_matches_eigh_oracle(monkeypatch, rng, n):
             assert n == 1 or not strided.flags.c_contiguous
             for stack in (gs, strided):
                 u = driving._expm_stack(stack)
-                # and the same in a scratch array, as the protocol steps
-                work = np.empty((driving._EXPM_STACKS, count, n, n), dtype=complex)
-                assert np.array_equal(driving._expm_stack(stack, work), u)
                 assert u.shape == gs.shape
                 assert np.max(np.abs(u - want)) <= 1e-13, (count, theta)
                 gram = u @ np.conj(np.swapaxes(u, -1, -2))
@@ -422,22 +418,31 @@ def test_chunked_cell_map_equals_the_whole_step_stack(rng, n):
         assert np.max(np.abs(got - driving._ordered_product(whole))) <= 1e-13, nsteps
 
 
+def _cell_map_peak(basis, nsub) -> int:
+    """tracemalloc's peak, in bytes, over one whole cell's _cell_map."""
+    tracemalloc.start()
+    try:
+        driving._cell_map(basis, 3.0, 0.4, nsub, 0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n", [20, 70])
 def test_cell_map_memory_does_not_grow_with_the_step_count(rng, n):
     # a chunk holds at most 32 steps at these sizes, so from 32 substeps per
     # cell on, only the chunk count grows with nsub
     assert driving._chunk_length(n) <= 32
     basis = _random_drive_basis(rng, n)
+    assert _cell_map_peak(basis, 256) <= 1.5 * _cell_map_peak(basis, 32)
 
-    def peak(nsub):
-        tracemalloc.start()
-        try:
-            driving._cell_map(basis, 3.0, 0.4, nsub, 0, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(256) <= 1.5 * peak(32)
+@pytest.mark.parametrize("n", [6, 20, 70])
+def test_cell_map_memory_fits_the_chunk_budget(rng, n):
+    # one chunk's arrays fit _STEP_BYTES; beyond them a cell holds only its
+    # running product, the next one and the steps' coefficients
+    basis = _random_drive_basis(rng, n)
+    assert _cell_map_peak(basis, 256) <= driving._STEP_BYTES + 4 * 16 * n * n
 
 
 def test_expm_stack_rejects_non_finite_generators():
@@ -453,9 +458,8 @@ def test_expm_stack_rejects_non_finite_generators():
 )
 def test_taylor_steps_match_eigh_reference_route(monkeypatch, params):
     fast = run_iswap_protocol(params)
-    # the eigendecomposition route the Taylor kernel replaced (it needs no
-    # scratch arrays)
-    monkeypatch.setattr(driving, "_expm_stack", lambda gs, work=None: expm_hermitian(gs))
+    # the eigendecomposition route the Taylor kernel replaced
+    monkeypatch.setattr(driving, "_expm_stack", expm_hermitian)
     reference = run_iswap_protocol(params)
     assert fast.substeps_per_period == reference.substeps_per_period
     assert max_column_distance(fast.unitary, reference.unitary) < 1e-9
@@ -726,9 +730,9 @@ def _count_expm_stacks(monkeypatch):
     calls = []
     kernel = driving._expm_stack
 
-    def counting_kernel(gs, *args):
+    def counting_kernel(gs):
         calls.append(gs.shape)
-        return kernel(gs, *args)
+        return kernel(gs)
 
     monkeypatch.setattr(driving, "_expm_stack", counting_kernel)
     return calls
@@ -803,17 +807,20 @@ def test_folded_protocol_matches_stepping_the_half_filled_sector_whole(monkeypat
 
 @pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
 def test_resonant_cell_counts_snap_to_whole_cells(N):
-    # the count's roundoff grows with M, past any fixed absolute tolerance;
-    # every M up to 2000, then a stride up to the largest M a command takes
-    cell = np.pi / resonance_frequency(N)
-    misses = []
-    for M in [*range(1, 2001), *range(2001, 10**6 + 1, 997)]:
-        cells = (ProtocolParams(N=N, M=M).tau_d / 2.0) / cell
-        misses.append(abs(cells - round(cells)))
-        snapped = driving._snap(cells)
-        assert type(snapped) is int and snapped == M * N * N // 4, M
-        assert driving._snap(cells * (1.0 + 1e-13)) != snapped
-    assert max(misses) >= 1e-12
+    # the calibrated omega is N^2/4 exactly, so each half window's count is
+    # the exact int M N^2/4: every M up to 2000, a stride up to the largest M
+    # a command takes, and the largest M a run takes
+    omega = resonance_frequency(N)
+    assert type(omega) is float and omega == N * N / 4
+    for M in [*range(1, 2001), *range(2001, 10**6 + 1, 997), 2**53]:
+        cells = driving._half_window_cells(M, omega)
+        assert type(cells) is int and cells == M * N * N // 4, M
+    # an off-resonant omega gives the float product, an int when it is whole
+    for M in (1, 3):
+        cells = driving._half_window_cells(M, 3.7)
+        assert type(cells) is float and cells == M * 3.7
+    cells = driving._half_window_cells(2, 4.5)
+    assert type(cells) is int and cells == 9
 
 
 def test_long_resonant_window_steps_no_partial_cell(monkeypatch, ladder):
@@ -1150,7 +1157,7 @@ def test_zero_sector_windows_match_the_composed_identity(monkeypatch, ladder, N,
         # the plan's pulse phases there are 1; a general phase checks the wrap
         for inversion, pulses in ((True, plan), (True, moved), (False, plan)):
             params = ProtocolParams(N=N, M=M, halfway_inversion=inversion)
-            halves = driving._snap(params.tau_d / 2.0 / (np.pi / omega))
+            halves = driving._half_window_cells(M, omega)
             partial = functools.partial(cell_map, basis, omega, -np.pi / 2.0, 2)
             monkeypatch.setattr(driving, "_layout_plan", lambda n: pulses)
             monkeypatch.setattr(driving, "_cell_map", identity_map)

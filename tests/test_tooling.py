@@ -1,13 +1,16 @@
 """The tooling around the package: the test configuration, under which a
 failing test must be reported as one failure among the others' results,
-not end the session, the names the benchmark's tracer hooks on, and the
-package's one unit, the chain coupling J."""
+not end the session, the names the benchmark's tracer hooks on, the
+package's one unit, the chain coupling J, and the public signatures the
+README states."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,6 +21,8 @@ from kchain import ProtocolParams, driving
 from kchain.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the package and the modules whose __all__ make up the public API
+PUBLIC_MODULES = ("kchain", "hamiltonians", "krawtchouk", "eigengate", "experiments", "driving")
 
 INNER_TESTS = '''
 from hypothesis import given, settings
@@ -87,13 +92,18 @@ def test_benchmark_trace_hooks_name_functions_that_exist(monkeypatch, ladder):
         assert hooks["driving._drive_window_sector"](args, kwargs, result) == kwargs["nsub"]
 
 
+def _module(name: str):
+    """The package for "kchain", else its module of that name."""
+    return kchain if name == "kchain" else importlib.import_module(f"kchain.{name}")
+
+
 def test_no_public_callable_or_command_takes_a_coupling_scale(capsys):
     # every chain is the engineered chain at J = 1, the unit all energies
     # and times are quoted in, so no coupling scale J may come back as a
     # parameter, a dataclass field or a command's --j
     offenders = []
-    for name in ("kchain", "hamiltonians", "krawtchouk", "eigengate", "experiments", "driving"):
-        module = kchain if name == "kchain" else importlib.import_module(f"kchain.{name}")
+    for name in PUBLIC_MODULES:
+        module = _module(name)
         for attr in module.__all__:
             obj = getattr(module, attr)
             if dataclasses.is_dataclass(obj):
@@ -111,3 +121,27 @@ def test_no_public_callable_or_command_takes_a_coupling_scale(capsys):
             main([command, "--n", n, "--j", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --j 1" in capsys.readouterr().err
+
+
+def _public(attr: str):
+    """The callable attr, exported by kchain or by a module's __all__."""
+    for name in PUBLIC_MODULES:
+        module = _module(name)
+        if attr in module.__all__:
+            return getattr(module, attr)
+    raise AssertionError(f"{attr} is exported by no module")
+
+
+def test_the_readme_states_the_public_signatures():
+    # the README's sentence "The signatures are `f(a, b=1)`, ..." read as
+    # calls: each positional name is a parameter without a default, and
+    # each keyword a parameter with that default, in the function's order
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = re.search(r"The signatures are (.*?\)`)\.", text).group(1)
+    stated = [ast.parse(sig, mode="eval").body for sig in re.findall(r"`([^`]*)`", sentence)]
+    assert len(stated) >= 12
+    for call in stated:
+        want = [(arg.id, inspect.Parameter.empty) for arg in call.args]
+        want += [(kw.arg, ast.literal_eval(kw.value)) for kw in call.keywords]
+        params = inspect.signature(_public(call.func.id)).parameters.values()
+        assert [(p.name, p.default) for p in params] == want, call.func.id
