@@ -282,9 +282,6 @@ def _cmd_matrix_elements(args) -> int:
     return 0
 
 
-BCH_THETAS = (0.0, math.pi / 2.0, math.pi)
-
-
 def _eigengate_checks(report: dict):
     """(label, value, tol) of every check in one eigengate_report; a check
     passes when value < tol."""
@@ -297,7 +294,7 @@ def _eigengate_checks(report: dict):
 
 
 def _cmd_eigengate_check(args) -> int:
-    report = eigengate_report(args.n, BCH_THETAS)
+    report = eigengate_report(args.n)
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = all(value < tol for _, value, tol in _eigengate_checks(report))
     return 0 if ok else 1
@@ -412,7 +409,7 @@ def _cmd_verify_all(args) -> int:
     for N in range(2, n_max + 1):
         check(f"spectrum N={N}", *_spectrum(N)[1:])
     for N in range(2, n_max + 1, 2):
-        for label, value, tol in _eigengate_checks(eigengate_report(N, BCH_THETAS)):
+        for label, value, tol in _eigengate_checks(eigengate_report(N)):
             check(label, value, tol)
     for n in range(2, min(n_max, 9) + 1):
         check(f"Meixner n={n}", meixner_identity_check(n), 1e-9)

@@ -301,22 +301,20 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
     by the largest column 2-norm change over the blocks (_change).  Once
     discretization dominates, a level's error falls f^6 times
     (_error_fall), so the change over f^6 - 1 estimates the finer level's
-    own error.  That holds only while roundoff is far below tol, so the
-    change is scaled only when the finer level's unitarity defect is below
-    tol/64; otherwise the estimate is the raw change.
+    own error.  Every estimate adds the finer level's unitarity defect d,
+    the roundoff floor under any change, so no level whose blocks' defect
+    is tol or more is accepted.
 
     cells, when given, says every window is a product of cells maps, each
     a sector's first half-period map ua (_half_period_map), its transpose
     or the reversal of either, with diagonal pulses of modulus 1 between
     them that both levels share.  By the triangle inequality two levels' windows then differ in
-    operator norm by at most cells times the largest ||ua - ua'||_2 over
-    the sectors; the Frobenius norm bounds that (_map_change), and the
-    operator norm bounds every column's 2-norm.  The maps are unitary only
-    to roundoff, so this holds up to a factor (1 + d)^cells, d their
-    unitarity defect: about 1 plus the windows' defect, which the gate
-    keeps below 1 + tol/64.  So the bound, scaled as the change, is never
-    below the estimate.  Under the gate it is tried first, and when it is
-    below tol it is the level's delta; only otherwise are the windows
+    operator norm by at most B(1 + D), B being cells times the largest
+    ||ua - ua'||_2 over the sectors (the Frobenius norm bounds it,
+    _map_change, as the operator norm bounds each column's 2-norm) and D
+    about the windows' defect.  Once B/(f^6 - 1) < 1 the scaled change is
+    at most B/(f^6 - 1) + D, so B/(f^6 - 1) + d is tried first, and when
+    it is below tol it is the level's delta; only otherwise are the windows
     compared, the level before's composed if they were not yet.
 
     A non-finite change raises at once, as does running out of levels, and
@@ -329,14 +327,14 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
         cur = compose(nsub, maps)
         prev_nsub, prev_maps, prev_blocks = prev
         factor = nsub // prev_nsub
-        sound = _unitarity_defect(cur) < tol / _error_fall(2)
-        scale = 1.0 / (_error_fall(factor) - 1.0) if sound else 1.0
-        delta = scale * cells * _map_change(maps, prev_maps) if sound and cells is not None else math.inf
+        scale = 1.0 / (_error_fall(factor) - 1.0)
+        d = _unitarity_defect(cur)
+        delta = scale * cells * _map_change(maps, prev_maps) + d if cells is not None else math.inf
         if not delta < tol:
             if prev_blocks is None:
                 prev_blocks = compose(prev_nsub, prev_maps)
             change = _change(cur, prev_blocks, where, nsub)
-            delta = change * scale
+            delta = change * scale + d
         history.append((nsub, delta))
         if delta < tol:
             return cur, history
@@ -346,7 +344,7 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
                 raise RuntimeError(
                     f"{where} did not converge below {tol:g}: the change {change:.3e} at nsub={nsub} "
                     f"fell only {last / change:.2g}x from {last:.3e}, so roundoff "
-                    f"dominates (the blocks' unitarity defect is {_unitarity_defect(cur):.1e})"
+                    f"dominates (the blocks' unitarity defect is {d:.1e})"
                 )
             last = change
         prev = (nsub, maps, cur)
@@ -402,7 +400,8 @@ class ProtocolResult:
     drive_phase: float
     # (substeps_per_period, delta) of every refinement level stepped, by
     # increasing substeps; the last entry is the returned level.  delta is
-    # the level's estimated error (_refine), inf for the first level.
+    # the level's estimated error (_refine), inf for the first level and
+    # never below the unitarity defect of the windows it was taken on.
     refinement: tuple
 
     @property
@@ -772,9 +771,8 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
     ValueError is raised if they fail (_check_sector_symmetries).
 
     The drive is refined on the fixed ladder (_NSUB0) until a level's
-    estimated error is below _TOL (_refine); a doubling change that fell
-    less than 4x from the one before raises at once, as roundoff, which
-    refining adds to, then dominates.
+    estimated error, its scaled change plus its windows' unitarity defect,
+    is below _TOL, or raises once its changes stall on roundoff (_refine).
 
     What does not depend on the noise, M or the inversion (the unit drive
     blocks, the inversion phases and the eigengate's blocks) comes from the

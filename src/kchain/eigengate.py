@@ -92,7 +92,10 @@ def expected_phase(q: int, n: int) -> complex:
     return 1.0j ** (q * n)
 
 
-def eigengate_report(N: int, thetas) -> dict:
+BCH_THETAS = (0.0, np.pi / 2.0, np.pi)
+
+
+def eigengate_report(N: int) -> dict:
     """Every identity check of the eigengate on the clean N-qubit chain, in
     one pass over its excitation sectors; all the operators conserve the
     excitation number, so each value is the worst over the sectors.
@@ -110,8 +113,8 @@ def eigengate_report(N: int, thetas) -> dict:
     |[Lz, Lx] - C|.  bch_residuals[str(theta)] is the largest entry of
     exp(-i Lh theta) Lz exp(i Lh theta) - (sin^2(theta/2) Lx - (sin theta /
     sqrt 2) Ly + cos^2(theta/2) Lz), Lh = (Lx + Lz)/sqrt(2), for each theta
-    in thetas; one real eigendecomposition of each sector's Lh serves every
-    theta, so a residual does not depend on the other thetas.
+    in BCH_THETAS; one real eigendecomposition of each sector's Lh serves
+    every theta, so a residual does not depend on the other thetas.
     """
     n = N - 1
     spec = krawtchouk_chain(N)
@@ -119,7 +122,7 @@ def eigengate_report(N: int, thetas) -> dict:
     overlap, deviation = dict.fromkeys(VARIANTS, 1.0), dict.fromkeys(VARIANTS, 0.0)
     difference = intertwining = 0.0
     so3 = dict.fromkeys(("xy_z", "yz_x", "zx_y"), 0.0)
-    bch = [0.0] * len(thetas)
+    bch = [0.0] * len(BCH_THETAS)
     for q, (states, hk, hz) in enumerate(_sector_hamiltonians(spec)):
         target = free_fermion_block(phi, states)
         blocks = {variant: _sector_gate(variant, hk, hz) for variant in VARIANTS}
@@ -142,8 +145,8 @@ def eigengate_report(N: int, thetas) -> dict:
             ("zx_y", lz[:, None] * lx - lx * lz - c),
         ):
             so3[key] = max(so3[key], float(np.max(np.abs(residual))))
-        rotations = expm_hermitian_times((lx + np.diag(lz)) / np.sqrt(2.0), thetas)
-        for k, (theta, rot) in enumerate(zip(thetas, rotations)):
+        rotations = expm_hermitian_times((lx + np.diag(lz)) / np.sqrt(2.0), BCH_THETAS)
+        for k, (theta, rot) in enumerate(zip(BCH_THETAS, rotations)):
             rhs = np.sin(theta / 2.0) ** 2 * lx + np.cos(theta / 2.0) ** 2 * np.diag(lz)
             rhs = rhs + 1.0j * (np.sin(theta) / np.sqrt(2.0)) * c
             bch[k] = max(bch[k], float(np.max(np.abs((rot * lz) @ rot.conj().T - rhs))))
@@ -159,7 +162,7 @@ def eigengate_report(N: int, thetas) -> dict:
         "intertwining_residual": intertwining,
         "intertwining_allowance": 1e-9 * float(np.abs(spec.couplings).max()),
         "so3_residuals": so3,
-        "bch_residuals": dict(zip(map(str, thetas), bch)),
+        "bch_residuals": dict(zip(map(str, BCH_THETAS), bch)),
     }
 
 

@@ -58,8 +58,8 @@ def _check_chain(N) -> None:
 
 def krawtchouk_couplings(n: int) -> np.ndarray:
     """Engineered couplings -1/2 * sqrt((x+1)(n-x)) for x = 0..n-1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not (_is_number(n, numbers.Integral) and 1 <= n < _CHAIN_N_MAX):
+        raise ValueError(f"n must be an int >= 1 (at most {_CHAIN_N_MAX - 1}), got {n!r}")
     x = np.arange(n)
     return -0.5 * np.sqrt((x + 1.0) * (n - x))
 

@@ -96,10 +96,11 @@ def build_basis(n: int) -> KrawtchoukBasis:
     """Construct phi_{k,x} = sqrt(C(n,x) / (C(n,k) 2^n)) K_{k,x} exactly.
 
     Binomial ratios are kept exact (Fraction) until the final square root,
-    which keeps the matrix orthogonal to machine precision for n <= 40.
+    which keeps the matrix orthogonal to machine precision for n <= 40,
+    the largest n taken (the cost grows faster than n^4).
     """
-    if not (_is_number(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    if not (_is_number(n, numbers.Integral) and 1 <= n <= 40):
+        raise ValueError(f"n must be an int >= 1 (at most 40), got {n!r}")
     kmat = kmatrix(n)
     phi = np.zeros((n + 1, n + 1))
     for k in range(n + 1):

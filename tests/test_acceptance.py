@@ -58,7 +58,7 @@ def test_criterion_01_single_particle_spectrum():
 def test_criterion_02_eigengate_mapping_and_phases():
     worst_overlap, worst_phase = 1.0, 0.0
     for N in (2, 4, 6, 8):
-        for form in eigengate_report(N, ())["variants"].values():
+        for form in eigengate_report(N)["variants"].values():
             worst_overlap = min(worst_overlap, form["min_overlap"])
             worst_phase = max(worst_phase, form["max_phase_deviation"])
     assert worst_overlap > 1.0 - 1e-9, worst_overlap
@@ -70,7 +70,7 @@ def test_criterion_03_intertwining():
     worst_ratio = 0.0
     for N in range(2, 9):
         hk = chain_block(krawtchouk_chain(N), chain_hops(N))
-        residual = eigengate_report(N, ())["intertwining_residual"]
+        residual = eigengate_report(N)["intertwining_residual"]
         worst_ratio = max(worst_ratio, residual / np.max(np.abs(hk)))
     assert worst_ratio < 1e-9, worst_ratio
     report(3, "hamiltonian exchange N<=8", f"max residual ratio {worst_ratio:.1e}")
@@ -79,7 +79,7 @@ def test_criterion_03_intertwining():
 def test_criterion_04_rotation_algebra_and_meixner():
     worst = 0.0
     for N in (2, 4, 6):
-        checks = eigengate_report(N, (0.0, np.pi / 2.0, np.pi))
+        checks = eigengate_report(N)
         worst = max(worst, *checks["so3_residuals"].values(), *checks["bch_residuals"].values())
     assert worst < 1e-9, worst
     worst_meixner = max(meixner_identity_check(n) for n in range(2, 10))

@@ -1,8 +1,8 @@
 """The numeric boundaries: every constructor of a run's or a sweep's
 parameters, every noise amplitude, a protocol run's frequency override,
 and the size arguments of the gate-time count, the resonance frequency,
-the target gate, the GHZ demo and the Krawtchouk basis take a value or
-refuse it with a ValueError naming the field."""
+the target gate, the GHZ demo, the Krawtchouk basis and its couplings
+take a value or refuse it with a ValueError naming the field."""
 
 import dataclasses
 import inspect
@@ -226,12 +226,14 @@ REFUSED = [
     ),
     # a seed given to a clean chain, which it once ignored
     ("krawtchouk_chain", "seed", "abc", lambda value: krawtchouk_chain(4, 0.0, seed=value)),
-    # exported size arguments that once failed in a TypeError or in numpy,
-    # or built a basis, or a target gate for a chain no run takes
+    # exported size arguments that once failed in a TypeError or in numpy
+    # (build_basis(10**6) in a MemoryError for 7.28 TiB), or built a basis,
+    # couplings or a target gate for a chain no run takes
     ("ghz_demo", "N", "3", ghz_demo),
     ("ghz_demo", "N", None, ghz_demo),
     *(("iswap_target", "N", N, iswap_target) for N in (4.0, "4", 3, 0, 40)),
-    *(("build_basis", "n", n, build_basis) for n in (True, "3", 3.0)),
+    *(("build_basis", "n", n, build_basis) for n in (True, "3", 3.0, 41, 10**6)),
+    *(("krawtchouk_couplings", "n", n, krawtchouk_couplings) for n in (True, 2.5, "3", 0, 2048)),
 ]
 
 

@@ -90,8 +90,8 @@ def test_eigengate_check_json(capsys):
 def test_eigengate_check_fails_on_a_rotation_residual(capsys, monkeypatch, broken):
     # the so(3) and BCH residuals it reports count toward its exit code,
     # as they do in verify-all
-    def broken_report(N, thetas, inner=cli.eigengate_report):
-        report = inner(N, thetas)
+    def broken_report(N, inner=cli.eigengate_report):
+        report = inner(N)
         if broken == "so3":
             report["so3_residuals"]["zx_y"] = 1.0
         else:
@@ -452,12 +452,12 @@ def test_eigengate_report_within_roundoff_of_dense_reference(monkeypatch, N, ske
         doubled = lambda N, states=None, inner=hamiltonians.hz_diagonal: 2.0 * inner(N, states)
         for module in (hamiltonians, eigengate, dense_reference):
             monkeypatch.setattr(module, "hz_diagonal", doubled)
-    report = eigengate.eigengate_report(N, cli.BCH_THETAS)
+    report = eigengate.eigengate_report(N)
     if skewed:
         assert report["max_phase_deviation"] > 0.1 and report["intertwining_residual"] > 0.1
         assert max(report["so3_residuals"].values()) > 0.1 and report["bch_residuals"]["3.141592653589793"] > 0.1
     forms = dense_compare_forms(N)
-    so3, bch = dense_rotation_checks(N, cli.BCH_THETAS)
+    so3, bch = dense_rotation_checks(N, eigengate.BCH_THETAS)
     for variant, ref in forms["variants"].items():
         for key in ("min_overlap", "max_phase_deviation"):
             assert abs(report["variants"][variant][key] - ref[key]) <= SECTOR_TOL
@@ -467,8 +467,8 @@ def test_eigengate_report_within_roundoff_of_dense_reference(monkeypatch, N, ske
     hk = chain_block(krawtchouk_chain(N), chain_hops(N))
     assert report["intertwining_allowance"] == 1e-9 * float(np.abs(hk).max())
     assert all(abs(report["so3_residuals"][key] - so3[key]) <= SECTOR_TOL for key in so3)
-    assert report["bch_residuals"].keys() == {str(theta) for theta in cli.BCH_THETAS}
-    for theta, want in zip(cli.BCH_THETAS, bch):
+    assert report["bch_residuals"].keys() == {str(theta) for theta in eigengate.BCH_THETAS}
+    for theta, want in zip(eigengate.BCH_THETAS, bch):
         assert abs(report["bch_residuals"][str(theta)] - want) <= SECTOR_TOL
 
 

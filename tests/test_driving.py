@@ -905,17 +905,15 @@ _PROBE_PANEL = [
     ProtocolParams(N=8, M=16, noise_eps=0.01, seed=5),
     ProtocolParams(N=4, M=2, halfway_inversion=False),
     ProtocolParams(N=6, M=4, halfway_inversion=False),
-    # the unitarity defect (~2e-9) is above tol/64: the raw changes decide
-    ProtocolParams(N=4, M=100000),
+    # a long window: its windows' defect (~6e-11) is part of every estimate
+    ProtocolParams(N=6, M=1000),
 ]
 
 # the levels a run returns: [8, 64] where the probe decides; a strong
-# drive, whose level 128 is accepted on its doubling estimate, and the long
-# window, on its raw doubling change, go on; off resonance no probe is
-# stepped
+# drive, whose level 128 is accepted on its doubling estimate, goes on; off
+# resonance no probe is stepped
 _RETURNED_LEVELS = {
     (ProtocolParams(N=8, M=1), None): [8, 64, 128],
-    (ProtocolParams(N=4, M=100000), None): [8, 64, 128],
     (ProtocolParams(N=4, M=1), 3.7): [64, 128],
     (ProtocolParams(N=6, M=4, noise_eps=0.01, seed=2), 8.9): [64, 128],
 }
@@ -961,14 +959,19 @@ def test_probe_steps_only_an_even_eighth_of_the_candidate(ladder, nsub0, first):
 
 def _record_refinement(monkeypatch):
     """Record, while the run lasts, the step, compose and cells the protocol
-    hands _refine and the nsub of every window _drive_window_sector
-    composes."""
+    hands _refine, the windows compose returned by nsub, and the nsub of
+    every window _drive_window_sector composes."""
     seen, composed = {}, []
     refine, window = driving._refine, driving._drive_window_sector
 
     def recording_refine(step, compose, tol, levels, where, cells=None):
-        seen.update(step=step, compose=compose, cells=cells)
-        return refine(step, compose, tol, levels, where, cells)
+        seen.update(step=step, compose=compose, cells=cells, windows={})
+
+        def recording_compose(nsub, maps):
+            seen["windows"][nsub] = compose(nsub, maps)
+            return seen["windows"][nsub]
+
+        return refine(step, recording_compose, tol, levels, where, cells)
 
     def recording_window(*args, nsub, **kwargs):
         composed.append(nsub)
@@ -981,11 +984,12 @@ def _record_refinement(monkeypatch):
 
 @pytest.mark.parametrize("params", _PROBE_PANEL)
 def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
-    # the bound from the half-period maps lies above the scaled change of
-    # the windows it stands in for, at the probe's comparison and at a
-    # doubling one (N = 8 M = 1), so it accepts only what that change
-    # would; where it accepts, it is the level's delta, and a probe's
-    # windows are never composed
+    # one rule for every comparison: the scaled change of the windows, or
+    # the half-period maps' bound on it, plus the finer level's window
+    # defect d.  The bound lies above the scaled change, at the probe's
+    # comparison and at a doubling one (N = 8 M = 1), so it accepts only
+    # what that change would; where it accepts, it is the level's delta,
+    # and a probe's windows are never composed
     tol = 1e-9
     seen, composed = _record_refinement(monkeypatch)
     res = run_iswap_protocol(params)
@@ -995,19 +999,41 @@ def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
     maps, prev_maps = step(last), step(prev)
     windows = compose(last, maps)
     change = driving._change(windows, compose(prev, prev_maps), "test", last)
-    if driving._unitarity_defect(windows) >= tol / 64:
-        # ungated (M = 1e5): the raw change decides, and no bound is tried
-        assert delta == change < tol
-        return
     scale = 1.0 / (driving._error_fall(last // prev) - 1.0)
-    bound = scale * cells * driving._map_change(maps, prev_maps)
-    assert change * scale <= bound
+    d = driving._unitarity_defect(windows)
+    bound = scale * cells * driving._map_change(maps, prev_maps) + d
+    assert change * scale + d <= bound
     if bound < tol:
         assert delta == bound
     else:
-        assert delta == change * scale < tol
+        assert delta == change * scale + d < tol
     if len(res.refinement) == 2:
         assert (prev in composed) == (delta != bound)
+
+
+@pytest.mark.parametrize("params", _PROBE_PANEL)
+def test_returned_delta_is_never_below_its_windows_defect(monkeypatch, params):
+    # what a returned level promises: its delta is at least the unitarity
+    # defect of the drive windows it was accepted on, so no level whose
+    # windows' defect is tol or more is returned
+    seen, _ = _record_refinement(monkeypatch)
+    res = run_iswap_protocol(params)
+    windows = seen["windows"][res.substeps_per_period // 2]
+    assert res.converged_delta >= driving._unitarity_defect(windows) > 0.0
+
+
+@pytest.mark.parametrize("N, M", [(8, 256), (6, 1000)])
+def test_long_windows_return_the_probes_comparison_level(ladder, N, M):
+    # a long window's defect adds to its estimate but does not switch it to
+    # the raw change, so the probe's comparison decides, as on short
+    # windows, and the level it returns is within tol of one doubling finer
+    tol = driving._TOL
+    res = run_iswap_protocol(ProtocolParams(N=N, M=M))
+    assert [n for n, _ in res.refinement] == [8, 64]
+    ladder(tol=math.inf, nsub0=64, max_refine=1)
+    finer = run_iswap_protocol(ProtocolParams(N=N, M=M))
+    assert finer.substeps_per_period == 128
+    assert max(max_column_distance(a, b) for a, b in zip(res.blocks, finer.blocks)) < tol
 
 
 @pytest.mark.parametrize("N, M", [(4, 1), (6, 4), (6, 20), (8, 16), (8, 64)])
@@ -1043,8 +1069,8 @@ def test_default_run_steps_only_the_probe_and_the_returned_level(monkeypatch):
 def _scripted_levels(changes, unitary=False):
     """compute(nsub) for _refine whose successive doubling levels from
     nsub = 1 differ by the given changes: 1 x 1 blocks holding their
-    running sum, or, unitary, e^i times it, so that the unitarity gate
-    holds."""
+    running sum, or, unitary, e^i times it, so that their unitarity defect
+    is roundoff."""
     values = np.concatenate([[0.0], np.cumsum(changes)])
     if unitary:
         values = np.exp(1.0j * values)
@@ -1052,29 +1078,31 @@ def _scripted_levels(changes, unitary=False):
 
 
 def test_doubling_levels_are_accepted_on_their_estimated_error():
-    # under the unitarity gate a doubling level is accepted once its change
-    # over 2^6 - 1 is below tol; without it, only once the raw change is
+    # a doubling level is accepted once its change over 2^6 - 1, plus its
+    # blocks' unitarity defect, is below tol
     changes = [1.0e-6, 3.0e-8, 5.0e-10]
     _, history = _refine_blocks(_scripted_levels(changes, unitary=True), 1e-9)
     assert [n for n, _ in history] == [1, 2, 4]
     assert history[-1][1] == pytest.approx(3.0e-8 / 63.0, rel=1e-6)
-    _, history = _refine_blocks(_scripted_levels(changes), 1e-9)
-    assert [n for n, _ in history] == [1, 2, 4, 8]
-    assert history[-1][1] == pytest.approx(5.0e-10, rel=1e-6)
+    # blocks near 0 have a defect near 1: however small their changes, no
+    # level of them is accepted
+    with pytest.raises(RuntimeError, match=r"did not converge below 1e-09; last estimated error 1\.000e\+00"):
+        _refine_blocks(_scripted_levels(changes), 1e-9, (1, 2, 4, 8))
 
 
 def test_refinement_stalls_on_a_change_that_does_not_fall():
     # changes as N = 4 M = 1e6 gives them: they grow with the substeps
-    with pytest.raises(RuntimeError, match=r"did not converge below 1e-09: the change 2\.300e-08 "):
-        _refine_blocks(_scripted_levels([1.0e-8, 2.3e-8, 1.0e-7]), 1e-9)
-    # a fall just short of 4x stalls; 4x refines on
+    with pytest.raises(RuntimeError, match=r"did not converge below 1e-09: the change 2\.300e-06 "):
+        _refine_blocks(_scripted_levels([1.0e-6, 2.3e-6, 1.0e-5], unitary=True), 1e-9)
+    # a fall just short of 4x stalls; one just over it refines on (at
+    # exactly 4x the chords of e^i times the sums round either way)
     with pytest.raises(RuntimeError, match="fell only 3.9x"):
-        _refine_blocks(_scripted_levels([1.0e-6, 1.0e-6 / 3.9]), 1e-9)
-    _, history = _refine_blocks(_scripted_levels([1.0e-6, 2.5e-7, 1e-10]), 1e-9)
+        _refine_blocks(_scripted_levels([1.0e-6, 1.0e-6 / 3.9], unitary=True), 1e-9)
+    _, history = _refine_blocks(_scripted_levels([1.0e-6, 1.0e-6 / 4.1, 1e-10], unitary=True), 1e-9)
     assert [n for n, _ in history] == [1, 2, 4, 8]
     # the probe's change (8 against 1) is not a doubling change: the first
     # doubling change may stand level with it
-    scripted = _scripted_levels([0.0, 0.0, 1.0e-8, 1.0e-8, 1.0e-11])
+    scripted = _scripted_levels([0.0, 0.0, 1.0e-3, 1.0e-3, 1.0e-9], unitary=True)
     _, history = _refine_blocks(scripted, 1e-9, [1, 8, 16, 32])
     assert [n for n, _ in history] == [1, 8, 16, 32]
 
@@ -1083,15 +1111,18 @@ def test_refinement_does_not_stall_on_healthy_falls():
     # the changes of N = 10 M = 4 from nsub0 = 4, which fall 105, 62, 65,
     # 61 and 64x
     changes = [4.6e-2, 4.4e-4, 7.1e-6, 1.1e-7, 1.8e-9, 2.8e-11]
-    _, history = _refine_blocks(_scripted_levels(changes), 1e-9)
-    assert [n for n, _ in history] == [1, 2, 4, 8, 16, 32, 64]
+    _, history = _refine_blocks(_scripted_levels(changes, unitary=True), 1e-9)
+    assert [n for n, _ in history] == [1, 2, 4, 8, 16, 32]
 
 
-@pytest.mark.parametrize("N, M, cells", [(4, 1000000, 8000000), (6, 30000, 540000), (8, 30000, 960000)])
+@pytest.mark.parametrize(
+    "N, M, cells", [(4, 1000000, 8000000), (6, 30000, 540000), (8, 30000, 960000), (4, 100000, 800000)]
+)
 def test_long_window_stops_on_its_roundoff_floor(monkeypatch, N, M, cells):
     # these windows once stepped all eleven levels before failing (N = 8 in
-    # 44 s); refining only adds roundoff there, so the run stops after the
-    # probe, the candidate and two doubling levels
+    # 44 s), or, at N = 4 M = 1e5, returned a level whose windows' defect
+    # was above tol; refining only adds roundoff there, so the run stops
+    # after the probe, the candidate and two doubling levels
     levels, window = set(), driving._drive_window_sector
 
     def counting_window(*args, nsub, **kwargs):
@@ -1611,7 +1642,7 @@ def test_results_hold_sector_blocks_and_build_the_dense_gate_on_request(monkeypa
     # the eigengate report holds its sectors' arrays only, none spanning
     # the 2^N states, as a dense 2^N builder would
     assert _widest_axis(lambda: hz_diagonal(N)) == 2**N
-    assert 0 < _widest_axis(lambda: eigengate.eigengate_report(N, (0.0, math.pi))) < 2**N
+    assert 0 < _widest_axis(lambda: eigengate.eigengate_report(N)) < 2**N
     for res in results:
         stored = [getattr(res, f.name) for f in dataclasses.fields(res)]
         arrays = [a for v in stored for a in (v if isinstance(v, tuple) else (v,))]

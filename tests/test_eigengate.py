@@ -39,10 +39,18 @@ from dense_reference import (
 )
 
 
+def _report(N, thetas):
+    """eigengate_report(N) with its BCH angles (eigengate.BCH_THETAS) set to
+    thetas for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigengate, "BCH_THETAS", tuple(thetas))
+        return eigengate_report(N)
+
+
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_eigengate_maps_states_with_clean_phases(N, variant):
-    form = eigengate_report(N, ())["variants"][variant]
+    form = eigengate_report(N)["variants"][variant]
     assert_unitary(build_eigengate(N, variant).unitary)
     assert form["min_overlap"] > 1.0 - 1e-9
     # the largest deviation of any state's phase from i^(q n)
@@ -60,7 +68,7 @@ def test_expected_phase_is_quarter_cycle():
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_variants_agree_entrywise(N):
-    report = eigengate_report(N, ())
+    report = eigengate_report(N)
     assert report["entrywise_difference"] < 1e-12
     for variant in VARIANTS:
         assert report["variants"][variant]["min_overlap"] > 1.0 - 1e-9
@@ -69,7 +77,7 @@ def test_variants_agree_entrywise(N):
 @pytest.mark.parametrize("N", [2, 4, 6, 8])
 def test_intertwining_swaps_hamiltonians(N):
     hk = chain_block(krawtchouk_chain(N), chain_hops(N))
-    residual = eigengate_report(N, ())["intertwining_residual"]
+    residual = eigengate_report(N)["intertwining_residual"]
     assert residual < 1e-9 * np.max(np.abs(hk))
     dense = dense_intertwining(dense_eigengate(N), N)
     assert abs(residual - dense) <= SECTOR_TOL
@@ -77,7 +85,7 @@ def test_intertwining_swaps_hamiltonians(N):
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_so3_structure(N):
-    res = eigengate_report(N, ())["so3_residuals"]
+    res = eigengate_report(N)["so3_residuals"]
     assert set(res) == {"xy_z", "yz_x", "zx_y"}
     assert max(res.values()) < 1e-9
 
@@ -85,13 +93,13 @@ def test_so3_structure(N):
 @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi])
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_bch_rotation_identity_grid(N, theta):
-    assert eigengate_report(N, [theta])["bch_residuals"][str(theta)] < 1e-9
+    assert _report(N, [theta])["bch_residuals"][str(theta)] < 1e-9
 
 
 @given(st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False))
 @settings(max_examples=20, deadline=None)
 def test_bch_rotation_identity_any_angle(theta):
-    assert eigengate_report(4, [theta])["bch_residuals"][str(theta)] < 1e-9
+    assert _report(4, [theta])["bch_residuals"][str(theta)] < 1e-9
 
 
 @pytest.mark.parametrize("N", [4, 6])
@@ -172,7 +180,7 @@ def test_compare_forms_scores_equal_mapping_table_per_gate(N):
     # the sector-wise scores sum the same products as the per-label route
     # in another order, so they agree to roundoff; the report scores the
     # gates build_eigengate builds, bit for bit
-    report = eigengate_report(N, ())
+    report = eigengate_report(N)
     n = N - 1
     for variant in VARIANTS:
         form = report["variants"][variant]
@@ -186,7 +194,7 @@ def test_compare_forms_scores_equal_mapping_table_per_gate(N):
 
 @pytest.mark.parametrize("N", range(2, 9))
 def test_compare_forms_within_roundoff_of_dense_reference(N):
-    report, dense = eigengate_report(N, ()), dense_compare_forms(N)
+    report, dense = eigengate_report(N), dense_compare_forms(N)
     for variant in VARIANTS:
         form, ref = report["variants"][variant], dense["variants"][variant]
         assert set(form) == {"min_overlap", "max_phase_deviation"}
@@ -228,7 +236,7 @@ def test_sector_eigengate_within_roundoff_of_dense_reference(N, variant):
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
 def test_rotation_checks_within_roundoff_of_dense_reference(N):
     thetas = [0.0, np.pi / 2, np.pi, 0.37, -2.1]
-    report = eigengate_report(N, thetas)
+    report = _report(N, thetas)
     so3, bch = report["so3_residuals"], report["bch_residuals"]
     dense_so3, dense_bch = dense_rotation_checks(N, thetas)
     assert set(so3) == set(dense_so3)
@@ -258,12 +266,12 @@ def test_eigengate_report_builds_the_chain_and_each_sector_once(monkeypatch, N):
     for name in ("krawtchouk_chain", "build_basis", "chain_block", "hz_diagonal"):
         counted(eigengate, name)
     counted(np.linalg, "eigh")
-    eigengate_report(N, [0.0])
+    _report(N, [0.0])
     eighs = calls.pop("eigh")
     assert calls == {"krawtchouk_chain": 1, "build_basis": 1, "chain_block": N + 1, "hz_diagonal": N + 1}
     assert sizes == [math.comb(N, q) for q in range(N + 1)]
     calls.clear()
-    eigengate_report(N, [0.0, 0.37, np.pi, -2.1])
+    _report(N, [0.0, 0.37, np.pi, -2.1])
     assert calls["eigh"] == eighs == 3 * (N + 1)
 
 
@@ -285,22 +293,22 @@ def test_gate_of_another_size_is_rejected(kwargs, message):
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 8])
 def test_bch_residuals_equal_per_angle_calls_exactly(N):
     thetas = [0.0, np.pi / 2, np.pi, 0.37, -2.1]
-    batch = eigengate_report(N, thetas)["bch_residuals"]
+    batch = _report(N, thetas)["bch_residuals"]
     assert len(batch) == len(thetas)
     for theta in thetas:
         key = str(theta)
-        assert batch[key] == eigengate_report(N, [theta])["bch_residuals"][key]
+        assert batch[key] == _report(N, [theta])["bch_residuals"][key]
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
 def test_rotation_checks_equal_separate_calls_exactly(N):
     thetas = [0.0, np.pi / 2, 0.37]
-    report = eigengate_report(N, thetas)
+    report = _report(N, thetas)
     # the thetas change the BCH residuals only
-    alone = eigengate_report(N, ())
+    alone = _report(N, ())
     assert alone.pop("bch_residuals") == {}
     assert {key: value for key, value in report.items() if key != "bch_residuals"} == alone
-    bch = [eigengate_report(N, [theta])["bch_residuals"][str(theta)] for theta in thetas]
+    bch = [_report(N, [theta])["bch_residuals"][str(theta)] for theta in thetas]
     assert list(report["bch_residuals"].values()) == bch
 
 
