@@ -292,9 +292,10 @@ def _map_change(cur, prev) -> float:
 
 def _refine(step, compose, tol: float, levels, where: str, cells=None):
     """Step the levels nsub in levels, by increasing nsub, until one's
-    estimated error is below tol.  Returns that level's blocks and the
-    (nsub, delta) of every level stepped, delta being its estimated error
-    (inf for the first, which is compared with none).
+    estimated error is below tol.  Returns that level's blocks, the (nsub,
+    delta) of every level stepped, delta being its estimated error (inf for
+    the first, which is compared with none), and its blocks' unitarity
+    defect d, which its delta includes.
 
     step(nsub) steps a level's maps and compose(nsub, maps) its blocks.
     Each level is compared with the one before, f = 8 or 2 times coarser,
@@ -337,14 +338,14 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
             delta = change * scale + d
         history.append((nsub, delta))
         if delta < tol:
-            return cur, history
+            return cur, history, d
         # last is inf until a doubling change exists; the probe's is none
         if factor == 2:
             if last < change * _error_fall(2) / _STALL_MARGIN:
                 raise RuntimeError(
                     f"{where} did not converge below {tol:g}: the change {change:.3e} at nsub={nsub} "
                     f"fell only {last / change:.2g}x from {last:.3e}, so roundoff "
-                    f"dominates (the blocks' unitarity defect is {d:.1e})"
+                    f"dominates (the windows' unitarity defect is {d:.1e})"
                 )
             last = change
         prev = (nsub, maps, cur)
@@ -357,8 +358,8 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
 # holds exactly, so 2 pi M and 4 M stay finite.
 _COUNT_MAX = 2**53
 
-# The largest N a run accepts: the largest that the calibration's floor
-# (_COUPLING_FLOOR) is checked at.
+# The largest N a run accepts: the largest whose drive layout's coupling of
+# the target states is pinned (test_default_layouts_couple_far_above_the_floor).
 _N_MAX = 12
 
 
@@ -403,6 +404,10 @@ class ProtocolResult:
     # the level's estimated error (_refine), inf for the first level and
     # never below the unitarity defect of the windows it was taken on.
     refinement: tuple
+    # largest max|W^dagger W - I| over the drive windows W the returned level
+    # was taken on (_refine): the roundoff floor its delta includes, which a
+    # long window raises with its cell count
+    unitarity_defect: float
 
     @property
     def converged_delta(self) -> float:
@@ -411,13 +416,6 @@ class ProtocolResult:
     @property
     def substeps_per_period(self) -> int:
         return self.refinement[-1][0]
-
-    @property
-    def unitarity_defect(self) -> float:
-        """Largest max|U^dagger U - I| over the gate's blocks: the roundoff
-        floor under the error, which a long window raises with its cell
-        count."""
-        return _unitarity_defect(self.blocks)
 
     @property
     def unitary(self) -> np.ndarray:
@@ -462,8 +460,7 @@ class _DrivePlan:
 
     Built with the plan: the drive's sign and pairs, the drive frequency,
     the two target states' positions in the half-filled sector, and the
-    unit drive's transition element V_ab between them and its largest entry
-    in that sector.
+    unit drive's transition element V_ab between them.
     Built on first use, per sector q = 0..N: the drive at J_D = 1, the
     inversion pulse's phases and the eigengate's block, so a calibration
     alone builds no other sector's blocks.  Every array is read only.  The
@@ -477,7 +474,6 @@ class _DrivePlan:
     targets: tuple
     omega: float
     v_ab: complex
-    v_max: float
 
     def _per_sector(self, build) -> tuple:
         """build(states) on each sector's basis indices states, q = 0..N, read only."""
@@ -519,16 +515,7 @@ def _layout_plan(N: int) -> _DrivePlan:
         # the energy difference between the two half-filled band states
         omega=manybody_energy(basis, range(N // 2, N)) - manybody_energy(basis, range(N // 2)),
         v_ab=complex(bra.conj() @ (v_half @ ket)),
-        v_max=np.abs(v_half).max(),
     )
-
-
-# Smallest |V_ab| / max|V| of a drive that couples the two target states.
-# For N <= 12, pair terms that cancel by symmetry leave at most 3.2e-17 of
-# roundoff, and calibrating on it would set J_D ~ 1e16 and overflow the step
-# exponentials.  The layouts the chain sizes fix sit far above: 0.87, 0.156,
-# 1.5e-2, 1.1e-3 and 2.2e-5 at N = 4, 6, 8, 10 and 12.
-_COUPLING_FLOOR = 1e-12
 
 
 def drive_calibration(params: ProtocolParams) -> tuple:
@@ -537,18 +524,13 @@ def drive_calibration(params: ProtocolParams) -> tuple:
     The drive strength is set so the half Rabi coupling A equals 1/(4M),
     making the drive window an exact pi-pulse.  The drive phase is chosen
     from the argument of the transition matrix element so that both special
-    states acquire the phase +i.  A drive whose element is within
-    _COUPLING_FLOOR of zero raises ValueError.  omega and the element come
-    from the chain's cached _DrivePlan.
+    states acquire the phase +i.  omega and the element come from the
+    chain's cached _DrivePlan, whose layout couples the target states at
+    every N a run takes.
     """
     M = params.M
     plan = _layout_plan(params.N)
     v_ab = plan.v_ab
-    if abs(v_ab) <= _COUPLING_FLOOR * plan.v_max:
-        raise ValueError(
-            f"the drive on pairs {plan.pairs} with sign '{plan.sign}' does not couple the "
-            f"target states at N={params.N} (|V_ab| = {abs(v_ab):.1e})"
-        )
     j_d = (1.0 / (4.0 * M)) / (abs(v_ab) / 2.0)
     return plan.omega, j_d, cmath.phase(v_ab) - math.pi
 
@@ -834,7 +816,7 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
     levels = [_NSUB0 << k for k in range(_MAX_REFINE + 1)]
     if whole:
         levels.insert(0, _NSUB0 // 8)
-    windows, history = _refine(sector_maps, drive_window, _TOL, levels, where, 2 * halves if whole else None)
+    windows, history, defect = _refine(sector_maps, drive_window, _TOL, levels, where, 2 * halves if whole else None)
     refinement = tuple((2 * nsub, delta) for nsub, delta in history)
 
     blocks = tuple(u_k.conj().T @ window @ u_k for window, u_k in zip(windows, plan.eigengate_blocks))
@@ -846,6 +828,7 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
         amplitude=1.0 / (4.0 * M),
         drive_phase=float(phase),
         refinement=refinement,
+        unitarity_defect=defect,
     )
 
 

@@ -84,7 +84,7 @@ def build_eigengate(N: int, variant: str = "three_step") -> EigengateForm:
         raise ValueError(f"variant must be one of {VARIANTS}")
     spec = krawtchouk_chain(N)
     blocks = tuple(_sector_gate(variant, hk, hz) for _, hk, hz in _sector_hamiltonians(spec))
-    return EigengateForm(variant=variant, N=N, blocks=blocks)
+    return EigengateForm(variant=variant, N=spec.N, blocks=blocks)
 
 
 def expected_phase(q: int, n: int) -> complex:
@@ -116,8 +116,8 @@ def eigengate_report(N: int) -> dict:
     in BCH_THETAS; one real eigendecomposition of each sector's Lh serves
     every theta, so a residual does not depend on the other thetas.
     """
-    n = N - 1
     spec = krawtchouk_chain(N)
+    n = spec.N - 1
     phi = build_basis(n).phi
     overlap, deviation = dict.fromkeys(VARIANTS, 1.0), dict.fromkeys(VARIANTS, 0.0)
     difference = intertwining = 0.0
@@ -151,7 +151,7 @@ def eigengate_report(N: int) -> dict:
             rhs = rhs + 1.0j * (np.sin(theta) / np.sqrt(2.0)) * c
             bch[k] = max(bch[k], float(np.max(np.abs((rot * lz) @ rot.conj().T - rhs))))
     return {
-        "N": N,
+        "N": spec.N,
         "variants": {
             variant: {"min_overlap": overlap[variant], "max_phase_deviation": deviation[variant]}
             for variant in VARIANTS

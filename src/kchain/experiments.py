@@ -277,6 +277,7 @@ def ghz_demo(N: int) -> float:
     so each sector adds that weight times the sum of its evolved amplitudes.
     """
     spec = krawtchouk_chain(N)  # checks N before its parity is read
+    N = spec.N
     if N % 2 == 0:
         raise ValueError("one-pulse GHZ preparation needs odd N")
     overlap = 0.0
@@ -295,5 +296,7 @@ def pst_demo(N: int) -> float:
     sector's ascending basis, so its mirror amplitude is u[x, N-1-x].  An
     amplitude a roundoff above 1 in magnitude reads 0.
     """
-    u = expm_hermitian(chain_block(krawtchouk_chain(N), sector_hops(N, 1)), math.pi)
+    spec = krawtchouk_chain(N)
+    N = spec.N
+    u = expm_hermitian(chain_block(spec, sector_hops(N, 1)), math.pi)
     return max(0.0, *(1.0 - abs(complex(u[x, N - 1 - x])) for x in range(N)))

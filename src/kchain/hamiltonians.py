@@ -43,17 +43,20 @@ class ChainSpec:
         if not (dtype.kind in "iu" or dtype == np.float64):
             raise ValueError(f"couplings must be ints or float64 numbers, got {self.couplings!r}")
         object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
-        _check_chain(self.N)
+        # as a numpy uint64, N would turn the sectors' bit shifts into floats
+        object.__setattr__(self, "N", _check_chain(self.N))
         if self.couplings.shape != (self.N - 1,):
             raise ValueError("couplings must have length N-1")
         if not np.isfinite(self.couplings).all():
             raise ValueError(f"couplings must be finite, got {self.couplings!r}")
 
 
-def _check_chain(N) -> None:
-    """ChainSpec's rule for N, which krawtchouk_chain checks first."""
+def _check_chain(N) -> int:
+    """ChainSpec's rule for N, which krawtchouk_chain and the sector
+    builders check first: N as an int."""
     if not (_is_number(N, numbers.Integral) and 2 <= N <= _CHAIN_N_MAX):
         raise ValueError(f"N must be an int >= 2 (at most {_CHAIN_N_MAX}), got {N!r}")
+    return int(N)
 
 
 def krawtchouk_couplings(n: int) -> np.ndarray:
@@ -161,6 +164,7 @@ def chain_hops(N: int, states=None) -> tuple:
     """Hop pattern of the chain's bonds (x, x+1) on the ascending basis
     indices states, or on all 2^N states if None: what the chain's block
     on those states shares across couplings (chain_block)."""
+    N = _check_chain(N)
     return _hop_pattern(N, states, [(x, x + 1) for x in range(N - 1)])
 
 
@@ -186,6 +190,7 @@ def hz_diagonal(N: int, states=None) -> np.ndarray:
     """Diagonal of the dual Hamiltonian (1/2) sum_x (x - n/2)(1 - Z)_x, which
     is diagonal in the computational basis: the sum over excited sites of
     (x - n/2), on the basis indices states, or on all 2^N states if None."""
+    N = _check_chain(N)
     n = N - 1
     idx = np.arange(2**N) if states is None else np.asarray(states)
     diag = np.zeros(len(idx))
@@ -218,10 +223,11 @@ def unit_drive(N: int, sign: str, pairs, states=None) -> np.ndarray:
     sign '-': i sum_j [sp_j sm_{j+N/2} - sm_j sp_{j+N/2}]
     where sp removes and sm creates an excitation.
     """
-    if sign not in ("+", "-"):
+    N = _check_chain(N)
+    if not (isinstance(sign, str) and sign in ("+", "-")):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     d = N // 2
-    if not all(0 <= j < N - d for j in pairs):
-        raise ValueError(f"drive pairs need 0 <= j < {N - d} at N={N}, got {pairs!r}")
+    if not (np.ndim(pairs) == 1 and all(_is_number(j, numbers.Integral) and 0 <= j < N - d for j in pairs)):
+        raise ValueError(f"pairs must be a sequence of ints j with 0 <= j < {N - d} at N={N}, got {pairs!r}")
     amps = [1.0 if sign == "+" else 1.0j] * len(pairs)
-    return _hopping_block(_hop_pattern(N, states, [(j, j + d) for j in pairs]), amps)
+    return _hopping_block(_hop_pattern(N, states, [(int(j), int(j) + d) for j in pairs]), amps)

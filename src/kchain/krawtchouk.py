@@ -92,15 +92,27 @@ class KrawtchoukBasis:
     lambdas: np.ndarray
 
 
+# The largest n a basis or a closed form takes: build_basis's cost grows
+# faster than n^4, and every closed form is checked against its basis.
+_BASIS_N_MAX = 40
+
+
+def _take_int(value, name: str, allowed: range, what: str) -> int:
+    """value as an int, or a ValueError naming name, saying it must be
+    what, unless value is a number (_is_number) in allowed."""
+    if not (_is_number(value, numbers.Integral) and value in allowed):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 def build_basis(n: int) -> KrawtchoukBasis:
     """Construct phi_{k,x} = sqrt(C(n,x) / (C(n,k) 2^n)) K_{k,x} exactly.
 
     Binomial ratios are kept exact (Fraction) until the final square root,
     which keeps the matrix orthogonal to machine precision for n <= 40,
-    the largest n taken (the cost grows faster than n^4).
+    the largest n taken (_BASIS_N_MAX).
     """
-    if not (_is_number(n, numbers.Integral) and 1 <= n <= 40):
-        raise ValueError(f"n must be an int >= 1 (at most 40), got {n!r}")
+    n = _take_int(n, "n", range(1, _BASIS_N_MAX + 1), f"an int >= 1 (at most {_BASIS_N_MAX})")
     kmat = kmatrix(n)
     phi = np.zeros((n + 1, n + 1))
     for k in range(n + 1):
@@ -174,8 +186,9 @@ def m1_closed_form(n: int) -> M1Result:
     expression 2^(n/2) * det phi[{0..n/2},{0..n/2}]
                        * det phi[{0..n/2-1},{n/2+1..n}].
     """
-    if n % 2 != 0:
-        raise ValueError("n must be even (odd qubit count)")
+    n = _take_int(
+        n, "n", range(2, _BASIS_N_MAX + 1, 2), f"an even int in [2, {_BASIS_N_MAX}] (an odd qubit count)"
+    )
     h = n // 2
     power = float((-2.0) ** (-(n * n) // 4))
     minor = (
@@ -192,11 +205,11 @@ def m2_closed_form(n: int, j: int) -> float:
     2^((n-1)/2) * det phi[{j..j+d-1},{0..d-1}] * det phi[{j+1..j+d},{d..n}]
     with d = (n+1)/2, evaluated through exact integer minors.
     """
-    if n % 2 != 1:
-        raise ValueError("n must be odd (even qubit count)")
+    n = _take_int(
+        n, "n", range(1, _BASIS_N_MAX, 2), f"an odd int in [1, {_BASIS_N_MAX - 1}] (an even qubit count)"
+    )
     d = (n + 1) // 2
-    if j < 0 or j + d > n:
-        raise ValueError("j out of range")
+    j = _take_int(j, "j", range(n - d + 1), f"an int in [0, {n - d}] at n={n}")
     first = phi_minor_exact(n, range(j, j + d), range(0, d))
     second = phi_minor_exact(n, range(j + 1, j + d + 1), range(d, n + 1))
     return 2.0 ** ((n - 1) / 2.0) * first * second
@@ -216,6 +229,7 @@ def driving_sign(N: int) -> str:
 
 def meixner_identity_check(n: int) -> float:
     """Max residual of sum_k (-i)^k K_{x,k} K_{k,y} = i^(x+y-n/2) 2^(n/2) K_{x,y}."""
+    n = _take_int(n, "n", range(1, _BASIS_N_MAX + 1), f"an int >= 1 (at most {_BASIS_N_MAX})")
     kmat = kmatrix(n).astype(float)
     lhs = (kmat * (-1.0j) ** np.arange(n + 1)[None, :]) @ kmat
     xs = np.arange(n + 1)

@@ -1,7 +1,8 @@
 """The numeric boundaries: every constructor of a run's or a sweep's
 parameters, every noise amplitude, a protocol run's frequency override,
-and the size arguments of the gate-time count, the resonance frequency,
-the target gate, the GHZ demo, the Krawtchouk basis and its couplings
+the size arguments of the gate-time count, the resonance frequency, the
+target gate, the GHZ demo, the Krawtchouk basis and its couplings, the
+sector builders' sizes and drive layout, and the closed forms' n and j
 take a value or refuse it with a ValueError naming the field."""
 
 import dataclasses
@@ -21,9 +22,18 @@ from kchain.driving import (
     resonance_frequency,
     run_iswap_protocol,
 )
-from kchain.experiments import SweepConfig, format_table, ghz_demo, sweep_fig3
-from kchain.hamiltonians import ChainSpec, coupling_noises, krawtchouk_chain, krawtchouk_couplings
-from kchain.krawtchouk import build_basis
+from kchain.eigengate import build_eigengate, eigengate_report
+from kchain.experiments import SweepConfig, format_table, ghz_demo, pst_demo, sweep_fig3
+from kchain.hamiltonians import (
+    ChainSpec,
+    chain_hops,
+    coupling_noises,
+    hz_diagonal,
+    krawtchouk_chain,
+    krawtchouk_couplings,
+    unit_drive,
+)
+from kchain.krawtchouk import build_basis, m1_closed_form, m2_closed_form, meixner_identity_check
 
 with warnings.catch_warnings():
     # a float16 of 1e300 overflows to inf, with a warning, as it is made
@@ -62,11 +72,21 @@ BOUNDARIES = {
     "coupling_noises": (coupling_noises, dict(N=4, noise_eps=0.01, seeds=[3, 5]), ("N", "noise_eps")),
     "gate_time_accounting": (gate_time_accounting, dict(N=4, M=1), ("N", "M")),
     "resonance_frequency": (resonance_frequency, dict(N=4), ("N",)),
+    "hz_diagonal": (hz_diagonal, dict(N=4), ("N",)),
+    "chain_hops": (chain_hops, dict(N=4), ("N",)),
+    "unit_drive": (unit_drive, dict(N=4, sign="+", pairs=(0, 1)), ("N", "sign", "pairs")),
+    "m1_closed_form": (m1_closed_form, dict(n=4), ("n",)),
+    "m2_closed_form": (m2_closed_form, dict(n=5, j=1), ("n", "j")),
+    "meixner_identity_check": (meixner_identity_check, dict(n=4), ("n",)),
 }
 # the parameters of a boundary that take no hostile value here, each with
 # the reason
 UNLISTED = {
     ("coupling_noises", "seeds"): "a sequence whose every entry uint_stack checks as a seed (tests/test_seeding.py)",
+    **{
+        (builder, "states"): "ascending basis indices that numpy indexes with, None for all 2^N states"
+        for builder in ("hz_diagonal", "chain_hops", "unit_drive")
+    },
 }
 # a sequence field takes the hostile value as itself and as every entry of
 # a sequence of this length
@@ -76,6 +96,7 @@ SEQUENCES = {
     ("SweepConfig", "m_values"): 1,
     ("ChainSpec", "couplings"): 3,
     ("coupling_noises", "noise_eps"): 2,
+    ("unit_drive", "pairs"): 1,
 }
 CASES = [
     (boundary, field, None) for boundary, (_, _, fields) in BOUNDARIES.items() for field in fields
@@ -234,6 +255,18 @@ REFUSED = [
     *(("iswap_target", "N", N, iswap_target) for N in (4.0, "4", 3, 0, 40)),
     *(("build_basis", "n", n, build_basis) for n in (True, "3", 3.0, 41, 10**6)),
     *(("krawtchouk_couplings", "n", n, krawtchouk_couplings) for n in (True, 2.5, "3", 0, 2048)),
+    # sector builders' sizes and pair indices that once built a two-entry
+    # diagonal (hz_diagonal(True)) or failed in a TypeError
+    *(("hz_diagonal", "N", N, hz_diagonal) for N in (True, 2.5, "3")),
+    ("chain_hops", "N", True, chain_hops),
+    ("unit_drive", "pairs", (1.5,), lambda value: unit_drive(4, "+", value)),
+    # closed forms' sizes that once gave two disagreeing forms for a chain
+    # that does not exist (m1_closed_form(-4)), failed in a TypeError, or
+    # failed in numpy (meixner_identity_check(-1), on a zero-size array)
+    *(("m1_closed_form", "n", n, m1_closed_form) for n in (-4, 2.0, 3, 42)),
+    ("m2_closed_form", "n", 4, lambda value: m2_closed_form(value, 0)),
+    *(("m2_closed_form", "j", j, lambda value: m2_closed_form(3, value)) for j in (0.5, -1, 2)),
+    *(("meixner_identity_check", "n", n, meixner_identity_check) for n in (-1, 0, 2.0)),
 ]
 
 
@@ -272,10 +305,22 @@ def test_a_float64_noise_amplitude_gives_the_bits_of_a_python_float():
 
 def test_a_numpy_integer_chain_size_runs_as_its_int():
     # an np.uint64 N once built params whose run raised a TypeError in the
-    # sectors' bit shifts
+    # sectors' bit shifts, as did the sector builders, the chain layer's
+    # demos, report and gate, and an np.uint64 drive pair
     reference = run_iswap_protocol(ProtocolParams(N=4, M=1)).error
-    for N in (np.uint64(4), np.int64(4)):
+    gate = build_eigengate(4)
+    for dtype in (np.uint64, np.int64):
+        N = dtype(4)
         params = ProtocolParams(N=N, M=1)
         assert type(params.N) is int
         assert run_iswap_protocol(params).error == reference
         assert resonance_frequency(N) == resonance_frequency(4)
+        assert type(krawtchouk_chain(N).N) is int
+        assert np.array_equal(hz_diagonal(N), hz_diagonal(4))
+        assert np.array_equal(unit_drive(N, "+", (dtype(0),)), unit_drive(4, "+", (0,)))
+        assert ghz_demo(dtype(5)) == ghz_demo(5)
+        assert pst_demo(dtype(6)) == pst_demo(6)
+        assert eigengate_report(N) == eigengate_report(4)
+        form = build_eigengate(N)
+        assert type(form.N) is int
+        assert all(np.array_equal(a, b) for a, b in zip(form.blocks, gate.blocks, strict=True))

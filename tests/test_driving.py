@@ -1011,15 +1011,19 @@ def test_map_bound_decides_only_above_the_window_change(monkeypatch, params):
         assert (prev in composed) == (delta != bound)
 
 
-@pytest.mark.parametrize("params", _PROBE_PANEL)
+@pytest.mark.parametrize(
+    "params", [*_PROBE_PANEL, ProtocolParams(N=6, M=20000), ProtocolParams(N=4, M=50000)]
+)
 def test_returned_delta_is_never_below_its_windows_defect(monkeypatch, params):
     # what a returned level promises: its delta is at least the unitarity
     # defect of the drive windows it was accepted on, so no level whose
-    # windows' defect is tol or more is returned
+    # windows' defect is tol or more is returned; that defect is the one the
+    # result reports, also on windows of 2e4 and 5e4 periods
     seen, _ = _record_refinement(monkeypatch)
     res = run_iswap_protocol(params)
     windows = seen["windows"][res.substeps_per_period // 2]
-    assert res.converged_delta >= driving._unitarity_defect(windows) > 0.0
+    assert res.unitarity_defect == driving._unitarity_defect(windows) > 0.0
+    assert res.converged_delta >= res.unitarity_defect
 
 
 @pytest.mark.parametrize("N, M", [(8, 256), (6, 1000)])
@@ -1081,7 +1085,7 @@ def test_doubling_levels_are_accepted_on_their_estimated_error():
     # a doubling level is accepted once its change over 2^6 - 1, plus its
     # blocks' unitarity defect, is below tol
     changes = [1.0e-6, 3.0e-8, 5.0e-10]
-    _, history = _refine_blocks(_scripted_levels(changes, unitary=True), 1e-9)
+    _, history, _ = _refine_blocks(_scripted_levels(changes, unitary=True), 1e-9)
     assert [n for n, _ in history] == [1, 2, 4]
     assert history[-1][1] == pytest.approx(3.0e-8 / 63.0, rel=1e-6)
     # blocks near 0 have a defect near 1: however small their changes, no
@@ -1098,12 +1102,12 @@ def test_refinement_stalls_on_a_change_that_does_not_fall():
     # exactly 4x the chords of e^i times the sums round either way)
     with pytest.raises(RuntimeError, match="fell only 3.9x"):
         _refine_blocks(_scripted_levels([1.0e-6, 1.0e-6 / 3.9], unitary=True), 1e-9)
-    _, history = _refine_blocks(_scripted_levels([1.0e-6, 1.0e-6 / 4.1, 1e-10], unitary=True), 1e-9)
+    _, history, _ = _refine_blocks(_scripted_levels([1.0e-6, 1.0e-6 / 4.1, 1e-10], unitary=True), 1e-9)
     assert [n for n, _ in history] == [1, 2, 4, 8]
     # the probe's change (8 against 1) is not a doubling change: the first
     # doubling change may stand level with it
     scripted = _scripted_levels([0.0, 0.0, 1.0e-3, 1.0e-3, 1.0e-9], unitary=True)
-    _, history = _refine_blocks(scripted, 1e-9, [1, 8, 16, 32])
+    _, history, _ = _refine_blocks(scripted, 1e-9, [1, 8, 16, 32])
     assert [n for n, _ in history] == [1, 8, 16, 32]
 
 
@@ -1111,7 +1115,7 @@ def test_refinement_does_not_stall_on_healthy_falls():
     # the changes of N = 10 M = 4 from nsub0 = 4, which fall 105, 62, 65,
     # 61 and 64x
     changes = [4.6e-2, 4.4e-4, 7.1e-6, 1.1e-7, 1.8e-9, 2.8e-11]
-    _, history = _refine_blocks(_scripted_levels(changes, unitary=True), 1e-9)
+    _, history, _ = _refine_blocks(_scripted_levels(changes, unitary=True), 1e-9)
     assert [n for n, _ in history] == [1, 2, 4, 8, 16, 32]
 
 
@@ -1137,14 +1141,6 @@ def test_long_window_stops_on_its_roundoff_floor(monkeypatch, N, M, cells):
     assert "did not converge" in message and "fell only" in message
     assert f"over {cells} half-period cells" in message
     assert re.search(r"unitarity defect is \d\.\de-0\d\)$", message)
-
-
-def test_unitarity_defect_reads_the_blocks():
-    res = run_iswap_protocol(ProtocolParams(N=4, M=1))
-    assert res.unitarity_defect <= 1e-13
-    dense = np.abs(res.unitary.conj().T @ res.unitary - np.eye(16)).max()
-    assert res.unitarity_defect == pytest.approx(dense, abs=1e-15)
-    assert "unitarity_defect" not in [f.name for f in dataclasses.fields(res)]
 
 
 @functools.cache
@@ -1376,52 +1372,15 @@ def test_calibration_exact_values():
     assert (1.0 / 16.0) / j_d == pytest.approx(5.0 / 64.0, rel=1e-12)
 
 
-@pytest.fixture
-def layout(monkeypatch):
-    """layout(N, sign, pairs) makes the drive on pairs with sign the one
-    chain size N takes, for the drives no chain size takes.  The plan cache
-    is cleared before and after, so no plan of a patched drive outlives the
-    test."""
-
-    def install(N, sign, pairs):
-        monkeypatch.setattr(driving, "driving_sign", lambda n: sign if n == N else driving_sign(n))
-        monkeypatch.setattr(
-            driving, "default_drive_pairs", lambda n: pairs if n == N else default_drive_pairs(n)
-        )
-
-    driving._layout_plan.cache_clear()
-    yield install
-    driving._layout_plan.cache_clear()
-
-
-@pytest.mark.parametrize(
-    "params",
-    [ProtocolParams(N=4, M=1), ProtocolParams(N=8, M=4, noise_eps=0.05, seed=3)],
-)
-def test_drive_that_couples_nothing_is_rejected(layout, params):
-    # with N/2 even, pair 0 and its mirror pair N/2 - 1 cancel under '-' in
-    # the target element up to roundoff
-    pairs = (0, params.N // 2 - 1)
-    layout(params.N, "-", pairs)
-    message = re.escape(f"pairs {pairs} with sign '-'") + f" .* at N={params.N} "
-    with pytest.raises(ValueError, match=message):
-        drive_calibration(params)
-    with pytest.raises(ValueError, match="does not couple the target states"):
-        run_iswap_protocol(params)
-
-
-def test_weakest_real_coupling_is_calibrated(layout):
-    # pair 0 under '+' at N = 12: |V_ab| = 2.0e-8, far above the floor
-    layout(12, "+", (0,))
-    _, j_d, _ = drive_calibration(ProtocolParams(N=12, M=1))
-    assert 1e7 < j_d < 1e8
-
-
 @pytest.mark.parametrize("N", [4, 6, 8, 10, 12])
 def test_default_layouts_couple_far_above_the_floor(N):
-    # the ratios _COUPLING_FLOOR's comment cites
+    # the layout each chain size fixes couples the target states far above
+    # the roundoff (at most 3.2e-17 of the largest entry) that pair terms
+    # cancelling by symmetry would leave, and on which calibrating would set
+    # J_D ~ 1e16 and overflow the step exponentials
     plan = driving._layout_plan(N)
-    ratio = abs(plan.v_ab) / plan.v_max
+    half = sector_indices(N, N // 2)
+    ratio = abs(plan.v_ab) / np.abs(unit_drive(N, plan.sign, plan.pairs, half)).max()
     assert ratio >= 1e-5
     assert ratio == pytest.approx({4: 0.87, 6: 0.156, 8: 1.5e-2, 10: 1.1e-3, 12: 2.2e-5}[N], rel=0.05)
 
@@ -1757,15 +1716,6 @@ def test_noisy_samples_of_one_layout_build_its_plan_once(monkeypatch):
     # chain's hop pattern once per sector, its couplings applied per sample
     assert calls == {"eigengate_single_particle": 1, "unit_drive": 1 + (N + 1)}
     assert sector_hops.cache_info().misses == N + 1
-
-
-def test_drive_that_couples_nothing_raises_on_every_run(layout):
-    params = ProtocolParams(N=4, M=1)
-    layout(4, "-", (0, 1))
-    for _ in range(3):
-        with pytest.raises(ValueError, match="does not couple the target states"):
-            run_iswap_protocol(params)
-    assert driving._layout_plan.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(

@@ -159,7 +159,8 @@ def test_driving_operator_matrix_elements():
 def test_unit_drive_rejects_a_bad_sign_or_pair():
     with pytest.raises(ValueError, match="^sign must be '[+]' or '-', got 'x'"):
         unit_drive(4, "x", (0,))
-    with pytest.raises(ValueError, match=r"^drive pairs need 0 <= j < 2 at N=4, got \(0, 2\)"):
+    message = r"^pairs must be a sequence of ints j with 0 <= j < 2 at N=4, got \(0, 2\)"
+    with pytest.raises(ValueError, match=message):
         unit_drive(4, "+", (0, 2))
 
 

@@ -1,11 +1,15 @@
 """Every import in src/ and tests/ is used, every exported name exists,
-src/ defines only names that src/ reads or that the package exports, and
-importing the package loads no module that a default run never uses."""
+src/ defines only names that src/ reads or that the package exports, no
+src/ comment or docstring names a private name that src/ does not define,
+and importing the package loads no module that a default run never uses."""
 
 import ast
 import importlib
+import io
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -149,3 +153,69 @@ def test_unread_name_scan_flags_a_name_planted_in_src():
     sources["linalg"] += "\n\ndef planted(bits):\n    return basis_index(bits)\n"
     assert "linalg.planted" in unread_names(sources)
     assert "linalg.basis_index" not in unread_names(sources)
+
+
+# a private name named in prose: _Name after a space or "(", so math
+# notation such as sigma^-_a or |s>_chain is not one
+PRIVATE_MENTION = re.compile(r"(?<=[\s(])_[A-Za-z]\w*")
+
+
+def stale_private_names(sources: dict) -> list:
+    """(file:line, name) of every private name that a comment or a
+    docstring in sources (file name -> source text) names (PRIVATE_MENTION)
+    but no source defines as a function, class, assigned or attribute name,
+    or as a module stem (_seeding)."""
+    defined, texts = {Path(name).stem for name in sources}, []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                texts.append((name, node.body[0].lineno, ast.get_docstring(node, clean=False)))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                defined.add(node.attr)
+        texts.append((name, 1, ast.get_docstring(tree, clean=False)))
+        texts += [
+            (name, tok.start[0], tok.string)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+    stale = []
+    for name, line, text in texts:
+        for match in PRIVATE_MENTION.finditer(text or ""):
+            if match.group() not in defined:
+                at = line + text.count("\n", 0, match.start())
+                stale.append((f"{name}:{at}", match.group()))
+    return sorted(stale)
+
+
+def src_texts() -> dict:
+    return {path.name: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
+
+
+def test_src_prose_names_no_private_name_src_lacks():
+    # a comment or docstring still naming a deleted or renamed private name
+    stale = stale_private_names(src_texts())
+    assert stale == [], f"private names src/ comments or docstrings name but src/ does not define: {stale}"
+
+
+def test_stale_name_scan_finds_undefined_names_and_skips_math():
+    sources = {
+        "_seeding.py": "",
+        "a.py": (
+            '"""Uses _f and (_Gone), with _seeding."""\n'
+            "# sigma^-_a, |s>_chain, x_k and __init__ are no names; _lost is\n"
+            "def _f(obj):\n"
+            '    """Sets (_attr), reads _X."""\n'
+            "    obj._attr = _X = 1\n"
+        ),
+    }
+    assert stale_private_names(sources) == [("a.py:1", "_Gone"), ("a.py:2", "_lost")]
+
+
+def test_stale_name_scan_flags_a_name_deleted_from_src():
+    sources = src_texts()
+    sources["driving.py"] += "\n# the largest N the calibration's floor\n# (_COUPLING_FLOOR) is checked at\n"
+    assert [name for _, name in stale_private_names(sources)] == ["_COUPLING_FLOOR"]
