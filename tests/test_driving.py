@@ -1026,6 +1026,20 @@ def test_returned_delta_is_never_below_its_windows_defect(monkeypatch, params):
     assert res.converged_delta >= res.unitarity_defect
 
 
+def test_unitarity_defect_reads_the_blocks(monkeypatch):
+    # the reported defect is the windows' one, a field of the result; the
+    # blocks, those windows in the eigengate basis, read blockwise give the
+    # dense gate's defect, and both stay at roundoff
+    seen, _ = _record_refinement(monkeypatch)
+    res = run_iswap_protocol(ProtocolParams(N=4, M=1))
+    windows = seen["windows"][res.substeps_per_period // 2]
+    assert res.unitarity_defect == driving._unitarity_defect(windows) <= 1e-13
+    dense = np.abs(res.unitary.conj().T @ res.unitary - np.eye(16)).max()
+    assert driving._unitarity_defect(res.blocks) == pytest.approx(dense, abs=1e-15)
+    assert dense <= 1e-13
+    assert "unitarity_defect" in [f.name for f in dataclasses.fields(res)]
+
+
 @pytest.mark.parametrize("N, M", [(8, 256), (6, 1000)])
 def test_long_windows_return_the_probes_comparison_level(ladder, N, M):
     # a long window's defect adds to its estimate but does not switch it to
