@@ -13,19 +13,19 @@ from .hamiltonians import (
     _check_seed,
     _is_number,
     chain_block,
+    drive_layout,
     hz_diagonal,
     krawtchouk_chain,
     sector_hops,
     unit_drive,
 )
-from .krawtchouk import build_basis, driving_sign, eigenstate_vector, manybody_energy
+from .krawtchouk import build_basis, eigenstate_vector, manybody_energy
 from .eigengate import eigengate_single_particle, free_fermion_block
 from .linalg import basis_index, block_diagonal, max_column_distance, sector_indices
 
 __all__ = [
     "ProtocolParams",
     "ProtocolResult",
-    "default_drive_pairs",
     "resonance_frequency",
     "drive_calibration",
     "iswap_target",
@@ -358,10 +358,6 @@ def _refine(step, compose, tol: float, levels, where: str, cells=None):
 # holds exactly, so 2 pi M and 4 M stay finite.
 _COUNT_MAX = 2**53
 
-# The largest N a run accepts: the largest whose drive layout's coupling of
-# the target states is pinned (test_default_layouts_couple_far_above_the_floor).
-_N_MAX = 12
-
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolParams:
@@ -374,8 +370,7 @@ class ProtocolParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.N, numbers.Integral) and 4 <= self.N <= _N_MAX) or self.N % 2:
-            raise ValueError(f"N must be an even int >= 4 (at most {_N_MAX}), got {self.N!r}")
+        drive_layout(self.N)  # N is a chain with a drive layout, or it raises
         # as a numpy uint64, N would turn the sectors' bit shifts into floats
         object.__setattr__(self, "N", int(self.N))
         if not (_is_number(self.M, numbers.Integral) and 1 <= self.M <= _COUNT_MAX):
@@ -397,7 +392,6 @@ class ProtocolResult:
     error: float
     omega: float
     J_D: float
-    amplitude: float
     drive_phase: float
     # (substeps_per_period, delta) of every refinement level stepped, by
     # increasing substeps; the last entry is the returned level.  delta is
@@ -421,13 +415,6 @@ class ProtocolResult:
     def unitary(self) -> np.ndarray:
         """The gate on the full 2^N space, built from the blocks."""
         return block_diagonal(self.blocks)
-
-
-def default_drive_pairs(N: int) -> tuple:
-    """Left sites j of the (j, j+N/2) drive pairs used by the protocol."""
-    if N == 4:
-        return (0, 1)
-    return ((N - 2) // 4,)
 
 
 def resonance_frequency(N: int) -> float:
@@ -458,9 +445,9 @@ class _DrivePlan:
     sweep redraws only the couplings, and M and the inversion are applied
     per run.
 
-    Built with the plan: the drive's sign and pairs, the drive frequency,
-    the two target states' positions in the half-filled sector, and the
-    unit drive's transition element V_ab between them.
+    Built with the plan: the drive frequency, the two target states'
+    positions in the half-filled sector, and the unit drive's transition
+    element V_ab between them.
     Built on first use, per sector q = 0..N: the drive at J_D = 1, the
     inversion pulse's phases and the eigengate's block, so a calibration
     alone builds no other sector's blocks.  Every array is read only.  The
@@ -469,8 +456,6 @@ class _DrivePlan:
     """
 
     N: int
-    sign: str
-    pairs: tuple
     targets: tuple
     omega: float
     v_ab: complex
@@ -484,7 +469,7 @@ class _DrivePlan:
 
     @functools.cached_property
     def unit_blocks(self) -> tuple:
-        return self._per_sector(functools.partial(unit_drive, self.N, self.sign, self.pairs))
+        return self._per_sector(functools.partial(unit_drive, self.N))
 
     @functools.cached_property
     def inverts(self) -> tuple:
@@ -499,18 +484,14 @@ class _DrivePlan:
 
 @functools.lru_cache(maxsize=8)
 def _layout_plan(N: int) -> _DrivePlan:
-    """The _DrivePlan of the chain of N sites, built once per chain: N fixes
-    the drive's sign (driving_sign) and pairs (default_drive_pairs)."""
-    sign, pairs = driving_sign(N), default_drive_pairs(N)
+    """The _DrivePlan of the chain of N sites, built once per chain."""
     basis = build_basis(N - 1)
     half = sector_indices(N, N // 2)
     bra = eigenstate_vector(basis, range(N // 2, N))[half]
     ket = eigenstate_vector(basis, range(N // 2))[half]
-    v_half = unit_drive(N, sign, pairs, half)
+    v_half = unit_drive(N, half)
     return _DrivePlan(
         N=N,
-        sign=sign,
-        pairs=pairs,
         targets=tuple(int(np.searchsorted(half, t)) for t in _target_states(N)),
         # the energy difference between the two half-filled band states
         omega=manybody_energy(basis, range(N // 2, N)) - manybody_energy(basis, range(N // 2)),
@@ -740,8 +721,8 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
     partial half-periods at the windows' ends.
 
     Only the sectors 0 < q <= N/2 are stepped: q = 0 and N are exactly
-    zero, so their windows are the inversion pulses alone.  The chain has
-    zero fields and the drive pairs sites (j, j+N/2) with one sign, so the
+    zero, so their windows are the identity.  The chain has zero fields
+    and the drive pairs sites (j, j+N/2) with one sign (drive_layout), so the
     global spin flip, which maps sector q onto sector N-q in reverse basis
     order, leaves the chain unchanged and the drive unchanged ('+') or
     negated ('-', the drive half a period later).  Each stepped sector steps only
@@ -773,18 +754,17 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
                 f"got {omega_override!r}"
             )
         omega = float(omega_override)
-    plan = _layout_plan(N)
-    sign = plan.sign
+    plan, sign = _layout_plan(N), drive_layout(N)[0]
 
     spec = krawtchouk_chain(N, noise_eps=params.noise_eps, seed=params.seed)
     h_blocks = [chain_block(spec, sector_hops(N, q)) for q in range(N + 1)]
     v_blocks = [j_d * unit for unit in plan.unit_blocks]
     _check_sector_symmetries(h_blocks, v_blocks, sign)
     inverts = plan.inverts if params.halfway_inversion else [None] * (N + 1)
-    # the sectors q = 0 and N are 1 x 1 and exactly zero (no hop, no drive):
-    # their windows are the identity wrapped in the inversion pulses
+    # the sectors q = 0 and N are 1 x 1 and exactly zero (no hop, no drive,
+    # and hz_diagonal is 0.0 there, so each pulse is 1): their windows are
+    # the identity
     eye = np.eye(1, dtype=complex)
-    empty, full = (eye if inv is None else np.conj(inv)[:, None] * (inv[:, None] * eye) for inv in inverts[:: N])
     bases = [_drive_basis(h_blocks[q], v_blocks[q]) for q in range(1, N // 2 + 1)]
     # each window's span in half-period cells; a whole number makes each
     # window 2 halves half-period maps, and only then is a probe stepped
@@ -798,7 +778,7 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
         ]
 
     def drive_window(nsub, maps):
-        windows = [empty, *[None] * (N - 1), full]
+        windows = [eye, *[None] * (N - 1), eye]
         for q, (basis, ua) in enumerate(zip(bases, maps), start=1):
             partners = (q,) if 2 * q == N else (q, N - q)
             blocks = _drive_window_sector(
@@ -825,7 +805,6 @@ def run_iswap_protocol(params: ProtocolParams, omega_override: float | None = No
         error=_swap_trace_error(blocks, plan.targets),
         omega=omega,
         J_D=j_d,
-        amplitude=1.0 / (4.0 * M),
         drive_phase=float(phase),
         refinement=refinement,
         unitarity_defect=defect,

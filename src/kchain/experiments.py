@@ -17,10 +17,11 @@ import numpy as np
 
 from . import __version__
 from ._seeding import assembled_entropy, generate_state, mix_entropy, uint_stack
-from .driving import _COUNT_MAX, _N_MAX, ProtocolParams, run_iswap_protocol
+from .driving import _COUNT_MAX, ProtocolParams, run_iswap_protocol
 from .eigengate import coupling_noise_errors, eigengate_single_particle
 from .hamiltonians import (
     _CHAIN_N_MAX,
+    _N_MAX,
     _check_noise_eps,
     _is_number,
     chain_block,

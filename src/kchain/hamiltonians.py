@@ -19,6 +19,7 @@ __all__ = [
     "chain_block",
     "hz_diagonal",
     "hopping_matrices",
+    "drive_layout",
     "unit_drive",
 ]
 
@@ -28,6 +29,10 @@ _SEED_END = 2**64
 # The largest chain a ChainSpec holds, the largest a command builds (kchain
 # spectrum): an N such as 10**400 would otherwise reach np.arange unchecked.
 _CHAIN_N_MAX = 2048
+
+# The largest N a run accepts: the largest whose drive layout's coupling of
+# the target states is pinned (test_default_layouts_couple_far_above_the_floor).
+_N_MAX = 12
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -214,20 +219,27 @@ def hopping_matrices(couplings: np.ndarray) -> np.ndarray:
     return mat
 
 
-def unit_drive(N: int, sign: str, pairs, states=None) -> np.ndarray:
-    """The drive's constant operator at J_D = 1 (the cos factor stripped) on
-    the pairs (j, j + N/2), j in pairs, on the ascending basis indices
-    states, or on all 2^N states if None:
+def drive_layout(N: int) -> tuple:
+    """(sign, pairs) of the drive on the chain of N sites, N an even int in
+    [4, _N_MAX]: it couples the sites (j, j + N/2), j in pairs, with the
+    sign whose pair terms add up on the target transition, '+' iff the
+    conjugate-ordered element's phase (-1)^(N/2) is +1."""
+    if not (_is_number(N, numbers.Integral) and 4 <= N <= _N_MAX and N % 2 == 0):
+        raise ValueError(f"N must be an even int >= 4 (at most {_N_MAX}), got {N!r}")
+    N = int(N)
+    return "+" if N % 4 == 0 else "-", (0, 1) if N == 4 else ((N - 2) // 4,)
+
+
+def unit_drive(N: int, states=None) -> np.ndarray:
+    """The drive's constant operator at J_D = 1 (the cos factor stripped) in
+    the layout (sign, pairs) = drive_layout(N), on the ascending basis
+    indices states, or on all 2^N states if None:
 
     sign '+': sum_j [sp_j sm_{j+N/2} + sm_j sp_{j+N/2}]
     sign '-': i sum_j [sp_j sm_{j+N/2} - sm_j sp_{j+N/2}]
-    where sp removes and sm creates an excitation.
+    with j in pairs, where sp removes and sm creates an excitation.
     """
-    N = _check_chain(N)
-    if not (isinstance(sign, str) and sign in ("+", "-")):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    d = N // 2
-    if not (np.ndim(pairs) == 1 and all(_is_number(j, numbers.Integral) and 0 <= j < N - d for j in pairs)):
-        raise ValueError(f"pairs must be a sequence of ints j with 0 <= j < {N - d} at N={N}, got {pairs!r}")
+    sign, pairs = drive_layout(N)
+    N = int(N)
     amps = [1.0 if sign == "+" else 1.0j] * len(pairs)
-    return _hopping_block(_hop_pattern(N, states, [(int(j), int(j) + d) for j in pairs]), amps)
+    return _hopping_block(_hop_pattern(N, states, [(j, j + N // 2) for j in pairs]), amps)

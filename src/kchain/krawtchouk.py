@@ -27,7 +27,6 @@ __all__ = [
     "m1_closed_form",
     "m2_closed_form",
     "conjugate_phase",
-    "driving_sign",
     "meixner_identity_check",
 ]
 
@@ -40,7 +39,9 @@ def krawtchouk_poly(n: int, k: int, x: int) -> int:
 
 
 def kmatrix(n: int) -> np.ndarray:
-    """(n+1)x(n+1) integer matrix K_{k,x}, exact (object dtype)."""
+    """(n+1)x(n+1) integer matrix K_{k,x}, exact (object dtype), n an int
+    in [0, _BASIS_N_MAX]."""
+    n = _take_int(n, "n", range(_BASIS_N_MAX + 1), f"an int >= 0 (at most {_BASIS_N_MAX})")
     mat = np.empty((n + 1, n + 1), dtype=object)
     for k in range(n + 1):
         for x in range(n + 1):
@@ -216,15 +217,10 @@ def m2_closed_form(n: int, j: int) -> float:
 
 
 def conjugate_phase(N: int) -> int:
-    """Relative phase (-1)^(N/2) of the conjugate-ordered two-site element."""
-    if N % 2 != 0:
-        raise ValueError("N must be even")
+    """Relative phase (-1)^(N/2) of the conjugate-ordered two-site element,
+    N an even int in [2, _BASIS_N_MAX] (m2_closed_form's chains)."""
+    N = _take_int(N, "N", range(2, _BASIS_N_MAX + 1, 2), f"an even int in [2, {_BASIS_N_MAX}]")
     return -1 if (N // 2) % 2 else 1
-
-
-def driving_sign(N: int) -> str:
-    """Drive pairing giving constructive interference: '+' iff N/2 is even."""
-    return "+" if conjugate_phase(N) == 1 else "-"
 
 
 def meixner_identity_check(n: int) -> float:

